@@ -155,7 +155,10 @@ def run_solve(cfg, out_path, n_override, quiet):
     report = solver.verify_interpolation(sol.eq, sol, len(sol.coeffs) - 1)
     payload = solver.solution_to_json(sol)
     payload["interpolation_max_error"] = report.max_error
-    text = json.dumps(payload, indent=2) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise EllgridError(f"solution JSON would hold a non-finite value: {exc}") from exc
     stream, close = _open_out(out_path or params.get("out"))
     try:
         stream.write(text)

@@ -34,6 +34,22 @@ from .errors import (
 from .poly import Polynomial, RationalFunction
 
 C_METHODS = ("xm1", "xn1", "resp0", "respn")
+POLE_TOL = 1e-13
+
+
+def pole_hit(z, pole):
+    """True when z is within POLE_TOL * max(1, |pole|) of a non-removable pole."""
+    return abs(z - pole) <= POLE_TOL * max(1.0, abs(pole))
+
+
+def pole_hits(zs, pole):
+    """pole_hit for every entry of the complex array zs, with identical results.
+
+    np.hypot rounds like abs(complex) (np.abs does not), and a comparison
+    rounds nothing.
+    """
+    gap = zs - pole
+    return np.hypot(gap.real, gap.imag) <= POLE_TOL * max(1.0, abs(pole))
 
 
 def _root_pair(curve, x):
@@ -158,7 +174,10 @@ class BasisPair:
     """Two elliptic lattices on one curve: the nodes (x_n, y_n) and poles (x'_n, y'_n).
 
     Thin accessors x/y/xp/yp keep index bookkeeping readable; computed C_n
-    values are cached per (n, method).
+    values are cached per (n, method).  Two prefix caches that only grow hold
+    Yb_n(y_{-1}) and Xb_n(x_{-1}) for n = 0, 1, ...: each new entry is the
+    previous one times one factor, so the 'xm1' route of C_n costs O(1) per n
+    and equals the from-scratch BasisFunction value to the bit.
     """
 
     def __init__(self, unprimed, primed):
@@ -173,6 +192,7 @@ class BasisPair:
         self.unprimed = unprimed
         self.primed = primed
         self._cn_cache = {}
+        self._at_m1 = {"x": [1.0 + 0j], "y": [1.0 + 0j]}
 
     def x(self, n):
         return self.unprimed.x(n)
@@ -191,6 +211,22 @@ class BasisPair:
 
     def y_basis(self, n):
         return BasisFunction(self, n, "y")
+
+    def basis_at_m1(self, n, kind):
+        """Yb_n(y_{-1}) (kind 'y') or Xb_n(x_{-1}) (kind 'x') from the prefix cache.
+
+        Same factors, order and pole guard as BasisFunction.__call__.
+        """
+        get0, get1 = (self.x, self.xp) if kind == "x" else (self.y, self.yp)
+        vals = self._at_m1[kind]
+        z = get0(-1)
+        while len(vals) <= n:
+            j = len(vals) - 1
+            pole = get1(j + 1)
+            if pole_hit(z, pole):
+                raise PoleEvaluationError(z)
+            vals.append(vals[-1] * ((z - get0(j)) / (z - pole)))
+        return vals[n]
 
 
 class BasisFunction:
@@ -221,7 +257,7 @@ class BasisFunction:
         v = 1.0 + 0j
         for j in range(self.n):
             pole = get1(j + 1)
-            if abs(z - pole) <= 1e-13 * max(1.0, abs(pole)):
+            if pole_hit(z, pole):
                 raise PoleEvaluationError(z)
             v *= (z - get0(j)) / (z - pole)
         return v
@@ -274,9 +310,9 @@ def diff_constant(pair, n, method="xm1"):
 
     if method == "xm1":
         xm1, ym1 = pair.x(-1), pair.y(-1)
-        num = -pair.y_basis(n)(ym1) * (xm1 - pair.xp(0)) * (xm1 - pair.xp(n))
+        num = -pair.basis_at_m1(n, "y") * (xm1 - pair.xp(0)) * (xm1 - pair.xp(n))
         den = _guard("y0 - y_{-1}", pair.y(0) - ym1, floor) * x2(xm1) * \
-            pair.x_basis(n - 1)(xm1)
+            pair.basis_at_m1(n - 1, "x")
         cn = num / _guard("C_n(xm1) denominator", den, floor)
     elif method == "xn1":
         xn1 = pair.x(n - 1)

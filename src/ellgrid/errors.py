@@ -98,6 +98,14 @@ class InternalInconsistencyError(EllgridError):
     """Two supposedly equivalent computation routes disagree beyond tolerance."""
 
 
+class NonFiniteCoefficientError(EllgridError):
+    """An expansion coefficient overflowed to inf or became NaN."""
+
+    def __init__(self, index, value):
+        super().__init__(f"coefficient c_{index} is not finite ({value})")
+        self.index = index
+
+
 class DegreeMismatchError(EllgridError):
     """A polynomial does not have the degree the construction requires."""
 

@@ -23,12 +23,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffops import BasisPair, diff_constant, divided_difference, mean_value
+from .diffops import (
+    BasisPair,
+    diff_constant,
+    divided_difference,
+    mean_value,
+    pole_hit,
+    pole_hits,
+)
 from .errors import (
     BranchAssignmentFailedError,
     DegreeMismatchError,
     HitSingularLatticeError,
     InternalInconsistencyError,
+    NonFiniteCoefficientError,
     NoSpecialPointError,
     PoleEvaluationError,
     SmallDivisorError,
@@ -399,6 +407,14 @@ def _rel(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _require_finite(cs):
+    """cs unchanged, or NonFiniteCoefficientError at the first inf/NaN entry."""
+    for n, c in enumerate(cs):
+        if not cmath.isfinite(c):
+            raise NonFiniteCoefficientError(n, c)
+    return cs
+
+
 def closed_product_coefficient(eq, pair, n, c1):
     """c_n from the closed product (independent of the ratio recurrence)."""
     if n == 0:
@@ -436,7 +452,7 @@ def expansion_coefficients(eq, pair, N, diag=None):
     c0 = -(eq.delta * xm1 + eq.eps) / den0
     cs = [c0]
     if N == 0:
-        return cs
+        return _require_finite(cs)
 
     etas = {n: _eta(eq, pair, n) for n in range(1, N + 1)}
     med = float(np.median([abs(v) for v in etas.values()]))
@@ -449,20 +465,22 @@ def expansion_coefficients(eq, pair, N, diag=None):
     yb1 = pair.y_basis(1)(pair.y(1))
     c1_alt = (oracle[1] - c0) / yb1
     c1_rel = _rel(c1, c1_alt)
-    if c1_rel > 1e-6:
+    if not c1_rel <= 1e-6:
         raise InternalInconsistencyError(
             f"c_1 routes disagree: recurrence {c1} vs oracle {c1_alt}")
     cs.append(c1)
     for n in range(1, N):
         cs.append(-cs[-1] * _xi(eq, pair, n) / etas[n + 1])
+    _require_finite(cs)
 
     prod_rel = 0.0
     for n in sorted({2, 5, N}):
         if 2 <= n <= N:
-            prod_rel = max(prod_rel, _rel(cs[n], closed_product_coefficient(eq, pair, n, c1)))
-    if prod_rel > 1e-7:
-        raise InternalInconsistencyError(
-            f"ratio recurrence vs closed product disagree ({prod_rel:.2e})")
+            gap = _rel(cs[n], closed_product_coefficient(eq, pair, n, c1))
+            if not gap <= 1e-7:         # NaN fails too
+                raise InternalInconsistencyError(
+                    f"ratio recurrence vs closed product disagree at n={n} ({gap:.2e})")
+            prod_rel = max(prod_rel, gap)
     if diag is not None:
         diag["c1_routes_rel"] = c1_rel
         diag["closed_product_rel"] = prod_rel
@@ -498,7 +516,7 @@ def expansion_coefficients_log(eq, pair, N, c0_free, diag=None):
             "logarithmic expansions need d(x_{-1}) = 0; seed x_{-1} at the root of d")
     cs = [complex(c0_free)]
     if N == 0:
-        return cs
+        return _require_finite(cs)
     eta1 = _eta(eq, pair, 1)
     c1 = eq.delta / eta1
     pref = c1 * (diff_constant(pair, 1) / (pair.xp(1) - pair.x(0))) * \
@@ -518,15 +536,17 @@ def expansion_coefficients_log(eq, pair, N, c0_free, diag=None):
             zr *= (pair.xp(n - 1) - zeta) / (pair.x(n - 1) - zeta)
         den *= (xm1 - pair.xp(n))
         cs.append(pref * (pair.xp(n) - pair.x(n - 1)) * num * zr / den)
+    _require_finite(cs)
 
     check_rel = 0.0
     ratio_c = c1
     for n in range(1, min(6, N) + 1):
-        check_rel = max(check_rel, _rel(cs[n], ratio_c))
+        gap = _rel(cs[n], ratio_c)
+        if not gap <= 1e-8:             # NaN fails too
+            raise InternalInconsistencyError(
+                f"log product vs ratio recurrence disagree at n={n} ({gap:.2e})")
+        check_rel = max(check_rel, gap)
         ratio_c = -ratio_c * _xi(eq, pair, n) / _eta(eq, pair, n + 1)
-    if check_rel > 1e-8:
-        raise InternalInconsistencyError(
-            f"log product vs ratio recurrence disagree ({check_rel:.2e})")
     if diag is not None:
         diag["log_vs_ratio_rel"] = check_rel
         diag["zeta"] = zeta
@@ -608,7 +628,7 @@ def evaluate_partial_sum(sol, N, z):
     prod = 1.0 + 0j
     for k in range(1, N + 1):
         pole = pair.yp(k)
-        if abs(z - pole) <= 1e-13 * max(1.0, abs(pole)):
+        if pole_hit(z, pole):
             raise PoleEvaluationError(z)
         prod *= (z - pair.y(k - 1)) / (z - pole)
         acc += sol.coeffs[k] * prod
@@ -634,18 +654,44 @@ class InterpolationReport:
 
 
 def verify_interpolation(eq, sol, N):
-    """Max relative gap between S_N(y_j) and the stepwise oracle for j <= N."""
-    f0 = sol.coeffs[0]
+    """Max relative gap between S_N(y_j) and the stepwise oracle for j <= N.
+
+    Yb_k(y_j) has the factor (y_j - y_j) = 0 for every k > j, so node j sums
+    only terms k <= j, by the running product of evaluate_partial_sum in the
+    same order.  The skipped terms add exact zeros, so with finite
+    coefficients every error equals the one from evaluate_partial_sum(sol, N,
+    y_j) to the bit, in N^2/2 scalar steps.  The pole guard still covers every
+    k <= N at every node.
+    """
+    if N >= len(sol.coeffs):
+        raise ValidationError(f"partial sum order {N} exceeds computed {len(sol.coeffs) - 1}")
+    pair, cs = sol.pair, sol.coeffs
     try:
-        oracle = stepwise_oracle(eq, sol.pair, N, f0=f0)
+        oracle = stepwise_oracle(eq, pair, N, f0=cs[0])
         skipped = ()
     except HitSingularLatticeError as exc:
-        oracle = stepwise_oracle(eq, sol.pair, exc.index, f0=f0)
+        oracle = stepwise_oracle(eq, pair, exc.index, f0=cs[0])
         skipped = tuple(range(exc.index + 1, N + 1))
+    ys = [pair.y(j) for j in range(len(oracle))]
+    poles = [pair.yp(k) for k in range(1, N + 1)]
+
+    nodes = np.array(ys)
+    hit = np.zeros(len(ys), dtype=bool)
+    for pole in poles:
+        hit |= pole_hits(nodes, pole)
+    if hit.any():
+        raise PoleEvaluationError(ys[int(np.flatnonzero(hit)[0])])
+
+    # The sum stays in Python complex arithmetic: numpy's complex * and /
+    # round differently, which would move the errors.
     errs = []
-    for j in range(len(oracle)):
-        sj = evaluate_partial_sum(sol, N, sol.pair.y(j))
-        errs.append(abs(sj - oracle[j]) / (1.0 + abs(oracle[j])))
+    for j, z in enumerate(ys):
+        acc = cs[0]
+        prod = 1.0 + 0j
+        for k in range(1, j + 1):
+            prod *= (z - ys[k - 1]) / (z - poles[k - 1])
+            acc += cs[k] * prod
+        errs.append(abs(acc - oracle[j]) / (1.0 + abs(oracle[j])))
     return InterpolationReport(max_error=max(errs), errors=tuple(errs), skipped=skipped)
 
 

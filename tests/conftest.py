@@ -141,6 +141,24 @@ def random_real_curves(count=5, seed=20240817):
     return out
 
 
+def genus1_equation(seed):
+    """Seeded real curve with a true quartic P (genus 1), monic cubic a, random beta..eps."""
+    from ellgrid import BiquadraticCurve
+    from ellgrid.errors import ValidationError
+
+    rng = np.random.default_rng(seed)
+    while True:
+        try:
+            curve = BiquadraticCurve(rng.uniform(-2.0, 2.0, (3, 3)))
+        except ValidationError:
+            continue
+        if curve.discriminant_P().degree() == 4:
+            break
+    a = Polynomial(tuple(rng.uniform(-1.5, 1.5, 3)) + (1.0,))
+    beta, gamma, delta, eps = rng.uniform(-1.0, 1.0, 4)
+    return DifferenceEquation(curve, a, beta=beta, gamma=gamma, delta=delta, eps=eps)
+
+
 @pytest.fixture(scope="session")
 def linear_solution():
     eq, select = linear_fixture()

@@ -8,7 +8,7 @@ import pytest
 from ellgrid.cli import main
 from ellgrid.lattice import LinearLattice
 
-from conftest import log_qlattice_fixture, qgeom_fixture
+from conftest import aw_fixture, log_qlattice_fixture, qgeom_fixture
 
 
 def cjson(z):
@@ -35,8 +35,8 @@ def linear_lattice_cfg():
     }
 
 
-def qgeom_solve_cfg(n=10):
-    eq, select = qgeom_fixture()
+def solve_cfg(fixture, n):
+    eq, select = fixture()
     return {
         "run": "solve",
         "curve": grid_json(eq.curve),
@@ -45,9 +45,14 @@ def qgeom_solve_cfg(n=10):
             "c": [cjson(c) for c in eq.c.coeffs],
             "d": [cjson(c) for c in eq.d.coeffs],
         },
-        "lattice_seed": {"x0": [4.0, 0.0], "y0": [4.0, 0.0]},
         "params": {"n": n, "select": {"explicit": [cjson(select.x_m1), cjson(select.x_p0)]}},
     }
+
+
+def qgeom_solve_cfg(n=10):
+    cfg = solve_cfg(qgeom_fixture, n)
+    cfg["lattice_seed"] = {"x0": [4.0, 0.0], "y0": [4.0, 0.0]}
+    return cfg
 
 
 def qlog_ratemap_cfg(out):
@@ -255,3 +260,24 @@ def test_module_entrypoint(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,re_x")
+
+
+def test_solve_nonfinite_coefficients_exit_numerical(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "aw.json", solve_cfg(aw_fixture, 400))
+    out = tmp_path / "aw.out.json"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert not out.exists()
+    assert "NonFiniteCoefficientError" in capsys.readouterr().err
+
+
+def test_solve_json_rejects_nan(tmp_path, capsys, monkeypatch):
+    from ellgrid import cli, solver
+
+    nan = float("nan")
+    monkeypatch.setattr(cli.solver, "verify_interpolation",
+                        lambda eq, sol, n: solver.InterpolationReport(nan, (nan,), ()))
+    cfg = write_cfg(tmp_path, "q.json", qgeom_solve_cfg())
+    out = tmp_path / "q.out.json"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from ellgrid import (
     mean_value,
     verify_diff_basis_identity,
 )
+from ellgrid.diffops import pole_hit, pole_hits
 from ellgrid.errors import BranchPointEvaluationError, PoleEvaluationError
 from ellgrid.poly import Polynomial, RationalFunction
 
@@ -183,6 +184,68 @@ def test_diff_constant_linear_value():
     # hand value on the half-offset pair: C_1 = -3/2
     pair = half_offset_pair()
     assert diff_constant(pair, 1, method="xm1") == pytest.approx(-1.5)
+
+
+def test_pole_hits_matches_scalar_guard():
+    rng = np.random.default_rng(3)
+    for pole in (0j, 0.7 - 0.2j, 3e4 + 5e4j):
+        # distances within a few ulps of the guard radius, in random directions
+        # (at pole 0 np.abs would disagree with abs(complex) on hundreds of them)
+        ulps = 1.0 + 2.2e-16 * rng.integers(-3, 4, 20000)
+        zs = pole + 1e-13 * max(1.0, abs(pole)) * ulps * np.exp(2j * np.pi * rng.random(20000))
+        want = [pole_hit(complex(z), pole) for z in zs]
+        assert 0 < sum(want) < len(want)
+        assert pole_hits(zs, pole).tolist() == want
+
+
+def _cn_xm1_from_scratch(pair, n):
+    """The x_{-1} route of C_n with Yb_n and Xb_{n-1} rebuilt by BasisFunction."""
+    xm1, ym1 = pair.x(-1), pair.y(-1)
+    x2 = pair.curve.x_view()[2]
+    num = -pair.y_basis(n)(ym1) * (xm1 - pair.xp(0)) * (xm1 - pair.xp(n))
+    den = (pair.y(0) - ym1) * x2(xm1) * pair.x_basis(n - 1)(xm1)
+    return num / den
+
+
+def test_incremental_cn_is_bit_identical_to_basis_functions():
+    from ellgrid import solve
+    pairs = [(half_offset_pair(), 60)]
+    for fixture, n_max in ((linear_fixture, 60), (aw_fixture, 60), (qgeom_fixture, 40)):
+        eq, select = fixture()
+        pairs.append((solve(eq, select, n_max).pair, n_max))
+    for pair, n_max in pairs:
+        for n in range(1, n_max + 1):
+            assert diff_constant(pair, n, "xm1") == _cn_xm1_from_scratch(pair, n)
+
+
+def test_incremental_cn_raises_where_basis_function_does():
+    """y'_4 = y_{-1} = -1: the x_{-1} route meets the pole from n = 4 on."""
+    curve = LinearLattice(h=1.0).curve()
+
+    def fresh_pair():
+        return BasisPair(LatticePair(LatticeSpec(curve, 0.0, 0.0)),
+                         LatticePair(LatticeSpec(curve, -5.0, -5.0)))
+
+    shared = fresh_pair()
+    for n in range(1, 8):
+        if n < 4:
+            assert diff_constant(shared, n, "xm1") == _cn_xm1_from_scratch(fresh_pair(), n)
+            continue
+        with pytest.raises(PoleEvaluationError):
+            _cn_xm1_from_scratch(fresh_pair(), n)
+        for pair in (shared, fresh_pair()):
+            with pytest.raises(PoleEvaluationError):
+                diff_constant(pair, n, "xm1")
+
+
+def test_cn_routes_agree_at_high_order():
+    from ellgrid import solve
+    eq, select = linear_fixture()
+    pair = solve(eq, select, 200).pair
+    vals, spread = diff_constant(pair, 200, method="all")
+    assert len(vals) == 4
+    assert spread <= 1e-8
+    assert vals["xm1"] == diff_constant(pair, 200)
 
 
 def test_diff_constant_four_way_agreement():

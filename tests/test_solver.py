@@ -1,12 +1,17 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from ellgrid import (
+    BasisFunction,
+    BasisPair,
     ByIndex,
     DifferenceEquation,
     Explicit,
+    LatticePair,
+    LatticeSpec,
     LinearLattice,
     Nearest,
     closed_product_coefficient,
@@ -23,7 +28,11 @@ from ellgrid import (
 )
 from ellgrid.errors import (
     DegreeMismatchError,
+    HitSingularLatticeError,
+    InternalInconsistencyError,
+    NonFiniteCoefficientError,
     NoSpecialPointError,
+    PoleEvaluationError,
     ValidationError,
 )
 from ellgrid.poly import Polynomial
@@ -32,6 +41,7 @@ from ellgrid.solver import build_lattices, special_point_candidates, _condition_
 from conftest import (
     aw_fixture,
     general_fixtures,
+    genus1_equation,
     linear_fixture,
     log_linear_fixture,
     qgeom_fixture,
@@ -319,6 +329,94 @@ def test_corrupted_coefficient_localizes():
     rep = verify_interpolation(eq, sol, 8)
     assert max(rep.errors[:5]) <= 1e-9
     assert min(rep.errors[5:]) > 1e-6
+
+
+def _per_node_errors(oracle_eq, sol, N):
+    """verify_interpolation's errors the O(N^2) way: one full partial sum per node."""
+    f0 = sol.coeffs[0]
+    try:
+        oracle = stepwise_oracle(oracle_eq, sol.pair, N, f0=f0)
+    except HitSingularLatticeError as exc:
+        oracle = stepwise_oracle(oracle_eq, sol.pair, exc.index, f0=f0)
+    return tuple(abs(evaluate_partial_sum(sol, N, sol.pair.y(j)) - oracle[j])
+                 / (1.0 + abs(oracle[j])) for j in range(len(oracle)))
+
+
+def test_verify_is_bit_identical_to_full_partial_sums():
+    cases = [(eq, solve(eq, select, 30)) for _, eq, select in general_fixtures()]
+    g1 = genus1_equation(0)
+    cases.append((g1, solve(g1, ByIndex(0, 1), 40)))
+    for eq, sol in cases:
+        N = len(sol.coeffs) - 1
+        for n in (N, N // 2):
+            rep = verify_interpolation(eq, sol, n)
+            assert rep.skipped == ()
+            assert rep.errors == _per_node_errors(eq, sol, n)
+            assert rep.max_error <= 1e-7
+
+
+def test_verify_skipped_nodes_are_bit_identical():
+    eq, select, c0_free, A, zeta, hints = log_linear_fixture()
+    sol = solve(eq, select, 8, c0_free=c0_free, **hints)
+    # Same lattices; a third root of a at x_2 makes the stepwise recurrence
+    # singular at k = 2, so nodes 3..8 have no oracle value.
+    a = Polynomial.from_roots([select.x_m1, select.x_p0, select.x_m1 + 3.0])
+    singular = DifferenceEquation(eq.curve, a, 0.0, 0.0, 1.0, -select.x_m1)
+    rep = verify_interpolation(singular, sol, 8)
+    assert rep.skipped == (3, 4, 5, 6, 7, 8)
+    assert rep.errors == _per_node_errors(singular, sol, 8)
+
+
+def test_verify_pole_guard_covers_later_poles():
+    eq, select = linear_fixture()
+    sol = solve(eq, select, 8)
+    y0 = sol.pair.y(0)
+    # Poles y'_k = y_{k-3}: node y_0 meets the later pole y'_3 (k > j).
+    primed = LatticePair(LatticeSpec(eq.curve, y0 - 3.0, y0 - 3.0))
+    moved = dataclasses.replace(sol, pair=BasisPair(sol.pair.unprimed, primed))
+    with pytest.raises(PoleEvaluationError):
+        evaluate_partial_sum(moved, 8, y0)
+    with pytest.raises(PoleEvaluationError) as err:
+        verify_interpolation(eq, moved, 8)
+    assert err.value.at == y0
+
+
+def test_solve_and_verify_calls_grow_linearly(monkeypatch):
+    """Counts, not timings: doubling N at most 2.5x the lattice and basis calls."""
+    calls = [0]
+    for cls, attr in ((LatticePair, "ensure"), (BasisFunction, "__call__")):
+        def counted(*args, _original=getattr(cls, attr), **kwargs):
+            calls[0] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cls, attr, counted)
+    eq, select = linear_fixture()
+
+    def count(N):
+        calls[0] = 0
+        verify_interpolation(eq, solve(eq, select, N), N)
+        return calls[0]
+
+    small, large = count(200), count(400)
+    assert large <= 2.5 * small
+
+
+def test_nonfinite_coefficients_are_typed_errors():
+    eq, select = aw_fixture()
+    with pytest.raises(NonFiniteCoefficientError) as err:
+        solve(eq, select, 400)          # a(x'_n), c(x'_n) overflow near |x'_n| ~ 1e103
+    assert err.value.index == 344
+    eq, select, c0_free, A, zeta, hints = log_linear_fixture()
+    with pytest.raises(NonFiniteCoefficientError):
+        solve(eq, select, 200, c0_free=c0_free, **hints)
+
+
+def test_closed_product_gap_is_nan_aware(monkeypatch):
+    import ellgrid.solver as solver_mod
+    monkeypatch.setattr(solver_mod, "closed_product_coefficient",
+                        lambda *args: complex("nan"))
+    eq, select = linear_fixture()
+    with pytest.raises(InternalInconsistencyError):
+        solve(eq, select, 10)
 
 
 def test_interpolation_at_order_zero():
