@@ -25,6 +25,7 @@ from ellgrid import (                                   # noqa: E402
     empirical_rate,
     rate_map,
     solve,
+    write_rate_map_csv,
 )
 from ellgrid.poly import Polynomial                     # noqa: E402
 
@@ -63,11 +64,7 @@ def main(argv=None):
     axis = np.linspace(0.75, 1.35, args.grid)
     rows = rate_map(sol, axis, axis, *args.window)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("re_z,im_z,empirical_rate,predicted_rate,flags\n")
-        for re, im, emp, pred, flags in rows:
-            emp_s = "" if emp is None else repr(float(emp))
-            pred_s = "" if pred is None else repr(float(pred))
-            fh.write(f"{float(re)!r},{float(im)!r},{emp_s},{pred_s},{';'.join(flags)}\n")
+        write_rate_map_csv(rows, fh)
     print(f"\nrate map ({args.grid}x{args.grid}) written to {args.out}")
 
 

@@ -58,6 +58,7 @@ from .convergence import (
     rate_map,
     term_magnitudes,
     trace_lattice_locus,
+    write_rate_map_csv,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -278,20 +278,18 @@ def run_ratemap(cfg, out_path, n_override, quiet):
         raise MissingFieldError("params.grid")
     window = params.get("window", [5, 25])
     n_min, n_max = int(window[0]), int(window[1])
-    sol = _solve_scenario(cfg, n_override if n_override is not None else n_max)
     re_lo, re_hi, re_n = grid["re"]
     im_lo, im_hi, im_n = grid["im"]
     re_axis = np.linspace(re_lo, re_hi, int(re_n))
     im_axis = np.linspace(im_lo, im_hi, int(im_n))
+    if not (np.isfinite(re_axis).all() and np.isfinite(im_axis).all()):
+        raise ValidationError("params.grid bounds must be finite")
+    sol = _solve_scenario(cfg, n_override if n_override is not None else n_max)
     rows = convergence.rate_map(sol, re_axis, im_axis, n_min, n_max,
                                 smalldiv_threshold=float(params.get("threshold", 0.05)))
     stream, close = _open_out(out_path or params.get("out"))
     try:
-        stream.write("re_z,im_z,empirical_rate,predicted_rate,flags\n")
-        for re, im, emp, pred, flags in rows:
-            emp_s = "" if emp is None else repr(float(emp))
-            pred_s = "" if pred is None else repr(float(pred))
-            stream.write(f"{float(re)!r},{float(im)!r},{emp_s},{pred_s},{';'.join(flags)}\n")
+        convergence.write_rate_map_csv(rows, stream)
     finally:
         if close:
             stream.close()

@@ -14,11 +14,14 @@ period multiple; those indices are detected and excluded from rate fits.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .diffops import pole_hits
 from .errors import (
+    ConstantPolynomialError,
     PathThroughBranchPointError,
     PoleEvaluationError,
     RefinePathError,
@@ -27,6 +30,7 @@ from .errors import (
 )
 
 COARSE_STEP = 0.5       # relative sqrt(P) jump that marks an under-sampled path
+LEVEL_SAMPLES = 1 << 16  # complex samples per chunk of one Simpson level
 
 
 # -- small divisors --------------------------------------------------------------------
@@ -44,6 +48,8 @@ def detect_small_divisors(pair, N, threshold):
 
 # -- empirical rate ---------------------------------------------------------------------
 
+MIN_FIT_TERMS = 5       # usable terms a slope fit needs
+
 
 @dataclass(frozen=True)
 class RateReport:
@@ -55,20 +61,70 @@ class RateReport:
     flags: tuple = ()
 
 
-def term_magnitudes(sol, z, n_max):
-    """|c_n Yb_n(z)| for n = 1..n_max (index 0 of the result is n = 1)."""
+def _flag(exc_type):
+    return exc_type.__name__.removesuffix("Error")
+
+
+def _term_magnitude_grid(sol, zs, n_max):
+    """|c_n Yb_n(z)| for n = 1..n_max at every z of zs (one row per z), and the z that hit a pole.
+
+    y_0..y_{n_max-1} and y'_1..y'_{n_max} are read once per call, so a caller
+    that edits the lattice or the coefficients between calls sees the edit.
+    """
     if n_max >= len(sol.coeffs):
         raise ValidationError(f"solution has only {len(sol.coeffs) - 1} coefficients")
-    pair = sol.pair
-    out = []
-    prod = 1.0 + 0j
-    for k in range(1, n_max + 1):
-        pole = pair.yp(k)
-        if abs(z - pole) <= 1e-13 * max(1.0, abs(pole)):
-            raise PoleEvaluationError(z)
-        prod *= (z - pair.y(k - 1)) / (z - pole)
-        out.append(abs(sol.coeffs[k] * prod))
-    return out
+    pair, ks = sol.pair, range(1, n_max + 1)
+    coeffs = np.array([sol.coeffs[k] for k in ks], dtype=complex)
+    nodes = np.array([pair.y(k - 1) for k in ks], dtype=complex)
+    poles = np.array([pair.yp(k) for k in ks], dtype=complex)
+    zs = np.asarray(zs, dtype=complex)
+    hit = np.zeros(zs.shape, dtype=bool)
+    for pole in poles:
+        hit |= pole_hits(zs, pole)
+    col = zs[:, None]
+    with np.errstate(all="ignore"):
+        prods = np.cumprod((col - nodes) / (col - poles), axis=1)
+        mags = np.abs(coeffs * prods)
+    return mags, hit
+
+
+def term_magnitudes(sol, z, n_max):
+    """|c_n Yb_n(z)| for n = 1..n_max (index 0 of the result is n = 1)."""
+    mags, hit = _term_magnitude_grid(sol, [z], n_max)
+    if hit[0]:
+        raise PoleEvaluationError(z)
+    return mags[0].tolist()
+
+
+def _fit_rates(sol, zs, n_min, n_max, smalldiv_threshold):
+    """Geometric ratio of the terms over [n_min, n_max] at every z of zs.
+
+    Returns (ratio, pole hit, usable-term count, flagged small divisors) per z;
+    the ratio is the exp of the least-squares slope of log |term| against n
+    over the usable terms (small-divisor indices and exact zeros excluded).
+    Raises for the failures every z shares: a short window, too few
+    coefficients.
+    """
+    if n_max - n_min < MIN_FIT_TERMS:
+        raise WindowTooSmallError(
+            f"window [{n_min}, {n_max}] is shorter than {MIN_FIT_TERMS}")
+    mags, hit = _term_magnitude_grid(sol, zs, n_max)
+    flagged = detect_small_divisors(sol.pair, n_max, smalldiv_threshold)
+    ns = np.arange(1, n_max + 1, dtype=float)
+    keep = ns >= n_min
+    keep[[n - 1 for n, _ in flagged]] = False
+    usable = keep & (mags != 0.0)
+    count = usable.sum(axis=1)
+    with np.errstate(all="ignore"):
+        logs = np.where(usable, np.log(mags), 0.0)
+        dn = np.where(usable, ns - (usable * ns).sum(axis=1, keepdims=True) / count[:, None], 0.0)
+        dlog = np.where(usable, logs - logs.sum(axis=1, keepdims=True) / count[:, None], 0.0)
+        rho = np.exp((dn * dlog).sum(axis=1) / (dn * dn).sum(axis=1))
+    return rho, hit, count, flagged
+
+
+def _rate_flags(rho):
+    return ("NotConverging",) if rho >= 1.0 else ()
 
 
 def empirical_rate(sol, z, n_min, n_max, smalldiv_threshold=0.05, predicted=None):
@@ -77,47 +133,62 @@ def empirical_rate(sol, z, n_min, n_max, smalldiv_threshold=0.05, predicted=None
     Small-divisor indices (and exact zeros) are excluded from the fit; at
     least five usable terms are required.
     """
-    if n_max - n_min < 5:
-        raise WindowTooSmallError(f"window [{n_min}, {n_max}] is shorter than 5")
-    mags = term_magnitudes(sol, z, n_max)
-    flagged = detect_small_divisors(sol.pair, n_max, smalldiv_threshold)
-    excluded = {n for n, _ in flagged}
-    ns, logs = [], []
-    for n in range(max(n_min, 1), n_max + 1):
-        m = mags[n - 1]
-        if n in excluded or m == 0.0:
-            continue
-        ns.append(n)
-        logs.append(np.log(m))
-    if len(ns) < 5:
-        raise WindowTooSmallError(f"only {len(ns)} usable terms in [{n_min}, {n_max}]")
-    slope = float(np.polyfit(np.asarray(ns, dtype=float), np.asarray(logs), 1)[0])
-    rho = float(np.exp(slope))
-    flags = ("NotConverging",) if rho >= 1.0 else ()
+    rho, hit, count, flagged = _fit_rates(sol, [z], n_min, n_max, smalldiv_threshold)
+    if hit[0]:
+        raise PoleEvaluationError(z)
+    if count[0] < MIN_FIT_TERMS:
+        raise WindowTooSmallError(f"only {count[0]} usable terms in [{n_min}, {n_max}]")
+    rho = float(rho[0])
     return RateReport(empirical_rate=rho, predicted_rate=predicted,
                       window=(n_min, n_max), smalldiv_flags=tuple(flagged),
-                      z=complex(z), flags=flags)
+                      z=complex(z), flags=_rate_flags(rho))
+
+
+def _empirical_cells(sol, zs, n_min, n_max, smalldiv_threshold):
+    """(rate or None, flags) per z, as empirical_rate would report each one."""
+    try:
+        rho, hit, count, _ = _fit_rates(sol, zs, n_min, n_max, smalldiv_threshold)
+    except (WindowTooSmallError, ValidationError) as exc:
+        return [(None, (_flag(type(exc)),))] * len(zs)
+    cells = []
+    for r, h, c in zip(rho.tolist(), hit.tolist(), count.tolist()):
+        if h:
+            cells.append((None, (_flag(PoleEvaluationError),)))
+        elif c < MIN_FIT_TERMS:
+            cells.append((None, (_flag(WindowTooSmallError),)))
+        else:
+            cells.append((r, _rate_flags(r)))
+    return cells
 
 
 # -- branch-tracked quadrature of dv / sqrt(P) ----------------------------------------------
 
 
-def _tracked_sqrt(values, w_start=None):
-    """Continuous branch of sqrt along sampled P values.
+def _tracked_sqrt(values):
+    """Continuous branch of sqrt along the last axis of sampled P values.
 
-    Flip events are decided between raw principal neighbors and accumulated,
-    so one crossing of the principal cut flips everything after it exactly
-    once.  Returns (tracked values, under-sampled flag).
+    Each row starts on the principal branch.  Flip events are decided between
+    raw principal neighbors and accumulated, so one crossing of the principal
+    cut flips everything after it exactly once.  Returns (tracked values,
+    under-sampled flag per row).
     """
     w = np.sqrt(np.asarray(values, dtype=complex))
-    if len(w) > 1:
-        flip_event = np.abs(w[1:] - w[:-1]) > np.abs(w[1:] + w[:-1])
-        signs = np.concatenate(([1.0], np.cumprod(np.where(flip_event, -1.0, 1.0))))
-        w = w * signs
-    if w_start is not None and abs(w[0] + w_start) < abs(w[0] - w_start):
-        w = -w
-    jumps = np.abs(np.diff(w)) > COARSE_STEP * (np.abs(w[1:]) + np.abs(w[:-1]) + 1e-300)
-    return w, bool(jumps.any())
+    flip_event = np.abs(w[..., 1:] - w[..., :-1]) > np.abs(w[..., 1:] + w[..., :-1])
+    w[..., 1:] *= np.cumprod(np.where(flip_event, -1.0, 1.0), axis=-1)
+    jumps = np.abs(np.diff(w, axis=-1)) > \
+        COARSE_STEP * (np.abs(w[..., 1:]) + np.abs(w[..., :-1]) + 1e-300)
+    return w, jumps.any(axis=-1)
+
+
+def _branch_signs(w_first, w_last, w_start=None):
+    """Signs that continue each segment on the branch the previous one ended on.
+
+    Segment k starts on the principal branch w_first[k] and ends on w_last[k];
+    the first segment continues w_start when it is given.
+    """
+    prev = np.concatenate(([w_first[0] if w_start is None else w_start], w_last[:-1]))
+    flip = np.abs(w_first + prev) < np.abs(w_first - prev)
+    return np.cumprod(np.where(flip, -1.0, 1.0))
 
 
 def period_quadrature(curve, locus_samples):
@@ -146,34 +217,54 @@ def period_quadrature(curve, locus_samples):
     return complex(np.sum(dv / w))
 
 
-def _segment_clearance(z0, z1, pts):
-    """Min distance from segment [z0, z1] to any of pts."""
-    if not pts:
-        return float("inf")
-    d = z1 - z0
-    L2 = abs(d) ** 2
-    best = float("inf")
-    for p in pts:
-        if L2 == 0:
-            best = min(best, abs(p - z0))
-            continue
-        t = ((p - z0).real * d.real + (p - z0).imag * d.imag) / L2
-        t = min(1.0, max(0.0, t))
-        best = min(best, abs(z0 + t * d - p))
-    return best
+def _segment_gap(p, q, r):
+    """Distance from r to the segment [p, q], elementwise over arrays."""
+    d = np.asarray(q - p, dtype=complex)
+    L2 = d.real ** 2 + d.imag ** 2
+    with np.errstate(all="ignore"):
+        t = np.clip(((r - p).real * d.real + (r - p).imag * d.imag) / L2, 0.0, 1.0)
+    return np.abs(p + np.where(L2 > 0, t, 0.0) * d - r)
 
 
-def route_path(curve, z0, z1, clearance=None, depth=0):
-    """Waypoints from z0 to z1 skirting the roots of P by lateral detours."""
-    z0, z1 = complex(z0), complex(z1)
+def _triangles_clear(apex, b, c, roots):
+    """True where no root lies in the triangle (apex, b, c), edges included
+    to a relative 1e-9 (elementwise over the arrays b, c)."""
+    clear = np.ones(np.shape(b), dtype=bool)
+    margin = 1e-9 * np.maximum(np.abs(b - apex), np.abs(c - apex))
+    edges = ((apex, b), (b, c), (c, apex))
+    for r in roots:
+        sides = np.array([((q - p) * np.conj(r - p)).imag for p, q in edges])
+        inside = (sides >= 0).all(axis=0) | (sides <= 0).all(axis=0)
+        gap = np.min([_segment_gap(p, q, r) for p, q in edges], axis=0)
+        clear &= ~inside & (gap > margin)
+    return clear
+
+
+def _roots_of_p(curve):
+    """Roots of P, the points route_path skirts; none when P is constant."""
     try:
-        roots = curve.discriminant_P().roots()
-    except Exception:
-        roots = []
+        return curve.discriminant_P().roots()
+    except ConstantPolynomialError:
+        return []
+
+
+def _clearance(length):
+    """How far route_path keeps a path of this length from the roots of P."""
+    return max(1e-3 * length, 1e-9)
+
+
+def route_path(curve, z0, z1, clearance=None, depth=0, roots=None):
+    """Waypoints from z0 to z1 skirting the roots of P by lateral detours.
+
+    `roots` (the roots of P, found here when omitted) lets a caller find them once.
+    """
+    z0, z1 = complex(z0), complex(z1)
+    if roots is None:
+        roots = _roots_of_p(curve)
     seg = abs(z1 - z0)
     if clearance is None:
-        clearance = max(1e-3 * seg, 1e-9)
-    near = [r for r in roots if _segment_clearance(z0, z1, [r]) < clearance]
+        clearance = _clearance(seg)
+    near = [r for r in roots if _segment_gap(z0, z1, r) < clearance]
     if not near or seg < 4.0 * clearance:
         if near:
             raise PathThroughBranchPointError(
@@ -181,15 +272,59 @@ def route_path(curve, z0, z1, clearance=None, depth=0):
         return [z0, z1]
     if depth > 8:
         raise PathThroughBranchPointError(f"routing depth exceeded between {z0} and {z1}")
-    r = min(near, key=lambda p: _segment_clearance(z0, z1, [p]))
+    r = min(near, key=lambda p: _segment_gap(z0, z1, p))
     mid = 0.5 * (z0 + z1)
     away = mid - r
     if abs(away) < 1e-12:
         away = 1j * (z1 - z0) / seg
     mid = r + away / abs(away) * max(4.0 * clearance, abs(away))
-    left = route_path(curve, z0, mid, clearance, depth + 1)
-    right = route_path(curve, mid, z1, clearance, depth + 1)
+    left = route_path(curve, z0, mid, clearance, depth + 1, roots)
+    right = route_path(curve, mid, z1, clearance, depth + 1, roots)
     return left[:-1] + right
+
+
+def _segment_integrals(P, starts, ends, rel_tol=1e-9, max_samples=1 << 15):
+    """Integrals of dv/sqrt(P) over the straight segments [starts[k], ends[k]].
+
+    Each segment starts on the principal branch and is integrated by
+    composite Simpson, doubling its own sample count from 16 until its value
+    stabilizes to rel_tol.  One level's samples are taken in chunks of about
+    LEVEL_SAMPLES values.  Returns (integrals, sqrt(P) at the starts, tracked
+    sqrt(P) at the ends); a segment still moving at max_samples has a NaN
+    integral.
+    """
+    a = np.asarray(starts, dtype=complex).ravel()
+    b = np.asarray(ends, dtype=complex).ravel()
+    val = np.full(len(a), complex("nan"))
+    prev = val.copy()
+    w_first = np.zeros(len(a), dtype=complex)
+    w_last = np.zeros(len(a), dtype=complex)
+    todo = np.arange(len(a))
+    n = 16
+    with np.errstate(all="ignore"):
+        while len(todo) and n <= max_samples:
+            weights = np.full(n + 1, 2.0)
+            weights[1::2] = 4.0
+            weights[0] = weights[-1] = 1.0
+            steps = np.arange(n + 1, dtype=float)
+            done = np.zeros(len(todo), dtype=bool)
+            chunk = max(1, LEVEL_SAMPLES // (n + 1))
+            for lo in range(0, len(todo), chunk):
+                idx = todo[lo:lo + chunk]
+                d = b[idx] - a[idx]
+                pts = a[idx, None] + steps * (d / n)[:, None]
+                pts[:, -1] = b[idx]
+                w, coarse = _tracked_sqrt(P(pts))
+                est = d / (3.0 * n) * np.sum(weights / w, axis=1)
+                ok = ~coarse & (np.abs(est - prev[idx]) <= rel_tol * np.maximum(1.0, np.abs(est)))
+                prev[idx[~coarse]] = est[~coarse]
+                val[idx[ok]] = est[ok]
+                w_first[idx[ok]] = w[ok, 0]
+                w_last[idx[ok]] = w[ok, -1]
+                done[lo:lo + chunk] = ok
+            todo = todo[~done]
+            n *= 2
+    return val, w_first, w_last
 
 
 def path_integral(curve, waypoints, w_start=None, rel_tol=1e-9, max_samples=1 << 15):
@@ -199,28 +334,13 @@ def path_integral(curve, waypoints, w_start=None, rel_tol=1e-9, max_samples=1 <<
     doubles until the value stabilizes to rel_tol.  Returns (integral, w_end)
     so chained paths can continue the same branch.
     """
-    pts = [complex(w) for w in waypoints]
-    P = curve.discriminant_P()
-    n = 16
-    prev = None
-    while n <= max_samples:
-        segs = [np.linspace(a, b, n + 1) for a, b in zip(pts[:-1], pts[1:])]
-        flat = np.concatenate(segs)
-        w, coarse = _tracked_sqrt(P(flat), w_start=w_start)
-        if not coarse:
-            weights = np.full(n + 1, 2.0)
-            weights[1::2] = 4.0
-            weights[0] = weights[-1] = 1.0
-            val = 0j
-            for k, seg in enumerate(segs):
-                wk = w[k * (n + 1):(k + 1) * (n + 1)]
-                val += (seg[-1] - seg[0]) / (3.0 * n) * np.sum(weights / wk)
-            val = complex(val)
-            if prev is not None and abs(val - prev) <= rel_tol * max(1.0, abs(val)):
-                return val, complex(w[-1])
-            prev = val
-        n *= 2
-    raise RefinePathError("path integral did not stabilize; waypoints too coarse")
+    pts = np.asarray([complex(w) for w in waypoints], dtype=complex)
+    vals, w_first, w_last = _segment_integrals(
+        curve.discriminant_P(), pts[:-1], pts[1:], rel_tol, max_samples)
+    if np.isnan(vals).any():
+        raise RefinePathError("path integral did not stabilize; waypoints too coarse")
+    signs = _branch_signs(w_first, w_last, w_start)
+    return complex(np.sum(signs * vals)), complex(signs[-1] * w_last[-1])
 
 
 # -- locus tracing -----------------------------------------------------------------------
@@ -286,29 +406,104 @@ class RatePredictor:
         self.curve = curve
         self.zeta = complex(sol.zeta)
         self.base = complex(basepoint if basepoint is not None else sol.pair.x(0))
-        self._w0 = cmath.sqrt(curve.discriminant_P()(self.base))
+        self._P = curve.discriminant_P()
+        self._roots = _roots_of_p(curve)
+        self._w0 = cmath.sqrt(self._P(self.base))
         if locus is None:
-            h_dir, _ = path_integral(
-                curve, route_path(curve, self.base, sol.pair.x(1)), w_start=self._w0)
+            h_dir, _ = self._from_base(sol.pair.x(1))
             locus = trace_lattice_locus(curve, self.base, h_dir)
         self.locus = list(locus)
         self.omega = period_quadrature(curve, self.locus)
-        self.xi_zeta, _ = path_integral(
-            curve, route_path(curve, self.base, self.zeta), w_start=self._w0)
+        self.xi_zeta, _ = self._from_base(self.zeta)
         anchor = (2.0 * np.pi * (0.0 - self.xi_zeta) / self.omega).imag
         self.sign = -1.0 if anchor < 0 else 1.0
 
+    def _route(self, z):
+        return route_path(self.curve, self.base, z, roots=self._roots)
+
+    def _from_base(self, z):
+        """(xi(z), sqrt(P) at z on the branch reached) along route_path from the basepoint."""
+        return path_integral(self.curve, self._route(complex(z)), w_start=self._w0)
+
     def xi(self, z):
-        val, _ = path_integral(
-            self.curve, route_path(self.curve, self.base, complex(z)), w_start=self._w0)
-        return val
+        return self._from_base(z)[0]
+
+    def _log_rate_of_xi(self, xi):
+        arg = 2.0 * np.pi * (xi - self.xi_zeta) / self.omega
+        return -self.sign * arg.imag
 
     def log_rate(self, z):
-        arg = 2.0 * np.pi * (self.xi(z) - self.xi_zeta) / self.omega
-        return -self.sign * arg.imag
+        return self._log_rate_of_xi(self.xi(z))
 
     def rate(self, z):
         return float(np.exp(self.log_rate(z)))
+
+    def _cell(self, z):
+        """(rate or None, flags) at z, integrated from the basepoint."""
+        try:
+            return self.rate(z), ()
+        except (RefinePathError, PathThroughBranchPointError) as exc:
+            return None, (_flag(type(exc)),)
+
+    def _rectangle_clear(self, re, im):
+        """No root of P within route_path's clearance of the grid's rectangle."""
+        clearance = _clearance(float(np.abs(np.diff(re)).max()))
+        for r in self._roots:
+            dx = max(re.min() - r.real, 0.0, r.real - re.max())
+            dy = max(im.min() - r.imag, 0.0, r.imag - im.max())
+            if math.hypot(dx, dy) < clearance:
+                return False
+        return True
+
+    def _grid_cells(self, re_axis, im_axis):
+        """(rate or None, flags) at every z = re + i im, im outer, re inner.
+
+        When the grid's rectangle keeps clear of the roots of P, xi is chained
+        along each row.  The cell-to-cell segments are integrated together.
+        Two neighbours are joined when the triangle of the basepoint and the
+        two cells holds no root: the path to one plus the segment then winds
+        around the roots as the other's own route does, so it gives the same
+        xi.  In each run of joined cells, xi is integrated from the basepoint
+        at the cell whose route keeps farthest from the roots and carried
+        along the segments both ways, branch included.  A grid whose
+        rectangle comes near a root is integrated cell by cell.
+        """
+        re = np.asarray(re_axis, dtype=float)
+        im = np.asarray(im_axis, dtype=float)
+        if len(re) < 2 or not self._rectangle_clear(re, im):
+            return [self._cell(complex(x, y)) for y in im for x in re]
+        rows = re[None, :] + 1j * im[:, None]
+        starts, ends = rows[:, :-1], rows[:, 1:]
+        linked = _triangles_clear(self.base, starts, ends, self._roots)
+        vals = np.full(starts.shape, complex("nan"))
+        w_first, w_last = np.zeros_like(vals), np.zeros_like(vals)
+        vals[linked], w_first[linked], w_last[linked] = _segment_integrals(
+            self._P, starts[linked], ends[linked])
+        linked &= ~np.isnan(vals)
+        gaps = np.full(rows.shape, np.inf)
+        for r in self._roots:
+            gaps = np.minimum(gaps, _segment_gap(self.base, rows, r))
+        cells = []
+        for row, gap, link, val, wf, wl in zip(rows, gaps, linked, vals, w_first, w_last):
+            cuts = [0, *(np.flatnonzero(~link) + 1).tolist(), len(row)]
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                cells.extend(self._chained_run(row[a:b], gap[a:b], val[a:b - 1],
+                                               wf[a:b - 1], wl[a:b - 1]))
+        return cells
+
+    def _chained_run(self, zs, gaps, vals, w_first, w_last):
+        """Cells zs joined by segments: xi from the basepoint at the cell whose
+        route has the largest gap to the roots, then along the segments."""
+        k = int(np.argmax(gaps))
+        try:
+            xi, w = self._from_base(zs[k])
+        except (RefinePathError, PathThroughBranchPointError):
+            return [self._cell(z) for z in zs]
+        ahead = np.cumsum(_branch_signs(w_first[k:], w_last[k:], w) * vals[k:])
+        behind = np.cumsum(_branch_signs(w_last[:k][::-1], w_first[:k][::-1], w)
+                           * vals[:k][::-1])
+        xis = xi + np.concatenate((-behind[::-1], [0j], ahead))
+        return [(r, ()) for r in np.exp(self._log_rate_of_xi(xis)).tolist()]
 
 
 def predicted_rate(curve, sol, z, basepoint=None, locus=None):
@@ -323,7 +518,10 @@ def rate_map(sol, re_axis, im_axis, n_min, n_max, smalldiv_threshold=0.05):
     """Rows (re, im, empirical, predicted, flags) over a rectangular z grid.
 
     Points where a rate cannot be computed (pole hit, too few terms, path
-    failure) get empty fields and a flag naming the failure.
+    failure) get empty fields and a flag naming the failure.  Each row
+    holds what empirical_rate and RatePredictor.rate give at its point, up to
+    rounding and the quadrature tolerance, but the grid is swept at once: one
+    term sweep and small-divisor scan, and xi chained along the rows.
     """
     predictor = None
     if sol.mode == "log":
@@ -331,22 +529,26 @@ def rate_map(sol, re_axis, im_axis, n_min, n_max, smalldiv_threshold=0.05):
             predictor = RatePredictor(sol.eq.curve, sol)
         except (ValidationError, RefinePathError, PathThroughBranchPointError):
             predictor = None
-    rows = []
-    for im in im_axis:
-        for re in re_axis:
-            z = complex(re, im)
-            emp, pred, flags = None, None, []
-            try:
-                rep = empirical_rate(sol, z, n_min, n_max,
-                                     smalldiv_threshold=smalldiv_threshold)
-                emp = rep.empirical_rate
-                flags.extend(rep.flags)
-            except (WindowTooSmallError, PoleEvaluationError, ValidationError) as exc:
-                flags.append(type(exc).__name__.removesuffix("Error"))
-            if predictor is not None:
-                try:
-                    pred = predictor.rate(z)
-                except (RefinePathError, PathThroughBranchPointError) as exc:
-                    flags.append(type(exc).__name__.removesuffix("Error"))
-            rows.append((re, im, emp, pred, tuple(flags)))
-    return rows
+    points = [(re, im) for im in im_axis for re in re_axis]
+    emp = _empirical_cells(sol, [complex(re, im) for re, im in points],
+                           n_min, n_max, smalldiv_threshold)
+    pred = (predictor._grid_cells(re_axis, im_axis) if predictor is not None
+            else [(None, ())] * len(points))
+    return [(re, im, e, p, e_flags + p_flags)
+            for (re, im), (e, e_flags), (p, p_flags) in zip(points, emp, pred)]
+
+
+def write_rate_map_csv(rows, stream):
+    """Header plus one line per rate_map row; LF line endings.
+
+    A missing rate is an empty field.  A rate that is not finite is an empty
+    field too, and its row gains the flag NonFinite.
+    """
+    stream.write("re_z,im_z,empirical_rate,predicted_rate,flags\n")
+    for re, im, emp, pred, flags in rows:
+        rates = (emp, pred)
+        if any(v is not None and not math.isfinite(v) for v in rates):
+            flags = (*flags, "NonFinite")
+        emp_s, pred_s = ("" if v is None or not math.isfinite(v) else repr(float(v))
+                         for v in rates)
+        stream.write(f"{float(re)!r},{float(im)!r},{emp_s},{pred_s},{';'.join(flags)}\n")

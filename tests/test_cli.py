@@ -219,6 +219,16 @@ def test_ratemap_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_ratemap_rejects_nonfinite_grid(tmp_path, capsys):
+    out = tmp_path / "rates.csv"
+    cfg_data = qlog_ratemap_cfg(str(out))
+    cfg_data["params"]["grid"] = {"re": [0.7, float("nan"), 3], "im": [0.1, 0.4, 2]}
+    cfg = write_cfg(tmp_path, "rate.json", cfg_data)
+    assert main(["ratemap", "--config", cfg, "--quiet"]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ratemap_single_point_general_mode(tmp_path):
     cfg_data = qgeom_solve_cfg(n=12)
     cfg_data["run"] = "ratemap"

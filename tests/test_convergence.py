@@ -1,6 +1,12 @@
+import io
+import math
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import ellgrid.convergence as convergence
 from ellgrid import (
     RatePredictor,
     detect_small_divisors,
@@ -12,15 +18,19 @@ from ellgrid import (
     solve,
     term_magnitudes,
     trace_lattice_locus,
+    write_rate_map_csv,
 )
 from ellgrid.convergence import route_path
+from ellgrid.diffops import pole_hit
 from ellgrid.errors import (
+    PathThroughBranchPointError,
+    PoleEvaluationError,
     RefinePathError,
     ValidationError,
     WindowTooSmallError,
 )
 
-from conftest import linear_fixture, solve_log_qlattice
+from conftest import aw_fixture, linear_fixture, solve_log_qlattice
 
 
 @pytest.fixture(scope="module")
@@ -264,3 +274,194 @@ def test_rate_map_general_mode_has_no_prediction():
     rows = rate_map(sol, [2.5], [0.5], 1, 10)
     (re, im, emp, pred, flags), = rows
     assert pred is None
+
+
+# -- rate map over the whole grid vs cell by cell ----------------------------------------------
+
+
+def _loop_empirical(sol, z, n_min, n_max, threshold=0.05):
+    """Reference cell: Python complex term products and np.polyfit, as (rate, flags)."""
+    prod, mags = 1.0 + 0j, []
+    for k in range(1, n_max + 1):
+        pole = sol.pair.yp(k)
+        if pole_hit(z, pole):
+            return None, ("PoleEvaluation",)
+        prod *= (z - sol.pair.y(k - 1)) / (z - pole)
+        mags.append(abs(sol.coeffs[k] * prod))
+    excluded = {n for n, _ in detect_small_divisors(sol.pair, n_max, threshold)}
+    ns = [n for n in range(max(n_min, 1), n_max + 1)
+          if n not in excluded and mags[n - 1] != 0.0]
+    if len(ns) < 5:
+        return None, ("WindowTooSmall",)
+    rho = float(np.exp(np.polyfit(ns, np.log([mags[n - 1] for n in ns]), 1)[0]))
+    return rho, ("NotConverging",) if rho >= 1.0 else ()
+
+
+def _cell_empirical(sol, z, n_min, n_max):
+    try:
+        rep = empirical_rate(sol, z, n_min, n_max)
+    except (PoleEvaluationError, WindowTooSmallError) as exc:
+        return None, (type(exc).__name__.removesuffix("Error"),)
+    return rep.empirical_rate, rep.flags
+
+
+def _cell_predicted(predictor, z):
+    try:
+        return predictor.rate(z), ()
+    except (RefinePathError, PathThroughBranchPointError) as exc:
+        return None, (type(exc).__name__.removesuffix("Error"),)
+
+
+def _assert_rows_match_cells(sol, rows, re_axis, im_axis, predictor=None, pred_rel=1e-9):
+    """rate_map rows against per-cell empirical_rate, the loop reference and rate(z)."""
+    points = [(re, im) for im in im_axis for re in re_axis]
+    assert [(re, im) for re, im, *_ in rows] == points
+    for re, im, emp, pred, flags in rows:
+        z = complex(re, im)
+        cell_emp, emp_flags = _cell_empirical(sol, z, 5, 25)
+        loop_emp, loop_flags = _loop_empirical(sol, z, 5, 25)
+        assert emp_flags == loop_flags
+        cell_pred, pred_flags = (None, ()) if predictor is None else _cell_predicted(predictor, z)
+        assert flags == emp_flags + pred_flags
+        for got, want, rel in ((emp, cell_emp, 1e-12), (emp, loop_emp, 1e-12),
+                               (pred, cell_pred, pred_rel)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert abs(got - want) <= rel * abs(want), (z, got, want)
+
+
+def test_rate_map_matches_cells_on_criterion_9_grid(qsol):
+    sol, zeta, q = qsol
+    axis = np.linspace(0.75, 1.35, 41)
+    rows = rate_map(sol, axis, axis, 5, 25)
+    _assert_rows_match_cells(sol, rows, axis, axis, RatePredictor(sol.eq.curve, sol))
+    assert any("NotConverging" in flags for *_, flags in rows)
+
+
+def test_rate_map_matches_cells_on_linear_grid_without_warnings():
+    """The linear [-3, 3]^2 map has a cell on a pole of the basis; numpy
+    must not warn about it."""
+    eq, select = linear_fixture()
+    sol = solve(eq, select, 25)
+    axis = np.linspace(-3.0, 3.0, 41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = rate_map(sol, axis, axis, 5, 25)
+    _assert_rows_match_cells(sol, rows, axis, axis)
+    assert [flags for *_, flags in rows].count(("PoleEvaluation",)) == 1
+
+
+def test_rate_map_excludes_small_divisors_like_cells(qsol):
+    """The engineered divisor spike of the exclusion test, over a small grid."""
+    sol, zeta, q = qsol
+    z = 0.5 + 0.2j
+    cs = list(sol.coeffs)
+    prod = 1.0 + 0j
+    for n in range(1, 29):
+        prod *= (z - sol.pair.y(n - 1)) / (z - sol.pair.yp(n))
+        cs[n] = 0.6 ** n / prod
+    cs[14] *= 1e6
+    old_coeffs, old_y12 = sol.coeffs, sol.pair.unprimed._y[12]
+    re_axis, im_axis = np.linspace(0.45, 0.55, 3), np.linspace(0.15, 0.25, 3)
+    try:
+        sol.coeffs = tuple(cs)
+        sol.pair.unprimed._y[12] = sol.pair.y(-1) + 1e-6 * (old_y12 - sol.pair.y(-1))
+        assert 14 in [n for n, _ in detect_small_divisors(sol.pair, 25, 0.05)]
+        rows = rate_map(sol, re_axis, im_axis, 5, 25)
+        _assert_rows_match_cells(sol, rows, re_axis, im_axis, RatePredictor(sol.eq.curve, sol))
+    finally:
+        sol.coeffs = old_coeffs
+        sol.pair.unprimed._y[12] = old_y12
+
+
+def test_rate_map_grid_around_branch_point_is_per_cell(qsol):
+    """P's root at 0 lies inside the grid, so every cell takes its own route."""
+    sol, zeta, q = qsol
+    axis = np.linspace(-0.6, 0.6, 9)
+    rows = rate_map(sol, axis, axis, 5, 25)
+    _assert_rows_match_cells(sol, rows, axis, axis, RatePredictor(sol.eq.curve, sol),
+                             pred_rel=0.0)
+    assert any("PathThroughBranchPoint" in flags for *_, flags in rows)
+
+
+def test_grid_chain_keeps_homotopy_around_branch_points():
+    """Square-root branch points inside the basepoint-to-row triangles: the
+    chained rates must still equal each cell's own route."""
+    curve = aw_fixture()[0].curve                   # simple roots of P at +/-2
+    loop = 3.0 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 800, endpoint=False))
+    sol = SimpleNamespace(mode="log", zeta=0.5 + 0.5j, pair=None)
+    predictor = RatePredictor(curve, sol, basepoint=3j, locus=loop)
+    re, im = np.linspace(-3.0, 3.0, 25), np.linspace(-1.2, -0.4, 5)
+    cells = predictor._grid_cells(re, im)
+    for (rate, flags), z in zip(cells, [complex(x, y) for y in im for x in re]):
+        assert flags == ()
+        want = predictor.rate(z)
+        assert abs(rate - want) <= 1e-9 * want, z
+
+
+def test_rate_map_call_counts(qsol, monkeypatch):
+    """Counts, not timings: O(side) path integrals, one small-divisor scan
+    and one root finding of P per map."""
+    sol, zeta, q = qsol
+    calls = {}
+    for name in ("path_integral", "detect_small_divisors"):
+        def counted(*args, _original=getattr(convergence, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(convergence, name, counted)
+    from ellgrid.poly import Polynomial
+
+    def counted_roots(self, _original=Polynomial.roots):
+        calls["roots"] += 1
+        return _original(self)
+    monkeypatch.setattr(Polynomial, "roots", counted_roots)
+    for side in (11, 21):
+        calls.update(path_integral=0, detect_small_divisors=0, roots=0)
+        axis = np.linspace(0.75, 1.35, side)
+        rate_map(sol, axis, axis, 5, 25)
+        assert calls["path_integral"] <= 2 * side + 2
+        assert calls["detect_small_divisors"] == 1
+        assert calls["roots"] == 1
+
+
+def test_route_path_surfaces_root_finding_failures(qsol, monkeypatch):
+    from ellgrid.poly import Polynomial
+
+    def broken(self):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+    monkeypatch.setattr(Polynomial, "roots", broken)
+    with pytest.raises(np.linalg.LinAlgError):
+        route_path(qsol[0].eq.curve, -1.0, 1.0)
+
+
+def test_route_path_straight_for_constant_p():
+    eq, _ = linear_fixture()                        # P is the constant h^2
+    assert route_path(eq.curve, -1.0, 1.0) == [-1.0 + 0j, 1.0 + 0j]
+
+
+# -- rate-map CSV -------------------------------------------------------------------------------
+
+
+def test_write_rate_map_csv_formats_rows():
+    rows = [(np.float64(0.75), np.float64(1.0), 0.5, 0.25, ()),
+            (1.0, 0.1, None, 0.3, ("PoleEvaluation",)),
+            (1.5, 0.1, 1.25, None, ("NotConverging", "RefinePath"))]
+    buf = io.StringIO()
+    write_rate_map_csv(rows, buf)
+    assert buf.getvalue() == ("re_z,im_z,empirical_rate,predicted_rate,flags\n"
+                              "0.75,1.0,0.5,0.25,\n"
+                              "1.0,0.1,,0.3,PoleEvaluation\n"
+                              "1.5,0.1,1.25,,NotConverging;RefinePath\n")
+
+
+def test_write_rate_map_csv_blanks_nonfinite_rates():
+    rows = [(1.0, 0.0, math.nan, 0.5, ()),
+            (1.0, 0.5, math.inf, -math.inf, ("NotConverging",)),
+            (1.0, 1.0, 0.5, math.nan, ())]
+    buf = io.StringIO()
+    write_rate_map_csv(rows, buf)
+    text = buf.getvalue()
+    assert "nan" not in text.lower() and "inf" not in text.lower()
+    assert text.splitlines()[1:] == ["1.0,0.0,,0.5,NonFinite",
+                                     "1.0,0.5,,,NotConverging;NonFinite",
+                                     "1.0,1.0,0.5,,NonFinite"]
