@@ -22,10 +22,8 @@ from .lattice import (
     LinearLattice,
     fit_curve_to_lattice,
     generate,
-    step_backward,
-    step_forward,
 )
-from .poly import Polynomial, RationalFunction, Scalar, solve_quadratic
+from .poly import Polynomial, RationalFunction, solve_quadratic
 from .solver import (
     ByIndex,
     DifferenceEquation,
@@ -33,10 +31,8 @@ from .solver import (
     Explicit,
     Nearest,
     SpecialPoints,
-    SymmetricForm,
     build_lattices,
     closed_product_coefficient,
-    convert_equation_form,
     evaluate_partial_sum,
     expansion_coefficients,
     expansion_coefficients_log,
@@ -61,5 +57,21 @@ from .convergence import (
     write_rate_map_csv,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BiquadraticCurve", "RootPair", "fit_biquadratic",
+    "BasisFunction", "BasisPair", "diff_constant", "divided_difference",
+    "divided_difference_rational", "identity_samples", "mean_poly_direct",
+    "mean_poly_value", "mean_rational", "mean_value", "verify_diff_basis_identity",
+    "AskeyWilsonLattice", "GeometricLattice", "LatticePair", "LatticeSpec",
+    "LinearLattice", "fit_curve_to_lattice", "generate",
+    "Polynomial", "RationalFunction", "solve_quadratic",
+    "ByIndex", "DifferenceEquation", "ExpansionSolution", "Explicit", "Nearest",
+    "SpecialPoints", "build_lattices", "closed_product_coefficient",
+    "evaluate_partial_sum", "expansion_coefficients", "expansion_coefficients_log",
+    "locate_special_points", "residual", "solution_to_json", "solve",
+    "stepwise_oracle", "verify_interpolation",
+    "RatePredictor", "RateReport", "detect_small_divisors", "empirical_rate",
+    "path_integral", "period_quadrature", "predicted_rate", "rate_map",
+    "term_magnitudes", "trace_lattice_locus", "write_rate_map_csv",
+]
 __version__ = "0.1.0"

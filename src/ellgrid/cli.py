@@ -51,8 +51,6 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError:
-        raise
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):

@@ -31,6 +31,10 @@ from .errors import (
 
 COARSE_STEP = 0.5       # relative sqrt(P) jump that marks an under-sampled path
 LEVEL_SAMPLES = 1 << 16  # complex samples per chunk of one Simpson level
+REL_TOL = 1e-9          # Simpson doubling stops when a segment moves less than this
+MAX_SAMPLES = 1 << 15   # ... or gives up past this many samples per segment
+LOCUS_STEP = 0.004      # locus RK4 step, relative to 1 + |x_start|
+LOCUS_MAX_STEPS = 200000
 
 
 # -- small divisors --------------------------------------------------------------------
@@ -54,7 +58,6 @@ MIN_FIT_TERMS = 5       # usable terms a slope fit needs
 @dataclass(frozen=True)
 class RateReport:
     empirical_rate: float
-    predicted_rate: float | None
     window: tuple
     smalldiv_flags: tuple
     z: complex
@@ -127,7 +130,7 @@ def _rate_flags(rho):
     return ("NotConverging",) if rho >= 1.0 else ()
 
 
-def empirical_rate(sol, z, n_min, n_max, smalldiv_threshold=0.05, predicted=None):
+def empirical_rate(sol, z, n_min, n_max, smalldiv_threshold=0.05):
     """Least-squares geometric ratio of the terms over [n_min, n_max].
 
     Small-divisor indices (and exact zeros) are excluded from the fit; at
@@ -139,8 +142,7 @@ def empirical_rate(sol, z, n_min, n_max, smalldiv_threshold=0.05, predicted=None
     if count[0] < MIN_FIT_TERMS:
         raise WindowTooSmallError(f"only {count[0]} usable terms in [{n_min}, {n_max}]")
     rho = float(rho[0])
-    return RateReport(empirical_rate=rho, predicted_rate=predicted,
-                      window=(n_min, n_max), smalldiv_flags=tuple(flagged),
+    return RateReport(empirical_rate=rho, window=(n_min, n_max), smalldiv_flags=tuple(flagged),
                       z=complex(z), flags=_rate_flags(rho))
 
 
@@ -283,14 +285,14 @@ def route_path(curve, z0, z1, clearance=None, depth=0, roots=None):
     return left[:-1] + right
 
 
-def _segment_integrals(P, starts, ends, rel_tol=1e-9, max_samples=1 << 15):
+def _segment_integrals(P, starts, ends):
     """Integrals of dv/sqrt(P) over the straight segments [starts[k], ends[k]].
 
     Each segment starts on the principal branch and is integrated by
     composite Simpson, doubling its own sample count from 16 until its value
-    stabilizes to rel_tol.  One level's samples are taken in chunks of about
+    stabilizes to REL_TOL.  One level's samples are taken in chunks of about
     LEVEL_SAMPLES values.  Returns (integrals, sqrt(P) at the starts, tracked
-    sqrt(P) at the ends); a segment still moving at max_samples has a NaN
+    sqrt(P) at the ends); a segment still moving at MAX_SAMPLES has a NaN
     integral.
     """
     a = np.asarray(starts, dtype=complex).ravel()
@@ -302,7 +304,7 @@ def _segment_integrals(P, starts, ends, rel_tol=1e-9, max_samples=1 << 15):
     todo = np.arange(len(a))
     n = 16
     with np.errstate(all="ignore"):
-        while len(todo) and n <= max_samples:
+        while len(todo) and n <= MAX_SAMPLES:
             weights = np.full(n + 1, 2.0)
             weights[1::2] = 4.0
             weights[0] = weights[-1] = 1.0
@@ -316,7 +318,7 @@ def _segment_integrals(P, starts, ends, rel_tol=1e-9, max_samples=1 << 15):
                 pts[:, -1] = b[idx]
                 w, coarse = _tracked_sqrt(P(pts))
                 est = d / (3.0 * n) * np.sum(weights / w, axis=1)
-                ok = ~coarse & (np.abs(est - prev[idx]) <= rel_tol * np.maximum(1.0, np.abs(est)))
+                ok = ~coarse & (np.abs(est - prev[idx]) <= REL_TOL * np.maximum(1.0, np.abs(est)))
                 prev[idx[~coarse]] = est[~coarse]
                 val[idx[ok]] = est[ok]
                 w_first[idx[ok]] = w[ok, 0]
@@ -327,16 +329,15 @@ def _segment_integrals(P, starts, ends, rel_tol=1e-9, max_samples=1 << 15):
     return val, w_first, w_last
 
 
-def path_integral(curve, waypoints, w_start=None, rel_tol=1e-9, max_samples=1 << 15):
+def path_integral(curve, waypoints, w_start=None):
     """Integral of dv/sqrt(P) along a polyline, branch-tracked end to end.
 
     Each straight segment is integrated by composite Simpson; the density
-    doubles until the value stabilizes to rel_tol.  Returns (integral, w_end)
+    doubles until the value stabilizes to REL_TOL.  Returns (integral, w_end)
     so chained paths can continue the same branch.
     """
     pts = np.asarray([complex(w) for w in waypoints], dtype=complex)
-    vals, w_first, w_last = _segment_integrals(
-        curve.discriminant_P(), pts[:-1], pts[1:], rel_tol, max_samples)
+    vals, w_first, w_last = _segment_integrals(curve.discriminant_P(), pts[:-1], pts[1:])
     if np.isnan(vals).any():
         raise RefinePathError("path integral did not stabilize; waypoints too coarse")
     signs = _branch_signs(w_first, w_last, w_start)
@@ -351,26 +352,28 @@ def _sqrt_near(P, x, w_prev):
     return -w if abs(w + w_prev) < abs(w - w_prev) else w
 
 
-def trace_lattice_locus(curve, x_start, direction, step=None, max_steps=200000):
+def trace_lattice_locus(curve, x_start, direction):
     """Follow dx/ds = u * sqrt(P(x)) from x_start until the curve closes.
 
     `direction` is any complex number parallel to the lattice step in the
     uniformizing plane (the locus is a straight line there); its magnitude is
-    ignored.  Returns the ordered samples of one full loop.
+    ignored.  Returns the ordered samples of one full loop.  A constant P
+    (a linear lattice, whose locus is a line) raises RefinePath at once.
     """
     u = complex(direction)
     if u == 0:
         raise ValidationError("locus direction must be nonzero")
     u /= abs(u)
     P = curve.discriminant_P()
+    if P.degree() == 0:
+        raise RefinePathError("P is constant: the lattice locus is a line and never closes")
     x = complex(x_start)
     w = cmath.sqrt(P(x))
     if abs(w) < 1e-14:
         raise PathThroughBranchPointError("locus start is a branch point")
-    if step is None:
-        step = 0.004 * (1.0 + abs(x_start))
+    step = LOCUS_STEP * (1.0 + abs(x_start))
     samples = [x]
-    for it in range(max_steps):
+    for it in range(LOCUS_MAX_STEPS):
         ds = step / max(abs(w), 1e-12)
         # RK4 on dx/ds = u * sqrt(P(x)), branch-continued within the stages
         k1 = u * w
@@ -506,9 +509,9 @@ class RatePredictor:
         return [(r, ()) for r in np.exp(self._log_rate_of_xi(xis)).tolist()]
 
 
-def predicted_rate(curve, sol, z, basepoint=None, locus=None):
+def predicted_rate(curve, sol, z):
     """exp(-Im 2 pi (xi_z - xi_zeta)/omega); logarithmic mode only."""
-    return RatePredictor(curve, sol, basepoint=basepoint, locus=locus).rate(z)
+    return RatePredictor(curve, sol).rate(z)
 
 
 # -- grid sweep for the CLI -------------------------------------------------------------------

@@ -23,17 +23,16 @@ class RootPair:
     """The two y-roots (or x-roots) of the curve over a fixed point.
 
     Unordered by intent: `lo`/`hi` only record which root carries the minus
-    and plus sign of the principal square root of the discriminant.  Ordering
-    against a continuation hint is done with `ordered`.
+    and plus sign of the principal square root of the discriminant.  Pick a
+    root against a continuation hint with `nearest`.
     """
 
-    __slots__ = ("lo", "hi", "at", "sqrt_disc")
+    __slots__ = ("lo", "hi", "at")
 
-    def __init__(self, lo, hi, at, sqrt_disc):
+    def __init__(self, lo, hi, at):
         self.lo = lo
         self.hi = hi
         self.at = at
-        self.sqrt_disc = sqrt_disc
 
     def as_tuple(self):
         return self.lo, self.hi
@@ -45,39 +44,68 @@ class RootPair:
         """The partner of a known member of the pair."""
         return self.hi if abs(self.lo - root) <= abs(self.hi - root) else self.lo
 
-    def ordered(self, hint=None):
-        """(first, second) with `first` the root nearer the hint, if given."""
-        if hint is None:
-            return self.lo, self.hi
-        if abs(self.lo - hint) <= abs(self.hi - hint):
-            return self.lo, self.hi
-        return self.hi, self.lo
-
     def __repr__(self):
         return f"RootPair(lo={self.lo!r}, hi={self.hi!r}, at={self.at!r})"
+
+
+# -- one quadratic view --------------------------------------------------------------
+#
+# A view (V0, V1, V2) writes F as V0(t) + V1(t) s + V2(t) s^2 over a fixed t:
+# the x-view solves for y over x, the y-view for x over y.  Each routine below
+# serves both views.
+
+
+def _lead(view, t):
+    """V2(t), or LeadingCoefficientVanishes when it is ~ 0 (a lattice singularity)."""
+    v2 = view[2]
+    lead = v2(t)
+    if abs(lead) <= LEAD_TOL * v2.max_coeff * max(1.0, abs(t)) ** v2.degree():
+        raise LeadingCoefficientVanishesError(t)
+    return lead
+
+
+def _roots(view, t):
+    """Both roots s of the view over t as a RootPair."""
+    lead = _lead(view, t)
+    lo, hi, _ = solve_quadratic(view[0](t), view[1](t), lead)
+    return RootPair(lo, hi, t)
+
+
+def _complement(view, t, root):
+    """The second root over t given one, via the Vieta sum (no square root)."""
+    lead = _lead(view, t)
+    return -view[1](t) / lead - root
+
+
+def _d_second(c, u, v):
+    """dF/dv for F(u, v) = sum c[i][j] u^i v^j."""
+    acc = 0j
+    for i in range(3):
+        acc += (c[i][1] + 2.0 * c[i][2] * v) * u ** i
+    return acc
 
 
 class BiquadraticCurve:
     """Immutable 3x3 coefficient grid c[i][j] multiplying x^i y^j."""
 
-    __slots__ = ("c", "_xv", "_yv", "_P")
+    __slots__ = ("c", "_ct", "_xv", "_yv", "_P")
 
     def __init__(self, grid):
         c = tuple(tuple(complex(v) for v in row) for row in grid)
         if len(c) != 3 or any(len(row) != 3 for row in c):
             raise ValidationError("curve grid must be 3x3")
-        object.__setattr__(self, "c", c)
-        x2 = Polynomial([c[i][2] for i in range(3)])
-        y2 = Polynomial([c[2][j] for j in range(3)])
-        if x2.is_zero():
+        ct = tuple(zip(*c))
+        xv = tuple(Polynomial(col) for col in ct)
+        yv = tuple(Polynomial(row) for row in c)
+        if xv[2].is_zero():
             raise ValidationError("X2 vanishes identically: curve is not quadratic in y")
-        if y2.is_zero():
+        if yv[2].is_zero():
             raise ValidationError("Y2 vanishes identically: curve is not quadratic in x")
-        object.__setattr__(self, "_xv", tuple(
-            Polynomial([c[i][j] for i in range(3)]) for j in range(3)))
-        object.__setattr__(self, "_yv", tuple(
-            Polynomial([c[i][j] for j in range(3)]) for i in range(3)))
-        x0, x1, x2 = self._xv
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_ct", ct)
+        object.__setattr__(self, "_xv", xv)
+        object.__setattr__(self, "_yv", yv)
+        x0, x1, x2 = xv
         P = x1 * x1 - 4.0 * x0 * x2
         if P.is_zero():
             raise ValidationError("P = X1^2 - 4 X0 X2 vanishes identically (double line)")
@@ -119,16 +147,10 @@ class BiquadraticCurve:
         return acc
 
     def dF_dx(self, x, y):
-        acc = 0j
-        for j in range(3):
-            acc += (self.c[1][j] + 2.0 * self.c[2][j] * x) * y ** j
-        return acc
+        return _d_second(self._ct, y, x)
 
     def dF_dy(self, x, y):
-        acc = 0j
-        for i in range(3):
-            acc += (self.c[i][1] + 2.0 * self.c[i][2] * y) * x ** i
-        return acc
+        return _d_second(self.c, x, y)
 
     def local_scale(self, x, y):
         return self.scale * max(1.0, abs(x)) ** 2 * max(1.0, abs(y)) ** 2
@@ -138,52 +160,24 @@ class BiquadraticCurve:
 
     # -- root extraction -------------------------------------------------------------
 
-    def y_roots(self, x, branch_hint=None):
+    def y_roots(self, x):
         """Both roots of F(x, .) = 0 as a RootPair.
 
-        With a branch hint the pair is unchanged (it is unordered); use
-        `.ordered(hint)` on the result for continuation.  Raises
-        LeadingCoefficientVanishes when X2(x) ~ 0 (a lattice singularity).
+        Raises LeadingCoefficientVanishes when X2(x) ~ 0 (a lattice singularity).
         """
-        x0, x1, x2 = self._xv
-        lead = x2(x)
-        if abs(lead) <= LEAD_TOL * x2.max_coeff * max(1.0, abs(x)) ** x2.degree():
-            raise LeadingCoefficientVanishesError(x)
-        lo, hi, s = solve_quadratic(x0(x), x1(x), lead)
-        pair = RootPair(lo, hi, x, s)
-        if branch_hint is not None:
-            first, second = pair.ordered(branch_hint)
-            return RootPair(first, second, x, s)
-        return pair
+        return _roots(self._xv, x)
 
-    def x_roots(self, y, branch_hint=None):
-        """Both roots of F(., y) = 0; mirror of y_roots."""
-        y0, y1, y2 = self._yv
-        lead = y2(y)
-        if abs(lead) <= LEAD_TOL * y2.max_coeff * max(1.0, abs(y)) ** y2.degree():
-            raise LeadingCoefficientVanishesError(y)
-        lo, hi, s = solve_quadratic(y0(y), y1(y), lead)
-        pair = RootPair(lo, hi, y, s)
-        if branch_hint is not None:
-            first, second = pair.ordered(branch_hint)
-            return RootPair(first, second, y, s)
-        return pair
+    def x_roots(self, y):
+        """Both roots of F(., y) = 0 as a RootPair."""
+        return _roots(self._yv, y)
 
     def other_y(self, x, y):
         """The second y-root over x, via the Vieta sum (no square root)."""
-        x0, x1, x2 = self._xv
-        lead = x2(x)
-        if abs(lead) <= LEAD_TOL * x2.max_coeff * max(1.0, abs(x)) ** x2.degree():
-            raise LeadingCoefficientVanishesError(x)
-        return -x1(x) / lead - y
+        return _complement(self._xv, x, y)
 
     def other_x(self, y, x):
         """The second x-root over y, via the Vieta sum."""
-        y0, y1, y2 = self._yv
-        lead = y2(y)
-        if abs(lead) <= LEAD_TOL * y2.max_coeff * max(1.0, abs(y)) ** y2.degree():
-            raise LeadingCoefficientVanishesError(y)
-        return -y1(y) / lead - x
+        return _complement(self._yv, y, x)
 
     def implicit_dy_dx(self, x, y, tol=1e-8):
         """dy/dx of the branch through (x, y): -(dF/dx)/(dF/dy).

@@ -362,7 +362,7 @@ def mean_poly_direct(pair, n, z):
     return mv * (z - pair.xp(0)) * (z - pair.xp(n)) / xb
 
 
-def mean_poly_value(pair, n, at="xp0", cross_check=True):
+def mean_poly_value(pair, n, at="xp0"):
     """Closed-form D_n value at one of the four distinguished points.
 
     at: 'xm1' -> x_{-1}, 'xn1' -> x_{n-1}, 'xp0' -> x'_0, 'xpn' -> x'_n.
@@ -388,18 +388,17 @@ def mean_poly_value(pair, n, at="xp0", cross_check=True):
         val = -0.5 * cn * x2(z) * (pair.yp(n + 1) - pair.yp(n))
     else:
         raise ValidationError(f"unknown D_n point {at!r}")
-    if cross_check:
-        try:
-            direct = mean_poly_direct(pair, n, z)
-        except (MethodDegenerateError, BranchPointEvaluationError, PoleEvaluationError):
-            return val
-        if abs(direct - val) > 1e-6 * max(1.0, abs(val)):
-            raise MethodDegenerateError(
-                f"D_{n}({at}) closed form {val} vs direct {direct}")
+    try:
+        direct = mean_poly_direct(pair, n, z)
+    except (MethodDegenerateError, BranchPointEvaluationError, PoleEvaluationError):
+        return val
+    if abs(direct - val) > 1e-6 * max(1.0, abs(val)):
+        raise MethodDegenerateError(
+            f"D_{n}({at}) closed form {val} vs direct {direct}")
     return val
 
 
-def identity_samples(pair, n, count=20, seed=7, radius_pad=1.5):
+def identity_samples(pair, n, count=20, seed=7):
     """Deterministic sample points on an annulus avoiding lattice loci and poles.
 
     Used by the identity checks; a fixed seed keeps property tests reproducible.
@@ -416,7 +415,7 @@ def identity_samples(pair, n, count=20, seed=7, radius_pad=1.5):
     attempts = 0
     while len(out) < count and attempts < 200 * count:
         attempts += 1
-        rho = rad * (0.3 + radius_pad * rng.random())
+        rho = rad * (0.3 + 1.5 * rng.random())
         ang = 2.0 * np.pi * rng.random()
         z = center + rho * complex(np.cos(ang), np.sin(ang))
         if min(abs(z - a) for a in avoid) > 0.05 * rad:

@@ -66,40 +66,32 @@ class LatticeSpec:
         return f"LatticeSpec(x0={self.x0!r}, y0={self.y0!r})"
 
 
-def _polish_y(curve, x, y):
-    """One or two guarded Newton steps pulling y back onto F(x, .) = 0.
+def _flip(curve, p, axis):
+    """Replace p[axis] by its Vieta complement over p[1 - axis], then polish it.
 
-    The Vieta complement picks the branch; this only removes accumulated
-    rounding, accepting a correction only while |F| decreases (so branch
-    points, where dF/dy ~ 0, are left alone).
+    p is [x, y]; axis 1 moves y over a fixed x, axis 0 moves x over a fixed y.
+    The Vieta complement picks the branch; one or two guarded Newton steps
+    only remove accumulated rounding, accepting a correction only while |F|
+    decreases (so branch points, where dF ~ 0, are left alone).
     """
-    fv = curve(x, y)
+    if axis:
+        other, dF = curve.other_y, curve.dF_dy
+    else:
+        other, dF = curve.other_x, curve.dF_dx
+    p[axis] = other(p[1 - axis], p[axis])
+    fv = curve(*p)
     for _ in range(2):
-        dfy = curve.dF_dy(x, y)
-        if dfy == 0:
-            return y
-        y2 = y - fv / dfy
-        f2 = curve(x, y2)
+        d = dF(*p)
+        if d == 0:
+            return
+        v = p[axis]
+        p[axis] = v - fv / d
+        f2 = curve(*p)
         if abs(f2) < abs(fv):
-            y, fv = y2, f2
+            fv = f2
         else:
-            return y
-    return y
-
-
-def _polish_x(curve, x, y):
-    fv = curve(x, y)
-    for _ in range(2):
-        dfx = curve.dF_dx(x, y)
-        if dfx == 0:
-            return x
-        x2 = x - fv / dfx
-        f2 = curve(x2, y)
-        if abs(f2) < abs(fv):
-            x, fv = x2, f2
-        else:
-            return x
-    return x
+            p[axis] = v
+            return
 
 
 class LatticePair:
@@ -143,30 +135,30 @@ class LatticePair:
             self._step_backward()
 
     def _step_forward(self):
-        n = self._hi
-        xn, yn = self._x[n], self._y[n]
-        try:
-            y_next = _polish_y(self.curve, xn, self.curve.other_y(xn, yn))
-            x_next = _polish_x(self.curve, self.curve.other_x(y_next, xn), y_next)
-        except LeadingCoefficientVanishesError as exc:
-            raise LatticeSingularityError(n + 1, f"step {n}->{n+1}: {exc}") from exc
-        self._x[n + 1] = x_next
-        self._y[n + 1] = y_next
-        self._hi = n + 1
-        self._check_stagnation(direction=+1)
+        self._step(+1)
 
     def _step_backward(self):
-        n = self._lo
-        xn, yn = self._x[n], self._y[n]
+        self._step(-1)
+
+    def _step(self, direction):
+        """Materialize the next index past the known range in `direction`.
+
+        Forward flips y then x, backward undoes that: x then y.
+        """
+        n = self._hi if direction > 0 else self._lo
+        m = n + direction
+        p = [self._x[n], self._y[n]]
         try:
-            x_prev = _polish_x(self.curve, self.curve.other_x(yn, xn), yn)
-            y_prev = _polish_y(self.curve, x_prev, self.curve.other_y(x_prev, yn))
+            for axis in ((1, 0) if direction > 0 else (0, 1)):
+                _flip(self.curve, p, axis)
         except LeadingCoefficientVanishesError as exc:
-            raise LatticeSingularityError(n - 1, f"step {n}->{n-1}: {exc}") from exc
-        self._x[n - 1] = x_prev
-        self._y[n - 1] = y_prev
-        self._lo = n - 1
-        self._check_stagnation(direction=-1)
+            raise LatticeSingularityError(m, f"step {n}->{m}: {exc}") from exc
+        self._x[m], self._y[m] = p
+        if direction > 0:
+            self._hi = m
+        else:
+            self._lo = m
+        self._check_stagnation(direction)
 
     def _check_stagnation(self, direction):
         end = self._hi if direction > 0 else self._lo
@@ -190,18 +182,6 @@ class LatticePair:
         s2 = c.local_scale(self._x[n], self._y[n + 1])
         return (abs(c(self._x[n], self._y[n])) / s1,
                 abs(c(self._x[n], self._y[n + 1])) / s2)
-
-
-def step_forward(lat, n):
-    """(x_{n+1}, y_{n+1}) from the cached walk (materializing as needed)."""
-    lat.ensure(n, n + 1)
-    return lat.point(n + 1)
-
-
-def step_backward(lat, n):
-    """(x_{n-1}, y_{n-1}) from the cached walk."""
-    lat.ensure(n - 1, n)
-    return lat.point(n - 1)
 
 
 def generate(spec, n_min, n_max):
@@ -308,15 +288,15 @@ class AskeyWilsonLattice:
         return LatticeSpec(self.curve(), x0, y0)
 
 
-def fit_curve_to_lattice(points_fn, n_lo=-4, n_hi=6):
+def fit_curve_to_lattice(points_fn):
     """Recover the biquadratic carrying a closed-form lattice.
 
     `points_fn(n) -> (x_n, y_n)`; both (x_n, y_n) and (x_n, y_{n+1}) rows are
     fitted so the grid is pinned up to scale.  Two distinct biquadratics can
-    share up to 16 points, so the default range supplies more than that.
+    share up to 16 points, so n = -4..6 supplies more than that (22).
     """
     samples = []
-    for n in range(n_lo, n_hi + 1):
+    for n in range(-4, 7):
         xn, yn = points_fn(n)
         _, yn1 = points_fn(n + 1)
         samples.append((xn, yn))

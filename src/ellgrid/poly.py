@@ -12,10 +12,6 @@ import numpy as np
 
 from .errors import ConstantPolynomialError, PoleEvaluationError, ZeroDivisorError
 
-# The scalar field.  All quantities in the library are algebraic over the curve
-# coefficients, so double-precision complex is used throughout.
-Scalar = complex
-
 ZERO_TOL = 1e-13        # trailing coefficients below this (relative) are trimmed
 EVAL_TOL = 1e-12        # "effectively zero" threshold for pole/deflation logic
 
@@ -220,10 +216,10 @@ class Polynomial:
         return sorted(rs, key=lambda r: (r.real, r.imag))
 
 
-def _newton_polish(p, dp, z, max_iter=12):
-    """Refine a root estimate, accepting steps only while |p| decreases."""
+def _newton_polish(p, dp, z):
+    """Refine a root estimate by up to 12 Newton steps, kept only while |p| decreases."""
     fz = abs(p(z))
-    for _ in range(max_iter):
+    for _ in range(12):
         if fz == 0.0:
             break
         dz = dp(z)

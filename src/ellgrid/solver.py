@@ -48,47 +48,6 @@ from .poly import Polynomial
 X2_FACTOR_TOL = 1e-12
 
 
-# -- equation forms ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymmetricForm:
-    """The D/M form of  a(x) f(phi) + b(x) f(psi) + c(x) = 0.
-
-    alpha = alpha_half * (psi - phi) (the flag records the branch factor, so
-    the stored part stays rational), beta = -(a+b)/2, gamma = -c, and the
-    equation reads  alpha * (D f) = beta * [f(phi) + f(psi)] + gamma.
-    """
-
-    alpha_half: Polynomial
-    beta: Polynomial
-    gamma: Polynomial
-    alpha_times_branch: bool = True
-
-    def alpha_value(self, curve, x, hint=None):
-        """alpha(x) for the branch ordering picked by `hint` (first root = phi)."""
-        phi, psi = curve.y_roots(x).ordered(hint)
-        return self.alpha_half(x) * (psi - phi)
-
-    def f_psi_from_f_phi(self, x, f_phi):
-        """Solve the symmetric form for f(psi); branch factors cancel exactly."""
-        den = self.alpha_half(x) - self.beta(x)
-        if den == 0:
-            raise ZeroDivisionError(f"symmetric form degenerate at x={x}")
-        return (self.gamma(x) + (self.beta(x) + self.alpha_half(x)) * f_phi) / den
-
-
-def convert_equation_form(a_pt, b_pt, c_pt):
-    """Rewrite  a f(phi) + b f(psi) + c = 0  symmetrically in the root pair."""
-    a_pt, b_pt, c_pt = (p if isinstance(p, Polynomial) else Polynomial((p,))
-                        for p in (a_pt, b_pt, c_pt))
-    return SymmetricForm(
-        alpha_half=(b_pt - a_pt) / 2.0,
-        beta=-(a_pt + b_pt) / 2.0,
-        gamma=-c_pt,
-    )
-
-
 # -- the difference equation -----------------------------------------------------------
 
 
@@ -115,10 +74,6 @@ class DifferenceEquation:
         raise AttributeError("DifferenceEquation is immutable")
 
     @classmethod
-    def from_linear_parts(cls, curve, a, beta, gamma, delta, eps):
-        return cls(curve, a, beta, gamma, delta, eps)
-
-    @classmethod
     def from_polynomials(cls, curve, a, c, d):
         """Extract (beta, gamma, delta, eps), validating the X2 factor of c and d."""
         x2 = curve.x_view()[2]
@@ -142,7 +97,7 @@ class DifferenceEquation:
     def is_logarithmic(self):
         return self.beta == 0 and self.gamma == 0
 
-    def scale(self, z=1.0):
+    def scale(self, z):
         base = max(self.a.max_coeff, self.c.max_coeff, self.d.max_coeff, 1e-300)
         return base * max(1.0, abs(z)) ** 3
 
@@ -242,8 +197,8 @@ def special_point_candidates(eq):
     return sorted(out, key=lambda z: (z.real, z.imag))
 
 
-def _polish_condition_root(eq, r, iters=8):
-    """Newton-polish r against 2a(x) - sigma (beta x + gamma) sqrt(P(x)) = 0."""
+def _polish_condition_root(eq, r):
+    """Up to eight Newton steps polishing r against 2a(x) - sigma (beta x + gamma) sqrt(P(x)) = 0."""
     P = eq.curve.discriminant_P()
     dP = P.derivative()
     lin = Polynomial((eq.gamma, eq.beta))
@@ -253,7 +208,7 @@ def _polish_condition_root(eq, r, iters=8):
         else -1.0
     best = r
     g_best = abs(2.0 * eq.a(r) - sigma * lin(r) * w)
-    for _ in range(iters):
+    for _ in range(8):
         g = 2.0 * eq.a(r) - sigma * lin(r) * w
         if abs(w) <= 1e-300:
             break

@@ -30,7 +30,7 @@ from ellgrid.errors import (
     WindowTooSmallError,
 )
 
-from conftest import aw_fixture, linear_fixture, solve_log_qlattice
+from conftest import aw_fixture, linear_fixture, log_linear_fixture, solve_log_qlattice
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +184,33 @@ def test_locus_trace_closes_on_circle(qsol):
     assert abs(samples[-1] - samples[0]) < 0.02
 
 
+def test_locus_trace_stops_at_once_for_constant_p(monkeypatch):
+    """A linear lattice's locus is a line that never closes: RefinePath before
+    any RK4 step, counted in evaluations of P rather than timed."""
+    eq, select, c0_free, _A, _zeta, hints = log_linear_fixture()
+    sol = solve(eq, select, 30, c0_free=c0_free, **hints)
+    P = eq.curve.discriminant_P()
+    assert P.degree() == 0
+    from ellgrid.poly import Polynomial
+    evals = [0]
+
+    def counted(self, z, _original=Polynomial.__call__):
+        evals[0] += self is P
+        return _original(self, z)
+    monkeypatch.setattr(Polynomial, "__call__", counted)
+    with pytest.raises(RefinePathError):
+        trace_lattice_locus(eq.curve, sol.pair.x(0), 1.0)
+    assert evals[0] == 0
+    with pytest.raises(RefinePathError):
+        RatePredictor(eq.curve, sol)
+    assert evals[0] < 10
+    monkeypatch.undo()
+    axis = np.linspace(-1.0, 1.0, 5)
+    rows = rate_map(sol, axis, axis, 5, 25)
+    assert any(emp is not None for _, _, emp, _, _ in rows)
+    assert all(pred is None for _, _, _, pred, _ in rows)
+
+
 # -- predicted rate ---------------------------------------------------------------------------
 
 
@@ -227,31 +254,36 @@ def test_predicted_rate_requires_log_mode():
 
 
 def test_small_divisor_exclusion_recovers_clean_slope(qsol):
-    """An engineered divisor spike is flagged and, once excluded, the fitted
-    slope stays within 2% of the clean geometric decay."""
+    """An engineered divisor spike is flagged and, once excluded, the fit
+    recovers the exact geometric decay; without the exclusion it misses."""
     sol, zeta, q = qsol
     z = 0.5 + 0.2j
     rho = 0.6
-    # synthetic terms: exactly rho^n, except a 1e6 spike where the engineered
-    # near-return divisor (y_{-1} - y_12, i.e. index n = 14) nearly vanishes
-    cs = list(sol.coeffs)
-    prod = 1.0 + 0j
-    for n in range(1, 29):
-        prod *= (z - sol.pair.y(n - 1)) / (z - sol.pair.yp(n))
-        cs[n] = rho ** n / prod
-    cs[14] *= 1e6
     old_coeffs, old_y12 = sol.coeffs, sol.pair.unprimed._y[12]
     try:
-        sol.coeffs = tuple(cs)
+        # the engineered near-return divisor: y_{-1} - y_12, i.e. index n = 14
         sol.pair.unprimed._y[12] = sol.pair.y(-1) + 1e-6 * (old_y12 - sol.pair.y(-1))
+        # synthetic terms on the edited lattice: exactly rho^n, except a 1e6
+        # spike at n = 14
+        cs = list(sol.coeffs)
+        prod = 1.0 + 0j
+        for n in range(1, 29):
+            prod *= (z - sol.pair.y(n - 1)) / (z - sol.pair.yp(n))
+            cs[n] = rho ** n / prod
+        cs[14] *= 1e6
+        sol.coeffs = tuple(cs)
         flagged = detect_small_divisors(sol.pair, 25, 0.05)
         assert 14 in [n for n, _ in flagged]
         excl = empirical_rate(sol, z, 5, 25, smalldiv_threshold=0.05)
+        kept = empirical_rate(sol, z, 5, 25, smalldiv_threshold=0.0)
     finally:
         sol.coeffs = old_coeffs
         sol.pair.unprimed._y[12] = old_y12
     assert 14 in {n for n, _ in excl.smalldiv_flags}
-    assert abs(np.log(excl.empirical_rate) - np.log(rho)) <= 0.02 * abs(np.log(rho))
+    assert kept.smalldiv_flags == ()
+    log_rho = np.log(rho)
+    assert abs(np.log(excl.empirical_rate) - log_rho) <= 1e-12 * abs(log_rho)
+    assert abs(np.log(kept.empirical_rate) - log_rho) > 0.01 * abs(log_rho)
 
 
 # -- rate map ----------------------------------------------------------------------------------

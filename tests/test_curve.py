@@ -141,8 +141,8 @@ def test_implicit_derivative_vs_finite_difference():
             if abs(pair.lo - pair.hi) < 1e-3:
                 continue
             h = 1e-6
-            yp = curve.y_roots(x + h, branch_hint=y).ordered(y)[0]
-            ym = curve.y_roots(x - h, branch_hint=y).ordered(y)[0]
+            yp = curve.y_roots(x + h).nearest(y)
+            ym = curve.y_roots(x - h).nearest(y)
             fd = (yp - ym) / (2 * h)
             assert abs(curve.implicit_dy_dx(x, y) - fd) <= 1e-6 * max(1.0, abs(fd))
 

@@ -12,8 +12,6 @@ from ellgrid import (
     LinearLattice,
     fit_curve_to_lattice,
     generate,
-    step_backward,
-    step_forward,
 )
 from ellgrid.errors import (
     LatticeSingularityError,
@@ -60,16 +58,19 @@ def test_oracle_points():
 
 def test_step_backward_examples():
     lat = LatticePair(LinearLattice(h=1.0).spec())
-    assert step_backward(lat, 0) == pytest.approx((-1.0, -1.0))
+    assert lat.point(-1) == pytest.approx((-1.0, -1.0))
+    assert lat.known_range == (-1, 0)
     latq = LatticePair(GeometricLattice(a=0.0, b=1.0, q=0.5).spec())
-    assert step_backward(latq, 0) == pytest.approx((2.0, 2.0))
+    latq.ensure(-1, 0)
+    assert latq.known_range == (-1, 0)
+    assert latq.point(-1) == pytest.approx((2.0, 2.0))
 
 
 def test_backward_then_forward_roundtrip():
     lat = LatticePair(GeometricLattice(a=0.0, b=1.0, q=0.5).spec())
-    xb, yb = step_backward(lat, 0)
+    xb, yb = lat.point(-1)
     fresh = LatticePair(LatticeSpec(lat.curve, xb, yb))
-    xf, yf = step_forward(fresh, 0)
+    xf, yf = fresh.point(1)
     assert abs(xf - lat.x(0)) <= 1e-12
     assert abs(yf - lat.y(0)) <= 1e-12
 

@@ -1,0 +1,31 @@
+import types
+
+import ellgrid
+from ellgrid import curve, lattice, poly, solver
+
+DELETED = {
+    "SymmetricForm", "convert_equation_form", "step_forward", "step_backward", "Scalar",
+}
+
+
+def test_all_names_resolve_and_none_is_a_module():
+    assert len(ellgrid.__all__) == len(set(ellgrid.__all__))
+    for name in ellgrid.__all__:
+        assert not isinstance(getattr(ellgrid, name), types.ModuleType), name
+
+
+def test_star_import_binds_exactly_all():
+    ns = {}
+    exec("from ellgrid import *", ns)
+    assert set(ns) - {"__builtins__"} == set(ellgrid.__all__)
+
+
+def test_deleted_api_is_gone():
+    assert not DELETED & set(ellgrid.__all__)
+    for name in DELETED:
+        assert not hasattr(ellgrid, name)
+        for mod in (curve, lattice, poly, solver):
+            assert not hasattr(mod, name)
+    assert not hasattr(solver.DifferenceEquation, "from_linear_parts")
+    assert not hasattr(curve.RootPair, "ordered")
+    assert "sqrt_disc" not in curve.RootPair.__slots__

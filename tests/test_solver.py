@@ -15,7 +15,6 @@ from ellgrid import (
     LinearLattice,
     Nearest,
     closed_product_coefficient,
-    convert_equation_form,
     evaluate_partial_sum,
     expansion_coefficients,
     expansion_coefficients_log,
@@ -48,42 +47,6 @@ from conftest import (
 )
 
 X = Polynomial.x()
-
-
-# -- equation form conversion ----------------------------------------------------------
-
-
-def test_convert_pure_difference():
-    form = convert_equation_form(Polynomial((-1.0,)), Polynomial((1.0,)),
-                                 Polynomial((0j,)))
-    assert form.beta.is_zero()
-    assert form.alpha_half == Polynomial((1.0,))
-
-
-def test_convert_pure_mean():
-    form = convert_equation_form(Polynomial((-0.5,)), Polynomial((-0.5,)), X)
-    assert form.alpha_half.is_zero()
-    assert form.beta == Polynomial((0.5,))
-    assert form.gamma == -X
-
-
-def test_convert_pointwise_equivalence():
-    rng = np.random.default_rng(14)
-    a_pt = Polynomial(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    b_pt = Polynomial(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    c_pt = Polynomial(rng.standard_normal(3))
-    form = convert_equation_form(a_pt, b_pt, c_pt)
-    curve = LinearLattice(h=1.0).curve()
-    for _ in range(10):
-        x = complex(*rng.uniform(-2, 2, 2))
-        f_phi = complex(*rng.standard_normal(2))
-        # original linear form solved for f(psi)
-        want = -(a_pt(x) * f_phi + c_pt(x)) / b_pt(x)
-        assert form.f_psi_from_f_phi(x, f_phi) == pytest.approx(want)
-        # and alpha itself carries the branch factor
-        phi, psi = curve.y_roots(x).ordered()
-        assert form.alpha_value(curve, x) == pytest.approx(
-            (b_pt(x) - a_pt(x)) * (psi - phi) / 2.0)
 
 
 # -- equation construction ---------------------------------------------------------------
