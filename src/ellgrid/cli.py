@@ -7,6 +7,7 @@ scenario; complex numbers are always two-element [re, im] arrays.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -25,6 +26,9 @@ EXIT_IO = 4
 
 
 # -- config decoding ------------------------------------------------------------------
+#
+# Every field goes through a helper that raises ValidationError naming it, so a
+# malformed config exits with EXIT_VALIDATION before any output file is opened.
 
 
 def _cnum(v, field):
@@ -41,10 +45,55 @@ def _cpoly(v, field):
     return Polynomial([_cnum(x, f"{field}[{i}]") for i, x in enumerate(v)])
 
 
-def _require(cfg, field):
-    if field not in cfg:
+def _int(v, field):
+    try:
+        return int(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{field}: expected an integer, got {v!r}") from None
+
+
+def _float(v, field):
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{field}: expected a number, got {v!r}") from None
+
+
+def _items(v, field, count):
+    """v when it is a list of exactly count entries."""
+    if not isinstance(v, list) or len(v) != count:
+        raise ValidationError(f"{field}: expected a list of {count} entries, got {v!r}")
+    return v
+
+
+def _object(v, field):
+    if not isinstance(v, dict):
+        raise ValidationError(f"{field}: expected an object, got {v!r}")
+    return v
+
+
+def _require(obj, field):
+    """obj[key] for the last part of the dotted name field, which errors name."""
+    parent, _, key = field.rpartition(".")
+    if key not in _object(obj, parent or "config"):
         raise MissingFieldError(field)
-    return cfg[field]
+    return obj[key]
+
+
+def _params(cfg):
+    return _object(cfg.get("params", {}), "params")
+
+
+def _axis(v, field):
+    """The grid axis np.linspace(lo, hi, count) of a [lo, hi, count] triple."""
+    lo, hi, count = _items(v, field, 3)
+    count = _int(count, f"{field}[2]")
+    if count < 0:
+        raise ValidationError(f"{field}[2]: expected a count >= 0, got {count}")
+    axis = np.linspace(_float(lo, f"{field}[0]"), _float(hi, f"{field}[1]"), count)
+    if not np.isfinite(axis).all():
+        raise ValidationError(f"{field} bounds must be finite")
+    return axis
 
 
 def load_config(path):
@@ -53,9 +102,7 @@ def load_config(path):
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise ValidationError("config must be a JSON object")
-    return cfg
+    return _object(cfg, "config")
 
 
 def _curve_from(cfg):
@@ -64,9 +111,11 @@ def _curve_from(cfg):
 
 def _seed_from(cfg, curve):
     seed = _require(cfg, "lattice_seed")
-    x0 = _cnum(_require(seed, "x0"), "lattice_seed.x0")
+    x0 = _cnum(_require(seed, "lattice_seed.x0"), "lattice_seed.x0")
     y0 = _cnum(seed["y0"], "lattice_seed.y0") if "y0" in seed else None
     y1_index = seed.get("y1_index")
+    if y1_index not in (None, 0, 1):
+        raise ValidationError(f"lattice_seed.y1_index: expected 0 or 1, got {y1_index!r}")
     y1_hint = _cnum(seed["y1_hint"], "lattice_seed.y1_hint") if "y1_hint" in seed else None
     return LatticeSpec(curve, x0, y0=y0, y1_index=y1_index, y1_hint=y1_hint)
 
@@ -75,40 +124,42 @@ def _select_from(params):
     sel = params.get("select")
     if sel is None:
         return solver.ByIndex(0, 1)
+    sel = _object(sel, "params.select")
     if "nearest" in sel:
-        return solver.Nearest(_cnum(sel["nearest"], "select.nearest"))
+        return solver.Nearest(_cnum(sel["nearest"], "params.select.nearest"))
     if "index" in sel:
         idx = sel["index"]
-        if isinstance(idx, list):
-            return solver.ByIndex(int(idx[0]), int(idx[1]) if len(idx) > 1 else None)
-        return solver.ByIndex(int(idx))
+        if isinstance(idx, list) and len(idx) in (1, 2):
+            return solver.ByIndex(*(_int(v, f"params.select.index[{k}]")
+                                    for k, v in enumerate(idx)))
+        return solver.ByIndex(_int(idx, "params.select.index"))
     if "explicit" in sel:
-        pts = sel["explicit"]
-        return solver.Explicit(_cnum(pts[0], "select.explicit[0]"),
-                               _cnum(pts[1], "select.explicit[1]"))
+        pts = _items(sel["explicit"], "params.select.explicit", 2)
+        return solver.Explicit(_cnum(pts[0], "params.select.explicit[0]"),
+                               _cnum(pts[1], "params.select.explicit[1]"))
     raise ValidationError(f"unknown select clause {sel!r}")
 
 
 def _equation_from(cfg, curve):
     eqc = _require(cfg, "equation")
-    a = _cpoly(_require(eqc, "a"), "equation.a")
+    a = _cpoly(_require(eqc, "equation.a"), "equation.a")
     if eqc.get("mode") == "log":
         if "c0_free" not in eqc:
             raise MissingFieldError("c0_free")
-        d = _cpoly(_require(eqc, "d"), "equation.d")
+        d = _cpoly(_require(eqc, "equation.d"), "equation.d")
         eq = solver.DifferenceEquation.from_polynomials(
             curve, a, Polynomial((0j,)), d)
         return eq, _cnum(eqc["c0_free"], "equation.c0_free")
-    c = _cpoly(_require(eqc, "c"), "equation.c")
-    d = _cpoly(_require(eqc, "d"), "equation.d")
+    c = _cpoly(_require(eqc, "equation.c"), "equation.c")
+    d = _cpoly(_require(eqc, "equation.d"), "equation.d")
     return solver.DifferenceEquation.from_polynomials(curve, a, c, d), None
 
 
 def _solve_scenario(cfg, n_override=None):
     curve = _curve_from(cfg)
-    params = cfg.get("params", {})
+    params = _params(cfg)
     eq, c0_free = _equation_from(cfg, curve)
-    n = int(n_override if n_override is not None else params.get("n", 10))
+    n = n_override if n_override is not None else _int(params.get("n", 10), "params.n")
     select = _select_from(params)
     y0_hint = _cnum(params["y0_hint"], "params.y0_hint") if "y0_hint" in params else None
     yp1_hint = _cnum(params["yp1_hint"], "params.yp1_hint") if "yp1_hint" in params else None
@@ -116,10 +167,22 @@ def _solve_scenario(cfg, n_override=None):
                         y0_hint=y0_hint, yp1_hint=yp1_hint)
 
 
-def _open_out(path):
+def _out_path(out_path, params):
+    """--out, else params.out, else None (stdout)."""
+    path = out_path or params.get("out")
+    if path is not None and not isinstance(path, str):
+        raise ValidationError(f"params.out: expected a path, got {path!r}")
+    return path
+
+
+@contextlib.contextmanager
+def _output(path):
+    """The stream a subcommand writes its result to: the file at path, else stdout."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        yield stream
 
 
 # -- subcommands -----------------------------------------------------------------------
@@ -128,27 +191,25 @@ def _open_out(path):
 def run_lattice(cfg, out_path, n_override, quiet):
     curve = _curve_from(cfg)
     spec = _seed_from(cfg, curve)
-    params = cfg.get("params", {})
-    n_max = int(n_override if n_override is not None else params.get("n_max", params.get("n", 10)))
-    n_min = int(params.get("n_min", -n_max))
+    params = _params(cfg)
+    n_max = (n_override if n_override is not None
+             else _int(params.get("n_max", params.get("n", 10)), "params.n_max"))
+    n_min = _int(params.get("n_min", -n_max), "params.n_min")
+    path = _out_path(out_path, params)
     lat = lattice_mod.generate(spec, n_min, n_max)
     for n in range(n_min, n_max):
         r1, r2 = lat.on_curve_residual(n)
         if max(r1, r2) > 1e-9:
             raise EllgridError(f"on-curve invariant violated at n={n}")
-    stream, close = _open_out(out_path or params.get("out"))
-    try:
+    with _output(path) as stream:
         write_lattice_csv(lat, n_min, n_max, stream)
-    finally:
-        if close:
-            stream.close()
-    if not quiet and close:
+    if not quiet and path is not None:
         print(f"lattice written for n in [{n_min}, {n_max}]")
     return EXIT_OK
 
 
 def run_solve(cfg, out_path, n_override, quiet):
-    params = cfg.get("params", {})
+    path = _out_path(out_path, _params(cfg))
     sol = _solve_scenario(cfg, n_override)
     report = solver.verify_interpolation(sol.eq, sol, len(sol.coeffs) - 1)
     payload = solver.solution_to_json(sol)
@@ -157,12 +218,8 @@ def run_solve(cfg, out_path, n_override, quiet):
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise EllgridError(f"solution JSON would hold a non-finite value: {exc}") from exc
-    stream, close = _open_out(out_path or params.get("out"))
-    try:
+    with _output(path) as stream:
         stream.write(text)
-    finally:
-        if close:
-            stream.close()
     if not quiet:
         lines = ["  n  |c_n|", "  --- ------"]
         for k, c in enumerate(sol.coeffs):
@@ -172,15 +229,15 @@ def run_solve(cfg, out_path, n_override, quiet):
         lines.append(f"  interpolation max error: {report.max_error:.2e}")
         if all(abs(c) == 0.0 for c in sol.coeffs):
             lines.append("  note: trivial solution (all coefficients vanish)")
-        print("\n".join(lines), file=sys.stdout if close else sys.stderr)
+        print("\n".join(lines), file=sys.stderr if path is None else sys.stdout)
     return EXIT_OK
 
 
 def _verify_checks(cfg):
     """Yield (name, passed, detail) for the scenario's invariant suite."""
     curve = _curve_from(cfg)
-    params = cfg.get("params", {})
-    n_max = int(params.get("n_max", 8))
+    params = _params(cfg)
+    n_max = _int(params.get("n_max", 8), "params.n_max")
 
     if "lattice_seed" in cfg:
         spec = _seed_from(cfg, curve)
@@ -214,11 +271,14 @@ def _verify_checks(cfg):
         sol = _solve_scenario(cfg)
         corrupt = params.get("corrupt")
         if corrupt:
-            k = int(corrupt.get("index", 0))
-            factor = complex(corrupt.get("factor", 1.01))
+            corrupt = _object(corrupt, "params.corrupt")
+            k = _int(corrupt.get("index", 0), "params.corrupt.index")
+            factor = _cnum(corrupt.get("factor", 1.01), "params.corrupt.factor")
             cs = list(sol.coeffs)
-            if k < len(cs):
-                cs[k] = cs[k] * factor
+            if not 0 <= k < len(cs):
+                raise ValidationError(
+                    f"params.corrupt.index: expected 0 to {len(cs) - 1}, got {k}")
+            cs[k] = cs[k] * factor
             sol.coeffs = tuple(cs)
         yield ("special-point-certificates",
                max(sol.special.res_m1, sol.special.res_p0) <= 1e-9,
@@ -252,46 +312,35 @@ def _verify_checks(cfg):
 def run_verify(cfg, out_path, n_override, quiet):
     if "lattice_seed" not in cfg and "equation" not in cfg:
         raise ValidationError("verify needs a lattice_seed or an equation in the scenario")
+    path = _out_path(out_path, _params(cfg))
     lines = []
     all_ok = True
     for name, ok, detail in _verify_checks(cfg):
         all_ok &= ok
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     text = "\n".join(lines) + "\n"
-    stream, close = _open_out(out_path or cfg.get("params", {}).get("out"))
-    try:
+    with _output(path) as stream:
         stream.write(text)
-    finally:
-        if close:
-            stream.close()
-    if not quiet and close:
+    if not quiet and path is not None:
         sys.stdout.write(text)
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 
 def run_ratemap(cfg, out_path, n_override, quiet):
-    params = cfg.get("params", {})
-    grid = _require(params, "grid") if "params" in cfg else None
-    if grid is None:
-        raise MissingFieldError("params.grid")
-    window = params.get("window", [5, 25])
-    n_min, n_max = int(window[0]), int(window[1])
-    re_lo, re_hi, re_n = grid["re"]
-    im_lo, im_hi, im_n = grid["im"]
-    re_axis = np.linspace(re_lo, re_hi, int(re_n))
-    im_axis = np.linspace(im_lo, im_hi, int(im_n))
-    if not (np.isfinite(re_axis).all() and np.isfinite(im_axis).all()):
-        raise ValidationError("params.grid bounds must be finite")
+    params = _params(cfg)
+    grid = _require(params, "params.grid")
+    window = _items(params.get("window", [5, 25]), "params.window", 2)
+    n_min, n_max = _int(window[0], "params.window[0]"), _int(window[1], "params.window[1]")
+    re_axis = _axis(_require(grid, "params.grid.re"), "params.grid.re")
+    im_axis = _axis(_require(grid, "params.grid.im"), "params.grid.im")
+    threshold = _float(params.get("threshold", 0.05), "params.threshold")
+    path = _out_path(out_path, params)
     sol = _solve_scenario(cfg, n_override if n_override is not None else n_max)
     rows = convergence.rate_map(sol, re_axis, im_axis, n_min, n_max,
-                                smalldiv_threshold=float(params.get("threshold", 0.05)))
-    stream, close = _open_out(out_path or params.get("out"))
-    try:
+                                smalldiv_threshold=threshold)
+    with _output(path) as stream:
         convergence.write_rate_map_csv(rows, stream)
-    finally:
-        if close:
-            stream.close()
-    if not quiet and close:
+    if not quiet and path is not None:
         print(f"rate map: {len(rows)} points")
     return EXIT_OK
 
@@ -328,7 +377,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         run = cfg.get("run")
-        if run is not None and run.lower() != args.command:
+        if run is not None and (not isinstance(run, str) or run.lower() != args.command):
             raise ValidationError(
                 f"config run={run!r} does not match subcommand {args.command!r}")
         return RUNNERS[args.command](cfg, args.out, args.n, args.quiet)

@@ -76,14 +76,11 @@ def _term_magnitude_grid(sol, zs, n_max):
     """
     if n_max >= len(sol.coeffs):
         raise ValidationError(f"solution has only {len(sol.coeffs) - 1} coefficients")
-    pair, ks = sol.pair, range(1, n_max + 1)
-    coeffs = np.array([sol.coeffs[k] for k in ks], dtype=complex)
-    nodes = np.array([pair.y(k - 1) for k in ks], dtype=complex)
-    poles = np.array([pair.yp(k) for k in ks], dtype=complex)
+    coeffs = np.array(sol.coeffs[1:n_max + 1], dtype=complex)
+    _, nodes = sol.pair.unprimed.span(0, n_max)
+    _, poles = sol.pair.primed.span(1, n_max + 1)
     zs = np.asarray(zs, dtype=complex)
-    hit = np.zeros(zs.shape, dtype=bool)
-    for pole in poles:
-        hit |= pole_hits(zs, pole)
+    hit = pole_hits(zs, poles)
     col = zs[:, None]
     with np.errstate(all="ignore"):
         prods = np.cumprod((col - nodes) / (col - poles), axis=1)

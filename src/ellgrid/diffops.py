@@ -42,14 +42,23 @@ def pole_hit(z, pole):
     return abs(z - pole) <= POLE_TOL * max(1.0, abs(pole))
 
 
-def pole_hits(zs, pole):
-    """pole_hit for every entry of the complex array zs, with identical results.
+def pole_hits(zs, poles):
+    """For every entry of the complex array zs, whether pole_hit holds for any of poles.
 
-    np.hypot rounds like abs(complex) (np.abs does not), and a comparison
-    rounds nothing.
+    The results are identical to pole_hit's: np.hypot rounds like
+    abs(complex) (np.abs does not), np.fmax ignores NaN like max, and a
+    comparison rounds nothing.  Poles are taken in batches of about 2**12
+    gaps, which bounds the memory.
     """
-    gap = zs - pole
-    return np.hypot(gap.real, gap.imag) <= POLE_TOL * max(1.0, abs(pole))
+    zs = np.asarray(zs, dtype=complex)
+    poles = np.ravel(np.asarray(poles, dtype=complex))
+    radius = POLE_TOL * np.fmax(1.0, np.hypot(poles.real, poles.imag))
+    hit = np.zeros(zs.shape, dtype=bool)
+    step = max(1, (1 << 12) // max(zs.size, 1))
+    for lo in range(0, len(poles), step):
+        gap = zs[..., None] - poles[lo:lo + step]
+        hit |= (np.hypot(gap.real, gap.imag) <= radius[lo:lo + step]).any(axis=-1)
+    return hit
 
 
 def _root_pair(curve, x):
@@ -244,12 +253,12 @@ class BasisFunction:
         self.kind = kind
 
     def zeros(self):
-        get = self.pair.x if self.kind == "x" else self.pair.y
-        return [get(j) for j in range(self.n)]
+        xs, ys = self.pair.unprimed.span(0, self.n)
+        return (xs if self.kind == "x" else ys).tolist()
 
     def poles(self):
-        get = self.pair.xp if self.kind == "x" else self.pair.yp
-        return [get(j) for j in range(1, self.n + 1)]
+        xs, ys = self.pair.primed.span(1, self.n + 1)
+        return (xs if self.kind == "x" else ys).tolist()
 
     def __call__(self, z):
         get0 = self.pair.x if self.kind == "x" else self.pair.y
@@ -403,8 +412,7 @@ def identity_samples(pair, n, count=20, seed=7):
 
     Used by the identity checks; a fixed seed keeps property tests reproducible.
     """
-    pts = [pair.x(j) for j in range(-1, n + 1)] + \
-          [pair.xp(j) for j in range(0, n + 1)]
+    pts = pair.unprimed.span(-1, n + 1)[0].tolist() + pair.primed.span(0, n + 1)[0].tolist()
     center = sum(pts) / len(pts)
     rad = max(abs(p - center) for p in pts) + 1.0
     disc = pair.curve.discriminant_P()

@@ -10,6 +10,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from .curve import BiquadraticCurve, fit_biquadratic
 from .errors import (
     LatticeSingularityError,
@@ -127,6 +129,14 @@ class LatticePair:
     def point(self, n):
         self.ensure(n, n)
         return self._x[n], self._y[n]
+
+    def span(self, n_lo, n_hi):
+        """(xs, ys): x_n and y_n for n_lo <= n < n_hi as complex arrays, after one ensure."""
+        ns = range(n_lo, n_hi)
+        if ns:
+            self.ensure(n_lo, n_hi - 1)
+        return (np.array([self._x[n] for n in ns], dtype=complex),
+                np.array([self._y[n] for n in ns], dtype=complex))
 
     def ensure(self, n_min, n_max):
         while self._hi < n_max:

@@ -16,17 +16,13 @@ ZERO_TOL = 1e-13        # trailing coefficients below this (relative) are trimme
 EVAL_TOL = 1e-12        # "effectively zero" threshold for pole/deflation logic
 
 
-def _as_scalar(v):
-    return complex(v)
-
-
 class Polynomial:
     """Dense univariate polynomial over the complex doubles."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=(0j,)):
-        cs = [_as_scalar(c) for c in coeffs]
+        cs = [complex(c) for c in coeffs]
         if not cs:
             cs = [0j]
         top = max(abs(c) for c in cs)
@@ -43,10 +39,6 @@ class Polynomial:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def constant(cls, c):
-        return cls((c,))
-
-    @classmethod
     def x(cls):
         return cls((0j, 1.0))
 
@@ -54,7 +46,7 @@ class Polynomial:
     def from_roots(cls, roots, leading=1.0):
         p = cls((leading,))
         for r in roots:
-            p = p * cls((-_as_scalar(r), 1.0))
+            p = p * cls((-complex(r), 1.0))
         return p
 
     # -- basic queries -----------------------------------------------------
@@ -241,7 +233,7 @@ def solve_quadratic(c0, c1, c2):
     for s the principal square root of the discriminant; the larger-magnitude
     root is computed by the classic formula and the other from the product.
     """
-    c0, c1, c2 = _as_scalar(c0), _as_scalar(c1), _as_scalar(c2)
+    c0, c1, c2 = complex(c0), complex(c1), complex(c2)
     if c2 == 0:
         raise ZeroDivisorError("quadratic with zero leading coefficient")
     disc = c1 * c1 - 4.0 * c2 * c0
@@ -284,9 +276,6 @@ class RationalFunction:
     def __repr__(self):
         return f"RationalFunction({self.numer!r}, {self.denom!r})"
 
-    def degree_pair(self):
-        return self.numer.degree(), self.denom.degree()
-
     def __call__(self, z):
         num, den = self.numer, self.denom
         growth = max(1.0, abs(z)) ** den.degree()
@@ -304,60 +293,3 @@ class RationalFunction:
             if abs(dz) > EVAL_TOL * den.max_coeff * max(1.0, abs(z)) ** max(den.degree(), 0):
                 return num(z) / dz
         raise PoleEvaluationError(z)
-
-    # -- arithmetic (cross-multiplied, no reduction) ---------------------------
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RationalFunction):
-            return other
-        p = Polynomial._coerce(other)
-        if p is None:
-            return None
-        return RationalFunction(p, Polynomial((1.0,)))
-
-    def __add__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return RationalFunction(self.numer * q.denom + q.numer * self.denom,
-                                self.denom * q.denom)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.numer, self.denom)
-
-    def __sub__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return self + (-q)
-
-    def __rsub__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return q + (-self)
-
-    def __mul__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return RationalFunction(self.numer * q.numer, self.denom * q.denom)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        if q.numer.is_zero():
-            raise ZeroDivisorError("division by zero rational function")
-        return RationalFunction(self.numer * q.denom, self.denom * q.numer)
-
-    def __rtruediv__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return q / self

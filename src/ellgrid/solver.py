@@ -101,11 +101,6 @@ class DifferenceEquation:
         base = max(self.a.max_coeff, self.c.max_coeff, self.d.max_coeff, 1e-300)
         return base * max(1.0, abs(z)) ** 3
 
-    def defect(self, x, f_phi, f_psi, phi, psi):
-        """a*(Df) - c*(Mf) - d given the two branch values at x."""
-        return (self.a(x) * (f_psi - f_phi) / (psi - phi)
-                - self.c(x) * 0.5 * (f_phi + f_psi) - self.d(x))
-
 
 # -- special points -------------------------------------------------------------------
 
@@ -549,9 +544,6 @@ class ExpansionSolution:
     zeta: complex | None = None
     diagnostics: dict = field(default_factory=dict)
 
-    def partial_sum(self, z, N=None):
-        return evaluate_partial_sum(self, N if N is not None else len(self.coeffs) - 1, z)
-
 
 def solve(eq, select, N, c0_free=None, y0_hint=None, yp1_hint=None):
     """Locate special points, build the two lattices, and expand to order N."""
@@ -604,19 +596,14 @@ class InterpolationReport:
     errors: tuple
     skipped: tuple
 
-    def __float__(self):
-        return self.max_error
-
 
 def verify_interpolation(eq, sol, N):
     """Max relative gap between S_N(y_j) and the stepwise oracle for j <= N.
 
     Yb_k(y_j) has the factor (y_j - y_j) = 0 for every k > j, so node j sums
-    only terms k <= j, by the running product of evaluate_partial_sum in the
-    same order.  The skipped terms add exact zeros, so with finite
-    coefficients every error equals the one from evaluate_partial_sum(sol, N,
-    y_j) to the bit, in N^2/2 scalar steps.  The pole guard still covers every
-    k <= N at every node.
+    only terms k <= j: one sweep over the terms adds term k at the nodes j >= k,
+    by the running product of evaluate_partial_sum in the same order.  The
+    pole guard still covers every k <= N at every node.
     """
     if N >= len(sol.coeffs):
         raise ValidationError(f"partial sum order {N} exceeds computed {len(sol.coeffs) - 1}")
@@ -627,26 +614,22 @@ def verify_interpolation(eq, sol, N):
     except HitSingularLatticeError as exc:
         oracle = stepwise_oracle(eq, pair, exc.index, f0=cs[0])
         skipped = tuple(range(exc.index + 1, N + 1))
-    ys = [pair.y(j) for j in range(len(oracle))]
-    poles = [pair.yp(k) for k in range(1, N + 1)]
-
-    nodes = np.array(ys)
-    hit = np.zeros(len(ys), dtype=bool)
-    for pole in poles:
-        hit |= pole_hits(nodes, pole)
+    _, ys = pair.unprimed.span(0, len(oracle))
+    _, poles = pair.primed.span(1, N + 1)
+    hit = pole_hits(ys, poles)
     if hit.any():
-        raise PoleEvaluationError(ys[int(np.flatnonzero(hit)[0])])
+        raise PoleEvaluationError(complex(ys[hit.argmax()]))
 
-    # The sum stays in Python complex arithmetic: numpy's complex * and /
-    # round differently, which would move the errors.
-    errs = []
-    for j, z in enumerate(ys):
-        acc = cs[0]
-        prod = 1.0 + 0j
-        for k in range(1, j + 1):
-            prod *= (z - ys[k - 1]) / (z - poles[k - 1])
-            acc += cs[k] * prod
-        errs.append(abs(acc - oracle[j]) / (1.0 + abs(oracle[j])))
+    # Object arrays of Python complex: numpy's complex * and / round
+    # differently, which moves errors near a tolerance across it.
+    ys, poles = ys.astype(object), poles.astype(object)
+    prod = np.full(len(ys), 1.0 + 0j, dtype=object)
+    acc = np.full(len(ys), cs[0], dtype=object)
+    for k in range(1, len(ys)):
+        prod[k:] *= (ys[k:] - ys[k - 1]) / (ys[k:] - poles[k - 1])
+        acc[k:] += cs[k] * prod[k:]
+    want = np.array(oracle, dtype=object)
+    errs = (abs(acc - want) / (1.0 + abs(want))).tolist()
     return InterpolationReport(max_error=max(errs), errors=tuple(errs), skipped=skipped)
 
 

@@ -229,6 +229,48 @@ def test_ratemap_rejects_nonfinite_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+MALFORMED = [
+    # subcommand, keys down to the field, bad value or None to drop it, field name
+    pytest.param("solve", ("params", "n"), "ten", "params.n", id="n-not-int"),
+    pytest.param("solve", ("params", "select", "explicit"), [[4.0, 0.0]],
+                 "params.select.explicit", id="explicit-one-point"),
+    pytest.param("ratemap", ("params", "window"), 7, "params.window", id="window-not-list"),
+    pytest.param("ratemap", ("params", "grid", "im"), None, "params.grid.im",
+                 id="grid-without-im"),
+    pytest.param("ratemap", ("params", "grid", "re"), [0.7, 1.3, "x"], "params.grid.re[2]",
+                 id="grid-count-not-int"),
+    pytest.param("ratemap", ("params", "grid", "re"), [0.7, 1.3, -1], "params.grid.re[2]",
+                 id="grid-count-negative"),
+    pytest.param("lattice", ("lattice_seed", "y1_index"), 2, "lattice_seed.y1_index",
+                 id="y1-index-out-of-range"),
+    pytest.param("solve", ("params", "out"), 5, "params.out", id="out-not-path"),
+    pytest.param("verify", ("params", "corrupt"), {"index": 11}, "params.corrupt.index",
+                 id="corrupt-index-out-of-range"),
+]
+
+
+@pytest.mark.parametrize("command, keys, value, field", MALFORMED)
+def test_malformed_field_is_validation_error(tmp_path, capsys, command, keys, value, field):
+    out = tmp_path / "out.txt"
+    cfg_data = {"solve": qgeom_solve_cfg, "verify": qgeom_solve_cfg,
+                "lattice": linear_lattice_cfg,
+                "ratemap": lambda: qlog_ratemap_cfg(None)}[command]()
+    cfg_data["run"] = command
+    cfg_data["params"]["out"] = str(out)
+    node = cfg_data
+    for key in keys[:-1]:
+        node = node[key]
+    if value is None:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    cfg = write_cfg(tmp_path, "bad.json", cfg_data)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError: ") and field in err
+    assert not out.exists()
+
+
 def test_ratemap_single_point_general_mode(tmp_path):
     cfg_data = qgeom_solve_cfg(n=12)
     cfg_data["run"] = "ratemap"

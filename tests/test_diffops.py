@@ -188,7 +188,9 @@ def test_diff_constant_linear_value():
 
 def test_pole_hits_matches_scalar_guard():
     rng = np.random.default_rng(3)
-    for pole in (0j, 0.7 - 0.2j, 3e4 + 5e4j):
+    poles = (0j, 0.7 - 0.2j, 3e4 + 5e4j)
+    near = []
+    for pole in poles:
         # distances within a few ulps of the guard radius, in random directions
         # (at pole 0 np.abs would disagree with abs(complex) on hundreds of them)
         ulps = 1.0 + 2.2e-16 * rng.integers(-3, 4, 20000)
@@ -196,6 +198,11 @@ def test_pole_hits_matches_scalar_guard():
         want = [pole_hit(complex(z), pole) for z in zs]
         assert 0 < sum(want) < len(want)
         assert pole_hits(zs, pole).tolist() == want
+        near.append(zs)
+    # an array of poles: a hit on any of them, one pole or several per batch
+    for zs in (np.concatenate(near), np.concatenate(near)[::100]):
+        want = [any(pole_hit(complex(z), p) for p in poles) for z in zs]
+        assert pole_hits(zs, np.array(poles)).tolist() == want
 
 
 def _cn_xm1_from_scratch(pair, n):

@@ -75,6 +75,23 @@ def test_backward_then_forward_roundtrip():
     assert abs(yf - lat.y(0)) <= 1e-12
 
 
+def test_span_equals_accessors_bit_for_bit():
+    curve = random_real_curves(1, seed=77)[0]
+    y0 = curve.y_roots(0.3 + 0j).lo
+    lat = LatticePair(LatticeSpec(curve, 0.3, y0))
+    ref = LatticePair(LatticeSpec(curve, 0.3, y0))
+    for lo, hi in ((-6, 9), (2, 5), (-6, -1)):   # the first grows the walk both ways
+        xs, ys = lat.span(lo, hi)
+        assert xs.dtype == ys.dtype == complex
+        assert xs.tolist() == [ref.x(n) for n in range(lo, hi)]
+        assert ys.tolist() == [ref.y(n) for n in range(lo, hi)]
+    assert lat.known_range == (-6, 8)
+    for n in (-20, 0, 20):
+        xs, ys = lat.span(n, n)
+        assert xs.shape == ys.shape == (0,)
+    assert lat.known_range == (-6, 8)
+
+
 def test_reversibility_20_steps():
     curve = random_real_curves(1, seed=77)[0]
     y0 = curve.y_roots(0.3 + 0j).lo

@@ -5,6 +5,17 @@ from ellgrid import curve, lattice, poly, solver
 
 DELETED = {
     "SymmetricForm", "convert_equation_form", "step_forward", "step_backward", "Scalar",
+    "_as_scalar",
+}
+DELETED_ATTRS = {
+    poly.RationalFunction: (
+        "_coerce", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
+        "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "degree_pair"),
+    poly.Polynomial: ("constant",),
+    solver.DifferenceEquation: ("from_linear_parts", "defect"),
+    solver.ExpansionSolution: ("partial_sum",),
+    solver.InterpolationReport: ("__float__",),
+    curve.RootPair: ("ordered",),
 }
 
 
@@ -26,6 +37,7 @@ def test_deleted_api_is_gone():
         assert not hasattr(ellgrid, name)
         for mod in (curve, lattice, poly, solver):
             assert not hasattr(mod, name)
-    assert not hasattr(solver.DifferenceEquation, "from_linear_parts")
-    assert not hasattr(curve.RootPair, "ordered")
+    for cls, names in DELETED_ATTRS.items():
+        for name in names:
+            assert not hasattr(cls, name), (cls.__name__, name)
     assert "sqrt_disc" not in curve.RootPair.__slots__
