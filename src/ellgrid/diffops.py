@@ -156,37 +156,51 @@ def _as_fraction(p_or_rat):
     raise ValidationError("expected Polynomial or RationalFunction")
 
 
+def _cleared_ratio(curve, num, m_num, den, m_den):
+    """(num / X2^m_num) / (den / X2^m_den), with the X2 powers balanced out."""
+    x2 = curve.x_view()[2]
+    if m_den >= m_num:
+        return RationalFunction(num * x2 ** (m_den - m_num), den)
+    return RationalFunction(num, den * x2 ** (m_num - m_den))
+
+
 def divided_difference_rational(curve, f):
     """Exact rational image of f under D (carries the X2 factor)."""
-    p, q = _as_fraction(f)
-    t_num, _s, n_num, m, _ms, m2 = _sym_numerators(curve, p, q)
-    x2 = curve.x_view()[2]
-    if m2 >= m:
-        return RationalFunction(t_num * x2 ** (m2 - m), n_num)
-    return RationalFunction(t_num, n_num * x2 ** (m - m2))
+    t_num, _s, n_num, m, _ms, m2 = _sym_numerators(curve, *_as_fraction(f))
+    return _cleared_ratio(curve, t_num, m, n_num, m2)
 
 
 def mean_rational(curve, f):
     """Exact rational image of f under M."""
-    p, q = _as_fraction(f)
-    _t, s_num, n_num, _m, ms, m2 = _sym_numerators(curve, p, q)
-    x2 = curve.x_view()[2]
-    if m2 >= ms:
-        return RationalFunction(s_num * x2 ** (m2 - ms), n_num)
-    return RationalFunction(s_num, n_num * x2 ** (ms - m2))
+    _t, s_num, n_num, _m, ms, m2 = _sym_numerators(curve, *_as_fraction(f))
+    return _cleared_ratio(curve, s_num, ms, n_num, m2)
 
 
 # -- lattice pair and interpolation bases -------------------------------------------------
 
 
+def basis_products(z, zeros, poles):
+    """[1, B_1(z), ..., B_n(z)] for B_k(z) = prod_{j<k} (z - zeros[j]) / (z - poles[j]).
+
+    The one running product behind Xb_n, Yb_n, the x_{-1} route of C_n and
+    the partial sums: Python complex arithmetic, factors in index order, and
+    PoleEvaluationError before any factor whose pole z hits.
+    """
+    v = 1.0 + 0j
+    out = [v]
+    for zero, pole in zip(zeros, poles):
+        if pole_hit(z, pole):
+            raise PoleEvaluationError(z)
+        v *= (z - zero) / (z - pole)
+        out.append(v)
+    return out
+
+
 class BasisPair:
     """Two elliptic lattices on one curve: the nodes (x_n, y_n) and poles (x'_n, y'_n).
 
-    Thin accessors x/y/xp/yp keep index bookkeeping readable; computed C_n
-    values are cached per (n, method).  Two prefix caches that only grow hold
-    Yb_n(y_{-1}) and Xb_n(x_{-1}) for n = 0, 1, ...: each new entry is the
-    previous one times one factor, so the 'xm1' route of C_n costs O(1) per n
-    and equals the from-scratch BasisFunction value to the bit.
+    It holds no state of its own besides the two lattices: the accessors
+    x/y/xp/yp read one index, and loops read a range through `span`.
     """
 
     def __init__(self, unprimed, primed):
@@ -200,8 +214,6 @@ class BasisPair:
         self.curve = unprimed.curve
         self.unprimed = unprimed
         self.primed = primed
-        self._cn_cache = {}
-        self._at_m1 = {"x": [1.0 + 0j], "y": [1.0 + 0j]}
 
     def x(self, n):
         return self.unprimed.x(n)
@@ -221,22 +233,6 @@ class BasisPair:
     def y_basis(self, n):
         return BasisFunction(self, n, "y")
 
-    def basis_at_m1(self, n, kind):
-        """Yb_n(y_{-1}) (kind 'y') or Xb_n(x_{-1}) (kind 'x') from the prefix cache.
-
-        Same factors, order and pole guard as BasisFunction.__call__.
-        """
-        get0, get1 = (self.x, self.xp) if kind == "x" else (self.y, self.yp)
-        vals = self._at_m1[kind]
-        z = get0(-1)
-        while len(vals) <= n:
-            j = len(vals) - 1
-            pole = get1(j + 1)
-            if pole_hit(z, pole):
-                raise PoleEvaluationError(z)
-            vals.append(vals[-1] * ((z - get0(j)) / (z - pole)))
-        return vals[n]
-
 
 class BasisFunction:
     """Xb_n or Yb_n: zeros at the first n nodes, poles at primed indices 1..n."""
@@ -253,23 +249,15 @@ class BasisFunction:
         self.kind = kind
 
     def zeros(self):
-        xs, ys = self.pair.unprimed.span(0, self.n)
-        return (xs if self.kind == "x" else ys).tolist()
+        xs, ys = self.pair.unprimed.values(0, self.n)
+        return xs if self.kind == "x" else ys
 
     def poles(self):
-        xs, ys = self.pair.primed.span(1, self.n + 1)
-        return (xs if self.kind == "x" else ys).tolist()
+        xs, ys = self.pair.primed.values(1, self.n + 1)
+        return xs if self.kind == "x" else ys
 
     def __call__(self, z):
-        get0 = self.pair.x if self.kind == "x" else self.pair.y
-        get1 = self.pair.xp if self.kind == "x" else self.pair.yp
-        v = 1.0 + 0j
-        for j in range(self.n):
-            pole = get1(j + 1)
-            if pole_hit(z, pole):
-                raise PoleEvaluationError(z)
-            v *= (z - get0(j)) / (z - pole)
-        return v
+        return basis_products(z, self.zeros(), self.poles())[-1]
 
     def as_rational(self):
         return RationalFunction(Polynomial.from_roots(self.zeros()),
@@ -279,10 +267,34 @@ class BasisFunction:
 # -- the constants C_n and the quadratic values D_n ---------------------------------------
 
 
-def _guard(label, value, floor):
-    if abs(value) <= floor:
+def _guard(label, value):
+    if abs(value) <= 1e-280:
         raise MethodDegenerateError(f"{label} ~ 0 ({abs(value):.3e})")
     return value
+
+
+def diff_constants(pair, N):
+    """[C_0, ..., C_N] by the x_{-1} route, in one pass over both lattices.
+
+    C_n = -Yb_n(y_{-1}) (x_{-1} - x'_0)(x_{-1} - x'_n)
+          / ((y_0 - y_{-1}) X2(x_{-1}) Xb_{n-1}(x_{-1})),
+    with Yb_n(y_{-1}) and Xb_{n-1}(x_{-1}) from one basis_products call each.
+    """
+    if N < 0:
+        raise ValidationError(f"C_n needs n >= 0, got {N}")
+    cns = [0j]
+    if N == 0:
+        return cns
+    xs, ys = pair.unprimed.values(-1, N)        # index -1 .. N-1
+    xps, yps = pair.primed.values(0, N + 1)     # index 0 .. N
+    xm1, ym1 = xs[0], ys[0]
+    yb = basis_products(ym1, ys[1:], yps[1:])
+    xb = basis_products(xm1, xs[1:N], xps[1:N])
+    head = _guard("y0 - y_{-1}", ys[1] - ym1) * pair.curve.x_view()[2](xm1)
+    for n in range(1, N + 1):
+        num = -yb[n] * (xm1 - xps[0]) * (xm1 - xps[n])
+        cns.append(num / _guard("C_n(xm1) denominator", head * xb[n - 1]))
+    return cns
 
 
 def diff_constant(pair, n, method="xm1"):
@@ -293,6 +305,8 @@ def diff_constant(pair, n, method="xm1"):
     branch derivative), 'all' returns {method: value} for the non-degenerate
     ones plus their relative spread, requiring at least two to succeed.
     """
+    if n < 0:
+        raise ValidationError(f"C_n needs n >= 0, got {n}")
     if n == 0:
         return 0j if method != "all" else ({m: 0j for m in C_METHODS}, 0.0)
     if method == "all":
@@ -308,56 +322,41 @@ def diff_constant(pair, n, method="xm1"):
         mid = max(abs(v) for v in vs)
         spread = max(abs(a - b) for a in vs for b in vs) / mid if mid else 0.0
         return values, spread
-
-    key = (n, method)
-    if key in pair._cn_cache:
-        return pair._cn_cache[key]
+    if method == "xm1":
+        return diff_constants(pair, n)[n]
 
     curve = pair.curve
     x2 = curve.x_view()[2]
-    floor = 1e-280
-
-    if method == "xm1":
-        xm1, ym1 = pair.x(-1), pair.y(-1)
-        num = -pair.basis_at_m1(n, "y") * (xm1 - pair.xp(0)) * (xm1 - pair.xp(n))
-        den = _guard("y0 - y_{-1}", pair.y(0) - ym1, floor) * x2(xm1) * \
-            pair.basis_at_m1(n - 1, "x")
-        cn = num / _guard("C_n(xm1) denominator", den, floor)
-    elif method == "xn1":
+    if method == "xn1":
         xn1 = pair.x(n - 1)
         num = pair.y_basis(n)(pair.y(n)) * (xn1 - pair.xp(0)) * (xn1 - pair.xp(n))
-        den = _guard("y_n - y_{n-1}", pair.y(n) - pair.y(n - 1), floor) * x2(xn1) * \
+        den = _guard("y_n - y_{n-1}", pair.y(n) - pair.y(n - 1)) * x2(xn1) * \
             pair.x_basis(n - 1)(xn1)
-        cn = num / _guard("C_n(xn1) denominator", den, floor)
-    elif method == "resp0":
+        return num / _guard("C_n(xn1) denominator", den)
+    if method == "resp0":
         xp0, yp0, yp1 = pair.xp(0), pair.yp(0), pair.yp(1)
         dpsi = curve.implicit_dy_dx(xp0, yp1)
         num = 1.0 + 0j
-        for j in range(n):
-            num *= (yp1 - pair.y(j))
-        den = _guard("dpsi/dx", dpsi, floor)
-        for j in range(2, n + 1):
-            den *= _guard("y'_1 - y'_j", yp1 - pair.yp(j), floor)
-        tail = _guard("y'_1 - y'_0", (yp1 - yp0), floor) * x2(xp0) * \
-            pair.x_basis(n - 1)(xp0)
-        cn = num / den * (xp0 - pair.xp(n)) / _guard("C_n(resp0) tail", tail, floor)
-    elif method == "respn":
+        for yj in pair.unprimed.values(0, n)[1]:
+            num *= (yp1 - yj)
+        den = _guard("dpsi/dx", dpsi)
+        for ypj in pair.primed.values(2, n + 1)[1]:
+            den *= _guard("y'_1 - y'_j", yp1 - ypj)
+        tail = _guard("y'_1 - y'_0", (yp1 - yp0)) * x2(xp0) * pair.x_basis(n - 1)(xp0)
+        return num / den * (xp0 - pair.xp(n)) / _guard("C_n(resp0) tail", tail)
+    if method == "respn":
         xpn, ypn = pair.xp(n), pair.yp(n)
         dphi = curve.implicit_dy_dx(xpn, ypn)
         num = 1.0 + 0j
-        for j in range(n):
-            num *= (ypn - pair.y(j))
-        den = _guard("dphi/dx", dphi, floor)
-        for j in range(1, n):
-            den *= _guard("y'_n - y'_j", ypn - pair.yp(j), floor)
-        tail = _guard("y'_{n+1} - y'_n", pair.yp(n + 1) - ypn, floor) * x2(xpn) * \
+        for yj in pair.unprimed.values(0, n)[1]:
+            num *= (ypn - yj)
+        den = _guard("dphi/dx", dphi)
+        for ypj in pair.primed.values(1, n)[1]:
+            den *= _guard("y'_n - y'_j", ypn - ypj)
+        tail = _guard("y'_{n+1} - y'_n", pair.yp(n + 1) - ypn) * x2(xpn) * \
             pair.x_basis(n - 1)(xpn)
-        cn = -num / den * (xpn - pair.xp(0)) / _guard("C_n(respn) tail", tail, floor)
-    else:
-        raise ValidationError(f"unknown C_n method {method!r}")
-
-    pair._cn_cache[key] = cn
-    return cn
+        return -num / den * (xpn - pair.xp(0)) / _guard("C_n(respn) tail", tail)
+    raise ValidationError(f"unknown C_n method {method!r}")
 
 
 def mean_poly_direct(pair, n, z):
@@ -412,7 +411,7 @@ def identity_samples(pair, n, count=20, seed=7):
 
     Used by the identity checks; a fixed seed keeps property tests reproducible.
     """
-    pts = pair.unprimed.span(-1, n + 1)[0].tolist() + pair.primed.span(0, n + 1)[0].tolist()
+    pts = pair.unprimed.values(-1, n + 1)[0] + pair.primed.values(0, n + 1)[0]
     center = sum(pts) / len(pts)
     rad = max(abs(p - center) for p in pts) + 1.0
     disc = pair.curve.discriminant_P()
@@ -441,11 +440,12 @@ def verify_diff_basis_identity(pair, n, samples):
     x2 = pair.curve.x_view()[2]
     yb = pair.y_basis(n)
     xb = pair.x_basis(n - 1)
+    xp0, xpn = pair.xp(0), pair.xp(n)
     worst = None
     for z in samples:
         try:
             lhs = divided_difference(pair.curve, yb, z)
-            rhs = cn * x2(z) * xb(z) / ((z - pair.xp(0)) * (z - pair.xp(n)))
+            rhs = cn * x2(z) * xb(z) / ((z - xp0) * (z - xpn))
         except (BranchPointEvaluationError, PoleEvaluationError, ZeroDivisionError):
             continue
         err = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))

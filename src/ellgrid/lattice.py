@@ -130,13 +130,16 @@ class LatticePair:
         self.ensure(n, n)
         return self._x[n], self._y[n]
 
-    def span(self, n_lo, n_hi):
-        """(xs, ys): x_n and y_n for n_lo <= n < n_hi as complex arrays, after one ensure."""
+    def values(self, n_lo, n_hi):
+        """(xs, ys): x_n and y_n for n_lo <= n < n_hi as lists of Python complex, after one ensure."""
         ns = range(n_lo, n_hi)
         if ns:
             self.ensure(n_lo, n_hi - 1)
-        return (np.array([self._x[n] for n in ns], dtype=complex),
-                np.array([self._y[n] for n in ns], dtype=complex))
+        return list(map(self._x.__getitem__, ns)), list(map(self._y.__getitem__, ns))
+
+    def span(self, n_lo, n_hi):
+        """The same range as `values`, as two complex arrays."""
+        return tuple(np.array(v, dtype=complex) for v in self.values(n_lo, n_hi))
 
     def ensure(self, n_min, n_max):
         while self._hi < n_max:
@@ -208,8 +211,16 @@ def generate(spec, n_min, n_max):
 # The three degenerate families have elementary closed forms; they are used as
 # test oracles and as convenient fixture builders.
 
+class _ClosedForm:
+    """Shared by the closed-form families: `point(n)` and `curve()` define the walk."""
+
+    def spec(self):
+        x0, y0 = self.point(0)
+        return LatticeSpec(self.curve(), x0, y0)
+
+
 @dataclass(frozen=True)
-class LinearLattice:
+class LinearLattice(_ClosedForm):
     """x_n = x0 + n h, y_n = y0 + n h on (y - x - k)(y - x - k - h) = 0, k = y0 - x0."""
 
     h: complex = 1.0
@@ -231,13 +242,9 @@ class LinearLattice:
             [1.0, 0.0, 0.0],
         ])
 
-    def spec(self):
-        x0, y0 = self.point(0)
-        return LatticeSpec(self.curve(), x0, y0)
-
 
 @dataclass(frozen=True)
-class GeometricLattice:
+class GeometricLattice(_ClosedForm):
     """x_n = y_n = a + b q^n on (y - x)(y - q x - a(1-q)) = 0."""
 
     a: complex
@@ -257,13 +264,9 @@ class GeometricLattice:
             [q, 0.0, 0.0],
         ])
 
-    def spec(self):
-        x0, y0 = self.point(0)
-        return LatticeSpec(self.curve(), x0, y0)
-
 
 @dataclass(frozen=True)
-class AskeyWilsonLattice:
+class AskeyWilsonLattice(_ClosedForm):
     """x_n = a + b q^n + c q^-n with the y-sequence at half-integer shifts.
 
     y_n = a + b q^(n-1/2) + c q^(1/2-n), so (x_n, y_n) and (x_n, y_{n+1}) lie
@@ -292,10 +295,6 @@ class AskeyWilsonLattice:
             [a * (s - 2.0), -s, 0.0],
             [1.0, 0.0, 0.0],
         ])
-
-    def spec(self):
-        x0, y0 = self.point(0)
-        return LatticeSpec(self.curve(), x0, y0)
 
 
 def fit_curve_to_lattice(points_fn):

@@ -19,19 +19,20 @@ EVAL_TOL = 1e-12        # "effectively zero" threshold for pole/deflation logic
 class Polynomial:
     """Dense univariate polynomial over the complex doubles."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "max_coeff")
 
     def __init__(self, coeffs=(0j,)):
         cs = [complex(c) for c in coeffs]
         if not cs:
             cs = [0j]
-        top = max(abs(c) for c in cs)
+        top = max(map(abs, cs))
         if top == 0.0:
             cs = [0j]
         else:
             while len(cs) > 1 and abs(cs[-1]) <= ZERO_TOL * top:
                 cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "max_coeff", max(map(abs, cs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -56,10 +57,6 @@ class Polynomial:
 
     def is_zero(self):
         return len(self.coeffs) == 1 and self.coeffs[0] == 0
-
-    @property
-    def max_coeff(self):
-        return max(abs(c) for c in self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, (int, float, complex)):

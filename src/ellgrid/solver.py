@@ -25,10 +25,10 @@ import numpy as np
 
 from .diffops import (
     BasisPair,
-    diff_constant,
+    basis_products,
+    diff_constants,
     divided_difference,
     mean_value,
-    pole_hit,
     pole_hits,
 )
 from .errors import (
@@ -136,6 +136,14 @@ class SpecialPoints:
     res_p0: float
 
 
+def _term_scale(eq, x, dy):
+    """Coefficient-level magnitude of a(x)/dy and c(x)/2 (at least 1e-300)."""
+    growth = max(1.0, abs(x))
+    return max(eq.a.max_coeff * growth ** eq.a.degree() / abs(dy),
+               eq.c.max_coeff * growth ** eq.c.degree() / 2.0,
+               1e-300)
+
+
 def _condition_residual(eq, r, first, second, sign):
     """|a/(second-first) + sign*c/2| at r, normalized; inf if branches collide.
 
@@ -146,11 +154,7 @@ def _condition_residual(eq, r, first, second, sign):
     if abs(dy) <= 1e-13 * max(1.0, abs(first), abs(second)):
         return float("inf")
     lhs = eq.a(r) / dy + sign * eq.c(r) / 2.0
-    growth = max(1.0, abs(r))
-    scale = max(eq.a.max_coeff * growth ** eq.a.degree() / abs(dy),
-                eq.c.max_coeff * growth ** eq.c.degree() / 2.0,
-                1e-300)
-    return abs(lhs) / scale
+    return abs(lhs) / _term_scale(eq, r, dy)
 
 
 def special_point_candidates(eq):
@@ -337,16 +341,16 @@ def build_lattices(eq, special):
 # -- expansion coefficients ---------------------------------------------------------------
 
 
-def _xi(eq, pair, n):
-    cn = diff_constant(pair, n)
+def _xi(eq, pair, n, cn):
+    """xi_n of the ratio recurrence, given cn = C_n."""
     z = pair.xp(n)
     num = eq.a(z) + eq.c(z) * (pair.yp(n + 1) - pair.yp(n)) / 2.0
     den = (z - pair.x(-1)) * (z - pair.xp(0)) * (z - pair.x(n - 1))
     return cn * num / den
 
 
-def _eta(eq, pair, n):
-    cn = diff_constant(pair, n)
+def _eta(eq, pair, n, cn):
+    """eta_n of the ratio recurrence, given cn = C_n."""
     z = pair.x(n - 1)
     num = eq.a(z) - eq.c(z) * (pair.y(n) - pair.y(n - 1)) / 2.0
     den = (z - pair.x(-1)) * (z - pair.xp(0)) * (z - pair.xp(n))
@@ -371,13 +375,16 @@ def closed_product_coefficient(eq, pair, n, c1):
         raise ValidationError("closed product starts at n = 1")
     if n == 1:
         return c1
-    v = c1 * (diff_constant(pair, 1) / (pair.xp(1) - pair.x(0)))
-    v *= (pair.xp(n) - pair.x(n - 1)) / diff_constant(pair, n)
-    xm1, xp0 = pair.x(-1), pair.xp(0)
+    cns = diff_constants(pair, n)
+    xs, ys = pair.unprimed.values(0, n + 1)
+    xps, yps = pair.primed.values(0, n + 1)
+    v = c1 * (cns[1] / (xps[1] - xs[0]))
+    v *= (xps[n] - xs[n - 1]) / cns[n]
+    xm1, xp0 = pair.x(-1), xps[0]
     for k in range(1, n):
-        xk, xpk = pair.x(k), pair.xp(k)
-        v *= (eq.a(xpk) + eq.c(xpk) * (pair.yp(k + 1) - pair.yp(k)) / 2.0) / \
-             (eq.a(xk) - eq.c(xk) * (pair.y(k + 1) - pair.y(k)) / 2.0)
+        xk, xpk = xs[k], xps[k]
+        v *= (eq.a(xpk) + eq.c(xpk) * (yps[k + 1] - yps[k]) / 2.0) / \
+             (eq.a(xk) - eq.c(xk) * (ys[k + 1] - ys[k]) / 2.0)
         v *= (xk - xm1) * (xk - xp0) / ((xpk - xm1) * (xpk - xp0))
     return v
 
@@ -404,7 +411,8 @@ def expansion_coefficients(eq, pair, N, diag=None):
     if N == 0:
         return _require_finite(cs)
 
-    etas = {n: _eta(eq, pair, n) for n in range(1, N + 1)}
+    cns = diff_constants(pair, N)
+    etas = {n: _eta(eq, pair, n, cns[n]) for n in range(1, N + 1)}
     med = float(np.median([abs(v) for v in etas.values()]))
     for n, v in etas.items():
         if abs(v) < 1e-12 * med:
@@ -420,7 +428,7 @@ def expansion_coefficients(eq, pair, N, diag=None):
             f"c_1 routes disagree: recurrence {c1} vs oracle {c1_alt}")
     cs.append(c1)
     for n in range(1, N):
-        cs.append(-cs[-1] * _xi(eq, pair, n) / etas[n + 1])
+        cs.append(-cs[-1] * _xi(eq, pair, n, cns[n]) / etas[n + 1])
     _require_finite(cs)
 
     prod_rel = 0.0
@@ -459,6 +467,8 @@ def expansion_coefficients_log(eq, pair, N, c0_free, diag=None):
     """
     if not eq.is_logarithmic:
         raise ValidationError("equation is not logarithmic (c != 0)")
+    if N < 0:
+        raise ValidationError("N must be >= 0")
     zeta = third_root_of_a(eq, pair)
     xm1, ym1 = pair.x(-1), pair.y(-1)
     if abs(eq.d(xm1)) > 1e-8 * eq.scale(xm1):
@@ -467,25 +477,25 @@ def expansion_coefficients_log(eq, pair, N, c0_free, diag=None):
     cs = [complex(c0_free)]
     if N == 0:
         return _require_finite(cs)
-    eta1 = _eta(eq, pair, 1)
-    c1 = eq.delta / eta1
-    pref = c1 * (diff_constant(pair, 1) / (pair.xp(1) - pair.x(0))) * \
-        eq.curve.x_view()[2](xm1)
+    cns = diff_constants(pair, min(6, N) + 1)     # the ratio check below reads eta_{n+1}
+    c1 = eq.delta / _eta(eq, pair, 1, cns[1])
+    xs, ys = pair.unprimed.values(0, N)
+    xps, yps = pair.primed.values(0, N + 1)
+    pref = c1 * (cns[1] / (xps[1] - xs[0])) * eq.curve.x_view()[2](xm1)
     num = 1.0 + 0j      # prod (ym1 - yp_j), j = 1..n  and  (xm1 - x_j), j = 0..n-2
-    den = (xm1 - pair.xp(0))          # prod (ym1 - y_j), j=1..n-1 and (xm1 - xp_j), j=0..n
+    den = (xm1 - xps[0])              # prod (ym1 - y_j), j=1..n-1 and (xm1 - xp_j), j=0..n
     zr = 1.0 + 0j       # prod (xp_k - zeta)/(x_k - zeta), k = 1..n-1
-    floor = 1e-280
     for n in range(1, N + 1):
-        num *= (ym1 - pair.yp(n))
+        num *= (ym1 - yps[n])
         if n >= 2:
-            num *= (xm1 - pair.x(n - 2))
-            dy = ym1 - pair.y(n - 1)
-            if abs(dy) <= floor:
+            num *= (xm1 - xs[n - 2])
+            dy = ym1 - ys[n - 1]
+            if abs(dy) <= 1e-280:
                 raise SmallDivisorError(n, abs(dy))
             den *= dy
-            zr *= (pair.xp(n - 1) - zeta) / (pair.x(n - 1) - zeta)
-        den *= (xm1 - pair.xp(n))
-        cs.append(pref * (pair.xp(n) - pair.x(n - 1)) * num * zr / den)
+            zr *= (xps[n - 1] - zeta) / (xs[n - 1] - zeta)
+        den *= (xm1 - xps[n])
+        cs.append(pref * (xps[n] - xs[n - 1]) * num * zr / den)
     _require_finite(cs)
 
     check_rel = 0.0
@@ -496,7 +506,7 @@ def expansion_coefficients_log(eq, pair, N, c0_free, diag=None):
             raise InternalInconsistencyError(
                 f"log product vs ratio recurrence disagree at n={n} ({gap:.2e})")
         check_rel = max(check_rel, gap)
-        ratio_c = -ratio_c * _xi(eq, pair, n) / _eta(eq, pair, n + 1)
+        ratio_c = -ratio_c * _xi(eq, pair, n, cns[n]) / _eta(eq, pair, n + 1, cns[n + 1])
     if diag is not None:
         diag["log_vs_ratio_rel"] = check_rel
         diag["zeta"] = zeta
@@ -515,16 +525,12 @@ def stepwise_oracle(eq, pair, K, f0=None):
         xm1 = pair.x(-1)
         f0 = -(eq.delta * xm1 + eq.eps) / (eq.beta * xm1 + eq.gamma)
     vals = [complex(f0)]
-    for k in range(K):
-        xk = pair.x(k)
-        dy = pair.y(k + 1) - pair.y(k)
+    xs, ys = pair.unprimed.values(0, K + 1)
+    for k, (xk, yk, yk1) in enumerate(zip(xs, ys, ys[1:])):
+        dy = yk1 - yk
         ratio = eq.a(xk) / dy
         den = ratio - eq.c(xk) / 2.0
-        growth = max(1.0, abs(xk))
-        den_scale = max(eq.a.max_coeff * growth ** eq.a.degree() / abs(dy),
-                        eq.c.max_coeff * growth ** eq.c.degree() / 2.0,
-                        1e-300)
-        if abs(den) <= 1e-12 * den_scale:
+        if abs(den) <= 1e-12 * _term_scale(eq, xk, dy):
             raise HitSingularLatticeError(k)
         vals.append(((ratio + eq.c(xk) / 2.0) * vals[-1] + eq.d(xk)) / den)
     return vals
@@ -567,18 +573,14 @@ def solve(eq, select, N, c0_free=None, y0_hint=None, yp1_hint=None):
 
 
 def evaluate_partial_sum(sol, N, z):
-    """S_N(z) = sum_{k<=N} c_k Yb_k(z) with running products."""
-    if N >= len(sol.coeffs):
-        raise ValidationError(f"partial sum order {N} exceeds computed {len(sol.coeffs) - 1}")
-    pair = sol.pair
+    """S_N(z) = sum_{k<=N} c_k Yb_k(z), with Yb_0(z) .. Yb_N(z) from one basis_products call."""
+    if not 0 <= N < len(sol.coeffs):
+        raise ValidationError(f"partial sum order {N} is outside 0 .. {len(sol.coeffs) - 1}")
+    ys = sol.pair.unprimed.values(0, N)[1]
+    poles = sol.pair.primed.values(1, N + 1)[1]
     acc = sol.coeffs[0]
-    prod = 1.0 + 0j
-    for k in range(1, N + 1):
-        pole = pair.yp(k)
-        if pole_hit(z, pole):
-            raise PoleEvaluationError(z)
-        prod *= (z - pair.y(k - 1)) / (z - pole)
-        acc += sol.coeffs[k] * prod
+    for c, yb in zip(sol.coeffs[1:N + 1], basis_products(z, ys, poles)[1:]):
+        acc += c * yb
     return acc
 
 
@@ -605,8 +607,8 @@ def verify_interpolation(eq, sol, N):
     by the running product of evaluate_partial_sum in the same order.  The
     pole guard still covers every k <= N at every node.
     """
-    if N >= len(sol.coeffs):
-        raise ValidationError(f"partial sum order {N} exceeds computed {len(sol.coeffs) - 1}")
+    if not 0 <= N < len(sol.coeffs):
+        raise ValidationError(f"partial sum order {N} is outside 0 .. {len(sol.coeffs) - 1}")
     pair, cs = sol.pair, sol.coeffs
     try:
         oracle = stepwise_oracle(eq, pair, N, f0=cs[0])

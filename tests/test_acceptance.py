@@ -179,9 +179,10 @@ def test_criterion_07_logarithmic_case():
     eq, select, c0_free, A, zeta, hints = log_linear_fixture()
     sol = solve(eq, select, 10, c0_free=c0_free, **hints)
     # c = 0 limit of the general route: same ratio recurrence seeded at delta/eta_1
-    ratio = [0j, eq.delta / _eta(eq, sol.pair, 1)]
+    ratio = [0j, eq.delta / _eta(eq, sol.pair, 1, diff_constant(sol.pair, 1))]
     for n in range(1, 6):
-        ratio.append(-ratio[-1] * _xi(eq, sol.pair, n) / _eta(eq, sol.pair, n + 1))
+        ratio.append(-ratio[-1] * _xi(eq, sol.pair, n, diff_constant(sol.pair, n))
+                     / _eta(eq, sol.pair, n + 1, diff_constant(sol.pair, n + 1)))
     worst_route = max(abs(sol.coeffs[n] - ratio[n]) / max(1.0, abs(ratio[n]))
                       for n in range(1, 7))
     # telescoping oracle: the exact solution is 1/(y - A) + const

@@ -17,7 +17,7 @@ from ellgrid import (
     mean_value,
     verify_diff_basis_identity,
 )
-from ellgrid.diffops import pole_hit, pole_hits
+from ellgrid.diffops import diff_constants, pole_hit, pole_hits
 from ellgrid.errors import BranchPointEvaluationError, PoleEvaluationError
 from ellgrid.poly import Polynomial, RationalFunction
 
@@ -221,8 +221,10 @@ def test_incremental_cn_is_bit_identical_to_basis_functions():
         eq, select = fixture()
         pairs.append((solve(eq, select, n_max).pair, n_max))
     for pair, n_max in pairs:
+        want = [0j] + [_cn_xm1_from_scratch(pair, n) for n in range(1, n_max + 1)]
         for n in range(1, n_max + 1):
-            assert diff_constant(pair, n, "xm1") == _cn_xm1_from_scratch(pair, n)
+            assert diff_constant(pair, n, "xm1") == want[n]
+        assert diff_constants(pair, n_max) == want
 
 
 def test_incremental_cn_raises_where_basis_function_does():
@@ -236,13 +238,23 @@ def test_incremental_cn_raises_where_basis_function_does():
     shared = fresh_pair()
     for n in range(1, 8):
         if n < 4:
-            assert diff_constant(shared, n, "xm1") == _cn_xm1_from_scratch(fresh_pair(), n)
+            want = _cn_xm1_from_scratch(fresh_pair(), n)
+            assert diff_constant(shared, n, "xm1") == want
+            assert diff_constants(shared, n)[n] == want
             continue
         with pytest.raises(PoleEvaluationError):
             _cn_xm1_from_scratch(fresh_pair(), n)
         for pair in (shared, fresh_pair()):
             with pytest.raises(PoleEvaluationError):
                 diff_constant(pair, n, "xm1")
+            with pytest.raises(PoleEvaluationError):
+                diff_constants(pair, n)
+
+
+def test_basis_pair_holds_only_its_lattices():
+    pair = half_offset_pair()
+    diff_constant(pair, 5, method="all")
+    assert set(vars(pair)) == {"curve", "unprimed", "primed"}
 
 
 def test_cn_routes_agree_at_high_order():

@@ -85,10 +85,12 @@ def test_span_equals_accessors_bit_for_bit():
         assert xs.dtype == ys.dtype == complex
         assert xs.tolist() == [ref.x(n) for n in range(lo, hi)]
         assert ys.tolist() == [ref.y(n) for n in range(lo, hi)]
+        assert lat.values(lo, hi) == (xs.tolist(), ys.tolist())
     assert lat.known_range == (-6, 8)
     for n in (-20, 0, 20):
         xs, ys = lat.span(n, n)
         assert xs.shape == ys.shape == (0,)
+        assert lat.values(n, n) == ([], [])
     assert lat.known_range == (-6, 8)
 
 

@@ -1,7 +1,7 @@
 import types
 
 import ellgrid
-from ellgrid import curve, lattice, poly, solver
+from ellgrid import curve, diffops, lattice, poly, solver
 
 DELETED = {
     "SymmetricForm", "convert_equation_form", "step_forward", "step_backward", "Scalar",
@@ -16,6 +16,7 @@ DELETED_ATTRS = {
     solver.ExpansionSolution: ("partial_sum",),
     solver.InterpolationReport: ("__float__",),
     curve.RootPair: ("ordered",),
+    diffops.BasisPair: ("basis_at_m1",),
 }
 
 

@@ -75,6 +75,12 @@ def test_divmod_roundtrip():
 def test_normalization_trims_leading_noise():
     p = Polynomial((1.0, 2.0, 1e-16))
     assert p.degree() == 1
+    # max_coeff is taken over the kept coefficients
+    for cs in ((3.0, -4j, 1e-20), (0j, 0j), (), (1.0, float("inf"))):
+        q = Polynomial(cs)
+        assert q.max_coeff == max(abs(c) for c in q.coeffs)
+    with pytest.raises(AttributeError):
+        q.max_coeff = 0.0
 
 
 def test_quadratic_pairing_is_stable():

@@ -25,6 +25,7 @@ from ellgrid import (
     stepwise_oracle,
     verify_interpolation,
 )
+from ellgrid.diffops import C_METHODS, diff_constant, diff_constants
 from ellgrid.errors import (
     DegreeMismatchError,
     HitSingularLatticeError,
@@ -390,6 +391,30 @@ def test_interpolation_at_order_zero():
     assert rep.max_error == 0.0
 
 
+@pytest.mark.parametrize("mode", ["general", "log"])
+@pytest.mark.parametrize("call", ["solve", "diff_constant", "diff_constants",
+                                  "partial_sum", "verify"])
+def test_negative_order_is_validation_error(mode, call):
+    """A negative order is refused, never read from the end of a list."""
+    if mode == "general":
+        (eq, select), kw = linear_fixture(), {}
+    else:
+        eq, select, c0_free, _, _, hints = log_linear_fixture()
+        kw = dict(c0_free=c0_free, **hints)
+    sol = solve(eq, select, 5, **kw)
+    calls = {
+        "solve": [lambda: solve(eq, select, -3, **kw)],
+        "diff_constant": [lambda m=m: diff_constant(sol.pair, -1, m)
+                          for m in C_METHODS + ("all",)],
+        "diff_constants": [lambda: diff_constants(sol.pair, -1)],
+        "partial_sum": [lambda: evaluate_partial_sum(sol, -2, 0.3 + 0.2j)],
+        "verify": [lambda: verify_interpolation(eq, sol, -1)],
+    }
+    for fn in calls[call]:
+        with pytest.raises(ValidationError):
+            fn()
+
+
 # -- logarithmic mode ------------------------------------------------------------------------
 
 
@@ -411,9 +436,10 @@ def test_log_product_matches_ratio_route():
     from ellgrid.solver import _eta, _xi
     eq, select, c0_free, A, zeta, hints = log_linear_fixture()
     sol = solve(eq, select, 8, c0_free=c0_free, **hints)
-    ratio = [0j, eq.delta / _eta(eq, sol.pair, 1)]
+    ratio = [0j, eq.delta / _eta(eq, sol.pair, 1, diff_constant(sol.pair, 1))]
     for n in range(1, 8):
-        ratio.append(-ratio[-1] * _xi(eq, sol.pair, n) / _eta(eq, sol.pair, n + 1))
+        ratio.append(-ratio[-1] * _xi(eq, sol.pair, n, diff_constant(sol.pair, n))
+                     / _eta(eq, sol.pair, n + 1, diff_constant(sol.pair, n + 1)))
     for n in range(1, 9):
         assert abs(sol.coeffs[n] - ratio[n]) <= 1e-8 * max(1.0, abs(ratio[n]))
 
