@@ -189,6 +189,7 @@ def _output(path):
 
 
 def run_lattice(cfg, out_path, n_override, quiet):
+    """Generate a lattice and dump it as CSV."""
     curve = _curve_from(cfg)
     spec = _seed_from(cfg, curve)
     params = _params(cfg)
@@ -209,6 +210,7 @@ def run_lattice(cfg, out_path, n_override, quiet):
 
 
 def run_solve(cfg, out_path, n_override, quiet):
+    """Expand the scenario's difference equation, dump JSON."""
     path = _out_path(out_path, _params(cfg))
     sol = _solve_scenario(cfg, n_override)
     report = solver.verify_interpolation(sol.eq, sol, len(sol.coeffs) - 1)
@@ -310,6 +312,7 @@ def _verify_checks(cfg):
 
 
 def run_verify(cfg, out_path, n_override, quiet):
+    """Run the invariant suite on the scenario."""
     if "lattice_seed" not in cfg and "equation" not in cfg:
         raise ValidationError("verify needs a lattice_seed or an equation in the scenario")
     path = _out_path(out_path, _params(cfg))
@@ -327,6 +330,7 @@ def run_verify(cfg, out_path, n_override, quiet):
 
 
 def run_ratemap(cfg, out_path, n_override, quiet):
+    """Empirical/predicted convergence rates over a z grid."""
     params = _params(cfg)
     grid = _require(params, "params.grid")
     window = _items(params.get("window", [5, 25]), "params.window", 2)
@@ -356,19 +360,16 @@ RUNNERS = {
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ellgrid",
-        description="Elliptic lattices, difference operators, and interpolatory expansions")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("lattice", "generate a lattice and dump it as CSV"),
-        ("solve", "expand the scenario's difference equation, dump JSON"),
-        ("verify", "run the invariant suite on the scenario"),
-        ("ratemap", "empirical/predicted convergence rates over a z grid"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="scenario JSON path")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--n", type=int, default=None, help="override the order/step count")
-        p.add_argument("--quiet", action="store_true", help="suppress the summary")
+        description="Elliptic lattices, difference operators, and interpolatory expansions",
+        epilog="commands:\n" + "".join(f"  {name:<9}{run.__doc__}\n"
+                                       for name, run in RUNNERS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=RUNNERS, metavar="command",
+                        help="one of the commands below")
+    parser.add_argument("--config", required=True, help="scenario JSON path")
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    parser.add_argument("--n", type=int, default=None, help="override the order/step count")
+    parser.add_argument("--quiet", action="store_true", help="suppress the summary")
     return parser
 
 

@@ -44,8 +44,8 @@ def detect_small_divisors(pair, N, threshold):
     """Indices n <= N where |y_{-1} - y_{n-2}| dips below threshold * median."""
     if N < 3 or threshold <= 0:
         return []
-    ym1 = pair.y(-1)
-    mags = {n: abs(ym1 - pair.y(n - 2)) for n in range(3, N + 1)}
+    ys = pair.unprimed.values(-1, N - 1)[1]     # index -1 .. N-2, so y_{n-2} = ys[n - 1]
+    mags = {n: abs(ys[0] - ys[n - 1]) for n in range(3, N + 1)}
     med = float(np.median(list(mags.values())))
     return [(n, m) for n, m in sorted(mags.items()) if m < threshold * med]
 

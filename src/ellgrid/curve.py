@@ -183,13 +183,15 @@ class BiquadraticCurve:
         """dy/dx of the branch through (x, y): -(dF/dx)/(dF/dy).
 
         The point must lie on the curve; a vanishing dF/dy means a vertical
-        tangent (branch point) where the derivative does not exist.
+        tangent (branch point) where the derivative does not exist: dF/dy =
+        X1(x) + 2 X2(x) y counts as 0 below 1e-10 (|X1(x)| + 2 |X2(x) y|), a bound
+        set by its own two terms, not by the scale of the curve, x or y.
         """
         if not self.contains(x, y, tol=tol):
             raise ValidationError(f"({x}, {y}) is not on the curve")
         fy = self.dF_dy(x, y)
-        guard = self.scale * max(1.0, abs(x)) ** 2 * max(1.0, abs(y))
-        if abs(fy) <= 1e-10 * guard:
+        _, x1, x2 = self._xv
+        if abs(fy) <= 1e-10 * (abs(x1(x)) + 2.0 * abs(x2(x) * y)):
             raise VerticalTangentError(f"dF/dy vanishes at ({x}, {y})")
         return -self.dF_dx(x, y) / fy
 

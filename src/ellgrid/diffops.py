@@ -200,7 +200,8 @@ class BasisPair:
     """Two elliptic lattices on one curve: the nodes (x_n, y_n) and poles (x'_n, y'_n).
 
     It holds no state of its own besides the two lattices: the accessors
-    x/y/xp/yp read one index, and loops read a range through `span`.
+    x/y/xp/yp read one index, loops read a range through `values` or `span`,
+    and a basis function reads its zeros and poles once, when it is made.
     """
 
     def __init__(self, unprimed, primed):
@@ -235,33 +236,29 @@ class BasisPair:
 
 
 class BasisFunction:
-    """Xb_n or Yb_n: zeros at the first n nodes, poles at primed indices 1..n."""
+    """Xb_n or Yb_n: zeros at the first n nodes, poles at primed indices 1..n.
 
-    __slots__ = ("pair", "n", "kind")
+    The zeros and poles are read from the lattices once, when it is made.
+    """
+
+    __slots__ = ("n", "zeros", "poles")
 
     def __init__(self, pair, n, kind):
         if n < 0:
             raise ValidationError("basis index must be >= 0")
         if kind not in ("x", "y"):
             raise ValidationError("basis kind must be 'x' or 'y'")
-        self.pair = pair
+        axis = 0 if kind == "x" else 1
         self.n = n
-        self.kind = kind
-
-    def zeros(self):
-        xs, ys = self.pair.unprimed.values(0, self.n)
-        return xs if self.kind == "x" else ys
-
-    def poles(self):
-        xs, ys = self.pair.primed.values(1, self.n + 1)
-        return xs if self.kind == "x" else ys
+        self.zeros = pair.unprimed.values(0, n)[axis]
+        self.poles = pair.primed.values(1, n + 1)[axis]
 
     def __call__(self, z):
-        return basis_products(z, self.zeros(), self.poles())[-1]
+        return basis_products(z, self.zeros, self.poles)[-1]
 
     def as_rational(self):
-        return RationalFunction(Polynomial.from_roots(self.zeros()),
-                                Polynomial.from_roots(self.poles()))
+        return RationalFunction(Polynomial.from_roots(self.zeros),
+                                Polynomial.from_roots(self.poles))
 
 
 # -- the constants C_n and the quadratic values D_n ---------------------------------------

@@ -315,8 +315,7 @@ def fit_curve_to_lattice(points_fn):
 
 def write_lattice_csv(lat, n_min, n_max, stream):
     """Dump columns n, re/im of x_n and y_n; header row, LF line endings."""
-    lat.ensure(n_min, n_max)
+    xs, ys = lat.values(n_min, n_max + 1)
     stream.write("n,re_x,im_x,re_y,im_y\n")
-    for n in range(n_min, n_max + 1):
-        xn, yn = lat.point(n)
+    for n, xn, yn in zip(range(n_min, n_max + 1), xs, ys):
         stream.write(f"{n},{xn.real!r},{xn.imag!r},{yn.real!r},{yn.imag!r}\n")

@@ -341,20 +341,36 @@ def build_lattices(eq, special):
 # -- expansion coefficients ---------------------------------------------------------------
 
 
-def _xi(eq, pair, n, cn):
-    """xi_n of the ratio recurrence, given cn = C_n."""
-    z = pair.xp(n)
-    num = eq.a(z) + eq.c(z) * (pair.yp(n + 1) - pair.yp(n)) / 2.0
-    den = (z - pair.x(-1)) * (z - pair.xp(0)) * (z - pair.x(n - 1))
-    return cn * num / den
+def _ratio_coefficients(eq, pair, c0, N):
+    """(c_0 .. c_N, C_0 .. C_N) of the ratio recurrence c_{n+1} = -c_n xi_n / eta_{n+1}.
 
+    xi_n = C_n (a + c (y'_{n+1} - y'_n)/2)(z) / ((z - x_{-1}) (z - x'_0) (z - x_{n-1})) at
+    z = x'_n, and eta_n = C_n (a - c (y_n - y_{n-1})/2)(z) / ((z - x_{-1}) (z - x'_0) (z - x'_n))
+    at z = x_{n-1}: one diff_constants call and one range read of each lattice.  Every
+    eta_n is scanned before any division by it (SmallDivisorError below 1e-12 times their
+    median); the seed is c_1 = (beta c_0 + delta)/eta_1.
+    """
+    cns = diff_constants(pair, N)
+    xs, ys = pair.unprimed.values(-1, N + 1)    # index -1 .. N, so x_{n-1} = xs[n]
+    xps, yps = pair.primed.values(0, N + 1)     # index 0 .. N
+    xm1, xp0 = xs[0], xps[0]
+    etas = [None]
+    for n in range(1, N + 1):
+        z = xs[n]
+        num = eq.a(z) - eq.c(z) * (ys[n + 1] - ys[n]) / 2.0
+        etas.append(cns[n] * num / ((z - xm1) * (z - xp0) * (z - xps[n])))
+    med = float(np.median([abs(v) for v in etas[1:]]))
+    for n in range(1, N + 1):
+        if abs(etas[n]) < 1e-12 * med:
+            raise SmallDivisorError(n, abs(etas[n]))
 
-def _eta(eq, pair, n, cn):
-    """eta_n of the ratio recurrence, given cn = C_n."""
-    z = pair.x(n - 1)
-    num = eq.a(z) - eq.c(z) * (pair.y(n) - pair.y(n - 1)) / 2.0
-    den = (z - pair.x(-1)) * (z - pair.xp(0)) * (z - pair.xp(n))
-    return cn * num / den
+    cs = [c0, (eq.beta * c0 + eq.delta) / etas[1]]
+    for n in range(1, N):
+        z = xps[n]
+        num = eq.a(z) + eq.c(z) * (yps[n + 1] - yps[n]) / 2.0
+        xi = cns[n] * num / ((z - xm1) * (z - xp0) * (z - xs[n]))
+        cs.append(-cs[-1] * xi / etas[n + 1])
+    return cs, cns
 
 
 def _rel(a, b):
@@ -407,34 +423,20 @@ def expansion_coefficients(eq, pair, N, diag=None):
     if abs(den0) <= 1e-13 * max(1.0, abs(eq.beta * xm1), abs(eq.gamma)):
         raise ValidationError("beta x_{-1} + gamma = 0: c_0 undefined")
     c0 = -(eq.delta * xm1 + eq.eps) / den0
-    cs = [c0]
     if N == 0:
-        return _require_finite(cs)
-
-    cns = diff_constants(pair, N)
-    etas = {n: _eta(eq, pair, n, cns[n]) for n in range(1, N + 1)}
-    med = float(np.median([abs(v) for v in etas.values()]))
-    for n, v in etas.items():
-        if abs(v) < 1e-12 * med:
-            raise SmallDivisorError(n, abs(v))
-
-    c1 = (eq.beta * c0 + eq.delta) / etas[1]
-    oracle = stepwise_oracle(eq, pair, 1)
-    yb1 = pair.y_basis(1)(pair.y(1))
-    c1_alt = (oracle[1] - c0) / yb1
-    c1_rel = _rel(c1, c1_alt)
+        return _require_finite([c0])
+    cs = _ratio_coefficients(eq, pair, c0, N)[0]
+    c1_alt = (stepwise_oracle(eq, pair, 1)[1] - c0) / pair.y_basis(1)(pair.y(1))
+    c1_rel = _rel(cs[1], c1_alt)
     if not c1_rel <= 1e-6:
         raise InternalInconsistencyError(
-            f"c_1 routes disagree: recurrence {c1} vs oracle {c1_alt}")
-    cs.append(c1)
-    for n in range(1, N):
-        cs.append(-cs[-1] * _xi(eq, pair, n, cns[n]) / etas[n + 1])
+            f"c_1 routes disagree: recurrence {cs[1]} vs oracle {c1_alt}")
     _require_finite(cs)
 
     prod_rel = 0.0
     for n in sorted({2, 5, N}):
         if 2 <= n <= N:
-            gap = _rel(cs[n], closed_product_coefficient(eq, pair, n, c1))
+            gap = _rel(cs[n], closed_product_coefficient(eq, pair, n, cs[1]))
             if not gap <= 1e-7:         # NaN fails too
                 raise InternalInconsistencyError(
                     f"ratio recurrence vs closed product disagree at n={n} ({gap:.2e})")
@@ -477,11 +479,11 @@ def expansion_coefficients_log(eq, pair, N, c0_free, diag=None):
     cs = [complex(c0_free)]
     if N == 0:
         return _require_finite(cs)
-    cns = diff_constants(pair, min(6, N) + 1)     # the ratio check below reads eta_{n+1}
-    c1 = eq.delta / _eta(eq, pair, 1, cns[1])
+    # The check reads n <= min(6, N); the + 1 keeps the lattice ranges a solution reports.
+    ratio, cns = _ratio_coefficients(eq, pair, cs[0], min(6, N) + 1)
     xs, ys = pair.unprimed.values(0, N)
     xps, yps = pair.primed.values(0, N + 1)
-    pref = c1 * (cns[1] / (xps[1] - xs[0])) * eq.curve.x_view()[2](xm1)
+    pref = ratio[1] * (cns[1] / (xps[1] - xs[0])) * eq.curve.x_view()[2](xm1)
     num = 1.0 + 0j      # prod (ym1 - yp_j), j = 1..n  and  (xm1 - x_j), j = 0..n-2
     den = (xm1 - xps[0])              # prod (ym1 - y_j), j=1..n-1 and (xm1 - xp_j), j=0..n
     zr = 1.0 + 0j       # prod (xp_k - zeta)/(x_k - zeta), k = 1..n-1
@@ -499,14 +501,12 @@ def expansion_coefficients_log(eq, pair, N, c0_free, diag=None):
     _require_finite(cs)
 
     check_rel = 0.0
-    ratio_c = c1
     for n in range(1, min(6, N) + 1):
-        gap = _rel(cs[n], ratio_c)
+        gap = _rel(cs[n], ratio[n])
         if not gap <= 1e-8:             # NaN fails too
             raise InternalInconsistencyError(
                 f"log product vs ratio recurrence disagree at n={n} ({gap:.2e})")
         check_rel = max(check_rel, gap)
-        ratio_c = -ratio_c * _xi(eq, pair, n, cns[n]) / _eta(eq, pair, n + 1, cns[n + 1])
     if diag is not None:
         diag["log_vs_ratio_rel"] = check_rel
         diag["zeta"] = zeta

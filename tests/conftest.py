@@ -18,6 +18,7 @@ from ellgrid import (
     LinearLattice,
     solve,
 )
+from ellgrid.diffops import diff_constant
 from ellgrid.poly import Polynomial
 
 settings.register_profile("ellgrid", deadline=None, derandomize=True)
@@ -157,6 +158,36 @@ def genus1_equation(seed):
     a = Polynomial(tuple(rng.uniform(-1.5, 1.5, 3)) + (1.0,))
     beta, gamma, delta, eps = rng.uniform(-1.0, 1.0, 4)
     return DifferenceEquation(curve, a, beta=beta, gamma=gamma, delta=delta, eps=eps)
+
+
+def ref_xi(eq, pair, n):
+    """xi_n = C_n (a + c (y'_{n+1} - y'_n)/2)(z) / ((z - x_{-1})(z - x'_0)(z - x_{n-1})), z = x'_n.
+
+    A reference read index by index, with C_n = diff_constant(pair, n).
+    """
+    z = pair.xp(n)
+    num = eq.a(z) + eq.c(z) * (pair.yp(n + 1) - pair.yp(n)) / 2.0
+    den = (z - pair.x(-1)) * (z - pair.xp(0)) * (z - pair.x(n - 1))
+    return diff_constant(pair, n) * num / den
+
+
+def ref_eta(eq, pair, n):
+    """eta_n = C_n (a - c (y_n - y_{n-1})/2)(z) / ((z - x_{-1})(z - x'_0)(z - x'_n)), z = x_{n-1}.
+
+    A reference read index by index, with C_n = diff_constant(pair, n).
+    """
+    z = pair.x(n - 1)
+    num = eq.a(z) - eq.c(z) * (pair.y(n) - pair.y(n - 1)) / 2.0
+    den = (z - pair.x(-1)) * (z - pair.xp(0)) * (z - pair.xp(n))
+    return diff_constant(pair, n) * num / den
+
+
+def ref_ratio_recurrence(eq, pair, c0, N):
+    """c_0 .. c_N (N >= 1): c_1 = (beta c_0 + delta)/eta_1, then c_{n+1} = -c_n xi_n / eta_{n+1}."""
+    cs = [c0, (eq.beta * c0 + eq.delta) / ref_eta(eq, pair, 1)]
+    for n in range(1, N):
+        cs.append(-cs[-1] * ref_xi(eq, pair, n) / ref_eta(eq, pair, n + 1))
+    return cs
 
 
 @pytest.fixture(scope="session")

@@ -40,6 +40,7 @@ from conftest import (
     linear_fixture,
     log_linear_fixture,
     random_real_curves,
+    ref_ratio_recurrence,
     solve_log_qlattice,
 )
 
@@ -175,14 +176,10 @@ def test_criterion_06_expansion_end_to_end():
 
 
 def test_criterion_07_logarithmic_case():
-    from ellgrid.solver import _eta, _xi
     eq, select, c0_free, A, zeta, hints = log_linear_fixture()
     sol = solve(eq, select, 10, c0_free=c0_free, **hints)
     # c = 0 limit of the general route: same ratio recurrence seeded at delta/eta_1
-    ratio = [0j, eq.delta / _eta(eq, sol.pair, 1, diff_constant(sol.pair, 1))]
-    for n in range(1, 6):
-        ratio.append(-ratio[-1] * _xi(eq, sol.pair, n, diff_constant(sol.pair, n))
-                     / _eta(eq, sol.pair, n + 1, diff_constant(sol.pair, n + 1)))
+    ratio = ref_ratio_recurrence(eq, sol.pair, 0j, 6)
     worst_route = max(abs(sol.coeffs[n] - ratio[n]) / max(1.0, abs(ratio[n]))
                       for n in range(1, 7))
     # telescoping oracle: the exact solution is 1/(y - A) + const
@@ -255,11 +252,15 @@ def test_criterion_09_convergence_rate():
 
 def test_criterion_10_small_divisor_detector():
     class _Stub:
-        def __init__(self, values):
-            self.values = values
+        """A pair whose unprimed lattice reads y_n from a dict (x_n unused)."""
 
-        def y(self, n):
-            return self.values[n]
+        def __init__(self, ys):
+            self.ys = ys
+            self.unprimed = self
+
+        def values(self, n_lo, n_hi):
+            ys = [self.ys[n] for n in range(n_lo, n_hi)]
+            return ys, ys
 
     ys = {n: complex(2.0 + 0.7 * n) for n in range(-1, 21)}
     ys[5] = ys[-1] + 1e-9

@@ -333,3 +333,24 @@ def test_solve_json_rejects_nan(tmp_path, capsys, monkeypatch):
     assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 3
     assert not out.exists()
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_help_lists_every_command(capsys):
+    from ellgrid.cli import RUNNERS
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, run in RUNNERS.items():
+        assert f"  {name} " in out
+        assert run.__doc__ in out
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["solve", "--out", "x.json"],
+                                  ["bogus", "--config", "x.json"], ["--config", "x.json"]])
+def test_bad_command_line_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: ellgrid" in capsys.readouterr().err

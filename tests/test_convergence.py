@@ -43,19 +43,19 @@ def qsol():
 
 
 class _StubLattice:
-    def __init__(self, values):
-        self.values = values
+    """Reads y_n from a dict (x_n unused)."""
 
-    def y(self, n):
-        return self.values[n]
+    def __init__(self, ys):
+        self.ys = ys
+
+    def values(self, n_lo, n_hi):
+        ys = [self.ys[n] for n in range(n_lo, n_hi)]
+        return ys, ys
 
 
 class _StubPair:
-    def __init__(self, values):
-        self._lat = _StubLattice(values)
-
-    def y(self, n):
-        return self._lat.y(n)
+    def __init__(self, ys):
+        self.unprimed = _StubLattice(ys)
 
 
 def test_small_divisors_never_flag_linear():

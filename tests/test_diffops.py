@@ -17,7 +17,7 @@ from ellgrid import (
     mean_value,
     verify_diff_basis_identity,
 )
-from ellgrid.diffops import diff_constants, pole_hit, pole_hits
+from ellgrid.diffops import C_METHODS, diff_constants, pole_hit, pole_hits
 from ellgrid.errors import BranchPointEvaluationError, PoleEvaluationError
 from ellgrid.poly import Polynomial, RationalFunction
 
@@ -173,6 +173,20 @@ def test_basis_as_rational_agrees():
         assert rat(z) == pytest.approx(yb(z))
 
 
+def test_basis_function_reads_no_lattice_once_built(monkeypatch):
+    pair = half_offset_pair()
+    yb, xb = pair.y_basis(3), pair.x_basis(2)
+    want = (yb(4.4), xb(-2.3 + 1j), yb.as_rational()(4.4))
+
+    def no_read(*args):
+        raise AssertionError("lattice read after the basis function was made")
+
+    for attr in ("values", "ensure"):
+        monkeypatch.setattr(LatticePair, attr, no_read)
+    assert (yb(4.4), xb(-2.3 + 1j), yb.as_rational()(4.4)) == want
+    assert (yb.n, len(yb.zeros), len(yb.poles)) == (3, 3, 3)
+
+
 def test_diff_constant_zero_at_zero():
     pair = half_offset_pair()
     assert diff_constant(pair, 0) == 0
@@ -265,6 +279,22 @@ def test_cn_routes_agree_at_high_order():
     assert len(vals) == 4
     assert spread <= 1e-8
     assert vals["xm1"] == diff_constant(pair, 200)
+
+
+@pytest.mark.parametrize("fixture, n", [(aw_fixture, 19), (aw_fixture, 30), (aw_fixture, 33),
+                                        (qgeom_fixture, 33), (qgeom_fixture, 41)])
+def test_cn_routes_agree_where_the_lattice_is_large_or_small(fixture, n):
+    """All four routes, also where x'_n is large (Askey-Wilson) or tiny (qgeom).
+
+    The respn route needs the branch derivative at x'_n; its vertical-tangent
+    guard must not trip on the size of x'_n alone.
+    """
+    from ellgrid import solve
+    eq, select = fixture()
+    vals, spread = diff_constant(solve(eq, select, 40).pair, n, method="all")
+    assert sorted(vals) == sorted(C_METHODS)
+    assert all(np.isfinite(v) for v in vals.values())
+    assert spread <= 1e-8
 
 
 def test_diff_constant_four_way_agreement():

@@ -45,6 +45,7 @@ from conftest import (
     linear_fixture,
     log_linear_fixture,
     qgeom_fixture,
+    ref_ratio_recurrence,
 )
 
 X = Polynomial.x()
@@ -256,6 +257,15 @@ def test_two_route_coefficients_agree():
             assert abs(prod - sol.coeffs[n]) <= 1e-8 * max(1.0, abs(sol.coeffs[n]))
 
 
+def test_coefficients_equal_per_index_ratio_recurrence():
+    cases = [(eq, solve(eq, select, 40)) for _, eq, select in general_fixtures()]
+    for seed in range(5):
+        g1 = genus1_equation(seed)
+        cases.append((g1, solve(g1, ByIndex(0, 1), 40)))
+    for eq, sol in cases:
+        assert list(sol.coeffs) == ref_ratio_recurrence(eq, sol.pair, sol.coeffs[0], 40)
+
+
 def test_stepwise_oracle_interpolation():
     for name, eq, select in general_fixtures():
         sol = solve(eq, select, 8)
@@ -433,13 +443,9 @@ def test_log_telescoping_oracle():
 
 def test_log_product_matches_ratio_route():
     """Elementary product vs the general recurrence run with c = 0."""
-    from ellgrid.solver import _eta, _xi
     eq, select, c0_free, A, zeta, hints = log_linear_fixture()
     sol = solve(eq, select, 8, c0_free=c0_free, **hints)
-    ratio = [0j, eq.delta / _eta(eq, sol.pair, 1, diff_constant(sol.pair, 1))]
-    for n in range(1, 8):
-        ratio.append(-ratio[-1] * _xi(eq, sol.pair, n, diff_constant(sol.pair, n))
-                     / _eta(eq, sol.pair, n + 1, diff_constant(sol.pair, n + 1)))
+    ratio = ref_ratio_recurrence(eq, sol.pair, 0j, 8)
     for n in range(1, 9):
         assert abs(sol.coeffs[n] - ratio[n]) <= 1e-8 * max(1.0, abs(ratio[n]))
 
