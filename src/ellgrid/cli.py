@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -31,12 +32,17 @@ EXIT_IO = 4
 # malformed config exits with EXIT_VALIDATION before any output file is opened.
 
 
+def _is_number(v):
+    """True for a JSON number: an int or float, but not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _cnum(v, field):
-    if isinstance(v, (int, float)):
-        return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(v[0], v[1])
-    raise ValidationError(f"{field}: expected a number or [re, im] pair, got {v!r}")
+        return complex(_float(v[0], f"{field}[0]"), _float(v[1], f"{field}[1]"))
+    if not _is_number(v):
+        raise ValidationError(f"{field}: expected a number or [re, im] pair, got {v!r}")
+    return complex(_float(v, field))
 
 
 def _cpoly(v, field):
@@ -53,10 +59,10 @@ def _int(v, field):
 
 
 def _float(v, field):
-    try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{field}: expected a number, got {v!r}") from None
+    with contextlib.suppress(OverflowError):
+        if _is_number(v) and math.isfinite(v):
+            return float(v)
+    raise ValidationError(f"{field}: expected a finite number, got {v!r}")
 
 
 def _items(v, field, count):
@@ -102,6 +108,8 @@ def load_config(path):
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config is not UTF-8: {exc}") from None
     return _object(cfg, "config")
 
 
@@ -250,21 +258,22 @@ def _verify_checks(cfg):
         yield "lattice-on-curve", worst <= 1e-9, f"max residual {worst:.2e}"
 
         x0, x1p, x2p = curve.x_view()
+        m = max(0, min(5, n_max))
+        xs, ys = lat.values(0, m + 1)                # index 0 .. m
+        pairs = [curve.y_roots(x) for x in xs[:m]]
         worst = 0.0
-        for n in range(0, min(5, n_max)):
-            pair = curve.y_roots(lat.x(n))
-            s = -x1p(lat.x(n)) / x2p(lat.x(n))
-            p = x0(lat.x(n)) / x2p(lat.x(n))
+        for x, pair in zip(xs, pairs):
+            s = -x1p(x) / x2p(x)
+            p = x0(x) / x2p(x)
             sc = max(1.0, abs(s), abs(p))
             worst = max(worst, abs(pair.lo + pair.hi - s) / sc,
                         abs(pair.lo * pair.hi - p) / sc)
         yield "root-pair-sum-product", worst <= 1e-10, f"max deviation {worst:.2e}"
 
         worst = 0.0
-        for n in range(0, min(5, n_max)):
-            pair = curve.y_roots(lat.x(n))
+        for pair, y, y_next in zip(pairs, ys, ys[1:]):
             got = sorted((pair.lo, pair.hi), key=lambda v: (v.real, v.imag))
-            want = sorted((lat.y(n), lat.y(n + 1)), key=lambda v: (v.real, v.imag))
+            want = sorted((y, y_next), key=lambda v: (v.real, v.imag))
             sc = max(1.0, abs(want[0]), abs(want[1]))
             worst = max(worst, abs(got[0] - want[0]) / sc, abs(got[1] - want[1]) / sc)
         yield "complement-root-consistency", worst <= 1e-9, f"max deviation {worst:.2e}"

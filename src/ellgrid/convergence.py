@@ -518,22 +518,23 @@ def rate_map(sol, re_axis, im_axis, n_min, n_max, smalldiv_threshold=0.05):
     """Rows (re, im, empirical, predicted, flags) over a rectangular z grid.
 
     Points where a rate cannot be computed (pole hit, too few terms, path
-    failure) get empty fields and a flag naming the failure.  Each row
+    failure) get empty fields and a flag naming the failure; in log mode, a
+    predictor that cannot be built flags every cell with its failure.  Each row
     holds what empirical_rate and RatePredictor.rate give at its point, up to
     rounding and the quadrature tolerance, but the grid is swept at once: one
     term sweep and small-divisor scan, and xi chained along the rows.
     """
-    predictor = None
+    predictor, no_prediction = None, ()
     if sol.mode == "log":
         try:
             predictor = RatePredictor(sol.eq.curve, sol)
-        except (ValidationError, RefinePathError, PathThroughBranchPointError):
-            predictor = None
+        except (ValidationError, RefinePathError, PathThroughBranchPointError) as exc:
+            no_prediction = (_flag(type(exc)),)
     points = [(re, im) for im in im_axis for re in re_axis]
     emp = _empirical_cells(sol, [complex(re, im) for re, im in points],
                            n_min, n_max, smalldiv_threshold)
     pred = (predictor._grid_cells(re_axis, im_axis) if predictor is not None
-            else [(None, ())] * len(points))
+            else [(None, no_prediction)] * len(points))
     return [(re, im, e, p, e_flags + p_flags)
             for (re, im), (e, e_flags), (p, p_flags) in zip(points, emp, pred)]
 

@@ -6,6 +6,8 @@ so both root extractions exist; the degree-<=4 polynomial P = X1^2 - 4*X0*X2
 """
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .errors import (
@@ -94,6 +96,8 @@ class BiquadraticCurve:
         c = tuple(tuple(complex(v) for v in row) for row in grid)
         if len(c) != 3 or any(len(row) != 3 for row in c):
             raise ValidationError("curve grid must be 3x3")
+        if not all(cmath.isfinite(v) for row in c for v in row):
+            raise ValidationError("curve coefficients must be finite")
         ct = tuple(zip(*c))
         xv = tuple(Polynomial(col) for col in ct)
         yv = tuple(Polynomial(row) for row in c)

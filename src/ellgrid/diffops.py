@@ -20,6 +20,7 @@ polynomial D_n in place of C_n X2.
 """
 from __future__ import annotations
 
+import cmath
 import random
 
 import numpy as np
@@ -182,8 +183,8 @@ def mean_rational(curve, f):
 def basis_products(z, zeros, poles):
     """[1, B_1(z), ..., B_n(z)] for B_k(z) = prod_{j<k} (z - zeros[j]) / (z - poles[j]).
 
-    The one running product behind Xb_n, Yb_n, the x_{-1} route of C_n and
-    the partial sums: Python complex arithmetic, factors in index order, and
+    The one running product behind Xb_n, Yb_n, every C_n route and the
+    partial sums: Python complex arithmetic, factors in index order, and
     PoleEvaluationError before any factor whose pole z hits.
     """
     v = 1.0 + 0j
@@ -294,13 +295,52 @@ def diff_constants(pair, N):
     return cns
 
 
+def _points(pair, n):
+    """({point: (z, s, t)}, (xs, ys), (xps, yps)) from one range read of each lattice.
+
+    s, t are the y-roots over z.  At the nodes x_{-1}, x_{n-1}, t is a zero of
+    Yb_n; at x'_0, x'_n, s is a pole.  xs, ys run over index -1..n, xps, yps 0..n+1.
+    """
+    xs, ys = pair.unprimed.values(-1, n + 1)
+    xps, yps = pair.primed.values(0, n + 2)
+    table = {"xm1": (xs[0], ys[0], ys[1]), "xn1": (xs[n], ys[n + 1], ys[n]),
+             "xp0": (xps[0], yps[1], yps[0]), "xpn": (xps[n], yps[n], yps[n + 1])}
+    return table, (xs, ys), (xps, yps)
+
+
+def _cn_at(pair, n, method):
+    """C_n by the x_{n-1} or a residue route: a numerator over (s - t) X2(z) Xb_{n-1}(z).
+
+    At x_{n-1} it is Yb_n(s) (z - x'_0)(z - x'_n); at x'_0 or x'_n it is R (z - x'_far)
+    over dy/dx at (z, s), R the residue of Yb_n at s and x'_far the other end.  R
+    pairs each zero but y_{n-1} with a pole, so it does not overflow where C_n is finite.
+    """
+    table, (xs, ys), (xps, yps) = _points(pair, n)
+    if method == "xn1":
+        z, s, t = table["xn1"]
+        num = basis_products(s, ys[1:n + 1], yps[1:n + 1])[-1] * (z - xps[0]) * (z - xps[n])
+    else:
+        (z, s, t), far, poles = ((table["xp0"], xps[n], yps[2:n + 1]) if method == "resp0"
+                                 else (table["xpn"], xps[0], yps[1:n]))
+        dydx = _guard("dy/dx", pair.curve.implicit_dy_dx(z, s))
+        try:
+            res = basis_products(s, ys[1:n], poles)[-1] * (s - ys[n])
+        except PoleEvaluationError as exc:
+            raise MethodDegenerateError(f"C_{n}({method}): poles collide at {exc.at}") from None
+        num = res / dydx * (z - far)
+    den = _guard("s - t", s - t) * pair.curve.x_view()[2](z) * \
+        basis_products(z, xs[1:n], xps[1:n])[-1]
+    return num / _guard(f"C_n({method}) denominator", den)
+
+
 def diff_constant(pair, n, method="xm1"):
     """C_n in  D Yb_n = C_n X2 Xb_{n-1} / ((x - x'_0)(x - x'_n)).
 
     method: 'xm1' evaluates at x_{-1}, 'xn1' at x_{n-1} (both derivative-free),
     'resp0'/'respn' use the residues at x'_0 / x'_n (they need the implicit
     branch derivative), 'all' returns {method: value} for the non-degenerate
-    ones plus their relative spread, requiring at least two to succeed.
+    ones plus their relative spread, requiring at least two to succeed (a route
+    whose value is not finite is degenerate).
     """
     if n < 0:
         raise ValidationError(f"C_n needs n >= 0, got {n}")
@@ -319,41 +359,12 @@ def diff_constant(pair, n, method="xm1"):
         mid = max(abs(v) for v in vs)
         spread = max(abs(a - b) for a in vs for b in vs) / mid if mid else 0.0
         return values, spread
-    if method == "xm1":
-        return diff_constants(pair, n)[n]
-
-    curve = pair.curve
-    x2 = curve.x_view()[2]
-    if method == "xn1":
-        xn1 = pair.x(n - 1)
-        num = pair.y_basis(n)(pair.y(n)) * (xn1 - pair.xp(0)) * (xn1 - pair.xp(n))
-        den = _guard("y_n - y_{n-1}", pair.y(n) - pair.y(n - 1)) * x2(xn1) * \
-            pair.x_basis(n - 1)(xn1)
-        return num / _guard("C_n(xn1) denominator", den)
-    if method == "resp0":
-        xp0, yp0, yp1 = pair.xp(0), pair.yp(0), pair.yp(1)
-        dpsi = curve.implicit_dy_dx(xp0, yp1)
-        num = 1.0 + 0j
-        for yj in pair.unprimed.values(0, n)[1]:
-            num *= (yp1 - yj)
-        den = _guard("dpsi/dx", dpsi)
-        for ypj in pair.primed.values(2, n + 1)[1]:
-            den *= _guard("y'_1 - y'_j", yp1 - ypj)
-        tail = _guard("y'_1 - y'_0", (yp1 - yp0)) * x2(xp0) * pair.x_basis(n - 1)(xp0)
-        return num / den * (xp0 - pair.xp(n)) / _guard("C_n(resp0) tail", tail)
-    if method == "respn":
-        xpn, ypn = pair.xp(n), pair.yp(n)
-        dphi = curve.implicit_dy_dx(xpn, ypn)
-        num = 1.0 + 0j
-        for yj in pair.unprimed.values(0, n)[1]:
-            num *= (ypn - yj)
-        den = _guard("dphi/dx", dphi)
-        for ypj in pair.primed.values(1, n)[1]:
-            den *= _guard("y'_n - y'_j", ypn - ypj)
-        tail = _guard("y'_{n+1} - y'_n", pair.yp(n + 1) - ypn) * x2(xpn) * \
-            pair.x_basis(n - 1)(xpn)
-        return -num / den * (xpn - pair.xp(0)) / _guard("C_n(respn) tail", tail)
-    raise ValidationError(f"unknown C_n method {method!r}")
+    if method not in C_METHODS:
+        raise ValidationError(f"unknown C_n method {method!r}")
+    cn = diff_constants(pair, n)[n] if method == "xm1" else _cn_at(pair, n, method)
+    if not cmath.isfinite(cn):
+        raise MethodDegenerateError(f"C_{n} by route {method} is not finite ({cn})")
+    return cn
 
 
 def mean_poly_direct(pair, n, z):
@@ -368,31 +379,19 @@ def mean_poly_direct(pair, n, z):
 
 
 def mean_poly_value(pair, n, at="xp0"):
-    """Closed-form D_n value at one of the four distinguished points.
+    """Closed-form D_n value at one of the four distinguished points: C_n X2(z) (s - t) / 2.
 
-    at: 'xm1' -> x_{-1}, 'xn1' -> x_{n-1}, 'xp0' -> x'_0, 'xpn' -> x'_n.
-    The value is cross-checked against the direct (M Yb_n) evaluation at the
-    same point unless Xb_{n-1} degenerates there, in which case the closed
-    form is returned as is.
+    at: 'xm1' -> x_{-1}, 'xn1' -> x_{n-1}, 'xp0' -> x'_0, 'xpn' -> x'_n.  The
+    value is cross-checked against mean_poly_direct at z unless that degenerates.
     """
     if n == 0:
         return 1.0 + 0j
     cn = diff_constant(pair, n)
-    x2 = pair.curve.x_view()[2]
-    if at == "xm1":
-        z = pair.x(-1)
-        val = -0.5 * cn * x2(z) * (pair.y(0) - pair.y(-1))
-    elif at == "xn1":
-        z = pair.x(n - 1)
-        val = 0.5 * cn * x2(z) * (pair.y(n) - pair.y(n - 1))
-    elif at == "xp0":
-        z = pair.xp(0)
-        val = 0.5 * cn * x2(z) * (pair.yp(1) - pair.yp(0))
-    elif at == "xpn":
-        z = pair.xp(n)
-        val = -0.5 * cn * x2(z) * (pair.yp(n + 1) - pair.yp(n))
-    else:
+    table = _points(pair, n)[0]
+    if at not in table:
         raise ValidationError(f"unknown D_n point {at!r}")
+    z, s, t = table[at]
+    val = 0.5 * cn * pair.curve.x_view()[2](z) * (s - t)
     try:
         direct = mean_poly_direct(pair, n, z)
     except (MethodDegenerateError, BranchPointEvaluationError, PoleEvaluationError):

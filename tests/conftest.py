@@ -182,6 +182,31 @@ def ref_eta(eq, pair, n):
     return diff_constant(pair, n) * num / den
 
 
+def ref_cn_xn1(pair, n):
+    """C_n = Yb_n(y_n) (z - x'_0)(z - x'_n) / ((y_n - y_{n-1}) X2(z) Xb_{n-1}(z)), z = x_{n-1}.
+
+    The x_{n-1} route of C_n, read index by index.
+    """
+    z = pair.x(n - 1)
+    num = pair.y_basis(n)(pair.y(n)) * (z - pair.xp(0)) * (z - pair.xp(n))
+    den = (pair.y(n) - pair.y(n - 1)) * pair.curve.x_view()[2](z) * pair.x_basis(n - 1)(z)
+    return num / den
+
+
+def ref_dn(pair, n, at):
+    """D_n at x_{-1}, x_{n-1}, x'_0 or x'_n, one branch per point, read index by index."""
+    cn = diff_constant(pair, n)
+    x2 = pair.curve.x_view()[2]
+    if at == "xm1":
+        return -0.5 * cn * x2(pair.x(-1)) * (pair.y(0) - pair.y(-1))
+    if at == "xn1":
+        return 0.5 * cn * x2(pair.x(n - 1)) * (pair.y(n) - pair.y(n - 1))
+    if at == "xp0":
+        return 0.5 * cn * x2(pair.xp(0)) * (pair.yp(1) - pair.yp(0))
+    assert at == "xpn"
+    return -0.5 * cn * x2(pair.xp(n)) * (pair.yp(n + 1) - pair.yp(n))
+
+
 def ref_ratio_recurrence(eq, pair, c0, N):
     """c_0 .. c_N (N >= 1): c_1 = (beta c_0 + delta)/eta_1, then c_{n+1} = -c_n xi_n / eta_{n+1}."""
     cs = [c0, (eq.beta * c0 + eq.delta) / ref_eta(eq, pair, 1)]

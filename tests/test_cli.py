@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -246,6 +247,15 @@ MALFORMED = [
     pytest.param("solve", ("params", "out"), 5, "params.out", id="out-not-path"),
     pytest.param("verify", ("params", "corrupt"), {"index": 11}, "params.corrupt.index",
                  id="corrupt-index-out-of-range"),
+    pytest.param("solve", ("equation", "a", 0), ["x", 0.0], "equation.a[0]",
+                 id="coefficient-part-string"),
+    pytest.param("solve", ("equation", "a", 0), [None, 0.0], "equation.a[0]",
+                 id="coefficient-part-null"),
+    pytest.param("solve", ("equation", "a", 0), [math.nan, 0.0], "equation.a[0]",
+                 id="coefficient-nan"),
+    pytest.param("solve", ("curve", 1, 1), [math.nan, 0.0], "curve", id="curve-nan"),
+    pytest.param("ratemap", ("params", "threshold"), "0.05", "params.threshold",
+                 id="threshold-string"),
 ]
 
 
@@ -296,6 +306,15 @@ def test_bad_json_rejected(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     assert main(["lattice", "--config", str(path)]) == 2
+
+
+def test_config_not_utf8_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"run": "solve", "curve": "\u00e9"}'.encode("latin-1"))
+    out = tmp_path / "out.json"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("ValidationError: config is not UTF-8")
+    assert not out.exists()
 
 
 def test_missing_config_is_io_error(tmp_path):

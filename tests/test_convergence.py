@@ -209,6 +209,7 @@ def test_locus_trace_stops_at_once_for_constant_p(monkeypatch):
     rows = rate_map(sol, axis, axis, 5, 25)
     assert any(emp is not None for _, _, emp, _, _ in rows)
     assert all(pred is None for _, _, _, pred, _ in rows)
+    assert all(flags[-1:] == ("RefinePath",) for *_, flags in rows)
 
 
 # -- predicted rate ---------------------------------------------------------------------------

@@ -18,10 +18,14 @@ from ellgrid import (
     verify_diff_basis_identity,
 )
 from ellgrid.diffops import C_METHODS, diff_constants, pole_hit, pole_hits
-from ellgrid.errors import BranchPointEvaluationError, PoleEvaluationError
+from ellgrid.errors import (
+    BranchPointEvaluationError,
+    MethodDegenerateError,
+    PoleEvaluationError,
+)
 from ellgrid.poly import Polynomial, RationalFunction
 
-from conftest import aw_fixture, linear_fixture, qgeom_fixture
+from conftest import aw_fixture, linear_fixture, qgeom_fixture, ref_cn_xn1, ref_dn
 
 X = Polynomial.x()
 
@@ -277,23 +281,49 @@ def test_cn_routes_agree_at_high_order():
     pair = solve(eq, select, 200).pair
     vals, spread = diff_constant(pair, 200, method="all")
     assert len(vals) == 4
+    assert all(np.isfinite(v) for v in vals.values())
     assert spread <= 1e-8
     assert vals["xm1"] == diff_constant(pair, 200)
 
 
 @pytest.mark.parametrize("fixture, n", [(aw_fixture, 19), (aw_fixture, 30), (aw_fixture, 33),
+                                        (aw_fixture, 34), (aw_fixture, 47), (aw_fixture, 59),
                                         (qgeom_fixture, 33), (qgeom_fixture, 41)])
 def test_cn_routes_agree_where_the_lattice_is_large_or_small(fixture, n):
     """All four routes, also where x'_n is large (Askey-Wilson) or tiny (qgeom).
 
     The respn route needs the branch derivative at x'_n; its vertical-tangent
-    guard must not trip on the size of x'_n alone.
+    guard must not trip on the size of x'_n alone.  The residue routes must
+    not overflow where the lattice is large.
     """
     from ellgrid import solve
     eq, select = fixture()
     vals, spread = diff_constant(solve(eq, select, 40).pair, n, method="all")
     assert sorted(vals) == sorted(C_METHODS)
     assert all(np.isfinite(v) for v in vals.values())
+    assert spread <= 1e-8
+
+
+def test_node_route_and_mean_values_equal_per_index_reference():
+    from ellgrid import solve
+    for fixture in (linear_fixture, aw_fixture, qgeom_fixture):
+        eq, select = fixture()
+        pair = solve(eq, select, 40).pair
+        for n in range(1, 41):
+            assert diff_constant(pair, n, "xn1") == ref_cn_xn1(pair, n)
+            for at in ("xm1", "xn1", "xp0", "xpn"):
+                assert mean_poly_value(pair, n, at) == ref_dn(pair, n, at)
+
+
+def test_nonfinite_residue_route_is_degenerate(monkeypatch):
+    pair = half_offset_pair()
+    monkeypatch.setattr(BiquadraticCurve, "implicit_dy_dx",
+                        lambda self, x, y, tol=1e-8: complex("nan"))
+    for method in ("resp0", "respn"):
+        with pytest.raises(MethodDegenerateError, match=f"C_5 by route {method}"):
+            diff_constant(pair, 5, method)
+    vals, spread = diff_constant(pair, 5, method="all")
+    assert sorted(vals) == ["xm1", "xn1"]
     assert spread <= 1e-8
 
 
