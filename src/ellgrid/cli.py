@@ -52,10 +52,12 @@ def _cpoly(v, field):
 
 
 def _int(v, field):
-    try:
+    """v when it is an int (not a bool), or a float with an integral value, as an int."""
+    if isinstance(v, float) and v.is_integer():
         return int(v)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{field}: expected an integer, got {v!r}") from None
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ValidationError(f"{field}: expected an integer, got {v!r}")
 
 
 def _float(v, field):

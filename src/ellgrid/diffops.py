@@ -6,8 +6,9 @@ For the two y-roots phi(x), psi(x) of F(x, .) = 0:
     (M f)(x) = (f(phi) + f(psi)) / 2
 
 Both are symmetric in the root pair.  Applied to a rational function they give
-rational functions again, built here exactly from the symmetric-function
-identities phi + psi = -X1/X2 and phi * psi = X0/X2 (no sampling involved).
+rational functions again, built here exactly by reducing modulo the curve's
+quadratic in y and the identities phi + psi = -X1/X2, phi * psi = X0/X2 (no
+sampling involved).
 
 The interpolation bases over a pair of lattices on the same curve are
 
@@ -39,21 +40,20 @@ POLE_TOL = 1e-13
 
 
 def pole_hit(z, pole):
-    """True when z is within POLE_TOL * max(1, |pole|) of a non-removable pole."""
-    return abs(z - pole) <= POLE_TOL * max(1.0, abs(pole))
+    """True when z is within POLE_TOL * |pole| of a non-removable pole (only z == 0 hits 0)."""
+    return abs(z - pole) <= POLE_TOL * abs(pole)
 
 
 def pole_hits(zs, poles):
     """For every entry of the complex array zs, whether pole_hit holds for any of poles.
 
     The results are identical to pole_hit's: np.hypot rounds like
-    abs(complex) (np.abs does not), np.fmax ignores NaN like max, and a
-    comparison rounds nothing.  Poles are taken in batches of about 2**12
-    gaps, which bounds the memory.
+    abs(complex) (np.abs does not) and a comparison rounds nothing.  Poles are
+    taken in batches of about 2**12 gaps, which bounds the memory.
     """
     zs = np.asarray(zs, dtype=complex)
     poles = np.ravel(np.asarray(poles, dtype=complex))
-    radius = POLE_TOL * np.fmax(1.0, np.hypot(poles.real, poles.imag))
+    radius = POLE_TOL * np.hypot(poles.real, poles.imag)
     hit = np.zeros(zs.shape, dtype=bool)
     step = max(1, (1 << 12) // max(zs.size, 1))
     for lo in range(0, len(poles), step):
@@ -84,97 +84,68 @@ def mean_value(curve, f, x):
 
 # -- exact rational images -----------------------------------------------------------
 #
-# For f = p/q and the pair (phi, psi):
-#   (D f)(x) = T(p, q) / (q(phi) q(psi)),   T(u,v) = [u(psi)v(phi) - u(phi)v(psi)]/(psi-phi)
-#   (M f)(x) = S(p, q) / (q(phi) q(psi)),   S(u,v) = [u(phi)v(psi) + u(psi)v(phi)]/2
-# T and S are symmetric, hence polynomials in the elementary symmetric functions,
-# which are rational in x; clearing X2 powers yields the exact result.  Power sums
-# pk = phi^k + psi^k and complete homogeneous hk = (psi^{k+1}-phi^{k+1})/(psi-phi)
-# cleared by X2^k obey the same recurrence u_k = -X1 u_{k-1} - X0 X2 u_{k-2}.
-
-def _cleared_sequences(curve, kmax):
-    x0, x1, _x2 = curve.x_view()
-    x0x2 = x0 * curve.x_view()[2]
-    p = [Polynomial((2.0,)), -x1]
-    h = [Polynomial((1.0,)), -x1]
-    for _ in range(2, kmax + 1):
-        p.append(-x1 * p[-1] - x0x2 * p[-2])
-        h.append(-x1 * h[-1] - x0x2 * h[-2])
-    return p[: kmax + 1], h[: kmax + 1]
+# On the root pair over x every polynomial u reduces modulo the curve's quadratic
+# X2 t^2 + X1 t + X0: one Horner pass in t that rewrites X2 t^2 = -(X1 t + X0) gives
+# u(t) = (A_u(x) + B_u(x) t) / X2^e_u for t = phi or psi, taking one more X2 only at the
+# steps where B_u is nonzero (so e_u <= max(deg u - 1, 0)).  For f = p/q, with
+# phi + psi = -X1/X2 and phi psi = X0/X2:
+#   (D f)(x) = [p(psi)q(phi) - p(phi)q(psi)] / ((psi - phi) N) = (B_p A_q - A_p B_q) / N,
+#   (M f)(x) = S(p, q) / N,   N = q(phi) q(psi) = S(q, q),
+#   S(u, v) = [u(phi)v(psi) + u(psi)v(phi)]/2
+#           = A_u A_v + (A_u B_v + B_u A_v)(phi + psi)/2 + B_u B_v phi psi,
+# each over X2^(e_u + e_v), and S takes one more X2 only when a B is nonzero.  Balancing
+# the X2 powers of numerator and denominator gives the exact image (no sampling).
 
 
-def _sym_numerators(curve, p, q):
-    """(T_num, S_num, N_num, m, m2) cleared by X2^m, X2^m2, X2^m2 respectively."""
-    x0, _x1, x2 = curve.x_view()
-    dp, dq = p.degree(), q.degree()
-    m = max(dp + dq - 1, 0)      # phi*psi degree of T terms
-    ms = dp + dq                 # of S terms
-    m2 = 2 * dq                  # of N terms
-    kmax = max(dp, dq, 1)
-    psums, hsums = _cleared_sequences(curve, kmax + 1)
-    x0x2 = x0 * x2
-    e2pow = [Polynomial((1.0,))]
-    x2pow = [Polynomial((1.0,))]
-    for _ in range(max(m, ms, m2)):
-        e2pow.append(e2pow[-1] * x0x2)
-        x2pow.append(x2pow[-1] * x2)
-
-    t_num = Polynomial((0j,))
-    s_num = Polynomial((0j,))
-    for j, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        for k, b in enumerate(q.coeffs):
-            if b == 0:
-                continue
-            lo, dkj = min(j, k), abs(j - k)
-            # S term: e2^lo * p_{|j-k|} / 2, phi*psi degree j+k
-            s_num = s_num + (a * b * 0.5) * (e2pow[lo] * psums[dkj] * x2pow[ms - j - k])
-            if j == k:
-                continue
-            sign = 1.0 if j > k else -1.0
-            # T term: sign * e2^lo * h_{|j-k|-1}, phi*psi degree j+k-1
-            t_num = t_num + (a * b * sign) * (
-                e2pow[lo] * hsums[dkj - 1] * x2pow[m - (j + k - 1)])
-    n_num = Polynomial((0j,))
-    for j, b in enumerate(q.coeffs):
-        if b == 0:
-            continue
-        n_num = n_num + (b * b) * (e2pow[j] * x2pow[m2 - 2 * j])
-        for k in range(j + 1, dq + 1):
-            bk = q.coeffs[k]
-            if bk == 0:
-                continue
-            n_num = n_num + (b * bk) * (e2pow[j] * psums[k - j] * x2pow[m2 - j - k])
-    return t_num, s_num, n_num, m, ms, m2
+def _reduce(curve, u):
+    """(A, B, e) with u(t) = (A(x) + B(x) t) / X2(x)^e for t either y-root over x."""
+    x0, x1, x2 = curve.x_view()
+    a, b, x2e, e = Polynomial(u.coeffs[-1:]), Polynomial(), Polynomial((1.0,)), 0
+    for c in reversed(u.coeffs[:-1]):
+        if b.is_zero():
+            a, b = x2e * c, a
+        else:
+            x2e, e = x2e * x2, e + 1
+            a, b = x2e * c - x0 * b, x2 * a - x1 * b
+    return a, b, e
 
 
-def _as_fraction(p_or_rat):
-    if isinstance(p_or_rat, RationalFunction):
-        return p_or_rat.numer, p_or_rat.denom
-    if isinstance(p_or_rat, Polynomial):
-        return p_or_rat, Polynomial((1.0,))
-    raise ValidationError("expected Polynomial or RationalFunction")
+def _half_sum(curve, ru, rv):
+    """(S, e) with [u(phi)v(psi) + u(psi)v(phi)]/2 = S(x) / X2(x)^e, u, v as reduced."""
+    x0, x1, x2 = curve.x_view()
+    (au, bu, eu), (av, bv, ev) = ru, rv
+    if bu.is_zero() and bv.is_zero():
+        return au * av, eu + ev
+    return x2 * (au * av) - x1 * ((au * bv + bu * av) * 0.5) + x0 * (bu * bv), eu + ev + 1
 
 
-def _cleared_ratio(curve, num, m_num, den, m_den):
-    """(num / X2^m_num) / (den / X2^m_den), with the X2 powers balanced out."""
+def _image(curve, f, mean):
+    """The exact rational image of f = p/q under M (mean) or D."""
+    if isinstance(f, Polynomial):
+        f = RationalFunction(f, 1.0)
+    if not isinstance(f, RationalFunction):
+        raise ValidationError("expected Polynomial or RationalFunction")
+    rp, rq = _reduce(curve, f.numer), _reduce(curve, f.denom)
+    den, e_den = _half_sum(curve, rq, rq)
+    if mean:
+        num, e_num = _half_sum(curve, rp, rq)
+    else:
+        (ap, bp, ep), (aq, bq, eq) = rp, rq
+        num, e_num = bp * aq - ap * bq, ep + eq
     x2 = curve.x_view()[2]
-    if m_den >= m_num:
-        return RationalFunction(num * x2 ** (m_den - m_num), den)
-    return RationalFunction(num, den * x2 ** (m_num - m_den))
+    if e_den >= e_num:
+        return RationalFunction(num * x2 ** (e_den - e_num), den)
+    return RationalFunction(num, den * x2 ** (e_num - e_den))
 
 
 def divided_difference_rational(curve, f):
     """Exact rational image of f under D (carries the X2 factor)."""
-    t_num, _s, n_num, m, _ms, m2 = _sym_numerators(curve, *_as_fraction(f))
-    return _cleared_ratio(curve, t_num, m, n_num, m2)
+    return _image(curve, f, mean=False)
 
 
 def mean_rational(curve, f):
     """Exact rational image of f under M."""
-    _t, s_num, n_num, _m, ms, m2 = _sym_numerators(curve, *_as_fraction(f))
-    return _cleared_ratio(curve, s_num, ms, n_num, m2)
+    return _image(curve, f, mean=True)
 
 
 # -- lattice pair and interpolation bases -------------------------------------------------

@@ -405,6 +405,14 @@ def closed_product_coefficient(eq, pair, n, c1):
     return v
 
 
+def _c0(eq, xm1):
+    """c_0 = -(delta x_{-1} + eps)/(beta x_{-1} + gamma); ValidationError where it is undefined."""
+    den0 = eq.beta * xm1 + eq.gamma
+    if abs(den0) <= 1e-13 * max(1.0, abs(eq.beta * xm1), abs(eq.gamma)):
+        raise ValidationError("beta x_{-1} + gamma = 0: c_0 undefined")
+    return -(eq.delta * xm1 + eq.eps) / den0
+
+
 def expansion_coefficients(eq, pair, N, diag=None):
     """c_0 .. c_N for the general mode (beta, gamma not both zero).
 
@@ -418,11 +426,7 @@ def expansion_coefficients(eq, pair, N, diag=None):
         raise ValidationError("c = 0: use expansion_coefficients_log")
     if N < 0:
         raise ValidationError("N must be >= 0")
-    xm1 = pair.x(-1)
-    den0 = eq.beta * xm1 + eq.gamma
-    if abs(den0) <= 1e-13 * max(1.0, abs(eq.beta * xm1), abs(eq.gamma)):
-        raise ValidationError("beta x_{-1} + gamma = 0: c_0 undefined")
-    c0 = -(eq.delta * xm1 + eq.eps) / den0
+    c0 = _c0(eq, pair.x(-1))
     if N == 0:
         return _require_finite([c0])
     cs = _ratio_coefficients(eq, pair, c0, N)[0]
@@ -522,8 +526,7 @@ def stepwise_oracle(eq, pair, K, f0=None):
     if f0 is None:
         if eq.is_logarithmic:
             raise ValidationError("logarithmic oracle needs the free constant f0")
-        xm1 = pair.x(-1)
-        f0 = -(eq.delta * xm1 + eq.eps) / (eq.beta * xm1 + eq.gamma)
+        f0 = _c0(eq, pair.x(-1))
     vals = [complex(f0)]
     xs, ys = pair.unprimed.values(0, K + 1)
     for k, (xk, yk, yk1) in enumerate(zip(xs, ys, ys[1:])):

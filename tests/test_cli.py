@@ -233,6 +233,9 @@ def test_ratemap_rejects_nonfinite_grid(tmp_path, capsys):
 MALFORMED = [
     # subcommand, keys down to the field, bad value or None to drop it, field name
     pytest.param("solve", ("params", "n"), "ten", "params.n", id="n-not-int"),
+    pytest.param("solve", ("params", "n"), 3.7, "params.n", id="n-fraction"),
+    pytest.param("solve", ("params", "n"), True, "params.n", id="n-bool"),
+    pytest.param("solve", ("params", "n"), "12", "params.n", id="n-string"),
     pytest.param("solve", ("params", "select", "explicit"), [[4.0, 0.0]],
                  "params.select.explicit", id="explicit-one-point"),
     pytest.param("ratemap", ("params", "window"), 7, "params.window", id="window-not-list"),

@@ -120,15 +120,34 @@ def test_rational_image_of_constant_is_zero():
     curve = qgeom_fixture()[0].curve
     g = divided_difference_rational(curve, Polynomial((5.0 - 2j,)))
     assert g.numer.is_zero()
+    # M of a constant and D of the identity come back without spurious X2 factors
+    for curve in (curve, BiquadraticCurve(np.random.default_rng(21).uniform(-2, 2, (3, 3)))):
+        m = mean_rational(curve, Polynomial((5.0 - 2j,)))
+        d = divided_difference_rational(curve, X)
+        assert (m.numer.degree(), m.denom.degree()) == (0, 0)
+        assert (d.numer.degree(), d.denom.degree()) == (0, 0)
+        assert m(0.3 + 0.1j) == pytest.approx(5.0 - 2j)
+        assert d(0.3 + 0.1j) == pytest.approx(1.0)
 
 
-def test_rational_images_match_pointwise():
-    rng = np.random.default_rng(21)
-    curve = BiquadraticCurve(rng.uniform(-2, 2, (3, 3)))
-    f = RationalFunction(Polynomial((0.3, -1.0, 1.0)), Polynomial((1.5, 0.7j, 1.0)))
+_IMAGE_CURVES = {
+    "real": np.random.default_rng(21).uniform(-2, 2, (3, 3)),
+    "complex": np.random.default_rng(22).uniform(-2, 2, (3, 3))
+    + 1j * np.random.default_rng(23).uniform(-2, 2, (3, 3)),
+}
+
+
+@pytest.mark.parametrize("curve_name", sorted(_IMAGE_CURVES))
+@pytest.mark.parametrize("deg_p, deg_q", [(dp, dq) for dp in range(5) for dq in range(5)])
+def test_rational_images_match_pointwise(curve_name, deg_p, deg_q):
+    rng = np.random.default_rng(100 * deg_p + 10 * deg_q + len(curve_name))
+    curve = BiquadraticCurve(_IMAGE_CURVES[curve_name])
+    cplx = lambda k: rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)
+    f = RationalFunction(Polynomial(cplx(deg_p + 1)), Polynomial(cplx(deg_q + 1)))
     gd = divided_difference_rational(curve, f)
     gm = mean_rational(curve, f)
     fn = lambda t: f(t)
+    checked = 0
     for _ in range(12):
         z = complex(*rng.uniform(-2, 2, 2))
         try:
@@ -138,6 +157,8 @@ def test_rational_images_match_pointwise():
             continue
         assert abs(gd(z) - want_d) <= 1e-9 * max(1.0, abs(want_d))
         assert abs(gm(z) - want_m) <= 1e-9 * max(1.0, abs(want_m))
+        checked += 1
+    assert checked >= 8
 
 
 def test_rational_image_carries_x2_factor():
@@ -206,19 +227,28 @@ def test_diff_constant_linear_value():
 
 def test_pole_hits_matches_scalar_guard():
     rng = np.random.default_rng(3)
-    poles = (0j, 0.7 - 0.2j, 3e4 + 5e4j)
+    # the radius is POLE_TOL * |pole|: pole 0 hits only z == 0
+    zero_zs = np.array([0j, 5e-324, 1e-300j, 1e-14])
+    assert [pole_hit(complex(z), 0j) for z in zero_zs] == [True, False, False, False]
+    assert pole_hits(zero_zs, 0j).tolist() == [True, False, False, False]
+    # at a small pole the radius shrinks with it (an absolute 1e-13 would hit here)
+    small = 3e-12
+    assert not pole_hit(small + 1e-14, small) and pole_hit(small * (1 + 1e-14), small)
+    assert pole_hits(np.array([small + 1e-14, small * (1 + 1e-14)]), small).tolist() == \
+        [False, True]
+    poles = (small, 0.7 - 0.2j, 3e4 + 5e4j)
     near = []
     for pole in poles:
         # distances within a few ulps of the guard radius, in random directions
-        # (at pole 0 np.abs would disagree with abs(complex) on hundreds of them)
         ulps = 1.0 + 2.2e-16 * rng.integers(-3, 4, 20000)
-        zs = pole + 1e-13 * max(1.0, abs(pole)) * ulps * np.exp(2j * np.pi * rng.random(20000))
+        zs = pole + 1e-13 * abs(pole) * ulps * np.exp(2j * np.pi * rng.random(20000))
         want = [pole_hit(complex(z), pole) for z in zs]
         assert 0 < sum(want) < len(want)
         assert pole_hits(zs, pole).tolist() == want
         near.append(zs)
     # an array of poles: a hit on any of them, one pole or several per batch
-    for zs in (np.concatenate(near), np.concatenate(near)[::100]):
+    poles += (0j,)
+    for zs in (np.concatenate(near + [zero_zs]), np.concatenate(near)[::100]):
         want = [any(pole_hit(complex(z), p) for p in poles) for z in zs]
         assert pole_hits(zs, np.array(poles)).tolist() == want
 
@@ -288,9 +318,14 @@ def test_cn_routes_agree_at_high_order():
 
 @pytest.mark.parametrize("fixture, n", [(aw_fixture, 19), (aw_fixture, 30), (aw_fixture, 33),
                                         (aw_fixture, 34), (aw_fixture, 47), (aw_fixture, 59),
-                                        (qgeom_fixture, 33), (qgeom_fixture, 41)])
+                                        (qgeom_fixture, 33), (qgeom_fixture, 41),
+                                        (qgeom_fixture, 42), (qgeom_fixture, 43),
+                                        (qgeom_fixture, 44), (qgeom_fixture, 45)])
 def test_cn_routes_agree_where_the_lattice_is_large_or_small(fixture, n):
     """All four routes, also where x'_n is large (Askey-Wilson) or tiny (qgeom).
+
+    From n = 42 the qgeom lattice is below 1e-12, so a pole guard with an absolute
+    radius would call the node route's y_n a hit on the pole y'_n.
 
     The respn route needs the branch derivative at x'_n; its vertical-tangent
     guard must not trip on the size of x'_n alone.  The residue routes must

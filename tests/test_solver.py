@@ -186,6 +186,18 @@ def test_stepwise_oracle_hits_singular_lattice():
     assert err.value.index == 2
 
 
+def test_undefined_c0_is_validation_error_on_every_route():
+    """beta x_{-1} + gamma = 0: solve and the stepwise oracle raise the same typed error."""
+    curve = LinearLattice(h=1.0).curve()
+    eq = DifferenceEquation(curve, Polynomial((0, 0, 1.0)), 1.0, 0.0, 1.0, 1.0)
+    select = Explicit(0, -0.5)
+    pair = build_lattices(eq, locate_special_points(eq, select))
+    assert pair.x(-1) == 0
+    for run in (lambda: solve(eq, select, 5), lambda: stepwise_oracle(eq, pair, 5)):
+        with pytest.raises(ValidationError, match="c_0 undefined"):
+            run()
+
+
 def test_partial_sum_pole_guard():
     eq, select = linear_fixture()
     sol = solve(eq, select, 6)
