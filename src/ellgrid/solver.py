@@ -12,14 +12,16 @@ are the solution's poles).  Coefficients come from the two-term recurrence
 
     c_{n+1}/c_n = -xi_n / eta_{n+1}
 
-with closed-product and stepwise-recurrence cross-checks.  The logarithmic
-case c = 0 (where f generalizes a logarithm and c_0 is a free constant) gets
-an elementary product formula with no reference to the C_n.
+in both modes, the logarithmic case c = 0 (f generalizes a logarithm, c_0 is a
+free constant) included, checked at every n against one running product from
+the same reads: the closed product, or in the logarithmic case an elementary
+product formula.  The stepwise recurrence is the oracle for c_1 and verification.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -341,18 +343,22 @@ def build_lattices(eq, special):
 # -- expansion coefficients ---------------------------------------------------------------
 
 
-def _ratio_coefficients(eq, pair, c0, N):
-    """(c_0 .. c_N, C_0 .. C_N) of the ratio recurrence c_{n+1} = -c_n xi_n / eta_{n+1}.
+def _reads(pair, N):
+    """(C_0 .. C_N, (xs, ys), (xps, yps)) from one diff_constants call and one range read
+    of each lattice: xs, ys over index -1 .. N (so x_{n-1} = xs[n]), xps, yps over 0 .. N."""
+    return diff_constants(pair, N), pair.unprimed.values(-1, N + 1), pair.primed.values(0, N + 1)
+
+
+def _ratio_coefficients(eq, reads, c0):
+    """c_0 .. c_N of the ratio recurrence c_{n+1} = -c_n xi_n / eta_{n+1}, from _reads(pair, N).
 
     xi_n = C_n (a + c (y'_{n+1} - y'_n)/2)(z) / ((z - x_{-1}) (z - x'_0) (z - x_{n-1})) at
     z = x'_n, and eta_n = C_n (a - c (y_n - y_{n-1})/2)(z) / ((z - x_{-1}) (z - x'_0) (z - x'_n))
-    at z = x_{n-1}: one diff_constants call and one range read of each lattice.  Every
-    eta_n is scanned before any division by it (SmallDivisorError below 1e-12 times their
-    median); the seed is c_1 = (beta c_0 + delta)/eta_1.
+    at z = x_{n-1}.  Every eta_n is scanned before any division by it (SmallDivisorError at
+    or below 1e-12 times their median); the seed is c_1 = (beta c_0 + delta)/eta_1.
     """
-    cns = diff_constants(pair, N)
-    xs, ys = pair.unprimed.values(-1, N + 1)    # index -1 .. N, so x_{n-1} = xs[n]
-    xps, yps = pair.primed.values(0, N + 1)     # index 0 .. N
+    cns, (xs, ys), (xps, yps) = reads
+    N = len(cns) - 1
     xm1, xp0 = xs[0], xps[0]
     etas = [None]
     for n in range(1, N + 1):
@@ -361,7 +367,7 @@ def _ratio_coefficients(eq, pair, c0, N):
         etas.append(cns[n] * num / ((z - xm1) * (z - xp0) * (z - xps[n])))
     med = float(np.median([abs(v) for v in etas[1:]]))
     for n in range(1, N + 1):
-        if abs(etas[n]) < 1e-12 * med:
+        if abs(etas[n]) <= 1e-12 * med:
             raise SmallDivisorError(n, abs(etas[n]))
 
     cs = [c0, (eq.beta * c0 + eq.delta) / etas[1]]
@@ -370,39 +376,80 @@ def _ratio_coefficients(eq, pair, c0, N):
         num = eq.a(z) + eq.c(z) * (yps[n + 1] - yps[n]) / 2.0
         xi = cns[n] * num / ((z - xm1) * (z - xp0) * (z - xs[n]))
         cs.append(-cs[-1] * xi / etas[n + 1])
-    return cs, cns
+    return cs
 
 
-def _rel(a, b):
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+def _closed_products(eq, reads, c1):
+    """[c_1 .. c_N] by the closed product, one numpy running product over k < n:
+
+        c_n = c_1 C_1/(x'_1 - x_0) (x'_n - x_{n-1})/C_n
+              prod_k (a + c (y'_{k+1} - y'_k)/2)(x'_k) / (a - c (y_{k+1} - y_k)/2)(x_k)
+                     (x_k - x_{-1})(x_k - x'_0) / ((x'_k - x_{-1})(x'_k - x'_0)).
+
+    Each step divides a growing factor by its partner, so nothing overflows where c_n
+    is finite; a zero divisor gives inf or NaN, which the gap check refuses."""
+    cns, (xs, ys), (xps, yps) = (np.array(v) for v in reads)
+    xm1, xp0 = xs[0], xps[0]
+    x, xp = xs[2:-1], xps[1:-1]                     # x_k, x'_k for k = 1 .. N-1
+    with np.errstate(all="ignore"):
+        steps = ((eq.a(xp) + eq.c(xp) * (yps[2:] - yps[1:-1]) / 2.0)
+                 / (eq.a(x) - eq.c(x) * (ys[3:] - ys[2:-1]) / 2.0)
+                 * (x - xm1) * (x - xp0) / ((xp - xm1) * (xp - xp0)))
+        run = np.concatenate(([1.0], np.cumprod(steps)))
+        return c1 * (cns[1] / (xps[1] - xs[1])) * ((xps[1:] - xs[1:-1]) / cns[1:]) * run
 
 
-def _require_finite(cs):
-    """cs unchanged, or NonFiniteCoefficientError at the first inf/NaN entry."""
+def _log_products(eq, reads, c1, zeta):
+    """[c_1 .. c_N] by the logarithmic case's elementary product formula, one numpy
+    running product over j <= n, paired as in _closed_products:
+
+        c_n = c_1 C_1/(x'_1 - x_0) X2(x_{-1})/(x_{-1} - x'_0) (x'_n - x_{n-1}) prod_j f_j,
+        f_j = (y_{-1} - y'_j)/(x_{-1} - x'_j), times
+              (x_{-1} - x_{j-2})/(y_{-1} - y_{j-1}) (x'_{j-1} - zeta)/(x_{j-1} - zeta) for j >= 2.
+    """
+    cns, (xs, ys), (xps, yps) = (np.array(v) for v in reads)
+    xm1, ym1, xp0 = xs[0], ys[0], xps[0]
+    with np.errstate(all="ignore"):
+        steps = (ym1 - yps[1:]) / (xm1 - xps[1:])
+        steps[1:] *= (xm1 - xs[1:-2]) / (ym1 - ys[2:-1]) * (xps[1:-1] - zeta) / (xs[2:-1] - zeta)
+        pref = c1 * (cns[1] / (xps[1] - xs[1])) * eq.curve.x_view()[2](xm1) / (xm1 - xp0)
+        return pref * (xps[1:] - xs[1:-1]) * np.cumprod(steps)
+
+
+def _checked_coefficients(eq, pair, N, c0, products, bound, key, diag):
+    """c_0 .. c_N of the ratio recurrence, with NonFiniteCoefficientError at the first
+    inf/NaN c_n, and InternalInconsistencyError at the first n whose gap
+    |c_n - p_n| / max(1, |c_n|, |p_n|) to p_n = products(eq, reads, c_1)[n-1] is not <= bound
+    (NaN fails).  diag gets the gaps for n = 0 .. N (0 at n = 0, where both routes take c_0)
+    under "product_gaps" and their maximum under key.
+    """
+    cs, ps = [c0], np.empty(0)
+    if N >= 1:
+        reads = _reads(pair, N)
+        cs = _ratio_coefficients(eq, reads, c0)
+        ps = products(eq, reads, cs[1])
     for n, c in enumerate(cs):
         if not cmath.isfinite(c):
             raise NonFiniteCoefficientError(n, c)
+    cv = np.array(cs[1:], dtype=complex)
+    with np.errstate(all="ignore"):
+        gaps = np.abs(cv - ps) / np.maximum(1.0, np.maximum(np.abs(cv), np.abs(ps)))
+    bad = ~(gaps <= bound)
+    if bad.any():
+        n = int(bad.argmax()) + 1
+        raise InternalInconsistencyError(
+            f"ratio recurrence vs running product disagree at n={n} ({gaps[n - 1]:.2e})")
+    if diag is not None:
+        diag["product_gaps"] = [0.0] + gaps.tolist()
+        diag[key] = max(diag["product_gaps"])
     return cs
 
 
 def closed_product_coefficient(eq, pair, n, c1):
-    """c_n from the closed product (independent of the ratio recurrence)."""
+    """c_n from the closed product: entry n of the running product that solve checks against."""
     if n == 0:
         raise ValidationError("closed product starts at n = 1")
-    if n == 1:
-        return c1
-    cns = diff_constants(pair, n)
-    xs, ys = pair.unprimed.values(0, n + 1)
-    xps, yps = pair.primed.values(0, n + 1)
-    v = c1 * (cns[1] / (xps[1] - xs[0]))
-    v *= (xps[n] - xs[n - 1]) / cns[n]
-    xm1, xp0 = pair.x(-1), xps[0]
-    for k in range(1, n):
-        xk, xpk = xs[k], xps[k]
-        v *= (eq.a(xpk) + eq.c(xpk) * (yps[k + 1] - yps[k]) / 2.0) / \
-             (eq.a(xk) - eq.c(xk) * (ys[k + 1] - ys[k]) / 2.0)
-        v *= (xk - xm1) * (xk - xp0) / ((xpk - xm1) * (xpk - xp0))
-    return v
+    return complex(_closed_products(eq, _reads(pair, n), c1)[-1])
 
 
 def _c0(eq, xm1):
@@ -416,38 +463,24 @@ def _c0(eq, xm1):
 def expansion_coefficients(eq, pair, N, diag=None):
     """c_0 .. c_N for the general mode (beta, gamma not both zero).
 
-    c_0 = -(delta x_{-1} + eps)/(beta x_{-1} + gamma); c_1 comes from the
-    recurrence seed (beta c_0 + delta)/eta_1 and must agree with the stepwise
-    oracle route to 1e-6 (InternalInconsistency otherwise); the rest follow
-    the ratio recurrence, cross-checked against the closed product at
-    n in {2, 5, N}.
+    c_0 = -(delta x_{-1} + eps)/(beta x_{-1} + gamma), then the ratio recurrence, checked
+    against the closed product at every n (1e-7); its seed c_1 = (beta c_0 + delta)/eta_1
+    must agree with the stepwise oracle to 1e-6 (InternalInconsistency otherwise).
     """
     if eq.is_logarithmic:
         raise ValidationError("c = 0: use expansion_coefficients_log")
     if N < 0:
         raise ValidationError("N must be >= 0")
     c0 = _c0(eq, pair.x(-1))
-    if N == 0:
-        return _require_finite([c0])
-    cs = _ratio_coefficients(eq, pair, c0, N)[0]
-    c1_alt = (stepwise_oracle(eq, pair, 1)[1] - c0) / pair.y_basis(1)(pair.y(1))
-    c1_rel = _rel(cs[1], c1_alt)
-    if not c1_rel <= 1e-6:
-        raise InternalInconsistencyError(
-            f"c_1 routes disagree: recurrence {cs[1]} vs oracle {c1_alt}")
-    _require_finite(cs)
-
-    prod_rel = 0.0
-    for n in sorted({2, 5, N}):
-        if 2 <= n <= N:
-            gap = _rel(cs[n], closed_product_coefficient(eq, pair, n, cs[1]))
-            if not gap <= 1e-7:         # NaN fails too
-                raise InternalInconsistencyError(
-                    f"ratio recurrence vs closed product disagree at n={n} ({gap:.2e})")
-            prod_rel = max(prod_rel, gap)
-    if diag is not None:
-        diag["c1_routes_rel"] = c1_rel
-        diag["closed_product_rel"] = prod_rel
+    cs = _checked_coefficients(eq, pair, N, c0, _closed_products, 1e-7, "closed_product_rel", diag)
+    if N >= 1:
+        c1_alt = (stepwise_oracle(eq, pair, 1)[1] - c0) / pair.y_basis(1)(pair.y(1))
+        c1_rel = abs(cs[1] - c1_alt) / max(1.0, abs(cs[1]), abs(c1_alt))
+        if not c1_rel <= 1e-6:
+            raise InternalInconsistencyError(
+                f"c_1 routes disagree: recurrence {cs[1]} vs oracle {c1_alt}")
+        if diag is not None:
+            diag["c1_routes_rel"] = c1_rel
     return cs
 
 
@@ -467,54 +500,22 @@ def expansion_coefficients_log(eq, pair, N, c0_free, diag=None):
     """c_0 .. c_N for the logarithmic case c = 0, with c_0 the free constant.
 
     Requires deg a = 3 with x_{-1} and x'_0 among its roots and d(x_{-1}) = 0
-    (otherwise no expansion of this form exists).  Coefficients use the
-    elementary product formula (lattice values and zeta only); the route is
-    cross-checked against the ratio recurrence for n <= 6.
+    (otherwise no expansion of this form exists).  The ratio recurrence with c = 0 gives
+    c_1 .. c_N, checked against the elementary product formula at every n (1e-8).
     """
     if not eq.is_logarithmic:
         raise ValidationError("equation is not logarithmic (c != 0)")
     if N < 0:
         raise ValidationError("N must be >= 0")
     zeta = third_root_of_a(eq, pair)
-    xm1, ym1 = pair.x(-1), pair.y(-1)
+    xm1 = pair.x(-1)
     if abs(eq.d(xm1)) > 1e-8 * eq.scale(xm1):
         raise ValidationError(
             "logarithmic expansions need d(x_{-1}) = 0; seed x_{-1} at the root of d")
-    cs = [complex(c0_free)]
-    if N == 0:
-        return _require_finite(cs)
-    # The check reads n <= min(6, N); the + 1 keeps the lattice ranges a solution reports.
-    ratio, cns = _ratio_coefficients(eq, pair, cs[0], min(6, N) + 1)
-    xs, ys = pair.unprimed.values(0, N)
-    xps, yps = pair.primed.values(0, N + 1)
-    pref = ratio[1] * (cns[1] / (xps[1] - xs[0])) * eq.curve.x_view()[2](xm1)
-    num = 1.0 + 0j      # prod (ym1 - yp_j), j = 1..n  and  (xm1 - x_j), j = 0..n-2
-    den = (xm1 - xps[0])              # prod (ym1 - y_j), j=1..n-1 and (xm1 - xp_j), j=0..n
-    zr = 1.0 + 0j       # prod (xp_k - zeta)/(x_k - zeta), k = 1..n-1
-    for n in range(1, N + 1):
-        num *= (ym1 - yps[n])
-        if n >= 2:
-            num *= (xm1 - xs[n - 2])
-            dy = ym1 - ys[n - 1]
-            if abs(dy) <= 1e-280:
-                raise SmallDivisorError(n, abs(dy))
-            den *= dy
-            zr *= (xps[n - 1] - zeta) / (xs[n - 1] - zeta)
-        den *= (xm1 - xps[n])
-        cs.append(pref * (xps[n] - xs[n - 1]) * num * zr / den)
-    _require_finite(cs)
-
-    check_rel = 0.0
-    for n in range(1, min(6, N) + 1):
-        gap = _rel(cs[n], ratio[n])
-        if not gap <= 1e-8:             # NaN fails too
-            raise InternalInconsistencyError(
-                f"log product vs ratio recurrence disagree at n={n} ({gap:.2e})")
-        check_rel = max(check_rel, gap)
     if diag is not None:
-        diag["log_vs_ratio_rel"] = check_rel
         diag["zeta"] = zeta
-    return cs
+    return _checked_coefficients(eq, pair, N, complex(c0_free), partial(_log_products, zeta=zeta),
+                                 1e-8, "log_vs_ratio_rel", diag)
 
 
 def stepwise_oracle(eq, pair, K, f0=None):
@@ -563,15 +564,12 @@ def solve(eq, select, N, c0_free=None, y0_hint=None, yp1_hint=None):
         if c0_free is None:
             raise ValidationError("logarithmic mode needs c0_free")
         coeffs = expansion_coefficients_log(eq, pair, N, c0_free, diag=diag)
-        zeta = diag.pop("zeta", None)
-        mode = "log"
     else:
         coeffs = expansion_coefficients(eq, pair, N, diag=diag)
-        zeta = None
-        mode = "general"
     diag["coeff_magnitudes"] = [abs(c) for c in coeffs]
-    return ExpansionSolution(eq=eq, pair=pair, special=special, mode=mode,
-                             coeffs=tuple(coeffs), c0_free=c0_free, zeta=zeta,
+    return ExpansionSolution(eq=eq, pair=pair, special=special,
+                             mode="log" if eq.is_logarithmic else "general",
+                             coeffs=tuple(coeffs), c0_free=c0_free, zeta=diag.pop("zeta", None),
                              diagnostics=diag)
 
 
@@ -635,7 +633,8 @@ def verify_interpolation(eq, sol, N):
         acc[k:] += cs[k] * prod[k:]
     want = np.array(oracle, dtype=object)
     errs = (abs(acc - want) / (1.0 + abs(want))).tolist()
-    return InterpolationReport(max_error=max(errs), errors=tuple(errs), skipped=skipped)
+    return InterpolationReport(max_error=float(np.max(errs)), errors=tuple(errs),
+                                skipped=skipped)
 
 
 def solution_to_json(sol):

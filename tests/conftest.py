@@ -215,6 +215,33 @@ def ref_ratio_recurrence(eq, pair, c0, N):
     return cs
 
 
+def ref_closed_product(eq, pair, n, c1):
+    """c_n by the closed product, one Python factor at a time from per-index reads."""
+    xm1, xp0 = pair.x(-1), pair.xp(0)
+    v = c1 * diff_constant(pair, 1) / (pair.xp(1) - pair.x(0))
+    v *= (pair.xp(n) - pair.x(n - 1)) / diff_constant(pair, n)
+    for k in range(1, n):
+        xk, xpk = pair.x(k), pair.xp(k)
+        v *= (eq.a(xpk) + eq.c(xpk) * (pair.yp(k + 1) - pair.yp(k)) / 2.0) \
+            / (eq.a(xk) - eq.c(xk) * (pair.y(k + 1) - pair.y(k)) / 2.0)
+        v *= (xk - xm1) * (xk - xp0) / ((xpk - xm1) * (xpk - xp0))
+    return v
+
+
+def ref_log_product(eq, pair, n, c1, zeta):
+    """c_n by the elementary product formula of the logarithmic case, one Python factor
+    at a time from per-index reads."""
+    xm1, ym1, xp0 = pair.x(-1), pair.y(-1), pair.xp(0)
+    v = c1 * diff_constant(pair, 1) / (pair.xp(1) - pair.x(0)) * eq.curve.x_view()[2](xm1)
+    v *= (pair.xp(n) - pair.x(n - 1)) / (xm1 - xp0)
+    for j in range(1, n + 1):
+        v *= (ym1 - pair.yp(j)) / (xm1 - pair.xp(j))
+        if j >= 2:
+            v *= (xm1 - pair.x(j - 2)) / (ym1 - pair.y(j - 1))
+            v *= (pair.xp(j - 1) - zeta) / (pair.x(j - 1) - zeta)
+    return v
+
+
 @pytest.fixture(scope="session")
 def linear_solution():
     eq, select = linear_fixture()

@@ -188,9 +188,11 @@ def test_criterion_07_logarithmic_case():
         abs(evaluate_partial_sum(sol, 10, sol.pair.y(j))
             - (1.0 / (sol.pair.y(j) - A) + offset)) / (1.0 + abs(offset))
         for j in range(11))
-    report(7, worst_route <= 1e-8 and worst_tel <= 1e-7,
+    # the elementary product formula, checked against the coefficients inside solve
+    worst_product = sol.diagnostics["log_vs_ratio_rel"]
+    report(7, worst_route <= 1e-8 and worst_product <= 1e-8 and worst_tel <= 1e-7,
            f"log coefficients vs c=0 limit route {worst_route:.2e} (n<=6); "
-           f"telescoping oracle {worst_tel:.2e}")
+           f"elementary product {worst_product:.2e} (n<=10); telescoping oracle {worst_tel:.2e}")
 
 
 def test_criterion_08_negative_controls():

@@ -9,7 +9,7 @@ import pytest
 from ellgrid.cli import main
 from ellgrid.lattice import LinearLattice
 
-from conftest import aw_fixture, log_qlattice_fixture, qgeom_fixture
+from conftest import aw_fixture, log_linear_fixture, log_qlattice_fixture, qgeom_fixture
 
 
 def cjson(z):
@@ -186,6 +186,43 @@ def test_verify_corruption_is_reported(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 3
     out = capsys.readouterr().out
     assert "FAIL interpolation-vs-oracle" in out
+
+
+def test_verify_fails_on_a_nan_interpolation_error(tmp_path, capsys, monkeypatch):
+    """c_5 = NaN: the errors from node 5 on are NaN, and so is the reported maximum."""
+    from ellgrid import cli
+
+    solve = cli.solver.solve
+
+    def nan_at_5(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        sol.coeffs = sol.coeffs[:5] + (complex("nan"),) + sol.coeffs[6:]
+        return sol
+
+    monkeypatch.setattr(cli.solver, "solve", nan_at_5)
+    cfg_data = qgeom_solve_cfg()
+    cfg_data["run"] = "verify"
+    cfg = write_cfg(tmp_path, "verify.json", cfg_data)
+    assert main(["verify", "--config", cfg]) == 3
+    assert "FAIL interpolation-vs-oracle: max error nan" in capsys.readouterr().out
+
+
+def test_log_linear_solves_and_verifies_at_order_300(tmp_path, capsys):
+    eq, select, c0_free, _, _, hints = log_linear_fixture()
+    cfg_data = {
+        "curve": grid_json(eq.curve),
+        "equation": {"mode": "log", "a": [cjson(c) for c in eq.a.coeffs],
+                     "d": [cjson(c) for c in eq.d.coeffs], "c0_free": cjson(c0_free)},
+        "params": {"n": 300, "select": {"explicit": [cjson(select.x_m1), cjson(select.x_p0)]},
+                   **{k: cjson(v) for k, v in hints.items()}},
+    }
+    cfg = write_cfg(tmp_path, "loglin.json", cfg_data)
+    out = tmp_path / "loglin.out.json"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert len(payload["coefficients"]) == 301
+    assert main(["verify", "--config", cfg]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_verify_empty_scenario_is_usage_error(tmp_path, capsys):

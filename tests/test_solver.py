@@ -28,6 +28,7 @@ from ellgrid import (
 from ellgrid.diffops import C_METHODS, diff_constant, diff_constants
 from ellgrid.errors import (
     DegreeMismatchError,
+    EllgridError,
     HitSingularLatticeError,
     InternalInconsistencyError,
     NonFiniteCoefficientError,
@@ -44,7 +45,10 @@ from conftest import (
     genus1_equation,
     linear_fixture,
     log_linear_fixture,
+    log_qlattice_fixture,
     qgeom_fixture,
+    ref_closed_product,
+    ref_log_product,
     ref_ratio_recurrence,
 )
 
@@ -269,6 +273,27 @@ def test_two_route_coefficients_agree():
             assert abs(prod - sol.coeffs[n]) <= 1e-8 * max(1.0, abs(sol.coeffs[n]))
 
 
+def test_running_products_match_per_index_loops():
+    """The numpy running products vs factor-by-factor loops; their rounding differs, so
+    the tolerance is set beforehand at about 4500 ulps."""
+    import ellgrid.solver as solver_mod
+    for name, eq, select in general_fixtures():
+        sol = solve(eq, select, 20)
+        for n in range(1, 21):
+            want = ref_closed_product(eq, sol.pair, n, sol.coeffs[1])
+            got = closed_product_coefficient(eq, sol.pair, n, sol.coeffs[1])
+            assert abs(got - want) <= 1e-12 * abs(want)
+    leq, lselect, lc0, _, _, lhints = log_linear_fixture()
+    qeq, qselect, _, _, qhints = log_qlattice_fixture()
+    for eq, sol in ((leq, solve(leq, lselect, 40, c0_free=lc0, **lhints)),
+                    (qeq, solve(qeq, qselect, 40, c0_free=0.0, **qhints))):
+        reads = solver_mod._reads(sol.pair, 40)
+        got = solver_mod._log_products(eq, reads, sol.coeffs[1], sol.zeta)
+        for n in range(1, 41):
+            want = ref_log_product(eq, sol.pair, n, sol.coeffs[1], sol.zeta)
+            assert abs(got[n - 1] - want) <= 1e-12 * abs(want)
+
+
 def test_coefficients_equal_per_index_ratio_recurrence():
     cases = [(eq, solve(eq, select, 40)) for _, eq, select in general_fixtures()]
     for seed in range(5):
@@ -392,18 +417,82 @@ def test_nonfinite_coefficients_are_typed_errors():
     with pytest.raises(NonFiniteCoefficientError) as err:
         solve(eq, select, 400)          # a(x'_n), c(x'_n) overflow near |x'_n| ~ 1e103
     assert err.value.index == 344
+
+
+def test_log_linear_solves_at_order_1000():
+    """The ratio route stays finite where separate 2n-factor products overflowed (c_97)."""
     eq, select, c0_free, A, zeta, hints = log_linear_fixture()
-    with pytest.raises(NonFiniteCoefficientError):
-        solve(eq, select, 200, c0_free=c0_free, **hints)
+    sol = solve(eq, select, 1000, c0_free=c0_free, **hints)
+    assert all(np.isfinite(sol.coeffs))
+    assert verify_interpolation(eq, sol, 1000).max_error <= 1e-7
+
+
+def _solve_both_modes(N):
+    """{mode: (equation, solution)} on the linear and log-linear fixtures at order N."""
+    eq, select = linear_fixture()
+    leq, lselect, c0_free, _, _, hints = log_linear_fixture()
+    return {"general": (eq, solve(eq, select, N)),
+            "log": (leq, solve(leq, lselect, N, c0_free=c0_free, **hints))}
 
 
 def test_closed_product_gap_is_nan_aware(monkeypatch):
+    """A NaN running product fails the gap check, in either mode."""
     import ellgrid.solver as solver_mod
-    monkeypatch.setattr(solver_mod, "closed_product_coefficient",
-                        lambda *args: complex("nan"))
+    for route in ("_closed_products", "_log_products"):
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_mod, route,
+                          lambda eq, reads, c1, **kw: np.full(len(reads[0]) - 1, complex("nan")))
+            with pytest.raises(InternalInconsistencyError, match="n=1 "):
+                _solve_both_modes(10)
+
+
+@pytest.mark.parametrize("N", [0, 1, 12, 300])
+def test_every_solve_checks_the_running_product_at_every_n(monkeypatch, N):
+    """One gap per n under one key in both modes; solve never calls the per-index oracle."""
+    import ellgrid.solver as solver_mod
+
+    def per_index_oracle(*args):
+        raise AssertionError("solve calls closed_product_coefficient")
+
+    monkeypatch.setattr(solver_mod, "closed_product_coefficient", per_index_oracle)
+    sols = _solve_both_modes(N)
+    monkeypatch.undo()
+    for mode, key, bound in (("general", "closed_product_rel", 1e-7),
+                             ("log", "log_vs_ratio_rel", 1e-8)):
+        gaps = sols[mode][1].diagnostics["product_gaps"]
+        assert len(gaps) == N + 1 and gaps[0] == 0.0
+        assert sols[mode][1].diagnostics[key] == max(gaps) <= bound
+    eq, sol = sols["general"]
+    for n in range(1, min(N, 12) + 1):
+        prod = closed_product_coefficient(eq, sol.pair, n, sol.coeffs[1])
+        want = abs(prod - sol.coeffs[n]) / max(1.0, abs(sol.coeffs[n]), abs(prod))
+        assert sol.diagnostics["product_gaps"][n] == pytest.approx(want)
+
+
+@pytest.mark.parametrize("mode", ["general", "log"])
+@pytest.mark.parametrize("n", [3, 11])
+def test_lattice_value_at_y_m1_is_a_typed_error(mode, n):
+    """y_{n-1} written equal to y_{-1}: Yb_n(y_{-1}) = 0, so C_n = eta_n = 0 exactly."""
+    eq, sol = _solve_both_modes(12)[mode]
+    sol.pair.unprimed._y[n - 1] = sol.pair.y(-1)
+    with pytest.raises(EllgridError, match=f"n={n} "):
+        if mode == "general":
+            expansion_coefficients(eq, sol.pair, 12)
+        else:
+            expansion_coefficients_log(eq, sol.pair, 12, sol.c0_free)
+
+
+def test_nan_interpolation_error_is_the_max_error():
+    """A NaN at any node makes max_error NaN, so `<= tol` fails."""
     eq, select = linear_fixture()
-    with pytest.raises(InternalInconsistencyError):
-        solve(eq, select, 10)
+    sol = solve(eq, select, 8)
+    cs = list(sol.coeffs)
+    cs[5] = complex("nan")
+    sol.coeffs = tuple(cs)
+    rep = verify_interpolation(eq, sol, 8)
+    assert max(rep.errors[:5]) <= 1e-9
+    assert all(np.isnan(rep.errors[5:]))
+    assert np.isnan(rep.max_error)
 
 
 def test_interpolation_at_order_zero():
@@ -454,7 +543,7 @@ def test_log_telescoping_oracle():
 
 
 def test_log_product_matches_ratio_route():
-    """Elementary product vs the general recurrence run with c = 0."""
+    """Log coefficients vs the per-index ratio recurrence run with c = 0."""
     eq, select, c0_free, A, zeta, hints = log_linear_fixture()
     sol = solve(eq, select, 8, c0_free=c0_free, **hints)
     ratio = ref_ratio_recurrence(eq, sol.pair, 0j, 8)
