@@ -50,8 +50,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     sol, zeta = build_solution(n_terms=args.window[1] + 5)
-    predictor = RatePredictor(sol.eq.curve, sol)
-    print(f"period omega = {predictor.omega}")
+    predictor = RatePredictor(sol)
+    print(f"period omega = {predictor.omega}, rotation number tau = {predictor.tau}")
     print(f"zeta = {zeta}  (reference equipotential at |z| = {abs(zeta):.3f})")
     print()
     print("   |z|    empirical  predicted  theory |z|/|zeta|")

@@ -245,6 +245,11 @@ def run_solve(cfg, out_path, n_override, quiet):
     return EXIT_OK
 
 
+def _worst(values):
+    """The largest of values (0 when there are none), NaN when any of them is NaN."""
+    return float(np.max(np.asarray(list(values), dtype=float), initial=0.0))
+
+
 def _verify_checks(cfg):
     """Yield (name, passed, detail) for the scenario's invariant suite."""
     curve = _curve_from(cfg)
@@ -254,30 +259,29 @@ def _verify_checks(cfg):
     if "lattice_seed" in cfg:
         spec = _seed_from(cfg, curve)
         lat = lattice_mod.generate(spec, min(-3, -n_max), n_max)
-        worst = 0.0
-        for n in range(min(-3, -n_max), n_max):
-            worst = max(worst, *lat.on_curve_residual(n))
+        worst = _worst(r for n in range(min(-3, -n_max), n_max) for r in lat.on_curve_residual(n))
         yield "lattice-on-curve", worst <= 1e-9, f"max residual {worst:.2e}"
 
         x0, x1p, x2p = curve.x_view()
         m = max(0, min(5, n_max))
         xs, ys = lat.values(0, m + 1)                # index 0 .. m
         pairs = [curve.y_roots(x) for x in xs[:m]]
-        worst = 0.0
+        devs = []
         for x, pair in zip(xs, pairs):
             s = -x1p(x) / x2p(x)
             p = x0(x) / x2p(x)
             sc = max(1.0, abs(s), abs(p))
-            worst = max(worst, abs(pair.lo + pair.hi - s) / sc,
-                        abs(pair.lo * pair.hi - p) / sc)
+            devs += [abs(pair.lo + pair.hi - s) / sc, abs(pair.lo * pair.hi - p) / sc]
+        worst = _worst(devs)
         yield "root-pair-sum-product", worst <= 1e-10, f"max deviation {worst:.2e}"
 
-        worst = 0.0
+        devs = []
         for pair, y, y_next in zip(pairs, ys, ys[1:]):
             got = sorted((pair.lo, pair.hi), key=lambda v: (v.real, v.imag))
             want = sorted((y, y_next), key=lambda v: (v.real, v.imag))
             sc = max(1.0, abs(want[0]), abs(want[1]))
-            worst = max(worst, abs(got[0] - want[0]) / sc, abs(got[1] - want[1]) / sc)
+            devs += [abs(got[0] - want[0]) / sc, abs(got[1] - want[1]) / sc]
+        worst = _worst(devs)
         yield "complement-root-consistency", worst <= 1e-9, f"max deviation {worst:.2e}"
 
     if "equation" in cfg:
@@ -294,19 +298,16 @@ def _verify_checks(cfg):
             cs[k] = cs[k] * factor
             sol.coeffs = tuple(cs)
         yield ("special-point-certificates",
-               max(sol.special.res_m1, sol.special.res_p0) <= 1e-9,
+               _worst((sol.special.res_m1, sol.special.res_p0)) <= 1e-9,
                f"residuals {sol.special.res_m1:.2e}, {sol.special.res_p0:.2e}")
 
-        worst = 0.0
-        for n in range(1, min(6, len(sol.coeffs) - 1) + 1):
-            _, spread = diffops.diff_constant(sol.pair, n, method="all")
-            worst = max(worst, spread)
+        worst = _worst(diffops.diff_constant(sol.pair, n, method="all")[1]
+                       for n in range(1, min(6, len(sol.coeffs) - 1) + 1))
         yield "cn-four-way-agreement", worst <= 1e-8, f"max spread {worst:.2e}"
 
         samples = diffops.identity_samples(sol.pair, 3, count=12, seed=11)
-        worst = 0.0
-        for n in (1, 2, 3):
-            worst = max(worst, diffops.verify_diff_basis_identity(sol.pair, n, samples))
+        worst = _worst(diffops.verify_diff_basis_identity(sol.pair, n, samples)
+                       for n in (1, 2, 3))
         yield "diff-basis-identity", worst <= 1e-7, f"max error {worst:.2e}"
 
         n_exp = len(sol.coeffs) - 1
@@ -314,11 +315,8 @@ def _verify_checks(cfg):
         yield ("interpolation-vs-oracle", report.max_error <= 1e-7,
                f"max error {report.max_error:.2e}")
 
-        worst = 0.0
-        for j in range(0, min(6, n_exp)):
-            z = sol.pair.x(j)
-            worst = max(worst, abs(solver.residual(sol.eq, sol, n_exp, z))
-                        / sol.eq.scale(z))
+        worst = _worst(abs(solver.residual(sol.eq, sol, n_exp, z)) / sol.eq.scale(z)
+                       for z in sol.pair.unprimed.values(0, min(6, n_exp))[0])
         yield "residual-on-lattice", worst <= 1e-7, f"max relative defect {worst:.2e}"
 
 

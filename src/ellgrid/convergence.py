@@ -1,13 +1,14 @@
 """Geometric decay of expansion terms vs the potential-theoretic prediction.
 
 The empirical rate is the least-squares slope of log |c_n Yb_n(z)| against n.
-The prediction integrates dv/sqrt(P) numerically: omega around the closed
-locus filled by the x-lattice, and the uniformizing coordinate xi(z) along a
-branch-tracked path from a basepoint, giving
+The prediction takes the period omega = 2 pi i / sqrt(p2) of dv/sqrt(P) in
+closed form (P of degree 2) and integrates the uniformizing coordinate xi(z)
+numerically along a branch-tracked path from a basepoint, giving
 
     rate(z) = exp(-Im 2 pi (xi_z - xi_zeta) / omega)
 
-for the logarithmic case (zeta the third root of a).  Divisions by
+for the logarithmic case (zeta the third root of a), provided the x-lattice
+fills a closed locus.  Divisions by
 y_{-1} - y_{n-2} can get sporadically tiny when (n-1)h nearly returns to a
 period multiple; those indices are detected and excluded from rate fits.
 """
@@ -33,6 +34,7 @@ COARSE_STEP = 0.5       # relative sqrt(P) jump that marks an under-sampled path
 LEVEL_SAMPLES = 1 << 16  # complex samples per chunk of one Simpson level
 REL_TOL = 1e-9          # Simpson doubling stops when a segment moves less than this
 MAX_SAMPLES = 1 << 15   # ... or gives up past this many samples per segment
+CLOSURE_TOL = 100 * REL_TOL  # |Im tau|, in periods per step, up to which the node locus closes
 LOCUS_STEP = 0.004      # locus RK4 step, relative to 1 + |x_start|
 LOCUS_MAX_STEPS = 200000
 
@@ -341,7 +343,7 @@ def path_integral(curve, waypoints, w_start=None):
     return complex(np.sum(signs * vals)), complex(signs[-1] * w_last[-1])
 
 
-# -- locus tracing -----------------------------------------------------------------------
+# -- locus tracing: with period_quadrature, the test oracle for omega ------------------------
 
 
 def _sqrt_near(P, x, w_prev):
@@ -392,28 +394,54 @@ def trace_lattice_locus(curve, x_start, direction):
 # -- the predicted rate ---------------------------------------------------------------------
 
 
-class RatePredictor:
-    """Caches omega, xi(zeta), and the orientation for one logarithmic solution.
+def _period_and_rotation(curve, xs, ys):
+    """(omega, tau = h / omega) for P of degree 2, from nodes 0..2 of the walk.
 
+    omega = 2 pi i / sqrt(p2) is the period of dv/w (w^2 = P) around both roots,
+    u = log(2 s sqrt(p2) w + 2 p2 x + p1) / (s sqrt(p2)) a primitive of it for
+    either sign s (the one that keeps the log's argument off zero), and
+    w_n = X2(x_n) (y_n - y_{n+1}) is sqrt(P) on the walk's sheet at node n, so
+    the walk's step h = u_1 - u_0 needs no path.
+    """
+    _, p1, p2 = curve.discriminant_P().coeffs
+    r = cmath.sqrt(p2)
+    x, y = np.asarray(xs[:2]), np.asarray(ys)
+    w = curve.x_view()[2](x) * (y[:2] - y[1:])
+    s, (a0, a1) = max(((s, 2.0 * s * r * w + 2.0 * p2 * x + p1) for s in (1.0, -1.0)),
+                      key=lambda sa: np.abs(sa[1]).min())
+    with np.errstate(all="ignore"):
+        return 2j * np.pi / r, complex(s * np.log(a1 / a0) / (2j * np.pi))
+
+
+class RatePredictor:
+    """Caches omega, tau, xi(zeta) and the orientation for one logarithmic solution.
+
+    The single-period formula needs P of degree 2 (a P of degree 0 or 1 has no
+    period; one of degree 3 or 4 is genus 1, not certified here) and a closed
+    node locus, that is a real rotation number tau; otherwise RefinePath is
+    raised before any quadrature.
     All xi integrals start from the same basepoint on the node locus with the
     same initial branch, so differences are consistent; the overall sign is
     calibrated by requiring rate < 1 on the node-locus side.
     """
 
-    def __init__(self, curve, sol, basepoint=None, locus=None):
+    def __init__(self, sol, basepoint=None):
         if sol.mode != "log" or sol.zeta is None:
             raise ValidationError("predicted rates exist for logarithmic solutions only")
-        self.curve = curve
+        self.curve = sol.eq.curve
+        self._P = self.curve.discriminant_P()
+        if self._P.degree() != 2:
+            raise RefinePathError(f"P has degree {self._P.degree()}; "
+                                  "the single-period rate formula needs degree 2")
+        xs, ys = sol.pair.unprimed.values(0, 3)
+        self.omega, self.tau = _period_and_rotation(self.curve, xs, ys)
+        if not abs(self.tau.imag) <= CLOSURE_TOL:
+            raise RefinePathError(
+                f"the node locus does not close: Im tau = {self.tau.imag:.2e} per step")
         self.zeta = complex(sol.zeta)
-        self.base = complex(basepoint if basepoint is not None else sol.pair.x(0))
-        self._P = curve.discriminant_P()
-        self._roots = _roots_of_p(curve)
+        self.base = complex(basepoint if basepoint is not None else xs[0])
+        self._roots = self._P.roots()
         self._w0 = cmath.sqrt(self._P(self.base))
-        if locus is None:
-            h_dir, _ = self._from_base(sol.pair.x(1))
-            locus = trace_lattice_locus(curve, self.base, h_dir)
-        self.locus = list(locus)
-        self.omega = period_quadrature(curve, self.locus)
         self.xi_zeta, _ = self._from_base(self.zeta)
         anchor = (2.0 * np.pi * (0.0 - self.xi_zeta) / self.omega).imag
         self.sign = -1.0 if anchor < 0 else 1.0
@@ -506,9 +534,9 @@ class RatePredictor:
         return [(r, ()) for r in np.exp(self._log_rate_of_xi(xis)).tolist()]
 
 
-def predicted_rate(curve, sol, z):
+def predicted_rate(sol, z):
     """exp(-Im 2 pi (xi_z - xi_zeta)/omega); logarithmic mode only."""
-    return RatePredictor(curve, sol).rate(z)
+    return RatePredictor(sol).rate(z)
 
 
 # -- grid sweep for the CLI -------------------------------------------------------------------
@@ -527,7 +555,7 @@ def rate_map(sol, re_axis, im_axis, n_min, n_max, smalldiv_threshold=0.05):
     predictor, no_prediction = None, ()
     if sol.mode == "log":
         try:
-            predictor = RatePredictor(sol.eq.curve, sol)
+            predictor = RatePredictor(sol)
         except (ValidationError, RefinePathError, PathThroughBranchPointError) as exc:
             no_prediction = (_flag(type(exc)),)
     points = [(re, im) for im in im_axis for re in re_axis]

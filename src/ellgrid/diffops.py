@@ -408,15 +408,14 @@ def verify_diff_basis_identity(pair, n, samples):
     yb = pair.y_basis(n)
     xb = pair.x_basis(n - 1)
     xp0, xpn = pair.xp(0), pair.xp(n)
-    worst = None
+    errs = []
     for z in samples:
         try:
             lhs = divided_difference(pair.curve, yb, z)
             rhs = cn * x2(z) * xb(z) / ((z - xp0) * (z - xpn))
         except (BranchPointEvaluationError, PoleEvaluationError, ZeroDivisionError):
             continue
-        err = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-        worst = err if worst is None else max(worst, err)
-    if worst is None:
+        errs.append(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+    if not errs:
         raise NoValidSamplesError("all samples degenerate for the basis identity")
-    return worst
+    return float(np.max(errs))

@@ -12,6 +12,7 @@ from hypothesis import settings
 
 from ellgrid import (
     AskeyWilsonLattice,
+    BiquadraticCurve,
     DifferenceEquation,
     Explicit,
     GeometricLattice,
@@ -104,15 +105,20 @@ def log_linear_fixture(x_m1=-2.0 + 0.1j, pole_seed=0.25 + 0.5j, c0_free=0.3 - 0.
     return eq, select, c0_free, A, zeta, hints
 
 
-def log_qlattice_fixture():
+def log_qlattice_fixture(q=np.exp(2j * np.pi * GOLDEN), shift=0.0):
     """Unit-modulus q (golden-ratio angle): the convergence-rate fixture.
 
     Node locus |x| = 1, pole locus |x| = 1.8, zeta at radius 1.4; for z in
     the annulus between nodes and the zeta equipotential the term ratio is
-    |z| / 1.4.
+    |z| / 1.4.  With |q| != 1 the nodes spiral; a nonzero `shift` added to the
+    curve's x^0 y^0 and x^2 y^2 coefficients gives P degree 4 (genus 1).
     """
-    q = np.exp(2j * np.pi * GOLDEN)
     curve = GeometricLattice(a=0.0, b=1.0, q=q).curve()
+    if shift:
+        grid = np.array(curve.c, dtype=complex)
+        grid[0, 0] += shift
+        grid[2, 2] += shift
+        curve = BiquadraticCurve(grid)
     x_m1, x_p0 = 1.0 + 0j, 1.8 + 0j
     zeta = 1.4 * np.exp(1j * np.pi / 3.0)
     a = Polynomial.from_roots([x_m1, x_p0, zeta])
@@ -122,15 +128,13 @@ def log_qlattice_fixture():
     return eq, select, zeta, q, hints
 
 
-def solve_log_qlattice(N=30, c0_free=0.0):
-    eq, select, zeta, q, hints = log_qlattice_fixture()
+def solve_log_qlattice(N=30, c0_free=0.0, **curve_args):
+    eq, select, zeta, q, hints = log_qlattice_fixture(**curve_args)
     return solve(eq, select, N, c0_free=c0_free, **hints), zeta, q
 
 
 def random_real_curves(count=5, seed=20240817):
     """Random real-coefficient curves in [-2, 2] that pass the validity checks."""
-    from ellgrid import BiquadraticCurve
-
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
@@ -144,7 +148,6 @@ def random_real_curves(count=5, seed=20240817):
 
 def genus1_equation(seed):
     """Seeded real curve with a true quartic P (genus 1), monic cubic a, random beta..eps."""
-    from ellgrid import BiquadraticCurve
     from ellgrid.errors import ValidationError
 
     rng = np.random.default_rng(seed)

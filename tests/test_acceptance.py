@@ -221,7 +221,7 @@ def test_criterion_09_convergence_rate():
     sol, zeta, q = solve_log_qlattice(N=30)
     z = 1.05 * np.exp(0.7j)
     rep = empirical_rate(sol, z, 5, 25)
-    predictor = RatePredictor(sol.eq.curve, sol)
+    predictor = RatePredictor(sol)
     pred = predictor.rate(z)
     gap = abs(np.log(rep.empirical_rate) - np.log(pred))
     ok_gap = gap <= 0.15 * abs(np.log(pred))

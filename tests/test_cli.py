@@ -189,7 +189,7 @@ def test_verify_corruption_is_reported(tmp_path, capsys):
 
 
 def test_verify_fails_on_a_nan_interpolation_error(tmp_path, capsys, monkeypatch):
-    """c_5 = NaN: the errors from node 5 on are NaN, and so is the reported maximum."""
+    """c_5 = NaN: the errors from node 5 on are NaN, and so is each reported maximum."""
     from ellgrid import cli
 
     solve = cli.solver.solve
@@ -204,7 +204,9 @@ def test_verify_fails_on_a_nan_interpolation_error(tmp_path, capsys, monkeypatch
     cfg_data["run"] = "verify"
     cfg = write_cfg(tmp_path, "verify.json", cfg_data)
     assert main(["verify", "--config", cfg]) == 3
-    assert "FAIL interpolation-vs-oracle: max error nan" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL interpolation-vs-oracle: max error nan" in out
+    assert "FAIL residual-on-lattice: max relative defect nan" in out
 
 
 def test_log_linear_solves_and_verifies_at_order_300(tmp_path, capsys):

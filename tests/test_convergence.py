@@ -8,6 +8,7 @@ import pytest
 
 import ellgrid.convergence as convergence
 from ellgrid import (
+    AskeyWilsonLattice,
     RatePredictor,
     detect_small_divisors,
     empirical_rate,
@@ -29,14 +30,26 @@ from ellgrid.errors import (
     ValidationError,
     WindowTooSmallError,
 )
+from ellgrid.lattice import generate
 
-from conftest import aw_fixture, linear_fixture, log_linear_fixture, solve_log_qlattice
+from conftest import GOLDEN, aw_fixture, linear_fixture, log_linear_fixture, solve_log_qlattice
 
 
 @pytest.fixture(scope="module")
 def qsol():
     sol, zeta, q = solve_log_qlattice(N=30)
     return sol, zeta, q
+
+
+def aw_rotation_solution(zeta=0.5 + 0.5j, turn=0.0):
+    """A stand-in logarithmic solution on the |q| = 1 Askey-Wilson lattice (b = 1,
+    c = 0.7, golden angle): its nodes fill the ellipse x = s + 0.7/s, |s| = 1,
+    around both roots +/-2 sqrt(0.7) of P, from s = exp(i turn).  It holds what
+    RatePredictor reads."""
+    lat = AskeyWilsonLattice(a=0.0, b=np.exp(1j * turn), c=0.7 * np.exp(-1j * turn),
+                             q=np.exp(2j * np.pi * GOLDEN))
+    return SimpleNamespace(mode="log", zeta=zeta, eq=SimpleNamespace(curve=lat.curve()),
+                           pair=SimpleNamespace(unprimed=generate(lat.spec(), 0, 2)))
 
 
 # -- small divisors --------------------------------------------------------------------
@@ -202,7 +215,7 @@ def test_locus_trace_stops_at_once_for_constant_p(monkeypatch):
         trace_lattice_locus(eq.curve, sol.pair.x(0), 1.0)
     assert evals[0] == 0
     with pytest.raises(RefinePathError):
-        RatePredictor(eq.curve, sol)
+        RatePredictor(sol)
     assert evals[0] < 10
     monkeypatch.undo()
     axis = np.linspace(-1.0, 1.0, 5)
@@ -215,9 +228,103 @@ def test_locus_trace_stops_at_once_for_constant_p(monkeypatch):
 # -- predicted rate ---------------------------------------------------------------------------
 
 
+def test_omega_is_closed_form_and_tau_the_rotation_number(qsol):
+    sol, zeta, q = qsol
+    predictor = RatePredictor(sol)
+    p2 = sol.eq.curve.discriminant_P().coeffs[2]
+    assert predictor.omega == 2j * np.pi / np.sqrt(p2)
+    golden_step = 2.0 - (1.0 + np.sqrt(5.0)) / 2.0
+    assert min(abs((predictor.tau.real - s * golden_step + 0.5) % 1.0 - 0.5)
+               for s in (1, -1)) <= 1e-12
+    assert abs(predictor.tau.imag) <= 1e-15
+
+
+@pytest.mark.parametrize("which", ["qlattice", "askey-wilson"])
+def test_closed_form_omega_matches_traced_locus_quadrature(qsol, which):
+    """The oracle: trace the node locus (a line along omega in the uniformizing
+    plane) and integrate dv/sqrt(P) around it.  The trace closes to within 1.5
+    of its steps, and that gap costs least where |P| is large: on the ellipse it
+    starts at the co-vertex 0.3i (from x_0 = 1.7, 0.03 from a root, the oracle
+    is off by 1.7e-5)."""
+    sol = qsol[0] if which == "qlattice" else aw_rotation_solution()
+    predictor = RatePredictor(sol)
+    assert abs(predictor.tau.imag) <= 1e-15
+    curve = sol.eq.curve
+    start = predictor.base if which == "qlattice" else 0.3j
+    traced = period_quadrature(curve, trace_lattice_locus(curve, start, predictor.omega))
+    omega = predictor.omega
+    assert min(abs(traced - omega), abs(traced + omega)) <= 1e-8 * abs(omega)
+
+
+MIRROR_LIFT = pytest.mark.xfail(strict=True, reason=(
+    "xi's route from the basepoint crosses the cut between the roots of P for "
+    "some z and lands on the mirror lift 0.7/s"))
+
+
+@pytest.mark.parametrize("turn", [0.0, 0.5, np.pi / 2])
+def test_tau_is_real_wherever_the_ellipse_walk_starts(turn):
+    """For the last two starts a chord from x_0 to x_1 separates the roots of P,
+    and a step integrated along it lands on the other sheet (|Im tau| = 0.057);
+    the walk's own sqrt(P) fixes the sheet."""
+    assert abs(RatePredictor(aw_rotation_solution(turn=turn)).tau.imag) <= 1e-15
+
+
+@pytest.mark.parametrize("turn", [0.0, pytest.param(0.5, marks=MIRROR_LIFT),
+                                  pytest.param(np.pi / 2, marks=MIRROR_LIFT)])
+def test_predicted_rate_on_the_askey_wilson_ellipse(turn):
+    """Distinct roots of P inside the node ellipse: the rate at x = s + 0.7/s is
+    |s| / |s_zeta|."""
+    s_zeta = 1.4 * np.exp(1.2j)
+    predictor = RatePredictor(aw_rotation_solution(s_zeta + 0.7 / s_zeta, turn))
+    for rho in (1.05, 1.15, 1.3):
+        for s in rho * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7)[:-1]):
+            assert predictor.rate(s + 0.7 / s) == pytest.approx(rho / 1.4, rel=1e-8)
+
+
+@pytest.mark.parametrize("shift", [1e-3, 1e-2, 3e-2])
+def test_genus1_prediction_is_refused(shift):
+    """P of degree 4: no silent single-period number, a flag on every cell."""
+    sol, zeta, q = solve_log_qlattice(N=30, shift=shift)
+    assert sol.eq.curve.discriminant_P().degree() == 4
+    with pytest.raises(RefinePathError):
+        RatePredictor(sol)
+    axis = np.linspace(0.75, 1.35, 5)
+    rows = rate_map(sol, axis, axis, 5, 25)
+    assert all(pred is None and flags[-1:] == ("RefinePath",) for _, _, _, pred, flags in rows)
+
+
+def test_spiral_lattice_is_refused_at_once(monkeypatch):
+    """|q| = 1.02: the nodes spiral out, Im tau = log|q| / 2 pi, and the refusal
+    comes before any quadrature, counted in evaluations of P."""
+    sol, zeta, q = solve_log_qlattice(N=30, q=1.02 * np.exp(2j * np.pi * GOLDEN))
+    P = sol.eq.curve.discriminant_P()
+    from ellgrid.poly import Polynomial
+    evals = [0]
+
+    def counted(self, z, _original=Polynomial.__call__):
+        evals[0] += self is P
+        return _original(self, z)
+    monkeypatch.setattr(Polynomial, "__call__", counted)
+    with pytest.raises(RefinePathError, match="does not close"):
+        RatePredictor(sol)
+    assert evals[0] < 10
+
+
+def test_predictor_build_neither_traces_nor_integrates_a_loop(qsol, monkeypatch):
+    def oracle_only(*args, **kwargs):
+        raise AssertionError("the locus oracle is not on the rate path")
+    monkeypatch.setattr(convergence, "trace_lattice_locus", oracle_only)
+    monkeypatch.setattr(convergence, "period_quadrature", oracle_only)
+    sol, zeta, q = qsol
+    assert 0.0 < RatePredictor(sol).rate(1.05 * np.exp(0.7j)) < 1.0
+    axis = np.linspace(1.0, 1.3, 3)
+    assert all(pred is not None for *_, pred, _ in rate_map(sol, axis, axis, 5, 25))
+
+
+
 def test_predicted_rate_matches_annulus_theory(qsol):
     sol, zeta, q = qsol
-    predictor = RatePredictor(sol.eq.curve, sol)
+    predictor = RatePredictor(sol)
     want_omega = 2j * np.pi / (1.0 - q)
     assert min(abs(predictor.omega - want_omega),
                abs(predictor.omega + want_omega)) <= 1e-4 * abs(want_omega)
@@ -227,14 +334,14 @@ def test_predicted_rate_matches_annulus_theory(qsol):
 
 def test_rate_one_on_reference_equipotential(qsol):
     sol, zeta, q = qsol
-    predictor = RatePredictor(sol.eq.curve, sol)
+    predictor = RatePredictor(sol)
     z = abs(zeta) * np.exp(1.3j)
     assert predictor.rate(z) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_rate_monotone_along_ray(qsol):
     sol, zeta, q = qsol
-    predictor = RatePredictor(sol.eq.curve, sol)
+    predictor = RatePredictor(sol)
     rates = [predictor.rate(r * np.exp(0.4j)) for r in (1.32, 1.22, 1.12, 1.02)]
     assert all(a > b for a, b in zip(rates, rates[1:]))
 
@@ -243,7 +350,7 @@ def test_empirical_vs_predicted_within_15_percent(qsol):
     sol, zeta, q = qsol
     z = 1.05 * np.exp(0.7j)
     rep = empirical_rate(sol, z, 5, 25)
-    pred = predicted_rate(sol.eq.curve, sol, z)
+    pred = predicted_rate(sol, z)
     assert abs(np.log(rep.empirical_rate) - np.log(pred)) <= 0.15 * abs(np.log(pred))
 
 
@@ -251,7 +358,7 @@ def test_predicted_rate_requires_log_mode():
     eq, select = linear_fixture()
     sol = solve(eq, select, 6)
     with pytest.raises(ValidationError):
-        predicted_rate(eq.curve, sol, 0.5)
+        predicted_rate(sol, 0.5)
 
 
 def test_small_divisor_exclusion_recovers_clean_slope(qsol):
@@ -367,7 +474,7 @@ def test_rate_map_matches_cells_on_criterion_9_grid(qsol):
     sol, zeta, q = qsol
     axis = np.linspace(0.75, 1.35, 41)
     rows = rate_map(sol, axis, axis, 5, 25)
-    _assert_rows_match_cells(sol, rows, axis, axis, RatePredictor(sol.eq.curve, sol))
+    _assert_rows_match_cells(sol, rows, axis, axis, RatePredictor(sol))
     assert any("NotConverging" in flags for *_, flags in rows)
 
 
@@ -401,7 +508,7 @@ def test_rate_map_excludes_small_divisors_like_cells(qsol):
         sol.pair.unprimed._y[12] = sol.pair.y(-1) + 1e-6 * (old_y12 - sol.pair.y(-1))
         assert 14 in [n for n, _ in detect_small_divisors(sol.pair, 25, 0.05)]
         rows = rate_map(sol, re_axis, im_axis, 5, 25)
-        _assert_rows_match_cells(sol, rows, re_axis, im_axis, RatePredictor(sol.eq.curve, sol))
+        _assert_rows_match_cells(sol, rows, re_axis, im_axis, RatePredictor(sol))
     finally:
         sol.coeffs = old_coeffs
         sol.pair.unprimed._y[12] = old_y12
@@ -412,7 +519,7 @@ def test_rate_map_grid_around_branch_point_is_per_cell(qsol):
     sol, zeta, q = qsol
     axis = np.linspace(-0.6, 0.6, 9)
     rows = rate_map(sol, axis, axis, 5, 25)
-    _assert_rows_match_cells(sol, rows, axis, axis, RatePredictor(sol.eq.curve, sol),
+    _assert_rows_match_cells(sol, rows, axis, axis, RatePredictor(sol),
                              pred_rel=0.0)
     assert any("PathThroughBranchPoint" in flags for *_, flags in rows)
 
@@ -420,10 +527,7 @@ def test_rate_map_grid_around_branch_point_is_per_cell(qsol):
 def test_grid_chain_keeps_homotopy_around_branch_points():
     """Square-root branch points inside the basepoint-to-row triangles: the
     chained rates must still equal each cell's own route."""
-    curve = aw_fixture()[0].curve                   # simple roots of P at +/-2
-    loop = 3.0 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 800, endpoint=False))
-    sol = SimpleNamespace(mode="log", zeta=0.5 + 0.5j, pair=None)
-    predictor = RatePredictor(curve, sol, basepoint=3j, locus=loop)
+    predictor = RatePredictor(aw_rotation_solution(), basepoint=3j)  # roots of P at +/-1.67
     re, im = np.linspace(-3.0, 3.0, 25), np.linspace(-1.2, -0.4, 5)
     cells = predictor._grid_cells(re, im)
     for (rate, flags), z in zip(cells, [complex(x, y) for y in im for x in re]):
