@@ -7,7 +7,7 @@ logarithmic equation  a (D f) = d  with a = (x - 1)(x - 1.8)(x - zeta),
 |zeta| = 1.4, converges geometrically for 1 < |z| < 1.4 at the rate |z|/1.4.
 
 Writes a rate-map CSV (default 21x21 over [0.75, 1.35]^2) and prints a radial
-comparison of the empirical fit against the quadrature-based prediction.
+comparison of the empirical fit against the closed-form prediction.
 """
 import argparse
 import pathlib

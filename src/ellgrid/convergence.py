@@ -1,9 +1,9 @@
 """Geometric decay of expansion terms vs the potential-theoretic prediction.
 
 The empirical rate is the least-squares slope of log |c_n Yb_n(z)| against n.
-The prediction takes the period omega = 2 pi i / sqrt(p2) of dv/sqrt(P) in
-closed form (P of degree 2) and integrates the uniformizing coordinate xi(z)
-numerically along a branch-tracked path from a basepoint, giving
+The prediction takes the period omega = 2 pi i / sqrt(p2) of dv/sqrt(P) and
+the uniformizing coordinate xi(z) in closed form (P of degree 2), on the lift
+on zeta's side of the roots of P, giving
 
     rate(z) = exp(-Im 2 pi (xi_z - xi_zeta) / omega)
 
@@ -11,6 +11,9 @@ for the logarithmic case (zeta the third root of a), provided the x-lattice
 fills a closed locus.  Divisions by
 y_{-1} - y_{n-2} can get sporadically tiny when (n-1)h nearly returns to a
 period multiple; those indices are detected and excluded from rate fits.
+The branch-tracked quadrature (route_path, path_integral) and the locus trace
+(trace_lattice_locus, period_quadrature) are independent oracles for the
+tests; the rate path calls none of them.
 """
 from __future__ import annotations
 
@@ -162,7 +165,7 @@ def _empirical_cells(sol, zs, n_min, n_max, smalldiv_threshold):
     return cells
 
 
-# -- branch-tracked quadrature of dv / sqrt(P) ----------------------------------------------
+# -- branch-tracked quadrature of dv / sqrt(P): the test oracle for xi ------------------------
 
 
 def _tracked_sqrt(values):
@@ -225,20 +228,6 @@ def _segment_gap(p, q, r):
     with np.errstate(all="ignore"):
         t = np.clip(((r - p).real * d.real + (r - p).imag * d.imag) / L2, 0.0, 1.0)
     return np.abs(p + np.where(L2 > 0, t, 0.0) * d - r)
-
-
-def _triangles_clear(apex, b, c, roots):
-    """True where no root lies in the triangle (apex, b, c), edges included
-    to a relative 1e-9 (elementwise over the arrays b, c)."""
-    clear = np.ones(np.shape(b), dtype=bool)
-    margin = 1e-9 * np.maximum(np.abs(b - apex), np.abs(c - apex))
-    edges = ((apex, b), (b, c), (c, apex))
-    for r in roots:
-        sides = np.array([((q - p) * np.conj(r - p)).imag for p, q in edges])
-        inside = (sides >= 0).all(axis=0) | (sides <= 0).all(axis=0)
-        gap = np.min([_segment_gap(p, q, r) for p, q in edges], axis=0)
-        clear &= ~inside & (gap > margin)
-    return clear
 
 
 def _roots_of_p(curve):
@@ -414,24 +403,31 @@ def _period_and_rotation(curve, xs, ys):
 
 
 class RatePredictor:
-    """Caches omega, tau, xi(zeta) and the orientation for one logarithmic solution.
+    """omega, tau and xi in closed form for one logarithmic solution.
 
     The single-period formula needs P of degree 2 (a P of degree 0 or 1 has no
     period; one of degree 3 or 4 is genus 1, not certified here) and a closed
     node locus, that is a real rotation number tau; otherwise RefinePath is
-    raised before any quadrature.
-    All xi integrals start from the same basepoint on the node locus with the
-    same initial branch, so differences are consistent; the overall sign is
-    calibrated by requiring rate < 1 on the node-locus side.
+    raised at once.  With P = p2 x^2 + p1 x + p0 and r = sqrt(p2),
+    A(x) = 2 p2 x + p1 + 2 s r sqrt(P(x)) for either sign s gives a primitive
+    xi = log(A) / r of dv/sqrt(P).  The two signs' values multiply to
+    p1^2 - 4 p2 p0, so the larger of them in modulus takes no branch of sqrt(P):
+    it is the outer lift, on zeta's side of the level of the roots of P.  As
+    2 pi xi / omega = -i log A,
+
+        log rate(z) = sign (log |A(z)| - log |A(zeta)|),
+
+    with the sign that makes rate <= 1 at node x_0.  No path, branch tracking
+    or quadrature is involved.
     """
 
-    def __init__(self, sol, basepoint=None):
+    def __init__(self, sol):
         if sol.mode != "log" or sol.zeta is None:
             raise ValidationError("predicted rates exist for logarithmic solutions only")
         self.curve = sol.eq.curve
-        self._P = self.curve.discriminant_P()
-        if self._P.degree() != 2:
-            raise RefinePathError(f"P has degree {self._P.degree()}; "
+        P = self.curve.discriminant_P()
+        if P.degree() != 2:
+            raise RefinePathError(f"P has degree {P.degree()}; "
                                   "the single-period rate formula needs degree 2")
         xs, ys = sol.pair.unprimed.values(0, 3)
         self.omega, self.tau = _period_and_rotation(self.curve, xs, ys)
@@ -439,99 +435,61 @@ class RatePredictor:
             raise RefinePathError(
                 f"the node locus does not close: Im tau = {self.tau.imag:.2e} per step")
         self.zeta = complex(sol.zeta)
-        self.base = complex(basepoint if basepoint is not None else xs[0])
-        self._roots = self._P.roots()
-        self._w0 = cmath.sqrt(self._P(self.base))
-        self.xi_zeta, _ = self._from_base(self.zeta)
-        anchor = (2.0 * np.pi * (0.0 - self.xi_zeta) / self.omega).imag
-        self.sign = -1.0 if anchor < 0 else 1.0
+        self._p = P.coeffs
+        self._r = cmath.sqrt(self._p[2])
+        g_zeta, g_node = self._log_a([self.zeta, xs[0]]).real.tolist()
+        if g_zeta == -math.inf:
+            raise PathThroughBranchPointError(f"zeta = {self.zeta} is a double root of P")
+        self._g_zeta = g_zeta
+        self.sign = -1.0 if g_node > g_zeta else 1.0
 
-    def _route(self, z):
-        return route_path(self.curve, self.base, z, roots=self._roots)
+    def _log_a(self, z):
+        """log A on the outer lift, elementwise over z; its real part is -inf
+        only at a double root of P.
 
-    def _from_base(self, z):
-        """(xi(z), sqrt(P) at z on the branch reached) along route_path from the basepoint."""
-        return path_integral(self.curve, self._route(complex(z)), w_start=self._w0)
+        A is formed at x / m, m = max(1, |x|), and log m added back, so P(x)
+        cannot overflow.  A single point is evaluated as a 1-d array, since
+        numpy rounds 0-d complex products differently: rate(z) then equals its
+        grid cell.
+        """
+        z = np.asarray(z, dtype=complex)
+        x = z.reshape(-1)
+        m = np.maximum(1.0, np.abs(x))
+        u = x / m
+        p0, p1, p2 = self._p
+        b = 2.0 * p2 * u + p1 / m
+        c = 2.0 * self._r * np.sqrt((p2 * u + p1 / m) * u + p0 / m / m)
+        plus, minus = b + c, b - c
+        with np.errstate(divide="ignore"):
+            outer = np.log(np.where(np.abs(plus) >= np.abs(minus), plus, minus))
+        return (np.log(m) + outer).reshape(z.shape)
 
     def xi(self, z):
-        return self._from_base(z)[0]
-
-    def _log_rate_of_xi(self, xi):
-        arg = 2.0 * np.pi * (xi - self.xi_zeta) / self.omega
-        return -self.sign * arg.imag
+        """xi(z) = log(A(z)) / r on the outer lift, elementwise over z."""
+        return self._log_a(z) / self._r
 
     def log_rate(self, z):
-        return self._log_rate_of_xi(self.xi(z))
+        """sign (log |A(z)| - log |A(zeta)|), elementwise over z; NaN where A
+        vanishes on both lifts."""
+        g = self._log_a(z).real
+        return np.where(g == -np.inf, np.nan, self.sign * (g - self._g_zeta))
 
     def rate(self, z):
-        return float(np.exp(self.log_rate(z)))
-
-    def _cell(self, z):
-        """(rate or None, flags) at z, integrated from the basepoint."""
-        try:
-            return self.rate(z), ()
-        except (RefinePathError, PathThroughBranchPointError) as exc:
-            return None, (_flag(type(exc)),)
-
-    def _rectangle_clear(self, re, im):
-        """No root of P within route_path's clearance of the grid's rectangle."""
-        clearance = _clearance(float(np.abs(np.diff(re)).max()))
-        for r in self._roots:
-            dx = max(re.min() - r.real, 0.0, r.real - re.max())
-            dy = max(im.min() - r.imag, 0.0, r.imag - im.max())
-            if math.hypot(dx, dy) < clearance:
-                return False
-        return True
+        if not cmath.isfinite(z):
+            raise ValidationError(f"z = {z} is not finite")
+        value = float(np.exp(self.log_rate(z)))
+        if math.isnan(value):
+            raise PathThroughBranchPointError(
+                f"A vanishes on both lifts at {complex(z)}: a double root of P")
+        return value
 
     def _grid_cells(self, re_axis, im_axis):
-        """(rate or None, flags) at every z = re + i im, im outer, re inner.
-
-        When the grid's rectangle keeps clear of the roots of P, xi is chained
-        along each row.  The cell-to-cell segments are integrated together.
-        Two neighbours are joined when the triangle of the basepoint and the
-        two cells holds no root: the path to one plus the segment then winds
-        around the roots as the other's own route does, so it gives the same
-        xi.  In each run of joined cells, xi is integrated from the basepoint
-        at the cell whose route keeps farthest from the roots and carried
-        along the segments both ways, branch included.  A grid whose
-        rectangle comes near a root is integrated cell by cell.
-        """
+        """(rate or None, flags) at every z = re + i im, im outer, re inner."""
         re = np.asarray(re_axis, dtype=float)
         im = np.asarray(im_axis, dtype=float)
-        if len(re) < 2 or not self._rectangle_clear(re, im):
-            return [self._cell(complex(x, y)) for y in im for x in re]
-        rows = re[None, :] + 1j * im[:, None]
-        starts, ends = rows[:, :-1], rows[:, 1:]
-        linked = _triangles_clear(self.base, starts, ends, self._roots)
-        vals = np.full(starts.shape, complex("nan"))
-        w_first, w_last = np.zeros_like(vals), np.zeros_like(vals)
-        vals[linked], w_first[linked], w_last[linked] = _segment_integrals(
-            self._P, starts[linked], ends[linked])
-        linked &= ~np.isnan(vals)
-        gaps = np.full(rows.shape, np.inf)
-        for r in self._roots:
-            gaps = np.minimum(gaps, _segment_gap(self.base, rows, r))
-        cells = []
-        for row, gap, link, val, wf, wl in zip(rows, gaps, linked, vals, w_first, w_last):
-            cuts = [0, *(np.flatnonzero(~link) + 1).tolist(), len(row)]
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                cells.extend(self._chained_run(row[a:b], gap[a:b], val[a:b - 1],
-                                               wf[a:b - 1], wl[a:b - 1]))
-        return cells
-
-    def _chained_run(self, zs, gaps, vals, w_first, w_last):
-        """Cells zs joined by segments: xi from the basepoint at the cell whose
-        route has the largest gap to the roots, then along the segments."""
-        k = int(np.argmax(gaps))
-        try:
-            xi, w = self._from_base(zs[k])
-        except (RefinePathError, PathThroughBranchPointError):
-            return [self._cell(z) for z in zs]
-        ahead = np.cumsum(_branch_signs(w_first[k:], w_last[k:], w) * vals[k:])
-        behind = np.cumsum(_branch_signs(w_last[:k][::-1], w_first[:k][::-1], w)
-                           * vals[:k][::-1])
-        xis = xi + np.concatenate((-behind[::-1], [0j], ahead))
-        return [(r, ()) for r in np.exp(self._log_rate_of_xi(xis)).tolist()]
+        rates = np.exp(self.log_rate(re[None, :] + 1j * im[:, None])).ravel().tolist()
+        singular = (None, (_flag(PathThroughBranchPointError),))
+        return [singular if math.isnan(r) else (r, ()) for r in rates]
 
 
 def predicted_rate(sol, z):
@@ -545,12 +503,12 @@ def predicted_rate(sol, z):
 def rate_map(sol, re_axis, im_axis, n_min, n_max, smalldiv_threshold=0.05):
     """Rows (re, im, empirical, predicted, flags) over a rectangular z grid.
 
-    Points where a rate cannot be computed (pole hit, too few terms, path
-    failure) get empty fields and a flag naming the failure; in log mode, a
+    Points where a rate cannot be computed (pole hit, too few terms, a double
+    root of P) get empty fields and a flag naming the failure; in log mode, a
     predictor that cannot be built flags every cell with its failure.  Each row
     holds what empirical_rate and RatePredictor.rate give at its point, up to
-    rounding and the quadrature tolerance, but the grid is swept at once: one
-    term sweep and small-divisor scan, and xi chained along the rows.
+    rounding, but the grid is swept at once: one term sweep and small-divisor
+    scan, and one closed-form evaluation of the predicted rates.
     """
     predictor, no_prediction = None, ()
     if sol.mode == "log":
@@ -567,17 +525,21 @@ def rate_map(sol, re_axis, im_axis, n_min, n_max, smalldiv_threshold=0.05):
             for (re, im), (e, e_flags), (p, p_flags) in zip(points, emp, pred)]
 
 
+def _csv_rate(v):
+    return "" if v is None or not math.isfinite(v) else repr(float(v))
+
+
 def write_rate_map_csv(rows, stream):
     """Header plus one line per rate_map row; LF line endings.
 
     A missing rate is an empty field.  A rate that is not finite is an empty
-    field too, and its row gains the flag NonFinite.
+    field too, and its row gains the flag NonFinite.  The text is built in
+    one pass and written at once.
     """
-    stream.write("re_z,im_z,empirical_rate,predicted_rate,flags\n")
+    lines = ["re_z,im_z,empirical_rate,predicted_rate,flags\n"]
     for re, im, emp, pred, flags in rows:
-        rates = (emp, pred)
-        if any(v is not None and not math.isfinite(v) for v in rates):
+        emp_s, pred_s = _csv_rate(emp), _csv_rate(pred)
+        if (emp_s == "" and emp is not None) or (pred_s == "" and pred is not None):
             flags = (*flags, "NonFinite")
-        emp_s, pred_s = ("" if v is None or not math.isfinite(v) else repr(float(v))
-                         for v in rates)
-        stream.write(f"{float(re)!r},{float(im)!r},{emp_s},{pred_s},{';'.join(flags)}\n")
+        lines.append(f"{float(re)!r},{float(im)!r},{emp_s},{pred_s},{';'.join(flags)}\n")
+    stream.write("".join(lines))

@@ -250,15 +250,10 @@ def test_closed_form_omega_matches_traced_locus_quadrature(qsol, which):
     predictor = RatePredictor(sol)
     assert abs(predictor.tau.imag) <= 1e-15
     curve = sol.eq.curve
-    start = predictor.base if which == "qlattice" else 0.3j
+    start = sol.pair.unprimed.values(0, 1)[0][0] if which == "qlattice" else 0.3j
     traced = period_quadrature(curve, trace_lattice_locus(curve, start, predictor.omega))
     omega = predictor.omega
     assert min(abs(traced - omega), abs(traced + omega)) <= 1e-8 * abs(omega)
-
-
-MIRROR_LIFT = pytest.mark.xfail(strict=True, reason=(
-    "xi's route from the basepoint crosses the cut between the roots of P for "
-    "some z and lands on the mirror lift 0.7/s"))
 
 
 @pytest.mark.parametrize("turn", [0.0, 0.5, np.pi / 2])
@@ -269,16 +264,87 @@ def test_tau_is_real_wherever_the_ellipse_walk_starts(turn):
     assert abs(RatePredictor(aw_rotation_solution(turn=turn)).tau.imag) <= 1e-15
 
 
-@pytest.mark.parametrize("turn", [0.0, pytest.param(0.5, marks=MIRROR_LIFT),
-                                  pytest.param(np.pi / 2, marks=MIRROR_LIFT)])
+S_ZETA = 1.4 * np.exp(1.2j)
+ELLIPSE_S = [s for rho in (1.05, 1.15, 1.3)
+             for s in rho * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7)[:-1])]
+
+
+@pytest.mark.parametrize("turn", [0.0, 0.5, np.pi / 2])
 def test_predicted_rate_on_the_askey_wilson_ellipse(turn):
     """Distinct roots of P inside the node ellipse: the rate at x = s + 0.7/s is
-    |s| / |s_zeta|."""
-    s_zeta = 1.4 * np.exp(1.2j)
-    predictor = RatePredictor(aw_rotation_solution(s_zeta + 0.7 / s_zeta, turn))
-    for rho in (1.05, 1.15, 1.3):
-        for s in rho * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7)[:-1]):
-            assert predictor.rate(s + 0.7 / s) == pytest.approx(rho / 1.4, rel=1e-8)
+    |s| / |s_zeta|, wherever the walk starts (a chord from x_0 to some of these
+    points crosses the cut between the roots, onto the mirror lift 0.7/s)."""
+    predictor = RatePredictor(aw_rotation_solution(S_ZETA + 0.7 / S_ZETA, turn))
+    for s in ELLIPSE_S:
+        assert predictor.rate(s + 0.7 / s) == pytest.approx(abs(s) / 1.4, rel=1e-8)
+
+
+def test_orientation_flips_when_zeta_is_inside_the_node_ellipse():
+    """|s_zeta| = 0.9 < 1: the rate is at most 1 at the nodes only as
+    |s_zeta| / |s| on the outer lift."""
+    s_zeta = 0.9 * np.exp(1.2j)
+    predictor = RatePredictor(aw_rotation_solution(s_zeta + 0.7 / s_zeta))
+    for s in ELLIPSE_S:
+        assert predictor.rate(s + 0.7 / s) == pytest.approx(0.9 / abs(s), rel=1e-12)
+
+
+def test_xi_is_the_outer_primitive_and_gives_the_rate():
+    """xi' = 1/sqrt(P) up to sign, xi takes arrays, and the paper's
+    -Im 2 pi (xi_z - xi_zeta) / omega, oriented, is log_rate."""
+    predictor = RatePredictor(aw_rotation_solution(S_ZETA + 0.7 / S_ZETA, 0.5))
+    P = predictor.curve.discriminant_P()
+    zs = np.array([s + 0.7 / s for s in ELLIPSE_S])
+    xis = predictor.xi(zs)
+    assert xis.shape == zs.shape
+    h = 1e-5
+    for z, xi in zip(zs, xis):
+        assert xi == predictor.xi(z)
+        slope = (predictor.xi(z + h) - predictor.xi(z - h)) / (2.0 * h)
+        assert min(abs(slope - sgn / np.sqrt(P(z))) for sgn in (1, -1)) <= 1e-8 * abs(slope)
+    paper = -predictor.sign * (2.0 * np.pi * (xis - predictor.xi(predictor.zeta))
+                               / predictor.omega).imag
+    assert np.max(np.abs(paper - predictor.log_rate(zs))) <= 1e-13
+
+
+def _quadrature_rates(sol, zs):
+    """The oracle: xi by Simpson quadrature of dv/sqrt(P) along route_path from
+    node x_0, and the orientation that puts rate <= 1 at x_0."""
+    curve = sol.eq.curve
+    x0 = complex(sol.pair.unprimed.values(0, 1)[0][0])
+    w0 = np.sqrt(complex(curve.discriminant_P()(x0)))
+    omega = 2j * np.pi / np.sqrt(complex(curve.discriminant_P().coeffs[2]))
+
+    def arg(z):
+        return (2.0 * np.pi * path_integral(curve, route_path(curve, x0, z), w0)[0] / omega).imag
+    arg_zeta = arg(sol.zeta)
+    sign = -1.0 if arg_zeta > 0 else 1.0
+    return [np.exp(-sign * (arg(z) - arg_zeta)) for z in zs]
+
+
+@pytest.mark.parametrize("which", ["criterion-9 grid", "ellipse"])
+def test_closed_form_rate_matches_quadrature_oracle(qsol, which):
+    if which == "ellipse":
+        sol = aw_rotation_solution(S_ZETA + 0.7 / S_ZETA)
+        zs = [s + 0.7 / s for s in ELLIPSE_S]
+    else:
+        sol = qsol[0]
+        axis = np.linspace(0.75, 1.35, 41)
+        zs = [complex(re, im) for im in axis for re in axis]
+    predictor = RatePredictor(sol)
+    for z, want in zip(zs, _quadrature_rates(sol, zs)):
+        assert abs(predictor.rate(z) - want) <= 1e-9 * want, z
+
+
+def test_rate_and_map_need_no_quadrature(qsol, monkeypatch):
+    def oracle_only(*args, **kwargs):
+        raise AssertionError("the quadrature oracle is not on the rate path")
+    for name in ("path_integral", "route_path", "_segment_integrals"):
+        monkeypatch.setattr(convergence, name, oracle_only)
+    sol, zeta, q = qsol
+    assert 0.0 < RatePredictor(sol).rate(1.05 * np.exp(0.7j)) < 1.0
+    axis = np.linspace(0.75, 1.35, 41)
+    rows = rate_map(sol, axis, axis, 5, 25)
+    assert len(rows) == 41 * 41 and all(pred is not None for *_, pred, _ in rows)
 
 
 @pytest.mark.parametrize("shift", [1e-3, 1e-2, 3e-2])
@@ -330,6 +396,19 @@ def test_predicted_rate_matches_annulus_theory(qsol):
                abs(predictor.omega + want_omega)) <= 1e-4 * abs(want_omega)
     for z in (1.05 * np.exp(0.7j), 1.2 * np.exp(-1.1j), 1.35 * np.exp(2.0j)):
         assert predictor.rate(z) == pytest.approx(abs(z) / abs(zeta), rel=1e-3)
+
+
+def test_rate_far_out_is_finite_and_nonfinite_z_is_refused(qsol):
+    """P(z) would overflow at |z| = 1e200; the rate is still |z| / |zeta|."""
+    sol, zeta, q = qsol
+    predictor = RatePredictor(sol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (1e200 * np.exp(0.7j), 1e300j):
+            assert predictor.rate(z) == pytest.approx(abs(z) / abs(zeta), rel=1e-12)
+    for z in (complex("nan"), complex("inf")):
+        with pytest.raises(ValidationError):
+            predictor.rate(z)
 
 
 def test_rate_one_on_reference_equipotential(qsol):
@@ -452,7 +531,7 @@ def _cell_predicted(predictor, z):
         return None, (type(exc).__name__.removesuffix("Error"),)
 
 
-def _assert_rows_match_cells(sol, rows, re_axis, im_axis, predictor=None, pred_rel=1e-9):
+def _assert_rows_match_cells(sol, rows, re_axis, im_axis, predictor=None, pred_rel=1e-14):
     """rate_map rows against per-cell empirical_rate, the loop reference and rate(z)."""
     points = [(re, im) for im in im_axis for re in re_axis]
     assert [(re, im) for re, im, *_ in rows] == points
@@ -515,30 +594,46 @@ def test_rate_map_excludes_small_divisors_like_cells(qsol):
 
 
 def test_rate_map_grid_around_branch_point_is_per_cell(qsol):
-    """P's root at 0 lies inside the grid, so every cell takes its own route."""
+    """P's double root 0 is a cell of the grid: A vanishes there on both
+    lifts, so that cell alone is flagged, with no numpy warning, and every
+    other cell equals rate(z) bit for bit."""
     sol, zeta, q = qsol
     axis = np.linspace(-0.6, 0.6, 9)
-    rows = rate_map(sol, axis, axis, 5, 25)
-    _assert_rows_match_cells(sol, rows, axis, axis, RatePredictor(sol),
-                             pred_rel=0.0)
-    assert any("PathThroughBranchPoint" in flags for *_, flags in rows)
+    predictor = RatePredictor(sol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = rate_map(sol, axis, axis, 5, 25)
+        with pytest.raises(PathThroughBranchPointError):
+            predictor.rate(0.0)
+    _assert_rows_match_cells(sol, rows, axis, axis, predictor, pred_rel=0.0)
+    assert [(re, im) for re, im, *_, flags in rows
+            if "PathThroughBranchPoint" in flags] == [(0.0, 0.0)]
 
 
-def test_grid_chain_keeps_homotopy_around_branch_points():
-    """Square-root branch points inside the basepoint-to-row triangles: the
-    chained rates must still equal each cell's own route."""
-    predictor = RatePredictor(aw_rotation_solution(), basepoint=3j)  # roots of P at +/-1.67
+def _outer_s(x):
+    """The outer lift s of x = s + 0.7/s, the larger of the two in modulus."""
+    root = np.sqrt(x * x - 2.8)
+    return max((x + root) / 2.0, (x - root) / 2.0, key=abs)
+
+
+def test_grid_matches_joukowski_truth_around_branch_points():
+    """The grid's rows pass under the roots +/-1.67 of P, on both sides of
+    them: every cell and rate(z) is |s_z| / |s_zeta| on the outer lift of the
+    ellipse walk's x = s + 0.7/s."""
+    sol = aw_rotation_solution()
+    predictor = RatePredictor(sol)
     re, im = np.linspace(-3.0, 3.0, 25), np.linspace(-1.2, -0.4, 5)
-    cells = predictor._grid_cells(re, im)
-    for (rate, flags), z in zip(cells, [complex(x, y) for y in im for x in re]):
+    zs = [complex(x, y) for y in im for x in re]
+    for (rate, flags), z in zip(predictor._grid_cells(re, im), zs):
+        want = abs(_outer_s(z)) / abs(_outer_s(sol.zeta))
         assert flags == ()
-        want = predictor.rate(z)
-        assert abs(rate - want) <= 1e-9 * want, z
+        assert abs(rate - want) <= 1e-12 * want, z
+        assert abs(predictor.rate(z) - want) <= 1e-12 * want, z
 
 
 def test_rate_map_call_counts(qsol, monkeypatch):
-    """Counts, not timings: O(side) path integrals, one small-divisor scan
-    and one root finding of P per map."""
+    """Counts, not timings: no path integral, one small-divisor scan and no
+    root finding of P per map."""
     sol, zeta, q = qsol
     calls = {}
     for name in ("path_integral", "detect_small_divisors"):
@@ -556,9 +651,9 @@ def test_rate_map_call_counts(qsol, monkeypatch):
         calls.update(path_integral=0, detect_small_divisors=0, roots=0)
         axis = np.linspace(0.75, 1.35, side)
         rate_map(sol, axis, axis, 5, 25)
-        assert calls["path_integral"] <= 2 * side + 2
+        assert calls["path_integral"] == 0
         assert calls["detect_small_divisors"] == 1
-        assert calls["roots"] == 1
+        assert calls["roots"] == 0
 
 
 def test_route_path_surfaces_root_finding_failures(qsol, monkeypatch):
@@ -602,3 +697,31 @@ def test_write_rate_map_csv_blanks_nonfinite_rates():
     assert text.splitlines()[1:] == ["1.0,0.0,,0.5,NonFinite",
                                      "1.0,0.5,,,NotConverging;NonFinite",
                                      "1.0,1.0,0.5,,NonFinite"]
+
+
+def _per_row_csv(rows, stream):
+    """Reference writer: one write per row."""
+    stream.write("re_z,im_z,empirical_rate,predicted_rate,flags\n")
+    for re, im, emp, pred, flags in rows:
+        rates = (emp, pred)
+        if any(v is not None and not math.isfinite(v) for v in rates):
+            flags = (*flags, "NonFinite")
+        emp_s, pred_s = ("" if v is None or not math.isfinite(v) else repr(float(v))
+                         for v in rates)
+        stream.write(f"{float(re)!r},{float(im)!r},{emp_s},{pred_s},{';'.join(flags)}\n")
+
+
+def test_write_rate_map_csv_bytes_equal_per_row_writer(qsol, tmp_path):
+    """A map with a flagged cell (None) and NaN/inf rates edited in."""
+    sol, zeta, q = qsol
+    axis = np.linspace(-0.6, 0.6, 9)
+    rows = rate_map(sol, axis, axis, 5, 25)
+    assert any(pred is None for *_, pred, _ in rows)
+    rows[3] = (*rows[3][:2], math.nan, rows[3][3], rows[3][4])
+    rows[7] = (*rows[7][:2], math.inf, math.nan, rows[7][4])
+    rows[8] = (*rows[8][:3], -math.inf, rows[8][4])
+    for name, writer in (("new.csv", write_rate_map_csv), ("ref.csv", _per_row_csv)):
+        with open(tmp_path / name, "w", encoding="utf-8", newline="") as fh:
+            writer(rows, fh)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes().count(b"NonFinite") == 3
