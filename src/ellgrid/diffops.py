@@ -37,6 +37,7 @@ from .poly import Polynomial, RationalFunction
 
 C_METHODS = ("xm1", "xn1", "resp0", "respn")
 POLE_TOL = 1e-13
+PAIR_BATCH = 1 << 12     # z-pole gaps per batch of pole_hits
 
 
 def pole_hit(z, pole):
@@ -44,22 +45,54 @@ def pole_hit(z, pole):
     return abs(z - pole) <= POLE_TOL * abs(pole)
 
 
+def _all_pairs(zs, poles):
+    """pole_hits for 1-D zs by every gap to every pole, in batches of about PAIR_BATCH gaps."""
+    radius = POLE_TOL * np.hypot(poles.real, poles.imag)
+    hit = np.zeros(zs.shape, dtype=bool)
+    step = max(1, PAIR_BATCH // max(zs.size, 1))
+    for lo in range(0, len(poles), step):
+        gap = zs[:, None] - poles[lo:lo + step]
+        hit |= (np.hypot(gap.real, gap.imag) <= radius[lo:lo + step]).any(axis=-1)
+    return hit
+
+
 def pole_hits(zs, poles):
     """For every entry of the complex array zs, whether pole_hit holds for any of poles.
 
     The results are identical to pole_hit's: np.hypot rounds like
-    abs(complex) (np.abs does not) and a comparison rounds nothing.  Poles are
-    taken in batches of about 2**12 gaps, which bounds the memory.
+    abs(complex) (np.abs does not) and a comparison rounds nothing.  A hit
+    has |Re z - Re p| <= |z - p| <= POLE_TOL |p| < 2 POLE_TOL |z|, so with the
+    poles sorted by real part each z meets only the poles in the window
+    |Re p - Re z| <= 2 POLE_TOL |z|, which searchsorted finds, and the rule
+    is applied to those pairs, in batches of about PAIR_BATCH or fewer.  A z
+    or a pole with a NaN, an infinity or an overflowing modulus is checked
+    against every pole or every z.
     """
     zs = np.asarray(zs, dtype=complex)
+    flat = zs.ravel()
     poles = np.ravel(np.asarray(poles, dtype=complex))
-    radius = POLE_TOL * np.hypot(poles.real, poles.imag)
-    hit = np.zeros(zs.shape, dtype=bool)
-    step = max(1, (1 << 12) // max(zs.size, 1))
-    for lo in range(0, len(poles), step):
-        gap = zs[..., None] - poles[lo:lo + step]
-        hit |= (np.hypot(gap.real, gap.imag) <= radius[lo:lo + step]).any(axis=-1)
-    return hit
+    z_abs = np.hypot(flat.real, flat.imag)
+    p_abs = np.hypot(poles.real, poles.imag)
+    odd_z, odd_p = ~np.isfinite(z_abs), ~np.isfinite(p_abs)
+    hit = _all_pairs(flat, poles[odd_p])
+    poles, p_abs = poles[~odd_p], p_abs[~odd_p]
+    hit[odd_z] |= _all_pairs(flat[odd_z], poles)
+    order = np.argsort(poles.real)
+    poles, radius = poles[order], POLE_TOL * p_abs[order]
+    reach = 2.0 * POLE_TOL * z_abs
+    lo = np.searchsorted(poles.real, flat.real - reach, "left")
+    counts = np.searchsorted(poles.real, flat.real + reach, "right") - lo
+    counts[odd_z] = 0                   # they met every pole above
+    near = np.flatnonzero(counts)
+    step = max(1, PAIR_BATCH // max(counts.max(initial=0), 1))
+    for i in range(0, len(near), step):
+        zi = near[i:i + step]
+        cnt = counts[zi]
+        pj = np.arange(cnt.sum()) + np.repeat(lo[zi] - np.cumsum(cnt) + cnt, cnt)
+        zi = np.repeat(zi, cnt)
+        gap = flat[zi] - poles[pj]
+        hit[zi[np.hypot(gap.real, gap.imag) <= radius[pj]]] = True
+    return hit.reshape(zs.shape)
 
 
 def _root_pair(curve, x):

@@ -17,7 +17,7 @@ from ellgrid import (
     mean_value,
     verify_diff_basis_identity,
 )
-from ellgrid.diffops import C_METHODS, diff_constants, pole_hit, pole_hits
+from ellgrid.diffops import C_METHODS, _all_pairs, diff_constants, pole_hit, pole_hits
 from ellgrid.errors import (
     BranchPointEvaluationError,
     MethodDegenerateError,
@@ -251,6 +251,44 @@ def test_pole_hits_matches_scalar_guard():
     for zs in (np.concatenate(near + [zero_zs]), np.concatenate(near)[::100]):
         want = [any(pole_hit(complex(z), p) for p in poles) for z in zs]
         assert pole_hits(zs, np.array(poles)).tolist() == want
+
+    def scalar(zs, poles):
+        return [any(pole_hit(complex(z), complex(p)) for p in poles) for z in zs]
+
+    # signed zeros at a pole at 0
+    zeros = np.array([complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)])
+    assert pole_hits(zeros, zeros[::-1]).tolist() == scalar(zeros, zeros) == [True] * 4
+    # relative distances 1e-14 (in), 1e-13 and 1.0000001e-13 (on the edge: z rounds by
+    # about 1e-3 of the gap) and 1.1e-13 (out), in random directions, at poles of
+    # modulus 1e-200 .. 1e200
+    poles = 10.0 ** np.arange(-200, 201, 25) * np.exp(2j * np.pi * rng.random(17))
+    for ratio, expect in ((1e-14, True), (1e-13, None), (1.0000001e-13, None), (1.1e-13, False)):
+        zs = poles * (1 + ratio * np.exp(2j * np.pi * rng.random((50, 17))))
+        got = pole_hits(zs, poles)
+        assert got.ravel().tolist() == scalar(zs.ravel(), poles)
+        assert expect is None or got.all() == expect and got.any() == expect
+    # many poles with one real part: each z meets all of them in its window
+    column = 2.5 + 1j * np.linspace(-3.0, 3.0, 300)
+    zs = np.concatenate([column * (1 + 5e-14), column + 1e-12, column[::7] + 0.5e-13j])
+    want = scalar(zs, column)
+    assert 0 < sum(want) < len(want)
+    assert pole_hits(zs, column).tolist() == want
+    # NaN and infinite parts on either side, and subnormal moduli
+    odd = np.array([complex(np.nan, 0.0), complex(1.0, np.nan), complex(np.inf, 0.0),
+                    complex(np.nan, np.inf), 1e308 + 1e308j, 5e-324, 1e-310 + 1e-310j])
+    zs = np.concatenate([odd, [0j, 1.0, 1e-310 * (1 + 1e-14), 1e308 * (1 + 1e-14j)]])
+    # a modulus that overflows (abs raises there): the rule on every pair
+    huge = np.array([1.5e308 + 1.5e308j])
+    with np.errstate(all="ignore"):
+        for poles in (odd, np.concatenate([odd, column]), column):
+            assert pole_hits(zs, poles).tolist() == scalar(zs, poles)
+        for z_set, poles in ((zs, huge), (huge, odd), (np.concatenate([zs, huge]), column)):
+            assert pole_hits(z_set, poles).tolist() == _all_pairs(z_set, poles).tolist()
+        # a z whose modulus overflows, at a pole whose modulus does not
+        edge = np.array([(1 - 1e-15) * np.finfo(float).max / np.sqrt(2) * (1 + 1j)])
+        assert np.isinf(np.hypot(edge.real, edge.imag) * (1 + 5e-14))
+        assert pole_hits(edge * (1 + 5e-14), edge).tolist() == scalar(edge * (1 + 5e-14), edge) \
+            == [True]
 
 
 def _cn_xm1_from_scratch(pair, n):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,14 @@ from ellgrid.errors import (
     ValidationError,
 )
 from ellgrid.poly import Polynomial
-from ellgrid.solver import build_lattices, special_point_candidates, _condition_residual
+from ellgrid.solver import (
+    VERIFY_BLOCK,
+    _cdiv,
+    _cmul,
+    _condition_residual,
+    build_lattices,
+    special_point_candidates,
+)
 
 from conftest import (
     aw_fixture,
@@ -365,6 +373,74 @@ def test_verify_is_bit_identical_to_full_partial_sums():
             assert rep.skipped == ()
             assert rep.errors == _per_node_errors(eq, sol, n)
             assert rep.max_error <= 1e-7
+
+
+def test_verify_is_bit_identical_across_blocks():
+    eq, select = linear_fixture()
+    g1 = genus1_equation(4)            # about half its quotients take the swapped branch
+    cases = [(eq, solve(eq, select, 300)), (g1, solve(g1, ByIndex(0, 1), 150))]
+    eq, select = aw_fixture()
+    cases.append((eq, solve(eq, select, 200)))
+    for eq, sol in cases:
+        N = len(sol.coeffs) - 1
+        assert N * N > 2 * VERIFY_BLOCK     # more than one block of factors
+        rep = verify_interpolation(eq, sol, N)
+        assert rep.skipped == ()
+        assert rep.errors == _per_node_errors(eq, sol, N)
+
+
+def _bits(xs):
+    return np.asarray(xs, dtype=float).view(np.int64).tolist()
+
+
+def _complex_pairs():
+    """Operand pairs for _cdiv and _cmul: the branch edges, signed zeros, extremes, random."""
+    rng = np.random.default_rng(11)
+    edge = [(1.5 + 2j, 3.0 + 3.0j), (1.5 + 2j, -3.0 + 3.0j), (-0.7 + 0.1j, 2.5 - 2.5j),
+            (1 + 1j, 0.0 + 2j), (1 + 1j, -0.0 - 2j), (1 + 1j, 2 + 0.0j), (1 + 1j, -2 - 0.0j),
+            (1e300 + 1e-300j, 3e-300 + 1e300j), (1e-300 + 1e300j, 1e300 + 1e300j),
+            (1e-300 - 1e-300j, 3e-301 + 7e-300j), (2e300 + 1e300j, 1e-300 + 1e-300j),
+            (1e308 + 1e308j, 1e-308 + 2e-308j), (5e-324 + 1j, 1 + 5e-324j)]
+    zeros = (0.0, -0.0)
+    for ar in zeros + (1.0, -2.5):
+        for ai in zeros + (3.0,):
+            for b in (2.0 + 0j, complex(2.0, -0.0), complex(-0.0, 3.0), complex(0.0, -3.0),
+                      1.0 + 1.0j, complex(-1.0, 1.0)):
+                edge.append((complex(ar, ai), b))
+    parts = rng.standard_normal((4, 100_000)) * 10.0 ** rng.integers(-150, 151, (4, 100_000))
+    return edge + list(zip(map(complex, parts[0], parts[1]), map(complex, parts[2], parts[3])))
+
+
+def test_cdiv_and_cmul_round_like_python_complex():
+    pairs = _complex_pairs()
+    a = np.array([p[0] for p in pairs])
+    b = np.array([p[1] for p in pairs])
+    quot = [p / q for p, q in pairs]
+    prod = [p * q for p, q in pairs]
+    with np.errstate(all="ignore"):
+        got = _cdiv(a.real.copy(), a.imag.copy(), b.real.copy(), b.imag.copy())
+        out = np.empty((3, len(pairs)))
+        _cmul(a.real, a.imag, b.real, b.imag, out[0], out[1], out[2])
+        numpy_quot = a / b
+    assert _bits(got[0]) == _bits([z.real for z in quot])
+    assert _bits(got[1]) == _bits([z.imag for z in quot])
+    assert _bits(out[0]) == _bits([z.real for z in prod])
+    assert _bits(out[1]) == _bits([z.imag for z in prod])
+    # numpy's own complex quotient rounds differently on these operands
+    assert (numpy_quot != np.array(quot)).any()
+
+
+def test_verify_memory_stays_small():
+    eq, select = linear_fixture()
+    sol = solve(eq, select, 1000)
+    tracemalloc.start()
+    try:
+        rep = verify_interpolation(eq, sol, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.max_error <= 1e-7
+    assert peak < 2 * 2**20
 
 
 def test_verify_skipped_nodes_are_bit_identical():
