@@ -210,7 +210,7 @@ def run_lattice(cfg, out_path, n_override, quiet):
     lat = lattice_mod.generate(spec, n_min, n_max)
     for n in range(n_min, n_max):
         r1, r2 = lat.on_curve_residual(n)
-        if max(r1, r2) > 1e-9:
+        if not (r1 <= 1e-9 and r2 <= 1e-9):
             raise EllgridError(f"on-curve invariant violated at n={n}")
     with _output(path) as stream:
         write_lattice_csv(lat, n_min, n_max, stream)

@@ -73,24 +73,25 @@ def _roots(view, t):
     return RootPair(lo, hi, t)
 
 
-def _complement(view, t, root):
-    """The second root over t given one, via the Vieta sum (no square root)."""
+def complement(view, t, root):
+    """(other root over t, V1(t), V2(t)): the Vieta sum (no square root) and the two
+    values it reads, so that dF/ds = V1 + 2 V2 s over t needs no further evaluation."""
     lead = _lead(view, t)
-    return -view[1](t) / lead - root
+    v1 = view[1](t)
+    return -v1 / lead - root, v1, lead
 
 
-def _d_second(c, u, v):
-    """dF/dv for F(u, v) = sum c[i][j] u^i v^j."""
-    acc = 0j
-    for i in range(3):
-        acc += (c[i][1] + 2.0 * c[i][2] * v) * u ** i
-    return acc
+def _scaled_powers(t):
+    """(1, t, t^2) / max(1, |t|)^2 as (1/m)^2, (t/m)(1/m), (t/m)^2: no power of t unscaled."""
+    m = max(1.0, abs(t))
+    a, b = t / m, 1.0 / m
+    return b * b, a * b, a * a
 
 
 class BiquadraticCurve:
     """Immutable 3x3 coefficient grid c[i][j] multiplying x^i y^j."""
 
-    __slots__ = ("c", "_ct", "_xv", "_yv", "_P")
+    __slots__ = ("c", "_xv", "_yv", "_P")
 
     def __init__(self, grid):
         c = tuple(tuple(complex(v) for v in row) for row in grid)
@@ -98,15 +99,13 @@ class BiquadraticCurve:
             raise ValidationError("curve grid must be 3x3")
         if not all(cmath.isfinite(v) for row in c for v in row):
             raise ValidationError("curve coefficients must be finite")
-        ct = tuple(zip(*c))
-        xv = tuple(Polynomial(col) for col in ct)
+        xv = tuple(Polynomial(col) for col in zip(*c))
         yv = tuple(Polynomial(row) for row in c)
         if xv[2].is_zero():
             raise ValidationError("X2 vanishes identically: curve is not quadratic in y")
         if yv[2].is_zero():
             raise ValidationError("Y2 vanishes identically: curve is not quadratic in x")
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "_ct", ct)
         object.__setattr__(self, "_xv", xv)
         object.__setattr__(self, "_yv", yv)
         x0, x1, x2 = xv
@@ -150,17 +149,14 @@ class BiquadraticCurve:
             acc = acc * x + inner
         return acc
 
-    def dF_dx(self, x, y):
-        return _d_second(self._ct, y, x)
-
-    def dF_dy(self, x, y):
-        return _d_second(self.c, x, y)
-
-    def local_scale(self, x, y):
-        return self.scale * max(1.0, abs(x)) ** 2 * max(1.0, abs(y)) ** 2
+    def residual(self, x, y):
+        """|F(x, y)| / (scale max(1, |x|)^2 max(1, |y|)^2), finite wherever x and y are."""
+        ux, (u0, u1, u2) = _scaled_powers(x), _scaled_powers(y)
+        return abs(sum(u * (r[0] * u0 + r[1] * u1 + r[2] * u2)
+                       for r, u in zip(self.c, ux))) / self.scale
 
     def contains(self, x, y, tol=ONCURVE_TOL):
-        return abs(self(x, y)) <= tol * self.local_scale(x, y)
+        return self.residual(x, y) <= tol
 
     # -- root extraction -------------------------------------------------------------
 
@@ -177,11 +173,11 @@ class BiquadraticCurve:
 
     def other_y(self, x, y):
         """The second y-root over x, via the Vieta sum (no square root)."""
-        return _complement(self._xv, x, y)
+        return complement(self._xv, x, y)[0]
 
     def other_x(self, y, x):
         """The second x-root over y, via the Vieta sum."""
-        return _complement(self._yv, y, x)
+        return complement(self._yv, y, x)[0]
 
     def implicit_dy_dx(self, x, y, tol=1e-8):
         """dy/dx of the branch through (x, y): -(dF/dx)/(dF/dy).
@@ -193,11 +189,12 @@ class BiquadraticCurve:
         """
         if not self.contains(x, y, tol=tol):
             raise ValidationError(f"({x}, {y}) is not on the curve")
-        fy = self.dF_dy(x, y)
-        _, x1, x2 = self._xv
-        if abs(fy) <= 1e-10 * (abs(x1(x)) + 2.0 * abs(x2(x) * y)):
+        (_, x1, x2), (_, y1, y2) = self._xv, self._yv
+        x1, x2 = x1(x), x2(x)
+        fy = x1 + 2.0 * x2 * y
+        if abs(fy) <= 1e-10 * (abs(x1) + 2.0 * abs(x2 * y)):
             raise VerticalTangentError(f"dF/dy vanishes at ({x}, {y})")
-        return -self.dF_dx(x, y) / fy
+        return -(y1(y) + 2.0 * y2(y) * x) / fy
 
     # -- serialization ----------------------------------------------------------------
 

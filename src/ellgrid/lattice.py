@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import BiquadraticCurve, fit_biquadratic
+from .curve import BiquadraticCurve, complement, fit_biquadratic
 from .errors import (
     LatticeSingularityError,
     LatticeStagnationError,
@@ -27,33 +27,33 @@ STAGNATION_RUN = 3
 class LatticeSpec:
     """Seed of a lattice: the curve and the starting point (x0, y0).
 
-    y0 may be given directly, or picked from the root pair at x0 through the
+    y0 may be given directly, or picked from the root pair at x0 through one
     y1 selector (`y1_index` in {0, 1} or a complex `y1_hint` choosing which
-    root plays y1; y0 is then the Vieta complement).  Given both, consistency
-    is checked: the forward/backward walk is fully determined by (x0, y0).
+    root plays y1; y0 is then the Vieta complement).  Given y0 and a selector,
+    consistency is checked: the forward/backward walk is fully determined by
+    (x0, y0).
     """
 
     __slots__ = ("curve", "x0", "y0")
 
     def __init__(self, curve, x0, y0=None, y1_index=None, y1_hint=None):
+        if y1_index is not None and y1_hint is not None:
+            raise ValidationError("a seed names y1 by y1_index or by y1_hint, not both")
         x0 = complex(x0)
-        if y0 is None:
-            pair = curve.y_roots(x0)
-            if y1_hint is not None:
-                y1 = pair.nearest(complex(y1_hint))
-            elif y1_index is not None:
-                y1 = pair.as_tuple()[int(y1_index)]
-            else:
+        if y1_index is None and y1_hint is None:
+            if y0 is None:
                 raise ValidationError("need y0 or a y1 selector to seed a lattice")
-            y0 = pair.other(y1)
-        else:
             y0 = complex(y0)
-            if y1_index is not None or y1_hint is not None:
-                y1 = curve.other_y(x0, y0)
-                pair = curve.y_roots(x0)
-                want = (pair.as_tuple()[int(y1_index)] if y1_index is not None
-                        else pair.nearest(complex(y1_hint)))
-                if abs(want - y1) > 1e-8 * max(1.0, abs(y1)):
+        else:
+            pair = curve.y_roots(x0)
+            y1 = (pair.nearest(complex(y1_hint)) if y1_index is None
+                  else pair.as_tuple()[int(y1_index)])
+            if y0 is None:
+                y0 = pair.other(y1)
+            else:
+                y0 = complex(y0)
+                got = curve.other_y(x0, y0)
+                if abs(y1 - got) > 1e-8 * max(1.0, abs(got)):
                     raise ValidationError("y1 selector contradicts the Vieta complement of y0")
         if not curve.contains(x0, y0):
             raise ValidationError(f"seed ({x0}, {y0}) does not lie on the curve")
@@ -74,16 +74,14 @@ def _flip(curve, p, axis):
     p is [x, y]; axis 1 moves y over a fixed x, axis 0 moves x over a fixed y.
     The Vieta complement picks the branch; one or two guarded Newton steps
     only remove accumulated rounding, accepting a correction only while |F|
-    decreases (so branch points, where dF ~ 0, are left alone).
+    decreases (so branch points, where dF ~ 0, are left alone).  dF is the
+    view's V1 + 2 V2 s; F is the full grid's.
     """
-    if axis:
-        other, dF = curve.other_y, curve.dF_dy
-    else:
-        other, dF = curve.other_x, curve.dF_dx
-    p[axis] = other(p[1 - axis], p[axis])
+    view = curve.x_view() if axis else curve.y_view()
+    p[axis], v1, v2 = complement(view, p[1 - axis], p[axis])
     fv = curve(*p)
     for _ in range(2):
-        d = dF(*p)
+        d = v1 + 2.0 * v2 * p[axis]
         if d == 0:
             return
         v = p[axis]
@@ -166,6 +164,8 @@ class LatticePair:
                 _flip(self.curve, p, axis)
         except LeadingCoefficientVanishesError as exc:
             raise LatticeSingularityError(m, f"step {n}->{m}: {exc}") from exc
+        if not (cmath.isfinite(p[0]) and cmath.isfinite(p[1])):
+            raise LatticeSingularityError(m, f"step {n}->{m}: ({p[0]}, {p[1]}) is not finite")
         self._x[m], self._y[m] = p
         if direction > 0:
             self._hi = m
@@ -188,13 +188,10 @@ class LatticePair:
     # -- invariants ---------------------------------------------------------------
 
     def on_curve_residual(self, n):
-        """|F(x_n, y_n)| and |F(x_n, y_{n+1})| relative to the local scale."""
+        """The curve's scale-free residual at (x_n, y_n) and (x_n, y_{n+1})."""
         self.ensure(n, n + 1)
         c = self.curve
-        s1 = c.local_scale(self._x[n], self._y[n])
-        s2 = c.local_scale(self._x[n], self._y[n + 1])
-        return (abs(c(self._x[n], self._y[n])) / s1,
-                abs(c(self._x[n], self._y[n + 1])) / s2)
+        return c.residual(self._x[n], self._y[n]), c.residual(self._x[n], self._y[n + 1])
 
 
 def generate(spec, n_min, n_max):

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from ellgrid.cli import main
-from ellgrid.lattice import LinearLattice
+from ellgrid.lattice import AskeyWilsonLattice, LinearLattice
 
 from conftest import aw_fixture, log_linear_fixture, log_qlattice_fixture, qgeom_fixture
 
@@ -89,6 +89,33 @@ def test_lattice_csv(tmp_path, capsys):
         cells = ln.split(",")
         assert int(cells[0]) == n
         assert float(cells[1]) == pytest.approx(n)
+
+
+def aw_lattice_cfg(n_max):
+    """Askey-Wilson lattice x_n = 2^-n + 0.3 2^n: |x_n| passes 1e154 near |n| = 512."""
+    aw = AskeyWilsonLattice(a=0.0, b=1.0, c=0.3, q=0.5)
+    x0, y0 = aw.point(0)
+    return {"run": "lattice", "curve": grid_json(aw.curve()),
+            "lattice_seed": {"x0": cjson(x0), "y0": cjson(y0)}, "params": {"n_max": n_max}}
+
+
+def test_lattice_at_large_points(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "lat.json", aw_lattice_cfg(1100))    # x_1026 overflows
+    out = tmp_path / "lat.csv"
+    assert main(["lattice", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("LatticeSingularityError: ")
+    assert not out.exists()
+    cfg = write_cfg(tmp_path, "lat.json", aw_lattice_cfg(600))
+    assert main(["lattice", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 1201
+    pts = [(complex(float(r[1]), float(r[2])), complex(float(r[3]), float(r[4])))
+           for r in (ln.split(",") for ln in rows)]
+    curve = AskeyWilsonLattice(a=0.0, b=1.0, c=0.3, q=0.5).curve()
+    assert max(abs(pts[0][0]), abs(pts[-1][0])) > 1e180
+    worst = max(max(curve.residual(x, y), curve.residual(x, y_next))
+                for (x, y), (_, y_next) in zip(pts, pts[1:]))
+    assert worst <= 1e-9
 
 
 def test_lattice_to_stdout(tmp_path, capsys):
@@ -286,6 +313,9 @@ MALFORMED = [
                  id="grid-count-negative"),
     pytest.param("lattice", ("lattice_seed", "y1_index"), 2, "lattice_seed.y1_index",
                  id="y1-index-out-of-range"),
+    pytest.param("lattice", ("lattice_seed",), {"x0": [0.0, 0.0], "y1_index": 1,
+                                                "y1_hint": [1.0, 0.0]}, "y1_hint",
+                 id="seed-names-both-selectors"),
     pytest.param("solve", ("params", "out"), 5, "params.out", id="out-not-path"),
     pytest.param("verify", ("params", "corrupt"), {"index": 11}, "params.corrupt.index",
                  id="corrupt-index-out-of-range"),

@@ -121,7 +121,7 @@ def test_root_pair_vieta_invariants():
             assert abs(pair.lo + pair.hi - s) <= 1e-10 * sc
             assert abs(pair.lo * pair.hi - p) <= 1e-10 * sc
             for y in pair.as_tuple():
-                assert abs(curve(x, y)) <= 1e-10 * curve.local_scale(x, y)
+                assert curve.residual(x, y) <= 1e-10
 
 
 def test_implicit_derivative_examples():

@@ -48,6 +48,12 @@ def test_askey_wilson_walk_matches_closed_form():
         assert abs(lat.x(n) - want) <= 1e-9 * max(1.0, abs(want))
         wx, wy = aw.point(n)
         assert abs(lat.y(n) - wy) <= 1e-9 * max(1.0, abs(wy))
+    # |x_n| grows to 1e301 at n = -1000 and 3e300 at n = 1000
+    aw = AskeyWilsonLattice(a=0.0, b=1.0, c=0.3, q=0.5)
+    lat = generate(aw.spec(), -1000, 1000)
+    for n in range(-1000, 1001):
+        for got, want in zip(lat.point(n), aw.point(n)):
+            assert abs(got - want) <= 1e-9 * abs(want)
 
 
 def test_oracle_points():
@@ -156,6 +162,9 @@ def test_seed_by_selector():
         LatticeSpec(curve, 0.0, y0=0.0, y1_hint=0.0)   # complement is 1, not 0
     with pytest.raises(ValidationError):
         LatticeSpec(curve, 0.0)                        # nothing picks y0
+    for y0 in (None, 0.0):                             # two selectors, with or without y0
+        with pytest.raises(ValidationError, match="not both"):
+            LatticeSpec(curve, 0.0, y0=y0, y1_index=1, y1_hint=1.0)
 
 
 def test_stagnation_detected():
@@ -172,6 +181,16 @@ def test_singularity_detected():
     lat = LatticePair(LatticeSpec(curve, 0.0, 0.0))
     with pytest.raises(LatticeSingularityError):
         lat.ensure(0, 2)
+
+
+def test_walk_past_the_float_range_is_a_singularity():
+    # x_n = 2^-n + 0.3 2^n first overflows at n = 1026; nothing non-finite is stored
+    lat = LatticePair(AskeyWilsonLattice(a=0.0, b=1.0, c=0.3, q=0.5).spec())
+    with pytest.raises(LatticeSingularityError) as info:
+        lat.ensure(0, 1100)
+    assert info.value.index == 1026
+    assert lat.known_range == (0, 1025)
+    assert np.isfinite(np.concatenate(lat.span(0, 1026))).all()
 
 
 def test_branch_point_seed_walks_through():

@@ -231,7 +231,7 @@ def test_build_lattices_memberships():
         curve = eq.curve
         for xx, yy in ((sp.x_m1, sp.y_m1), (sp.x_m1, sp.y_0),
                        (sp.x_p0, sp.y_p0), (sp.x_p0, sp.y_p1)):
-            assert abs(curve(xx, yy)) <= 1e-9 * curve.local_scale(xx, yy)
+            assert curve.residual(xx, yy) <= 1e-9
         assert pair.x(-1) == pytest.approx(sp.x_m1)
         assert pair.y(-1) == pytest.approx(sp.y_m1)
         assert pair.yp(1) == pytest.approx(sp.y_p1)
@@ -493,6 +493,8 @@ def test_nonfinite_coefficients_are_typed_errors():
     with pytest.raises(NonFiniteCoefficientError) as err:
         solve(eq, select, 400)          # a(x'_n), c(x'_n) overflow near |x'_n| ~ 1e103
     assert err.value.index == 344
+    with pytest.raises(EllgridError):
+        solve(eq, select, 1000)         # the walk itself passes |x_n| ~ 1e154 near n = 514
 
 
 def test_log_linear_solves_at_order_1000():
