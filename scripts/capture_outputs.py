@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""Record what the solver chooses and computes, and digest it into one line.
+
+The cases are built from the fixtures in tests/conftest.py (pytest and
+hypothesis, the `test` extra, must be importable):
+
+- special points: `special_point_candidates` and, under 56 selectors and
+  three hint sets, `locate_special_points` on the three general fixtures,
+  the log-linear fixture, `genus1_equation` seeds 0-59 and four logarithmic
+  equations on the linear curve (a = (x - 1)^3 or x - 1, d = X2 (x - 1) or X2);
+- `solve` and `verify_interpolation` on the general fixtures at N = 40 and
+  300 and on the log-linear fixture at N = 300: coefficients, special points,
+  diagnostics and interpolation errors;
+- the README's `ellgrid solve` and `ellgrid verify` runs: exit code, stdout,
+  stderr and the solution JSON.
+
+Each case records the `repr` of its outputs, or the exception's type and
+message.  The script prints the number of cases and one SHA-256 over all of
+them, so two checkouts that print the same line made the same choices and
+computed the same certificates, coefficients, errors and messages, bit for
+bit.  `--cases PATH` also writes one line per case, to find the cases that
+differ between two checkouts.
+
+    python scripts/capture_outputs.py [--cases PATH]
+"""
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from conftest import (                                   # noqa: E402
+    general_fixtures,
+    genus1_equation,
+    log_linear_fixture,
+)
+from ellgrid import (                                    # noqa: E402
+    ByIndex,
+    DifferenceEquation,
+    Explicit,
+    LinearLattice,
+    Nearest,
+    solve,
+    verify_interpolation,
+)
+from ellgrid.cli import main as cli_main                 # noqa: E402
+from ellgrid.poly import Polynomial                      # noqa: E402
+from ellgrid.solver import locate_special_points, special_point_candidates  # noqa: E402
+
+NEAREST = (0, 1, -1, 1j, -1j, 2 + 2j, -3 + 1j, 0.5 - 0.5j)
+HINTS = ({}, {"y0_hint": -1 + 0.1j, "yp1_hint": 1.25 + 0.5j},
+         {"y0_hint": 1.25 + 0.5j, "yp1_hint": -1 + 0.1j})
+
+README_SOLVE = {
+    "run": "solve",
+    "curve": [[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+              [[0.0, 0.0], [-1.5, 0.0], [0.0, 0.0]],
+              [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]],
+    "equation": {"a": [[0.0, 0.0], [-3.0, 0.0], [1.0, 0.0]],
+                 "c": [[0.0, 0.0], [1.0, 0.0]],
+                 "d": [[1.0, 0.0], [1.0, 0.0]]},
+    "params": {"n": 10, "select": {"explicit": [[4.0, 0.0], [2.4, 0.0]]}},
+}
+
+
+def outcome(fn):
+    """repr of fn()'s result, or the type and message of what it raised."""
+    try:
+        return repr(fn())
+    except Exception as exc:            # every failure is an outcome to record
+        return f"raise {type(exc).__name__}: {exc}"
+
+
+def special_point_inputs():
+    curve = LinearLattice(h=1.0).curve()
+    cube, line = Polynomial.from_roots([1.0, 1.0, 1.0]), Polynomial((-1.0, 1.0))
+    yield from ((name, eq) for name, eq, _ in general_fixtures())
+    yield "log-linear", log_linear_fixture()[0]
+    for seed in range(60):
+        yield f"genus1-{seed}", genus1_equation(seed)
+    for name, a in (("cube", cube), ("line", line)):
+        yield f"{name}-d", DifferenceEquation(curve, a, 0, 0, 1.0, -1.0)
+        yield f"{name}-x2", DifferenceEquation(curve, a, 0, 0, 0.0, 1.0)
+
+
+def selectors(cands):
+    yield from (Nearest(z) for z in NEAREST)
+    yield from (ByIndex(i) for i in range(-2, 7))
+    yield from (ByIndex(i, j) for i in range(6) for j in range(6))
+    first, last = cands[0], cands[-1]
+    yield from (Explicit(first, last), Explicit(last, first), Explicit(5.0, first))
+
+
+def special_point_cases():
+    for name, eq in special_point_inputs():
+        yield f"candidates {name}", outcome(lambda: special_point_candidates(eq))
+        try:
+            cands = special_point_candidates(eq)
+        except Exception:               # Explicit selectors then name two plain points
+            cands = [0j, 1 + 0j]
+        for select in selectors(cands):
+            for k, hints in enumerate(HINTS):
+                yield (f"locate {name} {select!r} hints{k}",
+                       outcome(lambda: locate_special_points(eq, select, **hints)))
+
+
+def solved(eq, select, N, **kw):
+    sol = solve(eq, select, N, **kw)
+    rep = verify_interpolation(eq, sol, N)
+    return (sol.special, sol.coeffs, sorted(sol.diagnostics.items()),
+            rep.errors, rep.max_error, rep.skipped)
+
+
+def solve_cases():
+    for name, eq, select in general_fixtures():
+        for N in (40, 300):
+            yield f"solve {name} N={N}", outcome(lambda: solved(eq, select, N))
+    eq, select, c0_free, _, _, hints = log_linear_fixture()
+    yield "solve log-linear N=300", outcome(lambda: solved(eq, select, 300, c0_free=c0_free,
+                                                          **hints))
+
+
+def cli_cases():
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp, "solve.json")
+        cfg.write_text(json.dumps(README_SOLVE))
+        out = pathlib.Path(tmp, "solve.out.json")
+        verify = pathlib.Path(tmp, "verify.json")
+        verify.write_text(json.dumps({k: v for k, v in README_SOLVE.items() if k != "run"}))
+        for name, argv, written in (
+                ("solve", ["solve", "--config", str(cfg), "--out", str(out)], out),
+                ("verify", ["verify", "--config", str(verify)], None)):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli_main(argv)
+            text = written.read_text() if written is not None else None
+            yield f"cli {name}", repr((code, stdout.getvalue(), stderr.getvalue(), text))
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--cases", help="also write one 'name<TAB>outcome' line per case here")
+    args = parser.parse_args()
+    lines = [f"{name}\t{value}" for gen in (special_point_cases, solve_cases, cli_cases)
+             for name, value in gen()]
+    if args.cases:
+        pathlib.Path(args.cases).write_text("\n".join(lines) + "\n")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    print(f"{len(lines)} cases, sha256 {digest}")
+
+
+if __name__ == "__main__":
+    main()

@@ -18,6 +18,7 @@ from .errors import (
 from .poly import Polynomial, solve_quadratic
 
 ONCURVE_TOL = 1e-10
+DYDX_ONCURVE_TOL = 1e-8     # on-curve bound for the points implicit_dy_dx accepts
 LEAD_TOL = 1e-12
 
 
@@ -58,11 +59,19 @@ class RootPair:
 
 
 def _lead(view, t):
-    """V2(t), or LeadingCoefficientVanishes when it is ~ 0 (a lattice singularity)."""
+    """V2(t), or LeadingCoefficientVanishes when it is not finite or ~ 0 (a lattice
+    singularity): |V2(t)| / max(1, |t|)^deg at most LEAD_TOL max|coeff|, dividing once
+    per degree since the power itself can overflow."""
     v2 = view[2]
     lead = v2(t)
-    if abs(lead) <= LEAD_TOL * v2.max_coeff * max(1.0, abs(t)) ** v2.degree():
-        raise LeadingCoefficientVanishesError(t)
+    size = abs(lead)
+    if v2.degree():
+        m = max(1.0, abs(t))
+        for _ in range(v2.degree()):
+            size /= m
+    if not LEAD_TOL * v2.max_coeff < size < cmath.inf:
+        raise LeadingCoefficientVanishesError(
+            t, None if size < cmath.inf else f"leading coefficient at {t} is not finite")
     return lead
 
 
@@ -179,7 +188,7 @@ class BiquadraticCurve:
         """The second x-root over y, via the Vieta sum."""
         return complement(self._yv, y, x)[0]
 
-    def implicit_dy_dx(self, x, y, tol=1e-8):
+    def implicit_dy_dx(self, x, y):
         """dy/dx of the branch through (x, y): -(dF/dx)/(dF/dy).
 
         The point must lie on the curve; a vanishing dF/dy means a vertical
@@ -187,7 +196,7 @@ class BiquadraticCurve:
         X1(x) + 2 X2(x) y counts as 0 below 1e-10 (|X1(x)| + 2 |X2(x) y|), a bound
         set by its own two terms, not by the scale of the curve, x or y.
         """
-        if not self.contains(x, y, tol=tol):
+        if not self.contains(x, y, tol=DYDX_ONCURVE_TOL):
             raise ValidationError(f"({x}, {y}) is not on the curve")
         (_, x1, x2), (_, y1, y2) = self._xv, self._yv
         x1, x2 = x1(x), x2(x)

@@ -38,7 +38,7 @@ class PoleEvaluationError(EllgridError):
 
 
 class LeadingCoefficientVanishesError(EllgridError):
-    """The quadratic view degenerates: one root escapes to infinity."""
+    """The quadratic view degenerates: one root escapes to infinity, or V2(t) is not finite."""
 
     def __init__(self, at, message=None):
         super().__init__(message or f"leading coefficient vanishes at {at}")

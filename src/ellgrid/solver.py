@@ -36,8 +36,10 @@ from .diffops import (
 from .errors import (
     BranchAssignmentFailedError,
     DegreeMismatchError,
+    EllgridError,
     HitSingularLatticeError,
     InternalInconsistencyError,
+    LatticeSingularityError,
     NonFiniteCoefficientError,
     NoSpecialPointError,
     PoleEvaluationError,
@@ -140,32 +142,35 @@ class SpecialPoints:
 
 
 def _term_scale(eq, x, dy):
-    """Coefficient-level magnitude of a(x)/dy and c(x)/2 (at least 1e-300)."""
-    growth = max(1.0, abs(x))
-    return max(eq.a.max_coeff * growth ** eq.a.degree() / abs(dy),
-               eq.c.max_coeff * growth ** eq.c.degree() / 2.0,
-               1e-300)
+    """Coefficient-level magnitude of a(x)/dy and c(x)/2 (at least 1e-300; inf on overflow)."""
+    try:
+        growth = max(1.0, abs(x))
+        return max(eq.a.max_coeff * growth ** eq.a.degree() / abs(dy),
+                   eq.c.max_coeff * growth ** eq.c.degree() / 2.0,
+                   1e-300)
+    except OverflowError:
+        return cmath.inf
 
 
 def _condition_residual(eq, r, first, second, sign):
-    """|a/(second-first) + sign*c/2| at r, normalized; inf if branches collide.
+    """|a/(second-first) + sign*c/2| at r, normalized; inf if branches collide or overflow.
 
     The normalization is the coefficient-level magnitude of the two terms, so
     the residual measures how much cancellation the condition achieves.
     """
     dy = second - first
     if abs(dy) <= 1e-13 * max(1.0, abs(first), abs(second)):
-        return float("inf")
-    lhs = eq.a(r) / dy + sign * eq.c(r) / 2.0
-    return abs(lhs) / _term_scale(eq, r, dy)
+        return cmath.inf
+    scale = _term_scale(eq, r, dy)
+    return abs(eq.a(r) / dy + sign * eq.c(r) / 2.0) / scale if scale < cmath.inf else cmath.inf
 
 
 def special_point_candidates(eq):
     """Polished roots of the rationalized condition 4 a^2 = (beta x + gamma)^2 P.
 
-    In the logarithmic case the condition collapses to a(x) = 0.  Candidates
-    failing back-substitution into the unsquared condition (under the best
-    branch pairing) are dropped; survivors come back sorted by (Re, Im).
+    In the logarithmic case the condition collapses to a(x) = 0.  A root is
+    kept when it can play x_{-1}: _branch_for_role finds a branch pairing that
+    satisfies the unsquared condition.  Survivors come back sorted by (Re, Im).
     """
     if eq.is_logarithmic:
         rts = eq.a.roots()
@@ -176,24 +181,17 @@ def special_point_candidates(eq):
             raise NoSpecialPointError("special-point equation is identically zero")
         if sextic.degree() < 1:
             raise NoSpecialPointError("special-point equation has no roots")
-        rts = sextic.roots()
-        rts = [_polish_condition_root(eq, r) for r in rts]
+        rts = [_polish_condition_root(eq, r) for r in sextic.roots()]
     out = []
     for r in rts:
         if any(abs(r - s) <= 1e-8 * (1.0 + abs(r)) for s in out):
             continue
-        if eq.is_logarithmic:
-            out.append(r)
-            continue
-        try:
-            pair = eq.curve.y_roots(r)
-        except Exception:
-            continue
-        u, v = pair.as_tuple()
-        best = min(_condition_residual(eq, r, u, v, +1),
-                   _condition_residual(eq, r, v, u, +1))
-        if best <= 1e-6:
-            out.append(r)
+        if not eq.is_logarithmic:
+            try:
+                _branch_for_role(eq, r, +1)
+            except EllgridError:
+                continue
+        out.append(r)
     if not out:
         raise NoSpecialPointError("no root passes back-substitution")
     return sorted(out, key=lambda z: (z.real, z.imag))
@@ -234,69 +232,56 @@ def _branch_for_role(eq, r, sign, hint=None):
     """(first, second, residual): ordering of the pair at r for one role.
 
     sign +1 is the x_{-1} role (first = y_{-1}, second = y_0); sign -1 is the
-    x'_0 role (first = y'_0, second = y'_1).  Degenerate ties (logarithmic
-    mode) break toward `hint` for the second member, else toward +sqrt.
+    x'_0 role (first = y'_0, second = y'_1).  The smaller residual wins and must
+    be <= 1e-6 (NaN fails); ties (logarithmic mode) break toward `hint` for the
+    second member, else toward +sqrt.
     """
-    pair = eq.curve.y_roots(r)
-    u, v = pair.as_tuple()
+    u, v = eq.curve.y_roots(r).as_tuple()
     r_uv = _condition_residual(eq, r, u, v, sign)
     r_vu = _condition_residual(eq, r, v, u, sign)
-    if min(r_uv, r_vu) > 1e-6:
+    if not min(r_uv, r_vu) <= 1e-6:
         raise BranchAssignmentFailedError(
             f"no root ordering at {r} satisfies the condition (residuals "
             f"{r_uv:.2e}, {r_vu:.2e})")
-    if abs(r_uv - r_vu) <= 1e-9 and hint is not None:
-        return (u, v, r_uv) if abs(v - hint) <= abs(u - hint) else (v, u, r_vu)
-    if abs(r_uv - r_vu) <= 1e-9:
-        return u, v, r_uv          # tie: second member is the +sqrt root
-    return (u, v, r_uv) if r_uv < r_vu else (v, u, r_vu)
+    tie = abs(r_uv - r_vu) <= 1e-9
+    swap = (hint is not None and not abs(v - hint) <= abs(u - hint)) if tie else not r_uv < r_vu
+    return (v, u, r_vu) if swap else (u, v, r_uv)
 
 
 def locate_special_points(eq, select, y0_hint=None, yp1_hint=None):
     """Pick x_{-1} and x'_0 among the candidates and fix their branch pairings.
 
-    select: Nearest(z) takes the candidate nearest z as x_{-1} and the next
-    nearest distinct one as x'_0; ByIndex(i, j) indexes the (Re, Im)-sorted
-    candidate list; Explicit(x_m1, x_p0) matches given points.  In logarithmic
-    mode with d != 0, x_{-1} is pinned to the root of d (the
-    expansion only exists when d(x_{-1}) = 0) and select only picks x'_0.
+    select: Explicit(x_m1, x_p0) matches two given candidates.  Nearest(z)
+    takes the candidate nearest z as x_{-1} and the next nearest as x'_0.
+    ByIndex(i, j) takes entries i and j (j = i + 1 when None), each modulo the
+    count, of the (Re, Im)-sorted candidates.  In logarithmic mode with d != 0
+    the expansion needs d(x_{-1}) = 0: x_{-1} is pinned to the root of d, which
+    must be a candidate whatever the selector, and Nearest/ByIndex pick x'_0
+    among the other candidates, nearest z or entry i modulo their count.
     """
     cands = special_point_candidates(eq)
-
-    forced_m1 = None
+    pin = None
     if eq.is_logarithmic and eq.delta != 0:
         want = -eq.eps / eq.delta
-        match = [r for r in cands if abs(r - want) <= 1e-6 * (1.0 + abs(want))]
-        if not match:
+        pin = next((r for r in cands if abs(r - want) <= 1e-6 * (1.0 + abs(want))), None)
+        if pin is None:
             raise NoSpecialPointError(
                 "logarithmic mode needs the root of d among the roots of a")
-        forced_m1 = match[0]
 
     if isinstance(select, Explicit):
-        x_m1 = _match_candidate(cands, complex(select.x_m1))
-        x_p0 = _match_candidate(cands, complex(select.x_p0))
-    elif isinstance(select, Nearest):
-        order = sorted(cands, key=lambda r: abs(r - complex(select.z)))
-        if forced_m1 is not None:
-            x_m1 = forced_m1
-            rest = [r for r in order if abs(r - x_m1) > 1e-8 * (1.0 + abs(r))]
-        else:
-            x_m1 = order[0]
-            rest = order[1:]
-        if not rest:
-            raise NoSpecialPointError("need two distinct special points")
-        x_p0 = rest[0]
-    elif isinstance(select, ByIndex):
-        if forced_m1 is not None:
-            x_m1 = forced_m1
-            rest = [r for r in cands if abs(r - x_m1) > 1e-8 * (1.0 + abs(r))]
+        x_m1, x_p0 = (_match_candidate(cands, complex(z)) for z in (select.x_m1, select.x_p0))
+    elif isinstance(select, (Nearest, ByIndex)):
+        near = isinstance(select, Nearest)
+        order = sorted(cands, key=lambda r: abs(r - complex(select.z))) if near else cands
+        i = 0 if near else select.i
+        x_m1 = order[i % len(order)] if pin is None else pin
+        if pin is None and not near:           # entries i and j
+            x_p0 = order[(i + 1 if select.j is None else select.j) % len(order)]
+        else:                                   # x'_0 is entry i of the other candidates
+            rest = [r for r in order if r != x_m1]
             if not rest:
                 raise NoSpecialPointError("need two distinct special points")
-            x_p0 = rest[select.i % len(rest)]
-        else:
-            x_m1 = cands[select.i % len(cands)]
-            j = select.j if select.j is not None else (select.i + 1)
-            x_p0 = cands[j % len(cands)]
+            x_p0 = rest[i % len(rest)]
     else:
         raise ValidationError(f"unknown selector {select!r}")
     if abs(x_m1 - x_p0) <= 1e-9 * (1.0 + abs(x_m1)):
@@ -304,8 +289,7 @@ def locate_special_points(eq, select, y0_hint=None, yp1_hint=None):
 
     y_m1, y_0, res_m1 = _branch_for_role(eq, x_m1, +1, hint=y0_hint)
     y_p0, y_p1, res_p0 = _branch_for_role(eq, x_p0, -1, hint=yp1_hint)
-    return SpecialPoints(x_m1=x_m1, x_p0=x_p0, y_m1=y_m1, y_0=y_0,
-                         y_p0=y_p0, y_p1=y_p1, res_m1=res_m1, res_p0=res_p0)
+    return SpecialPoints(x_m1, x_p0, y_m1, y_0, y_p0, y_p1, res_m1, res_p0)
 
 
 def _match_candidate(cands, target):
@@ -523,7 +507,8 @@ def stepwise_oracle(eq, pair, K, f0=None):
     """f(y_0) .. f(y_K) straight from the difference equation, no expansion.
 
     f(y_0) defaults to the self-determined c_0 in general mode; logarithmic mode has
-    no distinguished start, so f0 must be supplied (the free constant).
+    no distinguished start, so f0 must be supplied (the free constant).  A step k whose
+    terms or value leave the float range raises LatticeSingularityError(k).
     """
     if f0 is None:
         if eq.is_logarithmic:
@@ -535,9 +520,14 @@ def stepwise_oracle(eq, pair, K, f0=None):
         dy = yk1 - yk
         ratio = eq.a(xk) / dy
         den = ratio - eq.c(xk) / 2.0
-        if abs(den) <= 1e-12 * _term_scale(eq, xk, dy):
-            raise HitSingularLatticeError(k)
-        vals.append(((ratio + eq.c(xk) / 2.0) * vals[-1] + eq.d(xk)) / den)
+        scale = _term_scale(eq, xk, dy)
+        if scale < cmath.inf:
+            if abs(den) <= 1e-12 * scale:
+                raise HitSingularLatticeError(k)
+            vals.append(((ratio + eq.c(xk) / 2.0) * vals[-1] + eq.d(xk)) / den)
+        if not (scale < cmath.inf and cmath.isfinite(vals[-1])):
+            raise LatticeSingularityError(
+                k, f"stepwise oracle: step {k} at x_{k} = {xk} leaves the float range")
     return vals
 
 

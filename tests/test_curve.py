@@ -9,6 +9,7 @@ from ellgrid import (
     fit_biquadratic,
 )
 from ellgrid.errors import (
+    EllgridError,
     LeadingCoefficientVanishesError,
     ValidationError,
     VerticalTangentError,
@@ -105,6 +106,17 @@ def test_leading_coefficient_vanishes():
     cv = BiquadraticCurve([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     with pytest.raises(LeadingCoefficientVanishesError):
         cv.y_roots(0.0)
+
+
+def test_leading_coefficient_past_the_float_range_is_typed():
+    # X2(x) = 1 + x^2 is inf at x = 1e155, where max(1, |x|)^2 would leave the float range
+    cv = BiquadraticCurve([[1, 0, 1], [0, 1, 0], [1, 0, 1]])
+    for call in (lambda: cv.y_roots(1e155), lambda: cv.other_y(1e155, 1.0)):
+        with pytest.raises(EllgridError, match="not finite"):
+            call()
+    # X2(x) = 1e-200 x^2: the guard compares |X2(x)| / max(1, |x|)^2 with 1e-12 max|coeff|
+    tiny = BiquadraticCurve([[1, 0, 0], [0, 1, 0], [1, 0, 1e-200]])
+    assert tiny.other_y(1e155, 1.0) == pytest.approx(-1e45)
 
 
 def test_root_pair_vieta_invariants():

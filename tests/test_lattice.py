@@ -193,6 +193,15 @@ def test_walk_past_the_float_range_is_a_singularity():
     assert np.isfinite(np.concatenate(lat.span(0, 1026))).all()
 
 
+def test_step_with_a_non_finite_leading_coefficient_is_a_singularity():
+    # X2(x) = 1 + x^2 is inf at the seed x_0 = 1e155: step 0 -> 1 names index 1
+    curve = BiquadraticCurve([[1, 0, 1], [0, 1, 0], [1, 0, 1]])
+    lat = LatticePair(LatticeSpec(curve, 1e155, 1j))
+    with pytest.raises(LatticeSingularityError, match="not finite") as info:
+        lat.ensure(0, 1)
+    assert info.value.index == 1
+
+
 def test_branch_point_seed_walks_through():
     # x_0 = 2 is a branch point of the AW curve (y_0 = y_1); the Vieta step
     # continues regardless and must not trip the stagnation detector

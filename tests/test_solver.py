@@ -32,6 +32,7 @@ from ellgrid.errors import (
     EllgridError,
     HitSingularLatticeError,
     InternalInconsistencyError,
+    LatticeSingularityError,
     NonFiniteCoefficientError,
     NoSpecialPointError,
     PoleEvaluationError,
@@ -150,6 +151,82 @@ def test_selectors():
         locate_special_points(eq, Explicit(x_m1=5.0, x_p0=1.0))
 
 
+def _selector_inputs():
+    """The fixtures, one genus-1 seed, and logarithmic equations on the linear curve:
+    a = (x - 1)^3 (its float roots split about 5e-6 apart, so none is the root 1 of
+    d = X2 (x - 1)) and a = x - 1 (one candidate), each with d = X2 (x - 1) and d = X2."""
+    curve = LinearLattice(h=1.0).curve()
+    cube, line = Polynomial.from_roots([1.0, 1.0, 1.0]), X - 1.0
+    return {"linear": linear_fixture()[0], "qgeom": qgeom_fixture()[0],
+            "log-linear": log_linear_fixture()[0], "genus1-0": genus1_equation(0),
+            "cube-d": DifferenceEquation(curve, cube, 0, 0, 1.0, -1.0),
+            "cube-x2": DifferenceEquation(curve, cube, 0, 0, 0.0, 1.0),
+            "line-d": DifferenceEquation(curve, line, 0, 0, 1.0, -1.0),
+            "line-x2": DifferenceEquation(curve, line, 0, 0, 0.0, 1.0)}
+
+
+NEED_TWO = "need two distinct special points"
+SAME = "x_{-1} and x'_0 must be distinct"
+NO_PIN = "logarithmic mode needs the root of d among the roots of a"
+
+# (input, selector, (i, j) with x_{-1} = cands[i] and x'_0 = cands[j], or the message of
+# the NoSpecialPointError).  Explicit selectors given as index pairs name cands[i], cands[j].
+SELECTOR_TABLE = [
+    # linear: cands -1, -i, i, 1
+    ("linear", Nearest(0.2 + 0.9j), (2, 3)),
+    ("linear", ByIndex(1), (1, 2)),                      # j = i + 1
+    ("linear", ByIndex(-1), (3, 0)),                     # indices wrap
+    ("linear", ByIndex(3, -2), (3, 2)),
+    ("linear", ByIndex(2, 2), SAME),
+    ("linear", (0, 3), (0, 3)),
+    ("linear", Explicit(5.0, -1.0), "(5+0j) is not a special-point candidate"),
+    # qgeom: cands 2.4, 4
+    ("qgeom", Nearest(0), (0, 1)),
+    ("qgeom", ByIndex(1), (1, 0)),                       # j = 2 wraps to 0
+    ("qgeom", ByIndex(0, 2), SAME),
+    # log-linear: x_{-1} is pinned to the root of d, cands[0]; x'_0 is picked from the rest
+    ("log-linear", Nearest(0), (0, 2)),
+    ("log-linear", Nearest(-2), (0, 1)),
+    ("log-linear", ByIndex(0), (0, 1)),                  # entry i of the rest
+    ("log-linear", ByIndex(1), (0, 2)),
+    ("log-linear", ByIndex(1, 0), (0, 2)),               # j is unused
+    ("log-linear", ByIndex(2, 2), (0, 1)),
+    ("log-linear", (0, 2), (0, 2)),
+    # genus1-0: six candidates
+    ("genus1-0", Nearest(0), (1, 2)),
+    ("genus1-0", ByIndex(0), (0, 1)),
+    ("genus1-0", ByIndex(5), (5, 0)),
+    ("genus1-0", ByIndex(0, 7), (0, 1)),
+    # the root of d is missing among the candidates: every selector fails, Explicit too
+    ("cube-d", Nearest(0), NO_PIN),
+    ("cube-d", ByIndex(0), NO_PIN),
+    ("cube-d", (0, 2), NO_PIN),
+    ("cube-x2", ByIndex(2), (2, 0)),
+    # one candidate, pinned: no rest to pick x'_0 from
+    ("line-d", Nearest(0), NEED_TWO),
+    ("line-d", ByIndex(0), NEED_TWO),
+    # one candidate, unpinned: Nearest has no second entry, ByIndex wraps onto the first
+    ("line-x2", Nearest(0), NEED_TWO),
+    ("line-x2", ByIndex(0), SAME),
+    ("line-x2", (0, 0), SAME),
+]
+
+
+@pytest.mark.parametrize("name, select, want", SELECTOR_TABLE)
+def test_selector_table(name, select, want):
+    eq = _selector_inputs()[name]
+    cands = special_point_candidates(eq)
+    if isinstance(select, tuple):
+        select = Explicit(cands[select[0]], cands[select[1]])
+    if isinstance(want, str):
+        with pytest.raises(NoSpecialPointError) as err:
+            locate_special_points(eq, select)
+        assert str(err.value) == want
+    else:
+        sp = locate_special_points(eq, select)
+        assert (cands.index(sp.x_m1), cands.index(sp.x_p0)) == want
+
+
 def test_sextic_has_six_certified_roots():
     """Cubic a and beta != 0 on a quartic-P curve: all 6 roots are genuine."""
     from conftest import random_real_curves
@@ -196,6 +273,17 @@ def test_stepwise_oracle_hits_singular_lattice():
     with pytest.raises(HitSingularLatticeError) as err:
         stepwise_oracle(eq, pair, 5, f0=0.0)
     assert err.value.index == 2
+
+
+def test_stepwise_oracle_past_the_float_range_is_typed():
+    """Askey-Wilson x_k ~ 2^k: |x_k|^2 passes the float range near k = 512.  The oracle
+    stops there with a typed error naming k, never with untyped overflow or NaN values."""
+    eq, select = aw_fixture()
+    pair = build_lattices(eq, locate_special_points(eq, select))
+    assert all(np.isfinite(stepwise_oracle(eq, pair, 500)))
+    with pytest.raises(LatticeSingularityError, match="stepwise oracle") as info:
+        stepwise_oracle(eq, pair, 700)
+    assert 500 < info.value.index < 520
 
 
 def test_undefined_c0_is_validation_error_on_every_route():
