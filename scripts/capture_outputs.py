@@ -11,6 +11,9 @@ hypothesis, the `test` extra, must be importable):
 - `solve` and `verify_interpolation` on the general fixtures at N = 40 and
   300 and on the log-linear fixture at N = 300: coefficients, special points,
   diagnostics and interpolation errors;
+- `solve` and `verify_interpolation` on `genus1_equation` seeds 0-59 under
+  `ByIndex` (0, 1), (1, 2) and (2, 0) at N = 40 and 150: coefficients and the
+  largest interpolation error, or the exception (a small divisor, say);
 - the README's `ellgrid solve` and `ellgrid verify` runs: exit code, stdout,
   stderr and the solution JSON.
 
@@ -117,6 +120,11 @@ def solved(eq, select, N, **kw):
             rep.errors, rep.max_error, rep.skipped)
 
 
+def genus1_solved(eq, select, N):
+    sol = solve(eq, select, N)
+    return sol.coeffs, verify_interpolation(eq, sol, N).max_error
+
+
 def solve_cases():
     for name, eq, select in general_fixtures():
         for N in (40, 300):
@@ -124,6 +132,12 @@ def solve_cases():
     eq, select, c0_free, _, _, hints = log_linear_fixture()
     yield "solve log-linear N=300", outcome(lambda: solved(eq, select, 300, c0_free=c0_free,
                                                           **hints))
+    for seed in range(60):
+        eq = genus1_equation(seed)
+        for select in (ByIndex(0, 1), ByIndex(1, 2), ByIndex(2, 0)):
+            for N in (40, 150):
+                yield (f"solve genus1-{seed} {select!r} N={N}",
+                       outcome(lambda: genus1_solved(eq, select, N)))
 
 
 def cli_cases():

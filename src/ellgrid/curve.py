@@ -15,7 +15,7 @@ from .errors import (
     ValidationError,
     VerticalTangentError,
 )
-from .poly import Polynomial, solve_quadratic
+from .poly import Polynomial, reduced_abs, solve_quadratic
 
 ONCURVE_TOL = 1e-10
 DYDX_ONCURVE_TOL = 1e-8     # on-curve bound for the points implicit_dy_dx accepts
@@ -60,15 +60,10 @@ class RootPair:
 
 def _lead(view, t):
     """V2(t), or LeadingCoefficientVanishes when it is not finite or ~ 0 (a lattice
-    singularity): |V2(t)| / max(1, |t|)^deg at most LEAD_TOL max|coeff|, dividing once
-    per degree since the power itself can overflow."""
+    singularity): reduced_abs(V2(t), t, deg V2) at most LEAD_TOL max|coeff|."""
     v2 = view[2]
     lead = v2(t)
-    size = abs(lead)
-    if v2.degree():
-        m = max(1.0, abs(t))
-        for _ in range(v2.degree()):
-            size /= m
+    size = reduced_abs(lead, t, v2.degree())
     if not LEAD_TOL * v2.max_coeff < size < cmath.inf:
         raise LeadingCoefficientVanishesError(
             t, None if size < cmath.inf else f"leading coefficient at {t} is not finite")

@@ -86,7 +86,7 @@ class BranchAssignmentFailedError(EllgridError):
 
 
 class SmallDivisorError(EllgridError):
-    """A recurrence denominator fell below the small-divisor threshold."""
+    """eta_n is 0, or the stepwise oracle's step n - 1 is singular by the oracle's own test."""
 
     def __init__(self, index, magnitude):
         super().__init__(f"small divisor at n={index} (|eta|={magnitude:.3e})")
@@ -111,11 +111,12 @@ class DegreeMismatchError(EllgridError):
 
 
 class HitSingularLatticeError(EllgridError):
-    """The stepwise recurrence divided by zero: an x_k coincides with a primed point."""
+    """The stepwise recurrence's step k is singular; values holds f(y_0) .. f(y_k)."""
 
-    def __init__(self, index):
+    def __init__(self, index, values=()):
         super().__init__(f"stepwise recurrence singular at k={index}")
         self.index = index
+        self.values = tuple(values)
 
 
 class WindowTooSmallError(EllgridError):

@@ -7,10 +7,11 @@ is immutable and pure; values can be shared freely between threads.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
-from .errors import ConstantPolynomialError, PoleEvaluationError, ZeroDivisorError
+from .errors import ConstantPolynomialError, PoleEvaluationError, ValidationError, ZeroDivisorError
 
 ZERO_TOL = 1e-13        # trailing coefficients below this (relative) are trimmed
 EVAL_TOL = 1e-12        # "effectively zero" threshold for pole/deflation logic
@@ -234,6 +235,11 @@ def solve_quadratic(c0, c1, c2):
     if c2 == 0:
         raise ZeroDivisorError("quadratic with zero leading coefficient")
     disc = c1 * c1 - 4.0 * c2 * c0
+    e = 0
+    if not cmath.isfinite(disc):    # divide all three by 2^e ~ the largest part: exact, same roots
+        e = math.frexp(max(abs(v) for c in (c0, c1, c2) for v in (c.real, c.imag)))[1]
+        c0, c1, c2 = (_ldexp(c, -e) for c in (c0, c1, c2))
+        disc = c1 * c1 - 4.0 * c2 * c0
     s = cmath.sqrt(disc)
     # sign choice avoiding cancellation in c1 + sgn*s
     sgn = 1.0 if (c1.real * s.real + c1.imag * s.imag) >= 0.0 else -1.0
@@ -244,7 +250,11 @@ def solve_quadratic(c0, c1, c2):
         lo, hi = big, small
     else:
         lo, hi = small, big
-    return lo, hi, s
+    return lo, hi, _ldexp(s, e) if e else s
+
+
+def _ldexp(c, e):
+    return complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))      # c 2^e, exactly
 
 
 class RationalFunction:
@@ -274,19 +284,26 @@ class RationalFunction:
         return f"RationalFunction({self.numer!r}, {self.denom!r})"
 
     def __call__(self, z):
+        """num(z)/den(z), deflating a 0/0 by derivatives: p(z) is nonzero when reduced_abs(p(z),
+        z, deg p) > EVAL_TOL max|coeff|.  A value that is not finite is a ValidationError."""
         num, den = self.numer, self.denom
-        growth = max(1.0, abs(z)) ** den.degree()
-        dz = den(z)
-        if abs(dz) > EVAL_TOL * den.max_coeff * growth:
-            return num(z) / dz
-        # 0/0 candidate: walk down derivatives (local deflation)
         for _ in range(den.degree() + 1):
-            nz = num(z)
-            ngrowth = max(1.0, abs(z)) ** num.degree()
-            if abs(nz) > EVAL_TOL * max(num.max_coeff, 1e-300) * ngrowth:
+            nz, dz = num(z), den(z)
+            if not (cmath.isfinite(nz) and cmath.isfinite(dz)):
+                raise ValidationError(f"rational function value at z={z} is not finite")
+            if reduced_abs(dz, z, den.degree()) > EVAL_TOL * den.max_coeff:
+                return nz / dz
+            if reduced_abs(nz, z, num.degree()) > EVAL_TOL * max(num.max_coeff, 1e-300):
                 raise PoleEvaluationError(z)
             num, den = num.derivative(), den.derivative()
-            dz = den(z)
-            if abs(dz) > EVAL_TOL * den.max_coeff * max(1.0, abs(z)) ** max(den.degree(), 0):
-                return num(z) / dz
         raise PoleEvaluationError(z)
+
+
+def reduced_abs(value, z, degree):
+    """|value| / max(1, |z|)^degree, dividing once per degree: the power itself can overflow."""
+    size = abs(value)
+    if degree:
+        m = max(1.0, abs(z))
+        for _ in range(degree):
+            size /= m
+    return size

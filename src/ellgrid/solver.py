@@ -50,6 +50,7 @@ from .lattice import LatticePair, LatticeSpec
 from .poly import Polynomial
 
 X2_FACTOR_TOL = 1e-12
+SINGULAR_STEP_TOL = 1e-12   # a stepwise divisor at or below this times its terms is singular
 VERIFY_BLOCK = 1 << 13    # factors per block of the verification sweep (bounds its memory)
 
 
@@ -103,8 +104,13 @@ class DifferenceEquation:
         return self.beta == 0 and self.gamma == 0
 
     def scale(self, z):
-        base = max(self.a.max_coeff, self.c.max_coeff, self.d.max_coeff, 1e-300)
-        return base * max(1.0, abs(z)) ** 3
+        """max|coeff| of a, c, d times max(1, |z|)^3, formed factor by factor; a ValidationError
+        naming z where it leaves the float range."""
+        m = max(1.0, abs(z))
+        size = max(self.a.max_coeff, self.c.max_coeff, self.d.max_coeff, 1e-300) * m * m * m
+        if not size < cmath.inf:
+            raise ValidationError(f"equation scale at z={z} is not finite")
+        return size
 
 
 # -- special points -------------------------------------------------------------------
@@ -150,6 +156,17 @@ def _term_scale(eq, x, dy):
                    1e-300)
     except OverflowError:
         return cmath.inf
+
+
+def _step_divisor(eq, x, dy, ax, cx):
+    """(a/dy, den = a/dy - c/2, singular) of the stepwise step at x, from ax = a(x), cx = c(x).
+
+    singular, the one singular-step test of both recurrences, is |den| <= SINGULAR_STEP_TOL
+    * _term_scale, or None where that scale is not finite (non-finite checks decide there)."""
+    ratio = ax / dy
+    den = ratio - cx / 2.0
+    scale = _term_scale(eq, x, dy)
+    return ratio, den, abs(den) <= SINGULAR_STEP_TOL * scale if scale < cmath.inf else None
 
 
 def _condition_residual(eq, r, first, second, sign):
@@ -339,21 +356,22 @@ def _ratio_coefficients(eq, reads, c0):
 
     xi_n = C_n (a + c (y'_{n+1} - y'_n)/2)(z) / ((z - x_{-1}) (z - x'_0) (z - x_{n-1})) at
     z = x'_n, and eta_n = C_n (a - c (y_n - y_{n-1})/2)(z) / ((z - x_{-1}) (z - x'_0) (z - x'_n))
-    at z = x_{n-1}.  Every eta_n is scanned before any division by it (SmallDivisorError at
-    or below 1e-12 times their median); the seed is c_1 = (beta c_0 + delta)/eta_1.
+    at z = x_{n-1}.  eta_n's numerator is dy = y_n - y_{n-1} times the divisor of the stepwise
+    oracle's step n - 1, so before any division by it eta_n takes the oracle's test
+    (_step_divisor): SmallDivisorError(n) when that step is singular or eta_n = 0, whatever N.
+    The seed is c_1 = (beta c_0 + delta)/eta_1.
     """
     cns, (xs, ys), (xps, yps) = reads
     N = len(cns) - 1
     xm1, xp0 = xs[0], xps[0]
     etas = [None]
     for n in range(1, N + 1):
-        z = xs[n]
-        num = eq.a(z) - eq.c(z) * (ys[n + 1] - ys[n]) / 2.0
-        etas.append(cns[n] * num / ((z - xm1) * (z - xp0) * (z - xps[n])))
-    med = float(np.median([abs(v) for v in etas[1:]]))
-    for n in range(1, N + 1):
-        if abs(etas[n]) <= 1e-12 * med:
-            raise SmallDivisorError(n, abs(etas[n]))
+        z, dy = xs[n], ys[n + 1] - ys[n]
+        az, cz = eq.a(z), eq.c(z)
+        eta = cns[n] * (az - cz * dy / 2.0) / ((z - xm1) * (z - xp0) * (z - xps[n]))
+        if eta == 0 or _step_divisor(eq, z, dy, az, cz)[2]:
+            raise SmallDivisorError(n, abs(eta))
+        etas.append(eta)
 
     cs = [c0, (eq.beta * c0 + eq.delta) / etas[1]]
     for n in range(1, N):
@@ -494,7 +512,7 @@ def expansion_coefficients_log(eq, pair, N, c0_free, diag=None):
         raise ValidationError("N must be >= 0")
     zeta = third_root_of_a(eq, pair)
     xm1 = pair.x(-1)
-    if abs(eq.d(xm1)) > 1e-8 * eq.scale(xm1):
+    if not abs(eq.d(xm1)) <= 1e-8 * eq.scale(xm1):             # NaN fails
         raise ValidationError(
             "logarithmic expansions need d(x_{-1}) = 0; seed x_{-1} at the root of d")
     if diag is not None:
@@ -518,14 +536,13 @@ def stepwise_oracle(eq, pair, K, f0=None):
     xs, ys = pair.unprimed.values(0, K + 1)
     for k, (xk, yk, yk1) in enumerate(zip(xs, ys, ys[1:])):
         dy = yk1 - yk
-        ratio = eq.a(xk) / dy
-        den = ratio - eq.c(xk) / 2.0
-        scale = _term_scale(eq, xk, dy)
-        if scale < cmath.inf:
-            if abs(den) <= 1e-12 * scale:
-                raise HitSingularLatticeError(k)
-            vals.append(((ratio + eq.c(xk) / 2.0) * vals[-1] + eq.d(xk)) / den)
-        if not (scale < cmath.inf and cmath.isfinite(vals[-1])):
+        ck = eq.c(xk)
+        ratio, den, singular = _step_divisor(eq, xk, dy, eq.a(xk), ck)
+        if singular:
+            raise HitSingularLatticeError(k, vals)
+        if singular is not None:
+            vals.append(((ratio + ck / 2.0) * vals[-1] + eq.d(xk)) / den)
+        if singular is None or not cmath.isfinite(vals[-1]):
             raise LatticeSingularityError(
                 k, f"stepwise oracle: step {k} at x_{k} = {xk} leaves the float range")
     return vals
@@ -702,11 +719,9 @@ def verify_interpolation(eq, sol, N):
         raise ValidationError(f"partial sum order {N} is outside 0 .. {len(sol.coeffs) - 1}")
     pair, cs = sol.pair, sol.coeffs
     try:
-        oracle = stepwise_oracle(eq, pair, N, f0=cs[0])
-        skipped = ()
+        oracle, skipped = stepwise_oracle(eq, pair, N, f0=cs[0]), ()
     except HitSingularLatticeError as exc:
-        oracle = stepwise_oracle(eq, pair, exc.index, f0=cs[0])
-        skipped = tuple(range(exc.index + 1, N + 1))
+        oracle, skipped = exc.values, tuple(range(exc.index + 1, N + 1))
     _, ys = pair.unprimed.span(0, len(oracle))
     _, poles = pair.primed.span(1, N + 1)
     hit = pole_hits(ys, poles)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +6,7 @@ from hypothesis import strategies as st
 from ellgrid.errors import (
     ConstantPolynomialError,
     PoleEvaluationError,
+    ValidationError,
     ZeroDivisorError,
 )
 from ellgrid.poly import Polynomial, RationalFunction, solve_quadratic
@@ -37,6 +39,16 @@ def test_nonremovable_pole_raises():
     with pytest.raises(PoleEvaluationError) as err:
         f(2.0)
     assert err.value.at == 2.0
+
+
+def test_rational_value_past_the_float_range_is_typed():
+    # x^3 + 1 is inf at 1e103, where max(1, |z|)^3 would also leave the float range
+    f = RationalFunction(Polynomial((1.0,)), X ** 3 + 1)
+    with pytest.raises(ValidationError, match=r"z=1e\+103"):
+        f(1e103)
+    assert f(1e100) == pytest.approx(1e-300)
+    # |z|^3 = 1e309 is past the float range, but the pole test divides by |z| per degree
+    assert RationalFunction(Polynomial((1.0,)), X + 1)(1e103) == pytest.approx(1e-103)
 
 
 def test_eval_simple():
@@ -81,6 +93,21 @@ def test_normalization_trims_leading_noise():
         assert q.max_coeff == max(abs(c) for c in q.coeffs)
     with pytest.raises(AttributeError):
         q.max_coeff = 0.0
+
+
+def test_quadratic_roots_where_the_discriminant_overflows():
+    # V1^2 - 4 V2 V0 is about 4e300^2 at t = 1e150 on this curve; V2(t) = 1 + t^2 is finite
+    from ellgrid import BiquadraticCurve
+    cv = BiquadraticCurve([[1, 0, 1], [0, 1, 0], [1, 0, 1]])
+    t = 1e150
+    v0, v1, v2 = (p(t) for p in cv.x_view())
+    lo, hi = cv.y_roots(t).as_tuple()
+    assert np.isfinite([lo, hi]).all()
+    assert abs((lo + hi) - (-v1 / v2)) <= 1e-12 * abs(v1 / v2)
+    assert abs(lo * hi - v0 / v2) <= 1e-12 * abs(v0 / v2)
+    # the rescaled solve returns the unscaled square root of the discriminant
+    _, _, s = solve_quadratic(1e300, 4e300, 1.0)
+    assert np.isfinite(s) and s == pytest.approx(4e300)
 
 
 def test_quadratic_pairing_is_stable():

@@ -36,6 +36,7 @@ from ellgrid.errors import (
     NonFiniteCoefficientError,
     NoSpecialPointError,
     PoleEvaluationError,
+    SmallDivisorError,
     ValidationError,
 )
 from ellgrid.poly import Polynomial
@@ -273,6 +274,7 @@ def test_stepwise_oracle_hits_singular_lattice():
     with pytest.raises(HitSingularLatticeError) as err:
         stepwise_oracle(eq, pair, 5, f0=0.0)
     assert err.value.index == 2
+    assert err.value.values == tuple(stepwise_oracle(eq, pair, 2, f0=0.0))     # f(y_0) .. f(y_2)
 
 
 def test_stepwise_oracle_past_the_float_range_is_typed():
@@ -284,6 +286,74 @@ def test_stepwise_oracle_past_the_float_range_is_typed():
     with pytest.raises(LatticeSingularityError, match="stepwise oracle") as info:
         stepwise_oracle(eq, pair, 700)
     assert 500 < info.value.index < 520
+
+
+def _singular_step_cases():
+    """(name, eq, select, solve keywords): genus1_equation seeds 0-29 x three ByIndex
+    selectors, the three general fixtures, the two logarithmic ones and one logarithmic
+    equation whose oracle is singular."""
+    for seed in range(30):
+        eq = genus1_equation(seed)
+        for select in (ByIndex(0, 1), ByIndex(1, 2), ByIndex(2, 0)):
+            yield f"genus1-{seed} {select}", eq, select, {}
+    for name, eq, select in general_fixtures():
+        yield name, eq, select, {}
+    eq, select, c0_free, _, _, hints = log_linear_fixture()
+    yield "log-linear", eq, select, {"c0_free": c0_free, **hints}
+    eq, select, _, _, hints = log_qlattice_fixture()
+    yield "log-qlattice", eq, select, {"c0_free": 0.3, **hints}
+    # the third root of a at x_2: the oracle's step 2 divides by a(x_2) = 0
+    eq, select, c0_free, _, _, hints = log_linear_fixture()
+    a = Polynomial.from_roots([select.x_m1, select.x_p0, select.x_m1 + 3.0])
+    singular = DifferenceEquation(eq.curve, a, 0.0, 0.0, 1.0, -select.x_m1)
+    yield "zeta-on-lattice", singular, select, {"c0_free": c0_free, **hints}
+
+
+def test_small_divisor_is_the_oracles_singular_step():
+    """One singular-step rule: solve raises SmallDivisorError(n) exactly when the stepwise
+    oracle's step n - 1 is singular (or C_n = 0); a solve that succeeds has an oracle that
+    runs to N with no singular step."""
+    N = 150
+    raised = 0
+    for name, eq, select, kw in _singular_step_cases():
+        f0 = kw.get("c0_free")
+        try:
+            sol = solve(eq, select, N, **kw)
+        except SmallDivisorError as exc:
+            raised += 1
+            n = exc.index
+            pair = build_lattices(eq, locate_special_points(
+                eq, select, y0_hint=kw.get("y0_hint"), yp1_hint=kw.get("yp1_hint")))
+            try:
+                stepwise_oracle(eq, pair, N, f0=f0)
+                singular = None
+            except HitSingularLatticeError as hit:
+                singular = hit.index
+            assert singular == n - 1 or diff_constants(pair, n)[n] == 0, (name, n, singular)
+            continue
+        except EllgridError:
+            continue
+        assert len(stepwise_oracle(eq, sol.pair, N, f0=sol.coeffs[0])) == N + 1, name
+    assert raised > 0            # the rule is exercised, not only the success branch
+
+
+@pytest.mark.parametrize("seed", [4, 11, 19])
+def test_small_divisor_verdict_does_not_depend_on_N(seed):
+    """Whether order n is accepted reads step n - 1 only: the N = 150 solve extends the
+    N = 40 one bit for bit and verifies."""
+    eq = genus1_equation(seed)
+    short, long = (solve(eq, ByIndex(2, 0), N) for N in (40, 150))
+    assert long.coeffs[:41] == short.coeffs
+    assert verify_interpolation(eq, long, 150).max_error <= 1e-7
+
+
+def test_equation_scale_past_the_float_range_is_typed():
+    """scale(z) = max|coeff| max(1, |z|)^3 leaves the float range near |z| = 5.6e102: a typed
+    error naming z, so the logarithmic d(x_{-1}) = 0 check cannot pass on an inf scale."""
+    eq, _ = linear_fixture()
+    assert eq.scale(1e100) == pytest.approx(2e300)
+    with pytest.raises(ValidationError, match=r"z=1e\+103"):
+        eq.scale(1e103)
 
 
 def test_undefined_c0_is_validation_error_on_every_route():
