@@ -78,11 +78,59 @@ def _roots(view, t):
 
 
 def complement(view, t, root):
-    """(other root over t, V1(t), V2(t)): the Vieta sum (no square root) and the two
-    values it reads, so that dF/ds = V1 + 2 V2 s over t needs no further evaluation."""
+    """The other root over t: the Vieta sum -V1/V2 - root (no square root)."""
     lead = _lead(view, t)
-    v1 = view[1](t)
-    return -v1 / lead - root, v1, lead
+    return -view[1](t) / lead - root
+
+
+def walk_flip(curve, over_x):
+    """The lattice walk's flip on one view of `curve`: flip(t, s) is the Vieta complement
+    of the root s over t (s = y over t = x when over_x, else x over y), polished.
+
+    V1 and V2 run as inline Horner on their trimmed coefficients, under _lead's test, so
+    the complement rounds as `complement` does.  One or two guarded Newton steps then only
+    remove accumulated rounding, accepting a correction only while |F| decreases (so
+    branch points, where dF = V1 + 2 V2 s ~ 0, are left alone).
+    """
+    view = curve.x_view() if over_x else curve.y_view()
+    top1, *low1 = reversed(view[1].coeffs)
+    top2, *low2 = reversed(view[2].coeffs)
+    deg, floor, F = view[2].degree(), LEAD_TOL * view[2].max_coeff, curve._f
+
+    def flip(t, s):
+        lead = top2
+        for c in low2:
+            lead = lead * t + c
+        if not floor < reduced_abs(lead, t, deg) < cmath.inf:
+            _lead(view, t)              # fails the same test, so raises its error
+        v1 = top1
+        for c in low1:
+            v1 = v1 * t + c
+        s = -v1 / lead - s
+        fv = F(t, s) if over_x else F(s, t)
+        for _ in range(2):
+            d = v1 + 2.0 * lead * s
+            if d == 0:
+                return s
+            s2 = s - fv / d
+            f2 = F(t, s2) if over_x else F(s2, t)
+            if not abs(f2) < abs(fv):
+                return s
+            s, fv = s2, f2
+        return s
+    return flip
+
+
+def _grid_function(c):
+    """F(x, y) on the 3x3 grid c as a plain function: Horner in y inside Horner in x,
+    unrolled, each started from 0j (signed zeros and non-finite points round alike)."""
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c
+
+    def F(x, y):
+        acc = 0j * x + (((0j * y + c22) * y + c21) * y + c20)
+        acc = acc * x + (((0j * y + c12) * y + c11) * y + c10)
+        return acc * x + (((0j * y + c02) * y + c01) * y + c00)
+    return F
 
 
 def _scaled_powers(t):
@@ -95,7 +143,7 @@ def _scaled_powers(t):
 class BiquadraticCurve:
     """Immutable 3x3 coefficient grid c[i][j] multiplying x^i y^j."""
 
-    __slots__ = ("c", "_xv", "_yv", "_P")
+    __slots__ = ("c", "_xv", "_yv", "_P", "_f")
 
     def __init__(self, grid):
         c = tuple(tuple(complex(v) for v in row) for row in grid)
@@ -117,6 +165,7 @@ class BiquadraticCurve:
         if P.is_zero():
             raise ValidationError("P = X1^2 - 4 X0 X2 vanishes identically (double line)")
         object.__setattr__(self, "_P", P)
+        object.__setattr__(self, "_f", _grid_function(c))
 
     def __setattr__(self, name, value):
         raise AttributeError("BiquadraticCurve is immutable")
@@ -145,13 +194,7 @@ class BiquadraticCurve:
     # -- evaluation ---------------------------------------------------------------
 
     def __call__(self, x, y):
-        acc = 0j
-        for i in range(2, -1, -1):
-            inner = 0j
-            for j in range(2, -1, -1):
-                inner = inner * y + self.c[i][j]
-            acc = acc * x + inner
-        return acc
+        return self._f(x, y)
 
     def residual(self, x, y):
         """|F(x, y)| / (scale max(1, |x|)^2 max(1, |y|)^2), finite wherever x and y are."""
@@ -177,11 +220,11 @@ class BiquadraticCurve:
 
     def other_y(self, x, y):
         """The second y-root over x, via the Vieta sum (no square root)."""
-        return complement(self._xv, x, y)[0]
+        return complement(self._xv, x, y)
 
     def other_x(self, y, x):
         """The second x-root over y, via the Vieta sum."""
-        return complement(self._yv, y, x)[0]
+        return complement(self._yv, y, x)
 
     def implicit_dy_dx(self, x, y):
         """dy/dx of the branch through (x, y): -(dF/dx)/(dF/dy).

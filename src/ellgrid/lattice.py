@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import BiquadraticCurve, complement, fit_biquadratic
+from .curve import BiquadraticCurve, fit_biquadratic, walk_flip
 from .errors import (
     LatticeSingularityError,
     LatticeStagnationError,
@@ -68,32 +68,6 @@ class LatticeSpec:
         return f"LatticeSpec(x0={self.x0!r}, y0={self.y0!r})"
 
 
-def _flip(curve, p, axis):
-    """Replace p[axis] by its Vieta complement over p[1 - axis], then polish it.
-
-    p is [x, y]; axis 1 moves y over a fixed x, axis 0 moves x over a fixed y.
-    The Vieta complement picks the branch; one or two guarded Newton steps
-    only remove accumulated rounding, accepting a correction only while |F|
-    decreases (so branch points, where dF ~ 0, are left alone).  dF is the
-    view's V1 + 2 V2 s; F is the full grid's.
-    """
-    view = curve.x_view() if axis else curve.y_view()
-    p[axis], v1, v2 = complement(view, p[1 - axis], p[axis])
-    fv = curve(*p)
-    for _ in range(2):
-        d = v1 + 2.0 * v2 * p[axis]
-        if d == 0:
-            return
-        v = p[axis]
-        p[axis] = v - fv / d
-        f2 = curve(*p)
-        if abs(f2) < abs(fv):
-            fv = f2
-        else:
-            p[axis] = v
-            return
-
-
 class LatticePair:
     """Indexed sequences {x_n}, {y_n}, materialized lazily in both directions.
 
@@ -107,6 +81,8 @@ class LatticePair:
         self._y = {0: spec.y0}
         self._lo = 0     # materialized index range [lo, hi]
         self._hi = 0
+        self._flip_y = walk_flip(spec.curve, True)     # y over a fixed x
+        self._flip_x = walk_flip(spec.curve, False)    # x over a fixed y
 
     @property
     def curve(self):
@@ -154,24 +130,31 @@ class LatticePair:
     def _step(self, direction):
         """Materialize the next index past the known range in `direction`.
 
-        Forward flips y then x, backward undoes that: x then y.
+        Forward flips y then x, backward undoes that: x then y.  The stagnation
+        check runs in full only once the newest step is below its guard.
         """
         n = self._hi if direction > 0 else self._lo
         m = n + direction
-        p = [self._x[n], self._y[n]]
+        x0, y0 = x, y = self._x[n], self._y[n]
         try:
-            for axis in ((1, 0) if direction > 0 else (0, 1)):
-                _flip(self.curve, p, axis)
+            if direction > 0:
+                y = self._flip_y(x, y)
+                x = self._flip_x(y, x)
+            else:
+                x = self._flip_x(y, x)
+                y = self._flip_y(x, y)
         except LeadingCoefficientVanishesError as exc:
             raise LatticeSingularityError(m, f"step {n}->{m}: {exc}") from exc
-        if not (cmath.isfinite(p[0]) and cmath.isfinite(p[1])):
-            raise LatticeSingularityError(m, f"step {n}->{m}: ({p[0]}, {p[1]}) is not finite")
-        self._x[m], self._y[m] = p
+        if not (cmath.isfinite(x) and cmath.isfinite(y)):
+            raise LatticeSingularityError(m, f"step {n}->{m}: ({x}, {y}) is not finite")
+        self._x[m], self._y[m] = x, y
         if direction > 0:
             self._hi = m
         else:
             self._lo = m
-        self._check_stagnation(direction)
+        guard = STAGNATION_TOL * max(1.0, abs(x), abs(y))
+        if abs(x - x0) < guard and abs(y - y0) < guard:
+            self._check_stagnation(direction)
 
     def _check_stagnation(self, direction):
         end = self._hi if direction > 0 else self._lo

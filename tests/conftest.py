@@ -19,8 +19,15 @@ from ellgrid import (
     LinearLattice,
     solve,
 )
+from ellgrid.curve import LEAD_TOL
 from ellgrid.diffops import diff_constant
-from ellgrid.poly import Polynomial
+from ellgrid.errors import (
+    LatticeSingularityError,
+    LatticeStagnationError,
+    LeadingCoefficientVanishesError,
+)
+from ellgrid.lattice import STAGNATION_RUN, STAGNATION_TOL
+from ellgrid.poly import Polynomial, reduced_abs
 
 settings.register_profile("ellgrid", deadline=None, derandomize=True)
 settings.load_profile("ellgrid")
@@ -161,6 +168,78 @@ def genus1_equation(seed):
     a = Polynomial(tuple(rng.uniform(-1.5, 1.5, 3)) + (1.0,))
     beta, gamma, delta, eps = rng.uniform(-1.0, 1.0, 4)
     return DifferenceEquation(curve, a, beta=beta, gamma=gamma, delta=delta, eps=eps)
+
+
+def ref_F(curve, x, y):
+    """F(x, y) by the nested Horner loop over the grid, each level started from 0j."""
+    acc = 0j
+    for row in reversed(curve.c):
+        inner = 0j
+        for v in reversed(row):
+            inner = inner * y + v
+        acc = acc * x + inner
+    return acc
+
+
+def ref_flip(curve, t, s, over_x):
+    """The other root over t of the view through s (y over x when over_x, else x over y):
+    the lead test on V2(t), the Vieta sum -V1/V2 - s, then up to two Newton steps on the
+    nested-loop F, each kept only while |F| drops."""
+    _, v1, v2 = curve.x_view() if over_x else curve.y_view()
+    lead = v2(t)
+    size = reduced_abs(lead, t, v2.degree())
+    if not LEAD_TOL * v2.max_coeff < size < cmath.inf:
+        raise LeadingCoefficientVanishesError(
+            t, None if size < cmath.inf else f"leading coefficient at {t} is not finite")
+    v1 = v1(t)
+    s = -v1 / lead - s
+
+    def F(s):
+        return ref_F(curve, t, s) if over_x else ref_F(curve, s, t)
+    fv = F(s)
+    for _ in range(2):
+        d = v1 + 2.0 * lead * s
+        if d == 0:
+            break
+        s2 = s - fv / d
+        f2 = F(s2)
+        if not abs(f2) < abs(fv):
+            break
+        s, fv = s2, f2
+    return s
+
+
+def ref_walk(curve, x0, y0, lo, hi):
+    """({n: x_n}, {n: y_n}) for lo <= n <= 0 <= hi, walked as `LatticePair.ensure(lo, hi)`
+    does (forward to hi, then back to lo) by `ref_flip`, one step at a time.
+
+    A forward step flips y then x, a backward step x then y.  The errors are the
+    lattice's: LatticeSingularityError(m) for a vanishing lead or a non-finite point
+    at index m, LatticeStagnationError(m) once the last STAGNATION_RUN steps up to m
+    all moved x and y by less than STAGNATION_TOL max(1, |x|, |y|).
+    """
+    xs, ys = {0: complex(x0)}, {0: complex(y0)}
+    for direction, end in ((1, hi), (-1, lo)):
+        for n in range(0, end, direction):
+            m = n + direction
+            x, y = xs[n], ys[n]
+            try:
+                if direction > 0:
+                    y = ref_flip(curve, x, y, True)
+                    x = ref_flip(curve, y, x, False)
+                else:
+                    x = ref_flip(curve, y, x, False)
+                    y = ref_flip(curve, x, y, True)
+            except LeadingCoefficientVanishesError as exc:
+                raise LatticeSingularityError(m, f"step {n}->{m}: {exc}") from exc
+            if not (cmath.isfinite(x) and cmath.isfinite(y)):
+                raise LatticeSingularityError(m, f"step {n}->{m}: ({x}, {y}) is not finite")
+            xs[m], ys[m] = x, y
+            steps = [(m - direction * k, m - direction * (k + 1)) for k in range(STAGNATION_RUN)]
+            if all(b in xs and max(abs(xs[a] - xs[b]), abs(ys[a] - ys[b]))
+                   < STAGNATION_TOL * max(1.0, abs(xs[a]), abs(ys[a])) for a, b in steps):
+                raise LatticeStagnationError(m)
+    return xs, ys
 
 
 def ref_xi(eq, pair, n):
