@@ -71,16 +71,15 @@ class LatticeSpec:
 class LatticePair:
     """Indexed sequences {x_n}, {y_n}, materialized lazily in both directions.
 
-    Caches only grow; share across threads after generating the range you need
-    (generate-then-share).
+    x_n, y_n for n >= 0 sit at position n of the lists _x, _y, and for n < 0 at
+    position -n-1 of _x_back, _y_back.  Caches only grow; share across threads after
+    generating the range you need (generate-then-share).
     """
 
     def __init__(self, spec):
         self.spec = spec
-        self._x = {0: spec.x0}
-        self._y = {0: spec.y0}
-        self._lo = 0     # materialized index range [lo, hi]
-        self._hi = 0
+        self._x, self._y = [spec.x0], [spec.y0]
+        self._x_back, self._y_back = [], []
         self._flip_y = walk_flip(spec.curve, True)     # y over a fixed x
         self._flip_x = walk_flip(spec.curve, False)    # x over a fixed y
 
@@ -90,91 +89,99 @@ class LatticePair:
 
     @property
     def known_range(self):
-        return self._lo, self._hi
+        return -len(self._x_back), len(self._x) - 1
 
     def x(self, n):
         self.ensure(n, n)
-        return self._x[n]
+        return self._x[n] if n >= 0 else self._x_back[-n - 1]
 
     def y(self, n):
         self.ensure(n, n)
-        return self._y[n]
+        return self._y[n] if n >= 0 else self._y_back[-n - 1]
 
     def point(self, n):
         self.ensure(n, n)
-        return self._x[n], self._y[n]
+        return self._at(n)
+
+    def _at(self, n):
+        return (self._x[n], self._y[n]) if n >= 0 else (self._x_back[-n - 1], self._y_back[-n - 1])
 
     def values(self, n_lo, n_hi):
         """(xs, ys): x_n and y_n for n_lo <= n < n_hi as lists of Python complex, after one ensure."""
-        ns = range(n_lo, n_hi)
-        if ns:
-            self.ensure(n_lo, n_hi - 1)
-        return list(map(self._x.__getitem__, ns)), list(map(self._y.__getitem__, ns))
+        if n_lo >= n_hi:
+            return [], []
+        self.ensure(n_lo, n_hi - 1)
+        back, fwd = slice(-min(n_hi, 0), max(-n_lo, 0)), slice(max(n_lo, 0), max(n_hi, 0))
+        return (self._x_back[back][::-1] + self._x[fwd],
+                self._y_back[back][::-1] + self._y[fwd])
 
     def span(self, n_lo, n_hi):
         """The same range as `values`, as two complex arrays."""
         return tuple(np.array(v, dtype=complex) for v in self.values(n_lo, n_hi))
 
     def ensure(self, n_min, n_max):
-        while self._hi < n_max:
-            self._step_forward()
-        while self._lo > n_min:
-            self._step_backward()
+        if n_max >= len(self._x):
+            self._step_forward(n_max - len(self._x) + 1)
+        if -n_min > len(self._x_back):
+            self._step_backward(-n_min - len(self._x_back))
 
-    def _step_forward(self):
-        self._step(+1)
+    def _step_forward(self, count):
+        """Materialize the next `count` indices past the known range, forward (y then x)."""
+        self._walk(count, +1, self._x, self._y)
 
-    def _step_backward(self):
-        self._step(-1)
+    def _step_backward(self, count):
+        """The same backward, undoing a forward step: x then y."""
+        self._walk(count, -1, self._x_back, self._y_back)
 
-    def _step(self, direction):
-        """Materialize the next index past the known range in `direction`.
+    def _walk(self, count, direction, xs, ys):
+        """Append `count` steps in `direction` to xs, ys, checking each new point before it is
+        stored (the stagnation check in full only once a step is below its guard): a stop
+        leaves the known range as it was, so a retry stops at the same index."""
+        flip_y, flip_x = self._flip_y, self._flip_x
+        forward = direction > 0
+        n = self.known_range[forward]
+        x, y = self._at(n)
+        for m in range(n + direction, n + direction * (count + 1), direction):
+            x0, y0 = x, y
+            try:
+                if forward:
+                    y = flip_y(x, y)
+                    x = flip_x(y, x)
+                else:
+                    x = flip_x(y, x)
+                    y = flip_y(x, y)
+            except LeadingCoefficientVanishesError as exc:
+                raise LatticeSingularityError(m, f"step {m - direction}->{m}: {exc}") from exc
+            if not (cmath.isfinite(x) and cmath.isfinite(y)):
+                raise LatticeSingularityError(
+                    m, f"step {m - direction}->{m}: ({x}, {y}) is not finite")
+            guard = STAGNATION_TOL * max(1.0, abs(x), abs(y))
+            if abs(x - x0) < guard and abs(y - y0) < guard and self._stagnates(m, x, y, direction):
+                raise LatticeStagnationError(m)
+            xs.append(x)
+            ys.append(y)
 
-        Forward flips y then x, backward undoes that: x then y.  The stagnation
-        check runs in full only once the newest step is below its guard.
-        """
-        n = self._hi if direction > 0 else self._lo
-        m = n + direction
-        x0, y0 = x, y = self._x[n], self._y[n]
-        try:
-            if direction > 0:
-                y = self._flip_y(x, y)
-                x = self._flip_x(y, x)
-            else:
-                x = self._flip_x(y, x)
-                y = self._flip_y(x, y)
-        except LeadingCoefficientVanishesError as exc:
-            raise LatticeSingularityError(m, f"step {n}->{m}: {exc}") from exc
-        if not (cmath.isfinite(x) and cmath.isfinite(y)):
-            raise LatticeSingularityError(m, f"step {n}->{m}: ({x}, {y}) is not finite")
-        self._x[m], self._y[m] = x, y
-        if direction > 0:
-            self._hi = m
-        else:
-            self._lo = m
-        guard = STAGNATION_TOL * max(1.0, abs(x), abs(y))
-        if abs(x - x0) < guard and abs(y - y0) < guard:
-            self._check_stagnation(direction)
-
-    def _check_stagnation(self, direction):
-        end = self._hi if direction > 0 else self._lo
-        for k in range(STAGNATION_RUN):
-            a = end - direction * k
-            b = a - direction
-            if b < self._lo or b > self._hi or a < self._lo or a > self._hi:
-                return
-            guard = STAGNATION_TOL * max(1.0, abs(self._x[a]), abs(self._y[a]))
-            if abs(self._x[a] - self._x[b]) >= guard or abs(self._y[a] - self._y[b]) >= guard:
-                return
-        raise LatticeStagnationError(end)
+    def _stagnates(self, m, x, y, direction):
+        """Whether the STAGNATION_RUN steps into m, the last to (x, y), all stayed under the guard."""
+        lo, hi = self.known_range
+        for k in range(1, STAGNATION_RUN + 1):
+            b = m - direction * k
+            if not lo <= b <= hi:
+                return False
+            xb, yb = self._at(b)
+            guard = STAGNATION_TOL * max(1.0, abs(x), abs(y))
+            if abs(x - xb) >= guard or abs(y - yb) >= guard:
+                return False
+            x, y = xb, yb
+        return True
 
     # -- invariants ---------------------------------------------------------------
 
     def on_curve_residual(self, n):
         """The curve's scale-free residual at (x_n, y_n) and (x_n, y_{n+1})."""
         self.ensure(n, n + 1)
-        c = self.curve
-        return c.residual(self._x[n], self._y[n]), c.residual(self._x[n], self._y[n + 1])
+        (x, y), (_, y1) = self._at(n), self._at(n + 1)
+        return self.curve.residual(x, y), self.curve.residual(x, y1)
 
 
 def generate(spec, n_min, n_max):

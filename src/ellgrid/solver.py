@@ -147,26 +147,51 @@ class SpecialPoints:
     res_p0: float
 
 
-def _term_scale(eq, x, dy):
-    """Coefficient-level magnitude of a(x)/dy and c(x)/2 (at least 1e-300; inf on overflow)."""
-    try:
-        growth = max(1.0, abs(x))
-        return max(eq.a.max_coeff * growth ** eq.a.degree() / abs(dy),
-                   eq.c.max_coeff * growth ** eq.c.degree() / 2.0,
-                   1e-300)
-    except OverflowError:
-        return cmath.inf
+def _horner(p):
+    """at(x) = p(x) for a Python scalar x by Horner, rounded as Polynomial.__call__."""
+    top, *low = reversed(p.coeffs)
+
+    def at(x):
+        v = top
+        for c in low:
+            v = v * x + c
+        return v
+    return at
 
 
-def _step_divisor(eq, x, dy, ax, cx):
-    """(a/dy, den = a/dy - c/2, singular) of the stepwise step at x, from ax = a(x), cx = c(x).
+def _term_scale(eq):
+    """scale(x, dy): coefficient-level size of a(x)/dy and c(x)/2 (>= 1e-300, inf on overflow)."""
+    am, ad, cm, cd = eq.a.max_coeff, eq.a.degree(), eq.c.max_coeff, eq.c.degree()
 
-    singular, the one singular-step test of both recurrences, is |den| <= SINGULAR_STEP_TOL
-    * _term_scale, or None where that scale is not finite (non-finite checks decide there)."""
-    ratio = ax / dy
-    den = ratio - cx / 2.0
-    scale = _term_scale(eq, x, dy)
-    return ratio, den, abs(den) <= SINGULAR_STEP_TOL * scale if scale < cmath.inf else None
+    def scale(x, dy):
+        try:
+            growth = max(1.0, abs(x))
+            return max(am * growth ** ad / abs(dy), cm * growth ** cd / 2.0, 1e-300)
+        except OverflowError:
+            return cmath.inf
+    return scale
+
+
+def _step_kernel(eq):
+    """step(x, dy) -> (c(x), a(x)/dy, den = a/dy - c/2, singular) of the stepwise step at x, a and
+    c by inline Horner.  singular, the one singular-step test of both recurrences, is |den| <=
+    SINGULAR_STEP_TOL * _term_scale, or None where that scale is not finite (non-finite checks)."""
+    a_top, *a_low = reversed(eq.a.coeffs)
+    c_top, *c_low = reversed(eq.c.coeffs)
+    scale = _term_scale(eq)
+
+    def step(x, dy):
+        ax = a_top
+        for c in a_low:
+            ax = ax * x + c
+        cx = c_top
+        for c in c_low:
+            cx = cx * x + c
+        ratio = ax / dy
+        den = ratio - cx / 2.0
+        size = scale(x, dy)
+        return cx, ratio, den, abs(den) <= SINGULAR_STEP_TOL * size if size < cmath.inf else None
+    return step
 
 
 def _condition_residual(eq, r, first, second, sign):
@@ -178,7 +203,7 @@ def _condition_residual(eq, r, first, second, sign):
     dy = second - first
     if abs(dy) <= 1e-13 * max(1.0, abs(first), abs(second)):
         return cmath.inf
-    scale = _term_scale(eq, r, dy)
+    scale = _term_scale(eq)(r, dy)
     return abs(eq.a(r) / dy + sign * eq.c(r) / 2.0) / scale if scale < cmath.inf else cmath.inf
 
 
@@ -192,13 +217,15 @@ def special_point_candidates(eq):
     if eq.is_logarithmic:
         rts = eq.a.roots()
     else:
-        lin2 = Polynomial((eq.gamma, eq.beta)) ** 2
-        sextic = 4.0 * (eq.a * eq.a) - lin2 * eq.curve.discriminant_P()
+        lin, P = Polynomial((eq.gamma, eq.beta)), eq.curve.discriminant_P()
+        sextic = 4.0 * (eq.a * eq.a) - lin ** 2 * P
         if sextic.is_zero():
             raise NoSpecialPointError("special-point equation is identically zero")
         if sextic.degree() < 1:
             raise NoSpecialPointError("special-point equation has no roots")
-        rts = [_polish_condition_root(eq, r) for r in sextic.roots()]
+        polish = partial(_polish_condition_root, eq.beta, *map(
+            _horner, (P, P.derivative(), lin, eq.a, eq.a.derivative())))
+        rts = [polish(r) for r in sextic.roots()]
     out = []
     for r in rts:
         if any(abs(r - s) <= 1e-8 * (1.0 + abs(r)) for s in out):
@@ -214,35 +241,30 @@ def special_point_candidates(eq):
     return sorted(out, key=lambda z: (z.real, z.imag))
 
 
-def _polish_condition_root(eq, r):
-    """Up to eight Newton steps polishing r against 2a(x) - sigma (beta x + gamma) sqrt(P(x)) = 0."""
-    P = eq.curve.discriminant_P()
-    dP = P.derivative()
-    lin = Polynomial((eq.gamma, eq.beta))
-    da = eq.a.derivative()
+def _polish_condition_root(beta, P, dP, lin, a, da, r):
+    """Up to eight Newton steps polishing r against 2a(x) - sigma (beta x + gamma) sqrt(P(x)) = 0,
+    with P, P', lin = beta x + gamma, a and a' as evaluators built once per equation."""
     w = cmath.sqrt(P(r))
-    sigma = 1.0 if abs(2.0 * eq.a(r) - lin(r) * w) <= abs(2.0 * eq.a(r) + lin(r) * w) \
-        else -1.0
-    best = r
-    g_best = abs(2.0 * eq.a(r) - sigma * lin(r) * w)
+    a2, lr = 2.0 * a(r), lin(r)
+    sigma = 1.0 if abs(a2 - lr * w) <= abs(a2 + lr * w) else -1.0
+    g = a2 - sigma * lr * w
+    g_best = abs(g)
     for _ in range(8):
-        g = 2.0 * eq.a(r) - sigma * lin(r) * w
         if abs(w) <= 1e-300:
             break
-        dg = 2.0 * da(r) - sigma * (eq.beta * w + lin(r) * dP(r) / (2.0 * w))
+        dg = 2.0 * da(r) - sigma * (beta * w + lr * dP(r) / (2.0 * w))
         if dg == 0:
             break
         r2 = r - g / dg
         w2 = cmath.sqrt(P(r2))
         if abs(w2 + w) < abs(w2 - w):
             w2 = -w2
-        g2 = abs(2.0 * eq.a(r2) - sigma * lin(r2) * w2)
-        if g2 < g_best:
-            best, g_best = r2, g2
-            r, w = r2, w2
-        else:
+        l2 = lin(r2)
+        g2 = 2.0 * a(r2) - sigma * l2 * w2
+        if not abs(g2) < g_best:
             break
-    return best
+        r, w, lr, g, g_best = r2, w2, l2, g2, abs(g2)
+    return r
 
 
 def _branch_for_role(eq, r, sign, hint=None):
@@ -358,25 +380,26 @@ def _ratio_coefficients(eq, reads, c0):
     z = x'_n, and eta_n = C_n (a - c (y_n - y_{n-1})/2)(z) / ((z - x_{-1}) (z - x'_0) (z - x'_n))
     at z = x_{n-1}.  eta_n's numerator is dy = y_n - y_{n-1} times the divisor of the stepwise
     oracle's step n - 1, so before any division by it eta_n takes the oracle's test
-    (_step_divisor): SmallDivisorError(n) when that step is singular or eta_n = 0, whatever N.
+    (_step_kernel): SmallDivisorError(n) when that step is singular or eta_n = 0, whatever N.
     The seed is c_1 = (beta c_0 + delta)/eta_1.
     """
     cns, (xs, ys), (xps, yps) = reads
     N = len(cns) - 1
     xm1, xp0 = xs[0], xps[0]
+    step, a, c = _step_kernel(eq), _horner(eq.a), _horner(eq.c)
     etas = [None]
     for n in range(1, N + 1):
         z, dy = xs[n], ys[n + 1] - ys[n]
-        az, cz = eq.a(z), eq.c(z)
+        az, cz = a(z), c(z)
         eta = cns[n] * (az - cz * dy / 2.0) / ((z - xm1) * (z - xp0) * (z - xps[n]))
-        if eta == 0 or _step_divisor(eq, z, dy, az, cz)[2]:
+        if eta == 0 or step(z, dy)[3]:
             raise SmallDivisorError(n, abs(eta))
         etas.append(eta)
 
     cs = [c0, (eq.beta * c0 + eq.delta) / etas[1]]
     for n in range(1, N):
         z = xps[n]
-        num = eq.a(z) + eq.c(z) * (yps[n + 1] - yps[n]) / 2.0
+        num = a(z) + c(z) * (yps[n + 1] - yps[n]) / 2.0
         xi = cns[n] * num / ((z - xm1) * (z - xp0) * (z - xs[n]))
         cs.append(-cs[-1] * xi / etas[n + 1])
     return cs
@@ -534,14 +557,13 @@ def stepwise_oracle(eq, pair, K, f0=None):
         f0 = _c0(eq, pair.x(-1))
     vals = [complex(f0)]
     xs, ys = pair.unprimed.values(0, K + 1)
+    step, d = _step_kernel(eq), _horner(eq.d)
     for k, (xk, yk, yk1) in enumerate(zip(xs, ys, ys[1:])):
-        dy = yk1 - yk
-        ck = eq.c(xk)
-        ratio, den, singular = _step_divisor(eq, xk, dy, eq.a(xk), ck)
+        ck, ratio, den, singular = step(xk, yk1 - yk)
         if singular:
             raise HitSingularLatticeError(k, vals)
         if singular is not None:
-            vals.append(((ratio + ck / 2.0) * vals[-1] + eq.d(xk)) / den)
+            vals.append(((ratio + ck / 2.0) * vals[-1] + d(xk)) / den)
         if singular is None or not cmath.isfinite(vals[-1]):
             raise LatticeSingularityError(
                 k, f"stepwise oracle: step {k} at x_{k} = {xk} leaves the float range")

@@ -22,6 +22,7 @@ from ellgrid import (
 from ellgrid.curve import LEAD_TOL
 from ellgrid.diffops import diff_constant
 from ellgrid.errors import (
+    HitSingularLatticeError,
     LatticeSingularityError,
     LatticeStagnationError,
     LeadingCoefficientVanishesError,
@@ -240,6 +241,42 @@ def ref_walk(curve, x0, y0, lo, hi):
                    < STAGNATION_TOL * max(1.0, abs(xs[a]), abs(ys[a])) for a, b in steps):
                 raise LatticeStagnationError(m)
     return xs, ys
+
+
+def ref_stepwise_oracle(eq, pair, K, f0):
+    """f(y_0) .. f(y_K) from a (f_{k+1} - f_k)/dy = c (f_{k+1} + f_k)/2 + d at x_k, dy = y_{k+1} - y_k,
+    with x_0 .. x_K and y_0 .. y_K read index by index first (so a walk that stops raises before
+    any step), and a, c, d evaluated by Polynomial.__call__:
+
+        f_{k+1} = ((a/dy + c/2) f_k + d) / den,  den = a/dy - c/2.
+
+    Step k is singular when |den| <= SINGULAR_STEP_TOL scale, with the terms' scale
+    max(max|a| g^deg a / |dy|, max|c| g^deg c / 2, 1e-300), g = max(1, |x_k|), in Python float
+    powers: HitSingularLatticeError(k, f_0 .. f_k).  A scale that overflows, or a value that is
+    not finite, is a LatticeSingularityError(k) naming the step.
+    """
+    from ellgrid.solver import SINGULAR_STEP_TOL
+
+    xs, ys = [pair.x(k) for k in range(K + 1)], [pair.y(k) for k in range(K + 1)]
+    vals = [complex(f0)]
+    for k in range(K):
+        x, dy = xs[k], ys[k + 1] - ys[k]
+        ratio = eq.a(x) / dy
+        den = ratio - eq.c(x) / 2.0
+        try:
+            g = max(1.0, abs(x))
+            scale = max(eq.a.max_coeff * g ** eq.a.degree() / abs(dy),
+                        eq.c.max_coeff * g ** eq.c.degree() / 2.0, 1e-300)
+        except OverflowError:
+            scale = cmath.inf
+        if scale < cmath.inf:
+            if abs(den) <= SINGULAR_STEP_TOL * scale:
+                raise HitSingularLatticeError(k, vals)
+            vals.append(((ratio + eq.c(x) / 2.0) * vals[-1] + eq.d(x)) / den)
+        if not (scale < cmath.inf and cmath.isfinite(vals[-1])):
+            raise LatticeSingularityError(
+                k, f"stepwise oracle: step {k} at x_{k} = {x} leaves the float range")
+    return vals
 
 
 def ref_xi(eq, pair, n):

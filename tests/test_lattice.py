@@ -12,6 +12,7 @@ from ellgrid import (
     LinearLattice,
     fit_curve_to_lattice,
     generate,
+    solve,
 )
 from ellgrid.errors import (
     LatticeSingularityError,
@@ -20,7 +21,7 @@ from ellgrid.errors import (
 )
 from ellgrid.lattice import write_lattice_csv
 
-from conftest import random_real_curves
+from conftest import GOLDEN, genus1_equation, qgeom_fixture, random_real_curves, ref_walk
 
 
 def test_linear_walk_is_arithmetic():
@@ -173,6 +174,71 @@ def test_stagnation_detected():
     lat = LatticePair(LatticeSpec(curve, 0.0, 0.0))
     with pytest.raises(LatticeStagnationError):
         lat.ensure(0, 10)
+
+
+def test_stagnation_retries_stop_at_the_same_index():
+    """A stagnating step is checked before it is stored: every retry names the same index
+    and leaves the known range as it was."""
+    eq, select = qgeom_fixture()
+    lat = LatticePair(solve(eq, select, 10).pair.unprimed.spec)
+    for _ in range(3):
+        with pytest.raises(LatticeStagnationError) as info:
+            lat.ensure(0, 100)
+        assert info.value.index == 47
+        assert lat.known_range == (0, 46)
+
+
+def _storage_specs():
+    """A genus-1 real oval, the |q| = 1 golden Askey-Wilson ellipse and an off-axis genus-1 seed."""
+    return [LatticeSpec(genus1_equation(1).curve, 0.5, y1_index=0),
+            AskeyWilsonLattice(a=0.0, b=1.0, c=0.7, q=np.exp(2j * np.pi * GOLDEN)).spec(),
+            LatticeSpec(genus1_equation(3).curve, 0.25 + 0.5j, y1_index=0)]
+
+
+@pytest.mark.parametrize("spec", _storage_specs(), ids=["oval", "ellipse", "genus1-3"])
+def test_chunked_ensure_equals_one_walk(spec):
+    whole = LatticePair(spec)
+    whole.ensure(-300, 300)
+    want = [list(map(repr, v)) for v in whole.values(-300, 301)]
+    rng = np.random.default_rng(2024)
+    lat = LatticePair(spec)
+    lo = hi = 0
+    while (lo, hi) != (-300, 300):
+        down, up = (int(k) for k in rng.integers(0, 45, 2))
+        if rng.random() < 0.5:                  # one side only, or a range across 0
+            down, up = (down, 0) if rng.random() < 0.5 else (0, up)
+        lo, hi = max(-300, lo - down), min(300, hi + up)
+        lat.ensure(lo, hi)
+        assert lat.known_range == (lo, hi)
+    assert [list(map(repr, v)) for v in lat.values(-300, 301)] == want
+
+
+def test_accessors_at_negative_indices():
+    spec = _storage_specs()[0]
+    ref_xs, ref_ys = ref_walk(spec.curve, spec.x0, spec.y0, -30, 0)
+    lat = LatticePair(spec)
+    for n in range(-30, 1):
+        assert repr(lat.x(n)) == repr(ref_xs[n])
+        assert repr(lat.y(n)) == repr(ref_ys[n])
+        assert lat.point(n) == (ref_xs[n], ref_ys[n])
+    assert lat.known_range == (-30, 0)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 0), (-1, 1), (-1, 2), (0, 1), (0, 2), (-1, -1), (1, 0),
+                                    (-9, -3), (-9, 0), (3, 9), (0, 9), (-9, 9)])
+def test_values_read_both_halves_in_index_order(lo, hi):
+    lat = LatticePair(_storage_specs()[0])
+    got = lat.values(lo, hi)
+    assert lat.known_range == ((min(lo, 0), max(hi - 1, 0)) if lo < hi else (0, 0))
+    want = ([lat.x(n) for n in range(lo, hi)], [lat.y(n) for n in range(lo, hi)])
+    assert [list(map(repr, v)) for v in got] == [list(map(repr, v)) for v in want]
+
+
+def test_a_stored_value_written_in_place_is_read_back():
+    lat = LatticePair(_storage_specs()[0])
+    lat.ensure(-5, 20)
+    lat._y[12] = 5.0 + 5.0j
+    assert lat.values(0, 20)[1][12] == lat.y(12) == lat.span(-5, 20)[1][17] == 5.0 + 5.0j
 
 
 def test_singularity_detected():

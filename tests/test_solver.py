@@ -461,12 +461,19 @@ def test_running_products_match_per_index_loops():
 
 
 def test_coefficients_equal_per_index_ratio_recurrence():
-    cases = [(eq, solve(eq, select, 40)) for _, eq, select in general_fixtures()]
+    cases = [(eq, solve(eq, select, 40), 40) for _, eq, select in general_fixtures()]
     for seed in range(5):
         g1 = genus1_equation(seed)
-        cases.append((g1, solve(g1, ByIndex(0, 1), 40)))
-    for eq, sol in cases:
-        assert list(sol.coeffs) == ref_ratio_recurrence(eq, sol.pair, sol.coeffs[0], 40)
+        cases.append((g1, solve(g1, ByIndex(0, 1), 40), 40))
+    for seed in range(20):                      # N = 150 wherever the seed solves
+        g1 = genus1_equation(seed)
+        try:
+            cases.append((g1, solve(g1, ByIndex(0, 1), 150), 150))
+        except EllgridError:
+            continue
+    assert len(cases) >= 20
+    for eq, sol, N in cases:
+        assert list(sol.coeffs) == ref_ratio_recurrence(eq, sol.pair, sol.coeffs[0], N)
 
 
 def test_stepwise_oracle_interpolation():

@@ -1,0 +1,80 @@
+"""The stepwise oracle's per-equation kernel against `ref_stepwise_oracle`.
+
+`stepwise_oracle` evaluates a, c and d by inline Horner and applies the singular-step
+test through one kernel built per equation; the reference reads the lattice index by
+index and evaluates through `Polynomial.__call__`.  Every value must have the same
+`repr`, and a stop must have the same type, index, message and values.
+"""
+import pytest
+
+from ellgrid import ByIndex, DifferenceEquation, Explicit, LinearLattice, solve, stepwise_oracle
+from ellgrid.errors import EllgridError
+from ellgrid.poly import Polynomial
+from ellgrid.solver import _c0, build_lattices, locate_special_points
+
+from conftest import (
+    aw_fixture,
+    general_fixtures,
+    genus1_equation,
+    log_linear_fixture,
+    log_qlattice_fixture,
+    ref_stepwise_oracle,
+)
+
+
+def outcome(fn):
+    """The reprs of fn()'s values, or the type, index, message and values of its error."""
+    try:
+        return [repr(v) for v in fn()]
+    except EllgridError as exc:
+        values = getattr(exc, "values", None)
+        return (type(exc).__name__, getattr(exc, "index", None), str(exc),
+                None if values is None else [repr(v) for v in values])
+
+
+def oracle_cases():
+    """(name, eq, pair, K, f0): the five fixtures at K = 300, genus1_equation seeds 0-19
+    under ByIndex (0, 1) and (1, 2) at K = 150, a lattice point on a root of a, and
+    Askey-Wilson past the float range."""
+    for name, eq, select in general_fixtures():
+        pair = build_lattices(eq, locate_special_points(eq, select))
+        yield name, eq, pair, 300, _c0(eq, pair.x(-1))
+    eq, select, c0_free, _, _, hints = log_linear_fixture()
+    yield "log-linear", eq, solve(eq, select, 10, c0_free=c0_free, **hints).pair, 300, c0_free
+    eq, select, _, _, hints = log_qlattice_fixture()
+    yield "log-q", eq, solve(eq, select, 10, c0_free=0.0, **hints).pair, 300, 0.0
+    for seed in range(20):
+        eq = genus1_equation(seed)
+        for select in (ByIndex(0, 1), ByIndex(1, 2)):
+            try:
+                pair = build_lattices(eq, locate_special_points(eq, select))
+                f0 = _c0(eq, pair.x(-1))
+            except EllgridError:
+                continue
+            yield f"genus1-{seed} {select}", eq, pair, 150, f0
+    # zeta = x_2 of the lattice seeded at x_{-1}: step 2 divides by a(x_2) = 0
+    x_m1, x_p0 = -2.0 + 0.1j, 0.25 + 0.5j
+    eq = DifferenceEquation(LinearLattice(h=1.0).curve(),
+                            Polynomial.from_roots([x_m1, x_p0, x_m1 + 3.0]), 0.0, 0.0, 1.0, -x_m1)
+    sp = locate_special_points(eq, Explicit(x_m1, x_p0), y0_hint=x_m1 + 1.0, yp1_hint=x_p0 + 1.0)
+    yield "singular", eq, build_lattices(eq, sp), 5, 0.0
+    eq, select = aw_fixture()
+    pair = build_lattices(eq, locate_special_points(eq, select))
+    yield "aw-overflow", eq, pair, 700, _c0(eq, pair.x(-1))
+
+
+CASES = list(oracle_cases())
+
+
+@pytest.mark.parametrize("eq, pair, K, f0", [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_stepwise_oracle_equals_the_reference(eq, pair, K, f0):
+    assert outcome(lambda: stepwise_oracle(eq, pair, K, f0=f0)) == \
+        outcome(lambda: ref_stepwise_oracle(eq, pair, K, f0))
+
+
+def test_the_cases_reach_every_outcome():
+    kinds = {type(o).__name__ if isinstance(o, list) else o[0]
+             for o in (outcome(lambda c=c: stepwise_oracle(c[1], c[2], c[3], f0=c[4])) for c in CASES)}
+    assert {"list", "HitSingularLatticeError", "LatticeSingularityError"} <= kinds
+    assert len(CASES) >= 30
