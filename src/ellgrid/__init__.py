@@ -1,6 +1,6 @@
 """Elliptic lattices on biquadratic curves and their difference calculus."""
 
-from .curve import BiquadraticCurve, RootPair, fit_biquadratic
+from .curve import BiquadraticCurve, RootPair
 from .diffops import (
     BasisFunction,
     BasisPair,
@@ -20,7 +20,6 @@ from .lattice import (
     LatticePair,
     LatticeSpec,
     LinearLattice,
-    fit_curve_to_lattice,
     generate,
 )
 from .poly import Polynomial, RationalFunction, solve_quadratic
@@ -58,12 +57,12 @@ from .convergence import (
 )
 
 __all__ = [
-    "BiquadraticCurve", "RootPair", "fit_biquadratic",
+    "BiquadraticCurve", "RootPair",
     "BasisFunction", "BasisPair", "diff_constant", "divided_difference",
     "divided_difference_rational", "identity_samples", "mean_poly_direct",
     "mean_poly_value", "mean_rational", "mean_value", "verify_diff_basis_identity",
     "AskeyWilsonLattice", "GeometricLattice", "LatticePair", "LatticeSpec",
-    "LinearLattice", "fit_curve_to_lattice", "generate",
+    "LinearLattice", "generate",
     "Polynomial", "RationalFunction", "solve_quadratic",
     "ByIndex", "DifferenceEquation", "ExpansionSolution", "Explicit", "Nearest",
     "SpecialPoints", "build_lattices", "closed_product_coefficient",

@@ -124,6 +124,8 @@ def _seed_from(cfg, curve):
     x0 = _cnum(_require(seed, "lattice_seed.x0"), "lattice_seed.x0")
     y0 = _cnum(seed["y0"], "lattice_seed.y0") if "y0" in seed else None
     y1_index = seed.get("y1_index")
+    if y1_index is not None:
+        y1_index = _int(y1_index, "lattice_seed.y1_index")
     if y1_index not in (None, 0, 1):
         raise ValidationError(f"lattice_seed.y1_index: expected 0 or 1, got {y1_index!r}")
     y1_hint = _cnum(seed["y1_hint"], "lattice_seed.y1_hint") if "y1_hint" in seed else None

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import cmath
 
-import numpy as np
-
 from .errors import (
     LeadingCoefficientVanishesError,
     ValidationError,
@@ -285,28 +283,3 @@ class BiquadraticCurve:
         except (TypeError, IndexError) as exc:
             raise ValidationError(f"curve grid must be 3x3 of [re, im] pairs: {exc}")
         return cls(grid)
-
-
-def fit_biquadratic(points):
-    """Least-squares biquadratic through on-curve samples (SVD null vector).
-
-    `points` is an iterable of (x, y) pairs, at least 9 of them in general
-    position; the returned curve has |F| residual below 1e-10 * scale at every
-    sample, otherwise ValidationError is raised.
-    """
-    pts = [(complex(x), complex(y)) for x, y in points]
-    if len(pts) < 9:
-        raise ValidationError("need at least 9 points to fit a biquadratic")
-    rows = []
-    for x, y in pts:
-        rows.append([x ** i * y ** j for i in range(3) for j in range(3)])
-    m = np.array(rows, dtype=complex)
-    m = m / max(1.0, np.abs(m).max())
-    _, _, vh = np.linalg.svd(m)
-    coeffs = vh[-1].conj()
-    grid = [[coeffs[3 * i + j] for j in range(3)] for i in range(3)]
-    curve = BiquadraticCurve(grid)
-    for x, y in pts:
-        if not curve.contains(x, y):
-            raise ValidationError("fit residual exceeds 1e-10: points are not biquadratic")
-    return curve

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import BiquadraticCurve, fit_biquadratic, walk_flip
+from .curve import BiquadraticCurve, walk_flip
 from .errors import (
     LatticeSingularityError,
     LatticeStagnationError,
@@ -282,22 +282,6 @@ class AskeyWilsonLattice(_ClosedForm):
             [a * (s - 2.0), -s, 0.0],
             [1.0, 0.0, 0.0],
         ])
-
-
-def fit_curve_to_lattice(points_fn):
-    """Recover the biquadratic carrying a closed-form lattice.
-
-    `points_fn(n) -> (x_n, y_n)`; both (x_n, y_n) and (x_n, y_{n+1}) rows are
-    fitted so the grid is pinned up to scale.  Two distinct biquadratics can
-    share up to 16 points, so n = -4..6 supplies more than that (22).
-    """
-    samples = []
-    for n in range(-4, 7):
-        xn, yn = points_fn(n)
-        _, yn1 = points_fn(n + 1)
-        samples.append((xn, yn))
-        samples.append((xn, yn1))
-    return fit_biquadratic(samples)
 
 
 def write_lattice_csv(lat, n_min, n_max, stream):

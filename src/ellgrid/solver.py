@@ -159,26 +159,14 @@ def _horner(p):
     return at
 
 
-def _term_scale(eq):
-    """scale(x, dy): coefficient-level size of a(x)/dy and c(x)/2 (>= 1e-300, inf on overflow)."""
-    am, ad, cm, cd = eq.a.max_coeff, eq.a.degree(), eq.c.max_coeff, eq.c.degree()
-
-    def scale(x, dy):
-        try:
-            growth = max(1.0, abs(x))
-            return max(am * growth ** ad / abs(dy), cm * growth ** cd / 2.0, 1e-300)
-        except OverflowError:
-            return cmath.inf
-    return scale
-
-
 def _step_kernel(eq):
-    """step(x, dy) -> (c(x), a(x)/dy, den = a/dy - c/2, singular) of the stepwise step at x, a and
-    c by inline Horner.  singular, the one singular-step test of both recurrences, is |den| <=
-    SINGULAR_STEP_TOL * _term_scale, or None where that scale is not finite (non-finite checks)."""
+    """step(x, dy) -> (a(x), c(x), a(x)/dy, den = a/dy - c/2, size, singular): the stepwise step
+    at x, a and c by inline Horner.  size is the coefficient-level magnitude of a/dy and c/2
+    (>= 1e-300, inf on overflow).  singular, the one singular-step test of both recurrences, is
+    |den| <= SINGULAR_STEP_TOL * size, or None where size is not finite (non-finite checks)."""
     a_top, *a_low = reversed(eq.a.coeffs)
     c_top, *c_low = reversed(eq.c.coeffs)
-    scale = _term_scale(eq)
+    am, ad, cm, cd = eq.a.max_coeff, eq.a.degree(), eq.c.max_coeff, eq.c.degree()
 
     def step(x, dy):
         ax = a_top
@@ -189,22 +177,27 @@ def _step_kernel(eq):
             cx = cx * x + c
         ratio = ax / dy
         den = ratio - cx / 2.0
-        size = scale(x, dy)
-        return cx, ratio, den, abs(den) <= SINGULAR_STEP_TOL * size if size < cmath.inf else None
+        try:
+            growth = max(1.0, abs(x))
+            size = max(am * growth ** ad / abs(dy), cm * growth ** cd / 2.0, 1e-300)
+        except OverflowError:
+            size = cmath.inf
+        singular = abs(den) <= SINGULAR_STEP_TOL * size if size < cmath.inf else None
+        return ax, cx, ratio, den, size, singular
     return step
 
 
 def _condition_residual(eq, r, first, second, sign):
     """|a/(second-first) + sign*c/2| at r, normalized; inf if branches collide or overflow.
 
-    The normalization is the coefficient-level magnitude of the two terms, so
-    the residual measures how much cancellation the condition achieves.
+    The normalization is the step's size from _step_kernel, the coefficient-level magnitude
+    of the two terms, so the residual measures how much cancellation the condition achieves.
     """
     dy = second - first
     if abs(dy) <= 1e-13 * max(1.0, abs(first), abs(second)):
         return cmath.inf
-    scale = _term_scale(eq)(r, dy)
-    return abs(eq.a(r) / dy + sign * eq.c(r) / 2.0) / scale if scale < cmath.inf else cmath.inf
+    _, cx, ratio, _, size, _ = _step_kernel(eq)(r, dy)
+    return abs(ratio + sign * cx / 2.0) / size if size < cmath.inf else cmath.inf
 
 
 def special_point_candidates(eq):
@@ -379,23 +372,24 @@ def _ratio_coefficients(eq, reads, c0):
     xi_n = C_n (a + c (y'_{n+1} - y'_n)/2)(z) / ((z - x_{-1}) (z - x'_0) (z - x_{n-1})) at
     z = x'_n, and eta_n = C_n (a - c (y_n - y_{n-1})/2)(z) / ((z - x_{-1}) (z - x'_0) (z - x'_n))
     at z = x_{n-1}.  eta_n's numerator is dy = y_n - y_{n-1} times the divisor of the stepwise
-    oracle's step n - 1, so before any division by it eta_n takes the oracle's test
-    (_step_kernel): SmallDivisorError(n) when that step is singular or eta_n = 0, whatever N.
+    oracle's step n - 1, so eta_n takes a(z), c(z) and the oracle's test from one _step_kernel
+    call: SmallDivisorError(n) when that step is singular or eta_n = 0, whatever N.
     The seed is c_1 = (beta c_0 + delta)/eta_1.
     """
     cns, (xs, ys), (xps, yps) = reads
     N = len(cns) - 1
     xm1, xp0 = xs[0], xps[0]
-    step, a, c = _step_kernel(eq), _horner(eq.a), _horner(eq.c)
+    step = _step_kernel(eq)
     etas = [None]
     for n in range(1, N + 1):
         z, dy = xs[n], ys[n + 1] - ys[n]
-        az, cz = a(z), c(z)
+        az, cz, _, _, _, singular = step(z, dy)
         eta = cns[n] * (az - cz * dy / 2.0) / ((z - xm1) * (z - xp0) * (z - xps[n]))
-        if eta == 0 or step(z, dy)[3]:
+        if eta == 0 or singular:
             raise SmallDivisorError(n, abs(eta))
         etas.append(eta)
 
+    a, c = _horner(eq.a), _horner(eq.c)
     cs = [c0, (eq.beta * c0 + eq.delta) / etas[1]]
     for n in range(1, N):
         z = xps[n]
@@ -559,7 +553,7 @@ def stepwise_oracle(eq, pair, K, f0=None):
     xs, ys = pair.unprimed.values(0, K + 1)
     step, d = _step_kernel(eq), _horner(eq.d)
     for k, (xk, yk, yk1) in enumerate(zip(xs, ys, ys[1:])):
-        ck, ratio, den, singular = step(xk, yk1 - yk)
+        _, ck, ratio, den, _, singular = step(xk, yk1 - yk)
         if singular:
             raise HitSingularLatticeError(k, vals)
         if singular is not None:

@@ -279,6 +279,24 @@ def ref_stepwise_oracle(eq, pair, K, f0):
     return vals
 
 
+def ref_condition_residual(eq, r, first, second, sign):
+    """|a(r)/dy + sign c(r)/2| / scale with dy = second - first, a and c by Polynomial.__call__, and
+    the scale of ref_stepwise_oracle at x = r in Python float powers.  inf where the branches
+    collide (|dy| <= 1e-13 max(1, |first|, |second|)) or the scale is not finite."""
+    dy = second - first
+    if abs(dy) <= 1e-13 * max(1.0, abs(first), abs(second)):
+        return cmath.inf
+    try:
+        g = max(1.0, abs(r))
+        scale = max(eq.a.max_coeff * g ** eq.a.degree() / abs(dy),
+                    eq.c.max_coeff * g ** eq.c.degree() / 2.0, 1e-300)
+    except OverflowError:
+        scale = cmath.inf
+    if not scale < cmath.inf:
+        return cmath.inf
+    return abs(eq.a(r) / dy + sign * eq.c(r) / 2.0) / scale
+
+
 def ref_xi(eq, pair, n):
     """xi_n = C_n (a + c (y'_{n+1} - y'_n)/2)(z) / ((z - x_{-1})(z - x'_0)(z - x_{n-1})), z = x'_n.
 

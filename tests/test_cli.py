@@ -313,6 +313,10 @@ MALFORMED = [
                  id="grid-count-negative"),
     pytest.param("lattice", ("lattice_seed", "y1_index"), 2, "lattice_seed.y1_index",
                  id="y1-index-out-of-range"),
+    pytest.param("lattice", ("lattice_seed", "y1_index"), True, "lattice_seed.y1_index",
+                 id="y1-index-true"),
+    pytest.param("lattice", ("lattice_seed", "y1_index"), False, "lattice_seed.y1_index",
+                 id="y1-index-false"),
     pytest.param("lattice", ("lattice_seed",), {"x0": [0.0, 0.0], "y1_index": 1,
                                                 "y1_hint": [1.0, 0.0]}, "y1_hint",
                  id="seed-names-both-selectors"),

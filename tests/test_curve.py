@@ -6,7 +6,6 @@ from ellgrid import (
     BiquadraticCurve,
     GeometricLattice,
     LinearLattice,
-    fit_biquadratic,
 )
 from ellgrid.errors import (
     EllgridError,
@@ -187,26 +186,3 @@ def test_json_roundtrip():
     cv = AskeyWilsonLattice(a=0.5, b=1.0, c=-0.25, q=0.5).curve()
     back = BiquadraticCurve.from_json(cv.to_json())
     assert back.c == cv.c
-
-
-def test_fit_biquadratic_recovers_curve():
-    cv = GeometricLattice(a=0.25, b=1.0, q=0.5).curve()
-    rng = np.random.default_rng(3)
-    pts = []
-    for _ in range(12):
-        x = complex(*rng.uniform(-2, 2, 2))
-        pts.append((x, cv.y_roots(x).lo))
-        pts.append((x, cv.y_roots(x).hi))
-    fitted = fit_biquadratic(pts)
-    a = np.array(cv.c).ravel()
-    b = np.array(fitted.c).ravel()
-    k = b[np.abs(a).argmax()] / a[np.abs(a).argmax()]
-    assert np.allclose(k * a, b, atol=1e-9)
-
-
-def test_fit_biquadratic_rejects_generic_points():
-    rng = np.random.default_rng(9)
-    pts = [(complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2)))
-           for _ in range(14)]
-    with pytest.raises(ValidationError):
-        fit_biquadratic(pts)

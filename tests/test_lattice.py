@@ -10,7 +10,6 @@ from ellgrid import (
     LatticePair,
     LatticeSpec,
     LinearLattice,
-    fit_curve_to_lattice,
     generate,
     solve,
 )
@@ -277,13 +276,15 @@ def test_branch_point_seed_walks_through():
     assert lat.x(1) == pytest.approx(2.5)
 
 
-def test_fit_curve_to_lattice():
-    aw = AskeyWilsonLattice(a=0.1, b=1.0, c=0.5, q=0.5)
-    fitted = fit_curve_to_lattice(aw.point)
-    want = np.array(aw.curve().c).ravel()
-    got = np.array(fitted.c).ravel()
-    k = got[np.abs(want).argmax()] / want[np.abs(want).argmax()]
-    assert np.allclose(k * want, got, atol=1e-10)
+@pytest.mark.parametrize("family", [AskeyWilsonLattice(a=0.1, b=1.0, c=0.5, q=0.5),
+                                    GeometricLattice(a=0.25, b=1.0, q=0.5)],
+                         ids=["askey-wilson", "geometric"])
+def test_offset_family_curve_carries_its_closed_form(family):
+    # the walk on curve() of an offset family reproduces its point(n), both coordinates
+    lat = generate(family.spec(), -10, 10)
+    for n in range(-10, 11):
+        for got, want in zip(lat.point(n), family.point(n)):
+            assert abs(got - want) <= 1e-9 * abs(want)
 
 
 def test_csv_dump():

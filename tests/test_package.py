@@ -5,7 +5,7 @@ from ellgrid import curve, diffops, lattice, poly, solver
 
 DELETED = {
     "SymmetricForm", "convert_equation_form", "step_forward", "step_backward", "Scalar",
-    "_as_scalar",
+    "_as_scalar", "fit_biquadratic", "fit_curve_to_lattice", "_term_scale",
 }
 DELETED_ATTRS = {
     poly.RationalFunction: (

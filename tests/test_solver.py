@@ -58,6 +58,7 @@ from conftest import (
     log_qlattice_fixture,
     qgeom_fixture,
     ref_closed_product,
+    ref_condition_residual,
     ref_log_product,
     ref_ratio_recurrence,
 )
@@ -246,6 +247,30 @@ def test_sextic_has_six_certified_roots():
         assert min(_condition_residual(eq, r, *curve.y_roots(r).as_tuple(), +1),
                    _condition_residual(eq, r, *curve.y_roots(r).as_tuple()[::-1], +1)) \
             <= 1e-9
+
+
+def condition_residual_cases():
+    """(eq, r, first, second, sign): every special-point candidate of the three general fixtures,
+    the two log fixtures and genus1_equation seeds 0-59, plus 0.5+0.25j, 1e120 (the size
+    overflows) and -3e103+1j, each under both signs with the root pair at r in both orders and
+    collided (first = second)."""
+    eqs = [eq for _, eq, _ in general_fixtures()]
+    eqs += [log_linear_fixture()[0], log_qlattice_fixture()[0]]
+    eqs += [genus1_equation(seed) for seed in range(60)]
+    for eq in eqs:
+        for r in special_point_candidates(eq) + [0.5 + 0.25j, 1e120 + 0j, -3e103 + 1j]:
+            u, v = eq.curve.y_roots(r).as_tuple()
+            for first, second in ((u, v), (v, u), (u, u)):
+                for sign in (+1, -1):
+                    yield eq, r, first, second, sign
+
+
+def test_condition_residual_equals_its_reference():
+    cases = list(condition_residual_cases())
+    assert len(cases) > 3000
+    differ = [case[1:] for case in cases
+              if repr(_condition_residual(*case)) != repr(ref_condition_residual(*case))]
+    assert not differ, differ[:5]
 
 
 def test_degenerate_condition_has_no_special_points():
