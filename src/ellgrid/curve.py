@@ -86,19 +86,16 @@ def walk_flip(curve, over_x):
     of the root s over t (s = y over t = x when over_x, else x over y), polished.
 
     V1 and V2 run as inline Horner on their trimmed coefficients, under _lead's test, so the
-    complement rounds as `complement` does.  One or two guarded Newton steps then only remove
-    accumulated rounding, accepting a correction only while |F| decreases (so branch points,
-    where dF = V1 + 2 V2 s ~ 0, are left alone).  F is _grid_function's expression, with what
-    depends on t alone formed once per flip: over x, 0j * x; over y, the three rows
-    ((0j y + c_i2) y + c_i1) y + c_i0."""
+    complement rounds as `complement` does.  One or two guarded Newton steps on the curve's
+    own F then only remove accumulated rounding, accepting a correction only while |F|
+    decreases (so branch points, where dF = V1 + 2 V2 s ~ 0, are left alone)."""
     view = curve.x_view() if over_x else curve.y_view()
     top1, *low1 = reversed(view[1].coeffs)
     top2, *low2 = reversed(view[2].coeffs)
     deg, floor = view[2].degree(), LEAD_TOL * view[2].max_coeff
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = curve.c
+    F = curve._f
 
-    def vieta(t, s):
-        """(V1(t), 2 V2(t), the complement -V1(t)/V2(t) - s, 0j * t) under _lead's test."""
+    def flip(t, s):
         lead = top2
         for c in low2:
             lead = lead * t + c
@@ -107,57 +104,32 @@ def walk_flip(curve, over_x):
         v1 = top1
         for c in low1:
             v1 = v1 * t + c
-        return v1, 2.0 * lead, -v1 / lead - s, 0j * t
-
-    def flip_y(x, s):                   # y over a fixed x
-        v1, lead2, s, zx = vieta(x, s)
-        fv = ((zx + (((0j * s + c22) * s + c21) * s + c20)) * x
-              + (((0j * s + c12) * s + c11) * s + c10)) * x + (((0j * s + c02) * s + c01) * s + c00)
+        lead2, s = 2.0 * lead, -v1 / lead - s
+        fv = F(t, s) if over_x else F(s, t)
         afv = abs(fv)
         for _ in range(2):
             d = v1 + lead2 * s
             if d == 0:
                 return s
             s2 = s - fv / d
-            f2 = ((zx + (((0j * s2 + c22) * s2 + c21) * s2 + c20)) * x
-                  + (((0j * s2 + c12) * s2 + c11) * s2 + c10)) * x \
-                + (((0j * s2 + c02) * s2 + c01) * s2 + c00)
+            f2 = F(t, s2) if over_x else F(s2, t)
             af2 = abs(f2)
             if not af2 < afv:
                 return s
             s, fv, afv = s2, f2, af2
         return s
-
-    def flip_x(y, s):                   # x over a fixed y
-        v1, lead2, s, zy = vieta(y, s)
-        r2 = ((zy + c22) * y + c21) * y + c20
-        r1 = ((zy + c12) * y + c11) * y + c10
-        r0 = ((zy + c02) * y + c01) * y + c00
-        fv = ((0j * s + r2) * s + r1) * s + r0
-        afv = abs(fv)
-        for _ in range(2):
-            d = v1 + lead2 * s
-            if d == 0:
-                return s
-            s2 = s - fv / d
-            f2 = ((0j * s2 + r2) * s2 + r1) * s2 + r0
-            af2 = abs(f2)
-            if not af2 < afv:
-                return s
-            s, fv, afv = s2, f2, af2
-        return s
-    return flip_y if over_x else flip_x
+    return flip
 
 
 def _grid_function(c):
     """F(x, y) on the 3x3 grid c as a plain function: Horner in y inside Horner in x,
-    unrolled, each started from 0j (signed zeros and non-finite points round alike)."""
+    unrolled, each level started from its top coefficient."""
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c
 
     def F(x, y):
-        acc = 0j * x + (((0j * y + c22) * y + c21) * y + c20)
-        acc = acc * x + (((0j * y + c12) * y + c11) * y + c10)
-        return acc * x + (((0j * y + c02) * y + c01) * y + c00)
+        acc = (c22 * y + c21) * y + c20
+        acc = acc * x + ((c12 * y + c11) * y + c10)
+        return acc * x + ((c02 * y + c01) * y + c00)
     return F
 
 

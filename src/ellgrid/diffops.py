@@ -22,6 +22,7 @@ polynomial D_n in place of C_n X2.
 from __future__ import annotations
 
 import cmath
+import operator
 import random
 
 import numpy as np
@@ -269,6 +270,16 @@ class BasisFunction:
 # -- the constants C_n and the quadratic values D_n ---------------------------------------
 
 
+def _order(value, name):
+    """value as an int, where operator.index takes it and it is not a bool: an order N or K."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def _guard(label, value):
     if abs(value) <= 1e-280:
         raise MethodDegenerateError(f"{label} ~ 0 ({abs(value):.3e})")
@@ -282,6 +293,7 @@ def diff_constants(pair, N):
           / ((y_0 - y_{-1}) X2(x_{-1}) Xb_{n-1}(x_{-1})),
     with Yb_n(y_{-1}) and Xb_{n-1}(x_{-1}) from one basis_products call each.
     """
+    N = _order(N, "N")
     if N < 0:
         raise ValidationError(f"C_n needs n >= 0, got {N}")
     cns = [0j]

@@ -27,6 +27,7 @@ import numpy as np
 
 from .diffops import (
     BasisPair,
+    _order,
     basis_products,
     diff_constants,
     divided_difference,
@@ -163,7 +164,9 @@ def _step_kernel(eq):
     """step(x, dy) -> (a(x), c(x), a(x)/dy, den = a/dy - c/2, size, singular): the stepwise step
     at x, a and c by inline Horner.  size is the coefficient-level magnitude of a/dy and c/2
     (>= 1e-300, inf on overflow).  singular, the one singular-step test of both recurrences, is
-    |den| <= SINGULAR_STEP_TOL * size, or None where size is not finite (non-finite checks)."""
+    |den| <= SINGULAR_STEP_TOL * size, or None where size is not finite (non-finite checks).
+    dy = 0 (a step through a branch point of the y-view) is singular without dividing: a/dy,
+    den and size are then inf."""
     a_top, *a_low = reversed(eq.a.coeffs)
     c_top, *c_low = reversed(eq.c.coeffs)
     am, ad, cm, cd = eq.a.max_coeff, eq.a.degree(), eq.c.max_coeff, eq.c.degree()
@@ -175,6 +178,8 @@ def _step_kernel(eq):
         cx = c_top
         for c in c_low:
             cx = cx * x + c
+        if dy == 0:
+            return ax, cx, cmath.inf, cmath.inf, cmath.inf, True
         ratio = ax / dy
         den = ratio - cx / 2.0
         try:
@@ -487,6 +492,7 @@ def expansion_coefficients(eq, pair, N, diag=None):
     against the closed product at every n (1e-7); its seed c_1 = (beta c_0 + delta)/eta_1
     must agree with the stepwise oracle to 1e-6 (InternalInconsistency otherwise).
     """
+    N = _order(N, "N")
     if eq.is_logarithmic:
         raise ValidationError("c = 0: use expansion_coefficients_log")
     if N < 0:
@@ -523,6 +529,7 @@ def expansion_coefficients_log(eq, pair, N, c0_free, diag=None):
     (otherwise no expansion of this form exists).  The ratio recurrence with c = 0 gives
     c_1 .. c_N, checked against the elementary product formula at every n (1e-8).
     """
+    N = _order(N, "N")
     if not eq.is_logarithmic:
         raise ValidationError("equation is not logarithmic (c != 0)")
     if N < 0:
@@ -545,6 +552,7 @@ def stepwise_oracle(eq, pair, K, f0=None):
     no distinguished start, so f0 must be supplied (the free constant).  A step k whose
     terms or value leave the float range raises LatticeSingularityError(k).
     """
+    K = _order(K, "K")
     if f0 is None:
         if eq.is_logarithmic:
             raise ValidationError("logarithmic oracle needs the free constant f0")
@@ -581,6 +589,7 @@ class ExpansionSolution:
 
 def solve(eq, select, N, c0_free=None, y0_hint=None, yp1_hint=None):
     """Locate special points, build the two lattices, and expand to order N."""
+    N = _order(N, "N")
     special = locate_special_points(eq, select, y0_hint=y0_hint, yp1_hint=yp1_hint)
     pair = build_lattices(eq, special)
     diag = {"certificate_m1": special.res_m1, "certificate_p0": special.res_p0}
@@ -599,6 +608,7 @@ def solve(eq, select, N, c0_free=None, y0_hint=None, yp1_hint=None):
 
 def evaluate_partial_sum(sol, N, z):
     """S_N(z) = sum_{k<=N} c_k Yb_k(z), with Yb_0(z) .. Yb_N(z) from one basis_products call."""
+    N = _order(N, "N")
     if not 0 <= N < len(sol.coeffs):
         raise ValidationError(f"partial sum order {N} is outside 0 .. {len(sol.coeffs) - 1}")
     ys = sol.pair.unprimed.values(0, N)[1]
@@ -731,6 +741,7 @@ def verify_interpolation(eq, sol, N):
     per term: about 30 ms at N = 1000 on the linear fixture (README, Cost).
     The pole guard still covers every k <= N at every node.
     """
+    N = _order(N, "N")
     if not 0 <= N < len(sol.coeffs):
         raise ValidationError(f"partial sum order {N} is outside 0 .. {len(sol.coeffs) - 1}")
     pair, cs = sol.pair, sol.coeffs

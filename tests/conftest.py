@@ -172,13 +172,15 @@ def genus1_equation(seed):
 
 
 def ref_F(curve, x, y):
-    """F(x, y) by the nested Horner loop over the grid, each level started from 0j."""
-    acc = 0j
+    """F(x, y) by the nested Horner loop over the grid rows, each level started from its top
+    coefficient (the x^2 row, and each row's y^2 entry)."""
+    acc = None
     for row in reversed(curve.c):
-        inner = 0j
-        for v in reversed(row):
+        top, *low = reversed(row)
+        inner = top
+        for v in low:
             inner = inner * y + v
-        acc = acc * x + inner
+        acc = inner if acc is None else acc * x + inner
     return acc
 
 
@@ -250,10 +252,11 @@ def ref_stepwise_oracle(eq, pair, K, f0):
 
         f_{k+1} = ((a/dy + c/2) f_k + d) / den,  den = a/dy - c/2.
 
-    Step k is singular when |den| <= SINGULAR_STEP_TOL scale, with the terms' scale
-    max(max|a| g^deg a / |dy|, max|c| g^deg c / 2, 1e-300), g = max(1, |x_k|), in Python float
-    powers: HitSingularLatticeError(k, f_0 .. f_k).  A scale that overflows, or a value that is
-    not finite, is a LatticeSingularityError(k) naming the step.
+    Step k is singular when dy = 0 (nothing is divided) or |den| <= SINGULAR_STEP_TOL scale,
+    with the terms' scale max(max|a| g^deg a / |dy|, max|c| g^deg c / 2, 1e-300),
+    g = max(1, |x_k|), in Python float powers: HitSingularLatticeError(k, f_0 .. f_k).  A scale
+    that overflows, or a value that is not finite, is a LatticeSingularityError(k) naming the
+    step.
     """
     from ellgrid.solver import SINGULAR_STEP_TOL
 
@@ -261,6 +264,8 @@ def ref_stepwise_oracle(eq, pair, K, f0):
     vals = [complex(f0)]
     for k in range(K):
         x, dy = xs[k], ys[k + 1] - ys[k]
+        if dy == 0:
+            raise HitSingularLatticeError(k, vals)
         ratio = eq.a(x) / dy
         den = ratio - eq.c(x) / 2.0
         try:

@@ -794,6 +794,35 @@ def test_negative_order_is_validation_error(mode, call):
             fn()
 
 
+def order_entry_points():
+    """{name: (argument, call(order))} for every public entry that takes an order."""
+    eq, select = linear_fixture()
+    sol = solve(eq, select, 5)
+    leq, lselect, c0_free, _, _, hints = log_linear_fixture()
+    lpair = solve(leq, lselect, 5, c0_free=c0_free, **hints).pair
+    return {
+        "solve": ("N", lambda n: solve(eq, select, n)),
+        "expansion_coefficients": ("N", lambda n: expansion_coefficients(eq, sol.pair, n)),
+        "expansion_coefficients_log":
+            ("N", lambda n: expansion_coefficients_log(leq, lpair, n, c0_free)),
+        "stepwise_oracle": ("K", lambda n: stepwise_oracle(eq, sol.pair, n)),
+        "evaluate_partial_sum": ("N", lambda n: evaluate_partial_sum(sol, n, 0.3 + 0.2j)),
+        "verify_interpolation": ("N", lambda n: verify_interpolation(eq, sol, n)),
+        "diff_constants": ("N", lambda n: diff_constants(sol.pair, n)),
+    }
+
+
+@pytest.mark.parametrize("entry", list(order_entry_points()))
+def test_non_integer_order_is_validation_error(entry):
+    """An order is what operator.index takes, bools aside: 3.5, 3.0, True and "3" are refused
+    with the argument's name, and a numpy integer is an order."""
+    arg, call = order_entry_points()[entry]
+    for bad in (3.5, 3.0, True, "3"):
+        with pytest.raises(ValidationError, match=f"^{arg} must be an integer, got {bad!r}$"):
+            call(bad)
+    call(np.int64(3))
+
+
 # -- logarithmic mode ------------------------------------------------------------------------
 
 

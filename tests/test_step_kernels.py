@@ -7,10 +7,20 @@ index and evaluates through `Polynomial.__call__`.  Every value must have the sa
 """
 import pytest
 
-from ellgrid import ByIndex, DifferenceEquation, Explicit, LinearLattice, solve, stepwise_oracle
-from ellgrid.errors import EllgridError
+from ellgrid import (
+    AskeyWilsonLattice,
+    BasisPair,
+    ByIndex,
+    DifferenceEquation,
+    Explicit,
+    LatticePair,
+    LinearLattice,
+    solve,
+    stepwise_oracle,
+)
+from ellgrid.errors import EllgridError, SmallDivisorError
 from ellgrid.poly import Polynomial
-from ellgrid.solver import _c0, build_lattices, locate_special_points
+from ellgrid.solver import _c0, _ratio_coefficients, build_lattices, locate_special_points
 
 from conftest import (
     aw_fixture,
@@ -34,8 +44,8 @@ def outcome(fn):
 
 def oracle_cases():
     """(name, eq, pair, K, f0): the five fixtures at K = 300, genus1_equation seeds 0-19
-    under ByIndex (0, 1) and (1, 2) at K = 150, a lattice point on a root of a, and
-    Askey-Wilson past the float range."""
+    under ByIndex (0, 1) and (1, 2) at K = 150, a lattice point on a root of a,
+    Askey-Wilson past the float range, and a step through a branch point (dy = 0)."""
     for name, eq, select in general_fixtures():
         pair = build_lattices(eq, locate_special_points(eq, select))
         yield name, eq, pair, 300, _c0(eq, pair.x(-1))
@@ -61,6 +71,17 @@ def oracle_cases():
     eq, select = aw_fixture()
     pair = build_lattices(eq, locate_special_points(eq, select))
     yield "aw-overflow", eq, pair, 700, _c0(eq, pair.x(-1))
+    eq, pair = branch_step_pair()
+    yield "branch-step", eq, pair, 3, 1.0
+
+
+def branch_step_pair():
+    """(eq, pair) whose unprimed lattice is seeded at its branch point x_0 = 2, so
+    y_1 - y_0 = -0j: step 0 divides by a zero step difference."""
+    unprimed = AskeyWilsonLattice(a=0.0, b=1.0, c=1.0, q=0.5).spec()
+    primed = AskeyWilsonLattice(a=0.0, b=3.0, c=1.0 / 3.0, q=0.5).spec()
+    eq = DifferenceEquation(unprimed.curve, Polynomial((1.0, 0.0, 1.0)), 1.0, 0.0, 1.0, 0.0)
+    return eq, BasisPair(LatticePair(unprimed), LatticePair(primed))
 
 
 CASES = list(oracle_cases())
@@ -78,3 +99,14 @@ def test_the_cases_reach_every_outcome():
              for o in (outcome(lambda c=c: stepwise_oracle(c[1], c[2], c[3], f0=c[4])) for c in CASES)}
     assert {"list", "HitSingularLatticeError", "LatticeSingularityError"} <= kinds
     assert len(CASES) >= 30
+
+
+def test_zero_step_difference_is_a_small_divisor():
+    # the eta loop stops typed at the branch step (the oracle's stop is the "branch-step"
+    # case above); C_n is degenerate on this pair, so the loop gets unit constants
+    eq, pair = branch_step_pair()
+    assert repr(pair.y(1) - pair.y(0)) == "-0j"
+    reads = ([1.0] * 4, pair.unprimed.values(-1, 4), pair.primed.values(0, 4))
+    with pytest.raises(SmallDivisorError) as info:
+        _ratio_coefficients(eq, reads, 1.0)
+    assert info.value.index == 1

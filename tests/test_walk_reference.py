@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from ellgrid import AskeyWilsonLattice, BiquadraticCurve, LatticePair, LatticeSpec, solve
+from ellgrid.curve import walk_flip
 from ellgrid.errors import (
+    EllgridError,
     LatticeSingularityError,
     LatticeStagnationError,
     LeadingCoefficientVanishesError,
@@ -24,6 +26,7 @@ from conftest import (
     qgeom_fixture,
     random_real_curves,
     ref_F,
+    ref_flip,
     ref_walk,
 )
 
@@ -116,11 +119,53 @@ def test_vanishing_lead_matches_the_reference(grid, x0, y0, message):
     assert message in str(stop)
 
 
+def flip_points(curve, over_x, rng):
+    """(t, s) for the flip of one view: each root over random complex and real t, a point
+    off the curve over each t, each branch point t of the view with its double root s
+    (where the Newton derivative vanishes), and each zero t of V2."""
+    v0, v1, v2 = curve.x_view() if over_x else curve.y_view()
+    roots = curve.y_roots if over_x else curve.x_roots
+    ts = [complex(*rng.normal(size=2)) for _ in range(15)] + list(rng.normal(size=5))
+    points = [(t, s) for t in ts for s in roots(t).as_tuple() + (complex(*rng.normal(size=2)),)]
+    disc = v1 * v1 - 4.0 * v0 * v2
+    if disc.degree() >= 1:
+        points += [(t, -v1(t) / (2.0 * v2(t))) for t in disc.roots() if v2(t) != 0]
+    if v2.degree() >= 1:
+        points += [(t, 0.5 - 0.25j) for t in v2.roots()]
+    return points
+
+
+def flip_outcome(fn):
+    """repr(fn()), or the type and message of its error."""
+    try:
+        return repr(fn())
+    except EllgridError as exc:
+        return type(exc).__name__, str(exc)
+
+
+FLIP_CURVES = list({repr(curve): curve for _, curve, _, _ in FIXTURE_SEEDS}.values()) \
+    + random_real_curves() + [genus1_equation(s).curve for s in range(10)]
+
+
+@pytest.mark.parametrize("over_x", [True, False], ids=["y-over-x", "x-over-y"])
+def test_flip_is_the_reference_flip(over_x):
+    # one flip body serves both views: each must round as ref_flip does, exits included
+    rng = np.random.default_rng(11)
+    stops = 0
+    for curve in FLIP_CURVES:
+        flip = walk_flip(curve, over_x)
+        for t, s in flip_points(curve, over_x, rng):
+            want = flip_outcome(lambda: ref_flip(curve, t, s, over_x))
+            assert flip_outcome(lambda: flip(t, s)) == want, (curve, t, s)
+            stops += isinstance(want, tuple)
+    assert stops > 0
+
+
 def test_curve_value_is_the_nested_loop_bit_for_bit():
     rng = np.random.default_rng(7)
     curves = [curve for _, curve, _, _ in FIXTURE_SEEDS[::2]]
     curves += random_real_curves() + [genus1_equation(s).curve for s in range(5)]
-    # grids of signed zeros and units: where the loop's leading 0j products set a sign
+    # signed-zero and unit grids: where starting each level at its top coefficient sets a sign
     units = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)] + [1.0, -1.0]
     for _ in range(40):
         try:
