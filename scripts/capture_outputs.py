@@ -15,7 +15,11 @@ hypothesis, the `test` extra, must be importable):
   `ByIndex` (0, 1), (1, 2) and (2, 0) at N = 40 and 150: coefficients and the
   largest interpolation error, or the exception (a small divisor, say);
 - the README's `ellgrid solve` and `ellgrid verify` runs: exit code, stdout,
-  stderr and the solution JSON.
+  stderr and the solution JSON;
+- `ellgrid ratemap` runs: exit code, stdout, stderr and the CSV, on the
+  criterion-9 41x41 predicted map, a 41x41 empirical map on the linear
+  fixture, the genus-1 curve of `log_qlattice_fixture(shift=1e-2)` (every
+  cell flagged RefinePath) and a grid through 0.0 whose axis starts at -0.0.
 
 Each case records the `repr` of its outputs, or the exception's type and
 message.  The script prints the number of cases and one SHA-256 over all of
@@ -41,7 +45,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from conftest import (                                   # noqa: E402
     general_fixtures,
     genus1_equation,
+    linear_fixture,
     log_linear_fixture,
+    log_qlattice_fixture,
 )
 from ellgrid import (                                    # noqa: E402
     ByIndex,
@@ -157,11 +163,58 @@ def cli_cases():
             yield f"cli {name}", repr((code, stdout.getvalue(), stderr.getvalue(), text))
 
 
+def _cjson(z):
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def ratemap_config(eq, select, re_axis, im_axis, log_hints=None):
+    """A ratemap scenario over the [lo, hi, count] axes; log mode (c0_free = 0)
+    with the solve hints log_hints."""
+    cfg = {"curve": [[_cjson(v) for v in row] for row in eq.curve.c],
+           "equation": {"a": [_cjson(c) for c in eq.a.coeffs],
+                        "d": [_cjson(c) for c in eq.d.coeffs]},
+           "params": {"select": {"explicit": [_cjson(select.x_m1), _cjson(select.x_p0)]},
+                      "window": [5, 25], "grid": {"re": re_axis, "im": im_axis}}}
+    if log_hints is None:
+        cfg["equation"]["c"] = [_cjson(c) for c in eq.c.coeffs]
+    else:
+        cfg["equation"].update(mode="log", c0_free=[0.0, 0.0])
+        cfg["params"].update((k, _cjson(v)) for k, v in log_hints.items())
+    return cfg
+
+
+def ratemap_configs():
+    eq, select, _, _, hints = log_qlattice_fixture()
+    yield "criterion-9 41x41", ratemap_config(eq, select, [0.75, 1.35, 41], [0.75, 1.35, 41],
+                                              hints)
+    yield "linear 41x41", ratemap_config(*linear_fixture(), [-3.0, 3.0, 41], [-3.0, 3.0, 41])
+    eq, select, _, _, hints = log_qlattice_fixture(shift=1e-2)
+    yield "genus-1 5x5", ratemap_config(eq, select, [0.75, 1.35, 5], [0.75, 1.35, 5], hints)
+    eq, select, _, _, hints = log_qlattice_fixture()
+    yield "criterion-9 through -0.0", ratemap_config(eq, select, [-0.0, -0.6, 5],
+                                                     [-0.6, 0.6, 5], hints)
+
+
+def ratemap_cases():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cfg in ratemap_configs():
+            path, out = pathlib.Path(tmp, "ratemap.json"), pathlib.Path(tmp, "ratemap.csv")
+            path.write_text(json.dumps(cfg))
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli_main(["ratemap", "--config", str(path), "--out", str(out)])
+            text = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            yield f"cli ratemap {name}", repr((code, stdout.getvalue(), stderr.getvalue(), text))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--cases", help="also write one 'name<TAB>outcome' line per case here")
     args = parser.parse_args()
-    lines = [f"{name}\t{value}" for gen in (special_point_cases, solve_cases, cli_cases)
+    lines = [f"{name}\t{value}"
+             for gen in (special_point_cases, solve_cases, cli_cases, ratemap_cases)
              for name, value in gen()]
     if args.cases:
         pathlib.Path(args.cases).write_text("\n".join(lines) + "\n")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -368,7 +369,9 @@ RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process and shared by every main call."""
     parser = argparse.ArgumentParser(
         prog="ellgrid",
         description="Elliptic lattices, difference operators, and interpolatory expansions",

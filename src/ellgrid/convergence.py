@@ -18,6 +18,7 @@ tests; the rate path calls none of them.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,8 +52,22 @@ def detect_small_divisors(pair, N, threshold):
         return []
     ys = pair.unprimed.values(-1, N - 1)[1]     # index -1 .. N-2, so y_{n-2} = ys[n - 1]
     mags = {n: abs(ys[0] - ys[n - 1]) for n in range(3, N + 1)}
-    med = float(np.median(list(mags.values())))
+    med = _median(list(mags.values()))
     return [(n, m) for n, m in sorted(mags.items()) if m < threshold * med]
+
+
+def _median(values):
+    """np.median of a non-empty list of floats, bit for bit.
+
+    The sorted middle, or the mean (a + b) / 2 of the two middle values;
+    NaN when any value is NaN.  np.median itself imports numpy.ma on its
+    first call, about 13 ms.
+    """
+    s = np.sort(np.asarray(values, dtype=float)).tolist()
+    if math.isnan(s[-1]):           # np.sort puts NaN last
+        return math.nan
+    k = len(s) // 2
+    return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
 
 
 # -- empirical rate ---------------------------------------------------------------------
@@ -148,21 +163,26 @@ def empirical_rate(sol, z, n_min, n_max, smalldiv_threshold=0.05):
                       z=complex(z), flags=_rate_flags(rho))
 
 
-def _empirical_cells(sol, zs, n_min, n_max, smalldiv_threshold):
-    """(rate or None, flags) per z, as empirical_rate would report each one."""
+# Flags of an empirical cell, by code: rated, rated but not converging, too few
+# usable terms, on a pole of the basis.
+_EMPIRICAL_FLAGS = ((), ("NotConverging",), (_flag(WindowTooSmallError),),
+                    (_flag(PoleEvaluationError),))
+
+
+def _empirical_columns(sol, zs, n_min, n_max, smalldiv_threshold):
+    """Rates (None where there is none), flag codes and the flags they index,
+    per z, as empirical_rate would report each one."""
     try:
         rho, hit, count, _ = _fit_rates(sol, zs, n_min, n_max, smalldiv_threshold)
     except (WindowTooSmallError, ValidationError) as exc:
-        return [(None, (_flag(type(exc)),))] * len(zs)
-    cells = []
-    for r, h, c in zip(rho.tolist(), hit.tolist(), count.tolist()):
-        if h:
-            cells.append((None, (_flag(PoleEvaluationError),)))
-        elif c < MIN_FIT_TERMS:
-            cells.append((None, (_flag(WindowTooSmallError),)))
-        else:
-            cells.append((r, _rate_flags(r)))
-    return cells
+        return [None] * len(zs), np.zeros(len(zs), dtype=int), ((_flag(type(exc)),),)
+    code = np.select([hit, count < MIN_FIT_TERMS, rho >= 1.0], [3, 2, 1], 0)
+    return _rates_or_none(rho, code >= 2), code, _EMPIRICAL_FLAGS
+
+
+def _rates_or_none(rates, missing):
+    """rates as a list of floats, None where missing."""
+    return np.where(missing, None, rates.astype(object)).tolist()
 
 
 # -- branch-tracked quadrature of dv / sqrt(P): the test oracle for xi ------------------------
@@ -483,13 +503,12 @@ class RatePredictor:
                 f"A vanishes on both lifts at {complex(z)}: a double root of P")
         return value
 
-    def _grid_cells(self, re_axis, im_axis):
-        """(rate or None, flags) at every z = re + i im, im outer, re inner."""
+    def _grid_rates(self, re_axis, im_axis):
+        """rate at every z = re + i im, im outer, re inner; NaN where A
+        vanishes on both lifts."""
         re = np.asarray(re_axis, dtype=float)
         im = np.asarray(im_axis, dtype=float)
-        rates = np.exp(self.log_rate(re[None, :] + 1j * im[:, None])).ravel().tolist()
-        singular = (None, (_flag(PathThroughBranchPointError),))
-        return [singular if math.isnan(r) else (r, ()) for r in rates]
+        return np.exp(self.log_rate(re[None, :] + 1j * im[:, None])).ravel()
 
 
 def predicted_rate(sol, z):
@@ -507,8 +526,9 @@ def rate_map(sol, re_axis, im_axis, n_min, n_max, smalldiv_threshold=0.05):
     root of P) get empty fields and a flag naming the failure; in log mode, a
     predictor that cannot be built flags every cell with its failure.  Each row
     holds what empirical_rate and RatePredictor.rate give at its point, up to
-    rounding, but the grid is swept at once: one term sweep and small-divisor
-    scan, and one closed-form evaluation of the predicted rates.
+    rounding, but the grid is swept at once, by columns: one term sweep and
+    small-divisor scan, one closed-form evaluation of the predicted rates,
+    and the flags of each cell looked up by one code.
     """
     predictor, no_prediction = None, ()
     if sol.mode == "log":
@@ -516,30 +536,78 @@ def rate_map(sol, re_axis, im_axis, n_min, n_max, smalldiv_threshold=0.05):
             predictor = RatePredictor(sol)
         except (ValidationError, RefinePathError, PathThroughBranchPointError) as exc:
             no_prediction = (_flag(type(exc)),)
-    points = [(re, im) for im in im_axis for re in re_axis]
-    emp = _empirical_cells(sol, [complex(re, im) for re, im in points],
-                           n_min, n_max, smalldiv_threshold)
-    pred = (predictor._grid_cells(re_axis, im_axis) if predictor is not None
-            else [(None, no_prediction)] * len(points))
-    return [(re, im, e, p, e_flags + p_flags)
-            for (re, im), (e, e_flags), (p, p_flags) in zip(points, emp, pred)]
+    res, ims = list(re_axis), list(im_axis)
+    zs = np.empty((len(ims), len(res)), dtype=complex)
+    zs.real = np.asarray(res, dtype=float)
+    zs.imag = np.asarray(ims, dtype=float)[:, None]
+    emp, emp_code, emp_flags = _empirical_columns(sol, zs.ravel(), n_min, n_max,
+                                                  smalldiv_threshold)
+    if predictor is not None:
+        rates = predictor._grid_rates(res, ims)
+        singular = np.isnan(rates)
+        pred, pred_code = _rates_or_none(rates, singular), singular.astype(int)
+        pred_flags = ((), (_flag(PathThroughBranchPointError),))
+    else:
+        pred, pred_code, pred_flags = [None] * zs.size, 0, (no_prediction,)
+    re_col = res * len(ims)
+    im_col = itertools.chain.from_iterable(itertools.repeat(im, len(res)) for im in ims)
+    flags = [e + p for e in emp_flags for p in pred_flags]
+    code = emp_code * len(pred_flags) + pred_code
+    return list(zip(re_col, im_col, emp, pred, map(flags.__getitem__, code.tolist())))
 
 
 def _csv_rate(v):
     return "" if v is None or not math.isfinite(v) else repr(float(v))
 
 
+def _rate_texts(values):
+    """The CSV fields of one rate column and the rows whose rate is not finite.
+
+    The finite rates are formatted in one map and a column of None alone is
+    blank; None and non-finite values go one by one through _csv_rate.
+    """
+    if values.count(None) == len(values):
+        return [""] * len(values), []
+    rates = np.array(values, dtype=float)       # None reads as NaN
+    texts = list(map(repr, rates.tolist()))
+    nonfinite = []
+    for i in np.flatnonzero(~np.isfinite(rates)).tolist():
+        texts[i] = _csv_rate(values[i])
+        if values[i] is not None:
+            nonfinite.append(i)
+    return texts, nonfinite
+
+
+def _float_texts(values):
+    """repr(float(v)) for each v of values, each distinct value formatted once.
+
+    0.0 and -0.0 are one dict key, so rows whose value is zero are formatted
+    on their own.
+    """
+    text = {v: repr(float(v)) for v in set(values)}
+    texts = list(map(text.__getitem__, values))
+    if 0.0 in text:
+        for i in np.flatnonzero(np.asarray(values, dtype=float) == 0.0).tolist():
+            texts[i] = repr(float(values[i]))
+    return texts
+
+
 def write_rate_map_csv(rows, stream):
     """Header plus one line per rate_map row; LF line endings.
 
     A missing rate is an empty field.  A rate that is not finite is an empty
-    field too, and its row gains the flag NonFinite.  The text is built in
-    one pass and written at once.
+    field too, and its row gains the flag NonFinite.  The fields are formatted
+    by columns, and the text is written at once.
     """
-    lines = ["re_z,im_z,empirical_rate,predicted_rate,flags\n"]
-    for re, im, emp, pred, flags in rows:
-        emp_s, pred_s = _csv_rate(emp), _csv_rate(pred)
-        if (emp_s == "" and emp is not None) or (pred_s == "" and pred is not None):
-            flags = (*flags, "NonFinite")
-        lines.append(f"{float(re)!r},{float(im)!r},{emp_s},{pred_s},{';'.join(flags)}\n")
-    stream.write("".join(lines))
+    header = "re_z,im_z,empirical_rate,predicted_rate,flags\n"
+    columns = list(zip(*rows))
+    if not columns:
+        stream.write(header)
+        return
+    re, im, emp, pred, flags = columns
+    (emp_s, emp_bad), (pred_s, pred_bad) = _rate_texts(emp), _rate_texts(pred)
+    flag_s = list(map(";".join, flags))
+    for i in set(emp_bad + pred_bad):
+        flag_s[i] = ";".join((*flags[i], "NonFinite"))
+    stream.write(header + "".join(map("{},{},{},{},{}\n".format, _float_texts(re),
+                                      _float_texts(im), emp_s, pred_s, flag_s)))

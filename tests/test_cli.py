@@ -286,6 +286,21 @@ def test_ratemap_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_successive_calls_share_the_parser_but_not_options(tmp_path, capsys):
+    """build_parser runs once per process; --quiet and --out of one main call
+    do not reach the next."""
+    from ellgrid.cli import build_parser
+
+    out, other = tmp_path / "rates.csv", tmp_path / "other.csv"
+    cfg = write_cfg(tmp_path, "rate.json", qlog_ratemap_cfg(str(out)))
+    assert build_parser() is build_parser()
+    assert main(["ratemap", "--config", cfg, "--out", str(other), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["ratemap", "--config", cfg]) == 0
+    assert capsys.readouterr().out == "rate map: 6 points\n"
+    assert out.read_bytes() == other.read_bytes()
+
+
 def test_ratemap_rejects_nonfinite_grid(tmp_path, capsys):
     out = tmp_path / "rates.csv"
     cfg_data = qlog_ratemap_cfg(str(out))

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ellgrid.convergence as convergence
 from ellgrid import (
@@ -86,6 +88,22 @@ def test_small_divisors_flag_engineered_return():
 def test_small_divisors_zero_threshold():
     ys = {n: complex(n) for n in range(-1, 21)}
     assert detect_small_divisors(_StubPair(ys), 20, 0.0) == []
+
+
+@pytest.mark.parametrize("values", [
+    [3.0], [2.0, 1.0], [5.0, 1.0, 3.0], [0.1, 0.2], [0.1, 0.2, 0.7, 0.3],
+    [1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 2.0], [2.0, 2.0, 2.0], [0.0, 5e-324],
+    [1.0, math.inf], [math.inf, 1.0, math.inf], [math.inf] * 4, [1e308, 1.7e308],
+    [1.0, math.nan, 2.0], [math.nan, 0.5],
+    np.random.default_rng(0).random(41).tolist(), np.random.default_rng(1).random(40).tolist(),
+    np.round(np.random.default_rng(2).random(60), 1).tolist(),
+])
+def test_median_is_np_median_bit_for_bit(values):
+    """Odd and even lengths, ties, inf and NaN: the sorted middle detect_small_divisors
+    uses is np.median's value, repr for repr."""
+    with np.errstate(over="ignore"):
+        want = float(np.median(values))
+    assert repr(convergence._median(values)) == repr(want)
 
 
 # -- empirical rate ---------------------------------------------------------------------
@@ -549,6 +567,65 @@ def _assert_rows_match_cells(sol, rows, re_axis, im_axis, predictor=None, pred_r
                 assert abs(got - want) <= rel * abs(want), (z, got, want)
 
 
+def _per_cell_rate_map(sol, re_axis, im_axis, n_min, n_max):
+    """Reference rate map: _fit_rates and the predicted grid read cell by cell,
+    each cell's flags formed on their own."""
+    def flag(exc):
+        return (type(exc).__name__.removesuffix("Error"),)
+    predictor, no_prediction = None, ()
+    if sol.mode == "log":
+        try:
+            predictor = RatePredictor(sol)
+        except (ValidationError, RefinePathError, PathThroughBranchPointError) as exc:
+            no_prediction = flag(exc)
+    points = [(re, im) for im in im_axis for re in re_axis]
+    try:
+        rho, hit, count, _ = convergence._fit_rates(
+            sol, [complex(re, im) for re, im in points], n_min, n_max, 0.05)
+        emp = [(None, ("PoleEvaluation",)) if h else (None, ("WindowTooSmall",)) if c < 5
+               else (r, ("NotConverging",) if r >= 1.0 else ())
+               for r, h, c in zip(rho.tolist(), hit.tolist(), count.tolist())]
+    except (WindowTooSmallError, ValidationError) as exc:
+        emp = [(None, flag(exc))] * len(points)
+    if predictor is None:
+        pred = [(None, no_prediction)] * len(points)
+    else:
+        re, im = np.asarray(re_axis, dtype=float), np.asarray(im_axis, dtype=float)
+        rates = np.exp(predictor.log_rate(re[None, :] + 1j * im[:, None])).ravel().tolist()
+        pred = [(None, ("PathThroughBranchPoint",)) if math.isnan(r) else (r, ()) for r in rates]
+    return [(re, im, e, p, e_flags + p_flags)
+            for (re, im), (e, e_flags), (p, p_flags) in zip(points, emp, pred)]
+
+
+@pytest.mark.parametrize("case, window", [
+    ("criterion-9", (5, 25)), ("branch point, -0.0", (5, 25)), ("linear", (5, 25)),
+    ("python floats", (5, 25)), ("empty axis", (5, 25)), ("genus 1", (5, 25)),
+    ("short window", (5, 9)), ("past the coefficients", (5, 40)), ("on a node", (5, 25)),
+])
+def test_rate_map_rows_are_per_cell_reference_bit_for_bit(qsol, case, window):
+    """Every row of the column sweep equals the cell-by-cell reference: the same
+    repr, so the same values, types and signed zeros."""
+    sol = qsol[0]
+    re_axis = im_axis = np.linspace(0.75, 1.35, 9)
+    if case == "branch point, -0.0":
+        re_axis, im_axis = np.linspace(-0.0, -0.6, 5), np.linspace(-0.6, 0.6, 5)
+    elif case == "linear":
+        eq, select = linear_fixture()
+        sol, re_axis = solve(eq, select, 30), np.linspace(-3.0, 3.0, 9)
+        im_axis = re_axis
+    elif case == "python floats":
+        re_axis, im_axis = [0.8, 1.0, -0.0, 0.0, 1.0], [0.9, 0.0, 1.2]
+    elif case == "empty axis":
+        re_axis = []
+    elif case == "genus 1":
+        sol = solve_log_qlattice(N=30, shift=1e-2)[0]
+    elif case == "on a node":                       # the terms past y_0 vanish there
+        y0 = sol.pair.y(0)
+        re_axis, im_axis = [y0.real, 1.0], [y0.imag, 0.2]
+    rows = rate_map(sol, re_axis, im_axis, *window)
+    assert repr(rows) == repr(_per_cell_rate_map(sol, re_axis, im_axis, *window))
+
+
 def test_rate_map_matches_cells_on_criterion_9_grid(qsol):
     sol, zeta, q = qsol
     axis = np.linspace(0.75, 1.35, 41)
@@ -624,9 +701,8 @@ def test_grid_matches_joukowski_truth_around_branch_points():
     predictor = RatePredictor(sol)
     re, im = np.linspace(-3.0, 3.0, 25), np.linspace(-1.2, -0.4, 5)
     zs = [complex(x, y) for y in im for x in re]
-    for (rate, flags), z in zip(predictor._grid_cells(re, im), zs):
+    for rate, z in zip(predictor._grid_rates(re, im).tolist(), zs):
         want = abs(_outer_s(z)) / abs(_outer_s(sol.zeta))
-        assert flags == ()
         assert abs(rate - want) <= 1e-12 * want, z
         assert abs(predictor.rate(z) - want) <= 1e-12 * want, z
 
@@ -709,6 +785,36 @@ def _per_row_csv(rows, stream):
         emp_s, pred_s = ("" if v is None or not math.isfinite(v) else repr(float(v))
                          for v in rates)
         stream.write(f"{float(re)!r},{float(im)!r},{emp_s},{pred_s},{';'.join(flags)}\n")
+
+
+# Axis values: signed zeros and values that repeat, each as a float or an np.float64.
+_axis_value = st.builds(lambda v, wrap: np.float64(v) if wrap else v,
+                        st.sampled_from([0.0, -0.0, 0.75, -3.0, 0.1, 1e-300]) | st.floats(),
+                        st.booleans())
+_rate_value = (st.none() | st.sampled_from([math.nan, math.inf, -math.inf])
+               | st.floats(allow_nan=False) | st.floats().map(np.float64))
+_flags = st.lists(st.sampled_from(["PoleEvaluation", "NotConverging", "WindowTooSmall",
+                                   "RefinePath"]), max_size=3).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_axis_value, _axis_value, _rate_value, _rate_value, _flags),
+                max_size=40),
+       st.booleans())
+@example([], False)
+@example([(0.0, np.float64(0.75), 0.5, None, ()), (-0.0, 0.75, None, math.nan, ("RefinePath",)),
+          (np.float64(-0.0), -0.0, -math.inf, math.inf, ("NotConverging", "RefinePath")),
+          (np.float64(0.75), np.float64(0.0), np.float64(0.25), 1.0, ())], False)
+def test_write_rate_map_csv_is_per_row_writer_bit_for_bit(rows, no_prediction):
+    """Signed zeros and repeated values on both axes, None, NaN and +-inf in both
+    rate columns, an all-None predicted column, empty and multi-flag tuples, and
+    no rows at all: the column writer's text equals the per-row writer's."""
+    if no_prediction:
+        rows = [(re, im, emp, None, flags) for re, im, emp, _, flags in rows]
+    new, ref = io.StringIO(), io.StringIO()
+    write_rate_map_csv(rows, new)
+    _per_row_csv(rows, ref)
+    assert new.getvalue() == ref.getvalue()
 
 
 def test_write_rate_map_csv_bytes_equal_per_row_writer(qsol, tmp_path):
