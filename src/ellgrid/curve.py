@@ -81,44 +81,102 @@ def complement(view, t, root):
     return -view[1](t) / lead - root
 
 
-def walk_flip(curve, over_x):
-    """The lattice walk's flip on one view of `curve`: flip(t, s) is the Vieta complement
-    of the root s over t (s = y over t = x when over_x, else x over y), polished.
+def walk_flips(curve):
+    """(flip_y, flip_x), the lattice walk's two flips on `curve`, built on first use and kept
+    on the curve, so every lattice on it shares them: flip_y(x, y) is the other y-root over x,
+    flip_x(y, x) the other x-root over y.
 
-    V1 and V2 run as inline Horner on their trimmed coefficients, under _lead's test, so the
-    complement rounds as `complement` does.  One or two guarded Newton steps on the curve's
-    own F then only remove accumulated rounding, accepting a correction only while |F|
-    decreases (so branch points, where dF = V1 + 2 V2 s ~ 0, are left alone)."""
+    Each is the Vieta complement of the known root, polished.  V1 and V2 of the view run as
+    inline Horner on their trimmed coefficients, under _lead's test, so the complement rounds
+    as `complement` does.  Up to two guarded Newton steps on the curve's own F then only
+    remove accumulated rounding, accepting a correction only while |F| decreases (so branch
+    points, where dF = V1 + 2 V2 s ~ 0, are left alone).  F rounds as `_grid_function`."""
+    try:
+        return curve._flips
+    except AttributeError:
+        flips = _flip(curve, True), _flip(curve, False)
+        object.__setattr__(curve, "_flips", flips)
+        return flips
+
+
+def _flip(curve, over_x):
+    """One of the two flips: y over a fixed x when over_x, else x over a fixed y.  Both write
+    their two Newton trials out and evaluate F inline; the x flip forms F's rows at y once."""
     view = curve.x_view() if over_x else curve.y_view()
     top1, *low1 = reversed(view[1].coeffs)
     top2, *low2 = reversed(view[2].coeffs)
-    deg, floor = view[2].degree(), LEAD_TOL * view[2].max_coeff
-    F = curve._f
+    floor, inf = LEAD_TOL * view[2].max_coeff, cmath.inf
+    full1, full2 = view[1].degree() == 2, view[2].degree() == 2     # untrimmed: V_i(y) = A_i
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = curve.c
 
-    def flip(t, s):
+    def flip_y(x, s):
+        # F(x, s) has no part that depends on x alone
         lead = top2
-        for c in low2:
-            lead = lead * t + c
-        if not floor < reduced_abs(lead, t, deg) < cmath.inf:
-            _lead(view, t)              # fails the same test, so raises its error
+        if low2:                        # a constant V2 passes the lead test everywhere
+            for c in low2:
+                lead = lead * x + c
+            size, m = abs(lead), abs(x)
+            if m > 1.0:                 # reduced_abs: divide once per degree
+                for _ in low2:
+                    size /= m
+            if not floor < size < inf:
+                _lead(view, x)          # fails the same test, so raises its error
         v1 = top1
         for c in low1:
-            v1 = v1 * t + c
+            v1 = v1 * x + c
         lead2, s = 2.0 * lead, -v1 / lead - s
-        fv = F(t, s) if over_x else F(s, t)
-        afv = abs(fv)
-        for _ in range(2):
-            d = v1 + lead2 * s
-            if d == 0:
-                return s
-            s2 = s - fv / d
-            f2 = F(t, s2) if over_x else F(s2, t)
-            af2 = abs(f2)
-            if not af2 < afv:
-                return s
-            s, fv, afv = s2, f2, af2
-        return s
-    return flip
+        fv = (((c22 * s + c21) * s + c20) * x + ((c12 * s + c11) * s + c10)) * x \
+            + ((c02 * s + c01) * s + c00)
+        d = v1 + lead2 * s
+        if d == 0:
+            return s
+        s2 = s - fv / d
+        f2 = (((c22 * s2 + c21) * s2 + c20) * x + ((c12 * s2 + c11) * s2 + c10)) * x \
+            + ((c02 * s2 + c01) * s2 + c00)
+        af2 = abs(f2)
+        if not af2 < abs(fv):
+            return s
+        d = v1 + lead2 * s2
+        if d == 0:
+            return s2
+        s = s2 - f2 / d
+        return s if abs((((c22 * s + c21) * s + c20) * x + ((c12 * s + c11) * s + c10)) * x
+                        + ((c02 * s + c01) * s + c00)) < af2 else s2
+
+    def flip_x(y, s):
+        # F(s, y) = (A2 s + A1) s + A0 with F's own rows A_i = (c_i2 y + c_i1) y + c_i0
+        lead = top2
+        if low2:                        # a constant V2 passes the lead test everywhere
+            for c in low2:
+                lead = lead * y + c
+            size, m = abs(lead), abs(y)
+            if m > 1.0:
+                for _ in low2:
+                    size /= m
+            if not floor < size < inf:
+                _lead(view, y)          # fails the same test, so raises its error
+        v1 = top1
+        for c in low1:
+            v1 = v1 * y + c
+        a2 = lead if full2 else (c22 * y + c21) * y + c20
+        a1 = v1 if full1 else (c12 * y + c11) * y + c10
+        a0 = (c02 * y + c01) * y + c00
+        lead2, s = 2.0 * lead, -v1 / lead - s
+        fv = (a2 * s + a1) * s + a0
+        d = v1 + lead2 * s
+        if d == 0:
+            return s
+        s2 = s - fv / d
+        f2 = (a2 * s2 + a1) * s2 + a0
+        af2 = abs(f2)
+        if not af2 < abs(fv):
+            return s
+        d = v1 + lead2 * s2
+        if d == 0:
+            return s2
+        s = s2 - f2 / d
+        return s if abs((a2 * s + a1) * s + a0) < af2 else s2
+    return flip_y if over_x else flip_x
 
 
 def _grid_function(c):
@@ -143,7 +201,7 @@ def _scaled_powers(t):
 class BiquadraticCurve:
     """Immutable 3x3 coefficient grid c[i][j] multiplying x^i y^j."""
 
-    __slots__ = ("c", "_xv", "_yv", "_P", "_f")
+    __slots__ = ("c", "_xv", "_yv", "_P", "_f", "_flips")
 
     def __init__(self, grid):
         c = tuple(tuple(complex(v) for v in row) for row in grid)

@@ -22,7 +22,6 @@ polynomial D_n in place of C_n X2.
 from __future__ import annotations
 
 import cmath
-import operator
 import random
 
 import numpy as np
@@ -33,6 +32,7 @@ from .errors import (
     NoValidSamplesError,
     PoleEvaluationError,
     ValidationError,
+    _order,
 )
 from .poly import Polynomial, RationalFunction
 
@@ -268,16 +268,6 @@ class BasisFunction:
 
 
 # -- the constants C_n and the quadratic values D_n ---------------------------------------
-
-
-def _order(value, name):
-    """value as an int, where operator.index takes it and it is not a bool: an order N or K."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _guard(label, value):

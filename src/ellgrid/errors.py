@@ -3,6 +3,7 @@
 Numerical failures carry the offending point or index so callers can report
 exactly where a lattice walk or an expansion broke down.
 """
+import operator
 
 
 class EllgridError(Exception):
@@ -129,3 +130,14 @@ class RefinePathError(EllgridError):
 
 class PathThroughBranchPointError(EllgridError):
     """An integration path passes too close to a branch point of sqrt(P)."""
+
+
+def _order(value, name):
+    """value as an int, where operator.index takes it and it is not a bool: an order N or K,
+    or a lattice index."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")

@@ -12,26 +12,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import BiquadraticCurve, walk_flip
+from .curve import BiquadraticCurve, walk_flips
 from .errors import (
     LatticeSingularityError,
     LatticeStagnationError,
     LeadingCoefficientVanishesError,
     ValidationError,
+    _order,
 )
 
 STAGNATION_TOL = 1e-13
 STAGNATION_RUN = 3
 
 
+def _finite(value, name):
+    """value as a finite complex number, or a ValidationError naming the argument."""
+    try:
+        z = complex(value)
+    except (TypeError, ValueError):
+        z = cmath.nan
+    if not cmath.isfinite(z):
+        raise ValidationError(f"{name}: expected a finite complex number, got {value!r}")
+    return z
+
+
 class LatticeSpec:
     """Seed of a lattice: the curve and the starting point (x0, y0).
 
     y0 may be given directly, or picked from the root pair at x0 through one
-    y1 selector (`y1_index` in {0, 1} or a complex `y1_hint` choosing which
-    root plays y1; y0 is then the Vieta complement).  Given y0 and a selector,
-    consistency is checked: the forward/backward walk is fully determined by
-    (x0, y0).
+    y1 selector (`y1_index` 0 or 1, not a bool, or a finite complex `y1_hint`
+    choosing which root plays y1; y0 is then the Vieta complement).  Given y0
+    and a selector, consistency is checked: the forward/backward walk is fully
+    determined by (x0, y0).
     """
 
     __slots__ = ("curve", "x0", "y0")
@@ -39,19 +51,22 @@ class LatticeSpec:
     def __init__(self, curve, x0, y0=None, y1_index=None, y1_hint=None):
         if y1_index is not None and y1_hint is not None:
             raise ValidationError("a seed names y1 by y1_index or by y1_hint, not both")
-        x0 = complex(x0)
+        x0 = _finite(x0, "x0")
+        if y0 is not None:
+            y0 = _finite(y0, "y0")
         if y1_index is None and y1_hint is None:
             if y0 is None:
                 raise ValidationError("need y0 or a y1 selector to seed a lattice")
-            y0 = complex(y0)
         else:
+            if y1_index is None:
+                hint = _finite(y1_hint, "y1_hint")
+            elif _order(y1_index, "y1_index") not in (0, 1):
+                raise ValidationError(f"y1_index: expected 0 or 1, got {y1_index!r}")
             pair = curve.y_roots(x0)
-            y1 = (pair.nearest(complex(y1_hint)) if y1_index is None
-                  else pair.as_tuple()[int(y1_index)])
+            y1 = pair.nearest(hint) if y1_index is None else pair.as_tuple()[y1_index]
             if y0 is None:
                 y0 = pair.other(y1)
             else:
-                y0 = complex(y0)
                 got = curve.other_y(x0, y0)
                 if abs(y1 - got) > 1e-8 * max(1.0, abs(got)):
                     raise ValidationError("y1 selector contradicts the Vieta complement of y0")
@@ -80,8 +95,7 @@ class LatticePair:
         self.spec = spec
         self._x, self._y = [spec.x0], [spec.y0]
         self._x_back, self._y_back = [], []
-        self._flip_y = walk_flip(spec.curve, True)     # y over a fixed x
-        self._flip_x = walk_flip(spec.curve, False)    # x over a fixed y
+        self._flip_y, self._flip_x = walk_flips(spec.curve)
 
     @property
     def curve(self):
@@ -108,6 +122,8 @@ class LatticePair:
 
     def values(self, n_lo, n_hi):
         """(xs, ys): x_n and y_n for n_lo <= n < n_hi as lists of Python complex, after one ensure."""
+        if type(n_lo) is not int or type(n_hi) is not int:
+            n_lo, n_hi = _order(n_lo, "n_lo"), _order(n_hi, "n_hi")
         if n_lo >= n_hi:
             return [], []
         self.ensure(n_lo, n_hi - 1)
@@ -120,6 +136,9 @@ class LatticePair:
         return tuple(np.array(v, dtype=complex) for v in self.values(n_lo, n_hi))
 
     def ensure(self, n_min, n_max):
+        """Materialize indices n_min..n_max: integers where operator.index takes them, not bools."""
+        if type(n_min) is not int or type(n_max) is not int:
+            n_min, n_max = _order(n_min, "lattice index"), _order(n_max, "lattice index")
         if n_max >= len(self._x):
             self._step_forward(n_max - len(self._x) + 1)
         if -n_min > len(self._x_back):
@@ -186,6 +205,7 @@ class LatticePair:
 
 def generate(spec, n_min, n_max):
     """Materialize a lattice over [n_min, n_max] (the seed sits at index 0)."""
+    n_min, n_max = _order(n_min, "n_min"), _order(n_max, "n_max")
     if not (n_min <= 0 <= n_max):
         raise ValidationError("generate needs n_min <= 0 <= n_max")
     lat = LatticePair(spec)

@@ -27,7 +27,6 @@ import numpy as np
 
 from .diffops import (
     BasisPair,
-    _order,
     basis_products,
     diff_constants,
     divided_difference,
@@ -46,6 +45,7 @@ from .errors import (
     PoleEvaluationError,
     SmallDivisorError,
     ValidationError,
+    _order,
 )
 from .lattice import LatticePair, LatticeSpec
 from .poly import Polynomial

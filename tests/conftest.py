@@ -184,31 +184,40 @@ def ref_F(curve, x, y):
     return acc
 
 
-def ref_flip(curve, t, s, over_x):
+def ref_flip(curve, t, s, over_x, exits=None):
     """The other root over t of the view through s (y over x when over_x, else x over y):
     the lead test on V2(t), the Vieta sum -V1/V2 - s, then up to two Newton steps on the
-    nested-loop F, each kept only while |F| drops."""
+    nested-loop F, each kept only while |F| drops.  The exit taken is added to the set
+    `exits` when one is given: "lead", "d == 0 at trial k", "rejected at trial k" or
+    "both trials kept"."""
     _, v1, v2 = curve.x_view() if over_x else curve.y_view()
     lead = v2(t)
     size = reduced_abs(lead, t, v2.degree())
-    if not LEAD_TOL * v2.max_coeff < size < cmath.inf:
+    exit = "lead"
+    if LEAD_TOL * v2.max_coeff < size < cmath.inf:
+        v1 = v1(t)
+        s = -v1 / lead - s
+
+        def F(s):
+            return ref_F(curve, t, s) if over_x else ref_F(curve, s, t)
+        fv = F(s)
+        exit = "both trials kept"
+        for k in (1, 2):
+            d = v1 + 2.0 * lead * s
+            if d == 0:
+                exit = f"d == 0 at trial {k}"
+                break
+            s2 = s - fv / d
+            f2 = F(s2)
+            if not abs(f2) < abs(fv):
+                exit = f"rejected at trial {k}"
+                break
+            s, fv = s2, f2
+    if exits is not None:
+        exits.add(exit)
+    if exit == "lead":
         raise LeadingCoefficientVanishesError(
             t, None if size < cmath.inf else f"leading coefficient at {t} is not finite")
-    v1 = v1(t)
-    s = -v1 / lead - s
-
-    def F(s):
-        return ref_F(curve, t, s) if over_x else ref_F(curve, s, t)
-    fv = F(s)
-    for _ in range(2):
-        d = v1 + 2.0 * lead * s
-        if d == 0:
-            break
-        s2 = s - fv / d
-        f2 = F(s2)
-        if not abs(f2) < abs(fv):
-            break
-        s, fv = s2, f2
     return s
 
 

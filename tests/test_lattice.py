@@ -167,6 +167,73 @@ def test_seed_by_selector():
             LatticeSpec(curve, 0.0, y0=y0, y1_index=1, y1_hint=1.0)
 
 
+@pytest.mark.parametrize("selector, message", [
+    ({"y1_index": 2}, "y1_index: expected 0 or 1, got 2"),
+    ({"y1_index": -1}, "y1_index: expected 0 or 1, got -1"),
+    ({"y1_index": 1.5}, "y1_index must be an integer, got 1.5"),
+    ({"y1_index": True}, "y1_index must be an integer, got True"),
+    ({"y1_index": "1"}, "y1_index must be an integer, got '1'"),
+    ({"y1_hint": float("nan")}, "y1_hint: expected a finite complex number, got nan"),
+    ({"y1_hint": complex(1.0, float("inf"))}, "y1_hint: expected a finite complex number"),
+    ({"y1_hint": "one"}, "y1_hint: expected a finite complex number, got 'one'"),
+], ids=["index-2", "index-negative", "index-fraction", "index-bool", "index-string",
+        "hint-nan", "hint-inf", "hint-string"])
+def test_seed_selector_is_typed(selector, message):
+    curve = LinearLattice(h=1.0).curve()
+    for y0 in (None, 0.0):
+        with pytest.raises(ValidationError) as info:
+            LatticeSpec(curve, 0.0, y0=y0, **selector)
+        assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("x0, y0, message", [
+    ("abc", 0.0, "x0: expected a finite complex number, got 'abc'"),
+    (None, 0.0, "x0: expected a finite complex number, got None"),
+    (float("nan"), 0.0, "x0: expected a finite complex number, got nan"),
+    (0.0, [1], "y0: expected a finite complex number, got [1]"),
+    (0.0, complex(0.0, float("inf")), "y0: expected a finite complex number, got infj"),
+], ids=["x0-string", "x0-none", "x0-nan", "y0-list", "y0-inf"])
+def test_seed_point_is_typed(x0, y0, message):
+    with pytest.raises(ValidationError) as info:
+        LatticeSpec(LinearLattice(h=1.0).curve(), x0, y0)
+    assert str(info.value) == message
+
+
+def test_seed_selector_takes_what_operator_index_takes():
+    curve = LinearLattice(h=1.0).curve()
+    for k in (0, 1):
+        assert LatticeSpec(curve, 0.0, y1_index=np.int64(k)).y0 == LatticeSpec(curve, 0.0, y1_index=k).y0
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda spec: generate(spec, 0, 2.5), "n_max", 2.5),
+    (lambda spec: generate(spec, 0, "3"), "n_max", "3"),
+    (lambda spec: generate(spec, 0, True), "n_max", True),
+    (lambda spec: generate(spec, -1.0, 2), "n_min", -1.0),
+    (lambda spec: LatticePair(spec).ensure(0, True), "lattice index", True),
+    (lambda spec: LatticePair(spec).ensure(-2.0, 2), "lattice index", -2.0),
+    (lambda spec: LatticePair(spec).values(0, 3.5), "n_hi", 3.5),
+    (lambda spec: LatticePair(spec).span("0", 2), "n_lo", "0"),
+    (lambda spec: LatticePair(spec).x(2.5), "lattice index", 2.5),
+    (lambda spec: LatticePair(spec).y(False), "lattice index", False),
+    (lambda spec: LatticePair(spec).point("1"), "lattice index", "1"),
+], ids=["generate-fraction", "generate-string", "generate-bool", "generate-float-min",
+        "ensure-bool", "ensure-float", "values-fraction", "span-string", "x-fraction", "y-bool",
+        "point-string"])
+def test_lattice_index_is_typed(call, name, value):
+    spec = LinearLattice(h=1.0).spec()
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {value!r}$"):
+        call(spec)
+
+
+def test_lattice_index_takes_what_operator_index_takes():
+    spec = LinearLattice(h=1.0).spec()
+    lat = generate(spec, np.int64(-2), np.int64(3))
+    assert lat.known_range == (-2, 3)
+    assert lat.values(np.int64(-2), np.int64(4)) == lat.values(-2, 4)
+    assert lat.point(np.int64(-1)) == lat.point(-1)
+
+
 def test_stagnation_detected():
     # geometric fixed point: the walk from (0, 0) never moves
     curve = GeometricLattice(a=0.0, b=1.0, q=0.5).curve()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ellgrid import AskeyWilsonLattice, BiquadraticCurve, LatticePair, LatticeSpec, solve
-from ellgrid.curve import walk_flip
+from ellgrid.curve import walk_flips
 from ellgrid.errors import (
     EllgridError,
     LatticeSingularityError,
@@ -143,22 +143,55 @@ def flip_outcome(fn):
         return type(exc).__name__, str(exc)
 
 
+def trimmed_curve(i):
+    """genus1_equation(1)'s curve with c[i][2] set to 3e-15 max|c|, below the 1e-13 trim: its
+    y-view's V_i has degree 1 while F's row i still reads c[i][2] (and for i = 2 the x-view's
+    V2 drops its x^2 term too)."""
+    grid = [list(row) for row in genus1_equation(1).curve.c]
+    grid[i][2] = 3e-15 * max(abs(v) for row in grid for v in row)
+    curve = BiquadraticCurve(grid)
+    assert curve.y_view()[i].degree() == 1
+    return curve
+
+
+# x^2 + y^2 = 5: over t = 3 the complement of -2 is 2, whose Newton step lands exactly on
+# s = 0, where V1 + 2 V2 s = 0, so the second trial exits on d == 0 (in either view)
+CIRCLE = BiquadraticCurve([[-5, 0, 1], [0, 0, 0], [1, 0, 0]])
 FLIP_CURVES = list({repr(curve): curve for _, curve, _, _ in FIXTURE_SEEDS}.values()) \
-    + random_real_curves() + [genus1_equation(s).curve for s in range(10)]
+    + random_real_curves() + [genus1_equation(s).curve for s in range(10)] \
+    + [trimmed_curve(1), trimmed_curve(2), CIRCLE]
+FLIP_EXITS = {"lead", "d == 0 at trial 1", "rejected at trial 1", "d == 0 at trial 2",
+              "rejected at trial 2", "both trials kept"}
 
 
 @pytest.mark.parametrize("over_x", [True, False], ids=["y-over-x", "x-over-y"])
 def test_flip_is_the_reference_flip(over_x):
-    # one flip body serves both views: each must round as ref_flip does, exits included
+    # each flip must round as ref_flip does, and every exit of the body is reached
     rng = np.random.default_rng(11)
-    stops = 0
+    exits = set()
     for curve in FLIP_CURVES:
-        flip = walk_flip(curve, over_x)
-        for t, s in flip_points(curve, over_x, rng):
-            want = flip_outcome(lambda: ref_flip(curve, t, s, over_x))
+        flip = walk_flips(curve)[0 if over_x else 1]
+        points = flip_points(curve, over_x, rng) + [(3.0, -2.0)] * (curve is CIRCLE)
+        for t, s in points:
+            want = flip_outcome(lambda: ref_flip(curve, t, s, over_x, exits))
             assert flip_outcome(lambda: flip(t, s)) == want, (curve, t, s)
-            stops += isinstance(want, tuple)
-    assert stops > 0
+    assert exits == FLIP_EXITS
+
+
+@pytest.mark.parametrize("i", [1, 2], ids=["c12", "c22"])
+def test_trimmed_coefficient_walk_matches_the_reference(i):
+    # F's residual reads the grid's rows, not the trimmed views: they differ in the last bits
+    spec = LatticeSpec(trimmed_curve(i), 0.5, y1_index=0)
+    assert assert_walk_matches(spec.curve, spec.x0, spec.y0, -2000, 2000) is None
+
+
+def test_lattices_on_one_curve_share_one_pair_of_flips():
+    curve = genus1_equation(1).curve
+    assert not hasattr(curve, "_flips")            # nothing is built with the curve
+    a = LatticePair(LatticeSpec(curve, 0.5, y1_index=0))
+    b = LatticePair(LatticeSpec(curve, 0.25 + 0.5j, y1_index=1))
+    flip_y, flip_x = walk_flips(curve)
+    assert a._flip_y is b._flip_y is flip_y and a._flip_x is b._flip_x is flip_x
 
 
 def test_curve_value_is_the_nested_loop_bit_for_bit():
