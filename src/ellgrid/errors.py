@@ -3,6 +3,7 @@
 Numerical failures carry the offending point or index so callers can report
 exactly where a lattice walk or an expansion broke down.
 """
+import cmath
 import operator
 
 
@@ -141,3 +142,14 @@ def _order(value, name):
         except TypeError:
             pass
     raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _finite(value, name):
+    """value as a finite complex number, or a ValidationError naming the argument."""
+    try:
+        z = complex(value)
+    except (TypeError, ValueError):
+        z = cmath.nan
+    if not cmath.isfinite(z):
+        raise ValidationError(f"{name}: expected a finite complex number, got {value!r}")
+    return z

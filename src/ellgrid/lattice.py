@@ -18,22 +18,12 @@ from .errors import (
     LatticeStagnationError,
     LeadingCoefficientVanishesError,
     ValidationError,
+    _finite,
     _order,
 )
 
 STAGNATION_TOL = 1e-13
 STAGNATION_RUN = 3
-
-
-def _finite(value, name):
-    """value as a finite complex number, or a ValidationError naming the argument."""
-    try:
-        z = complex(value)
-    except (TypeError, ValueError):
-        z = cmath.nan
-    if not cmath.isfinite(z):
-        raise ValidationError(f"{name}: expected a finite complex number, got {value!r}")
-    return z
 
 
 class LatticeSpec:

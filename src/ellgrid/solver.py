@@ -45,6 +45,7 @@ from .errors import (
     PoleEvaluationError,
     SmallDivisorError,
     ValidationError,
+    _finite,
     _order,
 )
 from .lattice import LatticePair, LatticeSpec
@@ -59,9 +60,13 @@ VERIFY_BLOCK = 1 << 13    # factors per block of the verification sweep (bounds 
 
 
 class DifferenceEquation:
-    """a (D f) = c (M f) + d with c = (beta x + gamma) X2, d = (delta x + eps) X2."""
+    """a (D f) = c (M f) + d with c = (beta x + gamma) X2, d = (delta x + eps) X2.
 
-    __slots__ = ("curve", "a", "c", "d", "beta", "gamma", "delta", "eps")
+    Immutable.  What the equation alone determines is built on first use and kept in its
+    slots, so every solve on it shares one: the step kernel (_step_kernel, in _step) and the
+    special-point candidates (special_point_candidates, in _cands)."""
+
+    __slots__ = ("curve", "a", "c", "d", "beta", "gamma", "delta", "eps", "_step", "_cands")
 
     def __init__(self, curve, a, beta, gamma, delta, eps):
         a = a if isinstance(a, Polynomial) else Polynomial(a)
@@ -166,7 +171,14 @@ def _step_kernel(eq):
     (>= 1e-300, inf on overflow).  singular, the one singular-step test of both recurrences, is
     |den| <= SINGULAR_STEP_TOL * size, or None where size is not finite (non-finite checks).
     dy = 0 (a step through a branch point of the y-view) is singular without dividing: a/dy,
-    den and size are then inf."""
+    den and size are then inf.
+
+    Built on first use and kept on the equation: the certificate, eta_n and the oracle of
+    every solve on eq share one kernel."""
+    try:
+        return eq._step
+    except AttributeError:
+        pass
     a_top, *a_low = reversed(eq.a.coeffs)
     c_top, *c_low = reversed(eq.c.coeffs)
     am, ad, cm, cd = eq.a.max_coeff, eq.a.degree(), eq.c.max_coeff, eq.c.degree()
@@ -189,6 +201,7 @@ def _step_kernel(eq):
             size = cmath.inf
         singular = abs(den) <= SINGULAR_STEP_TOL * size if size < cmath.inf else None
         return ax, cx, ratio, den, size, singular
+    object.__setattr__(eq, "_step", step)
     return step
 
 
@@ -210,8 +223,14 @@ def special_point_candidates(eq):
 
     In the logarithmic case the condition collapses to a(x) = 0.  A root is
     kept when it can play x_{-1}: _branch_for_role finds a branch pairing that
-    satisfies the unsquared condition.  Survivors come back sorted by (Re, Im).
+    satisfies the unsquared condition.  Survivors come back sorted by (Re, Im),
+    as a new list on every call.  They depend on the equation alone, so they are
+    found on the first call and kept on eq; a NoSpecialPointError is not kept.
     """
+    try:
+        return list(eq._cands)
+    except AttributeError:
+        pass
     if eq.is_logarithmic:
         rts = eq.a.roots()
     else:
@@ -236,7 +255,9 @@ def special_point_candidates(eq):
         out.append(r)
     if not out:
         raise NoSpecialPointError("no root passes back-substitution")
-    return sorted(out, key=lambda z: (z.real, z.imag))
+    cands = tuple(sorted(out, key=lambda z: (z.real, z.imag)))
+    object.__setattr__(eq, "_cands", cands)
+    return list(cands)
 
 
 def _polish_condition_root(beta, P, dP, lin, a, da, r):
@@ -295,7 +316,15 @@ def locate_special_points(eq, select, y0_hint=None, yp1_hint=None):
     the expansion needs d(x_{-1}) = 0: x_{-1} is pinned to the root of d, which
     must be a candidate whatever the selector, and Nearest/ByIndex pick x'_0
     among the other candidates, nearest z or entry i modulo their count.
+    A selector point or hint that is not a finite complex number is a ValidationError
+    naming it.
     """
+    if isinstance(select, Explicit):
+        targets = _finite(select.x_m1, "select.x_m1"), _finite(select.x_p0, "select.x_p0")
+    elif isinstance(select, Nearest):
+        z = _finite(select.z, "select.z")
+    y0_hint, yp1_hint = (None if h is None else _finite(h, name)
+                         for h, name in ((y0_hint, "y0_hint"), (yp1_hint, "yp1_hint")))
     cands = special_point_candidates(eq)
     pin = None
     if eq.is_logarithmic and eq.delta != 0:
@@ -306,10 +335,10 @@ def locate_special_points(eq, select, y0_hint=None, yp1_hint=None):
                 "logarithmic mode needs the root of d among the roots of a")
 
     if isinstance(select, Explicit):
-        x_m1, x_p0 = (_match_candidate(cands, complex(z)) for z in (select.x_m1, select.x_p0))
+        x_m1, x_p0 = (_match_candidate(cands, t) for t in targets)
     elif isinstance(select, (Nearest, ByIndex)):
         near = isinstance(select, Nearest)
-        order = sorted(cands, key=lambda r: abs(r - complex(select.z))) if near else cands
+        order = sorted(cands, key=lambda r: abs(r - z)) if near else cands
         i = 0 if near else select.i
         x_m1 = order[i % len(order)] if pin is None else pin
         if pin is None and not near:           # entries i and j
@@ -331,7 +360,7 @@ def locate_special_points(eq, select, y0_hint=None, yp1_hint=None):
 
 def _match_candidate(cands, target):
     best = min(cands, key=lambda r: abs(r - target))
-    if abs(best - target) > 1e-6 * (1.0 + abs(target)):
+    if not abs(best - target) <= 1e-6 * (1.0 + abs(target)):
         raise NoSpecialPointError(f"{target} is not a special-point candidate")
     return best
 

@@ -5,6 +5,7 @@ or quadratic `a` interpolates the defining conditions at chosen lattice
 points), so tests can assert that the locator rediscovers them.
 """
 import cmath
+import time
 
 import numpy as np
 import pytest
@@ -13,15 +14,18 @@ from hypothesis import settings
 from ellgrid import (
     AskeyWilsonLattice,
     BiquadraticCurve,
+    ByIndex,
     DifferenceEquation,
     Explicit,
     GeometricLattice,
     LinearLattice,
     solve,
+    verify_interpolation,
 )
 from ellgrid.curve import LEAD_TOL
 from ellgrid.diffops import diff_constant
 from ellgrid.errors import (
+    EllgridError,
     HitSingularLatticeError,
     LatticeSingularityError,
     LatticeStagnationError,
@@ -169,6 +173,37 @@ def genus1_equation(seed):
     a = Polynomial(tuple(rng.uniform(-1.5, 1.5, 3)) + (1.0,))
     beta, gamma, delta, eps = rng.uniform(-1.0, 1.0, 4)
     return DifferenceEquation(curve, a, beta=beta, gamma=gamma, delta=delta, eps=eps)
+
+
+def solve_outcome(eq, select, N):
+    """repr of solve(eq, select, N)'s coefficients, special points and diagnostics and of
+    verify_interpolation's errors, or of the type and message of the EllgridError raised."""
+    try:
+        sol = solve(eq, select, N)
+        rep = verify_interpolation(eq, sol, N)
+    except EllgridError as exc:
+        return repr((type(exc).__name__, str(exc)))
+    return repr((sol.coeffs, sol.special, sorted(sol.diagnostics.items()), rep.errors,
+                 rep.skipped))
+
+
+def selector_sweep(seeds, N):
+    """(cases, differ, seconds): genus1_equation(seed) for each seed under the 30 ordered
+    ByIndex pairs of distinct entries 0 .. 5, solved and verified at order N on one equation
+    shared by all 30 and on a freshly built equal equation each time.  differ lists the
+    (seed, select) whose solve_outcome differs between the two; seconds is the time taken
+    on the shared and on the fresh equations (building them included)."""
+    pairs = [ByIndex(i, j) for i in range(6) for j in range(6) if i != j]
+    differ, shared_s, fresh_s = [], 0.0, 0.0
+    for seed in seeds:
+        t0 = time.perf_counter()
+        shared = genus1_equation(seed)
+        got = [solve_outcome(shared, select, N) for select in pairs]
+        t1 = time.perf_counter()
+        want = [solve_outcome(genus1_equation(seed), select, N) for select in pairs]
+        shared_s, fresh_s = shared_s + t1 - t0, fresh_s + time.perf_counter() - t1
+        differ += [(seed, select) for select, g, w in zip(pairs, got, want) if g != w]
+    return len(pairs) * len(seeds), differ, (shared_s, fresh_s)
 
 
 def ref_F(curve, x, y):

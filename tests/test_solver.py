@@ -45,6 +45,7 @@ from ellgrid.solver import (
     _cdiv,
     _cmul,
     _condition_residual,
+    _step_kernel,
     build_lattices,
     special_point_candidates,
 )
@@ -61,6 +62,7 @@ from conftest import (
     ref_condition_residual,
     ref_log_product,
     ref_ratio_recurrence,
+    selector_sweep,
 )
 
 X = Polynomial.x()
@@ -280,8 +282,87 @@ def test_degenerate_condition_has_no_special_points():
     beta, gamma = 1.0, 2.0
     a = Polynomial((0, gamma, beta)) / 4.0                  # = (beta x + gamma) x / 4
     eq = DifferenceEquation(curve, a, beta=beta, gamma=gamma, delta=1.0, eps=0.0)
-    with pytest.raises(NoSpecialPointError):
-        special_point_candidates(eq)
+    for _ in range(2):                      # a failure is not kept on the equation
+        with pytest.raises(NoSpecialPointError):
+            special_point_candidates(eq)
+    assert not hasattr(eq, "_cands")
+
+
+def test_equation_keeps_its_kernel_and_candidates_from_first_use():
+    eq = genus1_equation(0)
+    assert not hasattr(eq, "_step") and not hasattr(eq, "_cands")   # nothing built with eq
+    step = _step_kernel(eq)
+    assert _step_kernel(eq) is step and eq._step is step
+    assert not hasattr(eq, "_cands")
+    cands = special_point_candidates(eq)
+    assert eq._cands == tuple(cands)
+    with pytest.raises(AttributeError, match="immutable"):
+        eq._cands = ()
+
+
+def test_candidates_come_back_as_a_new_list_each_call():
+    eq = genus1_equation(0)
+    first = special_point_candidates(eq)
+    want = list(first)
+    first.reverse()
+    first.append(0j)
+    second = special_point_candidates(eq)
+    assert second == want and second is not first
+
+
+def test_locate_finds_the_roots_once_per_equation(monkeypatch):
+    """Counts, not timings: four selectors on one equation find the sextic's roots once, and
+    each locate takes its candidates through the module attribute (where a tracer binds)."""
+    import ellgrid.solver as solver_mod
+    calls = {"roots": 0, "cands": 0}
+
+    def counted_roots(self, _original=Polynomial.roots):
+        calls["roots"] += 1
+        return _original(self)
+
+    def counted_cands(eq, _original=solver_mod.special_point_candidates):
+        calls["cands"] += 1
+        return _original(eq)
+    monkeypatch.setattr(Polynomial, "roots", counted_roots)
+    monkeypatch.setattr(solver_mod, "special_point_candidates", counted_cands)
+    eq = genus1_equation(1)
+    for select in (ByIndex(0, 1), ByIndex(1, 2), ByIndex(2, 0), Nearest(0)):
+        locate_special_points(eq, select)
+    assert calls == {"roots": 1, "cands": 4}
+
+
+def test_shared_equation_solves_as_fresh_ones():
+    """genus1_equation seeds 0-4 under all 30 ordered ByIndex pairs at N = 40: solving on one
+    shared equation gives what a freshly built equal equation gives, errors included."""
+    cases, differ, _ = selector_sweep(range(5), 40)
+    assert cases == 150 and not differ, differ
+
+
+NONFINITE = [
+    ("linear", Explicit(x_m1=float("nan"), x_p0=1.0), {}, "select.x_m1", "nan"),
+    ("linear", Explicit(x_m1=1j, x_p0=complex(0, float("inf"))), {}, "select.x_p0", "infj"),
+    ("linear", Nearest(float("nan")), {}, "select.z", "nan"),
+    ("linear", Nearest(float("inf")), {}, "select.z", "inf"),
+    ("linear", Nearest(None), {}, "select.z", "None"),
+    ("log", None, {"y0_hint": float("nan")}, "y0_hint", "nan"),
+    ("log", None, {"yp1_hint": complex(float("inf"), 0)}, "yp1_hint", "(inf+0j)"),
+    ("log", None, {"y0_hint": None, "yp1_hint": float("-inf")}, "yp1_hint", "-inf"),
+]
+
+
+@pytest.mark.parametrize("kind, select, hints, field, shown", NONFINITE,
+                         ids=[f"{case[3]}={case[4]}" for case in NONFINITE])
+def test_nonfinite_selector_or_hint_is_a_validation_error(kind, select, hints, field, shown):
+    """Unchecked, a NaN point would match or pick candidate 0 (no comparison with it holds) and
+    a NaN hint would take the other branch."""
+    if kind == "log":
+        eq, select, *_, fixture_hints = log_linear_fixture()
+        hints = {**fixture_hints, **hints}
+    else:
+        eq = linear_fixture()[0]
+    with pytest.raises(ValidationError) as err:
+        locate_special_points(eq, select, **hints)
+    assert str(err.value) == f"{field}: expected a finite complex number, got {shown}"
 
 
 def test_stepwise_oracle_hits_singular_lattice():
