@@ -32,6 +32,7 @@ from .errors import (
     RefinePathError,
     ValidationError,
     WindowTooSmallError,
+    _finite,
 )
 
 COARSE_STEP = 0.5       # relative sqrt(P) jump that marks an under-sampled path
@@ -109,7 +110,9 @@ def _term_magnitude_grid(sol, zs, n_max):
 
 
 def term_magnitudes(sol, z, n_max):
-    """|c_n Yb_n(z)| for n = 1..n_max (index 0 of the result is n = 1)."""
+    """|c_n Yb_n(z)| for n = 1..n_max (index 0 of the result is n = 1); a non-finite z is a
+    ValidationError naming it."""
+    z = _finite(z, "z")
     mags, hit = _term_magnitude_grid(sol, [z], n_max)
     if hit[0]:
         raise PoleEvaluationError(z)
@@ -151,8 +154,9 @@ def empirical_rate(sol, z, n_min, n_max, smalldiv_threshold=0.05):
     """Least-squares geometric ratio of the terms over [n_min, n_max].
 
     Small-divisor indices (and exact zeros) are excluded from the fit; at
-    least five usable terms are required.
+    least five usable terms are required.  A non-finite z is a ValidationError naming it.
     """
+    z = _finite(z, "z")
     rho, hit, count, flagged = _fit_rates(sol, [z], n_min, n_max, smalldiv_threshold)
     if hit[0]:
         raise PoleEvaluationError(z)

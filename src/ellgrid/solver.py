@@ -316,13 +316,16 @@ def locate_special_points(eq, select, y0_hint=None, yp1_hint=None):
     the expansion needs d(x_{-1}) = 0: x_{-1} is pinned to the root of d, which
     must be a candidate whatever the selector, and Nearest/ByIndex pick x'_0
     among the other candidates, nearest z or entry i modulo their count.
-    A selector point or hint that is not a finite complex number is a ValidationError
-    naming it.
+    A selector point or hint that is not a finite complex number, or a ByIndex entry that is
+    not an integer (a bool is not), is a ValidationError naming it.
     """
     if isinstance(select, Explicit):
         targets = _finite(select.x_m1, "select.x_m1"), _finite(select.x_p0, "select.x_p0")
     elif isinstance(select, Nearest):
-        z = _finite(select.z, "select.z")
+        z, i = _finite(select.z, "select.z"), 0
+    elif isinstance(select, ByIndex):
+        i = _order(select.i, "select.i")
+        j = i + 1 if select.j is None else _order(select.j, "select.j")
     y0_hint, yp1_hint = (None if h is None else _finite(h, name)
                          for h, name in ((y0_hint, "y0_hint"), (yp1_hint, "yp1_hint")))
     cands = special_point_candidates(eq)
@@ -339,10 +342,9 @@ def locate_special_points(eq, select, y0_hint=None, yp1_hint=None):
     elif isinstance(select, (Nearest, ByIndex)):
         near = isinstance(select, Nearest)
         order = sorted(cands, key=lambda r: abs(r - z)) if near else cands
-        i = 0 if near else select.i
         x_m1 = order[i % len(order)] if pin is None else pin
         if pin is None and not near:           # entries i and j
-            x_p0 = order[(i + 1 if select.j is None else select.j) % len(order)]
+            x_p0 = order[j % len(order)]
         else:                                   # x'_0 is entry i of the other candidates
             rest = [r for r in order if r != x_m1]
             if not rest:
@@ -636,8 +638,9 @@ def solve(eq, select, N, c0_free=None, y0_hint=None, yp1_hint=None):
 
 
 def evaluate_partial_sum(sol, N, z):
-    """S_N(z) = sum_{k<=N} c_k Yb_k(z), with Yb_0(z) .. Yb_N(z) from one basis_products call."""
-    N = _order(N, "N")
+    """S_N(z) = sum_{k<=N} c_k Yb_k(z), with Yb_0(z) .. Yb_N(z) from one basis_products call;
+    a non-finite z is a ValidationError naming it."""
+    N, z = _order(N, "N"), _finite(z, "z")
     if not 0 <= N < len(sol.coeffs):
         raise ValidationError(f"partial sum order {N} is outside 0 .. {len(sol.coeffs) - 1}")
     ys = sol.pair.unprimed.values(0, N)[1]
@@ -649,7 +652,9 @@ def evaluate_partial_sum(sol, N, z):
 
 
 def residual(eq, sol, N, z):
-    """Defect a (D S_N) - c (M S_N) - d at z (vanishes on early lattice points)."""
+    """Defect a (D S_N) - c (M S_N) - d at z (vanishes on early lattice points); a non-finite z
+    is a ValidationError naming it."""
+    z = _finite(z, "z")
     f = lambda t: evaluate_partial_sum(sol, N, t)
     df = divided_difference(eq.curve, f, z)
     mf = mean_value(eq.curve, f, z)
@@ -663,112 +668,48 @@ class InterpolationReport:
     skipped: tuple
 
 
-def _cdiv(ar, ai, br, bi):
-    """(ar + i ai) / (br + i bi) rounded as CPython's complex division, in place.
-
-    The quotient's parts replace ar and ai (and are returned); br and bi are
-    overwritten.  Like _Py_c_quot it divides through by the part of b with
-    the larger modulus: for |br| >= |bi|, ratio = bi/br, denom = br + bi ratio
-    and the parts are (ar + ai ratio)/denom and (ai - ar ratio)/denom; else
-    ratio = br/bi, denom = br ratio + bi and the parts are (ar ratio + ai)/denom
-    and (ai ratio - ar)/denom.  Every step is its own ufunc call: numpy's
-    complex / multiplies by a reciprocal, which rounds differently.  b = 0
-    gives NaN where Python raises ZeroDivisionError.
-    """
-    # CPython's second branch is its first with the parts of a and of b swapped
-    swap = np.abs(br) < np.abs(bi)
-    for x, y in ((br, bi), (ar, ai)):
-        t = np.where(swap, y, x)
-        np.copyto(y, x, where=swap)
-        np.copyto(x, t)
-    ratio = bi / br
-    np.multiply(bi, ratio, out=bi)
-    np.add(br, bi, out=br)                  # denom
-    np.multiply(ar, ratio, out=bi)
-    np.multiply(ai, ratio, out=ratio)
-    np.add(ar, ratio, out=ar)               # ar + ai ratio
-    np.subtract(ai, bi, out=ratio)          # ai - ar ratio
-    np.subtract(bi, ai, out=ai)             # the second branch subtracts the other way
-    np.copyto(ai, ratio, where=~swap)
-    np.divide(ar, br, out=ar)
-    np.divide(ai, br, out=ai)
-    return ar, ai
-
-
-def _cmul(ar, ai, br, bi, out_re, out_im, tmp):
-    """(ar + i ai)(br + i bi) rounded as CPython's complex product, into out_re, out_im.
-
-    The parts ar br - ai bi and ar bi + ai br take four products and two sums,
-    each its own ufunc call, so no fused or complex128 kernel rounds them
-    differently.  tmp is scratch shaped like the outputs; none of the three
-    may overlap an operand.
-    """
-    np.multiply(ar, br, out=out_re)
-    np.multiply(ai, bi, out=tmp)
-    np.subtract(out_re, tmp, out=out_re)
-    np.multiply(ar, bi, out=out_im)
-    np.multiply(ai, br, out=tmp)
-    np.add(out_im, tmp, out=out_im)
-
-
 def _node_sums(ys, poles, cs):
-    """Parts of S(y_j) = sum_{k<=j} c_k Yb_k(y_j) at every node j, rounded as Python complex.
+    """S(y_j) = sum_{k<=j} c_k Yb_k(y_j) at every node j, in numpy complex.
 
-    Term k adds to the nodes j >= k with the running product of
-    evaluate_partial_sum, in the same order, so the sums are bit-identical to
-    it.  The factors (y_j - y_{k-1}) / (y_j - y'_{k-1}) of a block of rows k
-    come from one _cdiv over the columns j >= k0.  Then each row k, in order,
-    updates the running products, and after the block's terms c_k Yb_k(y_j)
-    each row adds its own to the sums.  A block holds about VERIFY_BLOCK
-    factors, in planes that every block reuses.
+    A block of rows k takes about VERIFY_BLOCK factors (y_j - y_{k-1}) / (y_j - y'_k) over the
+    columns j >= k0 from one division.  Its first row takes the products carried from the block
+    before, one np.multiply.accumulate down the rows gives Yb_k(y_j), and the last row is the
+    next block's carry.  Each node adds only its terms k <= j: the others, which hold the zero
+    factor (y_j - y_j), are masked out, since an inf before that factor makes them NaN.
     """
     n = len(ys)
-    yr, yi = ys.real.copy(), ys.imag.copy()
-    qr, qi = poles.real.copy(), poles.imag.copy()
     cs = np.array(cs[:n], dtype=complex)
-    sum_re, sum_im = np.full(n, cs[0].real), np.full(n, cs[0].imag)
-    prod_re, prod_im = np.ones(n), np.zeros(n)
-    planes = np.empty((5, min(max(VERIFY_BLOCK, n), n * n)))   # no block needs more
-    row_tmp = np.empty(n)
+    sums, carry = np.full(n, cs[0]), np.ones(n, dtype=complex)
     with np.errstate(all="ignore"):
         k0 = 1
         while k0 < n:
             w = n - k0
             b = min(w, max(1, VERIFY_BLOCK // w))
-            f_re, f_im, p_re, p_im, tmp = (v[:b * w].reshape(b, w) for v in planes)
             rows = slice(k0 - 1, k0 - 1 + b)
-            np.subtract(yr[k0:], yr[rows, None], out=f_re)
-            np.subtract(yi[k0:], yi[rows, None], out=f_im)
-            np.subtract(yr[k0:], qr[rows, None], out=p_re)
-            np.subtract(yi[k0:], qi[rows, None], out=p_im)
-            _cdiv(f_re, f_im, p_re, p_im)
-            last_re, last_im, t = prod_re[k0:], prod_im[k0:], row_tmp[:w]
-            for row in zip(f_re, f_im, p_re, p_im):      # the products overwrite p
-                _cmul(last_re, last_im, *row, t)
-                last_re, last_im = row[2:]
-            prod_re[k0 + b:], prod_im[k0 + b:] = last_re[b:], last_im[b:]
-            c = cs[k0:k0 + b, None]
-            _cmul(p_re, p_im, c.real, c.imag, f_re, f_im, tmp)
-            for r in range(b):
-                s_re, s_im = sum_re[k0 + r:], sum_im[k0 + r:]
-                np.add(s_re, f_re[r, r:], out=s_re)
-                np.add(s_im, f_im[r, r:], out=s_im)
+            f = ys[k0:] - ys[rows, None]
+            f /= ys[k0:] - poles[rows, None]
+            f[0] *= carry[k0:]
+            np.multiply.accumulate(f, axis=0, out=f)
+            carry[k0 + b:] = f[-1, b:]
+            f *= cs[k0:k0 + b, None]
+            f[np.tril_indices(b, -1)] = 0
+            sums[k0:] += f.sum(axis=0)
             k0 += b
-    return sum_re, sum_im
+    return sums
 
 
 def verify_interpolation(eq, sol, N):
     """Max relative gap between S_N(y_j) and the stepwise oracle for j <= N.
 
     Yb_k(y_j) has the factor (y_j - y_j) = 0 for every k > j, so node j sums
-    only terms k <= j: one sweep over the terms (_node_sums) adds term k at the
-    nodes j >= k.  It runs on float64 arrays of real and imaginary parts with
-    every complex operation rounded as CPython rounds it (_cdiv, _cmul), so the
-    errors are bit-identical to evaluate_partial_sum at every node; numpy's
-    complex * and / round differently, enough to move errors near a tolerance
-    across it.  The sweep is O(N^2) float work in blocks plus a few ufunc calls
-    per term: about 30 ms at N = 1000 on the linear fixture (README, Cost).
-    The pole guard still covers every k <= N at every node.
+    only terms k <= j: one numpy-complex sweep over blocks of terms (_node_sums)
+    adds term k at the nodes j >= k.  Its S(y_j) is a float sum of float terms,
+    within 4 (j+1) 2^-53 sum_k |c_k Yb_k(y_j)| of the exact sum of the same inputs
+    (tested against a 50-digit sum); it rounds differently from
+    evaluate_partial_sum, which stays the scalar route.  The sweep is O(N^2) float
+    work in blocks plus a few ufunc calls per block: about 12 ms at N = 1000 on the
+    linear fixture (README, Cost).  The pole guard still covers every k <= N at
+    every node.
     """
     N = _order(N, "N")
     if not 0 <= N < len(sol.coeffs):
@@ -784,10 +725,8 @@ def verify_interpolation(eq, sol, N):
     if hit.any():
         raise PoleEvaluationError(complex(ys[hit.argmax()]))
 
-    got_re, got_im = _node_sums(ys, poles, cs)
     want = np.array(oracle, dtype=complex)
-    errs = (np.hypot(got_re - want.real, got_im - want.imag)
-            / (1.0 + np.hypot(want.real, want.imag))).tolist()
+    errs = (np.abs(_node_sums(ys, poles, cs) - want) / (1.0 + np.abs(want))).tolist()
     return InterpolationReport(max_error=float(np.max(errs)), errors=tuple(errs),
                                 skipped=skipped)
 

@@ -5,6 +5,7 @@ or quadratic `a` interpolates the defining conditions at chosen lattice
 points), so tests can assert that the locator rediscovers them.
 """
 import cmath
+import decimal
 import time
 
 import numpy as np
@@ -426,6 +427,48 @@ def ref_log_product(eq, pair, n, c1, zeta):
             v *= (xm1 - pair.x(j - 2)) / (ym1 - pair.y(j - 1))
             v *= (pair.xp(j - 1) - zeta) / (pair.x(j - 1) - zeta)
     return v
+
+
+def ref_node_sums(sol, nodes):
+    """[(S, size)] for each node j: S(y_j) = sum_{k<=j} c_k Yb_k(y_j) as a (re, im) pair of
+    Decimals and size = sum_k |c_k Yb_k(y_j)|, both to 50 digits over the float nodes, poles
+    and coefficients of sol, with Yb_k(y_j) = prod_{i<k} (y_j - y_i) / (y_j - y'_{i+1}).  Each
+    float is read into decimal exactly, and every complex operation is written out in reals."""
+    top = max(nodes)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        ys, poles, cs = ([(decimal.Decimal(z.real), decimal.Decimal(z.imag)) for z in v]
+                         for v in (sol.pair.unprimed.values(0, top + 1)[1],
+                                   sol.pair.primed.values(0, top + 1)[1], sol.coeffs[:top + 1]))
+        out = []
+        for j in nodes:
+            (yr, yi), (sr, si) = ys[j], cs[0]
+            size, pr, pi = (sr * sr + si * si).sqrt(), decimal.Decimal(1), decimal.Decimal(0)
+            for k in range(1, j + 1):
+                ar, ai = yr - ys[k - 1][0], yi - ys[k - 1][1]
+                br, bi = yr - poles[k][0], yi - poles[k][1]
+                m = br * br + bi * bi
+                fr, fi = (ar * br + ai * bi) / m, (ai * br - ar * bi) / m
+                pr, pi = pr * fr - pi * fi, pr * fi + pi * fr
+                (cr, ci) = cs[k]
+                tr, ti = cr * pr - ci * pi, cr * pi + ci * pr
+                sr, si, size = sr + tr, si + ti, size + (tr * tr + ti * ti).sqrt()
+            out.append(((sr, si), size))
+    return out
+
+
+def node_sum_error_ratios(sol, sums, nodes):
+    """|sums[j] - S(y_j)| over the forward-error bound 4 (j+1) 2^-53 sum_k |c_k Yb_k(y_j)| of a
+    float sum of float terms (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    3.1 and 4.2), against ref_node_sums, at each node: a ratio <= 1 meets the bound."""
+    ratios = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for j, ((sr, si), size) in zip(nodes, ref_node_sums(sol, nodes)):
+            er, ei = decimal.Decimal(sums[j].real) - sr, decimal.Decimal(sums[j].imag) - si
+            err, bound = (er * er + ei * ei).sqrt(), 4 * (j + 1) * size / 2 ** 53
+            ratios.append(float(err / bound) if bound else 0.0 if err == 0 else cmath.inf)
+    return ratios
 
 
 @pytest.fixture(scope="session")

@@ -14,10 +14,12 @@ from ellgrid import (
     RatePredictor,
     detect_small_divisors,
     empirical_rate,
+    evaluate_partial_sum,
     path_integral,
     period_quadrature,
     predicted_rate,
     rate_map,
+    residual,
     solve,
     term_magnitudes,
     trace_lattice_locus,
@@ -427,6 +429,18 @@ def test_rate_far_out_is_finite_and_nonfinite_z_is_refused(qsol):
     for z in (complex("nan"), complex("inf")):
         with pytest.raises(ValidationError):
             predictor.rate(z)
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(0.5, float("-inf"))])
+def test_nonfinite_z_is_refused_on_every_evaluation(z):
+    """Unchecked, empirical_rate gives a NaN rate with no flag, and the others return NaN."""
+    eq, select = linear_fixture()
+    sol = solve(eq, select, 12)
+    for call in (lambda: empirical_rate(sol, z, 2, 10), lambda: term_magnitudes(sol, z, 10),
+                 lambda: evaluate_partial_sum(sol, 10, z), lambda: residual(eq, sol, 10, z)):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == f"z: expected a finite complex number, got {z!r}"
 
 
 def test_rate_one_on_reference_equipotential(qsol):
