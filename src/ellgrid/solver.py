@@ -64,7 +64,7 @@ class DifferenceEquation:
 
     Immutable.  What the equation alone determines is built on first use and kept in its
     slots, so every solve on it shares one: the step kernel (_step_kernel, in _step) and the
-    special-point candidates (special_point_candidates, in _cands)."""
+    special-point candidates with their root pairs and certificates (in _cands)."""
 
     __slots__ = ("curve", "a", "c", "d", "beta", "gamma", "delta", "eps", "_step", "_cands")
 
@@ -166,66 +166,56 @@ def _horner(p):
 
 
 def _step_kernel(eq):
-    """step(x, dy) -> (a(x), c(x), a(x)/dy, den = a/dy - c/2, size, singular): the stepwise step
-    at x, a and c by inline Horner.  size is the coefficient-level magnitude of a/dy and c/2
-    (>= 1e-300, inf on overflow).  singular, the one singular-step test of both recurrences, is
-    |den| <= SINGULAR_STEP_TOL * size, or None where size is not finite (non-finite checks).
-    dy = 0 (a step through a branch point of the y-view) is singular without dividing: a/dy,
-    den and size are then inf.
-
-    Built on first use and kept on the equation: the certificate, eta_n and the oracle of
-    every solve on eq share one kernel."""
+    """step(x, dy) -> (a(x), c(x), a/dy, den = a/dy - c/2, size, singular), complex128 arrays over
+    every step x, dy from one numpy pass, with no warning.  size is the coefficient-level magnitude
+    of a/dy and c/2 (>= 1e-300, inf on overflow); singular, the one singular-step test of both
+    recurrences, is |den| <= SINGULAR_STEP_TOL * size where size is finite (the callers stop on
+    the others).  dy = 0, a step through a branch point of the y-view, is singular (its terms are
+    not finite).
+    Built on first use and kept on eq: the certificates, eta_n and the oracle share one kernel."""
     try:
         return eq._step
     except AttributeError:
         pass
-    a_top, *a_low = reversed(eq.a.coeffs)
-    c_top, *c_low = reversed(eq.c.coeffs)
     am, ad, cm, cd = eq.a.max_coeff, eq.a.degree(), eq.c.max_coeff, eq.c.degree()
 
     def step(x, dy):
-        ax = a_top
-        for c in a_low:
-            ax = ax * x + c
-        cx = c_top
-        for c in c_low:
-            cx = cx * x + c
-        if dy == 0:
-            return ax, cx, cmath.inf, cmath.inf, cmath.inf, True
-        ratio = ax / dy
-        den = ratio - cx / 2.0
-        try:
-            growth = max(1.0, abs(x))
-            size = max(am * growth ** ad / abs(dy), cm * growth ** cd / 2.0, 1e-300)
-        except OverflowError:
-            size = cmath.inf
-        singular = abs(den) <= SINGULAR_STEP_TOL * size if size < cmath.inf else None
+        x, dy = np.asarray(x, dtype=complex), np.asarray(dy, dtype=complex)
+        with np.errstate(all="ignore"):
+            ax, cx = eq.a(x), eq.c(x)
+            ratio = ax / dy
+            den = ratio - cx / 2.0
+            growth = np.maximum(np.abs(x), 1.0)
+            size = np.maximum(am * growth ** ad / np.abs(dy), cm * growth ** cd / 2.0)
+            size = np.maximum(size, 1e-300)
+            singular = (dy == 0) | ((np.abs(den) <= SINGULAR_STEP_TOL * size) & (size < np.inf))
         return ax, cx, ratio, den, size, singular
     object.__setattr__(eq, "_step", step)
     return step
 
 
 def _condition_residual(eq, r, first, second, sign):
-    """|a/(second-first) + sign*c/2| at r, normalized; inf if branches collide or overflow.
-
-    The normalization is the step's size from _step_kernel, the coefficient-level magnitude
-    of the two terms, so the residual measures how much cancellation the condition achieves.
-    """
+    """|a/(second-first) + sign*c/2| at r over the step's size from _step_kernel (the magnitude of
+    its terms, so it measures how much cancellation the condition achieves), elementwise over
+    arrays; inf where the branches collide or the size overflows."""
+    r, first, second = (np.asarray(v, dtype=complex) for v in (r, first, second))
     dy = second - first
-    if abs(dy) <= 1e-13 * max(1.0, abs(first), abs(second)):
-        return cmath.inf
     _, cx, ratio, _, size, _ = _step_kernel(eq)(r, dy)
-    return abs(ratio + sign * cx / 2.0) / size if size < cmath.inf else cmath.inf
+    with np.errstate(all="ignore"):
+        res = np.abs(ratio + sign * cx / 2.0) / size
+    collide = np.abs(dy) <= 1e-13 * np.maximum(np.maximum(1.0, np.abs(first)), np.abs(second))
+    return np.where(collide | ~(size < np.inf), np.inf, res)
 
 
 def special_point_candidates(eq):
     """Polished roots of the rationalized condition 4 a^2 = (beta x + gamma)^2 P.
 
-    In the logarithmic case the condition collapses to a(x) = 0.  A root is
-    kept when it can play x_{-1}: _branch_for_role finds a branch pairing that
-    satisfies the unsquared condition.  Survivors come back sorted by (Re, Im),
-    as a new list on every call.  They depend on the equation alone, so they are
-    found on the first call and kept on eq; a NoSpecialPointError is not kept.
+    In the logarithmic case the condition collapses to a(x) = 0.  One _condition_residual pass
+    certifies each root's y-roots (u, v) in both orders, r_uv = r(+1; u, v), r_vu = r(+1; v, u),
+    also the x'_0 role's residuals as r(-1; u, v) = r(+1; v, u).  A root is kept, with
+    (u, v, r_uv, r_vu), when it can play x_{-1} (min(r_uv, r_vu) <= 1e-6; NaN fails).  Survivors
+    come back sorted by (Re, Im), as a new list on every call, found on the first call and kept
+    on eq, since they depend on the equation alone; a NoSpecialPointError is not kept.
     """
     try:
         return list(eq._cands)
@@ -243,19 +233,24 @@ def special_point_candidates(eq):
         polish = partial(_polish_condition_root, eq.beta, *map(
             _horner, (P, P.derivative(), lin, eq.a, eq.a.derivative())))
         rts = [polish(r) for r in sextic.roots()]
-    out = []
+    pairs = []
     for r in rts:
+        try:
+            pairs.append(eq.curve.y_roots(r).as_tuple())
+        except EllgridError:
+            pairs.append(None)
+    u, v = ([(p or (0j, 0j))[i] for p in pairs] for i in (0, 1))
+    res = _condition_residual(eq, rts + rts, u + v, v + u, +1).tolist()
+    out = {}
+    for r, p, r_uv, r_vu in zip(rts, pairs, res, res[len(rts):]):
         if any(abs(r - s) <= 1e-8 * (1.0 + abs(r)) for s in out):
             continue
-        if not eq.is_logarithmic:
-            try:
-                _branch_for_role(eq, r, +1)
-            except EllgridError:
-                continue
-        out.append(r)
+        if not eq.is_logarithmic and (p is None or not min(r_uv, r_vu) <= 1e-6):
+            continue
+        out[r] = p and (*p, r_uv, r_vu)
     if not out:
         raise NoSpecialPointError("no root passes back-substitution")
-    cands = tuple(sorted(out, key=lambda z: (z.real, z.imag)))
+    cands = {r: out[r] for r in sorted(out, key=lambda z: (z.real, z.imag))}
     object.__setattr__(eq, "_cands", cands)
     return list(cands)
 
@@ -287,16 +282,18 @@ def _polish_condition_root(beta, P, dP, lin, a, da, r):
 
 
 def _branch_for_role(eq, r, sign, hint=None):
-    """(first, second, residual): ordering of the pair at r for one role.
+    """(first, second, residual): the order of candidate r's kept root pair for one role.
 
     sign +1 is the x_{-1} role (first = y_{-1}, second = y_0); sign -1 is the
     x'_0 role (first = y'_0, second = y'_1).  The smaller residual wins and must
     be <= 1e-6 (NaN fails); ties (logarithmic mode) break toward `hint` for the
     second member, else toward +sqrt.
     """
-    u, v = eq.curve.y_roots(r).as_tuple()
-    r_uv = _condition_residual(eq, r, u, v, sign)
-    r_vu = _condition_residual(eq, r, v, u, sign)
+    if eq._cands[r] is None:                    # no root pair at r: raise y_roots' error
+        eq.curve.y_roots(r)
+    u, v, r_uv, r_vu = eq._cands[r]
+    if sign < 0:
+        r_uv, r_vu = r_vu, r_uv
     if not min(r_uv, r_vu) <= 1e-6:
         raise BranchAssignmentFailedError(
             f"no root ordering at {r} satisfies the condition (residuals "
@@ -397,42 +394,39 @@ def build_lattices(eq, special):
 
 
 def _reads(pair, N):
-    """(C_0 .. C_N, (xs, ys), (xps, yps)) from one diff_constants call and one range read
-    of each lattice: xs, ys over index -1 .. N (so x_{n-1} = xs[n]), xps, yps over 0 .. N."""
-    return diff_constants(pair, N), pair.unprimed.values(-1, N + 1), pair.primed.values(0, N + 1)
+    """(C_0 .. C_N, (xs, ys), (xps, yps)) as complex arrays from one diff_constants call and one
+    range read per lattice: xs, ys over index -1 .. N (so x_{n-1} = xs[n]), xps, yps over 0 .. N."""
+    return np.array(diff_constants(pair, N), dtype=complex), pair.unprimed.span(-1, N + 1), \
+        pair.primed.span(0, N + 1)
 
 
 def _ratio_coefficients(eq, reads, c0):
-    """c_0 .. c_N of the ratio recurrence c_{n+1} = -c_n xi_n / eta_{n+1}, from _reads(pair, N).
+    """(c_0 .. c_N, the stepwise oracle's c_1) of c_{n+1} = -c_n xi_n / eta_{n+1}, N >= 1.
 
     xi_n = C_n (a + c (y'_{n+1} - y'_n)/2)(z) / ((z - x_{-1}) (z - x'_0) (z - x_{n-1})) at
     z = x'_n, and eta_n = C_n (a - c (y_n - y_{n-1})/2)(z) / ((z - x_{-1}) (z - x'_0) (z - x'_n))
-    at z = x_{n-1}.  eta_n's numerator is dy = y_n - y_{n-1} times the divisor of the stepwise
-    oracle's step n - 1, so eta_n takes a(z), c(z) and the oracle's test from one _step_kernel
-    call: SmallDivisorError(n) when that step is singular or eta_n = 0, whatever N.
-    The seed is c_1 = (beta c_0 + delta)/eta_1.
+    at z = x_{n-1}, one complex128 array each, from _reads(pair, N).  eta_n's numerator is dy =
+    y_n - y_{n-1} times the divisor of the oracle's step n - 1, so one _step_kernel pass gives every
+    eta_n a(z), c(z) and the oracle's test: SmallDivisorError(n) at the first singular step or zero
+    eta_n, whatever N.  c_1 = (beta c_0 + delta)/eta_1 seeds one np.cumprod over -xi_n/eta_{n+1}.
+    Step 0 gives the oracle's f_1 from f(y_0) = c_0, and c_1 = (f_1 - c_0)/Yb_1(y_1).
     """
     cns, (xs, ys), (xps, yps) = reads
-    N = len(cns) - 1
-    xm1, xp0 = xs[0], xps[0]
-    step = _step_kernel(eq)
-    etas = [None]
-    for n in range(1, N + 1):
-        z, dy = xs[n], ys[n + 1] - ys[n]
-        az, cz, _, _, _, singular = step(z, dy)
-        eta = cns[n] * (az - cz * dy / 2.0) / ((z - xm1) * (z - xp0) * (z - xps[n]))
-        if eta == 0 or singular:
-            raise SmallDivisorError(n, abs(eta))
-        etas.append(eta)
-
-    a, c = _horner(eq.a), _horner(eq.c)
-    cs = [c0, (eq.beta * c0 + eq.delta) / etas[1]]
-    for n in range(1, N):
-        z = xps[n]
-        num = a(z) + c(z) * (yps[n + 1] - yps[n]) / 2.0
-        xi = cns[n] * num / ((z - xm1) * (z - xp0) * (z - xs[n]))
-        cs.append(-cs[-1] * xi / etas[n + 1])
-    return cs
+    xm1, xp0, z, zp = xs[0], xps[0], xs[1:-1], xps[1:-1]    # z = x_{n-1}, zp = x'_n for n < N
+    dy = ys[2:] - ys[1:-1]
+    az, cz, ratio, den, _, singular = _step_kernel(eq)(z, dy)
+    with np.errstate(all="ignore"):
+        etas = cns[1:] * (az - cz * dy / 2.0) / ((z - xm1) * (z - xp0) * (z - xps[1:]))
+        n = int(np.append(singular | (etas == 0), True).argmax()) + 1     # N + 1 where none is
+        if n <= len(etas):
+            raise SmallDivisorError(n, float(abs(etas[n - 1])))
+        xis = cns[1:-1] * (eq.a(zp) + eq.c(zp) * (yps[2:] - yps[1:-1]) / 2.0) \
+            / ((zp - xm1) * (zp - xp0) * (zp - xs[1:-2]))
+        c1 = (eq.beta * c0 + eq.delta) / etas[0]
+        cs = np.cumprod(np.append(c1, -xis / etas[1:]))
+        f1 = ((ratio[0] + cz[0] / 2.0) * c0 + eq.d(xs[1:2])[0]) / den[0]
+        c1_step = (f1 - c0) * (ys[2] - yps[1]) / dy[0]
+    return [c0] + cs.tolist(), complex(c1_step)
 
 
 def _closed_products(eq, reads, c1):
@@ -444,7 +438,7 @@ def _closed_products(eq, reads, c1):
 
     Each step divides a growing factor by its partner, so nothing overflows where c_n
     is finite; a zero divisor gives inf or NaN, which the gap check refuses."""
-    cns, (xs, ys), (xps, yps) = (np.array(v) for v in reads)
+    cns, (xs, ys), (xps, yps) = reads
     xm1, xp0 = xs[0], xps[0]
     x, xp = xs[2:-1], xps[1:-1]                     # x_k, x'_k for k = 1 .. N-1
     with np.errstate(all="ignore"):
@@ -463,7 +457,7 @@ def _log_products(eq, reads, c1, zeta):
         f_j = (y_{-1} - y'_j)/(x_{-1} - x'_j), times
               (x_{-1} - x_{j-2})/(y_{-1} - y_{j-1}) (x'_{j-1} - zeta)/(x_{j-1} - zeta) for j >= 2.
     """
-    cns, (xs, ys), (xps, yps) = (np.array(v) for v in reads)
+    cns, (xs, ys), (xps, yps) = reads
     xm1, ym1, xp0 = xs[0], ys[0], xps[0]
     with np.errstate(all="ignore"):
         steps = (ym1 - yps[1:]) / (xm1 - xps[1:])
@@ -473,16 +467,16 @@ def _log_products(eq, reads, c1, zeta):
 
 
 def _checked_coefficients(eq, pair, N, c0, products, bound, key, diag):
-    """c_0 .. c_N of the ratio recurrence, with NonFiniteCoefficientError at the first
-    inf/NaN c_n, and InternalInconsistencyError at the first n whose gap
-    |c_n - p_n| / max(1, |c_n|, |p_n|) to p_n = products(eq, reads, c_1)[n-1] is not <= bound
-    (NaN fails).  diag gets the gaps for n = 0 .. N (0 at n = 0, where both routes take c_0)
-    under "product_gaps" and their maximum under key.
+    """(c_0 .. c_N, the oracle's c_1 or None at N = 0) from _ratio_coefficients, with
+    NonFiniteCoefficientError at the first inf/NaN c_n and InternalInconsistencyError at the first
+    n whose gap |c_n - p_n| / max(1, |c_n|, |p_n|) to p_n = products(eq, reads, c_1)[n-1] is not
+    <= bound (NaN fails).  diag gets the gaps for n = 0 .. N (0 at n = 0, where both routes take
+    c_0) under "product_gaps" and their maximum under key.
     """
-    cs, ps = [c0], np.empty(0)
+    cs, c1_step, ps = [c0], None, np.empty(0)
     if N >= 1:
         reads = _reads(pair, N)
-        cs = _ratio_coefficients(eq, reads, c0)
+        cs, c1_step = _ratio_coefficients(eq, reads, c0)
         ps = products(eq, reads, cs[1])
     for n, c in enumerate(cs):
         if not cmath.isfinite(c):
@@ -498,7 +492,7 @@ def _checked_coefficients(eq, pair, N, c0, products, bound, key, diag):
     if diag is not None:
         diag["product_gaps"] = [0.0] + gaps.tolist()
         diag[key] = max(diag["product_gaps"])
-    return cs
+    return cs, c1_step
 
 
 def closed_product_coefficient(eq, pair, n, c1):
@@ -529,9 +523,9 @@ def expansion_coefficients(eq, pair, N, diag=None):
     if N < 0:
         raise ValidationError("N must be >= 0")
     c0 = _c0(eq, pair.x(-1))
-    cs = _checked_coefficients(eq, pair, N, c0, _closed_products, 1e-7, "closed_product_rel", diag)
+    cs, c1_alt = _checked_coefficients(eq, pair, N, c0, _closed_products, 1e-7,
+                                       "closed_product_rel", diag)
     if N >= 1:
-        c1_alt = (stepwise_oracle(eq, pair, 1)[1] - c0) / pair.y_basis(1)(pair.y(1))
         c1_rel = abs(cs[1] - c1_alt) / max(1.0, abs(cs[1]), abs(c1_alt))
         if not c1_rel <= 1e-6:
             raise InternalInconsistencyError(
@@ -573,34 +567,40 @@ def expansion_coefficients_log(eq, pair, N, c0_free, diag=None):
     if diag is not None:
         diag["zeta"] = zeta
     return _checked_coefficients(eq, pair, N, complex(c0_free), partial(_log_products, zeta=zeta),
-                                 1e-8, "log_vs_ratio_rel", diag)
+                                 1e-8, "log_vs_ratio_rel", diag)[0]
 
 
 def stepwise_oracle(eq, pair, K, f0=None):
     """f(y_0) .. f(y_K) straight from the difference equation, no expansion.
 
     f(y_0) defaults to the self-determined c_0 in general mode; logarithmic mode has
-    no distinguished start, so f0 must be supplied (the free constant).  A step k whose
-    terms or value leave the float range raises LatticeSingularityError(k).
+    no distinguished start, so f0 must be supplied (the free constant).  One _step_kernel pass
+    gives every step's terms; only f_{k+1} = (g_k f_k + d(x_k))/den_k, g_k = a/dy + c/2, is a loop.
+    A singular step k raises HitSingularLatticeError(k, f_0 .. f_k), a step k whose terms or value
+    leave the float range LatticeSingularityError(k), and a negative K a ValidationError.
     """
     K = _order(K, "K")
+    if K < 0:
+        raise ValidationError(f"K must be >= 0, got {K}")
     if f0 is None:
         if eq.is_logarithmic:
             raise ValidationError("logarithmic oracle needs the free constant f0")
         f0 = _c0(eq, pair.x(-1))
+    xs, ys = pair.unprimed.span(0, K + 1)
+    _, cx, ratio, den, size, singular = _step_kernel(eq)(xs[:-1], ys[1:] - ys[:-1])
+    end = int(np.append(singular | ~(size < np.inf), True).argmax())    # K where no step stops
+    with np.errstate(all="ignore"):
+        steps = zip((ratio + cx / 2.0)[:end].tolist(), eq.d(xs[:end]).tolist(), den[:end].tolist())
     vals = [complex(f0)]
-    xs, ys = pair.unprimed.values(0, K + 1)
-    step, d = _step_kernel(eq), _horner(eq.d)
-    for k, (xk, yk, yk1) in enumerate(zip(xs, ys, ys[1:])):
-        _, ck, ratio, den, _, singular = step(xk, yk1 - yk)
-        if singular:
-            raise HitSingularLatticeError(k, vals)
-        if singular is not None:
-            vals.append(((ratio + ck / 2.0) * vals[-1] + d(xk)) / den)
-        if singular is None or not cmath.isfinite(vals[-1]):
-            raise LatticeSingularityError(
-                k, f"stepwise oracle: step {k} at x_{k} = {xk} leaves the float range")
-    return vals
+    for g, d, n in steps:
+        vals.append((g * vals[-1] + d) / n)
+    k = next((k for k, v in enumerate(vals[1:]) if not cmath.isfinite(v)), end)
+    if k == K:
+        return vals
+    if k == end and singular[end]:
+        raise HitSingularLatticeError(end, vals)
+    raise LatticeSingularityError(
+        k, f"stepwise oracle: step {k} at x_{k} = {complex(xs[k])} leaves the float range")
 
 
 # -- the assembled solution --------------------------------------------------------------

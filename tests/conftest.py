@@ -24,7 +24,7 @@ from ellgrid import (
     verify_interpolation,
 )
 from ellgrid.curve import LEAD_TOL
-from ellgrid.diffops import diff_constant
+from ellgrid.diffops import diff_constant, diff_constants
 from ellgrid.errors import (
     EllgridError,
     HitSingularLatticeError,
@@ -301,7 +301,8 @@ def ref_stepwise_oracle(eq, pair, K, f0):
     with the terms' scale max(max|a| g^deg a / |dy|, max|c| g^deg c / 2, 1e-300),
     g = max(1, |x_k|), in Python float powers: HitSingularLatticeError(k, f_0 .. f_k).  A scale
     that overflows, or a value that is not finite, is a LatticeSingularityError(k) naming the
-    step.
+    step.  The per-index twin of stepwise_oracle: the two stop alike, bit for bit, and each
+    value of either lies within its forward-error bound of ref_oracle_replay.
     """
     from ellgrid.solver import SINGULAR_STEP_TOL
 
@@ -395,7 +396,10 @@ def ref_dn(pair, n, at):
 
 
 def ref_ratio_recurrence(eq, pair, c0, N):
-    """c_0 .. c_N (N >= 1): c_1 = (beta c_0 + delta)/eta_1, then c_{n+1} = -c_n xi_n / eta_{n+1}."""
+    """c_0 .. c_N (N >= 1): c_1 = (beta c_0 + delta)/eta_1, then c_{n+1} = -c_n xi_n / eta_{n+1}.
+
+    The per-index twin of solve's ratio recurrence, in Python complex: each c_n of either lies
+    within its forward-error bound of ref_ratio_replay."""
     cs = [c0, (eq.beta * c0 + eq.delta) / ref_eta(eq, pair, 1)]
     for n in range(1, N):
         cs.append(-cs[-1] * ref_xi(eq, pair, n) / ref_eta(eq, pair, n + 1))
@@ -469,6 +473,169 @@ def node_sum_error_ratios(sol, sums, nodes):
             err, bound = (er * er + ei * ei).sqrt(), 4 * (j + 1) * size / 2 ** 53
             ratios.append(float(err / bound) if bound else 0.0 if err == 0 else cmath.inf)
     return ratios
+
+
+# -- the forward-error gate of the step kernel's readers ---------------------------------
+#
+# A float route that forms the terms of the ratio recurrence or of the stepwise oracle as
+# written below has a forward error, against the same terms in exact arithmetic on the same
+# float inputs, that a running error analysis bounds (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., 3.1 and 3.3).  Each complex operation is charged its
+# normwise relative error (3.6, Lemma 3.5): u for + and -, sqrt(2) gamma_2 for *, and
+# sqrt(2) gamma_4 for /, which CPython and numpy form by Smith's scaled formula; halving is
+# exact.  Horner's rule for p of degree d at z is charged d (MUL + ADD) sum_i |p_i| |z|^i
+# (5.1, with those constants).  The bounds are first order in u, which the gates need: on
+# every case they check, the bound is far below the value it bounds.
+
+U = 2.0 ** -53
+ADD = U
+MUL = 2.0 ** 0.5 * 2 * U / (1 - 2 * U)
+DIV = 2.0 ** 0.5 * 4 * U / (1 - 4 * U)
+
+
+class Dc:
+    """A complex number as a pair of Decimals for the 50-digit replays: a float is read exactly,
+    and every operation is written out in reals (under the caller's 50-digit context)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, z=0j, im=None):
+        if im is None:
+            z = complex(z)
+            z, im = decimal.Decimal(z.real), decimal.Decimal(z.imag)
+        self.re, self.im = z, im
+
+    def __add__(self, o):
+        return Dc(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return Dc(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return Dc(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        m = o.re * o.re + o.im * o.im
+        return Dc((self.re * o.re + self.im * o.im) / m, (self.im * o.re - self.re * o.im) / m)
+
+    def half(self):
+        return Dc(self.re / 2, self.im / 2)
+
+    def __abs__(self):
+        return float((self.re * self.re + self.im * self.im).sqrt())
+
+
+def _rel(err, value):
+    """err / |value| as a relative bound: 0 for no error, inf where the value is 0."""
+    return err / value if value else 0.0 if err == 0 else cmath.inf
+
+
+def _horner_replay(p, z):
+    """(p(z) by Horner to 50 digits, the bound d (MUL + ADD) sum_i |p_i| |z|^i on a float
+    Horner's error)."""
+    top, *low = reversed(p.coeffs)
+    v, az, size = Dc(top), abs(z), 0.0
+    for c in low:
+        v = v * z + Dc(c)
+    for c in reversed(p.coeffs):
+        size = size * az + abs(c)
+    return v, p.degree() * (MUL + ADD) * size
+
+
+def ref_ratio_replay(eq, pair, c0, N):
+    """[(c_n, bound_n)] for n = 0 .. N: the ratio recurrence of ref_ratio_recurrence replayed to
+    50 digits on the float lattice, C_n = diff_constants(pair, N) and c_0 (c_n a Dc), and a
+    bound on the forward error of a float route that forms the same terms.
+
+    eta_n and xi_n are C_n (a + s c dy/2)(z) / ((z - x_{-1})(z - x'_0)(z - w)), with
+    (s, z, dy, w) = (-1, x_{n-1}, y_n - y_{n-1}, x'_n) and (+1, x'_n, y'_{n+1} - y'_n, x_{n-1}):
+    the numerator's error is e_a + e_T/2 + ADD (|a| + |T|/2), T = c dy with
+    e_T = e_c |dy| + |c dy| (ADD + MUL) (dy is one rounded difference), and the rest adds
+    3 ADD + 3 MUL + DIV relative.  c_1 = (beta c_0 + delta)/eta_1 and each
+    c_{n+1} = -c_n xi_n / eta_{n+1} add their terms' relative bounds and MUL + DIV, and
+    bound_n = |c_n| expm1(rho_n) for the sum rho_n of relative bounds (Higham 3.1, |theta_k| <=
+    gamma_k).
+    """
+    cns = diff_constants(pair, N)
+    (xs, ys), (xps, yps) = pair.unprimed.values(-1, N + 1), pair.primed.values(0, N + 1)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        xs, ys, xps, yps, cns = ([Dc(v) for v in w] for w in (xs, ys, xps, yps, cns))
+        xm1, xp0 = xs[0], xps[0]
+
+        def term(n, sign, z, dy, w):
+            (a, ea), (c, ec) = _horner_replay(eq.a, z), _horner_replay(eq.c, z)
+            t = c * dy
+            num = a + t.half() if sign > 0 else a - t.half()
+            err = ea + ec * abs(dy) / 2 + abs(t) * (ADD + MUL) / 2 + ADD * (abs(a) + abs(t) / 2)
+            value = cns[n] * num / ((z - xm1) * (z - xp0) * (z - w))
+            return value, _rel(err, abs(num)) + 3 * ADD + 3 * MUL + DIV
+
+        def eta(n):
+            return term(n, -1, xs[n], ys[n + 1] - ys[n], xps[n])
+
+        beta, delta, c = Dc(eq.beta), Dc(eq.delta), Dc(c0)
+        bc = beta * c
+        (e1, r1), num = eta(1), bc + delta
+        rho = _rel(MUL * abs(bc) + ADD * (abs(bc) + abs(delta)), abs(num)) + r1 + DIV
+        out = [(c, 0.0), (num / e1, rho)]
+        for n in range(1, N):
+            (xi, rx), (e, re) = term(n, +1, xps[n], yps[n + 1] - yps[n], xs[n]), eta(n + 1)
+            rho += rx + re + MUL + DIV
+            out.append((Dc() - out[-1][0] * xi / e, rho))
+        return [(v, abs(v) * np.expm1(r)) for v, r in out]
+
+
+def ref_oracle_replay(eq, pair, K, f0):
+    """[(f_k, bound_k)] for k = 0 .. K: the stepwise oracle of ref_stepwise_oracle,
+    f_{k+1} = (g f_k + d)/den with g, den = a/dy +- c/2 at x_k, dy = y_{k+1} - y_k, replayed to
+    50 digits on the float lattice and f_0 (f_k a Dc), and a running bound on the forward error
+    of a float route that forms the same terms: a/dy carries e_a/|dy| + |a/dy| (ADD + DIV),
+    g and den add e_c/2 + ADD (|a/dy| + |c|/2), g f + d carries
+    e_g |f| + |g| e_f + MUL |g f| + e_d + ADD (|g f| + |d|), and
+    e_f' = e_num/|den| + |f'| (e_den/|den| + DIV).  The steps must not be singular.
+    """
+    xs, ys = pair.unprimed.values(0, K + 1)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        f, ef = Dc(f0), 0.0
+        out = [(f, ef)]
+        for k in range(K):
+            x, dy = Dc(xs[k]), Dc(ys[k + 1]) - Dc(ys[k])
+            (a, ea), (c, ec), (d, ed) = (_horner_replay(p, x) for p in (eq.a, eq.c, eq.d))
+            ratio = a / dy
+            g, den = ratio + c.half(), ratio - c.half()
+            eg = ea / abs(dy) + abs(ratio) * (2 * ADD + DIV) + ec / 2 + ADD * abs(c) / 2
+            eden, gf = eg, abs(g) * abs(f)
+            enum = eg * abs(f) + abs(g) * ef + MUL * gf + ed + ADD * (gf + abs(d))
+            f = (g * f + d) / den
+            ef = enum / abs(den) + abs(f) * (eden / abs(den) + DIV)
+            out.append((f, ef))
+        return out
+
+
+def gate_ratios(values, replay):
+    """|values[n] - v_n| / bound_n for each (v_n, bound_n) of a replay (0 where both are 0, inf
+    where only the bound is): a ratio <= 1 meets the forward-error bound."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return [_rel(abs(Dc(v) - exact), bound) for v, (exact, bound) in zip(values, replay)]
+
+
+def condition_residual_bound(eq, r, first, second):
+    """A bound on the forward error of a float |a/dy + sign c/2| / size at r, dy = second - first,
+    for either sign, from float magnitudes: the sum's error e_a/|dy| + |a/dy| (2 ADD + DIV) +
+    e_c/2 + ADD (|a/dy| + |c|/2) over size, plus 8u of the residual for |.|, the division by
+    size and size's own rounding (a power and up to three products)."""
+    dy = second - first
+    a, c, g = complex(eq.a(r)), complex(eq.c(r)), max(1.0, abs(r))
+    ea, ec = (p.degree() * (MUL + ADD) * sum(abs(v) * g ** i for i, v in enumerate(p.coeffs))
+              for p in (eq.a, eq.c))
+    size = max(eq.a.max_coeff * g ** eq.a.degree() / abs(dy),
+               eq.c.max_coeff * g ** eq.c.degree() / 2.0, 1e-300)
+    ratio = abs(a / dy)
+    err = ea / abs(dy) + ratio * (2 * ADD + DIV) + ec / 2 + ADD * (ratio + abs(c) / 2)
+    return err / size + 8 * U * (ratio + abs(c) / 2) / size
 
 
 @pytest.fixture(scope="session")

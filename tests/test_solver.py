@@ -51,6 +51,8 @@ from ellgrid.solver import (
 
 from conftest import (
     aw_fixture,
+    condition_residual_bound,
+    gate_ratios,
     general_fixtures,
     genus1_equation,
     linear_fixture,
@@ -61,7 +63,9 @@ from conftest import (
     ref_closed_product,
     ref_condition_residual,
     ref_log_product,
+    ref_oracle_replay,
     ref_ratio_recurrence,
+    ref_ratio_replay,
     selector_sweep,
 )
 
@@ -268,11 +272,23 @@ def condition_residual_cases():
 
 
 def test_condition_residual_equals_its_reference():
+    """The array kernel's residuals and the reference's give the same <= 1e-6 verdicts, the same
+    ordering and tie of each root pair's two orders, inf at the same cases, and differ by at
+    most twice condition_residual_bound (each lies within it of the exact residual)."""
     cases = list(condition_residual_cases())
     assert len(cases) > 3000
-    differ = [case[1:] for case in cases
-              if repr(_condition_residual(*case)) != repr(ref_condition_residual(*case))]
-    assert not differ, differ[:5]
+    got = [float(_condition_residual(*case)) for case in cases]
+    want = [ref_condition_residual(*case) for case in cases]
+    assert [g <= 1e-6 for g in got] == [w <= 1e-6 for w in want]
+    assert [g == np.inf for g in got] == [w == np.inf for w in want]
+
+    def picks(res):     # cases come as (u, v), (v, u), (u, u), each under +1 then -1
+        return [(res[i] < res[i + 2], abs(res[i] - res[i + 2]) <= 1e-9)
+                for block in range(0, len(res), 6) for i in (block, block + 1)]
+    assert picks(got) == picks(want)
+    far = [(case[1:], g, w) for case, g, w in zip(cases, got, want) if g < np.inf and
+           not abs(g - w) <= 2 * condition_residual_bound(*case[:4])]
+    assert not far, far[:5]
 
 
 def test_degenerate_condition_has_no_special_points():
@@ -295,7 +311,10 @@ def test_equation_keeps_its_kernel_and_candidates_from_first_use():
     assert _step_kernel(eq) is step and eq._step is step
     assert not hasattr(eq, "_cands")
     cands = special_point_candidates(eq)
-    assert eq._cands == tuple(cands)
+    assert list(eq._cands) == cands
+    for r, (u, v, r_uv, r_vu) in eq._cands.items():    # each with its pair and both residuals
+        assert (u, v) == eq.curve.y_roots(r).as_tuple()
+        assert [r_uv, r_vu] == _condition_residual(eq, [r, r], [u, v], [v, u], +1).tolist()
     with pytest.raises(AttributeError, match="immutable"):
         eq._cands = ()
 
@@ -590,20 +609,56 @@ def test_running_products_match_per_index_loops():
             assert abs(got[n - 1] - want) <= 1e-12 * abs(want)
 
 
+def gate_cases():
+    """(name, eq, sol, N): the three general fixtures and both logarithmic ones at N = 40 and
+    300 (qgeom's walk stagnates at n = 47, so it stops at 40), and genus1_equation seeds 0-19
+    under ByIndex (0, 1) and (1, 2) at N = 150 wherever the seed solves."""
+    eq, select, c0_free, _, _, hints = log_linear_fixture()
+    log_linear = ("log-linear", eq, select, dict(c0_free=c0_free, **hints))
+    eq, select, _, _, hints = log_qlattice_fixture()
+    fixtures = [(name, eq, select, {}) for name, eq, select in general_fixtures()]
+    fixtures += [log_linear, ("log-q", eq, select, dict(c0_free=0.3, **hints))]
+    for N in (40, 300):
+        for name, eq, select, kw in fixtures:
+            if name != "qgeom" or N == 40:
+                yield f"{name} {N}", eq, solve(eq, select, N, **kw), N
+    for seed in range(20):
+        eq = genus1_equation(seed)
+        for select in (ByIndex(0, 1), ByIndex(1, 2)):
+            try:
+                yield f"genus1-{seed} {select}", eq, solve(eq, select, 150), 150
+            except EllgridError:
+                continue
+
+
 def test_coefficients_equal_per_index_ratio_recurrence():
-    cases = [(eq, solve(eq, select, 40), 40) for _, eq, select in general_fixtures()]
-    for seed in range(5):
-        g1 = genus1_equation(seed)
-        cases.append((g1, solve(g1, ByIndex(0, 1), 40), 40))
-    for seed in range(20):                      # N = 150 wherever the seed solves
-        g1 = genus1_equation(seed)
-        try:
-            cases.append((g1, solve(g1, ByIndex(0, 1), 150), 150))
-        except EllgridError:
-            continue
-    assert len(cases) >= 20
-    for eq, sol, N in cases:
-        assert list(sol.coeffs) == ref_ratio_recurrence(eq, sol.pair, sol.coeffs[0], N)
+    """solve's c_n and ref_ratio_recurrence's each lie within their forward-error bound of the
+    50-digit replay of the recurrence (ref_ratio_replay) at every n."""
+    cases = list(gate_cases())
+    assert len(cases) >= 40
+    for name, eq, sol, N in cases:
+        replay = ref_ratio_replay(eq, sol.pair, sol.coeffs[0], N)
+        for cs in (sol.coeffs, ref_ratio_recurrence(eq, sol.pair, sol.coeffs[0], N)):
+            ratios = gate_ratios(cs, replay)
+            assert len(ratios) == N + 1 and all(r <= 1.0 for r in ratios), (name, max(ratios))
+
+
+def test_forward_error_gates_have_teeth():
+    """One c_n or f_k moved by twice its bound, away from the replay, fails its gate there and
+    nowhere else."""
+    eq = genus1_equation(3)
+    sol = solve(eq, ByIndex(0, 1), 150)
+    oracle = stepwise_oracle(eq, sol.pair, 150, f0=sol.coeffs[0])
+    for values, replay in ((sol.coeffs, ref_ratio_replay(eq, sol.pair, sol.coeffs[0], 150)),
+                           (oracle, ref_oracle_replay(eq, sol.pair, 150, sol.coeffs[0]))):
+        assert max(gate_ratios(values, replay)) <= 1.0
+        for n in (1, 75, 150):
+            exact = complex(float(replay[n][0].re), float(replay[n][0].im))
+            off = values[n] - exact
+            nudged = list(values)
+            nudged[n] += 2.0 * replay[n][1] * (off / abs(off) if off else 1.0)
+            ratios = gate_ratios(nudged, replay)
+            assert ratios[n] > 1.0 and max(ratios[:n] + ratios[n + 1:]) <= 1.0
 
 
 def test_stepwise_oracle_interpolation():
@@ -855,7 +910,7 @@ def test_interpolation_at_order_zero():
 
 @pytest.mark.parametrize("mode", ["general", "log"])
 @pytest.mark.parametrize("call", ["solve", "diff_constant", "diff_constants",
-                                  "partial_sum", "verify"])
+                                  "partial_sum", "verify", "oracle"])
 def test_negative_order_is_validation_error(mode, call):
     """A negative order is refused, never read from the end of a list."""
     if mode == "general":
@@ -871,9 +926,11 @@ def test_negative_order_is_validation_error(mode, call):
         "diff_constants": [lambda: diff_constants(sol.pair, -1)],
         "partial_sum": [lambda: evaluate_partial_sum(sol, -2, 0.3 + 0.2j)],
         "verify": [lambda: verify_interpolation(eq, sol, -1)],
+        "oracle": [lambda: stepwise_oracle(eq, sol.pair, -1, f0=kw.get("c0_free"))],
     }
     for fn in calls[call]:
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^K must be >= 0, got -1$" if call == "oracle"
+                           else None):
             fn()
 
 
