@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curve import abel_lifts
 from .diffops import pole_hits
 from .errors import (
     ConstantPolynomialError,
@@ -42,6 +43,7 @@ MAX_SAMPLES = 1 << 15   # ... or gives up past this many samples per segment
 CLOSURE_TOL = 100 * REL_TOL  # |Im tau|, in periods per step, up to which the node locus closes
 LOCUS_STEP = 0.004      # locus RK4 step, relative to 1 + |x_start|
 LOCUS_MAX_STEPS = 200000
+UNDERFLOW_FLOOR = 2.0 ** -969   # the smallest normal float over the unit roundoff
 
 
 # -- small divisors --------------------------------------------------------------------
@@ -411,19 +413,35 @@ def _period_and_rotation(curve, xs, ys):
     """(omega, tau = h / omega) for P of degree 2, from nodes 0..2 of the walk.
 
     omega = 2 pi i / sqrt(p2) is the period of dv/w (w^2 = P) around both roots,
-    u = log(2 s sqrt(p2) w + 2 p2 x + p1) / (s sqrt(p2)) a primitive of it for
-    either sign s (the one that keeps the log's argument off zero), and
-    w_n = X2(x_n) (y_n - y_{n+1}) is sqrt(P) on the walk's sheet at node n, so
-    the walk's step h = u_1 - u_0 needs no path.
+    u = log A(x, s w) / (s sqrt(p2)) a primitive of it for either sign s (the lift of
+    `abel_lifts` that keeps A off zero), and w_n = X2(x_n) (y_n - y_{n+1}) is sqrt(P) on
+    the walk's sheet at node n, so the walk's step h = u_1 - u_0 needs no path.
     """
-    _, p1, p2 = curve.discriminant_P().coeffs
-    r = cmath.sqrt(p2)
+    p = curve.discriminant_P().coeffs
     x, y = np.asarray(xs[:2]), np.asarray(ys)
+    m = np.maximum(1.0, np.abs(x))
     w = curve.x_view()[2](x) * (y[:2] - y[1:])
-    s, (a0, a1) = max(((s, 2.0 * s * r * w + 2.0 * p2 * x + p1) for s in (1.0, -1.0)),
+    s, (a0, a1) = max(zip((1.0, -1.0), abel_lifts(p, x / m, w / m, m)),
                       key=lambda sa: np.abs(sa[1]).min())
     with np.errstate(all="ignore"):
-        return 2j * np.pi / r, complex(s * np.log(a1 / a0) / (2j * np.pi))
+        return (2j * np.pi / cmath.sqrt(p[2]),
+                complex(s * np.log(a1 * m[1] / (a0 * m[0])) / (2j * np.pi)))
+
+
+def _sqrt_p_at(p, x):
+    """sqrt(P(x)) with each term of P = p0 + p1 x + p2 x^2 divided by k^2 before it is formed,
+    k^2 the largest of their sizes, so no term underflows or overflows; 0 where P has no term."""
+    p0, p1, p2 = p
+    ax = np.abs(x)
+    k = np.maximum(np.maximum(abs(p2) ** 0.5 * ax, abs(p1) ** 0.5 * np.sqrt(ax)), abs(p0) ** 0.5)
+
+    def over_k(z):          # by parts: numpy's complex division fails where k is subnormal
+        z = np.asarray(z, dtype=complex)
+        return z.real / k + 1j * (z.imag / k)
+    with np.errstate(all="ignore"):
+        t = over_k(x)
+        v = k * np.sqrt(p2 * t * t + over_k(p1 * t) + over_k(over_k(p0)))
+    return np.where(k > 0, v, 0.0)
 
 
 class RatePredictor:
@@ -471,8 +489,11 @@ class RatePredictor:
         """log A on the outer lift, elementwise over z; its real part is -inf
         only at a double root of P.
 
-        A is formed at x / m, m = max(1, |x|), and log m added back, so P(x)
-        cannot overflow.  A single point is evaluated as a 1-d array, since
+        A is formed at x / m, m = max(1, |x|), by `abel_lifts`, and log m added
+        back, so P(x) cannot overflow.  Where P(x) / m^2 falls below
+        UNDERFLOW_FLOOR, near a double root of P, its terms may have lost bits
+        to underflow: sqrt(P) is formed there at x / k instead, k^2 the size of
+        P's largest term.  A single point is evaluated as a 1-d array, since
         numpy rounds 0-d complex products differently: rate(z) then equals its
         grid cell.
         """
@@ -481,9 +502,12 @@ class RatePredictor:
         m = np.maximum(1.0, np.abs(x))
         u = x / m
         p0, p1, p2 = self._p
-        b = 2.0 * p2 * u + p1 / m
-        c = 2.0 * self._r * np.sqrt((p2 * u + p1 / m) * u + p0 / m / m)
-        plus, minus = b + c, b - c
+        pm = (p2 * u + p1 / m) * u + p0 / m / m
+        v = np.sqrt(pm)
+        low = np.abs(pm) < UNDERFLOW_FLOOR
+        if low.any():
+            v[low] = _sqrt_p_at(self._p, x[low]) / m[low]
+        plus, minus = abel_lifts(self._p, u, v, m)
         with np.errstate(divide="ignore"):
             outer = np.log(np.where(np.abs(plus) >= np.abs(minus), plus, minus))
         return (np.log(m) + outer).reshape(z.shape)

@@ -63,9 +63,14 @@ def _lead(view, t):
     lead = v2(t)
     size = reduced_abs(lead, t, v2.degree())
     if not LEAD_TOL * v2.max_coeff < size < cmath.inf:
-        raise LeadingCoefficientVanishesError(
-            t, None if size < cmath.inf else f"leading coefficient at {t} is not finite")
+        raise lead_error(t, size)
     return lead
+
+
+def lead_error(t, size):
+    """The error of a leading coefficient at t whose reduced size fails _lead's test."""
+    return LeadingCoefficientVanishesError(
+        t, None if size < cmath.inf else f"leading coefficient at {t} is not finite")
 
 
 def _roots(view, t):
@@ -79,6 +84,16 @@ def complement(view, t, root):
     """The other root over t: the Vieta sum -V1/V2 - root (no square root)."""
     lead = _lead(view, t)
     return -view[1](t) / lead - root
+
+
+def abel_lifts(p, u, v, m):
+    """(A(x, w), A(x, -w)) / m elementwise, from u = x / m and v = w / m, where w^2 = P(x) and
+    P = p0 + p1 x + p2 x^2 has degree 2 (coefficients p).  A = 2 p2 x + p1 + 2 sqrt(p2) w is
+    exp(sqrt(p2) v) for a primitive v of dx/w, so a translation of v multiplies it by one
+    constant; the two lifts multiply to D = p1^2 - 4 p2 p0, and x = ((A + D/A)/2 - p1)/(2 p2)."""
+    b = 2.0 * p[2] * u + p[1] / m
+    c = 2.0 * cmath.sqrt(p[2]) * v
+    return b + c, b - c
 
 
 def walk_flips(curve):
@@ -201,7 +216,7 @@ def _scaled_powers(t):
 class BiquadraticCurve:
     """Immutable 3x3 coefficient grid c[i][j] multiplying x^i y^j."""
 
-    __slots__ = ("c", "_xv", "_yv", "_P", "_f", "_flips")
+    __slots__ = ("c", "_xv", "_yv", "_P", "_f", "_flips", "_rate")
 
     def __init__(self, grid):
         c = tuple(tuple(complex(v) for v in row) for row in grid)

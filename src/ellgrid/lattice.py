@@ -1,19 +1,30 @@
 """Elliptic lattices: walk a biquadratic curve by alternating second roots.
 
-Successive points are (x_n, y_n), (x_n, y_{n+1}), (x_{n+1}, y_{n+1}); second
-roots always come from the Vieta sum identity (subtract the known root from
--X1/X2 or -Y1/Y2), never from a fresh square root, so there is no branch
-ambiguity and half the cancellation error.
+Successive points are (x_n, y_n), (x_n, y_{n+1}), (x_{n+1}, y_{n+1}).  Each step
+by flips takes the second root from the Vieta sum identity (subtract the known
+root from -X1/X2 or -Y1/Y2), never from a fresh square root, so there is no
+branch ambiguity and half the cancellation error.
+
+On a genus-0 curve (P of degree 0 or 2) the walk is a translation with an
+elementary closed form, and past its first HEAD steps each way it goes on in
+that form: x_n = x_0 + n h, or A_n = A_a e^{(n - a) L} in the exponential
+coordinate A of `curve.abel_lifts`, with y_n the root over its x given by w_n,
+sqrt(P) on the walk's sheet.  No branch is chosen there either: h and w, or A_a
+and the lift, come from the walk's own head, and L from the curve
+(`curve_rate`).  The head stays a walk by flips, bit for bit, and the flips stay
+the only route for every other curve.
 """
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import BiquadraticCurve, walk_flips
+from .curve import LEAD_TOL, BiquadraticCurve, abel_lifts, lead_error, walk_flips
 from .errors import (
+    EllgridError,
     LatticeSingularityError,
     LatticeStagnationError,
     LeadingCoefficientVanishesError,
@@ -24,6 +35,8 @@ from .errors import (
 
 STAGNATION_TOL = 1e-13
 STAGNATION_RUN = 3
+HEAD = 64               # steps a walk takes by flips in each direction before a genus-0 tail
+TAIL_DEGREES = (0, 2)   # the degrees of P whose walks go on in closed form past the head
 
 
 class LatticeSpec:
@@ -78,7 +91,10 @@ class LatticePair:
 
     x_n, y_n for n >= 0 sit at position n of the lists _x, _y, and for n < 0 at
     position -n-1 of _x_back, _y_back.  Caches only grow; share across threads after
-    generating the range you need (generate-then-share).
+    generating the range you need (generate-then-share).  Each direction walks by flips;
+    on a curve whose P has a degree in TAIL_DEGREES it goes on past |n| = HEAD in closed
+    form (`_tail`), fitted once per direction on its head and kept in _tails, so every
+    x_n and y_n is a function of n and the seed alone, however the range was walked.
     """
 
     def __init__(self, spec):
@@ -86,6 +102,7 @@ class LatticePair:
         self._x, self._y = [spec.x0], [spec.y0]
         self._x_back, self._y_back = [], []
         self._flip_y, self._flip_x = walk_flips(spec.curve)
+        self._tails = {} if spec.curve.discriminant_P().degree() in TAIL_DEGREES else None
 
     @property
     def curve(self):
@@ -143,9 +160,19 @@ class LatticePair:
         self._walk(count, -1, self._x_back, self._y_back)
 
     def _walk(self, count, direction, xs, ys):
-        """Append `count` steps in `direction` to xs, ys, checking each new point before it is
-        stored (the stagnation check in full only once a step is below its guard): a stop
+        """Append `count` points in `direction` to xs, ys: by flips up to |n| = HEAD, and past
+        it on a genus-0 curve in closed form (by flips where the curve has no rate).  A stop
         leaves the known range as it was, so a retry stops at the same index."""
+        flips = count
+        if self._tails is not None:
+            flips = min(count, max(0, HEAD - abs(self.known_range[direction > 0])))
+        self._flip_walk(flips, direction, xs, ys)
+        if count > flips:
+            self._tail(count - flips, direction, xs, ys)
+
+    def _flip_walk(self, count, direction, xs, ys):
+        """Append `count` steps by flips, checking each new point before it is stored (the
+        stagnation check in full only once a step is below its guard)."""
         flip_y, flip_x = self._flip_y, self._flip_x
         forward = direction > 0
         n = self.known_range[forward]
@@ -170,6 +197,76 @@ class LatticePair:
             xs.append(x)
             ys.append(y)
 
+    def _tail(self, count, direction, xs, ys):
+        """Append `count` points past the head in closed form, with the flips' tests as arrays.
+
+        x_k and w_k = X2(x_k) (y_{k+1} - y_k) are functions of k alone (`_tail_form`, fitted
+        once per direction on the head), and y_m is the root (w - X1) / (2 X2) over the x its
+        flip stands on: x_{m-1} forward, x_m backward (with -w).  Each point must pass the
+        flips' lead tests (V2 at that x, and Y2 at the y its x flip stands on), be finite and
+        not end a stagnating run; the points before the first that fails are stored, and that
+        one raises the flips' error for its index."""
+        forward = direction > 0
+        if direction not in self._tails:
+            self._tails[direction] = _tail_form(self.curve, *self._head(direction))
+        form = self._tails[direction]
+        if form is None:                # the curve has no rate: the flips go on
+            return self._flip_walk(count, direction, xs, ys)
+        n = self.known_range[forward]
+        _, x1, x2 = self.curve.x_view()
+        run = STAGNATION_RUN
+        with np.errstate(all="ignore"):
+            xk, wk = form(np.arange(n, n + direction * (count + 1), direction, dtype=float))
+            x = xk[1:]
+            over, w = (xk[:-1], wk[:-1]) if forward else (x, -wk[1:])
+            y = (w - x1(over)) / (2.0 * (x2(over) if x2.degree() else x2.coeffs[0]))
+            # rows x and y: the last `run` stored points (the lists run in walk order), then
+            # the new ones
+            pts = np.array([np.concatenate((xs[-run:], x)), np.concatenate((ys[-run:], y))])
+            guard = STAGNATION_TOL * np.maximum(1.0, np.abs(pts).max(axis=0))
+            small = (np.abs(np.diff(pts)) < guard[1:]).all(axis=0)
+            # the lead tests in the order of the flips, x then y forward, y then x backward; a
+            # constant V2 passes everywhere
+            y_on = pts[1, run:] if forward else pts[1, run - 1:-1]     # what the x flips stand on
+            leads = [(x2, over), (self.curve.y_view()[2], y_on)]
+            leads = [(v2, t, _reduced_abs(v2(t), t, v2.degree()))
+                     for v2, t in leads[::direction] if v2.degree()]
+        fails = [~((LEAD_TOL * v2.max_coeff < size) & (size < np.inf)) for v2, _, size in leads]
+        fails.append(~np.isfinite(pts[:, run:]).all(axis=0))
+        fails.append(np.logical_and.reduce([small[k:k + count] for k in range(run)]))
+        bad = np.logical_or.reduce(fails)
+        stop = int(bad.argmax()) if bad.any() else count
+        xs.extend(x[:stop].tolist())
+        ys.extend(y[:stop].tolist())
+        if stop == count:
+            return
+        m = n + direction * (stop + 1)
+        step = f"step {m - direction}->{m}"
+        for (_, t, size), fail in zip(leads, fails):
+            if fail[stop]:
+                exc = lead_error(complex(t[stop]), float(size[stop]))
+                raise LatticeSingularityError(m, f"{step}: {exc}") from exc
+        if fails[-2][stop]:
+            raise LatticeSingularityError(m, f"{step}: ({complex(x[stop])}, {complex(y[stop])}) "
+                                             "is not finite")
+        raise LatticeStagnationError(m)
+
+    def _head(self, direction):
+        """(ks, x_k, w_k, x_0): the head's steps k in walk order, x and w = X2(x) (y_{k+1} - y_k)
+        there, and the seed."""
+        if direction > 0:
+            ks = np.arange(0.0, HEAD)
+            x, w = self._head_span(0, HEAD)
+        else:
+            ks = np.arange(-1.0, -HEAD - 1, -1)
+            x, w = (v[::-1] for v in self._head_span(-HEAD, 0))
+        return ks, x, w, self._x[0]
+
+    def _head_span(self, lo, hi):
+        """(x_k, w_k) for lo <= k < hi as arrays, w = X2(x) (y_{k+1} - y_k), from list slices."""
+        xs, ys = (np.array(v, dtype=complex) for v in self.values(lo, hi + 1))
+        return xs[:-1], self.curve.x_view()[2](xs[:-1]) * (ys[1:] - ys[:-1])
+
     def _stagnates(self, m, x, y, direction):
         """Whether the STAGNATION_RUN steps into m, the last to (x, y), all stayed under the guard."""
         lo, hi = self.known_range
@@ -191,6 +288,166 @@ class LatticePair:
         self.ensure(n, n + 1)
         (x, y), (_, y1) = self._at(n), self._at(n + 1)
         return self.curve.residual(x, y), self.curve.residual(x, y1)
+
+
+def _reduced_abs(value, t, degree):
+    """poly.reduced_abs elementwise over arrays: |value| / max(1, |t|)^degree."""
+    size = np.abs(value)
+    if degree:
+        m = np.maximum(1.0, np.abs(t))
+        for _ in range(degree):
+            size = size / m
+    return size
+
+
+def _tail_form(curve, ks, x, w, x0):
+    """k -> (x_k, w_k) over an array of indices k on one side of a genus-0 walk, fitted on its
+    head: x_k and w_k = X2(x_k) (y_{k+1} - y_k) at the head's steps ks (in walk order, the
+    last, a, farthest out) and the seed x_0.  None where the curve has no rate (`curve_rate`)
+    or A vanishes at a.
+
+    deg P = 0: x_k = x_0 + k h with h = (x_a - x_0) / a, and w is constant, w = sqrt(P) on the
+    walk's sheet, taken as the head's mean.  deg P = 2: A_k = A_a exp((k - a) L) on the lift s
+    that is larger at a (`_lift`), with the curve's rate L = s curve_rate(curve).  Then
+    x = (A + D/A)/(4 p2) - p1/(2 p2) and w = s sqrt(p2) (A - D/A)/(4 p2), with A/(4 p2) and
+    D/(4 p2 A) the exponentials of c +- (k - a) L, c = log A_a - log(4 p2) or
+    log(D/(4 p2)) - log A_a, each carried in two floats: the exponent is summed exactly before
+    exp sees it, so x_k keeps the phase of a walk of 10^4 steps, and no term overflows before
+    x does."""
+    p = curve.discriminant_P().coeffs
+    if len(p) == 1:
+        h, w_mean = complex(x[-1] - x0) / ks[-1], complex(w.sum()) / len(w)
+        return lambda k: (x0 + k * h, np.full(k.shape, w_mean))
+    rate = curve_rate(curve)
+    if rate is None:
+        return None
+    p0, p1, p2 = p
+    d = p1 * p1 - 4.0 * p2 * p0
+    s, a, m = _lift(p, x, w)
+    rate_hi, rate_lo = s * rate[0], s * rate[1]
+    k_a, a_a, m_a = ks[-1], complex(a[-1]), float(m[-1])
+    if not (a_a and cmath.isfinite(a_a)):
+        return None
+    terms = [_log_pair(a_a / (4.0 * p2), m_a)]
+    if d:
+        terms.append(_log_pair(d / (4.0 * p2) / a_a, 1.0 / m_a))
+    alpha, root = -p1 / (2.0 * p2), s * cmath.sqrt(p2)
+
+    def form(k):
+        j = k - k_a
+        big, small = j * rate_hi, j * rate_lo         # j * rate_hi is exact below 2^27
+        e1, e2 = [_exp_sum(c_hi, c_lo, sign * big, sign * small)
+                  for (c_hi, c_lo), sign in zip(terms, (1.0, -1.0))] + [0.0] * (not d)
+        return alpha + e1 + e2, root * (e1 - e2)
+    return form
+
+
+def _lift(p, x, w):
+    """(s, A / m, m) at points x with w = sqrt(P(x)) on their sheet, m = max(1, |x|): A on the
+    lift s = +-1 of `abel_lifts` that is larger at the last point, and, where that lift cancels,
+    taken as D / A' from the other one."""
+    m = np.maximum(1.0, np.abs(x))
+    with np.errstate(all="ignore"):
+        lifts = abel_lifts(p, x / m, w / m, m)
+        s = 1.0 if abs(lifts[0][-1]) >= abs(lifts[1][-1]) else -1.0
+        a, other = lifts if s > 0 else lifts[::-1]
+        d = p[1] * p[1] - 4.0 * p[2] * p[0]
+        return s, np.where(np.abs(a) >= np.abs(other), a, d / m / m / other), m
+
+
+def curve_rate(curve):
+    """(hi, lo): the step L of log A on the + lift of `abel_lifts`, for a curve with deg P = 2,
+    as the sum of two floats, or None.  Every walk on the curve multiplies A by e^L a step (by
+    e^-L on the - lift), so every lattice on it takes L from one place: it is fitted once, on
+    first use, and kept on the curve.  The fit walks HEAD steps by flips from
+    x = -p1/(2 p2) + 3 r e^i (r the larger of |p1/(2 p2)| and half the distance between the
+    roots of P, or 1 if both are 0), in the direction in which |A| does not shrink: on a curve
+    that is nearly two lines, A shrinks towards their crossing, where the flips keep fewer
+    digits.  None where that walk stops.
+
+    The fit is the mean step between the walk's two ends: log A there in two floats
+    (`_log_pair`), the whole turns between them from the principal steps, and the division's
+    remainder formed exactly."""
+    try:
+        return curve._rate
+    except AttributeError:
+        pass
+    p0, p1, p2 = p = curve.discriminant_P().coeffs
+    centre = -p1 / (2.0 * p2)
+    r = max(abs(centre), abs(cmath.sqrt(p1 * p1 - 4.0 * p2 * p0) / (2.0 * p2))) or 1.0
+    rate = None
+    try:
+        lat = LatticePair(LatticeSpec(curve, centre + 3.0 * r * cmath.exp(1j), y1_index=0))
+        lat.ensure(0, 2)
+        _, a, m = _lift(p, *lat._head_span(0, 2))
+        ks = (0, HEAD) if abs(a[1] * m[1]) >= abs(a[0] * m[0]) else (-HEAD, 1)
+        lat.ensure(ks[0], ks[1])
+        s, a, m = _lift(p, *lat._head_span(*ks))
+    except EllgridError:
+        pass
+    else:
+        if np.isfinite(a).all() and np.all(a != 0):
+            rate = tuple(s * v for v in _mean_step(a, m))
+    object.__setattr__(curve, "_rate", rate)
+    return rate
+
+
+def _mean_step(a, m):
+    """(hi, lo): (log(a[-1] m[-1]) - log(a[0] m[0])) / (len(a) - 1) with the whole turns between
+    the ends, as the sum of two floats."""
+    (first, first_lo), (last, last_lo) = _log_pair(a[0], m[0]), _log_pair(a[-1], m[-1])
+    # each step of log A turns by less than half a turn
+    phase = np.diff(np.angle(a))
+    turns = round(float(np.sum(phase - _TWO_PI_HI * np.round(phase / _TWO_PI_HI))
+                        - (last - first).imag) / _TWO_PI_HI)
+    total, lo = _two_sum(last, -first)
+    total, lo2 = _two_sum(total, 1j * (turns * _TWO_PI_HI))
+    lo += lo2 + last_lo - first_lo + 1j * (turns * _TWO_PI_LO)
+    span = len(a) - 1
+    hi, rest = _split(total / span)
+    return hi, rest + ((total - hi * span) - rest * span + lo) / span
+
+
+# ln 2 and 2 pi as the sum of two floats, to about 1e-26: each high part has its low bits clear,
+# so an exponent (below 2^21) or a whole number of turns (below 2^20) times it is exact
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+_TWO_PI_HI = float.fromhex("0x1.921fb544p+2")
+_TWO_PI_LO = (2.0 * math.pi - _TWO_PI_HI) + 2.4492935982947064e-16
+
+
+def _log_pair(z, scale):
+    """log(z scale) as hi + lo, for complex z != 0 and a float scale > 0, neither product formed:
+    the real part's binary exponent times ln 2 is carried exactly, so it is right to about u
+    absolute however large, and the imaginary part is arg z."""
+    (mz, ez), (ms, es) = math.frexp(abs(z)), math.frexp(scale)
+    hi, lo = _two_sum((ez + es) * _LN2_HI, math.log(mz * ms) + (ez + es) * _LN2_LO)
+    return complex(hi, cmath.phase(z)), complex(lo, 0.0)
+
+
+def _split(z):
+    """(hi, lo): z = hi + lo componentwise, hi with at most 26 significant bits (Veltkamp), so hi
+    times an integer below 2^27 is exact."""
+    parts = []
+    for a in (z.real, z.imag):
+        c = 134217729.0 * a
+        hi = c - (c - a)
+        parts.append((hi, a - hi))
+    (rh, rl), (ih, il) = parts
+    return complex(rh, ih), complex(rl, il)
+
+
+def _two_sum(a, b):
+    """(s, e): s = a + b rounded and a + b = s + e exactly, componentwise (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _exp_sum(c_hi, c_lo, big, small):
+    """exp(c_hi + c_lo + big + small), with big exact and c_lo, small below the rounding of the
+    rest: the large part is summed exactly (Knuth's two-sum) before exp sees it."""
+    hi, lo = _two_sum(big, c_hi)
+    return np.exp(hi) * np.exp(lo + (c_lo + small))
 
 
 def generate(spec, n_min, n_max):

@@ -395,9 +395,10 @@ def build_lattices(eq, special):
 
 def _reads(pair, N):
     """(C_0 .. C_N, (xs, ys), (xps, yps)) as complex arrays from one diff_constants call and one
-    range read per lattice: xs, ys over index -1 .. N (so x_{n-1} = xs[n]), xps, yps over 0 .. N."""
-    return np.array(diff_constants(pair, N), dtype=complex), pair.unprimed.span(-1, N + 1), \
-        pair.primed.span(0, N + 1)
+    range read per lattice: xs, ys over index -1 .. N (so x_{n-1} = xs[n]), xps, yps over 0 .. N.
+    The ranges are read first, so each lattice is walked once."""
+    unprimed, primed = pair.unprimed.span(-1, N + 1), pair.primed.span(0, N + 1)
+    return np.array(diff_constants(pair, N), dtype=complex), unprimed, primed
 
 
 def _ratio_coefficients(eq, reads, c0):

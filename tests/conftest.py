@@ -290,6 +290,68 @@ def ref_walk(curve, x0, y0, lo, hi):
     return xs, ys
 
 
+def ref_walk_replay(curve, x0, y0, lo, hi):
+    """({n: X_n}, {n: Y_n}) as Dc for lo <= n <= 0 <= hi: the walk of ref_walk replayed to 50
+    digits from the float seed (x0, y0) by Vieta's sum alone, Y' = -X1(X)/X2(X) - Y over X and
+    X' = -Y1(Y)/Y2(Y) - X over Y, with X_j and Y_i read from the float grid's columns and rows:
+    no square root, so no branch is chosen, and no polish.  It is the walk on the curve the
+    float grid defines exactly, from the float seed, so it measures a float walk's forward
+    error; it has no stops, so replay only the range the walk kept."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        c = [[Dc(v) for v in row] for row in curve.c]
+        x1, x2 = [row[1] for row in c], [row[2] for row in c]       # X_j(x) = sum_i c_ij x^i
+        y1, y2 = c[1], c[2]                                         # Y_i(y) = sum_j c_ij y^j
+
+        def other(v, t, s):
+            (a0, a1, a2), (b0, b1, b2) = v
+            return Dc() - ((a2 * t + a1) * t + a0) / ((b2 * t + b1) * t + b0) - s
+
+        xs, ys = {0: Dc(x0)}, {0: Dc(y0)}
+        for direction, end in ((1, hi), (-1, lo)):
+            x, y = xs[0], ys[0]
+            for n in range(direction, end + direction, direction):
+                if direction > 0:
+                    y = other((x1, x2), x, y)
+                    x = other((y1, y2), y, x)
+                else:
+                    x = other((y1, y2), y, x)
+                    y = other((x1, x2), x, y)
+                xs[n], ys[n] = x, y
+        return xs, ys
+
+
+WALK_GATE = 4.0     # a walk's forward error may be this many times the stepwise walk's
+
+
+def walk_errors(xs, ys, replay, ns):
+    """{n: e_n}: the forward error max(|x_n - X_n|, |y_n - Y_n|) / max(|X_n|, |Y_n|) of a walk's
+    values (read by n) against a replay (X_n, Y_n) of ref_walk_replay, at each n of ns."""
+    rx, ry = replay
+    out = {}
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for n in ns:
+            err = max(abs(Dc(xs[n]) - rx[n]), abs(Dc(ys[n]) - ry[n]))
+            out[n] = _rel(err, max(abs(rx[n]), abs(ry[n])))
+    return out
+
+
+def walk_gate_ratios(errors, stepwise):
+    """{n: e_n / (WALK_GATE s_n)}, s_n the largest forward error of the stepwise walk (ref_walk)
+    at the indices of `stepwise` from 0 to n on n's side, both from walk_errors: a ratio <= 1
+    meets the gate, the walk being at most WALK_GATE times as far from the exact walk as the
+    stepwise walk has been by then (0 where e_n = 0, inf where only s_n is)."""
+    ratios = {}
+    for side in (1, -1):
+        worst = 0.0
+        for n in sorted((n for n in stepwise if n * side >= 0), key=abs):
+            worst = max(worst, stepwise[n])
+            if n in errors:
+                ratios[n] = _rel(errors[n], WALK_GATE * worst)
+    return ratios
+
+
 def ref_stepwise_oracle(eq, pair, K, f0):
     """f(y_0) .. f(y_K) from a (f_{k+1} - f_k)/dy = c (f_{k+1} + f_k)/2 + d at x_k, dy = y_{k+1} - y_k,
     with x_0 .. x_K and y_0 .. y_K read index by index first (so a walk that stops raises before

@@ -308,6 +308,14 @@ def test_orientation_flips_when_zeta_is_inside_the_node_ellipse():
         assert predictor.rate(s + 0.7 / s) == pytest.approx(0.9 / abs(s), rel=1e-12)
 
 
+@pytest.mark.parametrize("z", [1e-300, 1e-200, 1e-100, 1e-300j, -1e-200 + 1e-200j])
+def test_rate_near_the_double_root_of_p(qsol, z):
+    # P = p2 x^2 on the q-lattice: p2 z^2 underflows below |z| = 1e-154, and with it the
+    # factor 2 sqrt(P) of the outer lift A = 4 p2 z, unless sqrt(P) is formed scaled
+    sol, zeta, _ = qsol
+    assert convergence.RatePredictor(sol).rate(z) == pytest.approx(abs(z) / abs(zeta), rel=1e-12)
+
+
 def test_xi_is_the_outer_primitive_and_gives_the_rate():
     """xi' = 1/sqrt(P) up to sign, xi takes arrays, and the paper's
     -Im 2 pi (xi_z - xi_zeta) / omega, oriented, is log_rate."""

@@ -39,6 +39,7 @@ from ellgrid.errors import (
     SmallDivisorError,
     ValidationError,
 )
+from ellgrid.lattice import HEAD
 from ellgrid.poly import Polynomial
 from ellgrid.solver import (
     VERIFY_BLOCK,
@@ -523,6 +524,24 @@ def test_partial_sum_pole_guard():
     from ellgrid.errors import PoleEvaluationError
     with pytest.raises(PoleEvaluationError):
         evaluate_partial_sum(sol, 6, sol.pair.yp(3))
+
+
+def test_log_linear_fixture_with_exact_decimal_a_verifies():
+    # a with its coefficients as written (-0.9 - 0.45625j, ...), not the float-noisy product
+    # of its roots: the stepwise walk's Newton polish once jumped by 3.6e-12 at step 129 -> 130
+    # on this lattice, and verify read 7.9e-7; past the head the walk is x_0 + n h in closed
+    # form, y_n = y_0 + n h to a few ulp
+    eq, select, c0_free, _, _, hints = log_linear_fixture()
+    a = Polynomial((-0.9 - 0.45625j, 0.4625 - 2.3j, 2.5 - 1.1j, 1))
+    exact = DifferenceEquation(eq.curve, a, beta=eq.beta, gamma=eq.gamma, delta=eq.delta,
+                               eps=eq.eps)
+    assert max(abs(a - b) for a, b in zip(exact.a.coeffs, eq.a.coeffs)) < 1e-15
+    sol = solve(exact, select, 300, c0_free=c0_free, **hints)
+    assert verify_interpolation(exact, sol, 300).max_error <= 1e-7
+    lat = sol.pair.unprimed
+    y0 = lat.y(0)
+    for n in range(HEAD + 1, 302):
+        assert abs(lat.y(n) - (y0 + n * 1.0)) <= 4 * 2.0 ** -52 * abs(lat.y(n)), n
 
 
 def test_log_mode_pins_xm1_to_root_of_d():

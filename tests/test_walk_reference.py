@@ -1,13 +1,24 @@
 """The lattice walk against `ref_walk`, the walk written from its formulas.
 
-Every x_n and y_n must match the reference bit for bit (compared by `repr`, so
-signed zeros count), in both directions, and a walk that stops must stop with
-the reference's error type, index and message.
+Wherever the walk goes by flips, every x_n and y_n must match the reference bit for bit
+(compared by `repr`, so signed zeros count), in both directions, and a walk that stops must
+stop with the reference's error type, index and message.  A genus-0 walk (deg P 0 or 2) goes
+on in closed form past its first HEAD steps: there each x_n and y_n must lie within WALK_GATE
+times the stepwise walk's forward error of `ref_walk_replay`, the exact walk from the same
+float seed, and a stop must have the reference's type and index.
 """
 import numpy as np
 import pytest
 
-from ellgrid import AskeyWilsonLattice, BiquadraticCurve, LatticePair, LatticeSpec, solve
+from ellgrid import (
+    AskeyWilsonLattice,
+    BiquadraticCurve,
+    GeometricLattice,
+    LatticePair,
+    LatticeSpec,
+    LinearLattice,
+    solve,
+)
 from ellgrid.curve import walk_flips
 from ellgrid.errors import (
     EllgridError,
@@ -16,6 +27,7 @@ from ellgrid.errors import (
     LeadingCoefficientVanishesError,
     ValidationError,
 )
+from ellgrid.lattice import HEAD, TAIL_DEGREES, _tail_form
 
 from conftest import (
     GOLDEN,
@@ -28,6 +40,9 @@ from conftest import (
     ref_F,
     ref_flip,
     ref_walk,
+    ref_walk_replay,
+    walk_errors,
+    walk_gate_ratios,
 )
 
 STOPS = (LatticeSingularityError, LatticeStagnationError)
@@ -45,9 +60,23 @@ def fixture_seeds():
             for side, lat in (("unprimed", sol.pair.unprimed), ("primed", sol.pair.primed))]
 
 
+def gate_walk(lat, lo, hi):
+    """The gate ratios of lat's values past its head over [lo, hi] (walk_gate_ratios against
+    ref_walk_replay, with ref_walk as the stepwise walk)."""
+    spec = lat.spec
+    ns = range(lo, hi + 1)
+    replay = ref_walk_replay(spec.curve, spec.x0, spec.y0, lo, hi)
+    stepwise = walk_errors(*ref_walk(spec.curve, spec.x0, spec.y0, lo, hi), replay, ns)
+    xs, ys = (dict(zip(ns, v)) for v in lat.values(lo, hi + 1))
+    return walk_gate_ratios(walk_errors(xs, ys, replay, [n for n in ns if abs(n) > HEAD]),
+                            stepwise)
+
+
 def assert_walk_matches(curve, x0, y0, lo, hi):
-    """Walk [lo, hi] with LatticePair and ref_walk: the same values over what the lattice
-    materialized, and the same error if the reference stops.  Returns that error or None."""
+    """Walk [lo, hi] with LatticePair and ref_walk: the same stop (type and index; the message
+    too within the head), the same values over what the lattice materialized by flips, and past
+    the head of a genus-0 walk values within the gate of ref_walk_replay.  Returns the stop, or
+    None, and the worst gate ratio (0 without a tail)."""
     lat = LatticePair(LatticeSpec(curve, x0, y0))
     try:
         ref_walk(curve, x0, y0, lo, hi)
@@ -55,17 +84,23 @@ def assert_walk_matches(curve, x0, y0, lo, hi):
         stop = exc
         with pytest.raises(type(exc)) as info:
             lat.ensure(lo, hi)
-        assert (info.value.index, str(info.value)) == (exc.index, str(exc))
+        assert info.value.index == exc.index
+        if abs(exc.index) <= HEAD:
+            assert str(info.value) == str(exc)
     else:
         stop = None
         lat.ensure(lo, hi)
     lo, hi = lat.known_range
     ref_xs, ref_ys = ref_walk(curve, x0, y0, lo, hi)
     xs, ys = lat.values(lo, hi + 1)
-    ns = range(lo, hi + 1)
-    assert list(map(repr, xs)) == [repr(ref_xs[n]) for n in ns]
-    assert list(map(repr, ys)) == [repr(ref_ys[n]) for n in ns]
-    return stop
+    tail = curve.discriminant_P().degree() in TAIL_DEGREES
+    flips = [(n, x, y) for n, x, y in zip(range(lo, hi + 1), xs, ys) if abs(n) <= HEAD or not tail]
+    assert [repr(x) for _, x, _ in flips] == [repr(ref_xs[n]) for n, _, _ in flips]
+    assert [repr(y) for _, _, y in flips] == [repr(ref_ys[n]) for n, _, _ in flips]
+    ratios = gate_walk(lat, lo, hi) if tail and max(-lo, hi) > HEAD else {}
+    worst = max(ratios.values(), default=0.0)
+    assert worst <= 1.0, (worst, max(ratios, key=ratios.get))
+    return stop, worst
 
 
 FIXTURE_SEEDS = fixture_seeds()
@@ -80,7 +115,8 @@ def test_fixture_walks_match_the_reference(curve, x0, y0):
 def test_golden_ellipse_walk_matches_the_reference():
     # |q| = 1 Askey-Wilson lattice (b = 1, c = 0.7, golden angle): nodes on x = s + 0.7/s
     spec = AskeyWilsonLattice(a=0.0, b=1.0, c=0.7, q=np.exp(2j * np.pi * GOLDEN)).spec()
-    assert assert_walk_matches(spec.curve, spec.x0, spec.y0, -1000, 1000) is None
+    stop, worst = assert_walk_matches(spec.curve, spec.x0, spec.y0, -1000, 1000)
+    assert stop is None and worst > 0.0
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -95,16 +131,132 @@ def test_genus1_walks_match_the_reference(seed):
 def test_qgeom_stagnation_matches_the_reference():
     eq, select = qgeom_fixture()
     spec = solve(eq, select, 10).pair.unprimed.spec
-    stop = assert_walk_matches(spec.curve, spec.x0, spec.y0, 0, 100)
+    stop, _ = assert_walk_matches(spec.curve, spec.x0, spec.y0, 0, 100)
     assert isinstance(stop, LatticeStagnationError) and stop.index == 47
 
 
 def test_non_finite_step_matches_the_reference():
     # x_n = 2^-n + 0.3 2^n leaves the float range at n = 1026
     spec = AskeyWilsonLattice(a=0.0, b=1.0, c=0.3, q=0.5).spec()
-    stop = assert_walk_matches(spec.curve, spec.x0, spec.y0, 0, 1100)
+    stop, worst = assert_walk_matches(spec.curve, spec.x0, spec.y0, 0, 1100)
     assert isinstance(stop, LatticeSingularityError) and stop.index == 1026
-    assert "is not finite" in str(stop)
+    assert "is not finite" in str(stop) and 0.0 < worst
+
+
+def test_non_finite_step_backward_matches_the_reference():
+    # backward, X1(x_n) = -2.12 x_n overflows at x_-1023 = 2^1023, and with it y_-1023
+    spec = AskeyWilsonLattice(a=0.0, b=1.0, c=0.3, q=0.5).spec()
+    stop, worst = assert_walk_matches(spec.curve, spec.x0, spec.y0, -1100, 0)
+    assert isinstance(stop, LatticeSingularityError) and stop.index == -1023
+    assert "is not finite" in str(stop) and 0.0 < worst
+
+
+def test_stagnation_past_the_head_matches_the_reference():
+    # x_n = 0.75^n: the steps fall below 1e-13 from n = 101, and the third such step stops
+    spec = GeometricLattice(a=0.0, b=1.0, q=0.75).spec()
+    stop, worst = assert_walk_matches(spec.curve, spec.x0, spec.y0, 0, 300)
+    assert isinstance(stop, LatticeStagnationError) and stop.index == 103 and 0.0 < worst
+
+
+def test_vanishing_lead_past_the_head_matches_the_reference():
+    # the golden ellipse's curve with y -> 1/y and x_100 on a zero of X0, which the inverted
+    # curve's leads take over: the walk stops at step 100 in closed form as by flips
+    q = np.exp(2j * np.pi * GOLDEN)
+    beta = np.roots([1.0, q + 1.0 / q, 1.0])[0]          # (beta + 1)^2 = -beta (q + 1/q - 2)
+    aw = AskeyWilsonLattice(a=0.0, b=beta * q ** -100, c=q ** 100, q=q)
+    curve = BiquadraticCurve([row[::-1] for row in aw.curve().c])
+    x0, y0 = aw.point(0)
+    stop, worst = assert_walk_matches(curve, x0, 1.0 / y0, -200, 200)
+    assert isinstance(stop, LatticeSingularityError) and stop.index == 100
+    assert isinstance(stop.__cause__, LeadingCoefficientVanishesError) and 0.0 < worst
+
+
+def test_geometric_walk_that_turns_back_matches_the_reference():
+    # in floats the two lines of (y - x)(y - 0.9 x - 0.025) do not quite meet, so the walk
+    # that closes in on x = 0.25 turns back near n = 300 along the other branch, exactly
+    # and in closed form alike (D = p1^2 - 4 p2 p0 is tiny but not 0)
+    spec = GeometricLattice(a=0.25, b=1.0, q=0.9).spec()
+    stop, worst = assert_walk_matches(spec.curve, spec.x0, spec.y0, -400, 400)
+    assert stop is None and abs(LatticePair(spec).x(400)) > 100
+
+
+def test_curve_without_a_rate_walks_by_flips():
+    # a deg P = 2 curve whose rate walk stopped keeps to the flips past the head, bit for bit
+    spec = AskeyWilsonLattice(a=0.1, b=1.0, c=0.5, q=0.5).spec()
+    curve = BiquadraticCurve(spec.curve.c)
+    object.__setattr__(curve, "_rate", None)
+    lat = LatticePair(LatticeSpec(curve, spec.x0, spec.y0))
+    lat.ensure(-200, 200)
+    assert lat._tails == {1: None, -1: None}
+    ref_xs, ref_ys = ref_walk(curve, spec.x0, spec.y0, -200, 200)
+    assert [repr(v) for v in zip(*lat.values(-200, 201))] == \
+        [repr((ref_xs[n], ref_ys[n])) for n in range(-200, 201)]
+
+
+TAIL_SPECS = {
+    "linear": LinearLattice(h=0.1 + 0.05j, x0=0.3 - 0.2j, y0=0.5).spec(),
+    "askey-wilson": AskeyWilsonLattice(a=0.1, b=1.0, c=0.5, q=0.5).spec(),
+    "ellipse": AskeyWilsonLattice(a=0.0, b=1.0, c=0.7, q=np.exp(2j * np.pi * GOLDEN)).spec(),
+    "geometric": GeometricLattice(a=0.25 + 0.1j, b=1.0, q=0.85j).spec(),
+}
+
+
+@pytest.mark.parametrize("spec", TAIL_SPECS.values(), ids=TAIL_SPECS.keys())
+def test_chunked_walk_across_the_seam_equals_one_walk(spec):
+    # the closed form is a function of n alone: chunks that end on, before and after the last
+    # step by flips, one index at a time and far past it give the one-shot walk, bit for bit
+    whole = LatticePair(spec)
+    whole.ensure(-200, 200)
+    want = [list(map(repr, v)) for v in whole.values(-200, 201)]
+    for sizes in ((HEAD - 1, 1, 1, 1, 3, 40, 200), (HEAD + 1, 1, 997), (5, 200)):
+        lat = LatticePair(spec)
+        lo = hi = 0
+        for k, size in enumerate(sizes * 2):
+            if k % 2:
+                lo = max(-200, lo - size)
+            else:
+                hi = min(200, hi + size)
+            lat.ensure(lo, hi)
+        lat.ensure(-200, 200)
+        assert [list(map(repr, v)) for v in lat.values(-200, 201)] == want
+
+
+TEETH_SPECS = {
+    "ellipse": TAIL_SPECS["ellipse"],
+    "circle": GeometricLattice(a=0.0, b=1.0, q=np.exp(2j * np.pi * GOLDEN)).spec(),
+    "linear": LinearLattice(h=1.0).spec(),
+}
+
+
+@pytest.mark.parametrize("spec", TEETH_SPECS.values(), ids=TEETH_SPECS.keys())
+def test_walk_gate_has_teeth(spec):
+    # where the stepwise walk keeps its digits, the tail with the rate of log A (deg P = 2)
+    # moved by 3 ulp, or the step h (deg P = 0) by one, fails the gate in each direction
+    lat = LatticePair(spec)
+    lat.ensure(-HEAD, HEAD)
+    assert max(gate_walk(_walked(lat, None), -300, 300).values()) <= 1.0
+    for direction in (1, -1):
+        form = _tail_form(spec.curve, *lat._head(direction))
+        if spec.curve.discriminant_P().degree() == 0:
+            dh = np.spacing(1.0)
+            moved = lambda k, f=form: (f(k)[0] + k * dh, f(k)[1])          # noqa: E731
+        else:
+            curve = BiquadraticCurve(spec.curve.c)
+            hi, lo = spec.curve._rate
+            step = 3.0 * complex(np.spacing(abs(hi.real)), np.spacing(abs(hi.imag)))
+            object.__setattr__(curve, "_rate", (hi, lo + step))
+            moved = _tail_form(curve, *lat._head(direction))
+        assert max(gate_walk(_walked(lat, {direction: moved}), -300, 300).values()) > 1.0
+
+
+def _walked(lat, tails):
+    """A copy of lat's head walked over [-300, 300], with the tails given (or its own)."""
+    copy = LatticePair(lat.spec)
+    copy.ensure(-HEAD, HEAD)
+    if tails:
+        copy._tails.update(tails)
+    copy.ensure(-300, 300)
+    return copy
 
 
 @pytest.mark.parametrize("grid, x0, y0, message", [
@@ -113,7 +265,7 @@ def test_non_finite_step_matches_the_reference():
 ], ids=["vanishing", "non-finite"])
 def test_vanishing_lead_matches_the_reference(grid, x0, y0, message):
     curve = BiquadraticCurve(grid)
-    stop = assert_walk_matches(curve, x0, y0, 0, 3)
+    stop, _ = assert_walk_matches(curve, x0, y0, 0, 3)
     assert isinstance(stop, LatticeSingularityError) and stop.index == 1
     assert isinstance(stop.__cause__, LeadingCoefficientVanishesError)
     assert message in str(stop)
@@ -182,7 +334,7 @@ def test_flip_is_the_reference_flip(over_x):
 def test_trimmed_coefficient_walk_matches_the_reference(i):
     # F's residual reads the grid's rows, not the trimmed views: they differ in the last bits
     spec = LatticeSpec(trimmed_curve(i), 0.5, y1_index=0)
-    assert assert_walk_matches(spec.curve, spec.x0, spec.y0, -2000, 2000) is None
+    assert assert_walk_matches(spec.curve, spec.x0, spec.y0, -2000, 2000) == (None, 0.0)
 
 
 def test_lattices_on_one_curve_share_one_pair_of_flips():
