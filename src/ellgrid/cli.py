@@ -10,14 +10,13 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import convergence, diffops, lattice as lattice_mod, solver
 from .curve import BiquadraticCurve
-from .errors import EllgridError, MissingFieldError, ValidationError
+from .errors import EllgridError, MissingFieldError, ValidationError, _real
 from .lattice import LatticeSpec, write_lattice_csv
 from .poly import Polynomial
 
@@ -33,17 +32,12 @@ EXIT_IO = 4
 # malformed config exits with EXIT_VALIDATION before any output file is opened.
 
 
-def _is_number(v):
-    """True for a JSON number: an int or float, but not a bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _cnum(v, field):
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(_float(v[0], f"{field}[0]"), _float(v[1], f"{field}[1]"))
-    if not _is_number(v):
+        return complex(_real(v[0], f"{field}[0]"), _real(v[1], f"{field}[1]"))
+    if not isinstance(v, (int, float)) or isinstance(v, bool):      # not a JSON number
         raise ValidationError(f"{field}: expected a number or [re, im] pair, got {v!r}")
-    return complex(_float(v, field))
+    return complex(_real(v, field))
 
 
 def _cpoly(v, field):
@@ -59,13 +53,6 @@ def _int(v, field):
     if isinstance(v, int) and not isinstance(v, bool):
         return v
     raise ValidationError(f"{field}: expected an integer, got {v!r}")
-
-
-def _float(v, field):
-    with contextlib.suppress(OverflowError):
-        if _is_number(v) and math.isfinite(v):
-            return float(v)
-    raise ValidationError(f"{field}: expected a finite number, got {v!r}")
 
 
 def _items(v, field, count):
@@ -99,7 +86,7 @@ def _axis(v, field):
     count = _int(count, f"{field}[2]")
     if count < 0:
         raise ValidationError(f"{field}[2]: expected a count >= 0, got {count}")
-    axis = np.linspace(_float(lo, f"{field}[0]"), _float(hi, f"{field}[1]"), count)
+    axis = np.linspace(_real(lo, f"{field}[0]"), _real(hi, f"{field}[1]"), count)
     if not np.isfinite(axis).all():
         raise ValidationError(f"{field} bounds must be finite")
     return axis
@@ -349,7 +336,7 @@ def run_ratemap(cfg, out_path, n_override, quiet):
     n_min, n_max = _int(window[0], "params.window[0]"), _int(window[1], "params.window[1]")
     re_axis = _axis(_require(grid, "params.grid.re"), "params.grid.re")
     im_axis = _axis(_require(grid, "params.grid.im"), "params.grid.im")
-    threshold = _float(params.get("threshold", 0.05), "params.threshold")
+    threshold = _real(params.get("threshold", 0.05), "params.threshold")
     path = _out_path(out_path, params)
     sol = _solve_scenario(cfg, n_override if n_override is not None else n_max)
     rows = convergence.rate_map(sol, re_axis, im_axis, n_min, n_max,

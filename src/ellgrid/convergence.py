@@ -34,7 +34,10 @@ from .errors import (
     ValidationError,
     WindowTooSmallError,
     _finite,
+    _order,
+    _real,
 )
+from .lattice import _lift
 
 COARSE_STEP = 0.5       # relative sqrt(P) jump that marks an under-sampled path
 LEVEL_SAMPLES = 1 << 16  # complex samples per chunk of one Simpson level
@@ -50,7 +53,8 @@ UNDERFLOW_FLOOR = 2.0 ** -969   # the smallest normal float over the unit roundo
 
 
 def detect_small_divisors(pair, N, threshold):
-    """Indices n <= N where |y_{-1} - y_{n-2}| dips below threshold * median."""
+    """Indices n <= N where |y_{-1} - y_{n-2}| dips below threshold * median (a finite real)."""
+    N, threshold = _order(N, "N"), _real(threshold, "threshold")
     if N < 3 or threshold <= 0:
         return []
     ys = pair.unprimed.values(-1, N - 1)[1]     # index -1 .. N-2, so y_{n-2} = ys[n - 1]
@@ -113,8 +117,8 @@ def _term_magnitude_grid(sol, zs, n_max):
 
 def term_magnitudes(sol, z, n_max):
     """|c_n Yb_n(z)| for n = 1..n_max (index 0 of the result is n = 1); a non-finite z is a
-    ValidationError naming it."""
-    z = _finite(z, "z")
+    ValidationError naming it, as is an n_max that is not an integer."""
+    z, n_max = _finite(z, "z"), _order(n_max, "n_max")
     mags, hit = _term_magnitude_grid(sol, [z], n_max)
     if hit[0]:
         raise PoleEvaluationError(z)
@@ -148,6 +152,12 @@ def _fit_rates(sol, zs, n_min, n_max, smalldiv_threshold):
     return rho, hit, count, flagged
 
 
+def _fit_args(n_min, n_max, smalldiv_threshold):
+    """The fit's window as integers and its threshold as a finite real, or a ValidationError."""
+    return (_order(n_min, "n_min"), _order(n_max, "n_max"),
+            _real(smalldiv_threshold, "smalldiv_threshold"))
+
+
 def _rate_flags(rho):
     return ("NotConverging",) if rho >= 1.0 else ()
 
@@ -156,9 +166,10 @@ def empirical_rate(sol, z, n_min, n_max, smalldiv_threshold=0.05):
     """Least-squares geometric ratio of the terms over [n_min, n_max].
 
     Small-divisor indices (and exact zeros) are excluded from the fit; at
-    least five usable terms are required.  A non-finite z is a ValidationError naming it.
+    least five usable terms are required.  A bad z or `_fit_args` is a ValidationError naming it.
     """
     z = _finite(z, "z")
+    n_min, n_max, smalldiv_threshold = _fit_args(n_min, n_max, smalldiv_threshold)
     rho, hit, count, flagged = _fit_rates(sol, [z], n_min, n_max, smalldiv_threshold)
     if hit[0]:
         raise PoleEvaluationError(z)
@@ -409,23 +420,15 @@ def trace_lattice_locus(curve, x_start, direction):
 # -- the predicted rate ---------------------------------------------------------------------
 
 
-def _period_and_rotation(curve, xs, ys):
-    """(omega, tau = h / omega) for P of degree 2, from nodes 0..2 of the walk.
-
-    omega = 2 pi i / sqrt(p2) is the period of dv/w (w^2 = P) around both roots,
-    u = log A(x, s w) / (s sqrt(p2)) a primitive of it for either sign s (the lift of
-    `abel_lifts` that keeps A off zero), and w_n = X2(x_n) (y_n - y_{n+1}) is sqrt(P) on
-    the walk's sheet at node n, so the walk's step h = u_1 - u_0 needs no path.
-    """
-    p = curve.discriminant_P().coeffs
-    x, y = np.asarray(xs[:2]), np.asarray(ys)
-    m = np.maximum(1.0, np.abs(x))
-    w = curve.x_view()[2](x) * (y[:2] - y[1:])
-    s, (a0, a1) = max(zip((1.0, -1.0), abel_lifts(p, x / m, w / m, m)),
-                      key=lambda sa: np.abs(sa[1]).min())
+def _period_and_rotation(p, s, a, m):
+    """(omega, tau = h / omega) for P of degree 2 (coefficients p), from (s, A / m, m) at nodes
+    0 and 1 of the walk (`lattice._lift` of its head).  omega = 2 pi i / sqrt(p2) is the period
+    of dv/w around both roots, w = X2(x_n) (y_n - y_{n+1}) sqrt(P) on the walk's sheet, and
+    u = -log A / (s sqrt(p2)) a primitive of it (the head's w has the other sign), so the walk's
+    step h = u_1 - u_0 needs no path."""
     with np.errstate(all="ignore"):
         return (2j * np.pi / cmath.sqrt(p[2]),
-                complex(s * np.log(a1 * m[1] / (a0 * m[0])) / (2j * np.pi)))
+                complex(-s * np.log(a[1] * m[1] / (a[0] * m[0])) / (2j * np.pi)))
 
 
 def _sqrt_p_at(p, x):
@@ -471,15 +474,15 @@ class RatePredictor:
         if P.degree() != 2:
             raise RefinePathError(f"P has degree {P.degree()}; "
                                   "the single-period rate formula needs degree 2")
-        xs, ys = sol.pair.unprimed.values(0, 3)
-        self.omega, self.tau = _period_and_rotation(self.curve, xs, ys)
+        x, w = sol.pair.unprimed._head_span(0, 2)
+        self.omega, self.tau = _period_and_rotation(P.coeffs, *_lift(P.coeffs, x, w))
         if not abs(self.tau.imag) <= CLOSURE_TOL:
             raise RefinePathError(
                 f"the node locus does not close: Im tau = {self.tau.imag:.2e} per step")
         self.zeta = complex(sol.zeta)
         self._p = P.coeffs
         self._r = cmath.sqrt(self._p[2])
-        g_zeta, g_node = self._log_a([self.zeta, xs[0]]).real.tolist()
+        g_zeta, g_node = self._log_a([self.zeta, x[0]]).real.tolist()
         if g_zeta == -math.inf:
             raise PathThroughBranchPointError(f"zeta = {self.zeta} is a double root of P")
         self._g_zeta = g_zeta
@@ -556,8 +559,9 @@ def rate_map(sol, re_axis, im_axis, n_min, n_max, smalldiv_threshold=0.05):
     holds what empirical_rate and RatePredictor.rate give at its point, up to
     rounding, but the grid is swept at once, by columns: one term sweep and
     small-divisor scan, one closed-form evaluation of the predicted rates,
-    and the flags of each cell looked up by one code.
+    and the flags of each cell looked up by one code; a bad window or threshold raises.
     """
+    n_min, n_max, smalldiv_threshold = _fit_args(n_min, n_max, smalldiv_threshold)
     predictor, no_prediction = None, ()
     if sol.mode == "log":
         try:

@@ -56,13 +56,19 @@ class RootPair:
 # serves both views.
 
 
-def _lead(view, t):
-    """V2(t), or LeadingCoefficientVanishes when it is not finite or ~ 0 (a lattice
-    singularity): reduced_abs(V2(t), t, deg V2) at most LEAD_TOL max|coeff|."""
-    v2 = view[2]
+def lead_test(v2, t):
+    """(V2(t), size, passes), elementwise over an array t: size = reduced_abs(V2(t), t, deg V2),
+    and V2(t) passes when LEAD_TOL max|coeff| < size < inf; a lead that fails is ~ 0 (a lattice
+    singularity) or not finite."""
     lead = v2(t)
     size = reduced_abs(lead, t, v2.degree())
-    if not LEAD_TOL * v2.max_coeff < size < cmath.inf:
+    return lead, size, (LEAD_TOL * v2.max_coeff < size) & (size < cmath.inf)
+
+
+def _lead(view, t):
+    """V2(t), or LeadingCoefficientVanishes where it fails `lead_test`."""
+    lead, size, passes = lead_test(view[2], t)
+    if not passes:
         raise lead_error(t, size)
     return lead
 
@@ -74,9 +80,12 @@ def lead_error(t, size):
 
 
 def _roots(view, t):
-    """Both roots s of the view over t as a RootPair."""
+    """Both roots s of the view over t as a RootPair; LeadingCoefficientVanishes where either
+    is not finite (V0(t) or V1(t) overflows, so a root escapes to infinity)."""
     lead = _lead(view, t)
     lo, hi, _ = solve_quadratic(view[0](t), view[1](t), lead)
+    if not (cmath.isfinite(lo) and cmath.isfinite(hi)):
+        raise LeadingCoefficientVanishesError(t, f"root pair at {t} is not finite")
     return RootPair(lo, hi, t)
 
 
@@ -105,7 +114,7 @@ def walk_flips(curve):
     inline Horner on their trimmed coefficients, under _lead's test, so the complement rounds
     as `complement` does.  Up to two guarded Newton steps on the curve's own F then only
     remove accumulated rounding, accepting a correction only while |F| decreases (so branch
-    points, where dF = V1 + 2 V2 s ~ 0, are left alone).  F rounds as `_grid_function`."""
+    points, where dF = V1 + 2 V2 s ~ 0, are left alone).  F rounds as the curve's __call__."""
     try:
         return curve._flips
     except AttributeError:
@@ -115,8 +124,9 @@ def walk_flips(curve):
 
 
 def _flip(curve, over_x):
-    """One of the two flips: y over a fixed x when over_x, else x over a fixed y.  Both write
-    their two Newton trials out and evaluate F inline; the x flip forms F's rows at y once."""
+    """One of the two flips: y over a fixed x = t when over_x, else x over a fixed y = t.  The
+    lead test and the complement are written once; each view writes its two Newton trials out
+    and evaluates F inline, and the x flip forms F's rows at y once."""
     view = curve.x_view() if over_x else curve.y_view()
     top1, *low1 = reversed(view[1].coeffs)
     top2, *low2 = reversed(view[2].coeffs)
@@ -124,59 +134,44 @@ def _flip(curve, over_x):
     full1, full2 = view[1].degree() == 2, view[2].degree() == 2     # untrimmed: V_i(y) = A_i
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = curve.c
 
-    def flip_y(x, s):
-        # F(x, s) has no part that depends on x alone
+    def flip(t, s):
         lead = top2
         if low2:                        # a constant V2 passes the lead test everywhere
             for c in low2:
-                lead = lead * x + c
-            size, m = abs(lead), abs(x)
+                lead = lead * t + c
+            size, m = abs(lead), abs(t)
             if m > 1.0:                 # reduced_abs: divide once per degree
                 for _ in low2:
                     size /= m
             if not floor < size < inf:
-                _lead(view, x)          # fails the same test, so raises its error
+                _lead(view, t)          # fails the same test, so raises its error
         v1 = top1
         for c in low1:
-            v1 = v1 * x + c
+            v1 = v1 * t + c
         lead2, s = 2.0 * lead, -v1 / lead - s
-        fv = (((c22 * s + c21) * s + c20) * x + ((c12 * s + c11) * s + c10)) * x \
-            + ((c02 * s + c01) * s + c00)
-        d = v1 + lead2 * s
-        if d == 0:
-            return s
-        s2 = s - fv / d
-        f2 = (((c22 * s2 + c21) * s2 + c20) * x + ((c12 * s2 + c11) * s2 + c10)) * x \
-            + ((c02 * s2 + c01) * s2 + c00)
-        af2 = abs(f2)
-        if not af2 < abs(fv):
-            return s
-        d = v1 + lead2 * s2
-        if d == 0:
-            return s2
-        s = s2 - f2 / d
-        return s if abs((((c22 * s + c21) * s + c20) * x + ((c12 * s + c11) * s + c10)) * x
-                        + ((c02 * s + c01) * s + c00)) < af2 else s2
-
-    def flip_x(y, s):
-        # F(s, y) = (A2 s + A1) s + A0 with F's own rows A_i = (c_i2 y + c_i1) y + c_i0
-        lead = top2
-        if low2:                        # a constant V2 passes the lead test everywhere
-            for c in low2:
-                lead = lead * y + c
-            size, m = abs(lead), abs(y)
-            if m > 1.0:
-                for _ in low2:
-                    size /= m
-            if not floor < size < inf:
-                _lead(view, y)          # fails the same test, so raises its error
-        v1 = top1
-        for c in low1:
-            v1 = v1 * y + c
-        a2 = lead if full2 else (c22 * y + c21) * y + c20
-        a1 = v1 if full1 else (c12 * y + c11) * y + c10
-        a0 = (c02 * y + c01) * y + c00
-        lead2, s = 2.0 * lead, -v1 / lead - s
+        if over_x:
+            # y over x = t: F(x, s) has no part that depends on x alone
+            fv = (((c22 * s + c21) * s + c20) * t + ((c12 * s + c11) * s + c10)) * t \
+                + ((c02 * s + c01) * s + c00)
+            d = v1 + lead2 * s
+            if d == 0:
+                return s
+            s2 = s - fv / d
+            f2 = (((c22 * s2 + c21) * s2 + c20) * t + ((c12 * s2 + c11) * s2 + c10)) * t \
+                + ((c02 * s2 + c01) * s2 + c00)
+            af2 = abs(f2)
+            if not af2 < abs(fv):
+                return s
+            d = v1 + lead2 * s2
+            if d == 0:
+                return s2
+            s = s2 - f2 / d
+            return s if abs((((c22 * s + c21) * s + c20) * t + ((c12 * s + c11) * s + c10)) * t
+                            + ((c02 * s + c01) * s + c00)) < af2 else s2
+        # x over y = t: F(s, y) = (A2 s + A1) s + A0, F's rows A_i = (c_i2 y + c_i1) y + c_i0
+        a2 = lead if full2 else (c22 * t + c21) * t + c20
+        a1 = v1 if full1 else (c12 * t + c11) * t + c10
+        a0 = (c02 * t + c01) * t + c00
         fv = (a2 * s + a1) * s + a0
         d = v1 + lead2 * s
         if d == 0:
@@ -191,19 +186,7 @@ def _flip(curve, over_x):
             return s2
         s = s2 - f2 / d
         return s if abs((a2 * s + a1) * s + a0) < af2 else s2
-    return flip_y if over_x else flip_x
-
-
-def _grid_function(c):
-    """F(x, y) on the 3x3 grid c as a plain function: Horner in y inside Horner in x,
-    unrolled, each level started from its top coefficient."""
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c
-
-    def F(x, y):
-        acc = (c22 * y + c21) * y + c20
-        acc = acc * x + ((c12 * y + c11) * y + c10)
-        return acc * x + ((c02 * y + c01) * y + c00)
-    return F
+    return flip
 
 
 def _scaled_powers(t):
@@ -216,7 +199,7 @@ def _scaled_powers(t):
 class BiquadraticCurve:
     """Immutable 3x3 coefficient grid c[i][j] multiplying x^i y^j."""
 
-    __slots__ = ("c", "_xv", "_yv", "_P", "_f", "_flips", "_rate")
+    __slots__ = ("c", "_xv", "_yv", "_P", "_flips", "_rate")
 
     def __init__(self, grid):
         c = tuple(tuple(complex(v) for v in row) for row in grid)
@@ -238,7 +221,6 @@ class BiquadraticCurve:
         if P.is_zero():
             raise ValidationError("P = X1^2 - 4 X0 X2 vanishes identically (double line)")
         object.__setattr__(self, "_P", P)
-        object.__setattr__(self, "_f", _grid_function(c))
 
     def __setattr__(self, name, value):
         raise AttributeError("BiquadraticCurve is immutable")
@@ -267,7 +249,12 @@ class BiquadraticCurve:
     # -- evaluation ---------------------------------------------------------------
 
     def __call__(self, x, y):
-        return self._f(x, y)
+        """F(x, y): Horner in y inside Horner in x, unrolled, each level started from its top
+        coefficient."""
+        (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = self.c
+        acc = (c22 * y + c21) * y + c20
+        acc = acc * x + ((c12 * y + c11) * y + c10)
+        return acc * x + ((c02 * y + c01) * y + c00)
 
     def residual(self, x, y):
         """|F(x, y)| / (scale max(1, |x|)^2 max(1, |y|)^2), finite wherever x and y are."""

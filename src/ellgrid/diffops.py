@@ -348,6 +348,7 @@ def diff_constant(pair, n, method="xm1"):
     ones plus their relative spread, requiring at least two to succeed (a route
     whose value is not finite is degenerate).
     """
+    n = _order(n, "n")
     if n < 0:
         raise ValidationError(f"C_n needs n >= 0, got {n}")
     if n == 0:
@@ -411,8 +412,11 @@ def mean_poly_value(pair, n, at="xp0"):
 def identity_samples(pair, n, count=20, seed=7):
     """Deterministic sample points on an annulus avoiding lattice loci and poles.
 
-    Used by the identity checks; a fixed seed keeps property tests reproducible.
-    """
+    Used by the identity checks; a fixed seed keeps property tests reproducible.  n and
+    count >= 1 are integers, or a ValidationError names them."""
+    n, count = _order(n, "n"), _order(count, "count")
+    if count < 1:
+        raise ValidationError(f"count must be at least 1, got {count}")
     pts = pair.unprimed.values(-1, n + 1)[0] + pair.primed.values(0, n + 1)[0]
     center = sum(pts) / len(pts)
     rad = max(abs(p - center) for p in pts) + 1.0

@@ -4,7 +4,9 @@ Numerical failures carry the offending point or index so callers can report
 exactly where a lattice walk or an expansion broke down.
 """
 import cmath
+import numbers
 import operator
+import sys
 
 
 class EllgridError(Exception):
@@ -153,3 +155,12 @@ def _finite(value, name):
     if not cmath.isfinite(z):
         raise ValidationError(f"{name}: expected a finite complex number, got {value!r}")
     return z
+
+
+def _real(value, name):
+    """value as a finite float, where it is a real number and not a bool, or a ValidationError
+    naming the argument."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValidationError(f"{name}: expected a finite real number, got {value!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import LEAD_TOL, BiquadraticCurve, abel_lifts, lead_error, walk_flips
+from .curve import BiquadraticCurve, abel_lifts, lead_error, lead_test, walk_flips
 from .errors import (
     EllgridError,
     LatticeSingularityError,
@@ -187,10 +187,9 @@ class LatticePair:
                     x = flip_x(y, x)
                     y = flip_y(x, y)
             except LeadingCoefficientVanishesError as exc:
-                raise LatticeSingularityError(m, f"step {m - direction}->{m}: {exc}") from exc
+                raise _stop(m, direction, exc) from exc
             if not (cmath.isfinite(x) and cmath.isfinite(y)):
-                raise LatticeSingularityError(
-                    m, f"step {m - direction}->{m}: ({x}, {y}) is not finite")
+                raise _stop(m, direction, f"({x}, {y}) is not finite")
             guard = STAGNATION_TOL * max(1.0, abs(x), abs(y))
             if abs(x - x0) < guard and abs(y - y0) < guard and self._stagnates(m, x, y, direction):
                 raise LatticeStagnationError(m)
@@ -229,9 +228,8 @@ class LatticePair:
             # constant V2 passes everywhere
             y_on = pts[1, run:] if forward else pts[1, run - 1:-1]     # what the x flips stand on
             leads = [(x2, over), (self.curve.y_view()[2], y_on)]
-            leads = [(v2, t, _reduced_abs(v2(t), t, v2.degree()))
-                     for v2, t in leads[::direction] if v2.degree()]
-        fails = [~((LEAD_TOL * v2.max_coeff < size) & (size < np.inf)) for v2, _, size in leads]
+            leads = [(t, *lead_test(v2, t)[1:]) for v2, t in leads[::direction] if v2.degree()]
+        fails = [~passes for _, _, passes in leads]
         fails.append(~np.isfinite(pts[:, run:]).all(axis=0))
         fails.append(np.logical_and.reduce([small[k:k + count] for k in range(run)]))
         bad = np.logical_or.reduce(fails)
@@ -241,14 +239,12 @@ class LatticePair:
         if stop == count:
             return
         m = n + direction * (stop + 1)
-        step = f"step {m - direction}->{m}"
-        for (_, t, size), fail in zip(leads, fails):
+        for (t, size, _), fail in zip(leads, fails):
             if fail[stop]:
                 exc = lead_error(complex(t[stop]), float(size[stop]))
-                raise LatticeSingularityError(m, f"{step}: {exc}") from exc
+                raise _stop(m, direction, exc) from exc
         if fails[-2][stop]:
-            raise LatticeSingularityError(m, f"{step}: ({complex(x[stop])}, {complex(y[stop])}) "
-                                             "is not finite")
+            raise _stop(m, direction, f"({complex(x[stop])}, {complex(y[stop])}) is not finite")
         raise LatticeStagnationError(m)
 
     def _head(self, direction):
@@ -290,14 +286,10 @@ class LatticePair:
         return self.curve.residual(x, y), self.curve.residual(x, y1)
 
 
-def _reduced_abs(value, t, degree):
-    """poly.reduced_abs elementwise over arrays: |value| / max(1, |t|)^degree."""
-    size = np.abs(value)
-    if degree:
-        m = np.maximum(1.0, np.abs(t))
-        for _ in range(degree):
-            size = size / m
-    return size
+def _stop(m, direction, cause):
+    """The LatticeSingularityError of a walk that stops on its step into m, for `cause` (a
+    message, or the error it wraps)."""
+    return LatticeSingularityError(m, f"step {m - direction}->{m}: {cause}")
 
 
 def _tail_form(curve, ks, x, w, x0):

@@ -75,15 +75,13 @@ class Polynomial:
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, z):
-        """Horner evaluation; `z` may be a scalar or a numpy array."""
-        if isinstance(z, np.ndarray):
-            acc = np.full_like(z, self.coeffs[-1], dtype=complex)
-            for c in reversed(self.coeffs[:-1]):
-                acc = acc * z + c
-            return acc
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+        """Horner evaluation; `z` may be a scalar or a numpy array (a constant fills its shape)."""
+        cs = reversed(self.coeffs)
+        acc = next(cs)
+        for c in cs:
             acc = acc * z + c
+        if len(self.coeffs) == 1 and isinstance(z, np.ndarray):
+            return np.full_like(z, acc, dtype=complex)
         return acc
 
     def derivative(self):
@@ -300,10 +298,12 @@ class RationalFunction:
 
 
 def reduced_abs(value, z, degree):
-    """|value| / max(1, |z|)^degree, dividing once per degree: the power itself can overflow."""
-    size = abs(value)
-    if degree:
-        m = max(1.0, abs(z))
-        for _ in range(degree):
-            size /= m
+    """|value| / max(1, |z|)^degree, dividing once per degree: the power itself can overflow.
+    Elementwise over a numpy array value (and z), by np.abs there and abs on scalars."""
+    if isinstance(value, np.ndarray):
+        size, m = np.abs(value), np.maximum(1.0, np.abs(z))
+    else:
+        size, m = abs(value), max(1.0, abs(z))
+    for _ in range(degree):
+        size = size / m
     return size

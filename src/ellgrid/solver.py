@@ -153,18 +153,6 @@ class SpecialPoints:
     res_p0: float
 
 
-def _horner(p):
-    """at(x) = p(x) for a Python scalar x by Horner, rounded as Polynomial.__call__."""
-    top, *low = reversed(p.coeffs)
-
-    def at(x):
-        v = top
-        for c in low:
-            v = v * x + c
-        return v
-    return at
-
-
 def _step_kernel(eq):
     """step(x, dy) -> (a(x), c(x), a/dy, den = a/dy - c/2, size, singular), complex128 arrays over
     every step x, dy from one numpy pass, with no warning.  size is the coefficient-level magnitude
@@ -230,8 +218,8 @@ def special_point_candidates(eq):
             raise NoSpecialPointError("special-point equation is identically zero")
         if sextic.degree() < 1:
             raise NoSpecialPointError("special-point equation has no roots")
-        polish = partial(_polish_condition_root, eq.beta, *map(
-            _horner, (P, P.derivative(), lin, eq.a, eq.a.derivative())))
+        polish = partial(_polish_condition_root, eq.beta, P, P.derivative(), lin, eq.a,
+                         eq.a.derivative())
         rts = [polish(r) for r in sextic.roots()]
     pairs = []
     for r in rts:
@@ -257,7 +245,7 @@ def special_point_candidates(eq):
 
 def _polish_condition_root(beta, P, dP, lin, a, da, r):
     """Up to eight Newton steps polishing r against 2a(x) - sigma (beta x + gamma) sqrt(P(x)) = 0,
-    with P, P', lin = beta x + gamma, a and a' as evaluators built once per equation."""
+    with P, P', lin = beta x + gamma, a and a' built once per equation."""
     w = cmath.sqrt(P(r))
     a2, lr = 2.0 * a(r), lin(r)
     sigma = 1.0 if abs(a2 - lr * w) <= abs(a2 + lr * w) else -1.0

@@ -118,6 +118,19 @@ def test_lattice_at_large_points(tmp_path, capsys):
     assert worst <= 1e-9
 
 
+def test_lattice_seeded_where_the_root_pair_overflows(tmp_path, capsys):
+    """A y1 selector at an x0 where the root pair is not finite is a numerical failure (exit 3)
+    naming the point, not an off-curve seed."""
+    data = linear_lattice_cfg()
+    data["lattice_seed"] = {"x0": [1e155, 0.0], "y1_index": 0}
+    out = tmp_path / "lat.csv"
+    assert main(["lattice", "--config", write_cfg(tmp_path, "lat.json", data),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "LeadingCoefficientVanishesError: root pair at (1e+155+0j) is not finite")
+    assert not out.exists()
+
+
 def test_lattice_to_stdout(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "lat.json", linear_lattice_cfg())
     assert main(["lattice", "--config", cfg]) == 0

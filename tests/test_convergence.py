@@ -13,8 +13,10 @@ from ellgrid import (
     AskeyWilsonLattice,
     RatePredictor,
     detect_small_divisors,
+    diff_constant,
     empirical_rate,
     evaluate_partial_sum,
+    identity_samples,
     path_integral,
     period_quadrature,
     predicted_rate,
@@ -90,6 +92,39 @@ def test_small_divisors_flag_engineered_return():
 def test_small_divisors_zero_threshold():
     ys = {n: complex(n) for n in range(-1, 21)}
     assert detect_small_divisors(_StubPair(ys), 20, 0.0) == []
+
+
+AXIS = [1.0, 1.2]
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda sol: empirical_rate(sol, 1.1, 5.0, 25), "n_min", id="empirical-n_min"),
+    pytest.param(lambda sol: empirical_rate(sol, 1.1, 5, 25.0), "n_max", id="empirical-n_max"),
+    pytest.param(lambda sol: empirical_rate(sol, 1.1, 5, 25, smalldiv_threshold=1j),
+                 "smalldiv_threshold", id="empirical-threshold"),
+    pytest.param(lambda sol: term_magnitudes(sol, 1.1, 5.0), "n_max", id="terms-n_max"),
+    pytest.param(lambda sol: rate_map(sol, AXIS, AXIS, 5.0, 25), "n_min", id="map-n_min"),
+    pytest.param(lambda sol: rate_map(sol, AXIS, AXIS, 5, None), "n_max", id="map-n_max"),
+    pytest.param(lambda sol: rate_map(sol, AXIS, AXIS, 5, 25, math.nan), "smalldiv_threshold",
+                 id="map-threshold"),
+    pytest.param(lambda sol: detect_small_divisors(sol.pair, 20, 1j), "threshold",
+                 id="divisors-complex-threshold"),
+    pytest.param(lambda sol: detect_small_divisors(sol.pair, 20, True), "threshold",
+                 id="divisors-bool-threshold"),
+    pytest.param(lambda sol: detect_small_divisors(sol.pair, 20.0, 0.05), "N", id="divisors-N"),
+    pytest.param(lambda sol: diff_constant(sol.pair, None), "n", id="cn-none"),
+    pytest.param(lambda sol: diff_constant(sol.pair, 2.0), "n", id="cn-float"),
+    pytest.param(lambda sol: identity_samples(sol.pair, 3, count=2.5), "count", id="samples-2.5"),
+    pytest.param(lambda sol: identity_samples(sol.pair, 3, count=1e300), "count",
+                 id="samples-1e300"),
+    pytest.param(lambda sol: identity_samples(sol.pair, 3, count=0), "count", id="samples-0"),
+    pytest.param(lambda sol: identity_samples(sol.pair, 3.0), "n", id="samples-n"),
+])
+def test_orders_counts_and_thresholds_are_checked_and_named(qsol, call, name):
+    """An order or count that is not an integer (count >= 1), or a threshold that is not a
+    finite real, is a ValidationError whose message starts with the argument's name."""
+    with pytest.raises(ValidationError, match=rf"^{name}\b"):
+        call(qsol[0])
 
 
 @pytest.mark.parametrize("values", [

@@ -13,6 +13,7 @@ from ellgrid.errors import (
     ValidationError,
     VerticalTangentError,
 )
+from ellgrid.curve import lead_test
 from ellgrid.poly import Polynomial
 
 
@@ -116,6 +117,28 @@ def test_leading_coefficient_past_the_float_range_is_typed():
     # X2(x) = 1e-200 x^2: the guard compares |X2(x)| / max(1, |x|)^2 with 1e-12 max|coeff|
     tiny = BiquadraticCurve([[1, 0, 0], [0, 1, 0], [1, 0, 1e-200]])
     assert tiny.other_y(1e155, 1.0) == pytest.approx(-1e45)
+
+
+def test_root_pair_that_leaves_the_float_range_is_typed():
+    """A constant V2 passes the lead test everywhere, but V0(t) overflows on the linear curve
+    (y - x)(y - x - 1): both views raise rather than return a NaN pair."""
+    cv = LinearLattice(h=1.0).curve()
+    for roots, t in ((cv.y_roots, 1e155), (cv.x_roots, 1e300)):
+        with pytest.raises(LeadingCoefficientVanishesError, match="root pair at .* not finite"):
+            roots(t)
+    assert sorted(cv.y_roots(1e150).as_tuple(), key=abs) == pytest.approx([1e150, 1e150 + 1])
+
+
+def test_lead_test_on_arrays_gives_the_scalar_verdicts():
+    """curve.lead_test holds one rule for _lead and the closed-form tail: elementwise over an
+    array t it passes exactly where the scalar lead test passes, with the same size."""
+    v2 = Polynomial((1e-3, 0.0, 1.0))
+    ts = np.array([0.0, 1j * 1e-3 ** 0.5, 1e155, 1e-20, 3.0 - 4j, np.inf])
+    with np.errstate(all="ignore"):
+        _, sizes, passes = lead_test(v2, ts)
+    for t, size, ok in zip(ts.tolist(), sizes.tolist(), passes.tolist()):
+        assert repr(lead_test(v2, t)[1:]) == repr((size, ok))
+    assert passes.tolist() == [True, False, False, True, True, False]
 
 
 def test_root_pair_vieta_invariants():

@@ -20,6 +20,7 @@ from ellgrid import (
 from ellgrid.diffops import C_METHODS, _all_pairs, diff_constants, pole_hit, pole_hits
 from ellgrid.errors import (
     BranchPointEvaluationError,
+    LeadingCoefficientVanishesError,
     MethodDegenerateError,
     PoleEvaluationError,
 )
@@ -80,6 +81,21 @@ def test_branch_point_evaluation_raises():
     xb = eq.curve.discriminant_P().roots()[0]
     with pytest.raises(BranchPointEvaluationError):
         divided_difference(eq.curve, lambda t: t, xb)
+
+
+@pytest.mark.parametrize("x", [1e155, 1e300])
+def test_root_pair_past_the_float_range_is_typed(x):
+    """On the linear curve V0(x) overflows at these x: the divided difference, the mean value
+    and D_n by its definition raise the root pair's typed error, not NaN."""
+    from ellgrid import solve
+    eq, select = linear_fixture()
+    pair = solve(eq, select, 10).pair
+    calls = (lambda: divided_difference(eq.curve, lambda t: t, x),
+             lambda: mean_value(eq.curve, lambda t: t, x),
+             lambda: mean_poly_direct(pair, 3, x))
+    for call in calls:
+        with pytest.raises(LeadingCoefficientVanishesError, match="root pair at .* not finite"):
+            call()
 
 
 def test_linearity_pointwise():

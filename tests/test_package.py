@@ -5,7 +5,8 @@ from ellgrid import curve, diffops, lattice, poly, solver
 
 DELETED = {
     "SymmetricForm", "convert_equation_form", "step_forward", "step_backward", "Scalar",
-    "_as_scalar", "fit_biquadratic", "fit_curve_to_lattice", "_term_scale",
+    "_as_scalar", "fit_biquadratic", "fit_curve_to_lattice", "_term_scale", "_horner",
+    "_reduced_abs", "_grid_function",
 }
 DELETED_ATTRS = {
     poly.RationalFunction: (
@@ -16,6 +17,7 @@ DELETED_ATTRS = {
     solver.ExpansionSolution: ("partial_sum",),
     solver.InterpolationReport: ("__float__",),
     curve.RootPair: ("ordered",),
+    curve.BiquadraticCurve: ("_f",),
     diffops.BasisPair: ("basis_at_m1",),
 }
 

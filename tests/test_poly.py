@@ -56,6 +56,22 @@ def test_eval_simple():
     assert p(1j) == pytest.approx(0.0)
 
 
+def test_eval_on_arrays_is_one_horner_loop():
+    """Arrays take the scalar loop: each entry rounds as Horner from a filled array did, and a
+    constant fills the array's shape as complex."""
+    rng = np.random.default_rng(3)
+    z = (rng.normal(size=40) + 1j * rng.normal(size=40)) * 10.0 ** rng.uniform(-3, 3, size=40)
+    for deg in range(5):
+        p = Polynomial(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
+        for t in (z, z.real):
+            want = np.full_like(t, p.coeffs[-1], dtype=complex)
+            for c in reversed(p.coeffs[:-1]):
+                want = want * t + c
+            got = p(t)
+            assert got.dtype == complex and got.shape == t.shape
+            assert repr(got.tolist()) == repr(want.tolist())
+
+
 def test_division_by_zero_polynomial():
     with pytest.raises(ZeroDivisorError):
         RationalFunction(X, Polynomial((0j,)))
