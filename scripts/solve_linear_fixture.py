@@ -42,7 +42,7 @@ def main():
     print()
     print(f"interpolation vs stepwise oracle (j <= {N}): max rel err {rep.max_error:.2e}")
     for j in (0, 3, 7):
-        z = sol.pair.x(j)
+        z = sol.pair.unprimed.x(j)
         print(f"equation residual at x_{j}: {abs(residual(eq, sol, N, z)):.2e}")
 
 

@@ -49,7 +49,6 @@ from .convergence import (
     empirical_rate,
     path_integral,
     period_quadrature,
-    predicted_rate,
     rate_map,
     term_magnitudes,
     trace_lattice_locus,
@@ -70,7 +69,7 @@ __all__ = [
     "locate_special_points", "residual", "solution_to_json", "solve",
     "stepwise_oracle", "verify_interpolation",
     "RatePredictor", "RateReport", "detect_small_divisors", "empirical_rate",
-    "path_integral", "period_quadrature", "predicted_rate", "rate_map",
-    "term_magnitudes", "trace_lattice_locus", "write_rate_map_csv",
+    "path_integral", "period_quadrature", "rate_map", "term_magnitudes",
+    "trace_lattice_locus", "write_rate_map_csv",
 ]
 __version__ = "0.1.0"

@@ -276,17 +276,6 @@ def _verify_checks(cfg):
 
     if "equation" in cfg:
         sol = _solve_scenario(cfg)
-        corrupt = params.get("corrupt")
-        if corrupt:
-            corrupt = _object(corrupt, "params.corrupt")
-            k = _int(corrupt.get("index", 0), "params.corrupt.index")
-            factor = _cnum(corrupt.get("factor", 1.01), "params.corrupt.factor")
-            cs = list(sol.coeffs)
-            if not 0 <= k < len(cs):
-                raise ValidationError(
-                    f"params.corrupt.index: expected 0 to {len(cs) - 1}, got {k}")
-            cs[k] = cs[k] * factor
-            sol.coeffs = tuple(cs)
         yield ("special-point-certificates",
                _worst((sol.special.res_m1, sol.special.res_p0)) <= 1e-9,
                f"residuals {sol.special.res_m1:.2e}, {sol.special.res_p0:.2e}")
@@ -383,7 +372,7 @@ def main(argv=None):
             raise ValidationError(
                 f"config run={run!r} does not match subcommand {args.command!r}")
         return RUNNERS[args.command](cfg, args.out, args.n, args.quiet)
-    except (ValidationError, MissingFieldError) as exc:
+    except ValidationError as exc:
         print(f"ValidationError: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except EllgridError as exc:

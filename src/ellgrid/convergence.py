@@ -534,18 +534,6 @@ class RatePredictor:
                 f"A vanishes on both lifts at {complex(z)}: a double root of P")
         return value
 
-    def _grid_rates(self, re_axis, im_axis):
-        """rate at every z = re + i im, im outer, re inner; NaN where A
-        vanishes on both lifts."""
-        re = np.asarray(re_axis, dtype=float)
-        im = np.asarray(im_axis, dtype=float)
-        return np.exp(self.log_rate(re[None, :] + 1j * im[:, None])).ravel()
-
-
-def predicted_rate(sol, z):
-    """exp(-Im 2 pi (xi_z - xi_zeta)/omega); logarithmic mode only."""
-    return RatePredictor(sol).rate(z)
-
 
 # -- grid sweep for the CLI -------------------------------------------------------------------
 
@@ -559,23 +547,27 @@ def rate_map(sol, re_axis, im_axis, n_min, n_max, smalldiv_threshold=0.05):
     holds what empirical_rate and RatePredictor.rate give at its point, up to
     rounding, but the grid is swept at once, by columns: one term sweep and
     small-divisor scan, one closed-form evaluation of the predicted rates,
-    and the flags of each cell looked up by one code; a bad window or threshold raises.
+    and the flags of each cell looked up by one code.  A bad window, threshold or axis entry
+    (one that is not a finite real) is a ValidationError naming it, raised before any work.
     """
     n_min, n_max, smalldiv_threshold = _fit_args(n_min, n_max, smalldiv_threshold)
+    res, ims = list(re_axis), list(im_axis)
+    for name, axis in (("re_axis", res), ("im_axis", ims)):
+        for i, v in enumerate(axis):
+            _real(v, f"{name}[{i}]")
     predictor, no_prediction = None, ()
     if sol.mode == "log":
         try:
             predictor = RatePredictor(sol)
         except (ValidationError, RefinePathError, PathThroughBranchPointError) as exc:
             no_prediction = (_flag(type(exc)),)
-    res, ims = list(re_axis), list(im_axis)
     zs = np.empty((len(ims), len(res)), dtype=complex)
     zs.real = np.asarray(res, dtype=float)
     zs.imag = np.asarray(ims, dtype=float)[:, None]
     emp, emp_code, emp_flags = _empirical_columns(sol, zs.ravel(), n_min, n_max,
                                                   smalldiv_threshold)
     if predictor is not None:
-        rates = predictor._grid_rates(res, ims)
+        rates = np.exp(predictor.log_rate(zs)).ravel()
         singular = np.isnan(rates)
         pred, pred_code = _rates_or_none(rates, singular), singular.astype(int)
         pred_flags = ((), (_flag(PathThroughBranchPointError),))

@@ -205,9 +205,9 @@ def basis_products(z, zeros, poles):
 class BasisPair:
     """Two elliptic lattices on one curve: the nodes (x_n, y_n) and poles (x'_n, y'_n).
 
-    It holds no state of its own besides the two lattices: the accessors
-    x/y/xp/yp read one index, loops read a range through `values` or `span`,
-    and a basis function reads its zeros and poles once, when it is made.
+    It holds no state of its own besides the two lattices: a point is read from
+    `unprimed` or `primed`, a range through their `values` or `span`, and a
+    basis function reads its zeros and poles once, when it is made.
     """
 
     def __init__(self, unprimed, primed):
@@ -221,18 +221,6 @@ class BasisPair:
         self.curve = unprimed.curve
         self.unprimed = unprimed
         self.primed = primed
-
-    def x(self, n):
-        return self.unprimed.x(n)
-
-    def y(self, n):
-        return self.unprimed.y(n)
-
-    def xp(self, n):
-        return self.primed.x(n)
-
-    def yp(self, n):
-        return self.primed.y(n)
 
     def x_basis(self, n):
         return BasisFunction(self, n, "x")
@@ -250,8 +238,7 @@ class BasisFunction:
     __slots__ = ("n", "zeros", "poles")
 
     def __init__(self, pair, n, kind):
-        if n < 0:
-            raise ValidationError("basis index must be >= 0")
+        n = _order(n, "n", lo=0)
         if kind not in ("x", "y"):
             raise ValidationError("basis kind must be 'x' or 'y'")
         axis = 0 if kind == "x" else 1
@@ -283,9 +270,7 @@ def diff_constants(pair, N):
           / ((y_0 - y_{-1}) X2(x_{-1}) Xb_{n-1}(x_{-1})),
     with Yb_n(y_{-1}) and Xb_{n-1}(x_{-1}) from one basis_products call each.
     """
-    N = _order(N, "N")
-    if N < 0:
-        raise ValidationError(f"C_n needs n >= 0, got {N}")
+    N = _order(N, "N", lo=0)
     cns = [0j]
     if N == 0:
         return cns
@@ -348,9 +333,7 @@ def diff_constant(pair, n, method="xm1"):
     ones plus their relative spread, requiring at least two to succeed (a route
     whose value is not finite is degenerate).
     """
-    n = _order(n, "n")
-    if n < 0:
-        raise ValidationError(f"C_n needs n >= 0, got {n}")
+    n = _order(n, "n", lo=0)
     if n == 0:
         return 0j if method != "all" else ({m: 0j for m in C_METHODS}, 0.0)
     if method == "all":
@@ -382,7 +365,7 @@ def mean_poly_direct(pair, n, z):
     xb = pair.x_basis(n - 1)(z)
     if abs(xb) <= 1e-280:
         raise MethodDegenerateError("Xb_{n-1}(z) ~ 0 in the direct D_n evaluation")
-    return mv * (z - pair.xp(0)) * (z - pair.xp(n)) / xb
+    return mv * (z - pair.primed.x(0)) * (z - pair.primed.x(n)) / xb
 
 
 def mean_poly_value(pair, n, at="xp0"):
@@ -414,9 +397,7 @@ def identity_samples(pair, n, count=20, seed=7):
 
     Used by the identity checks; a fixed seed keeps property tests reproducible.  n and
     count >= 1 are integers, or a ValidationError names them."""
-    n, count = _order(n, "n"), _order(count, "count")
-    if count < 1:
-        raise ValidationError(f"count must be at least 1, got {count}")
+    n, count = _order(n, "n"), _order(count, "count", lo=1)
     pts = pair.unprimed.values(-1, n + 1)[0] + pair.primed.values(0, n + 1)[0]
     center = sum(pts) / len(pts)
     rad = max(abs(p - center) for p in pts) + 1.0
@@ -446,7 +427,7 @@ def verify_diff_basis_identity(pair, n, samples):
     x2 = pair.curve.x_view()[2]
     yb = pair.y_basis(n)
     xb = pair.x_basis(n - 1)
-    xp0, xpn = pair.xp(0), pair.xp(n)
+    xp0, xpn = pair.primed.x(0), pair.primed.x(n)
     errs = []
     for z in samples:
         try:

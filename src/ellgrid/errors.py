@@ -135,14 +135,18 @@ class PathThroughBranchPointError(EllgridError):
     """An integration path passes too close to a branch point of sqrt(P)."""
 
 
-def _order(value, name):
-    """value as an int, where operator.index takes it and it is not a bool: an order N or K,
-    or a lattice index."""
+def _order(value, name, lo=None):
+    """value as an int, where operator.index takes it and it is not a bool, and not below lo
+    where lo is given: an order N or K, or a lattice index."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            n = operator.index(value)
         except TypeError:
             pass
+        else:
+            if lo is not None and n < lo:
+                raise ValidationError(f"{name} must be >= {lo}, got {n}")
+            return n
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 

@@ -456,11 +456,12 @@ def _log_products(eq, reads, c1, zeta):
 
 
 def _checked_coefficients(eq, pair, N, c0, products, bound, key, diag):
-    """(c_0 .. c_N, the oracle's c_1 or None at N = 0) from _ratio_coefficients, with
+    """c_0 .. c_N from _ratio_coefficients, for both modes alike, with
     NonFiniteCoefficientError at the first inf/NaN c_n and InternalInconsistencyError at the first
     n whose gap |c_n - p_n| / max(1, |c_n|, |p_n|) to p_n = products(eq, reads, c_1)[n-1] is not
-    <= bound (NaN fails).  diag gets the gaps for n = 0 .. N (0 at n = 0, where both routes take
-    c_0) under "product_gaps" and their maximum under key.
+    <= bound (NaN fails), then where c_1 and the stepwise oracle's c_1 differ by more than 1e-6
+    relative.  diag gets the gaps for n = 0 .. N (0 at n = 0, where both routes take c_0) under
+    "product_gaps", their maximum under key, and the c_1 routes' gap under "c1_routes_rel".
     """
     cs, c1_step, ps = [c0], None, np.empty(0)
     if N >= 1:
@@ -481,7 +482,14 @@ def _checked_coefficients(eq, pair, N, c0, products, bound, key, diag):
     if diag is not None:
         diag["product_gaps"] = [0.0] + gaps.tolist()
         diag[key] = max(diag["product_gaps"])
-    return cs, c1_step
+    if N >= 1:
+        c1_rel = abs(cs[1] - c1_step) / max(1.0, abs(cs[1]), abs(c1_step))
+        if not c1_rel <= 1e-6:
+            raise InternalInconsistencyError(
+                f"c_1 routes disagree: recurrence {cs[1]} vs oracle {c1_step}")
+        if diag is not None:
+            diag["c1_routes_rel"] = c1_rel
+    return cs
 
 
 def closed_product_coefficient(eq, pair, n, c1):
@@ -506,30 +514,19 @@ def expansion_coefficients(eq, pair, N, diag=None):
     against the closed product at every n (1e-7); its seed c_1 = (beta c_0 + delta)/eta_1
     must agree with the stepwise oracle to 1e-6 (InternalInconsistency otherwise).
     """
-    N = _order(N, "N")
+    N = _order(N, "N", lo=0)
     if eq.is_logarithmic:
         raise ValidationError("c = 0: use expansion_coefficients_log")
-    if N < 0:
-        raise ValidationError("N must be >= 0")
-    c0 = _c0(eq, pair.x(-1))
-    cs, c1_alt = _checked_coefficients(eq, pair, N, c0, _closed_products, 1e-7,
-                                       "closed_product_rel", diag)
-    if N >= 1:
-        c1_rel = abs(cs[1] - c1_alt) / max(1.0, abs(cs[1]), abs(c1_alt))
-        if not c1_rel <= 1e-6:
-            raise InternalInconsistencyError(
-                f"c_1 routes disagree: recurrence {cs[1]} vs oracle {c1_alt}")
-        if diag is not None:
-            diag["c1_routes_rel"] = c1_rel
-    return cs
+    return _checked_coefficients(eq, pair, N, _c0(eq, pair.unprimed.x(-1)), _closed_products,
+                                 1e-7, "closed_product_rel", diag)
 
 
 def third_root_of_a(eq, pair):
     """zeta: the root of a besides x_{-1} and x'_0 (logarithmic mode, deg a = 3)."""
     if eq.a.degree() != 3:
         raise DegreeMismatchError("logarithmic mode needs deg a = 3")
-    q1, r1 = divmod(eq.a, Polynomial.from_roots([pair.x(-1)]))
-    q2, r2 = divmod(q1, Polynomial.from_roots([pair.xp(0)]))
+    q1, r1 = divmod(eq.a, Polynomial.from_roots([pair.unprimed.x(-1)]))
+    q2, r2 = divmod(q1, Polynomial.from_roots([pair.primed.x(0)]))
     scale = max(eq.a.max_coeff, 1.0)
     if max(r1.max_coeff, r2.max_coeff) > 1e-7 * scale:
         raise ValidationError("x_{-1} and x'_0 are not roots of a")
@@ -541,22 +538,21 @@ def expansion_coefficients_log(eq, pair, N, c0_free, diag=None):
 
     Requires deg a = 3 with x_{-1} and x'_0 among its roots and d(x_{-1}) = 0
     (otherwise no expansion of this form exists).  The ratio recurrence with c = 0 gives
-    c_1 .. c_N, checked against the elementary product formula at every n (1e-8).
+    c_1 .. c_N, checked against the elementary product formula at every n (1e-8); its seed
+    c_1 = delta/eta_1 must agree with the stepwise oracle to 1e-6, as in the general mode.
     """
-    N = _order(N, "N")
+    N = _order(N, "N", lo=0)
     if not eq.is_logarithmic:
         raise ValidationError("equation is not logarithmic (c != 0)")
-    if N < 0:
-        raise ValidationError("N must be >= 0")
     zeta = third_root_of_a(eq, pair)
-    xm1 = pair.x(-1)
+    xm1 = pair.unprimed.x(-1)
     if not abs(eq.d(xm1)) <= 1e-8 * eq.scale(xm1):             # NaN fails
         raise ValidationError(
             "logarithmic expansions need d(x_{-1}) = 0; seed x_{-1} at the root of d")
     if diag is not None:
         diag["zeta"] = zeta
     return _checked_coefficients(eq, pair, N, complex(c0_free), partial(_log_products, zeta=zeta),
-                                 1e-8, "log_vs_ratio_rel", diag)[0]
+                                 1e-8, "log_vs_ratio_rel", diag)
 
 
 def stepwise_oracle(eq, pair, K, f0=None):
@@ -568,13 +564,11 @@ def stepwise_oracle(eq, pair, K, f0=None):
     A singular step k raises HitSingularLatticeError(k, f_0 .. f_k), a step k whose terms or value
     leave the float range LatticeSingularityError(k), and a negative K a ValidationError.
     """
-    K = _order(K, "K")
-    if K < 0:
-        raise ValidationError(f"K must be >= 0, got {K}")
+    K = _order(K, "K", lo=0)
     if f0 is None:
         if eq.is_logarithmic:
             raise ValidationError("logarithmic oracle needs the free constant f0")
-        f0 = _c0(eq, pair.x(-1))
+        f0 = _c0(eq, pair.unprimed.x(-1))
     xs, ys = pair.unprimed.span(0, K + 1)
     _, cx, ratio, den, size, singular = _step_kernel(eq)(xs[:-1], ys[1:] - ys[:-1])
     end = int(np.append(singular | ~(size < np.inf), True).argmax())    # K where no step stops
@@ -626,12 +620,19 @@ def solve(eq, select, N, c0_free=None, y0_hint=None, yp1_hint=None):
                              diagnostics=diag)
 
 
+def _sum_order(sol, N):
+    """N as the order of one of sol's partial sums, 0 .. len(sol.coeffs) - 1, or a
+    ValidationError."""
+    N = _order(N, "N")
+    if not 0 <= N < len(sol.coeffs):
+        raise ValidationError(f"partial sum order {N} is outside 0 .. {len(sol.coeffs) - 1}")
+    return N
+
+
 def evaluate_partial_sum(sol, N, z):
     """S_N(z) = sum_{k<=N} c_k Yb_k(z), with Yb_0(z) .. Yb_N(z) from one basis_products call;
     a non-finite z is a ValidationError naming it."""
-    N, z = _order(N, "N"), _finite(z, "z")
-    if not 0 <= N < len(sol.coeffs):
-        raise ValidationError(f"partial sum order {N} is outside 0 .. {len(sol.coeffs) - 1}")
+    N, z = _sum_order(sol, N), _finite(z, "z")
     ys = sol.pair.unprimed.values(0, N)[1]
     poles = sol.pair.primed.values(1, N + 1)[1]
     acc = sol.coeffs[0]
@@ -700,9 +701,7 @@ def verify_interpolation(eq, sol, N):
     linear fixture (README, Cost).  The pole guard still covers every k <= N at
     every node.
     """
-    N = _order(N, "N")
-    if not 0 <= N < len(sol.coeffs):
-        raise ValidationError(f"partial sum order {N} is outside 0 .. {len(sol.coeffs) - 1}")
+    N = _sum_order(sol, N)
     pair, cs = sol.pair, sol.coeffs
     try:
         oracle, skipped = stepwise_oracle(eq, pair, N, f0=cs[0]), ()

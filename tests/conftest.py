@@ -368,7 +368,7 @@ def ref_stepwise_oracle(eq, pair, K, f0):
     """
     from ellgrid.solver import SINGULAR_STEP_TOL
 
-    xs, ys = [pair.x(k) for k in range(K + 1)], [pair.y(k) for k in range(K + 1)]
+    xs, ys = [pair.unprimed.x(k) for k in range(K + 1)], [pair.unprimed.y(k) for k in range(K + 1)]
     vals = [complex(f0)]
     for k in range(K):
         x, dy = xs[k], ys[k + 1] - ys[k]
@@ -415,9 +415,10 @@ def ref_xi(eq, pair, n):
 
     A reference read index by index, with C_n = diff_constant(pair, n).
     """
-    z = pair.xp(n)
-    num = eq.a(z) + eq.c(z) * (pair.yp(n + 1) - pair.yp(n)) / 2.0
-    den = (z - pair.x(-1)) * (z - pair.xp(0)) * (z - pair.x(n - 1))
+    x, xp, yp = pair.unprimed.x, pair.primed.x, pair.primed.y
+    z = xp(n)
+    num = eq.a(z) + eq.c(z) * (yp(n + 1) - yp(n)) / 2.0
+    den = (z - x(-1)) * (z - xp(0)) * (z - x(n - 1))
     return diff_constant(pair, n) * num / den
 
 
@@ -426,9 +427,10 @@ def ref_eta(eq, pair, n):
 
     A reference read index by index, with C_n = diff_constant(pair, n).
     """
-    z = pair.x(n - 1)
-    num = eq.a(z) - eq.c(z) * (pair.y(n) - pair.y(n - 1)) / 2.0
-    den = (z - pair.x(-1)) * (z - pair.xp(0)) * (z - pair.xp(n))
+    x, y, xp = pair.unprimed.x, pair.unprimed.y, pair.primed.x
+    z = x(n - 1)
+    num = eq.a(z) - eq.c(z) * (y(n) - y(n - 1)) / 2.0
+    den = (z - x(-1)) * (z - xp(0)) * (z - xp(n))
     return diff_constant(pair, n) * num / den
 
 
@@ -437,24 +439,26 @@ def ref_cn_xn1(pair, n):
 
     The x_{n-1} route of C_n, read index by index.
     """
-    z = pair.x(n - 1)
-    num = pair.y_basis(n)(pair.y(n)) * (z - pair.xp(0)) * (z - pair.xp(n))
-    den = (pair.y(n) - pair.y(n - 1)) * pair.curve.x_view()[2](z) * pair.x_basis(n - 1)(z)
+    x, y, xp = pair.unprimed.x, pair.unprimed.y, pair.primed.x
+    z = x(n - 1)
+    num = pair.y_basis(n)(y(n)) * (z - xp(0)) * (z - xp(n))
+    den = (y(n) - y(n - 1)) * pair.curve.x_view()[2](z) * pair.x_basis(n - 1)(z)
     return num / den
 
 
 def ref_dn(pair, n, at):
     """D_n at x_{-1}, x_{n-1}, x'_0 or x'_n, one branch per point, read index by index."""
+    x, y, xp, yp = pair.unprimed.x, pair.unprimed.y, pair.primed.x, pair.primed.y
     cn = diff_constant(pair, n)
     x2 = pair.curve.x_view()[2]
     if at == "xm1":
-        return -0.5 * cn * x2(pair.x(-1)) * (pair.y(0) - pair.y(-1))
+        return -0.5 * cn * x2(x(-1)) * (y(0) - y(-1))
     if at == "xn1":
-        return 0.5 * cn * x2(pair.x(n - 1)) * (pair.y(n) - pair.y(n - 1))
+        return 0.5 * cn * x2(x(n - 1)) * (y(n) - y(n - 1))
     if at == "xp0":
-        return 0.5 * cn * x2(pair.xp(0)) * (pair.yp(1) - pair.yp(0))
+        return 0.5 * cn * x2(xp(0)) * (yp(1) - yp(0))
     assert at == "xpn"
-    return -0.5 * cn * x2(pair.xp(n)) * (pair.yp(n + 1) - pair.yp(n))
+    return -0.5 * cn * x2(xp(n)) * (yp(n + 1) - yp(n))
 
 
 def ref_ratio_recurrence(eq, pair, c0, N):
@@ -470,13 +474,14 @@ def ref_ratio_recurrence(eq, pair, c0, N):
 
 def ref_closed_product(eq, pair, n, c1):
     """c_n by the closed product, one Python factor at a time from per-index reads."""
-    xm1, xp0 = pair.x(-1), pair.xp(0)
-    v = c1 * diff_constant(pair, 1) / (pair.xp(1) - pair.x(0))
-    v *= (pair.xp(n) - pair.x(n - 1)) / diff_constant(pair, n)
+    x, y, xp, yp = pair.unprimed.x, pair.unprimed.y, pair.primed.x, pair.primed.y
+    xm1, xp0 = x(-1), xp(0)
+    v = c1 * diff_constant(pair, 1) / (xp(1) - x(0))
+    v *= (xp(n) - x(n - 1)) / diff_constant(pair, n)
     for k in range(1, n):
-        xk, xpk = pair.x(k), pair.xp(k)
-        v *= (eq.a(xpk) + eq.c(xpk) * (pair.yp(k + 1) - pair.yp(k)) / 2.0) \
-            / (eq.a(xk) - eq.c(xk) * (pair.y(k + 1) - pair.y(k)) / 2.0)
+        xk, xpk = x(k), xp(k)
+        v *= (eq.a(xpk) + eq.c(xpk) * (yp(k + 1) - yp(k)) / 2.0) \
+            / (eq.a(xk) - eq.c(xk) * (y(k + 1) - y(k)) / 2.0)
         v *= (xk - xm1) * (xk - xp0) / ((xpk - xm1) * (xpk - xp0))
     return v
 
@@ -484,14 +489,15 @@ def ref_closed_product(eq, pair, n, c1):
 def ref_log_product(eq, pair, n, c1, zeta):
     """c_n by the elementary product formula of the logarithmic case, one Python factor
     at a time from per-index reads."""
-    xm1, ym1, xp0 = pair.x(-1), pair.y(-1), pair.xp(0)
-    v = c1 * diff_constant(pair, 1) / (pair.xp(1) - pair.x(0)) * eq.curve.x_view()[2](xm1)
-    v *= (pair.xp(n) - pair.x(n - 1)) / (xm1 - xp0)
+    x, y, xp, yp = pair.unprimed.x, pair.unprimed.y, pair.primed.x, pair.primed.y
+    xm1, ym1, xp0 = x(-1), y(-1), xp(0)
+    v = c1 * diff_constant(pair, 1) / (xp(1) - x(0)) * eq.curve.x_view()[2](xm1)
+    v *= (xp(n) - x(n - 1)) / (xm1 - xp0)
     for j in range(1, n + 1):
-        v *= (ym1 - pair.yp(j)) / (xm1 - pair.xp(j))
+        v *= (ym1 - yp(j)) / (xm1 - xp(j))
         if j >= 2:
-            v *= (xm1 - pair.x(j - 2)) / (ym1 - pair.y(j - 1))
-            v *= (pair.xp(j - 1) - zeta) / (pair.x(j - 1) - zeta)
+            v *= (xm1 - x(j - 2)) / (ym1 - y(j - 1))
+            v *= (xp(j - 1) - zeta) / (x(j - 1) - zeta)
     return v
 
 
@@ -645,6 +651,39 @@ def ref_ratio_replay(eq, pair, c0, N):
             (xi, rx), (e, re) = term(n, +1, xps[n], yps[n + 1] - yps[n], xs[n]), eta(n + 1)
             rho += rx + re + MUL + DIV
             out.append((Dc() - out[-1][0] * xi / e, rho))
+        return [(v, abs(v) * np.expm1(r)) for v, r in out]
+
+
+def ref_cn_replay(pair, N):
+    """[(C_n, bound_n)] for n = 0 .. N: diff_constants' x_{-1} route
+
+        C_n = -Yb_n(y_{-1}) (x_{-1} - x'_0)(x_{-1} - x'_n)
+              / ((y_0 - y_{-1}) X2(x_{-1}) Xb_{n-1}(x_{-1}))
+
+    replayed to 50 digits on the float lattice (C_n a Dc, C_0 = 0), and a bound on the forward
+    error of a float route that forms the same terms.  Each factor (w - z)/(w - p) of the running
+    products Yb_n(y_{-1}) and Xb_{n-1}(x_{-1}) adds 2 ADD + DIV, and taking it into its product
+    MUL; the head (y_0 - y_{-1}) X2(x_{-1}) adds X2's Horner bound and ADD + MUL; the numerator's
+    two differences and two products 2 ADD + 2 MUL; and the head times Xb_{n-1} and the quotient
+    MUL + DIV.  bound_n = |C_n| expm1(rho_n) for the sum rho_n of relative bounds, n factors of
+    Yb_n and n - 1 of Xb_{n-1} (Higham 3.1, |theta_k| <= gamma_k).
+    """
+    (xs, ys), (xps, yps) = pair.unprimed.values(-1, N), pair.primed.values(0, N + 1)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        xs, ys, xps, yps = ([Dc(v) for v in w] for w in (xs, ys, xps, yps))
+        xm1, ym1, xp0 = xs[0], ys[0], xps[0]
+        x2, ex2 = _horner_replay(pair.curve.x_view()[2], xm1)
+        head = (ys[1] - ym1) * x2
+        fixed = _rel(ex2, abs(x2)) + 3 * ADD + 4 * MUL + DIV
+        factor = 2 * ADD + DIV + MUL
+        yb, xb, out = Dc(1), Dc(1), [(Dc(), 0.0)]
+        for n in range(1, N + 1):
+            yb = yb * ((ym1 - ys[n]) / (ym1 - yps[n]))
+            if n >= 2:
+                xb = xb * ((xm1 - xs[n - 1]) / (xm1 - xps[n - 1]))
+            cn = Dc() - yb * (xm1 - xp0) * (xm1 - xps[n]) / (head * xb)
+            out.append((cn, fixed + (2 * n - 1) * factor))
         return [(v, abs(v) * np.expm1(r)) for v, r in out]
 
 

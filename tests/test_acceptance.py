@@ -162,7 +162,7 @@ def test_criterion_06_expansion_end_to_end():
         sol = solve(eq, select, 10)
         worst_interp = max(worst_interp, verify_interpolation(eq, sol, 10).max_error)
         for j in range(0, 10):
-            z = sol.pair.x(j)
+            z = sol.pair.unprimed.x(j)
             worst_res = max(worst_res, abs(residual(eq, sol, 10, z)) / eq.scale(z))
         for n in range(2, 11):
             prod = closed_product_coefficient(eq, sol.pair, n, sol.coeffs[1])
@@ -183,10 +183,10 @@ def test_criterion_07_logarithmic_case():
     worst_route = max(abs(sol.coeffs[n] - ratio[n]) / max(1.0, abs(ratio[n]))
                       for n in range(1, 7))
     # telescoping oracle: the exact solution is 1/(y - A) + const
-    offset = c0_free - 1.0 / (sol.pair.y(0) - A)
+    offset = c0_free - 1.0 / (sol.pair.unprimed.y(0) - A)
     worst_tel = max(
-        abs(evaluate_partial_sum(sol, 10, sol.pair.y(j))
-            - (1.0 / (sol.pair.y(j) - A) + offset)) / (1.0 + abs(offset))
+        abs(evaluate_partial_sum(sol, 10, sol.pair.unprimed.y(j))
+            - (1.0 / (sol.pair.unprimed.y(j) - A) + offset)) / (1.0 + abs(offset))
         for j in range(11))
     # the elementary product formula, checked against the coefficients inside solve
     worst_product = sol.diagnostics["log_vs_ratio_rel"]
@@ -231,7 +231,7 @@ def test_criterion_09_convergence_rate():
     cs = list(sol.coeffs)
     prod = 1.0 + 0j
     for n in range(1, 29):
-        prod *= (zs - sol.pair.y(n - 1)) / (zs - sol.pair.yp(n))
+        prod *= (zs - sol.pair.unprimed.y(n - 1)) / (zs - sol.pair.primed.y(n))
         cs[n] = 0.5 ** n / prod
     old = sol.coeffs
     try:
@@ -276,13 +276,14 @@ def test_criterion_10_small_divisor_detector():
     cs = list(sol.coeffs)
     prod = 1.0 + 0j
     for n in range(1, 29):
-        prod *= (z - sol.pair.y(n - 1)) / (z - sol.pair.yp(n))
+        prod *= (z - sol.pair.unprimed.y(n - 1)) / (z - sol.pair.primed.y(n))
         cs[n] = rho ** n / prod
     cs[14] *= 1e6
     old_coeffs, old_y12 = sol.coeffs, sol.pair.unprimed._y[12]
     try:
         sol.coeffs = tuple(cs)
-        sol.pair.unprimed._y[12] = sol.pair.y(-1) + 1e-6 * (old_y12 - sol.pair.y(-1))
+        ym1 = sol.pair.unprimed.y(-1)
+        sol.pair.unprimed._y[12] = ym1 + 1e-6 * (old_y12 - ym1)
         excl = empirical_rate(sol, z, 5, 25, smalldiv_threshold=0.05)
     finally:
         sol.coeffs = old_coeffs

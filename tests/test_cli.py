@@ -218,10 +218,20 @@ def test_verify_healthy_scenario(tmp_path, capsys):
     assert out.count("PASS") >= 6
 
 
-def test_verify_corruption_is_reported(tmp_path, capsys):
+def test_verify_corruption_is_reported(tmp_path, capsys, monkeypatch):
+    """c_5 scaled by 1.01: the check against the stepwise oracle fails, exit 3."""
+    from ellgrid import cli
+
+    solve = cli.solver.solve
+
+    def corrupt_5(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        sol.coeffs = sol.coeffs[:5] + (sol.coeffs[5] * 1.01,) + sol.coeffs[6:]
+        return sol
+
+    monkeypatch.setattr(cli.solver, "solve", corrupt_5)
     cfg_data = qgeom_solve_cfg()
     cfg_data["run"] = "verify"
-    cfg_data["params"]["corrupt"] = {"index": 5, "factor": 1.01}
     cfg = write_cfg(tmp_path, "verify.json", cfg_data)
     assert main(["verify", "--config", cfg]) == 3
     out = capsys.readouterr().out
@@ -349,8 +359,6 @@ MALFORMED = [
                                                 "y1_hint": [1.0, 0.0]}, "y1_hint",
                  id="seed-names-both-selectors"),
     pytest.param("solve", ("params", "out"), 5, "params.out", id="out-not-path"),
-    pytest.param("verify", ("params", "corrupt"), {"index": 11}, "params.corrupt.index",
-                 id="corrupt-index-out-of-range"),
     pytest.param("solve", ("equation", "a", 0), ["x", 0.0], "equation.a[0]",
                  id="coefficient-part-string"),
     pytest.param("solve", ("equation", "a", 0), [None, 0.0], "equation.a[0]",

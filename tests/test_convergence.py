@@ -19,7 +19,6 @@ from ellgrid import (
     identity_samples,
     path_integral,
     period_quadrature,
-    predicted_rate,
     rate_map,
     residual,
     solve,
@@ -154,7 +153,7 @@ def test_empirical_rate_recovers_injected_geometric(qsol):
     cs = list(sol.coeffs)
     prod = 1.0 + 0j
     for n in range(1, 29):
-        prod *= (z - sol.pair.y(n - 1)) / (z - sol.pair.yp(n))
+        prod *= (z - sol.pair.unprimed.y(n - 1)) / (z - sol.pair.primed.y(n))
         cs[n] = 0.5 ** n / prod
     old = sol.coeffs
     try:
@@ -246,7 +245,7 @@ def test_locus_trace_closes_on_circle(qsol):
     curve = sol.eq.curve
     # direction in the uniformizing plane: xi(x) = log(x)/(1-q) up to sign,
     # so the lattice line (|x| = 1) runs along i/(1-q)
-    samples = trace_lattice_locus(curve, sol.pair.x(0), 1j / (1.0 - q))
+    samples = trace_lattice_locus(curve, sol.pair.unprimed.x(0), 1j / (1.0 - q))
     radii = np.abs(np.asarray(samples))
     assert radii.max() - radii.min() <= 1e-6
     assert abs(samples[-1] - samples[0]) < 0.02
@@ -267,7 +266,7 @@ def test_locus_trace_stops_at_once_for_constant_p(monkeypatch):
         return _original(self, z)
     monkeypatch.setattr(Polynomial, "__call__", counted)
     with pytest.raises(RefinePathError):
-        trace_lattice_locus(eq.curve, sol.pair.x(0), 1.0)
+        trace_lattice_locus(eq.curve, sol.pair.unprimed.x(0), 1.0)
     assert evals[0] == 0
     with pytest.raises(RefinePathError):
         RatePredictor(sol)
@@ -504,7 +503,7 @@ def test_empirical_vs_predicted_within_15_percent(qsol):
     sol, zeta, q = qsol
     z = 1.05 * np.exp(0.7j)
     rep = empirical_rate(sol, z, 5, 25)
-    pred = predicted_rate(sol, z)
+    pred = RatePredictor(sol).rate(z)
     assert abs(np.log(rep.empirical_rate) - np.log(pred)) <= 0.15 * abs(np.log(pred))
 
 
@@ -512,7 +511,7 @@ def test_predicted_rate_requires_log_mode():
     eq, select = linear_fixture()
     sol = solve(eq, select, 6)
     with pytest.raises(ValidationError):
-        predicted_rate(sol, 0.5)
+        RatePredictor(sol).rate(0.5)
 
 
 def test_small_divisor_exclusion_recovers_clean_slope(qsol):
@@ -524,13 +523,14 @@ def test_small_divisor_exclusion_recovers_clean_slope(qsol):
     old_coeffs, old_y12 = sol.coeffs, sol.pair.unprimed._y[12]
     try:
         # the engineered near-return divisor: y_{-1} - y_12, i.e. index n = 14
-        sol.pair.unprimed._y[12] = sol.pair.y(-1) + 1e-6 * (old_y12 - sol.pair.y(-1))
+        ym1 = sol.pair.unprimed.y(-1)
+        sol.pair.unprimed._y[12] = ym1 + 1e-6 * (old_y12 - ym1)
         # synthetic terms on the edited lattice: exactly rho^n, except a 1e6
         # spike at n = 14
         cs = list(sol.coeffs)
         prod = 1.0 + 0j
         for n in range(1, 29):
-            prod *= (z - sol.pair.y(n - 1)) / (z - sol.pair.yp(n))
+            prod *= (z - sol.pair.unprimed.y(n - 1)) / (z - sol.pair.primed.y(n))
             cs[n] = rho ** n / prod
         cs[14] *= 1e6
         sol.coeffs = tuple(cs)
@@ -570,6 +570,23 @@ def test_rate_map_general_mode_has_no_prediction():
     assert pred is None
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1.0"], ids=repr)
+@pytest.mark.parametrize("axis", ["re_axis", "im_axis"])
+@pytest.mark.parametrize("mode", ["general", "log"])
+def test_rate_map_refuses_an_axis_entry_that_is_not_a_finite_real(qsol, mode, axis, bad):
+    """Each axis entry is a finite real, or a ValidationError names it before any work: a NaN
+    would otherwise give a NaN empirical rate with no flag, or a flagged predicted cell."""
+    if mode == "general":
+        eq, select = linear_fixture()
+        sol = solve(eq, select, 30)
+    else:
+        sol = qsol[0]
+    axes = {"re_axis": [1.0, 0.5], "im_axis": [0.5, 0.25]}
+    axes[axis][1] = bad
+    with pytest.raises(ValidationError, match=rf"^{axis}\[1\]: expected a finite real"):
+        rate_map(sol, axes["re_axis"], axes["im_axis"], 5, 25)
+
+
 # -- rate map over the whole grid vs cell by cell ----------------------------------------------
 
 
@@ -577,10 +594,10 @@ def _loop_empirical(sol, z, n_min, n_max, threshold=0.05):
     """Reference cell: Python complex term products and np.polyfit, as (rate, flags)."""
     prod, mags = 1.0 + 0j, []
     for k in range(1, n_max + 1):
-        pole = sol.pair.yp(k)
+        pole = sol.pair.primed.y(k)
         if pole_hit(z, pole):
             return None, ("PoleEvaluation",)
-        prod *= (z - sol.pair.y(k - 1)) / (z - pole)
+        prod *= (z - sol.pair.unprimed.y(k - 1)) / (z - pole)
         mags.append(abs(sol.coeffs[k] * prod))
     excluded = {n for n, _ in detect_small_divisors(sol.pair, n_max, threshold)}
     ns = [n for n in range(max(n_min, 1), n_max + 1)
@@ -677,7 +694,7 @@ def test_rate_map_rows_are_per_cell_reference_bit_for_bit(qsol, case, window):
     elif case == "genus 1":
         sol = solve_log_qlattice(N=30, shift=1e-2)[0]
     elif case == "on a node":                       # the terms past y_0 vanish there
-        y0 = sol.pair.y(0)
+        y0 = sol.pair.unprimed.y(0)
         re_axis, im_axis = [y0.real, 1.0], [y0.imag, 0.2]
     rows = rate_map(sol, re_axis, im_axis, *window)
     assert repr(rows) == repr(_per_cell_rate_map(sol, re_axis, im_axis, *window))
@@ -711,14 +728,15 @@ def test_rate_map_excludes_small_divisors_like_cells(qsol):
     cs = list(sol.coeffs)
     prod = 1.0 + 0j
     for n in range(1, 29):
-        prod *= (z - sol.pair.y(n - 1)) / (z - sol.pair.yp(n))
+        prod *= (z - sol.pair.unprimed.y(n - 1)) / (z - sol.pair.primed.y(n))
         cs[n] = 0.6 ** n / prod
     cs[14] *= 1e6
     old_coeffs, old_y12 = sol.coeffs, sol.pair.unprimed._y[12]
     re_axis, im_axis = np.linspace(0.45, 0.55, 3), np.linspace(0.15, 0.25, 3)
     try:
         sol.coeffs = tuple(cs)
-        sol.pair.unprimed._y[12] = sol.pair.y(-1) + 1e-6 * (old_y12 - sol.pair.y(-1))
+        ym1 = sol.pair.unprimed.y(-1)
+        sol.pair.unprimed._y[12] = ym1 + 1e-6 * (old_y12 - ym1)
         assert 14 in [n for n, _ in detect_small_divisors(sol.pair, 25, 0.05)]
         rows = rate_map(sol, re_axis, im_axis, 5, 25)
         _assert_rows_match_cells(sol, rows, re_axis, im_axis, RatePredictor(sol))
@@ -753,12 +771,14 @@ def _outer_s(x):
 def test_grid_matches_joukowski_truth_around_branch_points():
     """The grid's rows pass under the roots +/-1.67 of P, on both sides of
     them: every cell and rate(z) is |s_z| / |s_zeta| on the outer lift of the
-    ellipse walk's x = s + 0.7/s."""
+    ellipse walk's x = s + 0.7/s.  The stand-in has no terms, so only the
+    predicted column is read."""
     sol = aw_rotation_solution()
+    sol.coeffs = ()
     predictor = RatePredictor(sol)
     re, im = np.linspace(-3.0, 3.0, 25), np.linspace(-1.2, -0.4, 5)
     zs = [complex(x, y) for y in im for x in re]
-    for rate, z in zip(predictor._grid_rates(re, im).tolist(), zs):
+    for (*_, rate, _), z in zip(rate_map(sol, re, im, 5, 25), zs):
         want = abs(_outer_s(z)) / abs(_outer_s(sol.zeta))
         assert abs(rate - want) <= 1e-12 * want, z
         assert abs(predictor.rate(z) - want) <= 1e-12 * want, z

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ellgrid import (
+    BasisFunction,
     BasisPair,
+    ByIndex,
     BiquadraticCurve,
     LatticePair,
     LatticeSpec,
@@ -15,18 +17,31 @@ from ellgrid import (
     mean_poly_value,
     mean_rational,
     mean_value,
+    solve,
     verify_diff_basis_identity,
 )
 from ellgrid.diffops import C_METHODS, _all_pairs, diff_constants, pole_hit, pole_hits
 from ellgrid.errors import (
     BranchPointEvaluationError,
+    EllgridError,
     LeadingCoefficientVanishesError,
     MethodDegenerateError,
     PoleEvaluationError,
+    ValidationError,
 )
 from ellgrid.poly import Polynomial, RationalFunction
 
-from conftest import aw_fixture, linear_fixture, qgeom_fixture, ref_cn_xn1, ref_dn
+from conftest import (
+    aw_fixture,
+    gate_ratios,
+    genus1_equation,
+    linear_fixture,
+    log_linear_fixture,
+    qgeom_fixture,
+    ref_cn_replay,
+    ref_cn_xn1,
+    ref_dn,
+)
 
 X = Polynomial.x()
 
@@ -199,11 +214,11 @@ def test_basis_values():
     assert pair.y_basis(0)(123.4) == pytest.approx(1.0)
     for n in (1, 2, 3):
         for j in range(n):
-            assert pair.y_basis(n)(pair.y(j)) == pytest.approx(0.0)
+            assert pair.y_basis(n)(pair.unprimed.y(j)) == pytest.approx(0.0)
     # (5-0)(5-1) / ((5-1.5)(5-2.5)) = 20 / 8.75
     assert pair.y_basis(2)(5.0) == pytest.approx(20.0 / 8.75)
     with pytest.raises(PoleEvaluationError):
-        pair.y_basis(2)(pair.yp(1))
+        pair.y_basis(2)(pair.primed.y(1))
 
 
 def test_basis_as_rational_agrees():
@@ -309,10 +324,10 @@ def test_pole_hits_matches_scalar_guard():
 
 def _cn_xm1_from_scratch(pair, n):
     """The x_{-1} route of C_n with Yb_n and Xb_{n-1} rebuilt by BasisFunction."""
-    xm1, ym1 = pair.x(-1), pair.y(-1)
+    xm1, ym1 = pair.unprimed.x(-1), pair.unprimed.y(-1)
     x2 = pair.curve.x_view()[2]
-    num = -pair.y_basis(n)(ym1) * (xm1 - pair.xp(0)) * (xm1 - pair.xp(n))
-    den = (pair.y(0) - ym1) * x2(xm1) * pair.x_basis(n - 1)(xm1)
+    num = -pair.y_basis(n)(ym1) * (xm1 - pair.primed.x(0)) * (xm1 - pair.primed.x(n))
+    den = (pair.unprimed.y(0) - ym1) * x2(xm1) * pair.x_basis(n - 1)(xm1)
     return num / den
 
 
@@ -368,6 +383,59 @@ def test_cn_routes_agree_at_high_order():
     assert all(np.isfinite(v) for v in vals.values())
     assert spread <= 1e-8
     assert vals["xm1"] == diff_constant(pair, 200)
+
+
+def cn_gate_runs():
+    """(name, pair, N): linear and Askey-Wilson at N = 300, qgeom at 40 (its walk stagnates at
+    n = 47), the log-linear fixture at 300, and genus1_equation seeds 0-9 under ByIndex(0, 1)
+    at 150 wherever the seed solves."""
+    for name, fixture, N in (("linear", linear_fixture, 300), ("askey-wilson", aw_fixture, 300),
+                             ("qgeom", qgeom_fixture, 40)):
+        eq, select = fixture()
+        yield name, solve(eq, select, N).pair, N
+    eq, select, c0_free, _, _, hints = log_linear_fixture()
+    yield "log-linear", solve(eq, select, 300, c0_free=c0_free, **hints).pair, 300
+    for seed in range(10):
+        try:
+            yield f"genus1-{seed}", solve(genus1_equation(seed), ByIndex(0, 1), 150).pair, 150
+        except EllgridError:
+            continue
+
+
+def test_diff_constants_within_their_bound_of_the_50_digit_replay():
+    """Every C_n of diff_constants lies within its forward-error bound of ref_cn_replay."""
+    runs = list(cn_gate_runs())
+    assert len(runs) >= 10
+    for name, pair, N in runs:
+        ratios = gate_ratios(diff_constants(pair, N), ref_cn_replay(pair, N))
+        assert len(ratios) == N + 1 and max(ratios) <= 1.0, (name, max(ratios))
+
+
+def test_cn_gate_has_teeth():
+    """One C_n scaled by 1 + 1e-12 fails the gate there and nowhere else."""
+    eq, select = linear_fixture()
+    pair = solve(eq, select, 300).pair
+    cns, replay = diff_constants(pair, 300), ref_cn_replay(pair, 300)
+    for n in (1, 150, 300):
+        scaled = list(cns)
+        scaled[n] *= 1 + 1e-12
+        ratios = gate_ratios(scaled, replay)
+        assert ratios[n] > 1.0 and max(ratios[:n] + ratios[n + 1:]) <= 1.0, n
+
+
+def test_orders_below_their_bound_name_it():
+    """The basis index, C_n's order and the sample count are integers at or above their
+    bound: the error names the argument and the bound."""
+    pair = half_offset_pair()
+    for call, name, lo in ((lambda v: BasisFunction(pair, v, "y"), "n", 0),
+                           (lambda v: diff_constant(pair, v), "n", 0),
+                           (lambda v: diff_constants(pair, v), "N", 0),
+                           (lambda v: identity_samples(pair, 2, count=v), "count", 1)):
+        for bad in (2.5, True):
+            with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {bad}$"):
+                call(bad)
+        with pytest.raises(ValidationError, match=f"^{name} must be >= {lo}, got {lo - 1}$"):
+            call(lo - 1)
 
 
 @pytest.mark.parametrize("fixture, n", [(aw_fixture, 19), (aw_fixture, 30), (aw_fixture, 33),
@@ -452,12 +520,12 @@ def test_mean_poly_closed_forms():
     x2 = pair.curve.x_view()[2]
     for n in (1, 2, 3):
         cn = diff_constant(pair, n)
-        want = 0.5 * cn * x2(pair.xp(0)) * (pair.yp(1) - pair.yp(0))
+        want = 0.5 * cn * x2(pair.primed.x(0)) * (pair.primed.y(1) - pair.primed.y(0))
         assert mean_poly_value(pair, n, at="xp0") == pytest.approx(want)
         # sign relation between the x_{-1} and x'_0 values
         lhs = mean_poly_value(pair, n, at="xm1") / mean_poly_value(pair, n, at="xp0")
-        rhs = -x2(pair.x(-1)) * (pair.y(0) - pair.y(-1)) / \
-            (x2(pair.xp(0)) * (pair.yp(1) - pair.yp(0)))
+        rhs = -x2(pair.unprimed.x(-1)) * (pair.unprimed.y(0) - pair.unprimed.y(-1)) / \
+            (x2(pair.primed.x(0)) * (pair.primed.y(1) - pair.primed.y(0)))
         assert lhs == pytest.approx(rhs)
 
 

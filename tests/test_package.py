@@ -1,12 +1,12 @@
 import types
 
 import ellgrid
-from ellgrid import curve, diffops, lattice, poly, solver
+from ellgrid import convergence, curve, diffops, lattice, poly, solver
 
 DELETED = {
     "SymmetricForm", "convert_equation_form", "step_forward", "step_backward", "Scalar",
     "_as_scalar", "fit_biquadratic", "fit_curve_to_lattice", "_term_scale", "_horner",
-    "_reduced_abs", "_grid_function",
+    "_reduced_abs", "_grid_function", "predicted_rate",
 }
 DELETED_ATTRS = {
     poly.RationalFunction: (
@@ -18,7 +18,8 @@ DELETED_ATTRS = {
     solver.InterpolationReport: ("__float__",),
     curve.RootPair: ("ordered",),
     curve.BiquadraticCurve: ("_f",),
-    diffops.BasisPair: ("basis_at_m1",),
+    diffops.BasisPair: ("basis_at_m1", "x", "y", "xp", "yp"),
+    convergence.RatePredictor: ("_grid_rates",),
 }
 
 
@@ -38,7 +39,7 @@ def test_deleted_api_is_gone():
     assert not DELETED & set(ellgrid.__all__)
     for name in DELETED:
         assert not hasattr(ellgrid, name)
-        for mod in (curve, lattice, poly, solver):
+        for mod in (convergence, curve, lattice, poly, solver):
             assert not hasattr(mod, name)
     for cls, names in DELETED_ATTRS.items():
         for name in names:

@@ -512,7 +512,7 @@ def test_undefined_c0_is_validation_error_on_every_route():
     eq = DifferenceEquation(curve, Polynomial((0, 0, 1.0)), 1.0, 0.0, 1.0, 1.0)
     select = Explicit(0, -0.5)
     pair = build_lattices(eq, locate_special_points(eq, select))
-    assert pair.x(-1) == 0
+    assert pair.unprimed.x(-1) == 0
     for run in (lambda: solve(eq, select, 5), lambda: stepwise_oracle(eq, pair, 5)):
         with pytest.raises(ValidationError, match="c_0 undefined"):
             run()
@@ -523,7 +523,7 @@ def test_partial_sum_pole_guard():
     sol = solve(eq, select, 6)
     from ellgrid.errors import PoleEvaluationError
     with pytest.raises(PoleEvaluationError):
-        evaluate_partial_sum(sol, 6, sol.pair.yp(3))
+        evaluate_partial_sum(sol, 6, sol.pair.primed.y(3))
 
 
 def test_log_linear_fixture_with_exact_decimal_a_verifies():
@@ -558,9 +558,9 @@ def test_build_lattices_memberships():
         for xx, yy in ((sp.x_m1, sp.y_m1), (sp.x_m1, sp.y_0),
                        (sp.x_p0, sp.y_p0), (sp.x_p0, sp.y_p1)):
             assert curve.residual(xx, yy) <= 1e-9
-        assert pair.x(-1) == pytest.approx(sp.x_m1)
-        assert pair.y(-1) == pytest.approx(sp.y_m1)
-        assert pair.yp(1) == pytest.approx(sp.y_p1)
+        assert pair.unprimed.x(-1) == pytest.approx(sp.x_m1)
+        assert pair.unprimed.y(-1) == pytest.approx(sp.y_m1)
+        assert pair.primed.y(1) == pytest.approx(sp.y_p1)
 
 
 def test_swapping_pole_branch_flips_certificate_sign():
@@ -582,7 +582,7 @@ def test_swapping_pole_branch_flips_certificate_sign():
 def test_c0_formula():
     for name, eq, select in general_fixtures():
         sol = solve(eq, select, 6)
-        xm1 = sol.pair.x(-1)
+        xm1 = sol.pair.unprimed.x(-1)
         want = -(eq.delta * xm1 + eq.eps) / (eq.beta * xm1 + eq.gamma)
         assert sol.coeffs[0] == pytest.approx(want)
 
@@ -685,7 +685,7 @@ def test_stepwise_oracle_interpolation():
         sol = solve(eq, select, 8)
         oracle = stepwise_oracle(eq, sol.pair, 8)
         assert oracle[0] == pytest.approx(sol.coeffs[0])
-        s1 = evaluate_partial_sum(sol, 1, sol.pair.y(1))
+        s1 = evaluate_partial_sum(sol, 1, sol.pair.unprimed.y(1))
         assert abs(s1 - oracle[1]) <= 1e-9 * (1.0 + abs(oracle[1]))
         rep = verify_interpolation(eq, sol, 8)
         assert rep.max_error <= 1e-7
@@ -697,14 +697,14 @@ def test_partial_sum_basics():
     z = -3.1 + 0.7j
     assert evaluate_partial_sum(sol, 0, z) == sol.coeffs[0]
     for N in (1, 3, 6):
-        assert evaluate_partial_sum(sol, N, sol.pair.y(0)) == pytest.approx(sol.coeffs[0])
+        assert evaluate_partial_sum(sol, N, sol.pair.unprimed.y(0)) == pytest.approx(sol.coeffs[0])
 
 
 def test_residual_vanishes_on_lattice():
     for name, eq, select in general_fixtures():
         sol = solve(eq, select, 10)
         for j in range(0, 9):
-            z = sol.pair.x(j)
+            z = sol.pair.unprimed.x(j)
             assert abs(residual(eq, sol, 10, z)) <= 1e-7 * eq.scale(z)
 
 
@@ -769,7 +769,7 @@ def test_verify_node_sums_only_its_first_terms():
     big = dataclasses.replace(sol, coeffs=tuple(cs))
     got = np.array(verify_interpolation(eq, big, N).errors)
     oracle = np.array(stepwise_oracle(eq, sol.pair, N, f0=cs[0]))
-    sums = np.array([evaluate_partial_sum(big, N, sol.pair.y(j)) for j in range(N + 1)])
+    sums = np.array([evaluate_partial_sum(big, N, sol.pair.unprimed.y(j)) for j in range(N + 1)])
     with np.errstate(all="ignore"):
         want = np.abs(sums - oracle) / (1.0 + np.abs(oracle))
     assert np.isfinite(got[:6]).all() and np.isinf(got[6:]).any() and np.isfinite(got[6:]).any()
@@ -805,7 +805,7 @@ def test_verify_skipped_nodes_meet_forward_error_bound():
 def test_verify_pole_guard_covers_later_poles():
     eq, select = linear_fixture()
     sol = solve(eq, select, 8)
-    y0 = sol.pair.y(0)
+    y0 = sol.pair.unprimed.y(0)
     # Poles y'_k = y_{k-3}: node y_0 meets the later pole y'_3 (k > j).
     primed = LatticePair(LatticeSpec(eq.curve, y0 - 3.0, y0 - 3.0))
     moved = dataclasses.replace(sol, pair=BasisPair(sol.pair.unprimed, primed))
@@ -899,7 +899,7 @@ def test_every_solve_checks_the_running_product_at_every_n(monkeypatch, N):
 def test_lattice_value_at_y_m1_is_a_typed_error(mode, n):
     """y_{n-1} written equal to y_{-1}: Yb_n(y_{-1}) = 0, so C_n = eta_n = 0 exactly."""
     eq, sol = _solve_both_modes(12)[mode]
-    sol.pair.unprimed._y[n - 1] = sol.pair.y(-1)
+    sol.pair.unprimed._y[n - 1] = sol.pair.unprimed.y(-1)
     with pytest.raises(EllgridError, match=f"n={n} "):
         if mode == "general":
             expansion_coefficients(eq, sol.pair, 12)
@@ -982,6 +982,13 @@ def test_non_integer_order_is_validation_error(entry):
     call(np.int64(3))
 
 
+@pytest.mark.parametrize("entry", ["expansion_coefficients", "expansion_coefficients_log"])
+def test_negative_order_names_its_bound(entry):
+    arg, call = order_entry_points()[entry]
+    with pytest.raises(ValidationError, match=f"^{arg} must be >= 0, got -1$"):
+        call(-1)
+
+
 # -- logarithmic mode ------------------------------------------------------------------------
 
 
@@ -991,10 +998,10 @@ def test_log_telescoping_oracle():
     assert sol.mode == "log"
     assert sol.zeta == pytest.approx(A - 1.0)
     # exact solution: f(y) = 1/(y - A) + const.
-    offset = c0_free - 1.0 / (sol.pair.y(0) - A)
+    offset = c0_free - 1.0 / (sol.pair.unprimed.y(0) - A)
     for j in range(11):
-        got = evaluate_partial_sum(sol, 10, sol.pair.y(j))
-        want = 1.0 / (sol.pair.y(j) - A) + offset
+        got = evaluate_partial_sum(sol, 10, sol.pair.unprimed.y(j))
+        want = 1.0 / (sol.pair.unprimed.y(j) - A) + offset
         assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
 
 

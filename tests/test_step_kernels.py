@@ -55,9 +55,9 @@ def oracle_cases():
     branch point (dy = 0)."""
     for name, eq, select in general_fixtures():
         pair = build_lattices(eq, locate_special_points(eq, select))
-        yield name, eq, pair, 300, _c0(eq, pair.x(-1))
+        yield name, eq, pair, 300, _c0(eq, pair.unprimed.x(-1))
         if name == "qgeom":
-            yield "qgeom K=40", eq, pair, 40, _c0(eq, pair.x(-1))
+            yield "qgeom K=40", eq, pair, 40, _c0(eq, pair.unprimed.x(-1))
     eq, select, c0_free, _, _, hints = log_linear_fixture()
     yield "log-linear", eq, solve(eq, select, 10, c0_free=c0_free, **hints).pair, 300, c0_free
     eq, select, _, _, hints = log_qlattice_fixture()
@@ -67,7 +67,7 @@ def oracle_cases():
         for select in (ByIndex(0, 1), ByIndex(1, 2)):
             try:
                 pair = build_lattices(eq, locate_special_points(eq, select))
-                f0 = _c0(eq, pair.x(-1))
+                f0 = _c0(eq, pair.unprimed.x(-1))
             except EllgridError:
                 continue
             yield f"genus1-{seed} {select}", eq, pair, 150, f0
@@ -79,7 +79,7 @@ def oracle_cases():
     yield "singular", eq, build_lattices(eq, sp), 5, 0.0
     eq, select = aw_fixture()
     pair = build_lattices(eq, locate_special_points(eq, select))
-    yield "aw-overflow", eq, pair, 700, _c0(eq, pair.x(-1))
+    yield "aw-overflow", eq, pair, 700, _c0(eq, pair.unprimed.x(-1))
     eq, pair = branch_step_pair()
     yield "branch-step", eq, pair, 3, 1.0
 
@@ -123,7 +123,7 @@ def test_zero_step_difference_is_a_small_divisor():
     # the eta loop stops typed at the branch step (the oracle's stop is the "branch-step"
     # case above); C_n is degenerate on this pair, so the loop gets unit constants
     eq, pair = branch_step_pair()
-    assert repr(pair.y(1) - pair.y(0)) == "-0j"
+    assert repr(pair.unprimed.y(1) - pair.unprimed.y(0)) == "-0j"
     reads = (np.ones(4, dtype=complex), pair.unprimed.span(-1, 4), pair.primed.span(0, 4))
     with pytest.raises(SmallDivisorError) as info:
         _ratio_coefficients(eq, reads, 1.0)
