@@ -95,14 +95,19 @@ def _flag(exc_type):
     return exc_type.__name__.removesuffix("Error")
 
 
+def _has_terms(sol, n_max):
+    """A ValidationError unless sol has the coefficients c_1 .. c_n_max."""
+    if n_max >= len(sol.coeffs):
+        raise ValidationError(f"solution has only {len(sol.coeffs) - 1} coefficients")
+
+
 def _term_magnitude_grid(sol, zs, n_max):
     """|c_n Yb_n(z)| for n = 1..n_max at every z of zs (one row per z), and the z that hit a pole.
 
     y_0..y_{n_max-1} and y'_1..y'_{n_max} are read once per call, so a caller
     that edits the lattice or the coefficients between calls sees the edit.
     """
-    if n_max >= len(sol.coeffs):
-        raise ValidationError(f"solution has only {len(sol.coeffs) - 1} coefficients")
+    _has_terms(sol, n_max)
     coeffs = np.array(sol.coeffs[1:n_max + 1], dtype=complex)
     _, nodes = sol.pair.unprimed.span(0, n_max)
     _, poles = sol.pair.primed.span(1, n_max + 1)
@@ -152,10 +157,13 @@ def _fit_rates(sol, zs, n_min, n_max, smalldiv_threshold):
     return rho, hit, count, flagged
 
 
-def _fit_args(n_min, n_max, smalldiv_threshold):
-    """The fit's window as integers and its threshold as a finite real, or a ValidationError."""
-    return (_order(n_min, "n_min"), _order(n_max, "n_max"),
-            _real(smalldiv_threshold, "smalldiv_threshold"))
+def _fit_args(sol, n_min, n_max, smalldiv_threshold):
+    """The fit's window as integers, within sol's order, and its threshold as a finite real, or a
+    ValidationError."""
+    n_min, n_max = _order(n_min, "n_min"), _order(n_max, "n_max")
+    threshold = _real(smalldiv_threshold, "smalldiv_threshold")
+    _has_terms(sol, n_max)
+    return n_min, n_max, threshold
 
 
 def _rate_flags(rho):
@@ -169,7 +177,7 @@ def empirical_rate(sol, z, n_min, n_max, smalldiv_threshold=0.05):
     least five usable terms are required.  A bad z or `_fit_args` is a ValidationError naming it.
     """
     z = _finite(z, "z")
-    n_min, n_max, smalldiv_threshold = _fit_args(n_min, n_max, smalldiv_threshold)
+    n_min, n_max, smalldiv_threshold = _fit_args(sol, n_min, n_max, smalldiv_threshold)
     rho, hit, count, flagged = _fit_rates(sol, [z], n_min, n_max, smalldiv_threshold)
     if hit[0]:
         raise PoleEvaluationError(z)
@@ -191,7 +199,7 @@ def _empirical_columns(sol, zs, n_min, n_max, smalldiv_threshold):
     per z, as empirical_rate would report each one."""
     try:
         rho, hit, count, _ = _fit_rates(sol, zs, n_min, n_max, smalldiv_threshold)
-    except (WindowTooSmallError, ValidationError) as exc:
+    except WindowTooSmallError as exc:
         return [None] * len(zs), np.zeros(len(zs), dtype=int), ((_flag(type(exc)),),)
     code = np.select([hit, count < MIN_FIT_TERMS, rho >= 1.0], [3, 2, 1], 0)
     return _rates_or_none(rho, code >= 2), code, _EMPIRICAL_FLAGS
@@ -548,9 +556,11 @@ def rate_map(sol, re_axis, im_axis, n_min, n_max, smalldiv_threshold=0.05):
     rounding, but the grid is swept at once, by columns: one term sweep and
     small-divisor scan, one closed-form evaluation of the predicted rates,
     and the flags of each cell looked up by one code.  A bad window, threshold or axis entry
-    (one that is not a finite real) is a ValidationError naming it, raised before any work.
+    (one that is not a finite real) is a ValidationError naming it, raised before any work, as
+    is an n_max past the solution's order (empirical_rate's "solution has only K
+    coefficients"); a window shorter than five terms flags every cell WindowTooSmall.
     """
-    n_min, n_max, smalldiv_threshold = _fit_args(n_min, n_max, smalldiv_threshold)
+    n_min, n_max, smalldiv_threshold = _fit_args(sol, n_min, n_max, smalldiv_threshold)
     res, ims = list(re_axis), list(im_axis)
     for name, axis in (("re_axis", res), ("im_axis", ims)):
         for i, v in enumerate(axis):

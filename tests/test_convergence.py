@@ -659,7 +659,7 @@ def _per_cell_rate_map(sol, re_axis, im_axis, n_min, n_max):
         emp = [(None, ("PoleEvaluation",)) if h else (None, ("WindowTooSmall",)) if c < 5
                else (r, ("NotConverging",) if r >= 1.0 else ())
                for r, h, c in zip(rho.tolist(), hit.tolist(), count.tolist())]
-    except (WindowTooSmallError, ValidationError) as exc:
+    except WindowTooSmallError as exc:
         emp = [(None, flag(exc))] * len(points)
     if predictor is None:
         pred = [(None, no_prediction)] * len(points)
@@ -696,8 +696,36 @@ def test_rate_map_rows_are_per_cell_reference_bit_for_bit(qsol, case, window):
     elif case == "on a node":                       # the terms past y_0 vanish there
         y0 = sol.pair.unprimed.y(0)
         re_axis, im_axis = [y0.real, 1.0], [y0.imag, 0.2]
+    if case == "past the coefficients":             # both refuse the window, with one message
+        for sweep in (rate_map, _per_cell_rate_map):
+            with pytest.raises(ValidationError, match=r"^solution has only 30 coefficients$"):
+                sweep(sol, re_axis, im_axis, *window)
+        return
     rows = rate_map(sol, re_axis, im_axis, *window)
     assert repr(rows) == repr(_per_cell_rate_map(sol, re_axis, im_axis, *window))
+
+
+@pytest.mark.parametrize("mode", ["general", "log"])
+def test_rate_map_refuses_a_window_past_the_order_before_any_work(qsol, mode, monkeypatch):
+    """An n_max past the solution's order is empirical_rate's ValidationError, raised before
+    the predictor is built or a term is formed, and not a Validation flag on every cell."""
+    if mode == "general":
+        eq, select = linear_fixture()
+        sol = solve(eq, select, 12)
+    else:
+        sol = qsol[0]
+    K = len(sol.coeffs) - 1
+    with pytest.raises(ValidationError) as want:
+        empirical_rate(sol, 2.5 + 0.5j, 5, K + 13)
+    assert str(want.value) == f"solution has only {K} coefficients"
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("rate_map worked past a bad window")
+    for name in ("RatePredictor", "_term_magnitude_grid", "detect_small_divisors"):
+        monkeypatch.setattr(convergence, name, no_work)
+    with pytest.raises(ValidationError) as got:
+        rate_map(sol, [2.5], [0.5], 5, K + 13)
+    assert str(got.value) == str(want.value)
 
 
 def test_rate_map_matches_cells_on_criterion_9_grid(qsol):
@@ -771,14 +799,17 @@ def _outer_s(x):
 def test_grid_matches_joukowski_truth_around_branch_points():
     """The grid's rows pass under the roots +/-1.67 of P, on both sides of
     them: every cell and rate(z) is |s_z| / |s_zeta| on the outer lift of the
-    ellipse walk's x = s + 0.7/s.  The stand-in has no terms, so only the
+    ellipse walk's x = s + 0.7/s.  The stand-in's terms c_1 .. c_25 are zero (its
+    poles are its nodes), so every empirical cell is flagged and only the
     predicted column is read."""
     sol = aw_rotation_solution()
-    sol.coeffs = ()
+    sol.coeffs, sol.pair.primed = (0j,) * 26, sol.pair.unprimed
     predictor = RatePredictor(sol)
     re, im = np.linspace(-3.0, 3.0, 25), np.linspace(-1.2, -0.4, 5)
     zs = [complex(x, y) for y in im for x in re]
-    for (*_, rate, _), z in zip(rate_map(sol, re, im, 5, 25), zs):
+    rows = rate_map(sol, re, im, 5, 25)
+    assert {(emp, flags) for _, _, emp, _, flags in rows} == {(None, ("WindowTooSmall",))}
+    for (*_, rate, _), z in zip(rows, zs):
         want = abs(_outer_s(z)) / abs(_outer_s(sol.zeta))
         assert abs(rate - want) <= 1e-12 * want, z
         assert abs(predictor.rate(z) - want) <= 1e-12 * want, z

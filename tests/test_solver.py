@@ -43,6 +43,7 @@ from ellgrid.lattice import HEAD
 from ellgrid.poly import Polynomial
 from ellgrid.solver import (
     VERIFY_BLOCK,
+    VERIFY_ROW,
     _condition_residual,
     _node_sums,
     _step_kernel,
@@ -719,10 +720,11 @@ def test_corrupted_coefficient_localizes():
     assert min(rep.errors[5:]) > 1e-6
 
 
-def _gated_report(eq, sol, N):
+def _gated_report(eq, sol, N, every=1):
     """verify_interpolation(eq, sol, N), checked against the sweep it reports on: its errors are
     |S(y_j) - oracle_j| / (1 + |oracle_j|) for _node_sums' S(y_j) at every node with an oracle
-    value, and each S(y_j) lies within 4 (j+1) 2^-53 sum_k |c_k Yb_k(y_j)| of the 50-digit sum."""
+    value, and S(y_j) at every `every`-th of those nodes and the last lies within
+    4 (j+1) 2^-53 sum_k |c_k Yb_k(y_j)| of the 50-digit sum."""
     rep = verify_interpolation(eq, sol, N)
     K = N - len(rep.skipped)
     oracle = stepwise_oracle(eq, sol.pair, K, f0=sol.coeffs[0])
@@ -730,7 +732,8 @@ def _gated_report(eq, sol, N):
                       sol.coeffs)
     want = np.array(oracle)
     assert rep.errors == tuple((np.abs(sums - want) / (1.0 + np.abs(want))).tolist())
-    assert max(node_sum_error_ratios(sol, sums, range(K + 1))) <= 1.0
+    nodes = sorted({*range(0, K + 1, every), K})
+    assert max(node_sum_error_ratios(sol, sums, nodes)) <= 1.0
     return rep
 
 
@@ -759,10 +762,22 @@ def test_verify_sweep_meets_forward_error_bound_across_blocks():
         assert _gated_report(eq, sol, N).skipped == ()
 
 
-def test_verify_node_sums_only_its_first_terms():
+def test_verify_sweep_meets_forward_error_bound_in_wide_blocks():
+    """At N = 1000 the first blocks are at least VERIFY_ROW columns wide, so their running
+    products are formed row by row; every 37th node and the last meet the bound."""
+    eq, select = linear_fixture()
+    g1 = genus1_equation(1)
+    for eq, sol in ((eq, solve(eq, select, 1000)), (g1, solve(g1, ByIndex(0, 1), 1000))):
+        N = len(sol.coeffs) - 1
+        assert N >= VERIFY_ROW              # the first block is a wide one
+        rep = _gated_report(eq, sol, N, every=37)
+        assert rep.skipped == () and rep.max_error <= 1e-7
+
+
+def _assert_overflow_as_the_scalar_route(N):
     """With |c_6| = 1e307 the term c_6 Yb_6(y_j) overflows at some nodes j >= 6 and not at
     others; each node's error is inf, NaN or finite exactly as evaluate_partial_sum's is."""
-    eq, N = genus1_equation(0), 40
+    eq = genus1_equation(0)
     sol = solve(eq, ByIndex(0, 1), N)
     cs = list(sol.coeffs)
     cs[6] = cs[6] / abs(cs[6]) * 1e307
@@ -775,6 +790,15 @@ def test_verify_node_sums_only_its_first_terms():
     assert np.isfinite(got[:6]).all() and np.isinf(got[6:]).any() and np.isfinite(got[6:]).any()
     assert (np.isinf(got) == np.isinf(want)).all()
     assert (np.isnan(got) == np.isnan(want)).all()
+
+
+def test_verify_node_sums_only_its_first_terms():
+    _assert_overflow_as_the_scalar_route(40)
+
+
+def test_verify_node_sums_only_its_first_terms_in_wide_blocks():
+    assert 300 >= VERIFY_ROW                # rows k = 1 .. 27 share one wide first block
+    _assert_overflow_as_the_scalar_route(300)
 
 
 def test_verify_memory_stays_small():
