@@ -155,11 +155,12 @@ def _equation_from(cfg, curve):
     return solver.DifferenceEquation.from_polynomials(curve, a, c, d), None
 
 
-def _solve_scenario(cfg, n_override=None):
+def _solve_scenario(cfg, n=None):
+    """The scenario's solution to order n, else to params.n (default 10)."""
     curve = _curve_from(cfg)
     params = _params(cfg)
     eq, c0_free = _equation_from(cfg, curve)
-    n = n_override if n_override is not None else _int(params.get("n", 10), "params.n")
+    n = _int(params.get("n", 10), "params.n") if n is None else n
     select = _select_from(params)
     y0_hint = _cnum(params["y0_hint"], "params.y0_hint") if "y0_hint" in params else None
     yp1_hint = _cnum(params["yp1_hint"], "params.yp1_hint") if "yp1_hint" in params else None
@@ -188,20 +189,26 @@ def _output(path):
 # -- subcommands -----------------------------------------------------------------------
 
 
-def run_lattice(cfg, out_path, n_override, quiet):
+def _on_curve_residuals(lat, n_min, n_max):
+    """Per n of n_min .. n_max, the larger curve residual at (x_n, y_n) and (x_n, y_{n+1}) (NaN
+    where either is), at n_max at (x_n, y_n) alone: every point `lattice` writes, read once."""
+    xs, ys = lat.values(n_min, n_max + 1)
+    res, nexts = lat.curve.residual, ys[1:] + ys[-1:]     # y_{n+1}, and y_n again at n_max
+    return np.maximum([res(x, y) for x, y in zip(xs, ys)], [res(x, y) for x, y in zip(xs, nexts)])
+
+
+def run_lattice(cfg, out_path, quiet):
     """Generate a lattice and dump it as CSV."""
     curve = _curve_from(cfg)
     spec = _seed_from(cfg, curve)
     params = _params(cfg)
-    n_max = (n_override if n_override is not None
-             else _int(params.get("n_max", params.get("n", 10)), "params.n_max"))
+    n_max = _int(params.get("n_max", params.get("n", 10)), "params.n_max")
     n_min = _int(params.get("n_min", -n_max), "params.n_min")
     path = _out_path(out_path, params)
     lat = lattice_mod.generate(spec, n_min, n_max)
-    for n in range(n_min, n_max):
-        r1, r2 = lat.on_curve_residual(n)
-        if not (r1 <= 1e-9 and r2 <= 1e-9):
-            raise EllgridError(f"on-curve invariant violated at n={n}")
+    bad = ~(_on_curve_residuals(lat, n_min, n_max) <= 1e-9)
+    if bad.any():
+        raise EllgridError(f"on-curve invariant violated at n={n_min + int(bad.argmax())}")
     with _output(path) as stream:
         write_lattice_csv(lat, n_min, n_max, stream)
     if not quiet and path is not None:
@@ -209,10 +216,10 @@ def run_lattice(cfg, out_path, n_override, quiet):
     return EXIT_OK
 
 
-def run_solve(cfg, out_path, n_override, quiet):
+def run_solve(cfg, out_path, quiet):
     """Expand the scenario's difference equation, dump JSON."""
     path = _out_path(out_path, _params(cfg))
-    sol = _solve_scenario(cfg, n_override)
+    sol = _solve_scenario(cfg)
     report = solver.verify_interpolation(sol.eq, sol, len(sol.coeffs) - 1)
     payload = solver.solution_to_json(sol)
     payload["interpolation_max_error"] = report.max_error
@@ -249,7 +256,7 @@ def _verify_checks(cfg):
     if "lattice_seed" in cfg:
         spec = _seed_from(cfg, curve)
         lat = lattice_mod.generate(spec, min(-3, -n_max), n_max)
-        worst = _worst(r for n in range(min(-3, -n_max), n_max) for r in lat.on_curve_residual(n))
+        worst = _worst(_on_curve_residuals(lat, min(-3, -n_max), n_max))
         yield "lattice-on-curve", worst <= 1e-9, f"max residual {worst:.2e}"
 
         x0, x1p, x2p = curve.x_view()
@@ -299,7 +306,7 @@ def _verify_checks(cfg):
         yield "residual-on-lattice", worst <= 1e-7, f"max relative defect {worst:.2e}"
 
 
-def run_verify(cfg, out_path, n_override, quiet):
+def run_verify(cfg, out_path, quiet):
     """Run the invariant suite on the scenario."""
     if "lattice_seed" not in cfg and "equation" not in cfg:
         raise ValidationError("verify needs a lattice_seed or an equation in the scenario")
@@ -317,7 +324,7 @@ def run_verify(cfg, out_path, n_override, quiet):
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 
-def run_ratemap(cfg, out_path, n_override, quiet):
+def run_ratemap(cfg, out_path, quiet):
     """Empirical/predicted convergence rates over a z grid."""
     params = _params(cfg)
     grid = _require(params, "params.grid")
@@ -327,7 +334,7 @@ def run_ratemap(cfg, out_path, n_override, quiet):
     im_axis = _axis(_require(grid, "params.grid.im"), "params.grid.im")
     threshold = _real(params.get("threshold", 0.05), "params.threshold")
     path = _out_path(out_path, params)
-    sol = _solve_scenario(cfg, n_override if n_override is not None else n_max)
+    sol = _solve_scenario(cfg, n_max)
     rows = convergence.rate_map(sol, re_axis, im_axis, n_min, n_max,
                                 smalldiv_threshold=threshold)
     with _output(path) as stream:
@@ -358,7 +365,6 @@ def build_parser():
                         help="one of the commands below")
     parser.add_argument("--config", required=True, help="scenario JSON path")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--n", type=int, default=None, help="override the order/step count")
     parser.add_argument("--quiet", action="store_true", help="suppress the summary")
     return parser
 
@@ -371,7 +377,7 @@ def main(argv=None):
         if run is not None and (not isinstance(run, str) or run.lower() != args.command):
             raise ValidationError(
                 f"config run={run!r} does not match subcommand {args.command!r}")
-        return RUNNERS[args.command](cfg, args.out, args.n, args.quiet)
+        return RUNNERS[args.command](cfg, args.out, args.quiet)
     except ValidationError as exc:
         print(f"ValidationError: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -38,6 +38,7 @@ from .errors import (
     _real,
 )
 from .lattice import _lift
+from .solver import _sum_order
 
 COARSE_STEP = 0.5       # relative sqrt(P) jump that marks an under-sampled path
 LEVEL_SAMPLES = 1 << 16  # complex samples per chunk of one Simpson level
@@ -95,19 +96,14 @@ def _flag(exc_type):
     return exc_type.__name__.removesuffix("Error")
 
 
-def _has_terms(sol, n_max):
-    """A ValidationError unless sol has the coefficients c_1 .. c_n_max."""
-    if n_max >= len(sol.coeffs):
-        raise ValidationError(f"solution has only {len(sol.coeffs) - 1} coefficients")
-
-
 def _term_magnitude_grid(sol, zs, n_max):
     """|c_n Yb_n(z)| for n = 1..n_max at every z of zs (one row per z), and the z that hit a pole.
 
     y_0..y_{n_max-1} and y'_1..y'_{n_max} are read once per call, so a caller
-    that edits the lattice or the coefficients between calls sees the edit.
+    that edits the lattice or the coefficients between calls sees the edit.  n_max follows the
+    order rule `solver._sum_order`.
     """
-    _has_terms(sol, n_max)
+    n_max = _sum_order(sol, n_max, "n_max")
     coeffs = np.array(sol.coeffs[1:n_max + 1], dtype=complex)
     _, nodes = sol.pair.unprimed.span(0, n_max)
     _, poles = sol.pair.primed.span(1, n_max + 1)
@@ -122,8 +118,8 @@ def _term_magnitude_grid(sol, zs, n_max):
 
 def term_magnitudes(sol, z, n_max):
     """|c_n Yb_n(z)| for n = 1..n_max (index 0 of the result is n = 1); a non-finite z is a
-    ValidationError naming it, as is an n_max that is not an integer."""
-    z, n_max = _finite(z, "z"), _order(n_max, "n_max")
+    ValidationError naming it, and n_max follows the order rule `solver._sum_order`."""
+    z = _finite(z, "z")
     mags, hit = _term_magnitude_grid(sol, [z], n_max)
     if hit[0]:
         raise PoleEvaluationError(z)
@@ -158,23 +154,25 @@ def _fit_rates(sol, zs, n_min, n_max, smalldiv_threshold):
 
 
 def _fit_args(sol, n_min, n_max, smalldiv_threshold):
-    """The fit's window as integers, within sol's order, and its threshold as a finite real, or a
-    ValidationError."""
-    n_min, n_max = _order(n_min, "n_min"), _order(n_max, "n_max")
-    threshold = _real(smalldiv_threshold, "smalldiv_threshold")
-    _has_terms(sol, n_max)
-    return n_min, n_max, threshold
+    """The fit's window as integers, n_max by the order rule `solver._sum_order`, and its
+    threshold as a finite real, or a ValidationError naming the argument."""
+    n_min, n_max = _order(n_min, "n_min"), _sum_order(sol, n_max, "n_max")
+    return n_min, n_max, _real(smalldiv_threshold, "smalldiv_threshold")
 
 
-def _rate_flags(rho):
-    return ("NotConverging",) if rho >= 1.0 else ()
+# Flags of an empirical cell, by code: rated, rated but not converging, too few
+# usable terms, on a pole of the basis.
+_EMPIRICAL_FLAGS = ((), ("NotConverging",), (_flag(WindowTooSmallError),),
+                    (_flag(PoleEvaluationError),))
 
 
 def empirical_rate(sol, z, n_min, n_max, smalldiv_threshold=0.05):
     """Least-squares geometric ratio of the terms over [n_min, n_max].
 
     Small-divisor indices (and exact zeros) are excluded from the fit; at
-    least five usable terms are required.  A bad z or `_fit_args` is a ValidationError naming it.
+    least five usable terms are required.  A bad z or `_fit_args` is a ValidationError naming it;
+    n_max follows the order rule `solver._sum_order` ("n_max must be >= 0", "solution has only K
+    coefficients").
     """
     z = _finite(z, "z")
     n_min, n_max, smalldiv_threshold = _fit_args(sol, n_min, n_max, smalldiv_threshold)
@@ -185,13 +183,7 @@ def empirical_rate(sol, z, n_min, n_max, smalldiv_threshold=0.05):
         raise WindowTooSmallError(f"only {count[0]} usable terms in [{n_min}, {n_max}]")
     rho = float(rho[0])
     return RateReport(empirical_rate=rho, window=(n_min, n_max), smalldiv_flags=tuple(flagged),
-                      z=complex(z), flags=_rate_flags(rho))
-
-
-# Flags of an empirical cell, by code: rated, rated but not converging, too few
-# usable terms, on a pole of the basis.
-_EMPIRICAL_FLAGS = ((), ("NotConverging",), (_flag(WindowTooSmallError),),
-                    (_flag(PoleEvaluationError),))
+                      z=complex(z), flags=_EMPIRICAL_FLAGS[int(rho >= 1.0)])
 
 
 def _empirical_columns(sol, zs, n_min, n_max, smalldiv_threshold):
@@ -557,8 +549,8 @@ def rate_map(sol, re_axis, im_axis, n_min, n_max, smalldiv_threshold=0.05):
     small-divisor scan, one closed-form evaluation of the predicted rates,
     and the flags of each cell looked up by one code.  A bad window, threshold or axis entry
     (one that is not a finite real) is a ValidationError naming it, raised before any work, as
-    is an n_max past the solution's order (empirical_rate's "solution has only K
-    coefficients"); a window shorter than five terms flags every cell WindowTooSmall.
+    is an n_max outside the order rule `solver._sum_order`, as in empirical_rate; a window
+    shorter than five terms flags every cell WindowTooSmall.
     """
     n_min, n_max, smalldiv_threshold = _fit_args(sol, n_min, n_max, smalldiv_threshold)
     res, ims = list(re_axis), list(im_axis)
@@ -590,15 +582,10 @@ def rate_map(sol, re_axis, im_axis, n_min, n_max, smalldiv_threshold=0.05):
     return list(zip(re_col, im_col, emp, pred, map(flags.__getitem__, code.tolist())))
 
 
-def _csv_rate(v):
-    return "" if v is None or not math.isfinite(v) else repr(float(v))
-
-
 def _rate_texts(values):
     """The CSV fields of one rate column and the rows whose rate is not finite.
 
-    The finite rates are formatted in one map and a column of None alone is
-    blank; None and non-finite values go one by one through _csv_rate.
+    The finite rates are formatted in one map; None and non-finite values are blank.
     """
     if values.count(None) == len(values):
         return [""] * len(values), []
@@ -606,7 +593,7 @@ def _rate_texts(values):
     texts = list(map(repr, rates.tolist()))
     nonfinite = []
     for i in np.flatnonzero(~np.isfinite(rates)).tolist():
-        texts[i] = _csv_rate(values[i])
+        texts[i] = ""
         if values[i] is not None:
             nonfinite.append(i)
     return texts, nonfinite

@@ -63,6 +63,14 @@ _VERIFY_TRIANGLE = np.tri(int(VERIFY_BLOCK ** 0.5) + 1, k=-1, dtype=bool)
 # -- the difference equation -----------------------------------------------------------
 
 
+def _polynomial(p, name):
+    """p (a Polynomial or its coefficients) as a Polynomial, or a ValidationError naming the first
+    coefficient that is not a finite complex number, checked before Polynomial trims any."""
+    given = isinstance(p, Polynomial)
+    cs = [_finite(v, f"{name}[{i}]") for i, v in enumerate(p.coeffs if given else p)]
+    return p if given else Polynomial(cs)
+
+
 class DifferenceEquation:
     """a (D f) = c (M f) + d with c = (beta x + gamma) X2, d = (delta x + eps) X2.
 
@@ -73,16 +81,18 @@ class DifferenceEquation:
     __slots__ = ("curve", "a", "c", "d", "beta", "gamma", "delta", "eps", "_step", "_cands")
 
     def __init__(self, curve, a, beta, gamma, delta, eps):
-        a = a if isinstance(a, Polynomial) else Polynomial(a)
+        a = _polynomial(a, "a")
         if a.degree() > 3:
             raise DegreeMismatchError(f"deg a = {a.degree()} > 3")
+        beta, gamma, delta, eps = (_finite(v, name) for v, name in (
+            (beta, "beta"), (gamma, "gamma"), (delta, "delta"), (eps, "eps")))
         x2 = curve.x_view()[2]
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "beta", complex(beta))
-        object.__setattr__(self, "gamma", complex(gamma))
-        object.__setattr__(self, "delta", complex(delta))
-        object.__setattr__(self, "eps", complex(eps))
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "c", Polynomial((gamma, beta)) * x2)
         object.__setattr__(self, "d", Polynomial((eps, delta)) * x2)
 
@@ -95,7 +105,7 @@ class DifferenceEquation:
         x2 = curve.x_view()[2]
         parts = []
         for name, p in (("c", c), ("d", d)):
-            p = p if isinstance(p, Polynomial) else Polynomial(p)
+            p = _polynomial(p, name)
             if p.is_zero():
                 parts.append((0j, 0j))
                 continue
@@ -305,8 +315,9 @@ def locate_special_points(eq, select, y0_hint=None, yp1_hint=None):
     the expansion needs d(x_{-1}) = 0: x_{-1} is pinned to the root of d, which
     must be a candidate whatever the selector, and Nearest/ByIndex pick x'_0
     among the other candidates, nearest z or entry i modulo their count.
-    A selector point or hint that is not a finite complex number, or a ByIndex entry that is
-    not an integer (a bool is not), is a ValidationError naming it.
+    A selector that is none of these, a selector point or hint that is not a finite complex
+    number, or a ByIndex entry that is not an integer (a bool is not), is a ValidationError naming
+    it, raised before the candidates are found.
     """
     if isinstance(select, Explicit):
         targets = _finite(select.x_m1, "select.x_m1"), _finite(select.x_p0, "select.x_p0")
@@ -315,6 +326,8 @@ def locate_special_points(eq, select, y0_hint=None, yp1_hint=None):
     elif isinstance(select, ByIndex):
         i = _order(select.i, "select.i")
         j = i + 1 if select.j is None else _order(select.j, "select.j")
+    else:
+        raise ValidationError(f"unknown selector {select!r}")
     y0_hint, yp1_hint = (None if h is None else _finite(h, name)
                          for h, name in ((y0_hint, "y0_hint"), (yp1_hint, "yp1_hint")))
     cands = special_point_candidates(eq)
@@ -328,7 +341,7 @@ def locate_special_points(eq, select, y0_hint=None, yp1_hint=None):
 
     if isinstance(select, Explicit):
         x_m1, x_p0 = (_match_candidate(cands, t) for t in targets)
-    elif isinstance(select, (Nearest, ByIndex)):
+    else:
         near = isinstance(select, Nearest)
         order = sorted(cands, key=lambda r: abs(r - z)) if near else cands
         x_m1 = order[i % len(order)] if pin is None else pin
@@ -339,8 +352,6 @@ def locate_special_points(eq, select, y0_hint=None, yp1_hint=None):
             if not rest:
                 raise NoSpecialPointError("need two distinct special points")
             x_p0 = rest[i % len(rest)]
-    else:
-        raise ValidationError(f"unknown selector {select!r}")
     if abs(x_m1 - x_p0) <= 1e-9 * (1.0 + abs(x_m1)):
         raise NoSpecialPointError("x_{-1} and x'_0 must be distinct")
 
@@ -467,6 +478,7 @@ def _checked_coefficients(eq, pair, N, c0, products, bound, key, diag):
     relative.  diag gets the gaps for n = 0 .. N (0 at n = 0, where both routes take c_0) under
     "product_gaps", their maximum under key, and the c_1 routes' gap under "c1_routes_rel".
     """
+    diag = {} if diag is None else diag
     cs, c1_step, ps = [c0], None, np.empty(0)
     if N >= 1:
         reads = _reads(pair, N)
@@ -483,16 +495,14 @@ def _checked_coefficients(eq, pair, N, c0, products, bound, key, diag):
         n = int(bad.argmax()) + 1
         raise InternalInconsistencyError(
             f"ratio recurrence vs running product disagree at n={n} ({gaps[n - 1]:.2e})")
-    if diag is not None:
-        diag["product_gaps"] = [0.0] + gaps.tolist()
-        diag[key] = max(diag["product_gaps"])
+    diag["product_gaps"] = [0.0] + gaps.tolist()
+    diag[key] = max(diag["product_gaps"])
     if N >= 1:
         c1_rel = abs(cs[1] - c1_step) / max(1.0, abs(cs[1]), abs(c1_step))
         if not c1_rel <= 1e-6:
             raise InternalInconsistencyError(
                 f"c_1 routes disagree: recurrence {cs[1]} vs oracle {c1_step}")
-        if diag is not None:
-            diag["c1_routes_rel"] = c1_rel
+        diag["c1_routes_rel"] = c1_rel
     return cs
 
 
@@ -543,9 +553,10 @@ def expansion_coefficients_log(eq, pair, N, c0_free, diag=None):
     Requires deg a = 3 with x_{-1} and x'_0 among its roots and d(x_{-1}) = 0
     (otherwise no expansion of this form exists).  The ratio recurrence with c = 0 gives
     c_1 .. c_N, checked against the elementary product formula at every n (1e-8); its seed
-    c_1 = delta/eta_1 must agree with the stepwise oracle to 1e-6, as in the general mode.
+    c_1 = delta/eta_1 must agree with the stepwise oracle to 1e-6, as in the general mode.  A
+    c0_free that is not a finite complex number is a ValidationError naming it.
     """
-    N = _order(N, "N", lo=0)
+    N, c0_free = _order(N, "N", lo=0), _finite(c0_free, "c0_free")
     if not eq.is_logarithmic:
         raise ValidationError("equation is not logarithmic (c != 0)")
     zeta = third_root_of_a(eq, pair)
@@ -555,7 +566,7 @@ def expansion_coefficients_log(eq, pair, N, c0_free, diag=None):
             "logarithmic expansions need d(x_{-1}) = 0; seed x_{-1} at the root of d")
     if diag is not None:
         diag["zeta"] = zeta
-    return _checked_coefficients(eq, pair, N, complex(c0_free), partial(_log_products, zeta=zeta),
+    return _checked_coefficients(eq, pair, N, c0_free, partial(_log_products, zeta=zeta),
                                  1e-8, "log_vs_ratio_rel", diag)
 
 
@@ -566,19 +577,22 @@ def stepwise_oracle(eq, pair, K, f0=None):
     no distinguished start, so f0 must be supplied (the free constant).  One _step_kernel pass
     gives every step's terms; only f_{k+1} = (g_k f_k + d(x_k))/den_k, g_k = a/dy + c/2, is a loop.
     A singular step k raises HitSingularLatticeError(k, f_0 .. f_k), a step k whose terms or value
-    leave the float range LatticeSingularityError(k), and a negative K a ValidationError.
+    leave the float range LatticeSingularityError(k), and a negative K or an f0 that is not a
+    finite complex number a ValidationError naming it.
     """
     K = _order(K, "K", lo=0)
-    if f0 is None:
-        if eq.is_logarithmic:
-            raise ValidationError("logarithmic oracle needs the free constant f0")
+    if f0 is not None:
+        f0 = _finite(f0, "f0")
+    elif eq.is_logarithmic:
+        raise ValidationError("logarithmic oracle needs the free constant f0")
+    else:
         f0 = _c0(eq, pair.unprimed.x(-1))
     xs, ys = pair.unprimed.span(0, K + 1)
     _, cx, ratio, den, size, singular = _step_kernel(eq)(xs[:-1], ys[1:] - ys[:-1])
     end = int(np.append(singular | ~(size < np.inf), True).argmax())    # K where no step stops
     with np.errstate(all="ignore"):
         steps = zip((ratio + cx / 2.0)[:end].tolist(), eq.d(xs[:end]).tolist(), den[:end].tolist())
-    vals = [complex(f0)]
+    vals = [f0]
     for g, d, n in steps:
         vals.append((g * vals[-1] + d) / n)
     k = next((k for k, v in enumerate(vals[1:]) if not cmath.isfinite(v)), end)
@@ -606,14 +620,17 @@ class ExpansionSolution:
 
 
 def solve(eq, select, N, c0_free=None, y0_hint=None, yp1_hint=None):
-    """Locate special points, build the two lattices, and expand to order N."""
+    """Locate special points, build the two lattices, and expand to order N.  A c0_free that is
+    not a finite complex number, or missing in logarithmic mode, is a ValidationError, raised first."""
     N = _order(N, "N")
+    if c0_free is not None:
+        _finite(c0_free, "c0_free")
+    elif eq.is_logarithmic:
+        raise ValidationError("logarithmic mode needs c0_free")
     special = locate_special_points(eq, select, y0_hint=y0_hint, yp1_hint=yp1_hint)
     pair = build_lattices(eq, special)
     diag = {"certificate_m1": special.res_m1, "certificate_p0": special.res_p0}
     if eq.is_logarithmic:
-        if c0_free is None:
-            raise ValidationError("logarithmic mode needs c0_free")
         coeffs = expansion_coefficients_log(eq, pair, N, c0_free, diag=diag)
     else:
         coeffs = expansion_coefficients(eq, pair, N, diag=diag)
@@ -624,17 +641,18 @@ def solve(eq, select, N, c0_free=None, y0_hint=None, yp1_hint=None):
                              diagnostics=diag)
 
 
-def _sum_order(sol, N):
-    """N as the order of one of sol's partial sums, 0 .. len(sol.coeffs) - 1, or a
-    ValidationError."""
-    N = _order(N, "N")
-    if not 0 <= N < len(sol.coeffs):
-        raise ValidationError(f"partial sum order {N} is outside 0 .. {len(sol.coeffs) - 1}")
+def _sum_order(sol, N, name="N"):
+    """N as an order sol answers, 0 .. K = len(sol.coeffs) - 1: the one order rule of a solution.
+    Below 0 it is `_order`'s ValidationError naming N, past K "solution has only K coefficients"."""
+    N = _order(N, name, lo=0)
+    if N >= len(sol.coeffs):
+        raise ValidationError(f"solution has only {len(sol.coeffs) - 1} coefficients")
     return N
 
 
 def evaluate_partial_sum(sol, N, z):
-    """S_N(z) = sum_{k<=N} c_k Yb_k(z), with Yb_0(z) .. Yb_N(z) from one basis_products call;
+    """S_N(z) = sum_{k<=N} c_k Yb_k(z), with Yb_0(z) .. Yb_N(z) from one basis_products call.
+    N follows the order rule `_sum_order` ("solution has only K coefficients" past the end), and
     a non-finite z is a ValidationError naming it."""
     N, z = _sum_order(sol, N), _finite(z, "z")
     ys = sol.pair.unprimed.values(0, N)[1]
@@ -711,11 +729,11 @@ def verify_interpolation(eq, sol, N):
     within 4 (j+1) 2^-53 sum_k |c_k Yb_k(y_j)| of the exact sum of the same inputs
     (tested against a 50-digit sum); it rounds differently from
     evaluate_partial_sum, which stays the scalar route.  The sweep is O(N^2) float
-    work in blocks plus a few ufunc calls per block: about 7 ms at N = 1000 and 50 ms at
-    N = 3000 on the linear fixture, against 9.6 ms and 85 ms when every block took
-    np.multiply.accumulate (README, Cost).  Blocks at least VERIFY_ROW columns wide form
-    their products row by row, so only a sweep with N >= VERIFY_ROW rounds differently from
-    that one.  The pole guard still covers every k <= N at every node.
+    work in blocks plus a few ufunc calls per block (README, Cost).  Blocks at least
+    VERIFY_ROW columns wide form their products row by row, so only a sweep with
+    N >= VERIFY_ROW rounds differently from one by np.multiply.accumulate alone.  The pole
+    guard still covers every k <= N at every node.  N follows the order rule `_sum_order`
+    ("solution has only K coefficients" past the end).
     """
     N = _sum_order(sol, N)
     pair, cs = sol.pair, sol.coeffs

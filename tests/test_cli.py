@@ -146,6 +146,29 @@ def test_lattice_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_lattice_checks_its_last_row_on_the_curve(tmp_path, capsys, monkeypatch):
+    """Every point `lattice` writes is checked on the curve, the last row's own point
+    (x_{n_max}, y_{n_max}) too: where only that one fails, lattice exits 3 naming n_max and
+    writes nothing, and verify on the same seed reports FAIL lattice-on-curve."""
+    from ellgrid import cli
+    from ellgrid.curve import BiquadraticCurve
+
+    data = linear_lattice_cfg()                                 # n in -3 .. 3
+    spec = cli._seed_from(data, cli._curve_from(data))
+    xs, ys = cli.lattice_mod.generate(spec, -3, 3).values(3, 4)
+    last, residual = (xs[0], ys[0]), BiquadraticCurve.residual
+    monkeypatch.setattr(BiquadraticCurve, "residual",
+                        lambda self, x, y: 1.0 if (x, y) == last else residual(self, x, y))
+    out = tmp_path / "lat.csv"
+    assert main(["lattice", "--config", write_cfg(tmp_path, "lat.json", data),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "EllgridError: on-curve invariant violated at n=3\n"
+    assert not out.exists()
+    del data["run"]
+    assert main(["verify", "--config", write_cfg(tmp_path, "verify.json", data)]) == 3
+    assert "FAIL lattice-on-curve: max residual 1.00e+00" in capsys.readouterr().out.splitlines()
+
+
 def test_invalid_seed_is_validation_error(tmp_path, capsys):
     cfg_data = linear_lattice_cfg()
     cfg_data["lattice_seed"]["y0"] = [5.0, 0.0]
@@ -479,7 +502,8 @@ def test_help_lists_every_command(capsys):
 
 
 @pytest.mark.parametrize("argv", [["solve"], ["solve", "--out", "x.json"],
-                                  ["bogus", "--config", "x.json"], ["--config", "x.json"]])
+                                  ["bogus", "--config", "x.json"], ["--config", "x.json"],
+                                  ["solve", "--config", "x.json", "--n", "5"]])
 def test_bad_command_line_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -101,9 +101,12 @@ AXIS = [1.0, 1.2]
     pytest.param(lambda sol: empirical_rate(sol, 1.1, 5, 25.0), "n_max", id="empirical-n_max"),
     pytest.param(lambda sol: empirical_rate(sol, 1.1, 5, 25, smalldiv_threshold=1j),
                  "smalldiv_threshold", id="empirical-threshold"),
+    pytest.param(lambda sol: empirical_rate(sol, 1.1, -10, -3), "n_max", id="empirical-n_max<0"),
     pytest.param(lambda sol: term_magnitudes(sol, 1.1, 5.0), "n_max", id="terms-n_max"),
+    pytest.param(lambda sol: term_magnitudes(sol, 1.1, -3), "n_max", id="terms-n_max<0"),
     pytest.param(lambda sol: rate_map(sol, AXIS, AXIS, 5.0, 25), "n_min", id="map-n_min"),
     pytest.param(lambda sol: rate_map(sol, AXIS, AXIS, 5, None), "n_max", id="map-n_max"),
+    pytest.param(lambda sol: rate_map(sol, AXIS, AXIS, -10, -3), "n_max", id="map-n_max<0"),
     pytest.param(lambda sol: rate_map(sol, AXIS, AXIS, 5, 25, math.nan), "smalldiv_threshold",
                  id="map-threshold"),
     pytest.param(lambda sol: detect_small_divisors(sol.pair, 20, 1j), "threshold",
@@ -120,8 +123,9 @@ AXIS = [1.0, 1.2]
     pytest.param(lambda sol: identity_samples(sol.pair, 3.0), "n", id="samples-n"),
 ])
 def test_orders_counts_and_thresholds_are_checked_and_named(qsol, call, name):
-    """An order or count that is not an integer (count >= 1), or a threshold that is not a
-    finite real, is a ValidationError whose message starts with the argument's name."""
+    """An order or count that is not an integer (count >= 1), an n_max below 0 (numpy's
+    untyped broadcast error unchecked), or a threshold that is not a finite real, is a
+    ValidationError whose message starts with the argument's name."""
     with pytest.raises(ValidationError, match=rf"^{name}\b"):
         call(qsol[0])
 

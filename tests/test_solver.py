@@ -41,6 +41,7 @@ from ellgrid.errors import (
 )
 from ellgrid.lattice import HEAD
 from ellgrid.poly import Polynomial
+import ellgrid.solver as solver_module
 from ellgrid.solver import (
     VERIFY_BLOCK,
     VERIFY_ROW,
@@ -159,6 +160,16 @@ def test_selectors():
     assert sp2.x_p0 == pytest.approx(cands[2])
     with pytest.raises(NoSpecialPointError):
         locate_special_points(eq, Explicit(x_m1=5.0, x_p0=1.0))
+
+
+def test_unknown_selector_is_refused_before_the_candidates():
+    """a = 1 + x^3 with d = X2 (x - 5) is logarithmic, and the root 5 of d is not a root of a:
+    every known selector fails on the candidates, while an unknown one is refused first."""
+    eq = DifferenceEquation(LinearLattice(h=1.0).curve(), Polynomial((1, 0, 0, 1)), 0, 0, 1, -5)
+    with pytest.raises(NoSpecialPointError):
+        locate_special_points(eq, ByIndex(0))
+    with pytest.raises(ValidationError, match=r"^unknown selector 'bogus'$"):
+        locate_special_points(eq, "bogus")
 
 
 def _selector_inputs():
@@ -383,6 +394,73 @@ def test_nonfinite_selector_or_hint_is_a_validation_error(kind, select, hints, f
         eq = linear_fixture()[0]
     with pytest.raises(ValidationError) as err:
         locate_special_points(eq, select, **hints)
+    assert str(err.value) == f"{field}: expected a finite complex number, got {shown}"
+
+
+def _linear(a=(0, 0, 1.0), beta=0.0, gamma=2.0, delta=1.0, eps=0.0):
+    """linear_fixture's equation with one argument replaced."""
+    return DifferenceEquation(LinearLattice(h=1.0).curve(), a, beta, gamma, delta, eps)
+
+
+def _from_polynomials(c=None, d=None):
+    """linear_fixture's equation through from_polynomials, with c or d replaced."""
+    eq = _linear()
+    return DifferenceEquation.from_polynomials(eq.curve, eq.a, c or eq.c, d or eq.d)
+
+
+def _oracle(f0):
+    eq, select = linear_fixture()
+    return stepwise_oracle(eq, solve(eq, select, 5).pair, 5, f0=f0)
+
+
+def _solve(c0_free, monkeypatch, log=True):
+    """solve on log_linear_fixture (or linear_fixture) with c0_free replaced, failing if it
+    locates special points."""
+    if log:
+        eq, select, _, _, _, hints = log_linear_fixture()
+    else:
+        (eq, select), hints = linear_fixture(), {}
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("solve located special points before checking c0_free")
+    monkeypatch.setattr(solver_module, "locate_special_points", no_work)
+    return solve(eq, select, 5, c0_free=c0_free, **hints)
+
+
+def _log_coefficients(c0_free):
+    eq, select, c0, _, _, hints = log_linear_fixture()
+    return expansion_coefficients_log(eq, solve(eq, select, 5, c0_free=c0, **hints).pair, 5,
+                                      c0_free)
+
+
+NAN, INF = float("nan"), float("inf")
+NONFINITE_INPUTS = [
+    ("a", lambda mp: _linear(a=[0, 0, INF]), "a[2]", "inf"),
+    ("a, a Polynomial", lambda mp: _linear(a=Polynomial((0, NAN, 1.0))), "a[1]", "(nan+0j)"),
+    ("beta", lambda mp: _linear(beta=NAN), "beta", "nan"),
+    ("gamma", lambda mp: _linear(gamma="x"), "gamma", "'x'"),
+    ("delta", lambda mp: _linear(delta=INF), "delta", "inf"),
+    ("eps", lambda mp: _linear(eps=-INF), "eps", "-inf"),
+    ("c", lambda mp: _from_polynomials(c=[NAN]), "c[0]", "nan"),
+    ("d", lambda mp: _from_polynomials(d=[0, INF]), "d[1]", "inf"),
+    ("f0", lambda mp: _oracle(NAN), "f0", "nan"),
+    ("f0, text", lambda mp: _oracle("x"), "f0", "'x'"),
+    ("c0_free", lambda mp: _solve(NAN, mp), "c0_free", "nan"),
+    ("c0_free, text", lambda mp: _solve("x", mp), "c0_free", "'x'"),
+    ("c0_free, general mode", lambda mp: _solve(INF, mp, log=False), "c0_free", "inf"),
+    ("c0_free, log coefficients", lambda mp: _log_coefficients(INF), "c0_free", "inf"),
+]
+
+
+@pytest.mark.parametrize("call, field, shown", [case[1:] for case in NONFINITE_INPUTS],
+                         ids=[case[0] for case in NONFINITE_INPUTS])
+def test_nonfinite_equation_input_is_a_validation_error(call, field, shown, monkeypatch):
+    """Unchecked, Polynomial's trim drops an inf top coefficient, a NaN beta reaches c, an inf
+    delta leaves d = 0, a NaN f0 blames the lattice, a NaN c0_free fails as c_0 after the
+    special points are found (and in general mode reaches solution_to_json), and text is an
+    untyped ValueError."""
+    with pytest.raises(ValidationError) as err:
+        call(monkeypatch)
     assert str(err.value) == f"{field}: expected a finite complex number, got {shown}"
 
 
@@ -801,6 +879,23 @@ def test_verify_node_sums_only_its_first_terms_in_wide_blocks():
     _assert_overflow_as_the_scalar_route(300)
 
 
+def test_node_sums_mask_terms_past_a_node_whose_product_overflowed():
+    """Poles within 2^-52 of node y_3 = 1 and nodes near -1e100 overflow Yb_3(y_3) to inf before
+    the zero factor (y_3 - y_3) of Yb_4(y_3), so the term k = 4 at node 3 is inf * 0 = NaN:
+    each node j sums c_0 and its own terms k <= j only, part by part, NaN and inf matched."""
+    ys = np.array([-1e100, -2e100, -3e100, 1.0, 2.0], dtype=complex)
+    poles = np.array([1 + 2.0 ** -52] * 3 + [7.0], dtype=complex)
+    cs = np.array([0.5, 1.0, -2.0, 0.25, 3.0], dtype=complex)
+    with np.errstate(all="ignore"):
+        want = np.array([cs[0] + np.sum(cs[1:j + 1] * np.cumprod((y - ys[:j]) / (y - poles[:j])))
+                         for j, y in enumerate(ys)])
+    assert np.isinf(want[3].real) and np.isfinite(want[[0, 1, 2, 4]]).all()
+    got = _node_sums(ys, poles, cs)
+    for part in ("real", "imag"):
+        np.testing.assert_allclose(getattr(got, part), getattr(want, part), rtol=1e-15,
+                                   equal_nan=True)
+
+
 def test_verify_memory_stays_small():
     eq, select = linear_fixture()
     sol = solve(eq, select, 1000)
@@ -1006,11 +1101,20 @@ def test_non_integer_order_is_validation_error(entry):
     call(np.int64(3))
 
 
-@pytest.mark.parametrize("entry", ["expansion_coefficients", "expansion_coefficients_log"])
+@pytest.mark.parametrize("entry", ["expansion_coefficients", "expansion_coefficients_log",
+                                   "evaluate_partial_sum", "verify_interpolation"])
 def test_negative_order_names_its_bound(entry):
     arg, call = order_entry_points()[entry]
     with pytest.raises(ValidationError, match=f"^{arg} must be >= 0, got -1$"):
         call(-1)
+
+
+@pytest.mark.parametrize("entry", ["evaluate_partial_sum", "verify_interpolation"])
+def test_order_past_the_solution_names_its_coefficients(entry):
+    """A solution's one order rule: past its order, the convergence entry points' message."""
+    _, call = order_entry_points()[entry]
+    with pytest.raises(ValidationError, match=r"^solution has only 5 coefficients$"):
+        call(6)
 
 
 # -- logarithmic mode ------------------------------------------------------------------------
