@@ -16,6 +16,10 @@ hypothesis, the `test` extra, must be importable):
   largest interpolation error, or the exception (a small divisor, say);
 - the README's `ellgrid solve` and `ellgrid verify` runs: exit code, stdout,
   stderr and the solution JSON;
+- more `ellgrid verify` runs (exit code, stdout, stderr): the general
+  fixtures and the log-linear fixture at N = 40, `genus1_equation` seeds 0-9
+  under `{"index": [0, 1]}` at N = 40, and a `lattice_seed` scenario on the
+  README's curve (x0 = y0 = 1, n_max = 8);
 - `ellgrid ratemap` runs: exit code, stdout, stderr and the CSV, on the
   criterion-9 41x41 predicted map, a 41x41 empirical map on the linear
   fixture, the genus-1 curve of `log_qlattice_fixture(shift=1e-2)` (every
@@ -156,11 +160,9 @@ def cli_cases():
         for name, argv, written in (
                 ("solve", ["solve", "--config", str(cfg), "--out", str(out)], out),
                 ("verify", ["verify", "--config", str(verify)], None)):
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli_main(argv)
+            code, stdout, stderr = run_cli(argv)
             text = written.read_text() if written is not None else None
-            yield f"cli {name}", repr((code, stdout.getvalue(), stderr.getvalue(), text))
+            yield f"cli {name}", repr((code, stdout, stderr, text))
 
 
 def _cjson(z):
@@ -168,20 +170,30 @@ def _cjson(z):
     return [z.real, z.imag]
 
 
-def ratemap_config(eq, select, re_axis, im_axis, log_hints=None):
-    """A ratemap scenario over the [lo, hi, count] axes; log mode (c0_free = 0)
-    with the solve hints log_hints."""
+def scenario_config(eq, select, params, log_hints=None, c0_free=0j):
+    """A scenario for eq whose params are params and the select clause select; log mode
+    (c0_free) with the solve hints log_hints."""
     cfg = {"curve": [[_cjson(v) for v in row] for row in eq.curve.c],
            "equation": {"a": [_cjson(c) for c in eq.a.coeffs],
                         "d": [_cjson(c) for c in eq.d.coeffs]},
-           "params": {"select": {"explicit": [_cjson(select.x_m1), _cjson(select.x_p0)]},
-                      "window": [5, 25], "grid": {"re": re_axis, "im": im_axis}}}
+           "params": {"select": select, **params}}
     if log_hints is None:
         cfg["equation"]["c"] = [_cjson(c) for c in eq.c.coeffs]
     else:
-        cfg["equation"].update(mode="log", c0_free=[0.0, 0.0])
+        cfg["equation"].update(mode="log", c0_free=_cjson(c0_free))
         cfg["params"].update((k, _cjson(v)) for k, v in log_hints.items())
     return cfg
+
+
+def explicit(select):
+    return {"explicit": [_cjson(select.x_m1), _cjson(select.x_p0)]}
+
+
+def ratemap_config(eq, select, re_axis, im_axis, log_hints=None):
+    """A ratemap scenario over the [lo, hi, count] axes; log mode (c0_free = 0)
+    with the solve hints log_hints."""
+    return scenario_config(eq, explicit(select),
+                           {"window": [5, 25], "grid": {"re": re_axis, "im": im_axis}}, log_hints)
 
 
 def ratemap_configs():
@@ -196,17 +208,44 @@ def ratemap_configs():
                                                      [-0.6, 0.6, 5], hints)
 
 
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one ellgrid.cli.main call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
 def ratemap_cases():
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in ratemap_configs():
             path, out = pathlib.Path(tmp, "ratemap.json"), pathlib.Path(tmp, "ratemap.csv")
             path.write_text(json.dumps(cfg))
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli_main(["ratemap", "--config", str(path), "--out", str(out)])
+            code, stdout, stderr = run_cli(["ratemap", "--config", str(path), "--out", str(out)])
             text = out.read_bytes() if out.exists() else None
             out.unlink(missing_ok=True)
-            yield f"cli ratemap {name}", repr((code, stdout.getvalue(), stderr.getvalue(), text))
+            yield f"cli ratemap {name}", repr((code, stdout, stderr, text))
+
+
+def verify_configs():
+    for name, eq, select in general_fixtures():
+        yield f"{name} N=40", scenario_config(eq, explicit(select), {"n": 40})
+    eq, select, c0_free, _, _, hints = log_linear_fixture()
+    yield "log-linear N=40", scenario_config(eq, explicit(select), {"n": 40}, hints, c0_free)
+    for seed in range(10):
+        yield (f"genus1-{seed} index [0, 1] N=40",
+               scenario_config(genus1_equation(seed), {"index": [0, 1]}, {"n": 40}))
+    yield "lattice seed", {"curve": README_SOLVE["curve"],
+                           "lattice_seed": {"x0": [1.0, 0.0], "y0": [1.0, 0.0]},
+                           "params": {"n_max": 8}}
+
+
+def verify_cases():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "verify.json")
+        for name, cfg in verify_configs():
+            path.write_text(json.dumps(cfg))
+            yield f"cli verify {name}", repr(run_cli(["verify", "--config", str(path)]))
 
 
 def main():
@@ -214,7 +253,8 @@ def main():
     parser.add_argument("--cases", help="also write one 'name<TAB>outcome' line per case here")
     args = parser.parse_args()
     lines = [f"{name}\t{value}"
-             for gen in (special_point_cases, solve_cases, cli_cases, ratemap_cases)
+             for gen in (special_point_cases, solve_cases, cli_cases, ratemap_cases,
+                        verify_cases)
              for name, value in gen()]
     if args.cases:
         pathlib.Path(args.cases).write_text("\n".join(lines) + "\n")
