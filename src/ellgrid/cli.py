@@ -287,13 +287,12 @@ def _verify_checks(cfg):
                _worst((sol.special.res_m1, sol.special.res_p0)) <= 1e-9,
                f"residuals {sol.special.res_m1:.2e}, {sol.special.res_p0:.2e}")
 
-        worst = _worst(diffops.diff_constant(sol.pair, n, method="all")[1]
-                       for n in range(1, min(6, len(sol.coeffs) - 1) + 1))
+        orders = range(1, min(6, len(sol.coeffs) - 1) + 1)
+        worst = _worst(spread for _, spread in diffops._agreements(sol.pair, orders))
         yield "cn-four-way-agreement", worst <= 1e-8, f"max spread {worst:.2e}"
 
         samples = diffops.identity_samples(sol.pair, 3, count=12, seed=11)
-        worst = _worst(diffops.verify_diff_basis_identity(sol.pair, n, samples)
-                       for n in (1, 2, 3))
+        worst = _worst(diffops._identities(sol.pair, (1, 2, 3), samples))
         yield "diff-basis-identity", worst <= 1e-7, f"max error {worst:.2e}"
 
         n_exp = len(sol.coeffs) - 1

@@ -28,15 +28,18 @@ import numpy as np
 
 from .errors import (
     BranchPointEvaluationError,
+    EllgridError,
     MethodDegenerateError,
     NoValidSamplesError,
     PoleEvaluationError,
     ValidationError,
+    VerticalTangentError,
     _order,
 )
 from .poly import Polynomial, RationalFunction
 
 C_METHODS = ("xm1", "xn1", "resp0", "respn")
+DEGENERATE = (MethodDegenerateError, PoleEvaluationError, VerticalTangentError)   # in 'all'
 POLE_TOL = 1e-13
 PAIR_BATCH = 1 << 12     # z-pole gaps per batch of pole_hits
 
@@ -286,42 +289,134 @@ def diff_constants(pair, N):
     return cns
 
 
-def _points(pair, n):
-    """({point: (z, s, t)}, (xs, ys), (xps, yps)) from one range read of each lattice.
+def _prefix(z, zeros, poles):
+    """basis_products(z, zeros, poles) up to the first pole z hits: [1, B_1(z) .. B_k(z)] with k
+    the factors before it, so that an order that takes factor k + 1 meets that pole."""
+    try:
+        return basis_products(z, zeros, poles)
+    except PoleEvaluationError:
+        k = next(j for j, pole in enumerate(poles) if pole_hit(z, pole))
+        return basis_products(z, zeros[:k], poles[:k])
 
-    s, t are the y-roots over z.  At the nodes x_{-1}, x_{n-1}, t is a zero of
-    Yb_n; at x'_0, x'_n, s is a pole.  xs, ys run over index -1..n, xps, yps 0..n+1.
+
+def _attempt(fn, *args):
+    """fn(*args), or the EllgridError it raises: one route's or one order's outcome."""
+    try:
+        return fn(*args)
+    except EllgridError as exc:
+        return exc
+
+
+def _raised(outcome):
+    """An outcome of _attempt, raised where it is an error."""
+    if isinstance(outcome, EllgridError):
+        raise outcome
+    return outcome
+
+
+def _read_orders(pair, orders, ahead, lead=False):
+    """(reads, orders), reads = (xs, ys, xps, yps) over x_n, y_n for n = -1 .. N - 1 + ahead and
+    x'_n, y'_n for n = 0 .. N + ahead, N the last of orders: one values read per lattice.  Where a
+    walk stops short of that, (reads, [n]) for each n in turn, so the first order that needs the
+    stop raises it; a lone order first reads, where lead, what the x_{-1} route reads (ahead 0),
+    as diff_constant's routes read one by one did."""
+    N = orders[-1]
+    try:
+        reads = pair.unprimed.values(-1, N + ahead) + pair.primed.values(0, N + 1 + ahead)
+    except EllgridError:
+        if len(orders) == 1:
+            if lead:
+                pair.unprimed.values(-1, N), pair.primed.values(0, N + 1)
+            raise
+        for n in orders:
+            yield from _read_orders(pair, [n], ahead, lead)
+        return
+    yield reads, orders
+
+
+def _cn_routes(curve, reads, orders, methods):
+    """{method: C_n by that route, or the error it raises at n} for each n of orders in turn.
+
+    C_n = num / ((s - t) X2(z) Xb_{n-1}(z)) at a point (z, s, t), s, t the y-roots over z.  At the
+    nodes x_{-1} (with s, t swapped) and x_{n-1}, num = Yb_n(s) (z - x'_0)(z - x'_n) and t is a
+    zero of Yb_n; at x'_0 or x'_n, s is a pole and num = R (z - x'_far) / dy/dx(z, s), R the
+    residue of Yb_n at s, which pairs each zero but y_{n-1} with a pole, so it does not overflow
+    where C_n is finite.  At x_{-1} and x'_0 each running product is formed once up to the last
+    order (_prefix), and dy/dx once: a pole met at factor k, or a guard, fails the route only at
+    the orders that take it.  Each value rounds as at one order alone.  reads: _read_orders'.
     """
-    xs, ys = pair.unprimed.values(-1, n + 1)
-    xps, yps = pair.primed.values(0, n + 2)
-    table = {"xm1": (xs[0], ys[0], ys[1]), "xn1": (xs[n], ys[n + 1], ys[n]),
-             "xp0": (xps[0], yps[1], yps[0]), "xpn": (xps[n], yps[n], yps[n + 1])}
-    return table, (xs, ys), (xps, yps)
+    xs, ys, xps, yps = reads
+    N, x2 = orders[-1], curve.x_view()[2]
+    xm1, ym1, xp0, yp1 = xs[0], ys[0], xps[0], yps[1]
+    if "xm1" in methods:
+        yb_m1, xb_m1 = _prefix(ym1, ys[1:N + 1], yps[1:N + 1]), _prefix(xm1, xs[1:N], xps[1:N])
+        head_m1 = _attempt(lambda: _guard("y0 - y_{-1}", ys[1] - ym1) * x2(xm1))
+    if "resp0" in methods:
+        res_p0, xb_p0 = _prefix(yp1, ys[1:N], yps[2:N + 1]), _prefix(xp0, xs[1:N], xps[1:N])
+        head_p0 = _attempt(lambda: _guard("s - t", yp1 - yps[0]) * x2(xp0))
+        dydx_p0 = _attempt(lambda: _guard("dy/dx", curve.implicit_dy_dx(xp0, yp1)))
 
+    def at_xm1(n):
+        if len(yb_m1) <= n:
+            raise PoleEvaluationError(ym1)
+        if len(xb_m1) < n:
+            raise PoleEvaluationError(xm1)
+        num = -yb_m1[n] * (xm1 - xps[0]) * (xm1 - xps[n])
+        return num / _guard("C_n(xm1) denominator", _raised(head_m1) * xb_m1[n - 1])
 
-def _cn_at(pair, n, method):
-    """C_n by the x_{n-1} or a residue route: a numerator over (s - t) X2(z) Xb_{n-1}(z).
-
-    At x_{n-1} it is Yb_n(s) (z - x'_0)(z - x'_n); at x'_0 or x'_n it is R (z - x'_far)
-    over dy/dx at (z, s), R the residue of Yb_n at s and x'_far the other end.  R
-    pairs each zero but y_{n-1} with a pole, so it does not overflow where C_n is finite.
-    """
-    table, (xs, ys), (xps, yps) = _points(pair, n)
-    if method == "xn1":
-        z, s, t = table["xn1"]
+    def at_xn1(n):
+        z, s, t = xs[n], ys[n + 1], ys[n]
         num = basis_products(s, ys[1:n + 1], yps[1:n + 1])[-1] * (z - xps[0]) * (z - xps[n])
-    else:
-        (z, s, t), far, poles = ((table["xp0"], xps[n], yps[2:n + 1]) if method == "resp0"
-                                 else (table["xpn"], xps[0], yps[1:n]))
-        dydx = _guard("dy/dx", pair.curve.implicit_dy_dx(z, s))
+        den = _guard("s - t", s - t) * x2(z) * basis_products(z, xs[1:n], xps[1:n])[-1]
+        return num / _guard("C_n(xn1) denominator", den)
+
+    def at_xp0(n):
+        dydx = _raised(dydx_p0)
+        if len(res_p0) < n:
+            raise MethodDegenerateError(f"C_{n}(resp0): poles collide at {yp1}")
+        num = res_p0[n - 1] * (yp1 - ys[n]) / dydx * (xp0 - xps[n])
+        head = _raised(head_p0)
+        if len(xb_p0) < n:
+            raise PoleEvaluationError(xp0)
+        return num / _guard("C_n(resp0) denominator", head * xb_p0[n - 1])
+
+    def at_xpn(n):
+        z, s, t = xps[n], yps[n], yps[n + 1]
+        dydx = _guard("dy/dx", curve.implicit_dy_dx(z, s))
         try:
-            res = basis_products(s, ys[1:n], poles)[-1] * (s - ys[n])
-        except PoleEvaluationError as exc:
-            raise MethodDegenerateError(f"C_{n}({method}): poles collide at {exc.at}") from None
-        num = res / dydx * (z - far)
-    den = _guard("s - t", s - t) * pair.curve.x_view()[2](z) * \
-        basis_products(z, xs[1:n], xps[1:n])[-1]
-    return num / _guard(f"C_n({method}) denominator", den)
+            res = basis_products(s, ys[1:n], yps[1:n])[-1] * (s - ys[n])
+        except PoleEvaluationError:
+            raise MethodDegenerateError(f"C_{n}(respn): poles collide at {s}") from None
+        den = _guard("s - t", s - t) * x2(z) * basis_products(z, xs[1:n], xps[1:n])[-1]
+        return res / dydx * (z - xps[0]) / _guard("C_n(respn) denominator", den)
+
+    routes = {"xm1": at_xm1, "xn1": at_xn1, "resp0": at_xp0, "respn": at_xpn}
+    for n in orders:
+        out = {}
+        for m in methods:
+            cn = _attempt(routes[m], n)
+            if not (isinstance(cn, EllgridError) or cmath.isfinite(cn)):
+                cn = MethodDegenerateError(f"C_{n} by route {m} is not finite ({cn})")
+            out[m] = cn
+        yield out
+
+
+def _cn_orders(pair, orders, methods=C_METHODS):
+    """_cn_routes over one read per lattice; the x_{-1} route alone reads one index less."""
+    ahead = int(methods != ("xm1",))
+    for reads, chunk in _read_orders(pair, orders, ahead, ahead and "xm1" in methods):
+        yield from _cn_routes(pair.curve, reads, chunk, methods)
+
+
+def _agreements(pair, orders):
+    """diff_constant(pair, n, "all") for each n of orders in turn, from one read per lattice."""
+    for n, routes in zip(orders, _cn_orders(pair, orders)):
+        values = {m: _raised(cn) for m, cn in routes.items() if not isinstance(cn, DEGENERATE)}
+        if len(values) < 2:
+            raise MethodDegenerateError(f"fewer than two usable C_{n} routes")
+        vs = list(values.values())
+        mid = max(abs(v) for v in vs)
+        yield values, (max(abs(a - b) for a in vs for b in vs) / mid if mid else 0.0)
 
 
 def diff_constant(pair, n, method="xm1"):
@@ -330,31 +425,19 @@ def diff_constant(pair, n, method="xm1"):
     method: 'xm1' evaluates at x_{-1}, 'xn1' at x_{n-1} (both derivative-free),
     'resp0'/'respn' use the residues at x'_0 / x'_n (they need the implicit
     branch derivative), 'all' returns {method: value} for the non-degenerate
-    ones plus their relative spread, requiring at least two to succeed (a route
-    whose value is not finite is degenerate).
+    ones plus their relative spread, requiring at least two.  In 'all' a route
+    is degenerate where its value is not finite, or where it raises
+    MethodDegenerateError, PoleEvaluationError or VerticalTangentError; a single
+    route raises them, and a point off the curve raises in both.
     """
     n = _order(n, "n", lo=0)
     if n == 0:
         return 0j if method != "all" else ({m: 0j for m in C_METHODS}, 0.0)
     if method == "all":
-        values = {}
-        for m in C_METHODS:
-            try:
-                values[m] = diff_constant(pair, n, m)
-            except MethodDegenerateError:
-                continue
-        if len(values) < 2:
-            raise MethodDegenerateError(f"fewer than two usable C_{n} routes")
-        vs = list(values.values())
-        mid = max(abs(v) for v in vs)
-        spread = max(abs(a - b) for a in vs for b in vs) / mid if mid else 0.0
-        return values, spread
+        return next(_agreements(pair, [n]))
     if method not in C_METHODS:
         raise ValidationError(f"unknown C_n method {method!r}")
-    cn = diff_constants(pair, n)[n] if method == "xm1" else _cn_at(pair, n, method)
-    if not cmath.isfinite(cn):
-        raise MethodDegenerateError(f"C_{n} by route {method} is not finite ({cn})")
-    return cn
+    return _raised(next(_cn_orders(pair, [n], (method,)))[method])
 
 
 def mean_poly_direct(pair, n, z):
@@ -377,7 +460,10 @@ def mean_poly_value(pair, n, at="xp0"):
     if n == 0:
         return 1.0 + 0j
     cn = diff_constant(pair, n)
-    table = _points(pair, n)[0]
+    xs, ys = pair.unprimed.values(-1, n + 1)
+    xps, yps = pair.primed.values(0, n + 2)
+    table = {"xm1": (xs[0], ys[0], ys[1]), "xn1": (xs[n], ys[n + 1], ys[n]),
+             "xp0": (xps[0], yps[1], yps[0]), "xpn": (xps[n], yps[n], yps[n + 1])}
     if at not in table:
         raise ValidationError(f"unknown D_n point {at!r}")
     z, s, t = table[at]
@@ -419,23 +505,46 @@ def identity_samples(pair, n, count=20, seed=7):
     return out
 
 
+def _identities(pair, orders, samples):
+    """verify_diff_basis_identity(pair, n, samples) for each n of orders in turn, from one read per
+    lattice: C_n by _cn_routes, and per sample its root pair once and Yb_n at both roots and
+    Xb_{n-1}(z) as prefixes of one running product each, formed at the first order."""
+    curve, samples = pair.curve, list(samples)
+    x2 = curve.x_view()[2]
+    for reads, chunk in _read_orders(pair, orders, 0):
+        xs, ys, xps, yps = reads
+        N, points = chunk[-1], []
+        cns = _cn_routes(curve, reads, chunk, ("xm1",))
+        for n in chunk:
+            cn, errs = _raised(next(cns)["xm1"]), []
+            for j, z in enumerate(samples):
+                if j == len(points):
+                    try:
+                        roots = _root_pair(curve, z)
+                    except BranchPointEvaluationError:
+                        points.append(None)
+                        continue
+                    points.append((roots.hi - roots.lo, x2(z), _prefix(z, xs[1:N], xps[1:N]),
+                                   *(_prefix(t, ys[1:], yps[1:]) for t in (roots.hi, roots.lo))))
+                if points[j] is None:
+                    continue
+                gap, x2z, xb, hi, lo = points[j]
+                if len(hi) <= n or len(lo) <= n or len(xb) < n:
+                    continue
+                lhs = (hi[n] - lo[n]) / gap
+                try:
+                    rhs = cn * x2z * xb[n - 1] / ((z - xps[0]) * (z - xps[n]))
+                except ZeroDivisionError:
+                    continue
+                errs.append(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+            if not errs:
+                raise NoValidSamplesError("all samples degenerate for the basis identity")
+            yield float(np.max(errs))
+
+
 def verify_diff_basis_identity(pair, n, samples):
-    """Max relative error of  D Yb_n = C_n X2 Xb_{n-1} / ((x-x'_0)(x-x'_n))  on samples."""
+    """Max relative error of  D Yb_n = C_n X2 Xb_{n-1} / ((x-x'_0)(x-x'_n))  on samples, skipping
+    a sample at a branch point, at a pole of Yb_n or Xb_{n-1}, or at x'_0 or x'_n."""
     if n == 0:
         return 0.0
-    cn = diff_constant(pair, n)
-    x2 = pair.curve.x_view()[2]
-    yb = pair.y_basis(n)
-    xb = pair.x_basis(n - 1)
-    xp0, xpn = pair.primed.x(0), pair.primed.x(n)
-    errs = []
-    for z in samples:
-        try:
-            lhs = divided_difference(pair.curve, yb, z)
-            rhs = cn * x2(z) * xb(z) / ((z - xp0) * (z - xpn))
-        except (BranchPointEvaluationError, PoleEvaluationError, ZeroDivisionError):
-            continue
-        errs.append(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-    if not errs:
-        raise NoValidSamplesError("all samples degenerate for the basis identity")
-    return float(np.max(errs))
+    return next(_identities(pair, [_order(n, "n", lo=0)], samples))

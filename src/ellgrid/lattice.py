@@ -277,14 +277,6 @@ class LatticePair:
             x, y = xb, yb
         return True
 
-    # -- invariants ---------------------------------------------------------------
-
-    def on_curve_residual(self, n):
-        """The curve's scale-free residual at (x_n, y_n) and (x_n, y_{n+1})."""
-        self.ensure(n, n + 1)
-        (x, y), (_, y1) = self._at(n), self._at(n + 1)
-        return self.curve.residual(x, y), self.curve.residual(x, y1)
-
 
 def _stop(m, direction, cause):
     """The LatticeSingularityError of a walk that stops on its step into m, for `cause` (a

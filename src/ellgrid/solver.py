@@ -25,14 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .diffops import (
-    BasisPair,
-    basis_products,
-    diff_constants,
-    divided_difference,
-    mean_value,
-    pole_hits,
-)
+from .diffops import BasisPair, _root_pair, basis_products, diff_constants, pole_hits
 from .errors import (
     BranchAssignmentFailedError,
     DegreeMismatchError,
@@ -650,27 +643,34 @@ def _sum_order(sol, N, name="N"):
     return N
 
 
+def _partial_sums(sol, N, zs):
+    """S_N(z) = sum_{k<=N} c_k Yb_k(z) for each z of zs in turn, with Yb_0(z) .. Yb_N(z) from one
+    basis_products call, over one read per lattice.  N follows the order rule `_sum_order`
+    ("solution has only K coefficients" past the end), and a non-finite z is a ValidationError
+    naming it."""
+    N, reads = _sum_order(sol, N), None
+    for z in zs:
+        z = _finite(z, "z")
+        reads = reads or (sol.pair.unprimed.values(0, N)[1], sol.pair.primed.values(1, N + 1)[1])
+        acc = sol.coeffs[0]
+        for c, yb in zip(sol.coeffs[1:N + 1], basis_products(z, *reads)[1:]):
+            acc += c * yb
+        yield acc
+
+
 def evaluate_partial_sum(sol, N, z):
-    """S_N(z) = sum_{k<=N} c_k Yb_k(z), with Yb_0(z) .. Yb_N(z) from one basis_products call.
-    N follows the order rule `_sum_order` ("solution has only K coefficients" past the end), and
-    a non-finite z is a ValidationError naming it."""
-    N, z = _sum_order(sol, N), _finite(z, "z")
-    ys = sol.pair.unprimed.values(0, N)[1]
-    poles = sol.pair.primed.values(1, N + 1)[1]
-    acc = sol.coeffs[0]
-    for c, yb in zip(sol.coeffs[1:N + 1], basis_products(z, ys, poles)[1:]):
-        acc += c * yb
-    return acc
+    """S_N(z) by `_partial_sums`."""
+    return next(_partial_sums(sol, N, (z,)))
 
 
 def residual(eq, sol, N, z):
-    """Defect a (D S_N) - c (M S_N) - d at z (vanishes on early lattice points); a non-finite z
-    is a ValidationError naming it."""
+    """Defect a (D S_N) - c (M S_N) - d at z (vanishes on early lattice points), from one root pair
+    over z and S_N once at each root; a non-finite z is a ValidationError naming it."""
     z = _finite(z, "z")
-    f = lambda t: evaluate_partial_sum(sol, N, t)
-    df = divided_difference(eq.curve, f, z)
-    mf = mean_value(eq.curve, f, z)
-    return eq.a(z) * df - eq.c(z) * mf - eq.d(z)
+    roots = _root_pair(eq.curve, z)
+    hi, lo = _partial_sums(sol, N, (roots.hi, roots.lo))
+    df = (hi - lo) / (roots.hi - roots.lo)
+    return eq.a(z) * df - eq.c(z) * (0.5 * (lo + hi)) - eq.d(z)
 
 
 @dataclass(frozen=True)

@@ -23,17 +23,34 @@ from ellgrid import (
     solve,
     verify_interpolation,
 )
+from ellgrid import diffops
 from ellgrid.curve import LEAD_TOL
-from ellgrid.diffops import diff_constant, diff_constants
+from ellgrid.diffops import (
+    C_METHODS,
+    basis_products,
+    diff_constant,
+    diff_constants,
+    divided_difference,
+    identity_samples,
+    mean_value,
+    verify_diff_basis_identity,
+)
 from ellgrid.errors import (
+    BranchPointEvaluationError,
     EllgridError,
     HitSingularLatticeError,
     LatticeSingularityError,
     LatticeStagnationError,
     LeadingCoefficientVanishesError,
+    MethodDegenerateError,
+    NoValidSamplesError,
+    PoleEvaluationError,
+    VerticalTangentError,
+    _finite,
 )
 from ellgrid.lattice import STAGNATION_RUN, STAGNATION_TOL
 from ellgrid.poly import Polynomial, reduced_abs
+from ellgrid.solver import _sum_order, residual
 
 settings.register_profile("ellgrid", deadline=None, derandomize=True)
 settings.load_profile("ellgrid")
@@ -459,6 +476,175 @@ def ref_dn(pair, n, at):
         return 0.5 * cn * x2(xp(0)) * (yp(1) - yp(0))
     assert at == "xpn"
     return -0.5 * cn * x2(xp(n)) * (yp(n + 1) - yp(n))
+
+
+def on_curve_residual(lat, n):
+    """The curve's scale-free residual at (x_n, y_n) and (x_n, y_{n+1}) of the lattice lat."""
+    return lat.curve.residual(lat.x(n), lat.y(n)), lat.curve.residual(lat.x(n), lat.y(n + 1))
+
+
+# -- the verify suite's three checks, one call per order, each reading both lattices ----------
+
+
+def _ref_points(pair, n):
+    """({point: (z, s, t)}, (xs, ys), (xps, yps)) from one range read of each lattice: xs, ys over
+    index -1 .. n, xps, yps over 0 .. n + 1."""
+    xs, ys = pair.unprimed.values(-1, n + 1)
+    xps, yps = pair.primed.values(0, n + 2)
+    table = {"xm1": (xs[0], ys[0], ys[1]), "xn1": (xs[n], ys[n + 1], ys[n]),
+             "xp0": (xps[0], yps[1], yps[0]), "xpn": (xps[n], yps[n], yps[n + 1])}
+    return table, (xs, ys), (xps, yps)
+
+
+def _ref_cn_at(pair, n, method):
+    """C_n by the x_{n-1} route or a residue route at one order, every product from scratch (the
+    guards are diffops._guard, so that a test may replace them)."""
+    table, (xs, ys), (xps, yps) = _ref_points(pair, n)
+    if method == "xn1":
+        z, s, t = table["xn1"]
+        num = basis_products(s, ys[1:n + 1], yps[1:n + 1])[-1] * (z - xps[0]) * (z - xps[n])
+    else:
+        (z, s, t), far, poles = ((table["xp0"], xps[n], yps[2:n + 1]) if method == "resp0"
+                                 else (table["xpn"], xps[0], yps[1:n]))
+        dydx = diffops._guard("dy/dx", pair.curve.implicit_dy_dx(z, s))
+        try:
+            res = basis_products(s, ys[1:n], poles)[-1] * (s - ys[n])
+        except PoleEvaluationError as exc:
+            raise MethodDegenerateError(f"C_{n}({method}): poles collide at {exc.at}") from None
+        num = res / dydx * (z - far)
+    den = diffops._guard("s - t", s - t) * pair.curve.x_view()[2](z) * \
+        basis_products(z, xs[1:n], xps[1:n])[-1]
+    return num / diffops._guard(f"C_n({method}) denominator", den)
+
+
+def ref_diff_constant(pair, n, method):
+    """diff_constant(pair, n, method) for n >= 1, one route at a time: the x_{-1} route as
+    diff_constants(pair, n)[n], the others by _ref_cn_at; 'all' calls each route and skips those
+    that raise MethodDegenerateError, PoleEvaluationError or VerticalTangentError."""
+    if method == "all":
+        values = {}
+        for m in C_METHODS:
+            try:
+                values[m] = ref_diff_constant(pair, n, m)
+            except (MethodDegenerateError, PoleEvaluationError, VerticalTangentError):
+                continue
+        if len(values) < 2:
+            raise MethodDegenerateError(f"fewer than two usable C_{n} routes")
+        vs = list(values.values())
+        mid = max(abs(v) for v in vs)
+        return values, (max(abs(a - b) for a in vs for b in vs) / mid if mid else 0.0)
+    cn = diff_constants(pair, n)[n] if method == "xm1" else _ref_cn_at(pair, n, method)
+    if not cmath.isfinite(cn):
+        raise MethodDegenerateError(f"C_{n} by route {method} is not finite ({cn})")
+    return cn
+
+
+def ref_identity(pair, n, samples):
+    """verify_diff_basis_identity(pair, n, samples) for n >= 1 at one order: C_n by
+    ref_diff_constant, Yb_n and Xb_{n-1} as basis functions, D Yb_n by divided_difference."""
+    cn = ref_diff_constant(pair, n, "xm1")
+    x2 = pair.curve.x_view()[2]
+    yb, xb = pair.y_basis(n), pair.x_basis(n - 1)
+    xp0, xpn = pair.primed.x(0), pair.primed.x(n)
+    errs = []
+    for z in samples:
+        try:
+            lhs = divided_difference(pair.curve, yb, z)
+            rhs = cn * x2(z) * xb(z) / ((z - xp0) * (z - xpn))
+        except (BranchPointEvaluationError, PoleEvaluationError, ZeroDivisionError):
+            continue
+        errs.append(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+    if not errs:
+        raise NoValidSamplesError("all samples degenerate for the basis identity")
+    return float(np.max(errs))
+
+
+def ref_partial_sum(sol, N, z):
+    """S_N(z) from its own two range reads and one basis_products call."""
+    N, z = _sum_order(sol, N), _finite(z, "z")
+    ys = sol.pair.unprimed.values(0, N)[1]
+    poles = sol.pair.primed.values(1, N + 1)[1]
+    acc = sol.coeffs[0]
+    for c, yb in zip(sol.coeffs[1:N + 1], basis_products(z, ys, poles)[1:]):
+        acc += c * yb
+    return acc
+
+
+def ref_residual(eq, sol, N, z):
+    """residual(eq, sol, N, z) by divided_difference and mean_value over ref_partial_sum: two
+    root pairs over z and four partial sums."""
+    z = _finite(z, "z")
+    f = lambda t: ref_partial_sum(sol, N, t)      # noqa: E731
+    df = divided_difference(eq.curve, f, z)
+    mf = mean_value(eq.curve, f, z)
+    return eq.a(z) * df - eq.c(z) * mf - eq.d(z)
+
+
+def outcome(fn):
+    """repr of fn()'s result, or the type and message of the EllgridError it raises."""
+    try:
+        return repr(fn())
+    except EllgridError as exc:
+        return f"raise {type(exc).__name__}: {exc}"
+
+
+def outcomes(results):
+    """repr of each of the iterable's results in turn, up to the type and message of the
+    EllgridError that ends it, if one does."""
+    out = []
+    try:
+        for value in results:
+            out.append(repr(value))
+    except EllgridError as exc:
+        out.append(f"raise {type(exc).__name__}: {exc}")
+    return out
+
+
+def verify_suite_cases(sol):
+    """(name, outcomes, reference outcomes) for the three checks `ellgrid verify` makes on sol's
+    equation, by the library and by the references above, order by order: the four-way check
+    over n = 1 .. min(6, K) and each route alone, the identity for n = 1, 2, 3 on the CLI's 12
+    samples (together and one order a call), and the residual at x_0 .. x_{min(6, K) - 1}."""
+    pair, eq, K = sol.pair, sol.eq, len(sol.coeffs) - 1
+    orders = range(1, min(6, K) + 1)
+    yield ("four-way", outcomes(diffops._agreements(pair, orders)),
+           outcomes(ref_diff_constant(pair, n, "all") for n in orders))
+    for m in C_METHODS:
+        yield (f"route {m}", [outcome(lambda: diff_constant(pair, n, m)) for n in orders],
+               [outcome(lambda: ref_diff_constant(pair, n, m)) for n in orders])
+    samples = identity_samples(pair, 3, count=12, seed=11)
+    ref = outcomes(ref_identity(pair, n, samples) for n in (1, 2, 3))
+    yield "identity", outcomes(diffops._identities(pair, (1, 2, 3), samples)), ref
+    yield ("identity per order", [outcome(lambda: verify_diff_basis_identity(pair, n, samples))
+                                  for n in (1, 2, 3)],
+           [outcome(lambda: ref_identity(pair, n, samples)) for n in (1, 2, 3)])
+    zs = pair.unprimed.values(0, min(6, K))[0]
+    yield ("residual", [outcome(lambda: residual(eq, sol, K, z)) for z in zs],
+           [outcome(lambda: ref_residual(eq, sol, K, z)) for z in zs])
+
+
+def verify_suite_sweep(runs):
+    """(cases, differ) of verify_suite_cases over runs, (name, eq, select, N, solve keywords)
+    tuples: differ lists the (run name, case name) whose outcomes differ.  A run whose solve
+    raises has no cases."""
+    cases, differ = 0, []
+    for name, eq, select, N, kwargs in runs:
+        try:
+            sol = solve(eq, select, N, **kwargs)
+        except EllgridError:
+            continue
+        for case, got, want in verify_suite_cases(sol):
+            cases += 1
+            if got != want:
+                differ.append((name, case))
+    return cases, differ
+
+
+def genus1_runs(seeds, selects, N):
+    """verify_suite_sweep's runs for genus1_equation(seed) under each of selects at order N."""
+    for seed in seeds:
+        eq = genus1_equation(seed)
+        yield from ((f"genus1-{seed} {select!r}", eq, select, N, {}) for select in selects)
 
 
 def ref_ratio_recurrence(eq, pair, c0, N):

@@ -20,7 +20,8 @@ from ellgrid.errors import (
 )
 from ellgrid.lattice import write_lattice_csv
 
-from conftest import GOLDEN, genus1_equation, qgeom_fixture, random_real_curves, ref_walk
+from conftest import (GOLDEN, genus1_equation, on_curve_residual, qgeom_fixture,
+                      random_real_curves, ref_walk)
 
 
 def test_linear_walk_is_arithmetic():
@@ -118,7 +119,7 @@ def test_on_curve_invariant_random_curves():
         y0 = curve.y_roots(0.25 + 0j).lo
         lat = generate(LatticeSpec(curve, 0.25, y0), 0, 40)
         for n in range(0, 40):
-            r1, r2 = lat.on_curve_residual(n)
+            r1, r2 = on_curve_residual(lat, n)
             assert max(r1, r2) <= 1e-9
 
 

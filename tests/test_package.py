@@ -19,6 +19,7 @@ DELETED_ATTRS = {
     curve.RootPair: ("ordered",),
     curve.BiquadraticCurve: ("_f",),
     diffops.BasisPair: ("basis_at_m1", "x", "y", "xp", "yp"),
+    lattice.LatticePair: ("on_curve_residual",),
     convergence.RatePredictor: ("_grid_rates",),
 }
 
