@@ -155,9 +155,9 @@ def _equation_from(cfg, curve):
     return solver.DifferenceEquation.from_polynomials(curve, a, c, d), None
 
 
-def _solve_scenario(cfg, n=None):
-    """The scenario's solution to order n, else to params.n (default 10)."""
-    curve = _curve_from(cfg)
+def _solve_scenario(cfg, curve, n=None):
+    """The scenario's solution on its curve (`_curve_from`, built by the caller) to order n, else
+    to params.n (default 10)."""
     params = _params(cfg)
     eq, c0_free = _equation_from(cfg, curve)
     n = _int(params.get("n", 10), "params.n") if n is None else n
@@ -219,7 +219,7 @@ def run_lattice(cfg, out_path, quiet):
 def run_solve(cfg, out_path, quiet):
     """Expand the scenario's difference equation, dump JSON."""
     path = _out_path(out_path, _params(cfg))
-    sol = _solve_scenario(cfg)
+    sol = _solve_scenario(cfg, _curve_from(cfg))
     report = solver.verify_interpolation(sol.eq, sol, len(sol.coeffs) - 1)
     payload = solver.solution_to_json(sol)
     payload["interpolation_max_error"] = report.max_error
@@ -282,7 +282,7 @@ def _verify_checks(cfg):
         yield "complement-root-consistency", worst <= 1e-9, f"max deviation {worst:.2e}"
 
     if "equation" in cfg:
-        sol = _solve_scenario(cfg)
+        sol = _solve_scenario(cfg, curve)
         yield ("special-point-certificates",
                _worst((sol.special.res_m1, sol.special.res_p0)) <= 1e-9,
                f"residuals {sol.special.res_m1:.2e}, {sol.special.res_p0:.2e}")
@@ -333,7 +333,7 @@ def run_ratemap(cfg, out_path, quiet):
     im_axis = _axis(_require(grid, "params.grid.im"), "params.grid.im")
     threshold = _real(params.get("threshold", 0.05), "params.threshold")
     path = _out_path(out_path, params)
-    sol = _solve_scenario(cfg, n_max)
+    sol = _solve_scenario(cfg, _curve_from(cfg), n_max)
     rows = convergence.rate_map(sol, re_axis, im_axis, n_min, n_max,
                                 smalldiv_threshold=threshold)
     with _output(path) as stream:

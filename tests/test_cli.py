@@ -241,6 +241,30 @@ def test_verify_healthy_scenario(tmp_path, capsys):
     assert out.count("PASS") >= 6
 
 
+@pytest.mark.parametrize("fixture, n", [(qgeom_fixture, 10), (aw_fixture, 100)])
+def test_verify_on_both_halves_of_a_scenario_prints_each_halfs_lines(tmp_path, capsys,
+                                                                        fixture, n):
+    """A scenario with a lattice seed and an equation builds its curve once for both suites:
+    it prints the lines of the lattice-only scenario, then those of the equation-only one.  On
+    the Askey-Wilson curve both walks pass HEAD (n_max = 80, N = 100), so the closed-form tail
+    rate the lattice suite fits on the curve is the one the solve's lattices step by."""
+    cfg_data = solve_cfg(fixture, n)
+    del cfg_data["run"]
+    x0, y0 = (4.0, 4.0) if fixture is qgeom_fixture else \
+        AskeyWilsonLattice(a=0.0, b=1.0, c=1.0, q=0.5).point(1)
+    lattice_part = {"curve": cfg_data["curve"], "lattice_seed": {"x0": cjson(x0), "y0": cjson(y0)},
+                    "params": {"n_max": 80 if fixture is aw_fixture else 8}}
+    both = dict(cfg_data, lattice_seed=lattice_part["lattice_seed"],
+                params=dict(cfg_data["params"], **lattice_part["params"]))
+    runs = {}
+    for name, data in (("lattice", lattice_part), ("equation", cfg_data), ("both", both)):
+        code = main(["verify", "--config", write_cfg(tmp_path, f"{name}.json", data)])
+        runs[name] = code, capsys.readouterr().out
+    assert runs["both"][1] == runs["lattice"][1] + runs["equation"][1]
+    assert runs["both"][0] == max(runs["lattice"][0], runs["equation"][0])
+    assert runs["lattice"][1].count("PASS") == 3
+
+
 def test_verify_corruption_is_reported(tmp_path, capsys, monkeypatch):
     """c_5 scaled by 1.01: the check against the stepwise oracle fails, exit 3."""
     from ellgrid import cli
