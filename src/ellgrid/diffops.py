@@ -318,8 +318,8 @@ def _read_orders(pair, orders, ahead, lead=False):
     """(reads, orders), reads = (xs, ys, xps, yps) over x_n, y_n for n = -1 .. N - 1 + ahead and
     x'_n, y'_n for n = 0 .. N + ahead, N the last of orders: one values read per lattice.  Where a
     walk stops short of that, (reads, [n]) for each n in turn, so the first order that needs the
-    stop raises it; a lone order first reads, where lead, what the x_{-1} route reads (ahead 0),
-    as diff_constant's routes read one by one did."""
+    stop raises it.  A lone order first reads, where lead, the x_{-1} route's range (ahead 0), one
+    index less on each lattice, so that a stop raises what that route, read first, meets."""
     N = orders[-1]
     try:
         reads = pair.unprimed.values(-1, N + ahead) + pair.primed.values(0, N + 1 + ahead)

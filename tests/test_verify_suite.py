@@ -2,9 +2,9 @@
 
 The four-way C_n check, the basis identity and the equation's residual each read
 both lattices once for all their orders and share running products across orders;
-the references call one order at a time, as the public per-order calls did.  Every
-value must have the same repr, and every error the same type and message, at the
-same order.
+the references in conftest.py call one order at a time, each with its own reads.
+Every value must have the same repr, and every error the same type and message, at
+the same order.
 """
 import pytest
 
