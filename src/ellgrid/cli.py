@@ -300,8 +300,10 @@ def _verify_checks(cfg):
         yield ("interpolation-vs-oracle", report.max_error <= 1e-7,
                f"max error {report.max_error:.2e}")
 
-        worst = _worst(abs(solver.residual(sol.eq, sol, n_exp, z)) / sol.eq.scale(z)
-                       for z in sol.pair.unprimed.values(0, min(6, n_exp))[0])
+        m = min(6, n_exp)
+        xs, ys = sol.pair.unprimed.values(0, m + 1)
+        worst = _worst(abs(solver._defect(sol.eq, sol, n_exp, x, lo, hi)) / sol.eq.scale(x)
+                       for x, lo, hi in zip(xs[:m], ys, ys[1:]))
         yield "residual-on-lattice", worst <= 1e-7, f"max relative defect {worst:.2e}"
 
 

@@ -199,7 +199,7 @@ def _scaled_powers(t):
 class BiquadraticCurve:
     """Immutable 3x3 coefficient grid c[i][j] multiplying x^i y^j."""
 
-    __slots__ = ("c", "_xv", "_yv", "_P", "_flips", "_rate")
+    __slots__ = ("c", "scale", "_xv", "_yv", "_P", "_flips", "_rate")
 
     def __init__(self, grid):
         c = tuple(tuple(complex(v) for v in row) for row in grid)
@@ -214,6 +214,7 @@ class BiquadraticCurve:
         if yv[2].is_zero():
             raise ValidationError("Y2 vanishes identically: curve is not quadratic in x")
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "scale", max(abs(v) for row in c for v in row))
         object.__setattr__(self, "_xv", xv)
         object.__setattr__(self, "_yv", yv)
         x0, x1, x2 = xv
@@ -241,10 +242,6 @@ class BiquadraticCurve:
     def discriminant_P(self):
         """P = X1^2 - 4 X0 X2, degree <= 4."""
         return self._P
-
-    @property
-    def scale(self):
-        return max(abs(v) for row in self.c for v in row)
 
     # -- evaluation ---------------------------------------------------------------
 

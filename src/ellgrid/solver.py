@@ -20,6 +20,7 @@ product formula.  The stepwise recurrence is the oracle for c_1 and verification
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -47,10 +48,6 @@ from .poly import Polynomial
 X2_FACTOR_TOL = 1e-12
 SINGULAR_STEP_TOL = 1e-12   # a stepwise divisor at or below this times its terms is singular
 VERIFY_BLOCK = 1 << 13    # factors per block of the verification sweep (bounds its memory)
-VERIFY_ROW = 1 << 8       # a block at least this many columns wide multiplies row by row
-# Strictly lower triangle of the widest block of rows (b <= sqrt(VERIFY_BLOCK) rows in b columns):
-# the (term, node) pairs k > j that each block masks out of its first b columns.
-_VERIFY_TRIANGLE = np.tri(int(VERIFY_BLOCK ** 0.5) + 1, k=-1, dtype=bool)
 
 
 # -- the difference equation -----------------------------------------------------------
@@ -663,14 +660,20 @@ def evaluate_partial_sum(sol, N, z):
     return next(_partial_sums(sol, N, (z,)))
 
 
+def _defect(eq, sol, N, z, lo, hi):
+    """a (D S_N) - c (M S_N) - d at z over the given root pair (lo, hi) of z, with S_N once at
+    each root."""
+    s_hi, s_lo = _partial_sums(sol, N, (hi, lo))
+    df = (s_hi - s_lo) / (hi - lo)
+    return eq.a(z) * df - eq.c(z) * (0.5 * (s_lo + s_hi)) - eq.d(z)
+
+
 def residual(eq, sol, N, z):
-    """Defect a (D S_N) - c (M S_N) - d at z (vanishes on early lattice points), from one root pair
-    over z and S_N once at each root; a non-finite z is a ValidationError naming it."""
+    """Defect a (D S_N) - c (M S_N) - d at z (vanishes on early lattice points), by `_defect` over
+    the root pair solved at z; a non-finite z is a ValidationError naming it."""
     z = _finite(z, "z")
     roots = _root_pair(eq.curve, z)
-    hi, lo = _partial_sums(sol, N, (roots.hi, roots.lo))
-    df = (hi - lo) / (roots.hi - roots.lo)
-    return eq.a(z) * df - eq.c(z) * (0.5 * (lo + hi)) - eq.d(z)
+    return _defect(eq, sol, N, z, roots.lo, roots.hi)
 
 
 @dataclass(frozen=True)
@@ -681,58 +684,50 @@ class InterpolationReport:
 
 
 def _node_sums(ys, poles, cs):
-    """S(y_j) = sum_{k<=j} c_k Yb_k(y_j) at every node j, in numpy complex.
+    """S(y_j) = c_0 + F_0(y_j) (c_1 + F_1(y_j) (... + F_{j-1}(y_j) c_j)) at every node j, with
+    F_r(y) = (y - y_r) / (y - y'_{r+1}), in numpy complex.
 
-    A block of rows k takes about VERIFY_BLOCK factors (y_j - y_{k-1}) / (y_j - y'_k) over the
-    columns j >= k0 from one division, in two work buffers made once per sweep.  Its first row
-    takes the products carried from the block before, a running product down the rows gives
-    Yb_k(y_j), and the last row is the next block's carry.  The running product is one
-    np.multiply.accumulate in a block narrower than VERIFY_ROW, and one vector multiply per row
-    in a wider one, which is faster there but rounds some products 1 ulp apart from it.  Each
-    node adds only its terms k <= j: the others, which hold the zero factor (y_j - y_j), are
-    masked out, since an inf before that factor makes them NaN.
+    Every column runs at once from the last row up: acc[j] = c_j, then for r = n-2 .. 0,
+    acc[r+1:] = c_r + F_r(y_{r+1:}) acc[r+1:].  Node j meets only c_0 .. c_j and F_r(y_j) for
+    r < j, so no term k > j, nor its zero factor (y_j - y_j), enters its sum.  A block of b rows
+    r0 .. r1-1 takes its b (n-1-r0) factors F_r(y_j), j > r0, from one division into two work
+    buffers made once per sweep, with b the largest that keeps them within VERIFY_BLOCK (at
+    least 1).
     """
     n = len(ys)
-    cs = np.array(cs[:n], dtype=complex)
-    sums, carry = np.full(n, cs[0]), np.ones(n, dtype=complex)
+    acc = np.array(cs[:n], dtype=complex)
     num, den = (np.empty(max(VERIFY_BLOCK, n), dtype=complex) for _ in range(2))
     with np.errstate(all="ignore"):
-        k0 = 1
-        while k0 < n:
-            w = n - k0
-            b = min(w, max(1, VERIFY_BLOCK // w))
-            rows = slice(k0 - 1, k0 - 1 + b)
-            f, g = num[:b * w].reshape(b, w), den[:b * w].reshape(b, w)
-            np.subtract(ys[k0:], ys[rows, None], out=f)
-            np.subtract(ys[k0:], poles[rows, None], out=g)
+        r1 = n - 1
+        while r1 > 0:
+            w = n - 1 - r1
+            b = min(r1, max(1, (math.isqrt(w * w + 4 * VERIFY_BLOCK) - w) // 2))
+            r0, cols = r1 - b, w + b
+            f, g = (buf[:b * cols].reshape(b, cols) for buf in (num, den))
+            np.subtract(ys[r0 + 1:], ys[r0:r1, None], out=f)
+            np.subtract(ys[r0 + 1:], poles[r0:r1, None], out=g)
             np.divide(f, g, out=f)
-            f[0] *= carry[k0:]
-            if w < VERIFY_ROW:
-                np.multiply.accumulate(f, axis=0, out=f)
-            else:
-                for i in range(1, b):
-                    np.multiply(f[i - 1], f[i], out=f[i])
-            carry[k0 + b:] = f[-1, b:]
-            f *= cs[k0:k0 + b, None]
-            np.putmask(f[:, :b], _VERIFY_TRIANGLE[:b, :b], 0)
-            sums[k0:] += f.sum(axis=0)
-            k0 += b
-    return sums
+            for r in range(r1 - 1, r0 - 1, -1):
+                tail = acc[r + 1:]
+                # F_r times acc, in this order: numpy's vector complex multiply can round a * b
+                # and b * a an ulp apart, which moves errors that sit near the verify bound
+                np.multiply(f[r - r0, r - r0:], tail, out=tail)
+                tail += cs[r]
+            r1 = r0
+    return acc
 
 
 def verify_interpolation(eq, sol, N):
     """Max relative gap between S_N(y_j) and the stepwise oracle for j <= N.
 
-    Yb_k(y_j) has the factor (y_j - y_j) = 0 for every k > j, so node j sums
-    only terms k <= j: one numpy-complex sweep over blocks of terms (_node_sums)
-    adds term k at the nodes j >= k.  Its S(y_j) is a float sum of float terms,
-    within 4 (j+1) 2^-53 sum_k |c_k Yb_k(y_j)| of the exact sum of the same inputs
-    (tested against a 50-digit sum); it rounds differently from
-    evaluate_partial_sum, which stays the scalar route.  The sweep is O(N^2) float
-    work in blocks plus a few ufunc calls per block (README, Cost).  Blocks at least
-    VERIFY_ROW columns wide form their products row by row, so only a sweep with
-    N >= VERIFY_ROW rounds differently from one by np.multiply.accumulate alone.  The pole
-    guard still covers every k <= N at every node.  N follows the order rule `_sum_order`
+    Yb_k(y_j) has the factor (y_j - y_j) = 0 for every k > j, so node j needs only the
+    nested sum c_0 + F_0(y_j) (c_1 + ... + F_{j-1}(y_j) c_j): one numpy-complex sweep over
+    blocks of rows (_node_sums) forms it at every node, from the last row up, and never
+    forms a Yb_k(y_j), so no product overflows ahead of its zero factor.  The tests hold its
+    S(y_j) within 4 (j+1) 2^-53 sum_k |c_k Yb_k(y_j)| of a 50-digit sum of the same inputs;
+    it rounds differently from evaluate_partial_sum, which stays the scalar route.  The sweep
+    is O(N^2) float work in blocks plus two ufunc calls per row (README, Cost).  The pole
+    guard covers every k <= N at every node.  N follows the order rule `_sum_order`
     ("solution has only K coefficients" past the end).
     """
     N = _sum_order(sol, N)

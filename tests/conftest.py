@@ -50,7 +50,7 @@ from ellgrid.errors import (
 )
 from ellgrid.lattice import STAGNATION_RUN, STAGNATION_TOL
 from ellgrid.poly import Polynomial, reduced_abs
-from ellgrid.solver import _sum_order, residual
+from ellgrid.solver import _defect, _sum_order, residual
 
 settings.register_profile("ellgrid", deadline=None, derandomize=True)
 settings.load_profile("ellgrid")
@@ -580,6 +580,13 @@ def ref_residual(eq, sol, N, z):
     return eq.a(z) * df - eq.c(z) * mf - eq.d(z)
 
 
+def ref_lattice_residual(eq, sol, N, x, lo, hi):
+    """The defect at x over the given root pair (lo, hi) of x, from ref_partial_sum at each root:
+    at x = x_j over the stored pair (y_j, y_{j+1}), the value `ellgrid verify` checks."""
+    f_lo, f_hi = ref_partial_sum(sol, N, lo), ref_partial_sum(sol, N, hi)
+    return eq.a(x) * ((f_hi - f_lo) / (hi - lo)) - eq.c(x) * (0.5 * (f_lo + f_hi)) - eq.d(x)
+
+
 def outcome(fn):
     """repr of fn()'s result, or the type and message of the EllgridError it raises."""
     try:
@@ -604,7 +611,8 @@ def verify_suite_cases(sol):
     """(name, outcomes, reference outcomes) for the three checks `ellgrid verify` makes on sol's
     equation, by the library and by the references above, order by order: the four-way check
     over n = 1 .. min(6, K) and each route alone, the identity for n = 1, 2, 3 on the CLI's 12
-    samples (together and one order a call), and the residual at x_0 .. x_{min(6, K) - 1}."""
+    samples (together and one order a call), and the residual at x_0 .. x_{min(6, K) - 1}, over
+    the root pair solved at each x_j and over the stored pair (y_j, y_{j+1})."""
     pair, eq, K = sol.pair, sol.eq, len(sol.coeffs) - 1
     orders = range(1, min(6, K) + 1)
     yield ("four-way", outcomes(diffops._agreements(pair, orders)),
@@ -618,9 +626,12 @@ def verify_suite_cases(sol):
     yield ("identity per order", [outcome(lambda: verify_diff_basis_identity(pair, n, samples))
                                   for n in (1, 2, 3)],
            [outcome(lambda: ref_identity(pair, n, samples)) for n in (1, 2, 3)])
-    zs = pair.unprimed.values(0, min(6, K))[0]
-    yield ("residual", [outcome(lambda: residual(eq, sol, K, z)) for z in zs],
-           [outcome(lambda: ref_residual(eq, sol, K, z)) for z in zs])
+    xs, ys = pair.unprimed.values(0, min(6, K) + 1)
+    yield ("residual", [outcome(lambda: residual(eq, sol, K, z)) for z in xs[:-1]],
+           [outcome(lambda: ref_residual(eq, sol, K, z)) for z in xs[:-1]])
+    nodes = list(zip(xs, ys, ys[1:]))
+    yield ("residual on the lattice", [outcome(lambda: _defect(eq, sol, K, *p)) for p in nodes],
+           [outcome(lambda: ref_lattice_residual(eq, sol, K, *p)) for p in nodes])
 
 
 def verify_suite_sweep(runs):

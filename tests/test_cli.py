@@ -265,6 +265,17 @@ def test_verify_on_both_halves_of_a_scenario_prints_each_halfs_lines(tmp_path, c
     assert runs["lattice"][1].count("PASS") == 3
 
 
+def test_verify_askey_wilson_at_order_40_passes(tmp_path, capsys):
+    """The residual check evaluates the defect at each x_j over the lattice's own pair (y_j,
+    y_{j+1}), where the tail terms of S_40 vanish; over roots solved again at x_j, a few ulp
+    off the stored ones, they reached 6.7e-05 of the scale and failed the check."""
+    cfg_data = solve_cfg(aw_fixture, 40)
+    cfg_data["run"] = "verify"
+    assert main(["verify", "--config", write_cfg(tmp_path, "aw.json", cfg_data)]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "PASS residual-on-lattice" in out
+
+
 def test_verify_corruption_is_reported(tmp_path, capsys, monkeypatch):
     """c_5 scaled by 1.01: the check against the stepwise oracle fails, exit 3."""
     from ellgrid import cli

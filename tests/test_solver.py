@@ -44,7 +44,6 @@ from ellgrid.poly import Polynomial
 import ellgrid.solver as solver_module
 from ellgrid.solver import (
     VERIFY_BLOCK,
-    VERIFY_ROW,
     _condition_residual,
     _node_sums,
     _step_kernel,
@@ -841,48 +840,58 @@ def test_verify_sweep_meets_forward_error_bound_across_blocks():
 
 
 def test_verify_sweep_meets_forward_error_bound_in_wide_blocks():
-    """At N = 1000 the first blocks are at least VERIFY_ROW columns wide, so their running
-    products are formed row by row; every 37th node and the last meet the bound."""
+    """At N = 1000 each block of the sweep holds a few rows over about 1000 columns; every 37th
+    node and the last meet the bound."""
     eq, select = linear_fixture()
     g1 = genus1_equation(1)
     for eq, sol in ((eq, solve(eq, select, 1000)), (g1, solve(g1, ByIndex(0, 1), 1000))):
         N = len(sol.coeffs) - 1
-        assert N >= VERIFY_ROW              # the first block is a wide one
         rep = _gated_report(eq, sol, N, every=37)
         assert rep.skipped == () and rep.max_error <= 1e-7
 
 
-def _assert_overflow_as_the_scalar_route(N):
-    """With |c_6| = 1e307 the term c_6 Yb_6(y_j) overflows at some nodes j >= 6 and not at
-    others; each node's error is inf, NaN or finite exactly as evaluate_partial_sum's is."""
-    eq = genus1_equation(0)
-    sol = solve(eq, ByIndex(0, 1), N)
-    cs = list(sol.coeffs)
-    cs[6] = cs[6] / abs(cs[6]) * 1e307
-    big = dataclasses.replace(sol, coeffs=tuple(cs))
-    got = np.array(verify_interpolation(eq, big, N).errors)
-    oracle = np.array(stepwise_oracle(eq, sol.pair, N, f0=cs[0]))
-    sums = np.array([evaluate_partial_sum(big, N, sol.pair.unprimed.y(j)) for j in range(N + 1)])
-    with np.errstate(all="ignore"):
-        want = np.abs(sums - oracle) / (1.0 + np.abs(oracle))
-    assert np.isfinite(got[:6]).all() and np.isinf(got[6:]).any() and np.isfinite(got[6:]).any()
-    assert (np.isinf(got) == np.isinf(want)).all()
-    assert (np.isnan(got) == np.isnan(want)).all()
-
-
 def test_verify_node_sums_only_its_first_terms():
-    _assert_overflow_as_the_scalar_route(40)
+    """With |c_6| = 1e307 the term c_6 Yb_6(y_j) overflows at some nodes j >= 6 and not at
+    others; at N = 40 and at N = 300 (many blocks), the nodes whose error is not finite are
+    exactly those where evaluate_partial_sum's is not.  The nested sum reads NaN at some nodes
+    where the scalar route's running product reads inf, so inf and NaN are not told apart."""
+    eq = genus1_equation(0)
+    for N in (40, 300):
+        sol = solve(eq, ByIndex(0, 1), N)
+        cs = list(sol.coeffs)
+        cs[6] = cs[6] / abs(cs[6]) * 1e307
+        big = dataclasses.replace(sol, coeffs=tuple(cs))
+        got = np.array(verify_interpolation(eq, big, N).errors)
+        oracle = np.array(stepwise_oracle(eq, sol.pair, N, f0=cs[0]))
+        sums = np.array([evaluate_partial_sum(big, N, sol.pair.unprimed.y(j))
+                         for j in range(N + 1)])
+        with np.errstate(all="ignore"):
+            want = np.abs(sums - oracle) / (1.0 + np.abs(oracle))
+        assert np.isfinite(got[:6]).all() and not np.isfinite(got[6:]).all()
+        assert np.isfinite(got[6:]).any()
+        assert (np.isfinite(got) == np.isfinite(want)).all()
 
 
-def test_verify_node_sums_only_its_first_terms_in_wide_blocks():
-    assert 300 >= VERIFY_ROW                # rows k = 1 .. 27 share one wide first block
-    _assert_overflow_as_the_scalar_route(300)
+def test_verify_node_sums_take_only_their_own_terms():
+    """A NaN coefficient c_k reaches no node j < k: there the sweep is finite and equal, bit for
+    bit, to the sweep without it, in one block (N = 40) and across blocks (N = 300)."""
+    eq = genus1_equation(0)
+    for N, k in ((40, 20), (300, 150)):
+        sol = solve(eq, ByIndex(0, 1), N)
+        ys, poles = sol.pair.unprimed.span(0, N + 1)[1], sol.pair.primed.span(1, N + 1)[1]
+        cs = np.array(sol.coeffs)
+        clean = _node_sums(ys, poles, cs)
+        cs[k] = np.nan
+        got = _node_sums(ys, poles, cs)
+        assert np.isfinite(got[:k]).all() and np.isnan(got[k:]).all()
+        assert np.array_equal(got[:k], clean[:k])
 
 
 def test_node_sums_mask_terms_past_a_node_whose_product_overflowed():
-    """Poles within 2^-52 of node y_3 = 1 and nodes near -1e100 overflow Yb_3(y_3) to inf before
-    the zero factor (y_3 - y_3) of Yb_4(y_3), so the term k = 4 at node 3 is inf * 0 = NaN:
-    each node j sums c_0 and its own terms k <= j only, part by part, NaN and inf matched."""
+    """Poles within 2^-52 of node y_3 = 1 and nodes near -1e100 overflow Yb_3(y_3), so the exact
+    S(y_3) (about 1e347 in modulus) is not finite and the sweep's is not either; the running
+    product would overflow ahead of the zero factor (y_3 - y_3) of Yb_4(y_3), but the nested
+    sum never forms it, so every other node matches the sum of its own terms k <= j."""
     ys = np.array([-1e100, -2e100, -3e100, 1.0, 2.0], dtype=complex)
     poles = np.array([1 + 2.0 ** -52] * 3 + [7.0], dtype=complex)
     cs = np.array([0.5, 1.0, -2.0, 0.25, 3.0], dtype=complex)
@@ -891,9 +900,8 @@ def test_node_sums_mask_terms_past_a_node_whose_product_overflowed():
                          for j, y in enumerate(ys)])
     assert np.isinf(want[3].real) and np.isfinite(want[[0, 1, 2, 4]]).all()
     got = _node_sums(ys, poles, cs)
-    for part in ("real", "imag"):
-        np.testing.assert_allclose(getattr(got, part), getattr(want, part), rtol=1e-15,
-                                   equal_nan=True)
+    assert not np.isfinite(got[3])
+    np.testing.assert_allclose(got[[0, 1, 2, 4]], want[[0, 1, 2, 4]], rtol=1e-15)
 
 
 def test_verify_memory_stays_small():

@@ -59,7 +59,7 @@ def capture_runs():
 
 def test_verify_suite_matches_the_reference():
     cases, differ = verify_suite_sweep(capture_runs())
-    assert cases == 34 * 8 and not differ, differ
+    assert cases == 34 * 9 and not differ, differ
 
 
 def pole_pair(fixture):
