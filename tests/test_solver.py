@@ -850,26 +850,33 @@ def test_verify_sweep_meets_forward_error_bound_in_wide_blocks():
         assert rep.skipped == () and rep.max_error <= 1e-7
 
 
-def test_verify_node_sums_only_its_first_terms():
+def _assert_overflow_as_the_scalar_route(N):
     """With |c_6| = 1e307 the term c_6 Yb_6(y_j) overflows at some nodes j >= 6 and not at
-    others; at N = 40 and at N = 300 (many blocks), the nodes whose error is not finite are
-    exactly those where evaluate_partial_sum's is not.  The nested sum reads NaN at some nodes
-    where the scalar route's running product reads inf, so inf and NaN are not told apart."""
+    others; the nodes whose error is not finite are exactly those where evaluate_partial_sum's
+    is not.  The nested sum reads NaN at some nodes where the scalar route's running product
+    reads inf, so inf and NaN are not told apart."""
     eq = genus1_equation(0)
-    for N in (40, 300):
-        sol = solve(eq, ByIndex(0, 1), N)
-        cs = list(sol.coeffs)
-        cs[6] = cs[6] / abs(cs[6]) * 1e307
-        big = dataclasses.replace(sol, coeffs=tuple(cs))
-        got = np.array(verify_interpolation(eq, big, N).errors)
-        oracle = np.array(stepwise_oracle(eq, sol.pair, N, f0=cs[0]))
-        sums = np.array([evaluate_partial_sum(big, N, sol.pair.unprimed.y(j))
-                         for j in range(N + 1)])
-        with np.errstate(all="ignore"):
-            want = np.abs(sums - oracle) / (1.0 + np.abs(oracle))
-        assert np.isfinite(got[:6]).all() and not np.isfinite(got[6:]).all()
-        assert np.isfinite(got[6:]).any()
-        assert (np.isfinite(got) == np.isfinite(want)).all()
+    sol = solve(eq, ByIndex(0, 1), N)
+    cs = list(sol.coeffs)
+    cs[6] = cs[6] / abs(cs[6]) * 1e307
+    big = dataclasses.replace(sol, coeffs=tuple(cs))
+    got = np.array(verify_interpolation(eq, big, N).errors)
+    oracle = np.array(stepwise_oracle(eq, sol.pair, N, f0=cs[0]))
+    sums = np.array([evaluate_partial_sum(big, N, sol.pair.unprimed.y(j)) for j in range(N + 1)])
+    with np.errstate(all="ignore"):
+        want = np.abs(sums - oracle) / (1.0 + np.abs(oracle))
+    assert np.isfinite(got[:6]).all() and not np.isfinite(got[6:]).all()
+    assert np.isfinite(got[6:]).any()
+    assert (np.isfinite(got) == np.isfinite(want)).all()
+
+
+def test_verify_node_sums_only_its_first_terms():
+    _assert_overflow_as_the_scalar_route(40)
+
+
+def test_verify_node_sums_only_its_first_terms_in_wide_blocks():
+    assert 300 * 300 > 2 * VERIFY_BLOCK     # the sweep runs over more than one block
+    _assert_overflow_as_the_scalar_route(300)
 
 
 def test_verify_node_sums_take_only_their_own_terms():
