@@ -81,12 +81,14 @@ def _params(cfg):
 
 
 def _axis(v, field):
-    """The grid axis np.linspace(lo, hi, count) of a [lo, hi, count] triple."""
+    """The grid axis np.linspace(lo, hi, count) of a [lo, hi, count] triple, finite throughout."""
     lo, hi, count = _items(v, field, 3)
     count = _int(count, f"{field}[2]")
     if count < 0:
         raise ValidationError(f"{field}[2]: expected a count >= 0, got {count}")
-    axis = np.linspace(_real(lo, f"{field}[0]"), _real(hi, f"{field}[1]"), count)
+    lo, hi = _real(lo, f"{field}[0]"), _real(hi, f"{field}[1]")
+    with np.errstate(all="ignore"):
+        axis = np.linspace(lo, hi, count)
     if not np.isfinite(axis).all():
         raise ValidationError(f"{field} bounds must be finite")
     return axis

@@ -18,8 +18,8 @@ tests; the rate path calls none of them.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,19 +187,13 @@ def empirical_rate(sol, z, n_min, n_max, smalldiv_threshold=0.05):
 
 
 def _empirical_columns(sol, zs, n_min, n_max, smalldiv_threshold):
-    """Rates (None where there is none), flag codes and the flags they index,
-    per z, as empirical_rate would report each one."""
+    """Rates and codes into _EMPIRICAL_FLAGS per z, as empirical_rate would report each one; a
+    code of 2 or more has no rate."""
     try:
         rho, hit, count, _ = _fit_rates(sol, zs, n_min, n_max, smalldiv_threshold)
-    except WindowTooSmallError as exc:
-        return [None] * len(zs), np.zeros(len(zs), dtype=int), ((_flag(type(exc)),),)
-    code = np.select([hit, count < MIN_FIT_TERMS, rho >= 1.0], [3, 2, 1], 0)
-    return _rates_or_none(rho, code >= 2), code, _EMPIRICAL_FLAGS
-
-
-def _rates_or_none(rates, missing):
-    """rates as a list of floats, None where missing."""
-    return np.where(missing, None, rates.astype(object)).tolist()
+    except WindowTooSmallError:
+        return np.full(len(zs), np.nan), np.full(len(zs), 2)
+    return rho, np.select([hit, count < MIN_FIT_TERMS, rho >= 1.0], [3, 2, 1], 0)
 
 
 # -- branch-tracked quadrature of dv / sqrt(P): the test oracle for xi ------------------------
@@ -538,16 +532,54 @@ class RatePredictor:
 # -- grid sweep for the CLI -------------------------------------------------------------------
 
 
+class RateMap(Sequence):
+    """The rows (re, im, empirical, predicted, flags) of a rate map, held as its grid's columns.
+
+    The columns are the two axes (as given; re runs fastest), each rate array with its mask of
+    missing cells, and one flag code per cell into a table of flag tuples.  The rows, a rate
+    None where it is missing, are built on first iteration, indexing, assignment or repr and
+    then kept, so the map reads and prints as the list of rows; `write_rate_map_csv` formats
+    a map whose rows were never built from the columns.
+    """
+
+    def __init__(self, res, ims, emp, pred, code, flags):
+        self._axes, self._rates, self._code, self._flags = (res, ims), (emp, pred), code, flags
+        self._rows = None
+
+    def _list(self):
+        if self._rows is None:
+            (res, ims), rates = self._axes, self._rates
+            emp, pred = (np.where(missing, None, r.astype(object)).tolist() for r, missing in rates)
+            self._rows = list(zip(res * len(ims), [im for im in ims for _ in res], emp, pred,
+                                  map(self._flags.__getitem__, self._code.tolist())))
+        return self._rows
+
+    def __len__(self):
+        return len(self._code)
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __setitem__(self, i, row):
+        self._list()[i] = row
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __repr__(self):
+        return repr(self._list())
+
+
 def rate_map(sol, re_axis, im_axis, n_min, n_max, smalldiv_threshold=0.05):
-    """Rows (re, im, empirical, predicted, flags) over a rectangular z grid.
+    """A RateMap of rows (re, im, empirical, predicted, flags) over a rectangular z grid.
 
     Points where a rate cannot be computed (pole hit, too few terms, a double
-    root of P) get empty fields and a flag naming the failure; in log mode, a
+    root of P) get no rate (None) and a flag naming the failure; in log mode, a
     predictor that cannot be built flags every cell with its failure.  Each row
     holds what empirical_rate and RatePredictor.rate give at its point, up to
     rounding, but the grid is swept at once, by columns: one term sweep and
     small-divisor scan, one closed-form evaluation of the predicted rates,
-    and the flags of each cell looked up by one code.  A bad window, threshold or axis entry
+    and one flag code per cell; no row is formed here.  A bad window, threshold or axis entry
     (one that is not a finite real) is a ValidationError naming it, raised before any work, as
     is an n_max outside the order rule `solver._sum_order`, as in empirical_rate; a window
     shorter than five terms flags every cell WindowTooSmall.
@@ -566,69 +598,55 @@ def rate_map(sol, re_axis, im_axis, n_min, n_max, smalldiv_threshold=0.05):
     zs = np.empty((len(ims), len(res)), dtype=complex)
     zs.real = np.asarray(res, dtype=float)
     zs.imag = np.asarray(ims, dtype=float)[:, None]
-    emp, emp_code, emp_flags = _empirical_columns(sol, zs.ravel(), n_min, n_max,
-                                                  smalldiv_threshold)
+    emp, emp_code = _empirical_columns(sol, zs.ravel(), n_min, n_max, smalldiv_threshold)
     if predictor is not None:
         rates = np.exp(predictor.log_rate(zs)).ravel()
-        singular = np.isnan(rates)
-        pred, pred_code = _rates_or_none(rates, singular), singular.astype(int)
-        pred_flags = ((), (_flag(PathThroughBranchPointError),))
+        pred_code, pred_flags = np.isnan(rates), ((), (_flag(PathThroughBranchPointError),))
     else:
-        pred, pred_code, pred_flags = [None] * zs.size, 0, (no_prediction,)
-    re_col = res * len(ims)
-    im_col = itertools.chain.from_iterable(itertools.repeat(im, len(res)) for im in ims)
-    flags = [e + p for e in emp_flags for p in pred_flags]
+        rates, pred_code, pred_flags = np.full(zs.size, np.nan), 0, (no_prediction,)
+    flags = [e + p for e in _EMPIRICAL_FLAGS for p in pred_flags]
     code = emp_code * len(pred_flags) + pred_code
-    return list(zip(re_col, im_col, emp, pred, map(flags.__getitem__, code.tolist())))
+    return RateMap(res, ims, (emp, emp_code >= 2), (rates, np.isnan(rates)), code, flags)
 
 
-def _rate_texts(values):
-    """The CSV fields of one rate column and the rows whose rate is not finite.
+def _rate_texts(rates, missing):
+    """The CSV fields of one rate column and the mask of rows whose rate is there but not finite.
 
-    The finite rates are formatted in one map; None and non-finite values are blank.
+    The rates are formatted in one map; missing and non-finite ones are blank.
     """
-    if values.count(None) == len(values):
-        return [""] * len(values), []
-    rates = np.array(values, dtype=float)       # None reads as NaN
+    if missing.all():
+        return [""] * len(rates), np.zeros_like(missing)
     texts = list(map(repr, rates.tolist()))
-    nonfinite = []
-    for i in np.flatnonzero(~np.isfinite(rates)).tolist():
+    blank = missing | ~np.isfinite(rates)
+    for i in np.flatnonzero(blank).tolist():
         texts[i] = ""
-        if values[i] is not None:
-            nonfinite.append(i)
-    return texts, nonfinite
-
-
-def _float_texts(values):
-    """repr(float(v)) for each v of values, each distinct value formatted once.
-
-    0.0 and -0.0 are one dict key, so rows whose value is zero are formatted
-    on their own.
-    """
-    text = {v: repr(float(v)) for v in set(values)}
-    texts = list(map(text.__getitem__, values))
-    if 0.0 in text:
-        for i in np.flatnonzero(np.asarray(values, dtype=float) == 0.0).tolist():
-            texts[i] = repr(float(values[i]))
-    return texts
+    return texts, blank & ~missing
 
 
 def write_rate_map_csv(rows, stream):
-    """Header plus one line per rate_map row; LF line endings.
+    """Header plus one line per rate_map row; LF line endings; the text written at once.
 
-    A missing rate is an empty field.  A rate that is not finite is an empty
-    field too, and its row gains the flag NonFinite.  The fields are formatted
-    by columns, and the text is written at once.
+    A missing rate (None) is an empty field.  A rate that is not finite is an
+    empty field too, and its row gains the flag NonFinite.  The text is formed
+    by columns: from a RateMap's own columns (each axis entry formatted once and
+    tiled), or from any other iterable of rows transposed into the same columns;
+    each rate column is formatted in one map, and the lines are joined at once.
     """
-    header = "re_z,im_z,empirical_rate,predicted_rate,flags\n"
-    columns = list(zip(*rows))
-    if not columns:
-        stream.write(header)
-        return
-    re, im, emp, pred, flags = columns
-    (emp_s, emp_bad), (pred_s, pred_bad) = _rate_texts(emp), _rate_texts(pred)
-    flag_s = list(map(";".join, flags))
-    for i in set(emp_bad + pred_bad):
-        flag_s[i] = ";".join((*flags[i], "NonFinite"))
-    stream.write(header + "".join(map("{},{},{},{},{}\n".format, _float_texts(re),
-                                      _float_texts(im), emp_s, pred_s, flag_s)))
+    if isinstance(rows, RateMap) and rows._rows is None:
+        (res, ims), (emp, pred), table = rows._axes, rows._rates, rows._flags
+        code = rows._code.tolist()
+        re_s = list(map(repr, map(float, res))) * len(ims)
+        im_s = [t for t in map(repr, map(float, ims)) for _ in res]
+    else:
+        re, im, emp, pred, table = list(zip(*rows)) or [()] * 5
+        re_s, im_s = list(map(repr, map(float, re))), list(map(repr, map(float, im)))
+        emp, pred = ((np.array(col, dtype=float), np.array([v is None for v in col], dtype=bool))
+                     for col in (emp, pred))                # None reads as NaN
+        code = range(len(table))
+    (emp_s, emp_bad), (pred_s, pred_bad) = _rate_texts(*emp), _rate_texts(*pred)
+    texts = list(map(";".join, table))
+    flag_s = list(map(texts.__getitem__, code))
+    for i in np.flatnonzero(emp_bad | pred_bad).tolist():
+        flag_s[i] = ";".join((*table[code[i]], "NonFinite"))
+    lines = map(",".join, zip(re_s, im_s, emp_s, pred_s, flag_s))
+    stream.write("\n".join(("re_z,im_z,empirical_rate,predicted_rate,flags", *lines)) + "\n")

@@ -3,10 +3,11 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from ellgrid.cli import main
+from ellgrid.cli import _axis, main
 from ellgrid.lattice import AskeyWilsonLattice, LinearLattice
 
 from conftest import aw_fixture, log_linear_fixture, log_qlattice_fixture, qgeom_fixture
@@ -389,6 +390,22 @@ def test_ratemap_rejects_nonfinite_grid(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "rate.json", cfg_data)
     assert main(["ratemap", "--config", cfg, "--quiet"]) == 2
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ratemap_rejects_an_overflowing_span_without_warnings(tmp_path, capsys):
+    """Finite bounds 1e308 and -1e308: the span overflows, and the axis is refused as not
+    finite with no numpy warning; a one-point axis at the edge of the float range is kept."""
+    out = tmp_path / "rates.csv"
+    cfg_data = qlog_ratemap_cfg(str(out))
+    cfg_data["params"]["grid"]["re"] = [1e308, -1e308, 5]
+    cfg = write_cfg(tmp_path, "rate.json", cfg_data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["ratemap", "--config", cfg, "--quiet"]) == 2
+        assert _axis([1e308, 1e308, 1], "params.grid.re").tolist() == [1e308]
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "ValidationError: params.grid.re bounds must be finite\n"
     assert not out.exists()
 
 

@@ -943,3 +943,82 @@ def test_write_rate_map_csv_bytes_equal_per_row_writer(qsol, tmp_path):
             writer(rows, fh)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert (tmp_path / "new.csv").read_bytes().count(b"NonFinite") == 3
+
+
+@pytest.mark.parametrize("case", ["linear", "criterion-9", "through -0.0", "empty axis",
+                                  "short window", "general mode", "genus 1", "non-finite"])
+def test_rate_map_columns_and_rows_give_the_same_csv(qsol, case):
+    """write_rate_map_csv from a RateMap's columns, which builds no row, equals its text from
+    the list of the map's rows, byte for byte."""
+    sol, window = qsol[0], (5, 25)
+    re_axis = im_axis = np.linspace(0.75, 1.35, 41)
+    if case == "linear":                            # one cell on a pole of the basis
+        eq, select = linear_fixture()
+        sol, re_axis = solve(eq, select, 25), np.linspace(-3.0, 3.0, 41)
+        im_axis = re_axis
+    elif case in ("through -0.0", "non-finite"):
+        re_axis, im_axis = np.linspace(-0.0, -0.6, 5), np.linspace(-0.6, 0.6, 5)
+    elif case == "empty axis":
+        im_axis = []
+    elif case == "short window":
+        window = (5, 9)
+    elif case == "general mode":
+        eq, select = linear_fixture()
+        sol, re_axis, im_axis, window = solve(eq, select, 12), [2.5, 3.0], [0.5], (1, 10)
+    elif case == "genus 1":
+        sol, re_axis = solve_log_qlattice(N=30, shift=1e-2)[0], np.linspace(0.75, 1.35, 5)
+        im_axis = re_axis
+    rows = rate_map(sol, re_axis, im_axis, *window)
+    if case == "non-finite":                        # edited into both rate arrays
+        (emp, emp_missing), (pred, pred_missing) = rows._rates
+        cells = np.flatnonzero(~emp_missing & ~pred_missing)[:3].tolist()
+        emp[cells[:2]] = math.nan, math.inf
+        pred[cells[1:]] = math.nan, -math.inf
+    columns, by_rows = io.StringIO(), io.StringIO()
+    write_rate_map_csv(rows, columns)
+    assert rows._rows is None
+    write_rate_map_csv(list(rows), by_rows)
+    text, want = columns.getvalue(), by_rows.getvalue()
+    same = text == want                 # pytest would spend minutes diffing two 100 kB strings
+    assert same, next(((a, b) for a, b in zip(text.splitlines(), want.splitlines()) if a != b),
+                      None)
+    lines = [line.split(",") for line in text.splitlines()[1:]]
+    assert len(lines) == len(re_axis) * len(im_axis)
+    flags = [line[4].split(";") for line in lines]
+    if case == "linear":
+        assert sum("PoleEvaluation" in f for f in flags) == 1
+    elif case == "criterion-9":
+        assert any("NotConverging" in f for f in flags)
+    elif case == "through -0.0":
+        assert lines[0][0] == "-0.0"
+    elif case == "short window":
+        assert all(f == ["WindowTooSmall"] for f in flags)
+    elif case == "general mode":
+        assert all(line[3] == "" for line in lines) and all(line[2] for line in lines)
+    elif case == "genus 1":
+        assert all(f[-1] == "RefinePath" and line[3] == "" for f, line in zip(flags, lines))
+    elif case == "non-finite":
+        assert [i for i, f in enumerate(flags) if "NonFinite" in f] == cells
+
+
+@pytest.mark.parametrize("read", ["len", "repr", "index", "slice", "unpack", "iterate"])
+def test_rate_map_reads_as_its_list_of_rows(qsol, read):
+    """len, indexing, unpacking, iteration and repr of a fresh RateMap are its list's."""
+    sol = qsol[0]
+    axis = np.linspace(-0.6, 0.6, 5)
+    rows, want = rate_map(sol, axis, axis, 5, 25), list(rate_map(sol, axis, axis, 5, 25))
+    if read == "len":
+        assert len(rows) == len(want) == 25 and rows._rows is None
+    elif read == "repr":
+        assert repr(rows) == repr(want)
+    elif read == "index":
+        assert [repr(rows[i]) for i in range(-25, 25)] == [repr(want[i]) for i in range(-25, 25)]
+        with pytest.raises(IndexError):
+            rows[25]
+    elif read == "slice":
+        assert repr(rows[3:20:4]) == repr(want[3:20:4])
+    elif read == "unpack":
+        (re, im, emp, pred, flags), *rest = rows
+        assert repr(((re, im, emp, pred, flags), *rest)) == repr(tuple(want))
+    else:
+        assert repr([row for row in rows]) == repr(want)
