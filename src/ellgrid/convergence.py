@@ -536,10 +536,10 @@ class RateMap(Sequence):
     """The rows (re, im, empirical, predicted, flags) of a rate map, held as its grid's columns.
 
     The columns are the two axes (as given; re runs fastest), each rate array with its mask of
-    missing cells, and one flag code per cell into a table of flag tuples.  The rows, a rate
-    None where it is missing, are built on first iteration, indexing, assignment or repr and
-    then kept, so the map reads and prints as the list of rows; `write_rate_map_csv` formats
-    a map whose rows were never built from the columns.
+    missing cells, and one flag code per cell into a table of flag tuples.  It is read-only:
+    the rows, a rate None where it is missing, are built on first iteration, indexing or repr
+    and then kept, so the map reads and prints as the list of rows, and `write_rate_map_csv`
+    formats it from the columns.
     """
 
     def __init__(self, res, ims, emp, pred, code, flags):
@@ -559,9 +559,6 @@ class RateMap(Sequence):
 
     def __getitem__(self, i):
         return self._list()[i]
-
-    def __setitem__(self, i, row):
-        self._list()[i] = row
 
     def __iter__(self):
         return iter(self._list())
@@ -628,11 +625,11 @@ def write_rate_map_csv(rows, stream):
 
     A missing rate (None) is an empty field.  A rate that is not finite is an
     empty field too, and its row gains the flag NonFinite.  The text is formed
-    by columns: from a RateMap's own columns (each axis entry formatted once and
+    by columns: from a RateMap's columns (each axis entry formatted once and
     tiled), or from any other iterable of rows transposed into the same columns;
     each rate column is formatted in one map, and the lines are joined at once.
     """
-    if isinstance(rows, RateMap) and rows._rows is None:
+    if isinstance(rows, RateMap):
         (res, ims), (emp, pred), table = rows._axes, rows._rates, rows._flags
         code = rows._code.tolist()
         re_s = list(map(repr, map(float, res))) * len(ims)

@@ -12,6 +12,7 @@ from .errors import (
     LeadingCoefficientVanishesError,
     ValidationError,
     VerticalTangentError,
+    _real,
 )
 from .poly import Polynomial, reduced_abs, solve_quadratic
 
@@ -307,8 +308,16 @@ class BiquadraticCurve:
 
     @classmethod
     def from_json(cls, data):
+        """The curve of a 3x3 grid of [re, im] pairs of finite reals; a ValidationError names
+        any other entry, curve[i][j]."""
+        def entry(v, name):
+            if not isinstance(v, (list, tuple)) or len(v) != 2:
+                raise ValidationError(f"{name}: expected an [re, im] pair, got {v!r}")
+            return complex(_real(v[0], name), _real(v[1], name))
+
         try:
-            grid = [[complex(v[0], v[1]) for v in row] for row in data]
-        except (TypeError, IndexError) as exc:
+            grid = [[entry(v, f"curve[{i}][{j}]") for j, v in enumerate(row)]
+                    for i, row in enumerate(data)]
+        except TypeError as exc:
             raise ValidationError(f"curve grid must be 3x3 of [re, im] pairs: {exc}")
         return cls(grid)

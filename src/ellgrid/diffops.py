@@ -188,20 +188,29 @@ def mean_rational(curve, f):
 # -- lattice pair and interpolation bases -------------------------------------------------
 
 
-def basis_products(z, zeros, poles):
-    """[1, B_1(z), ..., B_n(z)] for B_k(z) = prod_{j<k} (z - zeros[j]) / (z - poles[j]).
+def _prefix(z, zeros, poles):
+    """[1, B_1(z), ..., B_k(z)] for B_j(z) = prod_{i<j} (z - zeros[i]) / (z - poles[i]), k the
+    factors before the first pole z hits (pole_hit's test, inline), so that an order that takes
+    factor k + 1 meets that pole.
 
-    The one running product behind Xb_n, Yb_n, every C_n route and the
-    partial sums: Python complex arithmetic, factors in index order, and
-    PoleEvaluationError before any factor whose pole z hits (pole_hit's test, inline).
+    The one running product behind Xb_n, Yb_n, every C_n route and the partial sums: Python
+    complex arithmetic, factors in index order.
     """
     v = 1.0 + 0j
     out = [v]
     for zero, pole in zip(zeros, poles):
         if abs(z - pole) <= POLE_TOL * abs(pole):
-            raise PoleEvaluationError(z)
+            break
         v *= (z - zero) / (z - pole)
         out.append(v)
+    return out
+
+
+def basis_products(z, zeros, poles):
+    """[1, B_1(z), ..., B_n(z)] by _prefix, or PoleEvaluationError where it stopped short."""
+    out = _prefix(z, zeros, poles)
+    if len(out) <= min(len(zeros), len(poles)):
+        raise PoleEvaluationError(z)
     return out
 
 
@@ -266,37 +275,37 @@ def _guard(label, value):
     return value
 
 
-def diff_constants(pair, N):
-    """[C_0, ..., C_N] by the x_{-1} route, in one pass over both lattices.
-
-    C_n = -Yb_n(y_{-1}) (x_{-1} - x'_0)(x_{-1} - x'_n)
-          / ((y_0 - y_{-1}) X2(x_{-1}) Xb_{n-1}(x_{-1})),
-    with Yb_n(y_{-1}) and Xb_{n-1}(x_{-1}) from one basis_products call each.
-    """
-    N = _order(N, "N", lo=0)
-    cns = [0j]
-    if N == 0:
-        return cns
-    xs, ys = pair.unprimed.values(-1, N)        # index -1 .. N-1
-    xps, yps = pair.primed.values(0, N + 1)     # index 0 .. N
-    xm1, ym1 = xs[0], ys[0]
-    yb = basis_products(ym1, ys[1:], yps[1:])
-    xb = basis_products(xm1, xs[1:N], xps[1:N])
-    head = _guard("y0 - y_{-1}", ys[1] - ym1) * pair.curve.x_view()[2](xm1)
-    for n in range(1, N + 1):
-        num = -yb[n] * (xm1 - xps[0]) * (xm1 - xps[n])
-        cns.append(num / _guard("C_n(xm1) denominator", head * xb[n - 1]))
-    return cns
-
-
-def _prefix(z, zeros, poles):
-    """basis_products(z, zeros, poles) up to the first pole z hits: [1, B_1(z) .. B_k(z)] with k
-    the factors before it, so that an order that takes factor k + 1 meets that pole."""
+def _xm1_route(curve, reads, N):
+    """(cns, stop): [C_0, ..., C_k] by the x_{-1} route, from reads = (xs, ys, xps, yps) over the
+    indices from -1 and 0 on, k < N only where order k + 1 meets a pole (Yb_n's first, then
+    Xb_{n-1}'s) or a guard, whose error is stop (None where k = N).  C_n = -Yb_n(y_{-1})
+    (x_{-1} - x'_0)(x_{-1} - x'_n) / ((y_0 - y_{-1}) X2(x_{-1}) Xb_{n-1}(x_{-1})), each basis
+    a prefix of one running product (_prefix)."""
+    xs, ys, xps, yps = reads
+    xm1, ym1, xp0 = xs[0], ys[0], xps[0]
+    yb, xb = _prefix(ym1, ys[1:N + 1], yps[1:N + 1]), _prefix(xm1, xs[1:N], xps[1:N])
+    k, cns = min(len(yb) - 1, len(xb)), [0j]
     try:
-        return basis_products(z, zeros, poles)
-    except PoleEvaluationError:
-        k = next(j for j, pole in enumerate(poles) if pole_hit(z, pole))
-        return basis_products(z, zeros[:k], poles[:k])
+        head = _guard("y0 - y_{-1}", ys[1] - ym1) * curve.x_view()[2](xm1) if k else None
+        for n in range(1, k + 1):
+            num = -yb[n] * (xm1 - xp0) * (xm1 - xps[n])
+            cns.append(num / _guard("C_n(xm1) denominator", head * xb[n - 1]))
+    except EllgridError as exc:
+        return cns, exc
+    return cns, None if k == N else PoleEvaluationError(ym1 if len(yb) <= k + 1 else xm1)
+
+
+def diff_constants(pair, N):
+    """[C_0, ..., C_N] by the x_{-1} route (_xm1_route), in one pass over one read per lattice;
+    the first order that meets a pole or a guard raises its error."""
+    N = _order(N, "N", lo=0)
+    if N == 0:
+        return [0j]
+    reads = pair.unprimed.values(-1, N) + pair.primed.values(0, N + 1)
+    cns, stop = _xm1_route(pair.curve, reads, N)
+    if stop is not None:
+        raise stop
+    return cns
 
 
 def _attempt(fn, *args):
@@ -314,26 +323,6 @@ def _raised(outcome):
     return outcome
 
 
-def _read_orders(pair, orders, ahead, lead=False):
-    """(reads, orders), reads = (xs, ys, xps, yps) over x_n, y_n for n = -1 .. N - 1 + ahead and
-    x'_n, y'_n for n = 0 .. N + ahead, N the last of orders: one values read per lattice.  Where a
-    walk stops short of that, (reads, [n]) for each n in turn, so the first order that needs the
-    stop raises it.  A lone order first reads, where lead, the x_{-1} route's range (ahead 0), one
-    index less on each lattice, so that a stop raises what that route, read first, meets."""
-    N = orders[-1]
-    try:
-        reads = pair.unprimed.values(-1, N + ahead) + pair.primed.values(0, N + 1 + ahead)
-    except EllgridError:
-        if len(orders) == 1:
-            if lead:
-                pair.unprimed.values(-1, N), pair.primed.values(0, N + 1)
-            raise
-        for n in orders:
-            yield from _read_orders(pair, [n], ahead, lead)
-        return
-    yield reads, orders
-
-
 def _cn_routes(curve, reads, orders, methods):
     """{method: C_n by that route, or the error it raises at n} for each n of orders in turn.
 
@@ -341,28 +330,25 @@ def _cn_routes(curve, reads, orders, methods):
     nodes x_{-1} (with s, t swapped) and x_{n-1}, num = Yb_n(s) (z - x'_0)(z - x'_n) and t is a
     zero of Yb_n; at x'_0 or x'_n, s is a pole and num = R (z - x'_far) / dy/dx(z, s), R the
     residue of Yb_n at s, which pairs each zero but y_{n-1} with a pole, so it does not overflow
-    where C_n is finite.  At x_{-1} and x'_0 each running product is formed once up to the last
-    order (_prefix), and dy/dx once: a pole met at factor k, or a guard, fails the route only at
-    the orders that take it.  Each value rounds as at one order alone.  reads: _read_orders'.
+    where C_n is finite.  At x_{-1} the orders come from _xm1_route, whose stop every order past
+    its last raises.  At x'_0 each running product is formed once up to the last order (_prefix),
+    and dy/dx once: a pole met at factor k, or a guard, fails the route only at the orders that
+    take it.  Each value rounds as at one order alone.  reads: _cn_orders'.
     """
     xs, ys, xps, yps = reads
     N, x2 = orders[-1], curve.x_view()[2]
-    xm1, ym1, xp0, yp1 = xs[0], ys[0], xps[0], yps[1]
+    xp0, yp1 = xps[0], yps[1]
     if "xm1" in methods:
-        yb_m1, xb_m1 = _prefix(ym1, ys[1:N + 1], yps[1:N + 1]), _prefix(xm1, xs[1:N], xps[1:N])
-        head_m1 = _attempt(lambda: _guard("y0 - y_{-1}", ys[1] - ym1) * x2(xm1))
+        cns_m1, stop_m1 = _xm1_route(curve, reads, N)
     if "resp0" in methods:
         res_p0, xb_p0 = _prefix(yp1, ys[1:N], yps[2:N + 1]), _prefix(xp0, xs[1:N], xps[1:N])
         head_p0 = _attempt(lambda: _guard("s - t", yp1 - yps[0]) * x2(xp0))
         dydx_p0 = _attempt(lambda: _guard("dy/dx", curve.implicit_dy_dx(xp0, yp1)))
 
     def at_xm1(n):
-        if len(yb_m1) <= n:
-            raise PoleEvaluationError(ym1)
-        if len(xb_m1) < n:
-            raise PoleEvaluationError(xm1)
-        num = -yb_m1[n] * (xm1 - xps[0]) * (xm1 - xps[n])
-        return num / _guard("C_n(xm1) denominator", _raised(head_m1) * xb_m1[n - 1])
+        if n < len(cns_m1):
+            return cns_m1[n]
+        raise stop_m1
 
     def at_xn1(n):
         z, s, t = xs[n], ys[n + 1], ys[n]
@@ -402,10 +388,15 @@ def _cn_routes(curve, reads, orders, methods):
 
 
 def _cn_orders(pair, orders, methods=C_METHODS):
-    """_cn_routes over one read per lattice; the x_{-1} route alone reads one index less."""
-    ahead = int(methods != ("xm1",))
-    for reads, chunk in _read_orders(pair, orders, ahead, ahead and "xm1" in methods):
-        yield from _cn_routes(pair.curve, reads, chunk, methods)
+    """_cn_routes over one values read per lattice: x_n, y_n for n = -1 .. N - 1 + ahead and x'_n,
+    y'_n for n = 0 .. N + ahead, N the last of orders, ahead 0 for the x_{-1} route alone and 1
+    otherwise.  A walk stop in that range raises here, before any order.  Where other routes
+    join the x_{-1} route, its range is read first, so that a stop raises what it meets."""
+    N, ahead = orders[-1], int(methods != ("xm1",))
+    if ahead and "xm1" in methods:
+        pair.unprimed.values(-1, N), pair.primed.values(0, N + 1)
+    reads = pair.unprimed.values(-1, N + ahead) + pair.primed.values(0, N + 1 + ahead)
+    return _cn_routes(pair.curve, reads, orders, methods)
 
 
 def _agreements(pair, orders):
@@ -431,17 +422,18 @@ def diff_constant(pair, n, method="xm1"):
     route raises them, and a point off the curve raises in both.
     """
     n = _order(n, "n", lo=0)
+    if method not in C_METHODS and method != "all":
+        raise ValidationError(f"unknown C_n method {method!r}")
     if n == 0:
         return 0j if method != "all" else ({m: 0j for m in C_METHODS}, 0.0)
     if method == "all":
         return next(_agreements(pair, [n]))
-    if method not in C_METHODS:
-        raise ValidationError(f"unknown C_n method {method!r}")
     return _raised(next(_cn_orders(pair, [n], (method,)))[method])
 
 
 def mean_poly_direct(pair, n, z):
     """D_n(z) from the definition: (M Yb_n)(z) (z - x'_0)(z - x'_n) / Xb_{n-1}(z)."""
+    n = _order(n, "n", lo=0)
     if n == 0:
         return 1.0 + 0j
     mv = mean_value(pair.curve, pair.y_basis(n), z)
@@ -457,16 +449,16 @@ def mean_poly_value(pair, n, at="xp0"):
     at: 'xm1' -> x_{-1}, 'xn1' -> x_{n-1}, 'xp0' -> x'_0, 'xpn' -> x'_n.  The
     value is cross-checked against mean_poly_direct at z unless that degenerates.
     """
+    n = _order(n, "n", lo=0)
+    if at not in ("xm1", "xn1", "xp0", "xpn"):
+        raise ValidationError(f"unknown D_n point {at!r}")
     if n == 0:
         return 1.0 + 0j
     cn = diff_constant(pair, n)
     xs, ys = pair.unprimed.values(-1, n + 1)
     xps, yps = pair.primed.values(0, n + 2)
-    table = {"xm1": (xs[0], ys[0], ys[1]), "xn1": (xs[n], ys[n + 1], ys[n]),
-             "xp0": (xps[0], yps[1], yps[0]), "xpn": (xps[n], yps[n], yps[n + 1])}
-    if at not in table:
-        raise ValidationError(f"unknown D_n point {at!r}")
-    z, s, t = table[at]
+    z, s, t = {"xm1": (xs[0], ys[0], ys[1]), "xn1": (xs[n], ys[n + 1], ys[n]),
+               "xp0": (xps[0], yps[1], yps[0]), "xpn": (xps[n], yps[n], yps[n + 1])}[at]
     val = 0.5 * cn * pair.curve.x_view()[2](z) * (s - t)
     try:
         direct = mean_poly_direct(pair, n, z)
@@ -508,43 +500,42 @@ def identity_samples(pair, n, count=20, seed=7):
 def _identities(pair, orders, samples):
     """verify_diff_basis_identity(pair, n, samples) for each n of orders in turn, from one read per
     lattice: C_n by _cn_routes, and per sample its root pair once and Yb_n at both roots and
-    Xb_{n-1}(z) as prefixes of one running product each, formed at the first order."""
-    curve, samples = pair.curve, list(samples)
-    x2 = curve.x_view()[2]
-    for reads, chunk in _read_orders(pair, orders, 0):
-        xs, ys, xps, yps = reads
-        N, points = chunk[-1], []
-        cns = _cn_routes(curve, reads, chunk, ("xm1",))
-        for n in chunk:
-            cn, errs = _raised(next(cns)["xm1"]), []
-            for j, z in enumerate(samples):
-                if j == len(points):
-                    try:
-                        roots = _root_pair(curve, z)
-                    except BranchPointEvaluationError:
-                        points.append(None)
-                        continue
-                    points.append((roots.hi - roots.lo, x2(z), _prefix(z, xs[1:N], xps[1:N]),
-                                   *(_prefix(t, ys[1:], yps[1:]) for t in (roots.hi, roots.lo))))
-                if points[j] is None:
-                    continue
-                gap, x2z, xb, hi, lo = points[j]
-                if len(hi) <= n or len(lo) <= n or len(xb) < n:
-                    continue
-                lhs = (hi[n] - lo[n]) / gap
-                try:
-                    rhs = cn * x2z * xb[n - 1] / ((z - xps[0]) * (z - xps[n]))
-                except ZeroDivisionError:
-                    continue
-                errs.append(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-            if not errs:
-                raise NoValidSamplesError("all samples degenerate for the basis identity")
-            yield float(np.max(errs))
+    Xb_{n-1}(z) as prefixes of one running product each, formed after the first order's C_n."""
+    curve, N = pair.curve, orders[-1]
+    x2, reads = curve.x_view()[2], pair.unprimed.values(-1, N) + pair.primed.values(0, N + 1)
+    xs, ys, xps, yps = reads
+
+    def products(z):
+        try:
+            roots = _root_pair(curve, z)
+        except BranchPointEvaluationError:
+            return None
+        return (z, roots.hi - roots.lo, x2(z), _prefix(z, xs[1:N], xps[1:N]),
+                *(_prefix(t, ys[1:], yps[1:]) for t in (roots.hi, roots.lo)))
+
+    points = None
+    for n, routes in zip(orders, _cn_routes(curve, reads, orders, ("xm1",))):
+        cn, errs = _raised(routes["xm1"]), []
+        if points is None:
+            points = [p for p in map(products, samples) if p is not None]
+        for z, gap, x2z, xb, hi, lo in points:
+            if len(hi) <= n or len(lo) <= n or len(xb) < n:
+                continue
+            lhs = (hi[n] - lo[n]) / gap
+            try:
+                rhs = cn * x2z * xb[n - 1] / ((z - xps[0]) * (z - xps[n]))
+            except ZeroDivisionError:
+                continue
+            errs.append(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+        if not errs:
+            raise NoValidSamplesError("all samples degenerate for the basis identity")
+        yield float(np.max(errs))
 
 
 def verify_diff_basis_identity(pair, n, samples):
     """Max relative error of  D Yb_n = C_n X2 Xb_{n-1} / ((x-x'_0)(x-x'_n))  on samples, skipping
     a sample at a branch point, at a pole of Yb_n or Xb_{n-1}, or at x'_0 or x'_n."""
+    n = _order(n, "n", lo=0)
     if n == 0:
         return 0.0
-    return next(_identities(pair, [_order(n, "n", lo=0)], samples))
+    return next(_identities(pair, [n], samples))

@@ -441,6 +441,11 @@ MALFORMED = [
     pytest.param("solve", ("equation", "a", 0), [math.nan, 0.0], "equation.a[0]",
                  id="coefficient-nan"),
     pytest.param("solve", ("curve", 1, 1), [math.nan, 0.0], "curve", id="curve-nan"),
+    pytest.param("solve", ("curve", 1, 1), {"re": 0}, "curve[1][1]", id="curve-entry-object"),
+    pytest.param("lattice", ("curve", 0, 2), [True, False], "curve[0][2]",
+                 id="curve-entry-bools"),
+    pytest.param("ratemap", ("curve", 2, 0), [0, 0, 7], "curve[2][0]",
+                 id="curve-entry-three-numbers"),
     pytest.param("ratemap", ("params", "threshold"), "0.05", "params.threshold",
                  id="threshold-string"),
 ]

@@ -933,7 +933,7 @@ def test_write_rate_map_csv_bytes_equal_per_row_writer(qsol, tmp_path):
     """A map with a flagged cell (None) and NaN/inf rates edited in."""
     sol, zeta, q = qsol
     axis = np.linspace(-0.6, 0.6, 9)
-    rows = rate_map(sol, axis, axis, 5, 25)
+    rows = list(rate_map(sol, axis, axis, 5, 25))
     assert any(pred is None for *_, pred, _ in rows)
     rows[3] = (*rows[3][:2], math.nan, rows[3][3], rows[3][4])
     rows[7] = (*rows[7][:2], math.inf, math.nan, rows[7][4])
@@ -1001,9 +1001,10 @@ def test_rate_map_columns_and_rows_give_the_same_csv(qsol, case):
         assert [i for i, f in enumerate(flags) if "NonFinite" in f] == cells
 
 
-@pytest.mark.parametrize("read", ["len", "repr", "index", "slice", "unpack", "iterate"])
+@pytest.mark.parametrize("read", ["len", "repr", "index", "slice", "unpack", "iterate", "assign"])
 def test_rate_map_reads_as_its_list_of_rows(qsol, read):
-    """len, indexing, unpacking, iteration and repr of a fresh RateMap are its list's."""
+    """len, indexing, unpacking, iteration and repr of a fresh RateMap are its list's, and it
+    takes no assignment."""
     sol = qsol[0]
     axis = np.linspace(-0.6, 0.6, 5)
     rows, want = rate_map(sol, axis, axis, 5, 25), list(rate_map(sol, axis, axis, 5, 25))
@@ -1020,5 +1021,9 @@ def test_rate_map_reads_as_its_list_of_rows(qsol, read):
     elif read == "unpack":
         (re, im, emp, pred, flags), *rest = rows
         assert repr(((re, im, emp, pred, flags), *rest)) == repr(tuple(want))
+    elif read == "assign":
+        with pytest.raises(TypeError):
+            rows[0] = want[1]
+        assert repr(rows) == repr(want)
     else:
         assert repr([row for row in rows]) == repr(want)

@@ -4,7 +4,7 @@ The four-way C_n check, the basis identity and the equation's residual each read
 both lattices once for all their orders and share running products across orders;
 the references in conftest.py call one order at a time, each with its own reads.
 Every value must have the same repr, and every error the same type and message, at
-the same order.
+the same order; only a walk stop inside a check's range raises before any order.
 """
 import pytest
 
@@ -150,6 +150,26 @@ def test_a_guard_that_trips_at_one_order_leaves_the_others_alone(monkeypatch):
     assert got == outcomes(ref_identity(pair, n, samples) for n in range(1, 7))
 
 
+def test_the_first_order_that_fails_the_xm1_route_names_its_error(monkeypatch):
+    """y'_4 = y_{-1} puts a pole in the x_{-1} route from n = 4 on; with its denominator guard
+    tripped at n = 2 too, diff_constants and the checks raise the guard from n = 2 on."""
+    pair = linear_pair(-5.0)
+    guard, label, seen = diffops._guard, "C_n(xm1) denominator", []
+    monkeypatch.setattr(diffops, "_guard",
+                        lambda name, v: seen.append((name, v)) or guard(name, v))
+    diff_constants(pair, 3)
+    trips = [v for name, v in seen if name == label]
+    assert len(trips) == len(set(trips)) == 3
+    monkeypatch.setattr(diffops, "_guard",
+                        lambda name, v: guard(name, 0.0 if (name, v) == (label, trips[1]) else v))
+    for n in range(2, 8):
+        with pytest.raises(MethodDegenerateError, match=r"^C_n\(xm1\) denominator ~ 0"):
+            diff_constants(pair, n)
+    got = list(_agreements(pair, range(1, 8)))
+    assert ["xm1" in vals for vals, _ in got] == [True] + [False] * 6
+    assert outcomes(got) == outcomes(ref_diff_constant(pair, n, "all") for n in range(1, 8))
+
+
 def test_a_sample_at_a_branch_point_is_skipped_at_every_order():
     eq, select = aw_fixture()
     pair = solve(eq, select, 10).pair
@@ -168,17 +188,20 @@ def test_a_sample_at_a_branch_point_is_skipped_at_every_order():
 
 @pytest.mark.parametrize("seeds", [(1.0, 3.0), (3.0, 1.0), (1.0, 1.0)])
 def test_a_walk_stop_is_raised_by_the_first_order_that_needs_it(seeds):
-    """Geometric lattices (q = 1/2) stagnate near n = 46 or 47: orders whose ranges were walked
-    keep their values, and each order alone raises what the reference raises."""
+    """Geometric lattices (q = 1/2) stagnate near n = 46 or 47: each order alone raises what the
+    reference raises, and a check over orders 40-51, which reads their whole range at once,
+    raises the stop before it yields any order."""
     curve = GeometricLattice(a=0.0, b=1.0, q=0.5).curve()
 
     def fresh():
         return BasisPair(*(LatticePair(LatticeSpec(curve, v, v)) for v in seeds))
 
-    got = outcomes(_agreements(fresh(), range(40, 52)))
-    assert got[-1].startswith("raise LatticeStagnationError") and len(got) > 4
-    assert got == outcomes(ref_diff_constant(pair, n, "all")
-                           for pair in [fresh()] for n in range(40, 52))
+    ref = outcomes(ref_diff_constant(pair, n, "all") for pair in [fresh()] for n in range(40, 52))
+    assert ref[-1].startswith("raise LatticeStagnationError") and len(ref) > 4
+    samples = identity_samples(fresh(), 3, count=12, seed=11)
+    for got in (outcomes(_agreements(fresh(), range(40, 52))),
+                outcomes(_identities(fresh(), range(40, 52), samples))):
+        assert len(got) == 1 and got[0].startswith("raise LatticeStagnationError"), got
     for n in range(44, 49):
         for method in C_METHODS + ("all",):
             assert outcome(lambda: diff_constant(fresh(), n, method)) == \
