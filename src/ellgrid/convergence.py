@@ -1,6 +1,8 @@
 """Geometric decay of expansion terms vs the potential-theoretic prediction.
 
-The empirical rate is the least-squares slope of log |c_n Yb_n(z)| against n.
+The empirical rate is the least-squares slope of log |c_n Yb_n(z)| against n, each log summed
+from the logs of |c_n| and of Yb_n's factors, so no term under- or overflows (-inf marks one that
+vanishes) and the rate does not depend on the scale of the coefficients.
 The prediction takes the period omega = 2 pi i / sqrt(p2) of dv/sqrt(P) and
 the uniformizing coordinate xi(z) in closed form (P of degree 2), on the lift
 on zeta's side of the roots of P, giving
@@ -96,12 +98,15 @@ def _flag(exc_type):
     return exc_type.__name__.removesuffix("Error")
 
 
-def _term_magnitude_grid(sol, zs, n_max):
-    """|c_n Yb_n(z)| for n = 1..n_max at every z of zs (one row per z), and the z that hit a pole.
+def _log_term_grid(sol, zs, n_max):
+    """log |c_n Yb_n(z)| for n = 1..n_max (one row each) at every z of zs (one column each, so z
+    runs fastest), and the z that hit a pole.
 
-    y_0..y_{n_max-1} and y'_1..y'_{n_max} are read once per call, so a caller
-    that edits the lattice or the coefficients between calls sees the edit.  n_max follows the
-    order rule `solver._sum_order`.
+    An entry is log |c_n| plus the running sum over r < n of log |z - y_r| - log |z - y'_{r+1}|,
+    so no term is formed and nothing under- or overflows before a caller's exp; it is -inf where
+    the term vanishes (c_n = 0, or z on a node y_r, r < n).  The coefficients and lattice are
+    read once per call, so a caller that edits them between calls sees the edit.  n_max follows
+    the order rule `solver._sum_order`.
     """
     n_max = _sum_order(sol, n_max, "n_max")
     coeffs = np.array(sol.coeffs[1:n_max + 1], dtype=complex)
@@ -109,21 +114,23 @@ def _term_magnitude_grid(sol, zs, n_max):
     _, poles = sol.pair.primed.span(1, n_max + 1)
     zs = np.asarray(zs, dtype=complex)
     hit = pole_hits(zs, poles)
-    col = zs[:, None]
     with np.errstate(all="ignore"):
-        prods = np.cumprod((col - nodes) / (col - poles), axis=1)
-        mags = np.abs(coeffs * prods)
-    return mags, hit
+        logs = np.log(np.abs(zs - nodes[:, None]))
+        logs -= np.log(np.abs(zs - poles[:, None]))
+        np.cumsum(logs, axis=0, out=logs)
+        logs += np.log(np.abs(coeffs))[:, None]
+    return logs, hit
 
 
 def term_magnitudes(sol, z, n_max):
-    """|c_n Yb_n(z)| for n = 1..n_max (index 0 of the result is n = 1); a non-finite z is a
-    ValidationError naming it, and n_max follows the order rule `solver._sum_order`."""
+    """|c_n Yb_n(z)| for n = 1..n_max (index 0 of the result is n = 1), the exp of the log-sums
+    the rate fits use (0.0 where a term vanishes); a non-finite z is a ValidationError naming
+    it, and n_max follows the order rule `solver._sum_order`."""
     z = _finite(z, "z")
-    mags, hit = _term_magnitude_grid(sol, [z], n_max)
+    logs, hit = _log_term_grid(sol, [z], n_max)
     if hit[0]:
         raise PoleEvaluationError(z)
-    return mags[0].tolist()
+    return np.exp(logs[:, 0]).tolist()
 
 
 def _fit_rates(sol, zs, n_min, n_max, smalldiv_threshold):
@@ -131,26 +138,29 @@ def _fit_rates(sol, zs, n_min, n_max, smalldiv_threshold):
 
     Returns (ratio, pole hit, usable-term count, flagged small divisors) per z;
     the ratio is the exp of the least-squares slope of log |term| against n
-    over the usable terms (small-divisor indices and exact zeros excluded).
-    Raises for the failures every z shares: a short window, too few
-    coefficients.
+    over the usable terms (small-divisor indices and vanishing terms, whose log
+    is -inf, excluded).  The logs are `_log_term_grid`'s sums, so a term too
+    small or too large for a float still counts at full precision.  Raises for
+    the failures every z shares: a short window, too few coefficients.
     """
     if n_max - n_min < MIN_FIT_TERMS:
         raise WindowTooSmallError(
             f"window [{n_min}, {n_max}] is shorter than {MIN_FIT_TERMS}")
-    mags, hit = _term_magnitude_grid(sol, zs, n_max)
+    logs, hit = _log_term_grid(sol, zs, n_max)
     flagged = detect_small_divisors(sol.pair, n_max, smalldiv_threshold)
     ns = np.arange(1, n_max + 1, dtype=float)
     keep = ns >= n_min
     keep[[n - 1 for n, _ in flagged]] = False
-    usable = keep & (mags != 0.0)
-    count = usable.sum(axis=1)
+    usable = (logs != -np.inf) & keep[:, None]
+    count, weight = usable.sum(axis=0), usable.astype(float)
     with np.errstate(all="ignore"):
-        logs = np.where(usable, np.log(mags), 0.0)
-        dn = np.where(usable, ns - (usable * ns).sum(axis=1, keepdims=True) / count[:, None], 0.0)
-        dlog = np.where(usable, logs - logs.sum(axis=1, keepdims=True) / count[:, None], 0.0)
-        rho = np.exp((dn * dlog).sum(axis=1) / (dn * dn).sum(axis=1))
-    return rho, hit, count, flagged
+        logs = np.where(usable, logs, 0.0)
+        logs -= logs.sum(axis=0) / count        # centred, then 0 where not usable
+        logs *= weight
+        sum_n = ns @ weight             # the slope: sum (n - mean)(log - mean) / sum (n - mean)^2
+        mean_n = sum_n / count
+        slope = (ns @ logs - mean_n * logs.sum(axis=0)) / ((ns * ns) @ weight - mean_n * sum_n)
+    return np.exp(slope), hit, count, flagged
 
 
 def _fit_args(sol, n_min, n_max, smalldiv_threshold):
@@ -169,7 +179,7 @@ _EMPIRICAL_FLAGS = ((), ("NotConverging",), (_flag(WindowTooSmallError),),
 def empirical_rate(sol, z, n_min, n_max, smalldiv_threshold=0.05):
     """Least-squares geometric ratio of the terms over [n_min, n_max].
 
-    Small-divisor indices (and exact zeros) are excluded from the fit; at
+    Small-divisor indices (and vanishing terms) are excluded from the fit; at
     least five usable terms are required.  A bad z or `_fit_args` is a ValidationError naming it;
     n_max follows the order rule `solver._sum_order` ("n_max must be >= 0", "solution has only K
     coefficients").

@@ -12,6 +12,7 @@ from .errors import (
     LeadingCoefficientVanishesError,
     ValidationError,
     VerticalTangentError,
+    _finite,
     _real,
 )
 from .poly import Polynomial, reduced_abs, solve_quadratic
@@ -203,11 +204,10 @@ class BiquadraticCurve:
     __slots__ = ("c", "scale", "_xv", "_yv", "_P", "_flips", "_rate")
 
     def __init__(self, grid):
-        c = tuple(tuple(complex(v) for v in row) for row in grid)
+        c = tuple(tuple(_finite(v, f"grid[{i}][{j}]") for j, v in enumerate(row))
+                  for i, row in enumerate(grid))
         if len(c) != 3 or any(len(row) != 3 for row in c):
             raise ValidationError("curve grid must be 3x3")
-        if not all(cmath.isfinite(v) for row in c for v in row):
-            raise ValidationError("curve coefficients must be finite")
         xv = tuple(Polynomial(col) for col in zip(*c))
         yv = tuple(Polynomial(row) for row in c)
         if xv[2].is_zero():

@@ -473,9 +473,9 @@ def mean_poly_value(pair, n, at="xp0"):
 def identity_samples(pair, n, count=20, seed=7):
     """Deterministic sample points on an annulus avoiding lattice loci and poles.
 
-    Used by the identity checks; a fixed seed keeps property tests reproducible.  n and
-    count >= 1 are integers, or a ValidationError names them."""
-    n, count = _order(n, "n"), _order(count, "count", lo=1)
+    Used by the identity checks; a fixed seed keeps property tests reproducible.  n >= 0
+    and count >= 1 are integers, or a ValidationError names them."""
+    n, count = _order(n, "n", lo=0), _order(count, "count", lo=1)
     pts = pair.unprimed.values(-1, n + 1)[0] + pair.primed.values(0, n + 1)[0]
     center = sum(pts) / len(pts)
     rad = max(abs(p - center) for p in pts) + 1.0

@@ -151,10 +151,12 @@ def _order(value, name, lo=None):
 
 
 def _finite(value, name):
-    """value as a finite complex number, or a ValidationError naming the argument."""
+    """value as a finite complex number, where it is a number and not a bool (numpy's bools are
+    not numbers), or a ValidationError naming the argument."""
     try:
-        z = complex(value)
-    except (TypeError, ValueError):
+        z = complex(value) if isinstance(value, (complex, float, int, numbers.Number)) \
+            and not isinstance(value, bool) else cmath.nan      # builtins first: the ABC is slow
+    except (OverflowError, ValueError):     # an int past the float range, a signalling NaN
         z = cmath.nan
     if not cmath.isfinite(z):
         raise ValidationError(f"{name}: expected a finite complex number, got {value!r}")

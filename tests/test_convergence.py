@@ -121,10 +121,14 @@ AXIS = [1.0, 1.2]
                  id="samples-1e300"),
     pytest.param(lambda sol: identity_samples(sol.pair, 3, count=0), "count", id="samples-0"),
     pytest.param(lambda sol: identity_samples(sol.pair, 3.0), "n", id="samples-n"),
+    pytest.param(lambda sol: identity_samples(sol.pair, -1), "n", id="samples-n=-1"),
+    pytest.param(lambda sol: identity_samples(sol.pair, -2), "n", id="samples-n=-2"),
+    pytest.param(lambda sol: identity_samples(sol.pair, -5), "n", id="samples-n=-5"),
 ])
 def test_orders_counts_and_thresholds_are_checked_and_named(qsol, call, name):
     """An order or count that is not an integer (count >= 1), an n_max below 0 (numpy's
-    untyped broadcast error unchecked), or a threshold that is not a finite real, is a
+    untyped broadcast error unchecked), an identity-sample n below 0 (a ZeroDivisionError, or
+    samples around x'_0 alone, unchecked), or a threshold that is not a finite real, is a
     ValidationError whose message starts with the argument's name."""
     with pytest.raises(ValidationError, match=rf"^{name}\b"):
         call(qsol[0])
@@ -168,6 +172,23 @@ def test_empirical_rate_recovers_injected_geometric(qsol):
     assert abs(rep.empirical_rate - 0.5) <= 1e-6
     assert rep.flags == ()
     assert rep.window == (5, 25)
+
+
+@pytest.mark.parametrize("scale", ["1e-305", "1e300/max"])
+def test_rate_does_not_depend_on_the_scale_of_the_coefficients(scale):
+    """Every c_n (n >= 1) times one constant, so that the terms fall into subnormals (1e-305)
+    or reach 1e300: empirical_rate and the rate_map cell at the same z keep the unscaled rate,
+    since the fit sums logs and forms no term.  The map has more cells than terms."""
+    sol = solve_log_qlattice(N=150)[0]
+    z = 0.5 + 0.2j
+    want = empirical_rate(sol, z, 5, 150).empirical_rate
+    k = 1e-305 if scale == "1e-305" else 1e300 / max(abs(c) for c in sol.coeffs[1:])
+    sol.coeffs = (sol.coeffs[0], *(k * c for c in sol.coeffs[1:]))
+    got = empirical_rate(sol, z, 5, 150).empirical_rate
+    axis = np.linspace(0.3, 0.7, 12).tolist()
+    rows = rate_map(sol, [z.real, *axis], [z.imag, *axis], 5, 150)
+    assert len(rows) > 150 and rows[0][:2] == (z.real, z.imag)
+    assert abs(got - want) <= 1e-12 and abs(rows[0][2] - want) <= 1e-12, (got, rows[0][2], want)
 
 
 def test_empirical_rate_inside_region(qsol):
@@ -725,7 +746,7 @@ def test_rate_map_refuses_a_window_past_the_order_before_any_work(qsol, mode, mo
 
     def no_work(*args, **kwargs):
         raise AssertionError("rate_map worked past a bad window")
-    for name in ("RatePredictor", "_term_magnitude_grid", "detect_small_divisors"):
+    for name in ("RatePredictor", "_log_term_grid", "detect_small_divisors"):
         monkeypatch.setattr(convergence, name, no_work)
     with pytest.raises(ValidationError) as got:
         rate_map(sol, [2.5], [0.5], 5, K + 13)
