@@ -204,8 +204,11 @@ class BiquadraticCurve:
     __slots__ = ("c", "scale", "_xv", "_yv", "_P", "_flips", "_rate")
 
     def __init__(self, grid):
-        c = tuple(tuple(_finite(v, f"grid[{i}][{j}]") for j, v in enumerate(row))
-                  for i, row in enumerate(grid))
+        try:
+            c = tuple(tuple(_finite(v, f"grid[{i}][{j}]") for j, v in enumerate(row))
+                      for i, row in enumerate(grid))
+        except TypeError:                   # the grid or a row is not iterable
+            c = ()
         if len(c) != 3 or any(len(row) != 3 for row in c):
             raise ValidationError("curve grid must be 3x3")
         xv = tuple(Polynomial(col) for col in zip(*c))

@@ -34,6 +34,7 @@ from .errors import (
     PoleEvaluationError,
     ValidationError,
     VerticalTangentError,
+    _finite,
     _order,
 )
 from .poly import Polynomial, RationalFunction
@@ -109,13 +110,13 @@ def _root_pair(curve, x):
 
 def divided_difference(curve, f, x):
     """(D f)(x) = (f(psi) - f(phi))/(psi - phi); independent of root labeling."""
-    pair = _root_pair(curve, x)
+    pair = _root_pair(curve, _finite(x, "x"))
     return (f(pair.hi) - f(pair.lo)) / (pair.hi - pair.lo)
 
 
 def mean_value(curve, f, x):
     """(M f)(x) = (f(phi) + f(psi))/2."""
-    pair = curve.y_roots(x)
+    pair = curve.y_roots(_finite(x, "x"))
     return 0.5 * (f(pair.lo) + f(pair.hi))
 
 
@@ -308,82 +309,69 @@ def diff_constants(pair, N):
     return cns
 
 
-def _attempt(fn, *args):
-    """fn(*args), or the EllgridError it raises: one route's or one order's outcome."""
-    try:
-        return fn(*args)
-    except EllgridError as exc:
-        return exc
-
-
 def _raised(outcome):
-    """An outcome of _attempt, raised where it is an error."""
+    """An outcome of _cn_routes, raised where it is an error."""
     if isinstance(outcome, EllgridError):
         raise outcome
     return outcome
 
 
+def _points(reads, n):
+    """The one table of the four points of C_n and D_n at order n: {point: (z, s, t)}, z = x_{-1},
+    x_{n-1}, x'_0 or x'_n and s, t the y-roots over z, t a zero of Yb_n at the nodes and s a pole
+    of Yb_n at x'_0 and x'_n; reads = (xs, ys, xps, yps) over the indices from -1 and 0 on."""
+    xs, ys, xps, yps = reads
+    return {"xm1": (xs[0], ys[0], ys[1]), "xn1": (xs[n], ys[n + 1], ys[n]),
+            "xp0": (xps[0], yps[1], yps[0]), "xpn": (xps[n], yps[n], yps[n + 1])}
+
+
 def _cn_routes(curve, reads, orders, methods):
     """{method: C_n by that route, or the error it raises at n} for each n of orders in turn.
 
-    C_n = num / ((s - t) X2(z) Xb_{n-1}(z)) at a point (z, s, t), s, t the y-roots over z.  At the
-    nodes x_{-1} (with s, t swapped) and x_{n-1}, num = Yb_n(s) (z - x'_0)(z - x'_n) and t is a
-    zero of Yb_n; at x'_0 or x'_n, s is a pole and num = R (z - x'_far) / dy/dx(z, s), R the
-    residue of Yb_n at s, which pairs each zero but y_{n-1} with a pole, so it does not overflow
-    where C_n is finite.  At x_{-1} the orders come from _xm1_route, whose stop every order past
-    its last raises.  At x'_0 each running product is formed once up to the last order (_prefix),
-    and dy/dx once: a pole met at factor k, or a guard, fails the route only at the orders that
-    take it.  Each value rounds as at one order alone.  reads: _cn_orders'.
+    C_n = num / ((s - t) X2(z) Xb_{n-1}(z)) at a point (z, s, t) of _points.  At the nodes x_{-1}
+    (with s, t swapped) and x_{n-1}, num = Yb_n(s) (z - x'_0)(z - x'_n); at x'_0 or x'_n, num =
+    R (z - far) / dy/dx(z, s), far the other of x'_0 and x'_n and R the residue of Yb_n at s,
+    which pairs each zero but y_{n-1} with a pole, so it does not overflow where C_n is finite.
+    One body serves both residues: at x'_0 the poles are y'_2 .. y'_n, at x'_n y'_1 .. y'_{n-1}.
+    The x_{-1} route is _xm1_route's, whose stop every order past its last raises; the others
+    form their products at each order (basis_products) and carry nothing across orders, so a
+    pole or a guard fails only the orders that meet it.  reads: _cn_orders'.
     """
     xs, ys, xps, yps = reads
-    N, x2 = orders[-1], curve.x_view()[2]
-    xp0, yp1 = xps[0], yps[1]
+    x2 = curve.x_view()[2]
     if "xm1" in methods:
-        cns_m1, stop_m1 = _xm1_route(curve, reads, N)
-    if "resp0" in methods:
-        res_p0, xb_p0 = _prefix(yp1, ys[1:N], yps[2:N + 1]), _prefix(xp0, xs[1:N], xps[1:N])
-        head_p0 = _attempt(lambda: _guard("s - t", yp1 - yps[0]) * x2(xp0))
-        dydx_p0 = _attempt(lambda: _guard("dy/dx", curve.implicit_dy_dx(xp0, yp1)))
+        cns_m1, stop_m1 = _xm1_route(curve, reads, orders[-1])
 
-    def at_xm1(n):
-        if n < len(cns_m1):
-            return cns_m1[n]
-        raise stop_m1
-
-    def at_xn1(n):
-        z, s, t = xs[n], ys[n + 1], ys[n]
-        num = basis_products(s, ys[1:n + 1], yps[1:n + 1])[-1] * (z - xps[0]) * (z - xps[n])
+    def route(m, n):
+        if m == "xm1":
+            if n < len(cns_m1):
+                return cns_m1[n]
+            raise stop_m1
+        table = _points(reads, n)
+        if m == "xn1":
+            z, s, t = table["xn1"]
+            num = basis_products(s, ys[1:n + 1], yps[1:n + 1])[-1] * (z - xps[0]) * (z - xps[n])
+        else:
+            (z, s, t), far, poles = ((table["xp0"], xps[n], yps[2:n + 1]) if m == "resp0"
+                                     else (table["xpn"], xps[0], yps[1:n]))
+            dydx = _guard("dy/dx", curve.implicit_dy_dx(z, s))
+            try:
+                prod = basis_products(s, ys[1:n], poles)[-1]
+            except PoleEvaluationError:
+                raise MethodDegenerateError(f"C_{n}({m}): poles collide at {s}") from None
+            num = prod * (s - ys[n]) / dydx * (z - far)
         den = _guard("s - t", s - t) * x2(z) * basis_products(z, xs[1:n], xps[1:n])[-1]
-        return num / _guard("C_n(xn1) denominator", den)
+        return num / _guard(f"C_n({m}) denominator", den)
 
-    def at_xp0(n):
-        dydx = _raised(dydx_p0)
-        if len(res_p0) < n:
-            raise MethodDegenerateError(f"C_{n}(resp0): poles collide at {yp1}")
-        num = res_p0[n - 1] * (yp1 - ys[n]) / dydx * (xp0 - xps[n])
-        head = _raised(head_p0)
-        if len(xb_p0) < n:
-            raise PoleEvaluationError(xp0)
-        return num / _guard("C_n(resp0) denominator", head * xb_p0[n - 1])
-
-    def at_xpn(n):
-        z, s, t = xps[n], yps[n], yps[n + 1]
-        dydx = _guard("dy/dx", curve.implicit_dy_dx(z, s))
-        try:
-            res = basis_products(s, ys[1:n], yps[1:n])[-1] * (s - ys[n])
-        except PoleEvaluationError:
-            raise MethodDegenerateError(f"C_{n}(respn): poles collide at {s}") from None
-        den = _guard("s - t", s - t) * x2(z) * basis_products(z, xs[1:n], xps[1:n])[-1]
-        return res / dydx * (z - xps[0]) / _guard("C_n(respn) denominator", den)
-
-    routes = {"xm1": at_xm1, "xn1": at_xn1, "resp0": at_xp0, "respn": at_xpn}
     for n in orders:
         out = {}
         for m in methods:
-            cn = _attempt(routes[m], n)
-            if not (isinstance(cn, EllgridError) or cmath.isfinite(cn)):
-                cn = MethodDegenerateError(f"C_{n} by route {m} is not finite ({cn})")
-            out[m] = cn
+            try:
+                out[m] = route(m, n)
+                if not cmath.isfinite(out[m]):
+                    raise MethodDegenerateError(f"C_{n} by route {m} is not finite ({out[m]})")
+            except EllgridError as exc:
+                out[m] = exc
         yield out
 
 
@@ -433,7 +421,7 @@ def diff_constant(pair, n, method="xm1"):
 
 def mean_poly_direct(pair, n, z):
     """D_n(z) from the definition: (M Yb_n)(z) (z - x'_0)(z - x'_n) / Xb_{n-1}(z)."""
-    n = _order(n, "n", lo=0)
+    n, z = _order(n, "n", lo=0), _finite(z, "z")
     if n == 0:
         return 1.0 + 0j
     mv = mean_value(pair.curve, pair.y_basis(n), z)
@@ -446,7 +434,7 @@ def mean_poly_direct(pair, n, z):
 def mean_poly_value(pair, n, at="xp0"):
     """Closed-form D_n value at one of the four distinguished points: C_n X2(z) (s - t) / 2.
 
-    at: 'xm1' -> x_{-1}, 'xn1' -> x_{n-1}, 'xp0' -> x'_0, 'xpn' -> x'_n.  The
+    at: 'xm1' -> x_{-1}, 'xn1' -> x_{n-1}, 'xp0' -> x'_0, 'xpn' -> x'_n, read from _points.  The
     value is cross-checked against mean_poly_direct at z unless that degenerates.
     """
     n = _order(n, "n", lo=0)
@@ -455,10 +443,7 @@ def mean_poly_value(pair, n, at="xp0"):
     if n == 0:
         return 1.0 + 0j
     cn = diff_constant(pair, n)
-    xs, ys = pair.unprimed.values(-1, n + 1)
-    xps, yps = pair.primed.values(0, n + 2)
-    z, s, t = {"xm1": (xs[0], ys[0], ys[1]), "xn1": (xs[n], ys[n + 1], ys[n]),
-               "xp0": (xps[0], yps[1], yps[0]), "xpn": (xps[n], yps[n], yps[n + 1])}[at]
+    z, s, t = _points(pair.unprimed.values(-1, n + 1) + pair.primed.values(0, n + 2), n)[at]
     val = 0.5 * cn * pair.curve.x_view()[2](z) * (s - t)
     try:
         direct = mean_poly_direct(pair, n, z)
@@ -535,7 +520,7 @@ def _identities(pair, orders, samples):
 def verify_diff_basis_identity(pair, n, samples):
     """Max relative error of  D Yb_n = C_n X2 Xb_{n-1} / ((x-x'_0)(x-x'_n))  on samples, skipping
     a sample at a branch point, at a pole of Yb_n or Xb_{n-1}, or at x'_0 or x'_n."""
-    n = _order(n, "n", lo=0)
+    n, samples = _order(n, "n", lo=0), [_finite(z, f"samples[{i}]") for i, z in enumerate(samples)]
     if n == 0:
         return 0.0
     return next(_identities(pair, [n], samples))

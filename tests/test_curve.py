@@ -210,6 +210,14 @@ def test_invalid_grids_rejected():
         BiquadraticCurve([[0, 0, 1], [0, 2, 0], [1, 0, 0]])
 
 
+@pytest.mark.parametrize("grid", [[1, 2, 3], None, [[1, 0, 1], [0, 1, 0], 5]],
+                         ids=["flat", "none", "scalar-row"])
+def test_a_grid_that_cannot_be_iterated_is_not_3x3(grid):
+    """A grid, or a row of it, that is not iterable is a ValidationError, not a TypeError."""
+    with pytest.raises(ValidationError, match=r"^curve grid must be 3x3$"):
+        BiquadraticCurve(grid)
+
+
 @pytest.mark.parametrize("bad", ["1", True, np.True_, 10 ** 400],
                          ids=["str", "bool", "numpy-bool", "int-past-float"])
 @pytest.mark.parametrize("call, name", [

@@ -453,6 +453,24 @@ def test_order_zero_is_validated_like_any_other(call, message):
         call(half_offset_pair())
 
 
+@pytest.mark.parametrize("bad", ["a", None, True, np.nan, np.inf],
+                         ids=["str", "none", "bool", "nan", "inf"])
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda pair, v: divided_difference(pair.curve, lambda t: t, v), "x",
+                 id="divided_difference"),
+    pytest.param(lambda pair, v: mean_value(pair.curve, lambda t: t, v), "x", id="mean_value"),
+    pytest.param(lambda pair, v: mean_poly_direct(pair, 0, v), "z", id="mean_poly_direct"),
+    pytest.param(lambda pair, v: verify_diff_basis_identity(pair, 0, [0.3 + 0.2j, v]),
+                 "samples[1]", id="identity"),
+])
+def test_a_point_argument_is_a_finite_number(call, name, bad):
+    """x, z and each sample are finite numbers and not bools, checked before any n = 0 value: a
+    ValidationError names the argument, not an untyped TypeError or a root-pair error."""
+    with pytest.raises(ValidationError) as err:
+        call(half_offset_pair(), bad)
+    assert str(err.value) == f"{name}: expected a finite complex number, got {bad!r}"
+
+
 @pytest.mark.parametrize("fixture, n", [(aw_fixture, 19), (aw_fixture, 30), (aw_fixture, 33),
                                         (aw_fixture, 34), (aw_fixture, 47), (aw_fixture, 59),
                                         (qgeom_fixture, 33), (qgeom_fixture, 41),

@@ -1,11 +1,13 @@
 """The checks of `ellgrid verify` against the per-order references in conftest.py.
 
 The four-way C_n check, the basis identity and the equation's residual each read
-both lattices once for all their orders and share running products across orders;
-the references in conftest.py call one order at a time, each with its own reads.
+both lattices once for all their orders; the references in conftest.py call one
+order at a time, each with its own reads.
 Every value must have the same repr, and every error the same type and message, at
 the same order; only a walk stop inside a check's range raises before any order.
 """
+import cmath
+
 import pytest
 
 from ellgrid import (
@@ -60,6 +62,15 @@ def capture_runs():
 def test_verify_suite_matches_the_reference():
     cases, differ = verify_suite_sweep(capture_runs())
     assert cases == 34 * 9 and not differ, differ
+
+
+def test_verify_suite_matches_the_reference_on_sixty_genus1_equations():
+    """genus1_equation seeds 0-59 under ByIndex (0, 1), (1, 2) and (2, 0), solved at N = 40: the
+    four-way C_n check, the basis identity and the residual of `ellgrid verify`, and each C_n
+    route alone, give the same repr, or the same error type and message at the same order, as
+    the per-order references."""
+    cases, differ = verify_suite_sweep(genus1_runs(range(60), SELECTS, 40))
+    assert cases == 1620 and not differ, differ
 
 
 def pole_pair(fixture):
@@ -125,6 +136,21 @@ def test_a_pole_at_factor_k_fails_a_route_from_order_k_on():
     got = outcomes(_identities(pair, range(1, 6), samples))
     assert len(got) == 4 and got[3].startswith("raise PoleEvaluationError"), got
     assert got == outcomes(ref_identity(pair, n, samples) for n in range(1, 6))
+
+
+def test_a_residue_route_whose_poles_collide_is_degenerate_from_that_order_on():
+    """On the geometric lattice with q = e^{2 pi i / 5}, seeded at 2 and at 3, y'_6 = y'_1: from
+    n = 6 on, the residue at x'_0 or x'_n meets one of its own poles ("poles collide"), and
+    orders 1-5 keep all four routes."""
+    curve = GeometricLattice(a=0.0, b=1.0, q=cmath.exp(2j * cmath.pi / 5)).curve()
+    pair = BasisPair(*(LatticePair(LatticeSpec(curve, v, v)) for v in (2.0, 3.0)))
+    got = list(_agreements(pair, range(1, 9)))
+    assert [sorted(vals) for vals, _ in got] == [sorted(C_METHODS)] * 5 + [["xm1", "xn1"]] * 3
+    for n in range(6, 9):
+        for method in ("resp0", "respn"):
+            with pytest.raises(MethodDegenerateError, match=rf"^C_{n}\({method}\): poles collide"):
+                diff_constant(pair, n, method)
+    assert outcomes(got) == outcomes(ref_diff_constant(pair, n, "all") for n in range(1, 9))
 
 
 def test_a_guard_that_trips_at_one_order_leaves_the_others_alone(monkeypatch):
