@@ -37,6 +37,7 @@ from .errors import (
     _finite,
     _order,
 )
+from .lattice import LatticePair
 from .poly import Polynomial, RationalFunction
 
 C_METHODS = ("xm1", "xn1", "resp0", "respn")
@@ -224,6 +225,9 @@ class BasisPair:
     """
 
     def __init__(self, unprimed, primed):
+        for name, lat in (("unprimed", unprimed), ("primed", primed)):
+            if not isinstance(lat, LatticePair):
+                raise ValidationError(f"{name}: expected a LatticePair, got {lat!r}")
         if unprimed.curve is not primed.curve:
             a = np.array(unprimed.curve.c)
             b = np.array(primed.curve.c)
@@ -260,7 +264,7 @@ class BasisFunction:
         self.poles = pair.primed.values(1, n + 1)[axis]
 
     def __call__(self, z):
-        return basis_products(z, self.zeros, self.poles)[-1]
+        return basis_products(_finite(z, "z"), self.zeros, self.poles)[-1]
 
     def as_rational(self):
         return RationalFunction(Polynomial.from_roots(self.zeros),
@@ -458,9 +462,9 @@ def mean_poly_value(pair, n, at="xp0"):
 def identity_samples(pair, n, count=20, seed=7):
     """Deterministic sample points on an annulus avoiding lattice loci and poles.
 
-    Used by the identity checks; a fixed seed keeps property tests reproducible.  n >= 0
-    and count >= 1 are integers, or a ValidationError names them."""
-    n, count = _order(n, "n", lo=0), _order(count, "count", lo=1)
+    Used by the identity checks; a fixed seed keeps property tests reproducible.  n >= 0,
+    count >= 1 and seed are integers, or a ValidationError names them."""
+    n, count, seed = _order(n, "n", lo=0), _order(count, "count", lo=1), _order(seed, "seed")
     pts = pair.unprimed.values(-1, n + 1)[0] + pair.primed.values(0, n + 1)[0]
     center = sum(pts) / len(pts)
     rad = max(abs(p - center) for p in pts) + 1.0

@@ -42,7 +42,7 @@ from .errors import (
     _finite,
     _order,
 )
-from .lattice import LatticePair, LatticeSpec
+from .lattice import LatticePair, LatticeSpec, _two_sum
 from .poly import Polynomial
 
 X2_FACTOR_TOL = 1e-12
@@ -683,30 +683,56 @@ class InterpolationReport:
     skipped: tuple
 
 
+def _progression_start(ys, poles):
+    """The first row r0 from which ys[r0:] and the poles of rows r0 .. n-2 step by one d, exactly:
+    _two_sum(v_k, d) gives v_{k+1} (to the bit for a node, in value for a pole) and an error of 0.
+    Then y_j - y_r and y_j - y'_{r+1}, r >= r0, equal y_{j-r+r0} - y_{r0} and y_{j-r+r0} - y'_{r0+1}
+    as reals with no minuend -0.0, so each pair rounds alike; n - 1 where the last steps differ."""
+    n = len(ys)
+    y, p = ys[n - 3:].tolist(), poles[n - 3:n - 1].tolist()
+    if n < 3 or not y[2] - y[1] == y[1] - y[0] == p[1] - p[0]:
+        return n - 1
+    v = np.concatenate((ys, poles[:n - 1] + 0))     # + 0 reads a pole's -0.0 as 0.0
+    s, e = _two_sum(v[:-1], y[2] - y[1])
+    bad = (s.view(np.int64) != v[1:].view(np.int64)) | (e.view(float) != 0)
+    rows = bad[:2 * n - 2]      # step k's two parts at 2k, 2k + 1; the poles' from 2n on
+    rows[:2 * n - 4] |= bad[2 * n:]
+    last = int(rows[::-1].argmax())     # the last bad part, counted from the end
+    return (2 * n - 1 - last) // 2 if rows[-1 - last] else 0
+
+
 def _node_sums(ys, poles, cs):
     """S(y_j) = c_0 + F_0(y_j) (c_1 + F_1(y_j) (... + F_{j-1}(y_j) c_j)) at every node j, with
     F_r(y) = (y - y_r) / (y - y'_{r+1}), in numpy complex.
 
     Every column runs at once from the last row up: acc[j] = c_j, then for r = n-2 .. 0,
     acc[r+1:] = c_r + F_r(y_{r+1:}) acc[r+1:].  Node j meets only c_0 .. c_j and F_r(y_j) for
-    r < j, so no term k > j, nor its zero factor (y_j - y_j), enters its sum.  A block of b rows
-    r0 .. r1-1 takes its b (n-1-r0) factors F_r(y_j), j > r0, from one division into two work
-    buffers made once per sweep, with b the largest that keeps them within VERIFY_BLOCK (at
-    least 1).
+    r < j, so no term k > j, nor its zero factor (y_j - y_j), enters its sum.  Rows r >= r0 =
+    _progression_start(ys, poles) read F_r(y_j) = F_{r0}(y_{j-r+r0}), bit for bit, from one row
+    of divisions through a Toeplitz view; below r0 a block of b rows r0 .. r1-1 takes its
+    b (n-1-r0) factors F_r(y_j), j > r0, from one division into two work buffers made once per
+    sweep, with b the largest that keeps them within VERIFY_BLOCK (at least 1).
     """
     n = len(ys)
     acc = np.array(cs[:n], dtype=complex)
-    num, den = (np.empty(max(VERIFY_BLOCK, n), dtype=complex) for _ in range(2))
+    num, den = (np.empty(max(VERIFY_BLOCK, 2 * n), dtype=complex) for _ in range(2))
     with np.errstate(all="ignore"):
-        r1 = n - 1
+        r1, top = n - 1, _progression_start(ys, poles)
         while r1 > 0:
-            w = n - 1 - r1
-            b = min(r1, max(1, (math.isqrt(w * w + 4 * VERIFY_BLOCK) - w) // 2))
-            r0, cols = r1 - b, w + b
-            f, g = (buf[:b * cols].reshape(b, cols) for buf in (num, den))
-            np.subtract(ys[r0 + 1:], ys[r0:r1, None], out=f)
-            np.subtract(ys[r0 + 1:], poles[r0:r1, None], out=g)
-            np.divide(f, g, out=f)
+            if r1 > top:    # f[i, c] = num[b - 1 + c - i]: row i from column i on is phi[:b - i]
+                r0, b = top, r1 - top
+                phi, size = num[b - 1:2 * b - 1], num.itemsize
+                np.subtract(ys[r0 + 1:], ys[r0], out=phi)
+                np.divide(phi, np.subtract(ys[r0 + 1:], poles[r0], out=den[:b]), out=phi)
+                f = np.ndarray((b, b), complex, num, (b - 1) * size, (-size, size))
+            else:
+                w = n - 1 - r1
+                b = min(r1, max(1, (math.isqrt(w * w + 4 * VERIFY_BLOCK) - w) // 2))
+                r0, cols = r1 - b, w + b
+                f, g = (buf[:b * cols].reshape(b, cols) for buf in (num, den))
+                np.subtract(ys[r0 + 1:], ys[r0:r1, None], out=f)
+                np.subtract(ys[r0 + 1:], poles[r0:r1, None], out=g)
+                np.divide(f, g, out=f)
             for r in range(r1 - 1, r0 - 1, -1):
                 tail = acc[r + 1:]
                 # F_r times acc, in this order: numpy's vector complex multiply can round a * b
@@ -726,9 +752,9 @@ def verify_interpolation(eq, sol, N):
     forms a Yb_k(y_j), so no product overflows ahead of its zero factor.  The tests hold its
     S(y_j) within 4 (j+1) 2^-53 sum_k |c_k Yb_k(y_j)| of a 50-digit sum of the same inputs;
     it rounds differently from evaluate_partial_sum, which stays the scalar route.  The sweep
-    is O(N^2) float work in blocks plus two ufunc calls per row (README, Cost).  The pole
-    guard covers every k <= N at every node.  N follows the order rule `_sum_order`
-    ("solution has only K coefficients" past the end).
+    is O(N^2) float work plus two ufunc calls per row; its N^2/2 divisions are one row on an
+    exact arithmetic progression (README, Cost).  The pole guard covers every k <= N at every
+    node.  N follows the order rule `_sum_order` ("solution has only K coefficients" past the end).
     """
     N = _sum_order(sol, N)
     pair, cs = sol.pair, sol.coeffs

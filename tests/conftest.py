@@ -726,6 +726,17 @@ def ref_node_sums(sol, nodes):
     return out
 
 
+def ref_row_sweep(ys, poles, cs):
+    """solver._node_sums' nested sum with each row's factors from a numpy division of its own,
+    F_r(y_{r+1:}) = (y_{r+1:} - y_r) / (y_{r+1:} - y'_{r+1}), and every operation in the sweep's
+    operand order: acc[r+1:] = F_r acc[r+1:] + c_r for r = n-2 .. 0, from acc = c."""
+    acc = np.array(cs[:len(ys)], dtype=complex)
+    with np.errstate(all="ignore"):
+        for r in range(len(ys) - 2, -1, -1):
+            acc[r + 1:] = (ys[r + 1:] - ys[r]) / (ys[r + 1:] - poles[r]) * acc[r + 1:] + cs[r]
+    return acc
+
+
 def node_sum_error_ratios(sol, sums, nodes):
     """|sums[j] - S(y_j)| over the forward-error bound 4 (j+1) 2^-53 sum_k |c_k Yb_k(y_j)| of a
     float sum of float terms (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,

@@ -124,12 +124,18 @@ AXIS = [1.0, 1.2]
     pytest.param(lambda sol: identity_samples(sol.pair, -1), "n", id="samples-n=-1"),
     pytest.param(lambda sol: identity_samples(sol.pair, -2), "n", id="samples-n=-2"),
     pytest.param(lambda sol: identity_samples(sol.pair, -5), "n", id="samples-n=-5"),
+    pytest.param(lambda sol: identity_samples(sol.pair, 3, seed=None), "seed", id="seed-none"),
+    pytest.param(lambda sol: identity_samples(sol.pair, 3, seed=[1]), "seed", id="seed-list"),
+    pytest.param(lambda sol: identity_samples(sol.pair, 3, seed=7.0), "seed", id="seed-float"),
+    pytest.param(lambda sol: identity_samples(sol.pair, 3, seed=True), "seed", id="seed-bool"),
 ])
 def test_orders_counts_and_thresholds_are_checked_and_named(qsol, call, name):
     """An order or count that is not an integer (count >= 1), an n_max below 0 (numpy's
     untyped broadcast error unchecked), an identity-sample n below 0 (a ZeroDivisionError, or
-    samples around x'_0 alone, unchecked), or a threshold that is not a finite real, is a
-    ValidationError whose message starts with the argument's name."""
+    samples around x'_0 alone, unchecked), an identity-sample seed that is not an integer
+    (unseeded samples for None, an untyped TypeError for a list, unchecked), or a threshold
+    that is not a finite real, is a ValidationError whose message starts with the argument's
+    name."""
     with pytest.raises(ValidationError, match=rf"^{name}\b"):
         call(qsol[0])
 

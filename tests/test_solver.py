@@ -46,6 +46,7 @@ from ellgrid.solver import (
     VERIFY_BLOCK,
     _condition_residual,
     _node_sums,
+    _progression_start,
     _step_kernel,
     build_lattices,
     special_point_candidates,
@@ -68,6 +69,7 @@ from conftest import (
     ref_oracle_replay,
     ref_ratio_recurrence,
     ref_ratio_replay,
+    ref_row_sweep,
     selector_sweep,
 )
 
@@ -909,6 +911,84 @@ def test_node_sums_mask_terms_past_a_node_whose_product_overflowed():
     got = _node_sums(ys, poles, cs)
     assert not np.isfinite(got[3])
     np.testing.assert_allclose(got[[0, 1, 2, 4]], want[[0, 1, 2, 4]], rtol=1e-15)
+
+
+def _sweep_inputs(sol):
+    N = len(sol.coeffs) - 1
+    return sol.pair.unprimed.span(0, N + 1)[1], sol.pair.primed.span(1, N + 1)[1], sol.coeffs
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("N", [40, 100, 1000])
+def test_node_sums_on_an_exact_progression_equal_the_row_sweep_bit_for_bit(N):
+    """The linear fixture's stored lattice is 1j + k and its poles k + 1, exactly: every row
+    takes its factors from row 0's divisions (r0 = 0), and the sums equal one division per row
+    to the bit."""
+    eq, select = linear_fixture()
+    ys, poles, cs = _sweep_inputs(solve(eq, select, N))
+    assert _progression_start(ys, poles) == 0
+    _assert_same_bits(_node_sums(ys, poles, cs), ref_row_sweep(ys, poles, cs))
+
+
+def test_node_sums_meet_the_row_sweep_where_the_progression_starts_late():
+    """log_linear_fixture's y_1 is -3.9e-34 + 0.1j, off the progression its later nodes are on:
+    rows below r0 come in blocks and the rest from one row, in one sweep, bit for bit."""
+    eq, select, c0_free, _A, _zeta, hints = log_linear_fixture()
+    ys, poles, cs = _sweep_inputs(solve(eq, select, 40, c0_free=c0_free, **hints))
+    assert 0 < _progression_start(ys, poles) < 10
+    _assert_same_bits(_node_sums(ys, poles, cs), ref_row_sweep(ys, poles, cs))
+
+
+@pytest.mark.parametrize("k, r0", [(1, 2), (17, 18), (37, 38), (38, 40), (40, 40)])
+def test_node_sums_divide_up_to_a_node_moved_by_one_ulp(k, r0):
+    """y_k one ulp up breaks the steps into and out of it: rows up to k divide, bit for bit.
+    Where it is one of the last three nodes the pretest finds no row (r0 = N)."""
+    eq, select = linear_fixture()
+    ys, poles, cs = _sweep_inputs(solve(eq, select, 40))
+    ys = ys.copy()
+    ys[k] = complex(np.nextafter(ys[k].real, np.inf), ys[k].imag)
+    assert _progression_start(ys, poles) == r0
+    _assert_same_bits(_node_sums(ys, poles, cs), ref_row_sweep(ys, poles, cs))
+
+
+def test_node_sums_divide_throughout_on_a_step_that_is_not_dyadic():
+    """With h = 0.1 the stored lattice is no exact progression: every row divides."""
+    eq = DifferenceEquation(LinearLattice(h=0.1).curve(), Polynomial((0, 0, 1.0)),
+                            beta=0.0, gamma=2.0, delta=1.0, eps=0.0)
+    ys, poles, cs = _sweep_inputs(solve(eq, ByIndex(0, 1), 40))
+    assert _progression_start(ys, poles) == 40
+    _assert_same_bits(_node_sums(ys, poles, cs), ref_row_sweep(ys, poles, cs))
+
+
+def test_node_sums_keep_the_sign_of_a_zero_on_nodes_with_negative_zero_parts():
+    """Nodes k - 0.0j (y_3 = 3 + 0.0j) and poles k + 1.5 (y'_1 = 1.5 + 0.0j, the rest -0.0j)
+    step by 1 exactly in value, but a difference of two zero parts is -0.0 only where the node's
+    is -0.0 and the other's +0.0: factors taken from row 0 would give S(y_5) the imaginary part
+    -0.0 where one division per row gives +0.0.  A node with a -0.0 part ends the progression."""
+    ys = np.array([complex(k, 0.0 if k == 3 else -0.0) for k in range(6)])
+    poles = np.array([complex(k + 1.5, 0.0 if k == 0 else -0.0) for k in range(6)])
+    cs = np.array([complex(c, -0.0) for c in (1, 0, 1, -1, -1)] + [0j])
+    assert _progression_start(ys, poles) == 5
+    _assert_same_bits(_node_sums(ys, poles, cs), ref_row_sweep(ys, poles, cs))
+
+
+@pytest.mark.parametrize("N, k", [(40, 20), (300, 150)])
+def test_node_sums_on_a_progression_take_only_their_own_terms(N, k):
+    """test_verify_node_sums_take_only_their_own_terms on the linear fixture, where every row
+    takes its factors from one row: a NaN c_k reaches no node j < k, bit for bit with the row
+    sweep."""
+    eq, select = linear_fixture()
+    ys, poles, cs = _sweep_inputs(solve(eq, select, N))
+    cs = np.array(cs)
+    clean = _node_sums(ys, poles, cs)
+    cs[k] = np.nan
+    got = _node_sums(ys, poles, cs)
+    assert np.isfinite(got[:k]).all() and np.isnan(got[k:]).all()
+    _assert_same_bits(got[:k], clean[:k])
+    _assert_same_bits(got, ref_row_sweep(ys, poles, cs))
 
 
 def test_verify_memory_stays_small():
