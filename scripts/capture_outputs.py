@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Record what the solver chooses and computes, and digest it into one line.
 
-The cases are built from the fixtures in tests/conftest.py (pytest and
-hypothesis, the `test` extra, must be importable):
+The cases are built from the fixtures in tests/fixtures.py:
 
 - special points: `special_point_candidates` and, under 56 selectors and
   three hint sets, `locate_special_points` on the three general fixtures,
@@ -36,6 +35,7 @@ differ between two checkouts.
 """
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -46,13 +46,17 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from conftest import (                                   # noqa: E402
+from fixtures import (                                   # noqa: E402
+    explicit,
     general_fixtures,
     genus1_equation,
     linear_fixture,
     log_linear_fixture,
     log_qlattice_fixture,
+    readme_config,
+    scenario_config,
 )
+import oracles                                           # noqa: E402
 from ellgrid import (                                    # noqa: E402
     ByIndex,
     DifferenceEquation,
@@ -70,24 +74,9 @@ NEAREST = (0, 1, -1, 1j, -1j, 2 + 2j, -3 + 1j, 0.5 - 0.5j)
 HINTS = ({}, {"y0_hint": -1 + 0.1j, "yp1_hint": 1.25 + 0.5j},
          {"y0_hint": 1.25 + 0.5j, "yp1_hint": -1 + 0.1j})
 
-README_SOLVE = {
-    "run": "solve",
-    "curve": [[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
-              [[0.0, 0.0], [-1.5, 0.0], [0.0, 0.0]],
-              [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]],
-    "equation": {"a": [[0.0, 0.0], [-3.0, 0.0], [1.0, 0.0]],
-                 "c": [[0.0, 0.0], [1.0, 0.0]],
-                 "d": [[1.0, 0.0], [1.0, 0.0]]},
-    "params": {"n": 10, "select": {"explicit": [[4.0, 0.0], [2.4, 0.0]]}},
-}
+README_SOLVE = json.loads(readme_config())
 
-
-def outcome(fn):
-    """repr of fn()'s result, or the type and message of what it raised."""
-    try:
-        return repr(fn())
-    except Exception as exc:            # every failure is an outcome to record
-        return f"raise {type(exc).__name__}: {exc}"
+outcome = functools.partial(oracles.outcome, errors=Exception)  # each failure is recorded
 
 
 def special_point_inputs():
@@ -123,13 +112,6 @@ def special_point_cases():
                        outcome(lambda: locate_special_points(eq, select, **hints)))
 
 
-def solved(eq, select, N, **kw):
-    sol = solve(eq, select, N, **kw)
-    rep = verify_interpolation(eq, sol, N)
-    return (sol.special, sol.coeffs, sorted(sol.diagnostics.items()),
-            rep.errors, rep.max_error, rep.skipped)
-
-
 def genus1_solved(eq, select, N):
     sol = solve(eq, select, N)
     return sol.coeffs, verify_interpolation(eq, sol, N).max_error
@@ -138,10 +120,10 @@ def genus1_solved(eq, select, N):
 def solve_cases():
     for name, eq, select in general_fixtures():
         for N in (40, 300):
-            yield f"solve {name} N={N}", outcome(lambda: solved(eq, select, N))
+            yield f"solve {name} N={N}", outcome(lambda: oracles.solved(eq, select, N))
     eq, select, c0_free, _, _, hints = log_linear_fixture()
-    yield "solve log-linear N=300", outcome(lambda: solved(eq, select, 300, c0_free=c0_free,
-                                                          **hints))
+    yield "solve log-linear N=300", outcome(lambda: oracles.solved(eq, select, 300,
+                                                                  c0_free=c0_free, **hints))
     for seed in range(60):
         eq = genus1_equation(seed)
         for select in (ByIndex(0, 1), ByIndex(1, 2), ByIndex(2, 0)):
@@ -163,30 +145,6 @@ def cli_cases():
             code, stdout, stderr = run_cli(argv)
             text = written.read_text() if written is not None else None
             yield f"cli {name}", repr((code, stdout, stderr, text))
-
-
-def _cjson(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def scenario_config(eq, select, params, log_hints=None, c0_free=0j):
-    """A scenario for eq whose params are params and the select clause select; log mode
-    (c0_free) with the solve hints log_hints."""
-    cfg = {"curve": [[_cjson(v) for v in row] for row in eq.curve.c],
-           "equation": {"a": [_cjson(c) for c in eq.a.coeffs],
-                        "d": [_cjson(c) for c in eq.d.coeffs]},
-           "params": {"select": select, **params}}
-    if log_hints is None:
-        cfg["equation"]["c"] = [_cjson(c) for c in eq.c.coeffs]
-    else:
-        cfg["equation"].update(mode="log", c0_free=_cjson(c0_free))
-        cfg["params"].update((k, _cjson(v)) for k, v in log_hints.items())
-    return cfg
-
-
-def explicit(select):
-    return {"explicit": [_cjson(select.x_m1), _cjson(select.x_p0)]}
 
 
 def ratemap_config(eq, select, re_axis, im_axis, log_hints=None):

@@ -530,8 +530,7 @@ class RatePredictor:
         return np.where(g == -np.inf, np.nan, self.sign * (g - self._g_zeta))
 
     def rate(self, z):
-        if not cmath.isfinite(z):
-            raise ValidationError(f"z = {z} is not finite")
+        z = _finite(z, "z")
         value = float(np.exp(self.log_rate(z)))
         if math.isnan(value):
             raise PathThroughBranchPointError(

@@ -52,6 +52,8 @@ class LatticeSpec:
     __slots__ = ("curve", "x0", "y0")
 
     def __init__(self, curve, x0, y0=None, y1_index=None, y1_hint=None):
+        if not isinstance(curve, BiquadraticCurve):
+            raise ValidationError(f"curve: expected a BiquadraticCurve, got {curve!r}")
         if y1_index is not None and y1_hint is not None:
             raise ValidationError("a seed names y1 by y1_index or by y1_hint, not both")
         x0 = _finite(x0, "x0")

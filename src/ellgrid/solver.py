@@ -26,6 +26,7 @@ from functools import partial
 
 import numpy as np
 
+from .curve import BiquadraticCurve
 from .diffops import BasisPair, _root_pair, basis_products, diff_constants, pole_hits
 from .errors import (
     BranchAssignmentFailedError,
@@ -71,6 +72,8 @@ class DifferenceEquation:
     __slots__ = ("curve", "a", "c", "d", "beta", "gamma", "delta", "eps", "_step", "_cands")
 
     def __init__(self, curve, a, beta, gamma, delta, eps):
+        if not isinstance(curve, BiquadraticCurve):
+            raise ValidationError(f"curve: expected a BiquadraticCurve, got {curve!r}")
         a = _polynomial(a, "a")
         if a.degree() > 3:
             raise DegreeMismatchError(f"deg a = {a.degree()} > 3")

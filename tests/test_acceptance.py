@@ -34,16 +34,15 @@ from ellgrid.errors import BranchPointEvaluationError, PoleEvaluationError
 from ellgrid.poly import Polynomial, RationalFunction
 from ellgrid.solver import locate_special_points
 
-from conftest import (
+from fixtures import (
     aw_fixture,
     general_fixtures,
     linear_fixture,
     log_linear_fixture,
-    on_curve_residual,
     random_real_curves,
-    ref_ratio_recurrence,
     solve_log_qlattice,
 )
+from oracles import on_curve_residual, ref_ratio_recurrence
 
 X = Polynomial.x()
 

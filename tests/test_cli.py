@@ -10,16 +10,8 @@ import pytest
 from ellgrid.cli import _axis, main
 from ellgrid.lattice import AskeyWilsonLattice, LinearLattice
 
-from conftest import aw_fixture, log_linear_fixture, log_qlattice_fixture, qgeom_fixture
-
-
-def cjson(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def grid_json(curve):
-    return [[cjson(v) for v in row] for row in curve.c]
+from fixtures import (aw_fixture, aw_lattice_config, cjson, explicit, log_linear_fixture,
+                      log_qlattice_fixture, qgeom_fixture, scenario_config)
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -31,7 +23,7 @@ def write_cfg(tmp_path, name, cfg):
 def linear_lattice_cfg():
     return {
         "run": "lattice",
-        "curve": grid_json(LinearLattice(h=1.0).curve()),
+        "curve": LinearLattice(h=1.0).curve().to_json(),
         "lattice_seed": {"x0": [0.0, 0.0], "y0": [0.0, 0.0]},
         "params": {"n_min": -3, "n_max": 3},
     }
@@ -39,16 +31,7 @@ def linear_lattice_cfg():
 
 def solve_cfg(fixture, n):
     eq, select = fixture()
-    return {
-        "run": "solve",
-        "curve": grid_json(eq.curve),
-        "equation": {
-            "a": [cjson(c) for c in eq.a.coeffs],
-            "c": [cjson(c) for c in eq.c.coeffs],
-            "d": [cjson(c) for c in eq.d.coeffs],
-        },
-        "params": {"n": n, "select": {"explicit": [cjson(select.x_m1), cjson(select.x_p0)]}},
-    }
+    return {"run": "solve", **scenario_config(eq, explicit(select), {"n": n})}
 
 
 def qgeom_solve_cfg(n=10):
@@ -59,24 +42,8 @@ def qgeom_solve_cfg(n=10):
 
 def qlog_ratemap_cfg(out):
     eq, select, zeta, q, hints = log_qlattice_fixture()
-    return {
-        "run": "ratemap",
-        "curve": grid_json(eq.curve),
-        "equation": {
-            "mode": "log",
-            "a": [cjson(c) for c in eq.a.coeffs],
-            "d": [cjson(c) for c in eq.d.coeffs],
-            "c0_free": [0.0, 0.0],
-        },
-        "params": {
-            "select": {"explicit": [cjson(select.x_m1), cjson(select.x_p0)]},
-            "y0_hint": cjson(hints["y0_hint"]),
-            "yp1_hint": cjson(hints["yp1_hint"]),
-            "window": [5, 25],
-            "grid": {"re": [0.7, 1.3, 3], "im": [0.1, 0.4, 2]},
-            "out": out,
-        },
-    }
+    params = {"window": [5, 25], "grid": {"re": [0.7, 1.3, 3], "im": [0.1, 0.4, 2]}, "out": out}
+    return {"run": "ratemap", **scenario_config(eq, explicit(select), params, hints)}
 
 
 def test_lattice_csv(tmp_path, capsys):
@@ -93,11 +60,7 @@ def test_lattice_csv(tmp_path, capsys):
 
 
 def aw_lattice_cfg(n_max):
-    """Askey-Wilson lattice x_n = 2^-n + 0.3 2^n: |x_n| passes 1e154 near |n| = 512."""
-    aw = AskeyWilsonLattice(a=0.0, b=1.0, c=0.3, q=0.5)
-    x0, y0 = aw.point(0)
-    return {"run": "lattice", "curve": grid_json(aw.curve()),
-            "lattice_seed": {"x0": cjson(x0), "y0": cjson(y0)}, "params": {"n_max": n_max}}
+    return {"run": "lattice", **aw_lattice_config(n_max)}
 
 
 def test_lattice_at_large_points(tmp_path, capsys):
@@ -219,7 +182,7 @@ def test_log_mode_without_c0_free_is_missing_field(tmp_path, capsys):
     eq, select, zeta, q, hints = log_qlattice_fixture()
     cfg_data = {
         "run": "solve",
-        "curve": grid_json(eq.curve),
+        "curve": eq.curve.to_json(),
         "equation": {
             "mode": "log",
             "a": [cjson(c) for c in eq.a.coeffs],
@@ -320,13 +283,7 @@ def test_verify_fails_on_a_nan_interpolation_error(tmp_path, capsys, monkeypatch
 
 def test_log_linear_solves_and_verifies_at_order_300(tmp_path, capsys):
     eq, select, c0_free, _, _, hints = log_linear_fixture()
-    cfg_data = {
-        "curve": grid_json(eq.curve),
-        "equation": {"mode": "log", "a": [cjson(c) for c in eq.a.coeffs],
-                     "d": [cjson(c) for c in eq.d.coeffs], "c0_free": cjson(c0_free)},
-        "params": {"n": 300, "select": {"explicit": [cjson(select.x_m1), cjson(select.x_p0)]},
-                   **{k: cjson(v) for k, v in hints.items()}},
-    }
+    cfg_data = scenario_config(eq, explicit(select), {"n": 300}, hints, c0_free)
     cfg = write_cfg(tmp_path, "loglin.json", cfg_data)
     out = tmp_path / "loglin.out.json"
     assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
@@ -338,7 +295,7 @@ def test_log_linear_solves_and_verifies_at_order_300(tmp_path, capsys):
 
 def test_verify_empty_scenario_is_usage_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "empty.json", {"run": "verify",
-                                             "curve": grid_json(LinearLattice(h=1.0).curve())})
+                                             "curve": LinearLattice(h=1.0).curve().to_json()})
     assert main(["verify", "--config", cfg]) == 2
 
 

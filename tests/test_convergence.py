@@ -37,7 +37,7 @@ from ellgrid.errors import (
 )
 from ellgrid.lattice import generate
 
-from conftest import GOLDEN, aw_fixture, linear_fixture, log_linear_fixture, solve_log_qlattice
+from fixtures import GOLDEN, aw_fixture, linear_fixture, log_linear_fixture, solve_log_qlattice
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +239,7 @@ def test_period_quadrature_q_closed_form(qsol):
 
 
 def test_period_quadrature_rejects_coarse_and_open_branch():
-    from conftest import aw_fixture
+    from fixtures import aw_fixture
     curve = aw_fixture()[0].curve            # P has two simple roots near +/-2
     r1, r2 = curve.discriminant_P().roots()
     with pytest.raises(RefinePathError):
@@ -514,6 +514,15 @@ def test_nonfinite_z_is_refused_on_every_evaluation(z):
         with pytest.raises(ValidationError) as err:
             call()
         assert str(err.value) == f"z: expected a finite complex number, got {z!r}"
+
+
+@pytest.mark.parametrize("z", ["a", None, "1.1", True, float("nan")])
+def test_rate_takes_one_finite_number(qsol, z):
+    """A string, None or a bool is refused as a NaN is, with a ValidationError naming z (not an
+    untyped TypeError, and True is not read as 1)."""
+    with pytest.raises(ValidationError) as err:
+        RatePredictor(qsol[0]).rate(z)
+    assert str(err.value) == f"z: expected a finite complex number, got {z!r}"
 
 
 def test_rate_one_on_reference_equipotential(qsol):

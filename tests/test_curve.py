@@ -19,7 +19,7 @@ from ellgrid.errors import (
 from ellgrid.curve import lead_test
 from ellgrid.poly import Polynomial
 
-from conftest import linear_fixture
+from fixtures import linear_fixture
 
 
 def coeffs_close(p, coeffs, tol=1e-12):

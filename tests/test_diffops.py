@@ -31,17 +31,8 @@ from ellgrid.errors import (
 )
 from ellgrid.poly import Polynomial, RationalFunction
 
-from conftest import (
-    aw_fixture,
-    gate_ratios,
-    genus1_equation,
-    linear_fixture,
-    log_linear_fixture,
-    qgeom_fixture,
-    ref_cn_replay,
-    ref_cn_xn1,
-    ref_dn,
-)
+from fixtures import aw_fixture, genus1_equation, linear_fixture, log_linear_fixture, qgeom_fixture
+from oracles import gate_ratios, ref_cn_replay, ref_cn_xn1, ref_dn
 
 X = Polynomial.x()
 

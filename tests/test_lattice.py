@@ -20,8 +20,8 @@ from ellgrid.errors import (
 )
 from ellgrid.lattice import write_lattice_csv
 
-from conftest import (GOLDEN, genus1_equation, on_curve_residual, qgeom_fixture,
-                      random_real_curves, ref_walk)
+from fixtures import GOLDEN, genus1_equation, qgeom_fixture, random_real_curves
+from oracles import on_curve_residual, ref_walk
 
 
 def test_linear_walk_is_arithmetic():

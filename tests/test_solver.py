@@ -46,37 +46,34 @@ from ellgrid.solver import (
     VERIFY_BLOCK,
     _condition_residual,
     _node_sums,
-    _progression_start,
     _step_kernel,
     build_lattices,
     special_point_candidates,
 )
 
-from conftest import (
-    aw_fixture,
-    condition_residual_bound,
-    gate_ratios,
-    general_fixtures,
-    genus1_equation,
-    linear_fixture,
-    log_linear_fixture,
-    log_qlattice_fixture,
-    node_sum_error_ratios,
-    qgeom_fixture,
-    ref_closed_product,
-    ref_condition_residual,
-    ref_log_product,
-    ref_oracle_replay,
-    ref_ratio_recurrence,
-    ref_ratio_replay,
-    ref_row_sweep,
-    selector_sweep,
-)
+from fixtures import (aw_fixture, general_fixtures, genus1_equation, linear_fixture,
+                      log_linear_fixture, log_qlattice_fixture, qgeom_fixture)
+from oracles import (assert_same_bits, condition_residual_bound, gate_ratios, gated_report,
+                     ref_closed_product, ref_condition_residual, ref_log_product,
+                     ref_oracle_replay, ref_ratio_recurrence, ref_ratio_replay, ref_row_sweep,
+                     row_sweep_start, selector_sweep, sweep_inputs)
 
 X = Polynomial.x()
 
 
 # -- equation construction ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [None, 1, LinearLattice(h=1.0).spec()],
+                         ids=["None", "int", "LatticeSpec"])
+def test_a_curve_argument_that_is_not_a_curve_is_refused(bad):
+    """DifferenceEquation and LatticeSpec take a BiquadraticCurve, or a ValidationError names
+    the curve (not an untyped AttributeError from reading its views)."""
+    for build in (lambda: DifferenceEquation(bad, [0, 1], 0, 1, 1, 0),
+                  lambda: LatticeSpec(bad, 0, 0)):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == f"curve: expected a BiquadraticCurve, got {bad!r}"
 
 
 def test_from_polynomials_extracts_linear_parts():
@@ -251,7 +248,7 @@ def test_selector_table(name, select, want):
 
 def test_sextic_has_six_certified_roots():
     """Cubic a and beta != 0 on a quartic-P curve: all 6 roots are genuine."""
-    from conftest import random_real_curves
+    from fixtures import random_real_curves
     curve = random_real_curves(1, seed=2024)[0]
     assert curve.discriminant_P().degree() == 4
     a = Polynomial((0.3, -1.1, 0.4, 1.0))
@@ -799,23 +796,6 @@ def test_corrupted_coefficient_localizes():
     assert min(rep.errors[5:]) > 1e-6
 
 
-def _gated_report(eq, sol, N, every=1):
-    """verify_interpolation(eq, sol, N), checked against the sweep it reports on: its errors are
-    |S(y_j) - oracle_j| / (1 + |oracle_j|) for _node_sums' S(y_j) at every node with an oracle
-    value, and S(y_j) at every `every`-th of those nodes and the last lies within
-    4 (j+1) 2^-53 sum_k |c_k Yb_k(y_j)| of the 50-digit sum."""
-    rep = verify_interpolation(eq, sol, N)
-    K = N - len(rep.skipped)
-    oracle = stepwise_oracle(eq, sol.pair, K, f0=sol.coeffs[0])
-    sums = _node_sums(sol.pair.unprimed.span(0, K + 1)[1], sol.pair.primed.span(1, N + 1)[1],
-                      sol.coeffs)
-    want = np.array(oracle)
-    assert rep.errors == tuple((np.abs(sums - want) / (1.0 + np.abs(want))).tolist())
-    nodes = sorted({*range(0, K + 1, every), K})
-    assert max(node_sum_error_ratios(sol, sums, nodes)) <= 1.0
-    return rep
-
-
 def test_verify_sweep_meets_forward_error_bound():
     cases = [(eq, solve(eq, select, 30)) for _, eq, select in general_fixtures()]
     for seed in range(5):
@@ -824,7 +804,7 @@ def test_verify_sweep_meets_forward_error_bound():
     for eq, sol in cases:
         N = len(sol.coeffs) - 1
         for n in (N, N // 2):
-            rep = _gated_report(eq, sol, n)
+            rep, _ = gated_report(eq, sol, n)
             assert rep.skipped == ()
             assert rep.max_error <= 1e-7
 
@@ -838,7 +818,7 @@ def test_verify_sweep_meets_forward_error_bound_across_blocks():
     for eq, sol in cases:
         N = len(sol.coeffs) - 1
         assert N * N > 2 * VERIFY_BLOCK     # more than one block of factors
-        assert _gated_report(eq, sol, N).skipped == ()
+        assert gated_report(eq, sol, N)[0].skipped == ()
 
 
 def test_verify_sweep_meets_forward_error_bound_in_wide_blocks():
@@ -848,7 +828,7 @@ def test_verify_sweep_meets_forward_error_bound_in_wide_blocks():
     g1 = genus1_equation(1)
     for eq, sol in ((eq, solve(eq, select, 1000)), (g1, solve(g1, ByIndex(0, 1), 1000))):
         N = len(sol.coeffs) - 1
-        rep = _gated_report(eq, sol, N, every=37)
+        rep, _ = gated_report(eq, sol, N, every=37)
         assert rep.skipped == () and rep.max_error <= 1e-7
 
 
@@ -913,33 +893,22 @@ def test_node_sums_mask_terms_past_a_node_whose_product_overflowed():
     np.testing.assert_allclose(got[[0, 1, 2, 4]], want[[0, 1, 2, 4]], rtol=1e-15)
 
 
-def _sweep_inputs(sol):
-    N = len(sol.coeffs) - 1
-    return sol.pair.unprimed.span(0, N + 1)[1], sol.pair.primed.span(1, N + 1)[1], sol.coeffs
-
-
-def _assert_same_bits(got, want):
-    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
 @pytest.mark.parametrize("N", [40, 100, 1000])
 def test_node_sums_on_an_exact_progression_equal_the_row_sweep_bit_for_bit(N):
     """The linear fixture's stored lattice is 1j + k and its poles k + 1, exactly: every row
     takes its factors from row 0's divisions (r0 = 0), and the sums equal one division per row
     to the bit."""
     eq, select = linear_fixture()
-    ys, poles, cs = _sweep_inputs(solve(eq, select, N))
-    assert _progression_start(ys, poles) == 0
-    _assert_same_bits(_node_sums(ys, poles, cs), ref_row_sweep(ys, poles, cs))
+    ys, poles, cs = sweep_inputs(solve(eq, select, N))
+    assert row_sweep_start(ys, poles, cs) == 0
 
 
 def test_node_sums_meet_the_row_sweep_where_the_progression_starts_late():
     """log_linear_fixture's y_1 is -3.9e-34 + 0.1j, off the progression its later nodes are on:
     rows below r0 come in blocks and the rest from one row, in one sweep, bit for bit."""
     eq, select, c0_free, _A, _zeta, hints = log_linear_fixture()
-    ys, poles, cs = _sweep_inputs(solve(eq, select, 40, c0_free=c0_free, **hints))
-    assert 0 < _progression_start(ys, poles) < 10
-    _assert_same_bits(_node_sums(ys, poles, cs), ref_row_sweep(ys, poles, cs))
+    ys, poles, cs = sweep_inputs(solve(eq, select, 40, c0_free=c0_free, **hints))
+    assert 0 < row_sweep_start(ys, poles, cs) < 10
 
 
 @pytest.mark.parametrize("k, r0", [(1, 2), (17, 18), (37, 38), (38, 40), (40, 40)])
@@ -947,20 +916,18 @@ def test_node_sums_divide_up_to_a_node_moved_by_one_ulp(k, r0):
     """y_k one ulp up breaks the steps into and out of it: rows up to k divide, bit for bit.
     Where it is one of the last three nodes the pretest finds no row (r0 = N)."""
     eq, select = linear_fixture()
-    ys, poles, cs = _sweep_inputs(solve(eq, select, 40))
+    ys, poles, cs = sweep_inputs(solve(eq, select, 40))
     ys = ys.copy()
     ys[k] = complex(np.nextafter(ys[k].real, np.inf), ys[k].imag)
-    assert _progression_start(ys, poles) == r0
-    _assert_same_bits(_node_sums(ys, poles, cs), ref_row_sweep(ys, poles, cs))
+    assert row_sweep_start(ys, poles, cs) == r0
 
 
 def test_node_sums_divide_throughout_on_a_step_that_is_not_dyadic():
     """With h = 0.1 the stored lattice is no exact progression: every row divides."""
     eq = DifferenceEquation(LinearLattice(h=0.1).curve(), Polynomial((0, 0, 1.0)),
                             beta=0.0, gamma=2.0, delta=1.0, eps=0.0)
-    ys, poles, cs = _sweep_inputs(solve(eq, ByIndex(0, 1), 40))
-    assert _progression_start(ys, poles) == 40
-    _assert_same_bits(_node_sums(ys, poles, cs), ref_row_sweep(ys, poles, cs))
+    ys, poles, cs = sweep_inputs(solve(eq, ByIndex(0, 1), 40))
+    assert row_sweep_start(ys, poles, cs) == 40
 
 
 def test_node_sums_keep_the_sign_of_a_zero_on_nodes_with_negative_zero_parts():
@@ -971,8 +938,7 @@ def test_node_sums_keep_the_sign_of_a_zero_on_nodes_with_negative_zero_parts():
     ys = np.array([complex(k, 0.0 if k == 3 else -0.0) for k in range(6)])
     poles = np.array([complex(k + 1.5, 0.0 if k == 0 else -0.0) for k in range(6)])
     cs = np.array([complex(c, -0.0) for c in (1, 0, 1, -1, -1)] + [0j])
-    assert _progression_start(ys, poles) == 5
-    _assert_same_bits(_node_sums(ys, poles, cs), ref_row_sweep(ys, poles, cs))
+    assert row_sweep_start(ys, poles, cs) == 5
 
 
 @pytest.mark.parametrize("N, k", [(40, 20), (300, 150)])
@@ -981,14 +947,14 @@ def test_node_sums_on_a_progression_take_only_their_own_terms(N, k):
     takes its factors from one row: a NaN c_k reaches no node j < k, bit for bit with the row
     sweep."""
     eq, select = linear_fixture()
-    ys, poles, cs = _sweep_inputs(solve(eq, select, N))
+    ys, poles, cs = sweep_inputs(solve(eq, select, N))
     cs = np.array(cs)
     clean = _node_sums(ys, poles, cs)
     cs[k] = np.nan
     got = _node_sums(ys, poles, cs)
     assert np.isfinite(got[:k]).all() and np.isnan(got[k:]).all()
-    _assert_same_bits(got[:k], clean[:k])
-    _assert_same_bits(got, ref_row_sweep(ys, poles, cs))
+    assert_same_bits(got[:k], clean[:k])
+    assert_same_bits(got, ref_row_sweep(ys, poles, cs))
 
 
 def test_verify_memory_stays_small():
@@ -1011,7 +977,7 @@ def test_verify_skipped_nodes_meet_forward_error_bound():
     # singular at k = 2, so nodes 3..8 have no oracle value.
     a = Polynomial.from_roots([select.x_m1, select.x_p0, select.x_m1 + 3.0])
     singular = DifferenceEquation(eq.curve, a, 0.0, 0.0, 1.0, -select.x_m1)
-    rep = _gated_report(singular, sol, 8)
+    rep, _ = gated_report(singular, sol, 8)
     assert rep.skipped == (3, 4, 5, 6, 7, 8)
     assert len(rep.errors) == 3
 

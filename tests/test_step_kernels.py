@@ -26,16 +26,14 @@ from ellgrid.errors import EllgridError, NonFiniteCoefficientError, SmallDivisor
 from ellgrid.poly import Polynomial
 from ellgrid.solver import _c0, _ratio_coefficients, build_lattices, locate_special_points
 
-from conftest import (
+from fixtures import (
     aw_fixture,
-    gate_ratios,
     general_fixtures,
     genus1_equation,
     log_linear_fixture,
     log_qlattice_fixture,
-    ref_oracle_replay,
-    ref_stepwise_oracle,
 )
+from oracles import gate_ratios, ref_oracle_replay, ref_stepwise_oracle
 
 
 def outcome(fn):

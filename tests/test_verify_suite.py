@@ -1,7 +1,7 @@
-"""The checks of `ellgrid verify` against the per-order references in conftest.py.
+"""The checks of `ellgrid verify` against the per-order references in oracles.py.
 
 The four-way C_n check, the basis identity and the equation's residual each read
-both lattices once for all their orders; the references in conftest.py call one
+both lattices once for all their orders; the references in oracles.py call one
 order at a time, each with its own reads.
 Every value must have the same repr, and every error the same type and message, at
 the same order; only a walk stop inside a check's range raises before any order.
@@ -34,18 +34,8 @@ from ellgrid.errors import (
     VerticalTangentError,
 )
 
-from conftest import (
-    aw_fixture,
-    general_fixtures,
-    genus1_runs,
-    linear_fixture,
-    log_linear_fixture,
-    outcome,
-    outcomes,
-    ref_diff_constant,
-    ref_identity,
-    verify_suite_sweep,
-)
+from fixtures import aw_fixture, general_fixtures, genus1_runs, linear_fixture, log_linear_fixture
+from oracles import outcome, outcomes, ref_diff_constant, ref_identity, verify_suite_sweep
 
 SELECTS = (ByIndex(0, 1), ByIndex(1, 2), ByIndex(2, 0))
 

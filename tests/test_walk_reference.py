@@ -21,31 +21,17 @@ from ellgrid import (
 )
 from ellgrid.curve import walk_flips
 from ellgrid.errors import (
-    EllgridError,
     LatticeSingularityError,
     LatticeStagnationError,
     LeadingCoefficientVanishesError,
     ValidationError,
 )
-from ellgrid.lattice import HEAD, TAIL_DEGREES, _tail_form
+from ellgrid.lattice import HEAD, _tail_form
 
-from conftest import (
-    GOLDEN,
-    general_fixtures,
-    genus1_equation,
-    log_linear_fixture,
-    log_qlattice_fixture,
-    qgeom_fixture,
-    random_real_curves,
-    ref_F,
-    ref_flip,
-    ref_walk,
-    ref_walk_replay,
-    walk_errors,
-    walk_gate_ratios,
-)
-
-STOPS = (LatticeSingularityError, LatticeStagnationError)
+from fixtures import (GOLDEN, general_fixtures, genus1_equation, log_linear_fixture,
+                      log_qlattice_fixture, qgeom_fixture, random_real_curves, trimmed_curve)
+from oracles import (assert_chunked_walk, assert_walk_matches, gate_walk, outcome, ref_F,
+                     ref_flip, ref_walk)
 
 
 def fixture_seeds():
@@ -58,49 +44,6 @@ def fixture_seeds():
     return [(f"{name}-{side}", sol.eq.curve, lat.spec.x0, lat.spec.y0)
             for name, sol in sols
             for side, lat in (("unprimed", sol.pair.unprimed), ("primed", sol.pair.primed))]
-
-
-def gate_walk(lat, lo, hi):
-    """The gate ratios of lat's values past its head over [lo, hi] (walk_gate_ratios against
-    ref_walk_replay, with ref_walk as the stepwise walk)."""
-    spec = lat.spec
-    ns = range(lo, hi + 1)
-    replay = ref_walk_replay(spec.curve, spec.x0, spec.y0, lo, hi)
-    stepwise = walk_errors(*ref_walk(spec.curve, spec.x0, spec.y0, lo, hi), replay, ns)
-    xs, ys = (dict(zip(ns, v)) for v in lat.values(lo, hi + 1))
-    return walk_gate_ratios(walk_errors(xs, ys, replay, [n for n in ns if abs(n) > HEAD]),
-                            stepwise)
-
-
-def assert_walk_matches(curve, x0, y0, lo, hi):
-    """Walk [lo, hi] with LatticePair and ref_walk: the same stop (type and index; the message
-    too within the head), the same values over what the lattice materialized by flips, and past
-    the head of a genus-0 walk values within the gate of ref_walk_replay.  Returns the stop, or
-    None, and the worst gate ratio (0 without a tail)."""
-    lat = LatticePair(LatticeSpec(curve, x0, y0))
-    try:
-        ref_walk(curve, x0, y0, lo, hi)
-    except STOPS as exc:
-        stop = exc
-        with pytest.raises(type(exc)) as info:
-            lat.ensure(lo, hi)
-        assert info.value.index == exc.index
-        if abs(exc.index) <= HEAD:
-            assert str(info.value) == str(exc)
-    else:
-        stop = None
-        lat.ensure(lo, hi)
-    lo, hi = lat.known_range
-    ref_xs, ref_ys = ref_walk(curve, x0, y0, lo, hi)
-    xs, ys = lat.values(lo, hi + 1)
-    tail = curve.discriminant_P().degree() in TAIL_DEGREES
-    flips = [(n, x, y) for n, x, y in zip(range(lo, hi + 1), xs, ys) if abs(n) <= HEAD or not tail]
-    assert [repr(x) for _, x, _ in flips] == [repr(ref_xs[n]) for n, _, _ in flips]
-    assert [repr(y) for _, _, y in flips] == [repr(ref_ys[n]) for n, _, _ in flips]
-    ratios = gate_walk(lat, lo, hi) if tail and max(-lo, hi) > HEAD else {}
-    worst = max(ratios.values(), default=0.0)
-    assert worst <= 1.0, (worst, max(ratios, key=ratios.get))
-    return stop, worst
 
 
 FIXTURE_SEEDS = fixture_seeds()
@@ -205,20 +148,8 @@ TAIL_SPECS = {
 def test_chunked_walk_across_the_seam_equals_one_walk(spec):
     # the closed form is a function of n alone: chunks that end on, before and after the last
     # step by flips, one index at a time and far past it give the one-shot walk, bit for bit
-    whole = LatticePair(spec)
-    whole.ensure(-200, 200)
-    want = [list(map(repr, v)) for v in whole.values(-200, 201)]
     for sizes in ((HEAD - 1, 1, 1, 1, 3, 40, 200), (HEAD + 1, 1, 997), (5, 200)):
-        lat = LatticePair(spec)
-        lo = hi = 0
-        for k, size in enumerate(sizes * 2):
-            if k % 2:
-                lo = max(-200, lo - size)
-            else:
-                hi = min(200, hi + size)
-            lat.ensure(lo, hi)
-        lat.ensure(-200, 200)
-        assert [list(map(repr, v)) for v in lat.values(-200, 201)] == want
+        assert_chunked_walk(spec, -200, 200, sizes * 2)
 
 
 TEETH_SPECS = {
@@ -287,25 +218,6 @@ def flip_points(curve, over_x, rng):
     return points
 
 
-def flip_outcome(fn):
-    """repr(fn()), or the type and message of its error."""
-    try:
-        return repr(fn())
-    except EllgridError as exc:
-        return type(exc).__name__, str(exc)
-
-
-def trimmed_curve(i):
-    """genus1_equation(1)'s curve with c[i][2] set to 3e-15 max|c|, below the 1e-13 trim: its
-    y-view's V_i has degree 1 while F's row i still reads c[i][2] (and for i = 2 the x-view's
-    V2 drops its x^2 term too)."""
-    grid = [list(row) for row in genus1_equation(1).curve.c]
-    grid[i][2] = 3e-15 * max(abs(v) for row in grid for v in row)
-    curve = BiquadraticCurve(grid)
-    assert curve.y_view()[i].degree() == 1
-    return curve
-
-
 # x^2 + y^2 = 5: over t = 3 the complement of -2 is 2, whose Newton step lands exactly on
 # s = 0, where V1 + 2 V2 s = 0, so the second trial exits on d == 0 (in either view)
 CIRCLE = BiquadraticCurve([[-5, 0, 1], [0, 0, 0], [1, 0, 0]])
@@ -325,8 +237,8 @@ def test_flip_is_the_reference_flip(over_x):
         flip = walk_flips(curve)[0 if over_x else 1]
         points = flip_points(curve, over_x, rng) + [(3.0, -2.0)] * (curve is CIRCLE)
         for t, s in points:
-            want = flip_outcome(lambda: ref_flip(curve, t, s, over_x, exits))
-            assert flip_outcome(lambda: flip(t, s)) == want, (curve, t, s)
+            want = outcome(lambda: ref_flip(curve, t, s, over_x, exits))
+            assert outcome(lambda: flip(t, s)) == want, (curve, t, s)
     assert exits == FLIP_EXITS
 
 
