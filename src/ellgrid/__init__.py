@@ -31,7 +31,6 @@ from .solver import (
     Nearest,
     SpecialPoints,
     build_lattices,
-    closed_product_coefficient,
     evaluate_partial_sum,
     expansion_coefficients,
     expansion_coefficients_log,
@@ -47,11 +46,8 @@ from .convergence import (
     RateReport,
     detect_small_divisors,
     empirical_rate,
-    path_integral,
-    period_quadrature,
     rate_map,
     term_magnitudes,
-    trace_lattice_locus,
     write_rate_map_csv,
 )
 
@@ -64,12 +60,10 @@ __all__ = [
     "LinearLattice", "generate",
     "Polynomial", "RationalFunction", "solve_quadratic",
     "ByIndex", "DifferenceEquation", "ExpansionSolution", "Explicit", "Nearest",
-    "SpecialPoints", "build_lattices", "closed_product_coefficient",
-    "evaluate_partial_sum", "expansion_coefficients", "expansion_coefficients_log",
-    "locate_special_points", "residual", "solution_to_json", "solve",
-    "stepwise_oracle", "verify_interpolation",
-    "RatePredictor", "RateReport", "detect_small_divisors", "empirical_rate",
-    "path_integral", "period_quadrature", "rate_map", "term_magnitudes",
-    "trace_lattice_locus", "write_rate_map_csv",
+    "SpecialPoints", "build_lattices", "evaluate_partial_sum", "expansion_coefficients",
+    "expansion_coefficients_log", "locate_special_points", "residual", "solution_to_json",
+    "solve", "stepwise_oracle", "verify_interpolation",
+    "RatePredictor", "RateReport", "detect_small_divisors", "empirical_rate", "rate_map",
+    "term_magnitudes", "write_rate_map_csv",
 ]
 __version__ = "0.1.0"

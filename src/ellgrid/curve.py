@@ -30,12 +30,11 @@ class RootPair:
     root against a continuation hint with `nearest`.
     """
 
-    __slots__ = ("lo", "hi", "at")
+    __slots__ = ("lo", "hi")
 
-    def __init__(self, lo, hi, at):
+    def __init__(self, lo, hi):
         self.lo = lo
         self.hi = hi
-        self.at = at
 
     def as_tuple(self):
         return self.lo, self.hi
@@ -48,7 +47,7 @@ class RootPair:
         return self.hi if abs(self.lo - root) <= abs(self.hi - root) else self.lo
 
     def __repr__(self):
-        return f"RootPair(lo={self.lo!r}, hi={self.hi!r}, at={self.at!r})"
+        return f"RootPair(lo={self.lo!r}, hi={self.hi!r})"
 
 
 # -- one quadratic view --------------------------------------------------------------
@@ -88,7 +87,7 @@ def _roots(view, t):
     lo, hi, _ = solve_quadratic(view[0](t), view[1](t), lead)
     if not (cmath.isfinite(lo) and cmath.isfinite(hi)):
         raise LeadingCoefficientVanishesError(t, f"root pair at {t} is not finite")
-    return RootPair(lo, hi, t)
+    return RootPair(lo, hi)
 
 
 def complement(view, t, root):
@@ -126,9 +125,9 @@ def walk_flips(curve):
 
 
 def _flip(curve, over_x):
-    """One of the two flips: y over a fixed x = t when over_x, else x over a fixed y = t.  The
-    lead test and the complement are written once; each view writes its two Newton trials out
-    and evaluates F inline, and the x flip forms F's rows at y once."""
+    """One of the two flips: y over a fixed x = t when over_x, else x over a fixed y = t.  One
+    body serves both views, and only F differs: over x it is written out as the curve's
+    __call__ rounds it, over y it is read off F's rows at y, formed once per call."""
     view = curve.x_view() if over_x else curve.y_view()
     top1, *low1 = reversed(view[1].coeffs)
     top2, *low2 = reversed(view[2].coeffs)
@@ -151,35 +150,18 @@ def _flip(curve, over_x):
         for c in low1:
             v1 = v1 * t + c
         lead2, s = 2.0 * lead, -v1 / lead - s
-        if over_x:
-            # y over x = t: F(x, s) has no part that depends on x alone
-            fv = (((c22 * s + c21) * s + c20) * t + ((c12 * s + c11) * s + c10)) * t \
-                + ((c02 * s + c01) * s + c00)
-            d = v1 + lead2 * s
-            if d == 0:
-                return s
-            s2 = s - fv / d
-            f2 = (((c22 * s2 + c21) * s2 + c20) * t + ((c12 * s2 + c11) * s2 + c10)) * t \
-                + ((c02 * s2 + c01) * s2 + c00)
-            af2 = abs(f2)
-            if not af2 < abs(fv):
-                return s
-            d = v1 + lead2 * s2
-            if d == 0:
-                return s2
-            s = s2 - f2 / d
-            return s if abs((((c22 * s + c21) * s + c20) * t + ((c12 * s + c11) * s + c10)) * t
-                            + ((c02 * s + c01) * s + c00)) < af2 else s2
-        # x over y = t: F(s, y) = (A2 s + A1) s + A0, F's rows A_i = (c_i2 y + c_i1) y + c_i0
-        a2 = lead if full2 else (c22 * t + c21) * t + c20
-        a1 = v1 if full1 else (c12 * t + c11) * t + c10
-        a0 = (c02 * t + c01) * t + c00
-        fv = (a2 * s + a1) * s + a0
+        if not over_x:                  # F(s, y) = (A2 s + A1) s + A0 from F's rows at y
+            a2 = lead if full2 else (c22 * t + c21) * t + c20
+            a1 = v1 if full1 else (c12 * t + c11) * t + c10
+            a0 = (c02 * t + c01) * t + c00
+        fv = (((c22 * s + c21) * s + c20) * t + ((c12 * s + c11) * s + c10)) * t \
+            + ((c02 * s + c01) * s + c00) if over_x else (a2 * s + a1) * s + a0
         d = v1 + lead2 * s
         if d == 0:
             return s
         s2 = s - fv / d
-        f2 = (a2 * s2 + a1) * s2 + a0
+        f2 = (((c22 * s2 + c21) * s2 + c20) * t + ((c12 * s2 + c11) * s2 + c10)) * t \
+            + ((c02 * s2 + c01) * s2 + c00) if over_x else (a2 * s2 + a1) * s2 + a0
         af2 = abs(f2)
         if not af2 < abs(fv):
             return s
@@ -187,7 +169,9 @@ def _flip(curve, over_x):
         if d == 0:
             return s2
         s = s2 - f2 / d
-        return s if abs((a2 * s + a1) * s + a0) < af2 else s2
+        fv = (((c22 * s + c21) * s + c20) * t + ((c12 * s + c11) * s + c10)) * t \
+            + ((c02 * s + c01) * s + c00) if over_x else (a2 * s + a1) * s + a0
+        return s if abs(fv) < af2 else s2
     return flip
 
 

@@ -35,6 +35,7 @@ from .errors import (
     ValidationError,
     VerticalTangentError,
     _finite,
+    _instance,
     _order,
 )
 from .lattice import LatticePair
@@ -226,8 +227,7 @@ class BasisPair:
 
     def __init__(self, unprimed, primed):
         for name, lat in (("unprimed", unprimed), ("primed", primed)):
-            if not isinstance(lat, LatticePair):
-                raise ValidationError(f"{name}: expected a LatticePair, got {lat!r}")
+            _instance(lat, LatticePair, name)
         if unprimed.curve is not primed.curve:
             a = np.array(unprimed.curve.c)
             b = np.array(primed.curve.c)
@@ -238,12 +238,6 @@ class BasisPair:
         self.curve = unprimed.curve
         self.unprimed = unprimed
         self.primed = primed
-
-    def x_basis(self, n):
-        return BasisFunction(self, n, "x")
-
-    def y_basis(self, n):
-        return BasisFunction(self, n, "y")
 
 
 class BasisFunction:
@@ -428,8 +422,8 @@ def mean_poly_direct(pair, n, z):
     n, z = _order(n, "n", lo=0), _finite(z, "z")
     if n == 0:
         return 1.0 + 0j
-    mv = mean_value(pair.curve, pair.y_basis(n), z)
-    xb = pair.x_basis(n - 1)(z)
+    mv = mean_value(pair.curve, BasisFunction(pair, n, "y"), z)
+    xb = BasisFunction(pair, n - 1, "x")(z)
     if abs(xb) <= 1e-280:
         raise MethodDegenerateError("Xb_{n-1}(z) ~ 0 in the direct D_n evaluation")
     return mv * (z - pair.primed.x(0)) * (z - pair.primed.x(n)) / xb

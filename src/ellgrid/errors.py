@@ -135,6 +135,13 @@ class PathThroughBranchPointError(EllgridError):
     """An integration path passes too close to a branch point of sqrt(P)."""
 
 
+def _instance(value, cls, name):
+    """value, where it is an instance of cls, or a ValidationError naming the argument."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name}: expected a {cls.__name__}, got {value!r}")
+    return value
+
+
 def _order(value, name, lo=None):
     """value as an int, where operator.index takes it and it is not a bool, and not below lo
     where lo is given: an order N or K, or a lattice index."""

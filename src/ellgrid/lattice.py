@@ -30,6 +30,7 @@ from .errors import (
     LeadingCoefficientVanishesError,
     ValidationError,
     _finite,
+    _instance,
     _order,
 )
 
@@ -52,8 +53,7 @@ class LatticeSpec:
     __slots__ = ("curve", "x0", "y0")
 
     def __init__(self, curve, x0, y0=None, y1_index=None, y1_hint=None):
-        if not isinstance(curve, BiquadraticCurve):
-            raise ValidationError(f"curve: expected a BiquadraticCurve, got {curve!r}")
+        _instance(curve, BiquadraticCurve, "curve")
         if y1_index is not None and y1_hint is not None:
             raise ValidationError("a seed names y1 by y1_index or by y1_hint, not both")
         x0 = _finite(x0, "x0")
@@ -100,7 +100,7 @@ class LatticePair:
     """
 
     def __init__(self, spec):
-        self.spec = spec
+        self.spec = _instance(spec, LatticeSpec, "spec")
         self._x, self._y = [spec.x0], [spec.y0]
         self._x_back, self._y_back = [], []
         self._flip_y, self._flip_x = walk_flips(spec.curve)

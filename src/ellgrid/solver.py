@@ -41,6 +41,7 @@ from .errors import (
     SmallDivisorError,
     ValidationError,
     _finite,
+    _instance,
     _order,
 )
 from .lattice import LatticePair, LatticeSpec, _two_sum
@@ -72,8 +73,7 @@ class DifferenceEquation:
     __slots__ = ("curve", "a", "c", "d", "beta", "gamma", "delta", "eps", "_step", "_cands")
 
     def __init__(self, curve, a, beta, gamma, delta, eps):
-        if not isinstance(curve, BiquadraticCurve):
-            raise ValidationError(f"curve: expected a BiquadraticCurve, got {curve!r}")
+        _instance(curve, BiquadraticCurve, "curve")
         a = _polynomial(a, "a")
         if a.degree() > 3:
             raise DegreeMismatchError(f"deg a = {a.degree()} > 3")
@@ -95,7 +95,7 @@ class DifferenceEquation:
     @classmethod
     def from_polynomials(cls, curve, a, c, d):
         """Extract (beta, gamma, delta, eps), validating the X2 factor of c and d."""
-        x2 = curve.x_view()[2]
+        x2 = _instance(curve, BiquadraticCurve, "curve").x_view()[2]
         parts = []
         for name, p in (("c", c), ("d", d)):
             p = _polynomial(p, name)
@@ -310,8 +310,10 @@ def locate_special_points(eq, select, y0_hint=None, yp1_hint=None):
     among the other candidates, nearest z or entry i modulo their count.
     A selector that is none of these, a selector point or hint that is not a finite complex
     number, or a ByIndex entry that is not an integer (a bool is not), is a ValidationError naming
-    it, raised before the candidates are found.
+    it, raised before the candidates are found; an eq that is not a DifferenceEquation is one too,
+    raised first.
     """
+    _instance(eq, DifferenceEquation, "eq")
     if isinstance(select, Explicit):
         targets = _finite(select.x_m1, "select.x_m1"), _finite(select.x_p0, "select.x_p0")
     elif isinstance(select, Nearest):
@@ -573,6 +575,7 @@ def stepwise_oracle(eq, pair, K, f0=None):
     leave the float range LatticeSingularityError(k), and a negative K or an f0 that is not a
     finite complex number a ValidationError naming it.
     """
+    _instance(eq, DifferenceEquation, "eq")
     K = _order(K, "K", lo=0)
     if f0 is not None:
         f0 = _finite(f0, "f0")
@@ -614,8 +617,10 @@ class ExpansionSolution:
 
 def solve(eq, select, N, c0_free=None, y0_hint=None, yp1_hint=None):
     """Locate special points, build the two lattices, and expand to order N.  A c0_free that is
-    not a finite complex number, or missing in logarithmic mode, is a ValidationError, raised first."""
-    N = _order(N, "N")
+    not a finite complex number, or missing in logarithmic mode, is a ValidationError raised before
+    any work, after the one naming an eq that is not a DifferenceEquation or an N below 0."""
+    _instance(eq, DifferenceEquation, "eq")
+    N = _order(N, "N", lo=0)
     if c0_free is not None:
         _finite(c0_free, "c0_free")
     elif eq.is_logarithmic:

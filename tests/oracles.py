@@ -11,8 +11,8 @@ import numpy as np
 from ellgrid import ByIndex, LatticePair, LatticeSpec, solve, stepwise_oracle, verify_interpolation
 from ellgrid import diffops
 from ellgrid.curve import LEAD_TOL
-from ellgrid.diffops import (C_METHODS, basis_products, diff_constant, diff_constants,
-                             divided_difference, identity_samples, mean_value,
+from ellgrid.diffops import (C_METHODS, BasisFunction, basis_products, diff_constant,
+                             diff_constants, divided_difference, identity_samples, mean_value,
                              verify_diff_basis_identity)
 from ellgrid.errors import (BranchPointEvaluationError, EllgridError, HitSingularLatticeError,
                             LatticeSingularityError, LatticeStagnationError,
@@ -260,8 +260,8 @@ def ref_cn_xn1(pair, n):
     """
     x, y, xp = pair.unprimed.x, pair.unprimed.y, pair.primed.x
     z = x(n - 1)
-    num = pair.y_basis(n)(y(n)) * (z - xp(0)) * (z - xp(n))
-    den = (y(n) - y(n - 1)) * pair.curve.x_view()[2](z) * pair.x_basis(n - 1)(z)
+    num = BasisFunction(pair, n, "y")(y(n)) * (z - xp(0)) * (z - xp(n))
+    den = (y(n) - y(n - 1)) * pair.curve.x_view()[2](z) * BasisFunction(pair, n - 1, "x")(z)
     return num / den
 
 
@@ -346,7 +346,7 @@ def ref_identity(pair, n, samples):
     ref_diff_constant, Yb_n and Xb_{n-1} as basis functions, D Yb_n by divided_difference."""
     cn = ref_diff_constant(pair, n, "xm1")
     x2 = pair.curve.x_view()[2]
-    yb, xb = pair.y_basis(n), pair.x_basis(n - 1)
+    yb, xb = BasisFunction(pair, n, "y"), BasisFunction(pair, n - 1, "x")
     xp0, xpn = pair.primed.x(0), pair.primed.x(n)
     errs = []
     for z in samples:
@@ -776,15 +776,17 @@ def selector_sweep(seeds, N):
     return len(pairs) * len(seeds), differ, (shared_s, fresh_s)
 
 
-def gate_walk(lat, lo, hi, every=1):
+def gate_walk(lat, lo, hi, every=1, ref=None):
     """The gate ratios of lat's values past its head at every `every`-th n of [lo, hi]
     (walk_gate_ratios against ref_walk_replay, with ref_walk's errors at every `every`-th n as
-    the stepwise walk's)."""
+    the stepwise walk's).  ref is ref_walk's ({n: x_n}, {n: y_n}) over [lo, hi] where the caller
+    holds it; without it the stepwise walk is walked here."""
     spec = lat.spec
     ns = range(lo, hi + 1)
     sample = [n for n in ns if n % every == 0]
     replay = ref_walk_replay(spec.curve, spec.x0, spec.y0, lo, hi)
-    stepwise = walk_errors(*ref_walk(spec.curve, spec.x0, spec.y0, lo, hi), replay, sample)
+    ref = ref_walk(spec.curve, spec.x0, spec.y0, lo, hi) if ref is None else ref
+    stepwise = walk_errors(*ref, replay, sample)
     xs, ys = (dict(zip(ns, v)) for v in lat.values(lo, hi + 1))
     return walk_gate_ratios(walk_errors(xs, ys, replay, [n for n in sample if abs(n) > HEAD]),
                             stepwise)
@@ -819,7 +821,7 @@ def assert_walk_matches(curve, x0, y0, lo, hi, every=1):
     flips = [(n, x, y) for n, x, y in zip(range(lo, hi + 1), xs, ys) if abs(n) <= HEAD or not tail]
     assert [repr(x) for _, x, _ in flips] == [repr(ref_xs[n]) for n, _, _ in flips]
     assert [repr(y) for _, _, y in flips] == [repr(ref_ys[n]) for n, _, _ in flips]
-    ratios = gate_walk(lat, lo, hi, every) if tail and max(-lo, hi) > HEAD else {}
+    ratios = gate_walk(lat, lo, hi, every, ref) if tail and max(-lo, hi) > HEAD else {}
     worst = max(ratios.values(), default=0.0)
     assert worst <= 1.0, (worst, max(ratios, key=ratios.get))
     return stop, worst

@@ -14,7 +14,6 @@ from ellgrid import (
     LatticeSpec,
     LinearLattice,
     RatePredictor,
-    closed_product_coefficient,
     detect_small_divisors,
     diff_constant,
     divided_difference,
@@ -32,7 +31,7 @@ from ellgrid import (
 )
 from ellgrid.errors import BranchPointEvaluationError, PoleEvaluationError
 from ellgrid.poly import Polynomial, RationalFunction
-from ellgrid.solver import locate_special_points
+from ellgrid.solver import closed_product_coefficient, locate_special_points
 
 from fixtures import (
     aw_fixture,

@@ -17,16 +17,13 @@ from ellgrid import (
     empirical_rate,
     evaluate_partial_sum,
     identity_samples,
-    path_integral,
-    period_quadrature,
     rate_map,
     residual,
     solve,
     term_magnitudes,
-    trace_lattice_locus,
     write_rate_map_csv,
 )
-from ellgrid.convergence import route_path
+from ellgrid.convergence import path_integral, period_quadrature, route_path, trace_lattice_locus
 from ellgrid.diffops import pole_hit
 from ellgrid.errors import (
     PathThroughBranchPointError,

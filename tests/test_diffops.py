@@ -202,19 +202,19 @@ def test_rational_image_carries_x2_factor():
 
 def test_basis_values():
     pair = half_offset_pair()
-    assert pair.y_basis(0)(123.4) == pytest.approx(1.0)
+    assert BasisFunction(pair, 0, "y")(123.4) == pytest.approx(1.0)
     for n in (1, 2, 3):
         for j in range(n):
-            assert pair.y_basis(n)(pair.unprimed.y(j)) == pytest.approx(0.0)
+            assert BasisFunction(pair, n, "y")(pair.unprimed.y(j)) == pytest.approx(0.0)
     # (5-0)(5-1) / ((5-1.5)(5-2.5)) = 20 / 8.75
-    assert pair.y_basis(2)(5.0) == pytest.approx(20.0 / 8.75)
+    assert BasisFunction(pair, 2, "y")(5.0) == pytest.approx(20.0 / 8.75)
     with pytest.raises(PoleEvaluationError):
-        pair.y_basis(2)(pair.primed.y(1))
+        BasisFunction(pair, 2, "y")(pair.primed.y(1))
 
 
 def test_basis_as_rational_agrees():
     pair = half_offset_pair()
-    yb = pair.y_basis(3)
+    yb = BasisFunction(pair, 3, "y")
     rat = yb.as_rational()
     for z in (4.4, -2.3 + 1j):
         assert rat(z) == pytest.approx(yb(z))
@@ -222,7 +222,7 @@ def test_basis_as_rational_agrees():
 
 def test_basis_function_reads_no_lattice_once_built(monkeypatch):
     pair = half_offset_pair()
-    yb, xb = pair.y_basis(3), pair.x_basis(2)
+    yb, xb = BasisFunction(pair, 3, "y"), BasisFunction(pair, 2, "x")
     want = (yb(4.4), xb(-2.3 + 1j), yb.as_rational()(4.4))
 
     def no_read(*args):
@@ -317,8 +317,9 @@ def _cn_xm1_from_scratch(pair, n):
     """The x_{-1} route of C_n with Yb_n and Xb_{n-1} rebuilt by BasisFunction."""
     xm1, ym1 = pair.unprimed.x(-1), pair.unprimed.y(-1)
     x2 = pair.curve.x_view()[2]
-    num = -pair.y_basis(n)(ym1) * (xm1 - pair.primed.x(0)) * (xm1 - pair.primed.x(n))
-    den = (pair.unprimed.y(0) - ym1) * x2(xm1) * pair.x_basis(n - 1)(xm1)
+    yb, xb = BasisFunction(pair, n, "y"), BasisFunction(pair, n - 1, "x")
+    num = -yb(ym1) * (xm1 - pair.primed.x(0)) * (xm1 - pair.primed.x(n))
+    den = (pair.unprimed.y(0) - ym1) * x2(xm1) * xb(xm1)
     return num / den
 
 
@@ -453,8 +454,8 @@ def test_order_zero_is_validated_like_any_other(call, message):
     pytest.param(lambda pair, v: mean_poly_direct(pair, 0, v), "z", id="mean_poly_direct"),
     pytest.param(lambda pair, v: verify_diff_basis_identity(pair, 0, [0.3 + 0.2j, v]),
                  "samples[1]", id="identity"),
-    pytest.param(lambda pair, v: pair.x_basis(2)(v), "z", id="x_basis"),
-    pytest.param(lambda pair, v: pair.y_basis(2)(v), "z", id="y_basis"),
+    pytest.param(lambda pair, v: BasisFunction(pair, 2, "x")(v), "z", id="x_basis"),
+    pytest.param(lambda pair, v: BasisFunction(pair, 2, "y")(v), "z", id="y_basis"),
 ])
 def test_a_point_argument_is_a_finite_number(call, name, bad):
     """x, z and each sample are finite numbers and not bools, checked before any n = 0 value: a

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ from ellgrid import (
     LatticeSpec,
     LinearLattice,
     Nearest,
-    closed_product_coefficient,
     evaluate_partial_sum,
     expansion_coefficients,
     expansion_coefficients_log,
+    generate,
     locate_special_points,
     residual,
     solution_to_json,
@@ -48,6 +49,7 @@ from ellgrid.solver import (
     _node_sums,
     _step_kernel,
     build_lattices,
+    closed_product_coefficient,
     special_point_candidates,
 )
 
@@ -74,6 +76,47 @@ def test_a_curve_argument_that_is_not_a_curve_is_refused(bad):
         with pytest.raises(ValidationError) as err:
             build()
         assert str(err.value) == f"curve: expected a BiquadraticCurve, got {bad!r}"
+
+
+def first_argument_entry_points():
+    """{name: (parameter, type, call(value))} for the entry points that read their first
+    argument's attributes before any other check could name it."""
+    eq, select = linear_fixture()
+    sol = solve(eq, select, 10)
+    return {
+        "from_polynomials": ("curve", "BiquadraticCurve",
+                             lambda v: DifferenceEquation.from_polynomials(v, [0, 1], [0], [1])),
+        "LatticePair": ("spec", "LatticeSpec", LatticePair),
+        "generate": ("spec", "LatticeSpec", lambda v: generate(v, 0, 3)),
+        "solve": ("eq", "DifferenceEquation", lambda v: solve(v, select, 10)),
+        "locate_special_points": ("eq", "DifferenceEquation",
+                                  lambda v: locate_special_points(v, select)),
+        "verify_interpolation": ("eq", "DifferenceEquation",
+                                 lambda v: verify_interpolation(v, sol, 10)),
+    }
+
+
+@pytest.mark.parametrize("bad", [None, 1, "a"], ids=["None", "int", "str"])
+@pytest.mark.parametrize("entry", list(first_argument_entry_points()))
+def test_a_first_argument_of_the_wrong_kind_is_refused(entry, bad):
+    """A curve, seed or equation of the wrong kind is a ValidationError naming the parameter,
+    not an untyped AttributeError from reading one of its attributes."""
+    name, kind, call = first_argument_entry_points()[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError) as err:
+            call(bad)
+    assert str(err.value) == f"{name}: expected a {kind}, got {bad!r}"
+
+
+def test_solve_refuses_a_negative_order_before_any_work(monkeypatch):
+    """N below 0 is refused before the special points are looked for."""
+    calls = []
+    monkeypatch.setattr(solver_module, "locate_special_points", lambda *a, **kw: calls.append(a))
+    eq, select = linear_fixture()
+    with pytest.raises(ValidationError, match="^N must be >= 0, got -1$"):
+        solve(eq, select, -1)
+    assert calls == []
 
 
 def test_from_polynomials_extracts_linear_parts():

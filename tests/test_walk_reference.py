@@ -10,6 +10,8 @@ float seed, and a stop must have the reference's type and index.
 import numpy as np
 import pytest
 
+import oracles
+
 from ellgrid import (
     AskeyWilsonLattice,
     BiquadraticCurve,
@@ -60,6 +62,15 @@ def test_golden_ellipse_walk_matches_the_reference():
     spec = AskeyWilsonLattice(a=0.0, b=1.0, c=0.7, q=np.exp(2j * np.pi * GOLDEN)).spec()
     stop, worst = assert_walk_matches(spec.curve, spec.x0, spec.y0, -1000, 1000)
     assert stop is None and worst > 0.0
+
+
+def test_walk_check_walks_the_stepwise_walk_once(monkeypatch):
+    """The gate past the head reads the stepwise walk the check already holds."""
+    spec = AskeyWilsonLattice(a=0.0, b=1.0, c=0.7, q=np.exp(2j * np.pi * GOLDEN)).spec()
+    ranges, walk = [], oracles.ref_walk
+    monkeypatch.setattr(oracles, "ref_walk", lambda *a: ranges.append(a[3:]) or walk(*a))
+    assert assert_walk_matches(spec.curve, spec.x0, spec.y0, -300, 300)[1] > 0.0
+    assert ranges == [(-300, 300)]
 
 
 @pytest.mark.parametrize("seed", range(20))
