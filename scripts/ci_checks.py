@@ -178,8 +178,28 @@ def selector_sweep_check(work):
           f"shared {shared:.2f} s, fresh {fresh:.2f} s")
 
 
+def bench_pairs(work):
+    """One HEAD-vs-HEAD ratemap pair of scripts/bench_pairs.py at 1 s, written into DIR (or a
+    temporary directory): the file's keys, one summary per end-to-end metric of BENCHMARK.json,
+    and the same outcome on both sides."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(work or tmp) / "bench_pairs.json"
+        subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--parent",
+                        "HEAD", "--change", "HEAD", "--workload", "ratemap", "--seeds", "1",
+                        "--seconds", "1", "--out", str(out)], check=True)
+        record = json.loads(out.read_text(encoding="utf-8"))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert record.keys() == {"workload", "seconds", "seeds", "env", "notes", "pairs", "parent",
+                             "change", "summary"}, record.keys()
+    assert record["parent"]["commit"] == record["change"]["commit"]
+    assert record["summary"].keys() == {m["name"] for m in spec["end_to_end"]}
+    (pair,) = record["pairs"]
+    assert pair["first"] == "parent" and pair["parent"]["failed"] == pair["change"]["failed"]
+
+
 CHECKS = {"ratemap-script": ratemap_script, "inprocess-ratemap": inprocess_ratemap,
-          "large-n": large_n, "long-walks": long_walks, "selector-sweep": selector_sweep_check}
+          "large-n": large_n, "long-walks": long_walks, "selector-sweep": selector_sweep_check,
+          "bench-pairs": bench_pairs}
 
 
 def configs(work):

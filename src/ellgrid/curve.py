@@ -129,26 +129,23 @@ def _flip(curve, over_x):
     body serves both views, and only F differs: over x it is written out as the curve's
     __call__ rounds it, over y it is read off F's rows at y, formed once per call."""
     view = curve.x_view() if over_x else curve.y_view()
-    top1, *low1 = reversed(view[1].coeffs)
-    top2, *low2 = reversed(view[2].coeffs)
+    deg1, deg2 = view[1].degree(), view[2].degree()
+    g0, g1, g2 = view[1].coeffs + (0j,) * (2 - deg1)     # V1, V2 by ascending power, padded
+    e0, e1, e2 = view[2].coeffs + (0j,) * (2 - deg2)
     floor, inf = LEAD_TOL * view[2].max_coeff, cmath.inf
-    full1, full2 = view[1].degree() == 2, view[2].degree() == 2     # untrimmed: V_i(y) = A_i
+    full1, full2 = deg1 == 2, deg2 == 2     # untrimmed: V_i(y) = A_i
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = curve.c
 
     def flip(t, s):
-        lead = top2
-        if low2:                        # a constant V2 passes the lead test everywhere
-            for c in low2:
-                lead = lead * t + c
-            size, m = abs(lead), abs(t)
-            if m > 1.0:                 # reduced_abs: divide once per degree
-                for _ in low2:
-                    size /= m
+        # V2 and V1 by Horner from the top coefficient, and reduced_abs's divisions, written
+        # out for the degree
+        lead = (e2 * t + e1) * t + e0 if full2 else e1 * t + e0 if deg2 else e0
+        if deg2:                        # a constant V2 passes the lead test everywhere
+            m = abs(t)
+            size = (abs(lead) / m / m if full2 else abs(lead) / m) if m > 1.0 else abs(lead)
             if not floor < size < inf:
                 _lead(view, t)          # fails the same test, so raises its error
-        v1 = top1
-        for c in low1:
-            v1 = v1 * t + c
+        v1 = (g2 * t + g1) * t + g0 if full1 else g1 * t + g0 if deg1 else g0
         lead2, s = 2.0 * lead, -v1 / lead - s
         if not over_x:                  # F(s, y) = (A2 s + A1) s + A0 from F's rows at y
             a2 = lead if full2 else (c22 * t + c21) * t + c20
@@ -243,9 +240,10 @@ class BiquadraticCurve:
 
     def residual(self, x, y):
         """|F(x, y)| / (scale max(1, |x|)^2 max(1, |y|)^2), finite wherever x and y are."""
-        ux, (u0, u1, u2) = _scaled_powers(x), _scaled_powers(y)
-        return abs(sum(u * (r[0] * u0 + r[1] * u1 + r[2] * u2)
-                       for r, u in zip(self.c, ux))) / self.scale
+        (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = self.c
+        (v0, v1, v2), (u0, u1, u2) = _scaled_powers(x), _scaled_powers(y)
+        return abs(v0 * (c00 * u0 + c01 * u1 + c02 * u2) + v1 * (c10 * u0 + c11 * u1 + c12 * u2)
+                   + v2 * (c20 * u0 + c21 * u1 + c22 * u2)) / self.scale
 
     def contains(self, x, y, tol=ONCURVE_TOL):
         return self.residual(x, y) <= tol

@@ -81,9 +81,10 @@ def pole_hits(zs, poles):
     z_abs = np.hypot(flat.real, flat.imag)
     p_abs = np.hypot(poles.real, poles.imag)
     odd_z, odd_p = ~np.isfinite(z_abs), ~np.isfinite(p_abs)
-    hit = _all_pairs(flat, poles[odd_p])
+    hit = _all_pairs(flat, poles[odd_p]) if odd_p.any() else np.zeros(flat.shape, dtype=bool)
     poles, p_abs = poles[~odd_p], p_abs[~odd_p]
-    hit[odd_z] |= _all_pairs(flat[odd_z], poles)
+    if odd_z.any():
+        hit[odd_z] |= _all_pairs(flat[odd_z], poles)
     order = np.argsort(poles.real)
     poles, radius = poles[order], POLE_TOL * p_abs[order]
     reach = 2.0 * POLE_TOL * z_abs
@@ -199,13 +200,14 @@ def _prefix(z, zeros, poles):
     The one running product behind Xb_n, Yb_n, every C_n route and the partial sums: Python
     complex arithmetic, factors in index order.
     """
-    v = 1.0 + 0j
+    v, tol = 1.0 + 0j, POLE_TOL
     out = [v]
+    append = out.append
     for zero, pole in zip(zeros, poles):
-        if abs(z - pole) <= POLE_TOL * abs(pole):
+        if abs(z - pole) <= tol * abs(pole):
             break
         v *= (z - zero) / (z - pole)
-        out.append(v)
+        append(v)
     return out
 
 
@@ -407,6 +409,7 @@ def diff_constant(pair, n, method="xm1"):
     MethodDegenerateError, PoleEvaluationError or VerticalTangentError; a single
     route raises them, and a point off the curve raises in both.
     """
+    _instance(pair, BasisPair, "pair")
     n = _order(n, "n", lo=0)
     if method not in C_METHODS and method != "all":
         raise ValidationError(f"unknown C_n method {method!r}")

@@ -176,27 +176,30 @@ class LatticePair:
         """Append `count` steps by flips, checking each new point before it is stored (the
         stagnation check in full only once a step is below its guard)."""
         flip_y, flip_x = self._flip_y, self._flip_x
+        append_x, append_y, isfinite, tol = xs.append, ys.append, cmath.isfinite, STAGNATION_TOL
         forward = direction > 0
         n = self.known_range[forward]
         x, y = self._at(n)
-        for m in range(n + direction, n + direction * (count + 1), direction):
-            x0, y0 = x, y
-            try:
+        try:
+            for m in range(n + direction, n + direction * (count + 1), direction):
+                x0, y0 = x, y
                 if forward:
                     y = flip_y(x, y)
                     x = flip_x(y, x)
                 else:
                     x = flip_x(y, x)
                     y = flip_y(x, y)
-            except LeadingCoefficientVanishesError as exc:
-                raise _stop(m, direction, exc) from exc
-            if not (cmath.isfinite(x) and cmath.isfinite(y)):
-                raise _stop(m, direction, f"({x}, {y}) is not finite")
-            guard = STAGNATION_TOL * max(1.0, abs(x), abs(y))
-            if abs(x - x0) < guard and abs(y - y0) < guard and self._stagnates(m, x, y, direction):
-                raise LatticeStagnationError(m)
-            xs.append(x)
-            ys.append(y)
+                if not (isfinite(x) and isfinite(y)):
+                    raise _stop(m, direction, f"({x}, {y}) is not finite")
+                ax, ay = abs(x), abs(y)         # max(1.0, ax, ay), without the call
+                guard = tol * (ax if ax > ay and ax > 1.0 else ay if ay > 1.0 else 1.0)
+                if abs(x - x0) < guard and abs(y - y0) < guard \
+                        and self._stagnates(m, x, y, direction):
+                    raise LatticeStagnationError(m)
+                append_x(x)
+                append_y(y)
+        except LeadingCoefficientVanishesError as exc:     # only the flips raise it
+            raise _stop(m, direction, exc) from exc
 
     def _tail(self, count, direction, xs, ys):
         """Append `count` points past the head in closed form, with the flips' tests as arrays.

@@ -23,7 +23,11 @@ class Polynomial:
     __slots__ = ("coeffs", "max_coeff")
 
     def __init__(self, coeffs=(0j,)):
-        cs = [complex(c) for c in coeffs]
+        try:
+            cs = [complex(c) for c in coeffs]
+        except (TypeError, ValueError) as exc:     # not iterable, or an entry complex() refuses
+            raise ValidationError(f"coeffs: expected complex numbers, got {coeffs!r} ({exc})") \
+                from None
         if not cs:
             cs = [0j]
         top = max(map(abs, cs))
@@ -206,17 +210,19 @@ class Polynomial:
 
 def _newton_polish(p, dp, z):
     """Refine a root estimate by up to 12 Newton steps, kept only while |p| decreases."""
-    fz = abs(p(z))
+    pz = p(z)
+    fz = abs(pz)
     for _ in range(12):
         if fz == 0.0:
             break
         dz = dp(z)
         if dz == 0:
             break
-        z2 = z - p(z) / dz
-        f2 = abs(p(z2))
+        z2 = z - pz / dz
+        p2 = p(z2)
+        f2 = abs(p2)
         if f2 < fz:
-            z, fz = z2, f2
+            z, pz, fz = z2, p2, f2
         else:
             break
     return z

@@ -369,7 +369,8 @@ def build_lattices(eq, special):
     seed index stays 0; walking back reproduces the special point exactly (the
     steps are Vieta complements).
     """
-    curve = eq.curve
+    curve = _instance(eq, DifferenceEquation, "eq").curve
+    _instance(special, SpecialPoints, "special")
     x_0 = curve.other_x(special.y_0, special.x_m1)
     unprimed = LatticePair(LatticeSpec(curve, x_0, special.y_0))
     primed = LatticePair(LatticeSpec(curve, special.x_p0, special.y_p0))
@@ -382,7 +383,7 @@ def build_lattices(eq, special):
         raise BranchAssignmentFailedError(
             f"lattice walk does not reproduce the special points: {checks}")
     for xx, yy in ((special.x_m1, special.y_m1), (special.x_m1, special.y_0),
-                   (special.x_p0, special.y_p0), (special.x_p0, special.y_p1)):
+                   (special.x_p0, special.y_p1)):       # (x'_0, y'_0) passed LatticeSpec's check
         if not curve.contains(xx, yy, tol=1e-9):
             raise BranchAssignmentFailedError(f"({xx}, {yy}) left the curve")
     return BasisPair(unprimed, primed)
@@ -416,13 +417,16 @@ def _ratio_coefficients(eq, reads, c0):
     az, cz, ratio, den, _, singular = _step_kernel(eq)(z, dy)
     with np.errstate(all="ignore"):
         etas = cns[1:] * (az - cz * dy / 2.0) / ((z - xm1) * (z - xp0) * (z - xps[1:]))
-        n = int(np.append(singular | (etas == 0), True).argmax()) + 1     # N + 1 where none is
-        if n <= len(etas):
+        stop = singular | (etas == 0)
+        if stop.any():
+            n = int(stop.argmax()) + 1
             raise SmallDivisorError(n, float(abs(etas[n - 1])))
         xis = cns[1:-1] * (eq.a(zp) + eq.c(zp) * (yps[2:] - yps[1:-1]) / 2.0) \
             / ((zp - xm1) * (zp - xp0) * (zp - xs[1:-2]))
-        c1 = (eq.beta * c0 + eq.delta) / etas[0]
-        cs = np.cumprod(np.append(c1, -xis / etas[1:]))
+        cs = np.empty(len(etas), dtype=complex)      # c_1, then the step ratios
+        cs[0] = (eq.beta * c0 + eq.delta) / etas[0]
+        np.divide(-xis, etas[1:], out=cs[1:])
+        np.cumprod(cs, out=cs)
         f1 = ((ratio[0] + cz[0] / 2.0) * c0 + eq.d(xs[1:2])[0]) / den[0]
         c1_step = (f1 - c0) * (ys[2] - yps[1]) / dy[0]
     return [c0] + cs.tolist(), complex(c1_step)
@@ -479,10 +483,12 @@ def _checked_coefficients(eq, pair, N, c0, products, bound, key, diag):
         reads = _reads(pair, N)
         cs, c1_step = _ratio_coefficients(eq, reads, c0)
         ps = products(eq, reads, cs[1])
-    for n, c in enumerate(cs):
-        if not cmath.isfinite(c):
-            raise NonFiniteCoefficientError(n, c)
-    cv = np.array(cs[1:], dtype=complex)
+    cv = np.array(cs, dtype=complex)
+    bad = ~np.isfinite(cv)
+    if bad.any():
+        n = int(bad.argmax())
+        raise NonFiniteCoefficientError(n, cs[n])
+    cv = cv[1:]
     with np.errstate(all="ignore"):
         gaps = np.abs(cv - ps) / np.maximum(1.0, np.maximum(np.abs(cv), np.abs(ps)))
     bad = ~(gaps <= bound)
@@ -523,6 +529,7 @@ def expansion_coefficients(eq, pair, N, diag=None):
     against the closed product at every n (1e-7); its seed c_1 = (beta c_0 + delta)/eta_1
     must agree with the stepwise oracle to 1e-6 (InternalInconsistency otherwise).
     """
+    _instance(eq, DifferenceEquation, "eq"), _instance(pair, BasisPair, "pair")
     N = _order(N, "N", lo=0)
     if eq.is_logarithmic:
         raise ValidationError("c = 0: use expansion_coefficients_log")
@@ -551,6 +558,7 @@ def expansion_coefficients_log(eq, pair, N, c0_free, diag=None):
     c_1 = delta/eta_1 must agree with the stepwise oracle to 1e-6, as in the general mode.  A
     c0_free that is not a finite complex number is a ValidationError naming it.
     """
+    _instance(eq, DifferenceEquation, "eq"), _instance(pair, BasisPair, "pair")
     N, c0_free = _order(N, "N", lo=0), _finite(c0_free, "c0_free")
     if not eq.is_logarithmic:
         raise ValidationError("equation is not logarithmic (c != 0)")
@@ -575,7 +583,7 @@ def stepwise_oracle(eq, pair, K, f0=None):
     leave the float range LatticeSingularityError(k), and a negative K or an f0 that is not a
     finite complex number a ValidationError naming it.
     """
-    _instance(eq, DifferenceEquation, "eq")
+    _instance(eq, DifferenceEquation, "eq"), _instance(pair, BasisPair, "pair")
     K = _order(K, "K", lo=0)
     if f0 is not None:
         f0 = _finite(f0, "f0")
@@ -585,13 +593,16 @@ def stepwise_oracle(eq, pair, K, f0=None):
         f0 = _c0(eq, pair.unprimed.x(-1))
     xs, ys = pair.unprimed.span(0, K + 1)
     _, cx, ratio, den, size, singular = _step_kernel(eq)(xs[:-1], ys[1:] - ys[:-1])
-    end = int(np.append(singular | ~(size < np.inf), True).argmax())    # K where no step stops
+    stop = singular | ~(size < np.inf)
+    end = int(stop.argmax()) if stop.any() else K
     with np.errstate(all="ignore"):
         steps = zip((ratio + cx / 2.0)[:end].tolist(), eq.d(xs[:end]).tolist(), den[:end].tolist())
-    vals = [f0]
+    vals, f = [f0], f0
     for g, d, n in steps:
-        vals.append((g * vals[-1] + d) / n)
-    k = next((k for k, v in enumerate(vals[1:]) if not cmath.isfinite(v)), end)
+        f = (g * f + d) / n
+        vals.append(f)
+    k = end if all(map(cmath.isfinite, vals)) else \
+        next((k for k, v in enumerate(vals[1:]) if not cmath.isfinite(v)), end)
     if k == K:
         return vals
     if k == end and singular[end]:

@@ -96,17 +96,58 @@ def first_argument_entry_points():
     }
 
 
+def refusal_message(call, bad):
+    """call(bad)'s ValidationError message, raised with no RuntimeWarning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError) as err:
+            call(bad)
+    return str(err.value)
+
+
 @pytest.mark.parametrize("bad", [None, 1, "a"], ids=["None", "int", "str"])
 @pytest.mark.parametrize("entry", list(first_argument_entry_points()))
 def test_a_first_argument_of_the_wrong_kind_is_refused(entry, bad):
     """A curve, seed or equation of the wrong kind is a ValidationError naming the parameter,
     not an untyped AttributeError from reading one of its attributes."""
     name, kind, call = first_argument_entry_points()[entry]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValidationError) as err:
-            call(bad)
-    assert str(err.value) == f"{name}: expected a {kind}, got {bad!r}"
+    assert refusal_message(call, bad) == f"{name}: expected a {kind}, got {bad!r}"
+
+
+def pipeline_argument_entry_points():
+    """{name: (parameter, what it expects, call(value))} for the pipeline steps' equation,
+    special-point and basis-pair arguments, and a polynomial's coefficients."""
+    eq, select = linear_fixture()
+    sol = solve(eq, select, 10)
+    leq, lselect, c0_free, *_ = log_linear_fixture()
+    lsol = solve(leq, lselect, 10, c0_free=c0_free)
+    return {
+        "build_lattices.eq": ("eq", "a DifferenceEquation",
+                              lambda v: build_lattices(v, sol.special)),
+        "build_lattices.special": ("special", "a SpecialPoints",
+                                   lambda v: build_lattices(eq, v)),
+        "expansion_coefficients.eq": ("eq", "a DifferenceEquation",
+                                      lambda v: expansion_coefficients(v, sol.pair, 3)),
+        "expansion_coefficients.pair": ("pair", "a BasisPair",
+                                        lambda v: expansion_coefficients(eq, v, 3)),
+        "expansion_coefficients_log.eq": ("eq", "a DifferenceEquation",
+                                          lambda v: expansion_coefficients_log(v, lsol.pair, 3, 1)),
+        "expansion_coefficients_log.pair": ("pair", "a BasisPair",
+                                            lambda v: expansion_coefficients_log(leq, v, 3, 1)),
+        "stepwise_oracle.pair": ("pair", "a BasisPair", lambda v: stepwise_oracle(eq, v, 3)),
+        "diff_constant.pair": ("pair", "a BasisPair", lambda v: diff_constant(v, 1)),
+        "Polynomial.coeffs": ("coeffs", "complex numbers", Polynomial),
+    }
+
+
+@pytest.mark.parametrize("bad", [None, 1, "a"], ids=["None", "int", "str"])
+@pytest.mark.parametrize("entry", list(pipeline_argument_entry_points()))
+def test_a_pipeline_argument_of_the_wrong_kind_is_refused(entry, bad):
+    """An equation, special points, basis pair or coefficient list of the wrong kind is a
+    ValidationError naming the parameter, not an untyped AttributeError, TypeError or
+    ValueError from reading it."""
+    name, what, call = pipeline_argument_entry_points()[entry]
+    assert refusal_message(call, bad).startswith(f"{name}: expected {what}, got {bad!r}")
 
 
 def test_solve_refuses_a_negative_order_before_any_work(monkeypatch):
@@ -636,6 +677,18 @@ def test_undefined_c0_is_validation_error_on_every_route():
     for run in (lambda: solve(eq, select, 5), lambda: stepwise_oracle(eq, pair, 5)):
         with pytest.raises(ValidationError, match="c_0 undefined"):
             run()
+
+
+def test_stepwise_oracle_on_an_overflowing_c0():
+    """delta x_{-1} / (beta x_{-1} + gamma) past the float range from finite inputs: K = 0
+    gives f_0 = c_0 as it is, and a longer run stops with a typed error at step 0."""
+    eq = _linear(gamma=1e-10, delta=1e308)
+    pair = build_lattices(eq, locate_special_points(eq, ByIndex(0, 1)))
+    (f0,) = stepwise_oracle(eq, pair, 0)
+    assert np.isinf(f0)
+    with pytest.raises(LatticeSingularityError, match="stepwise oracle") as info:
+        stepwise_oracle(eq, pair, 3)
+    assert info.value.index == 0
 
 
 def test_partial_sum_pole_guard():

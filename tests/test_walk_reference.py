@@ -232,9 +232,16 @@ def flip_points(curve, over_x, rng):
 # x^2 + y^2 = 5: over t = 3 the complement of -2 is 2, whose Newton step lands exactly on
 # s = 0, where V1 + 2 V2 s = 0, so the second trial exits on d == 0 (in either view)
 CIRCLE = BiquadraticCurve([[-5, 0, 1], [0, 0, 0], [1, 0, 0]])
+# grids whose zeros give a view a (deg V1, deg V2) that no curve above has, as (x-view; y-view):
+# (1,1; 2,0), (2,0; 1,1), (0,2; 0,2), (1,2; 2,2), (0,1; 2,0), (2,0; 0,1); with them the flips
+# of each view meet all nine
+DEGREE_CURVES = [BiquadraticCurve([[1.0, -0.5, 0.75], row1, row2]) for row1, row2 in [
+    ([-1.25, 0.5, 1.5], [0.25, 0.0, 0.0]), ([-1.25, 0.5, 0.0], [0.25, -1.0, 0.0]),
+    ([-1.25, 0.0, 0.0], [0.25, 0.0, 2.0]), ([-1.25, 0.5, 1.5], [0.25, 0.0, 2.0]),
+    ([-1.25, 0.0, 1.5], [0.25, 0.0, 0.0]), ([-1.25, 0.0, 0.0], [0.25, -1.0, 0.0])]]
 FLIP_CURVES = list({repr(curve): curve for _, curve, _, _ in FIXTURE_SEEDS}.values()) \
     + random_real_curves() + [genus1_equation(s).curve for s in range(10)] \
-    + [trimmed_curve(1), trimmed_curve(2), CIRCLE]
+    + [trimmed_curve(1), trimmed_curve(2), CIRCLE] + DEGREE_CURVES
 FLIP_EXITS = {"lead", "d == 0 at trial 1", "rejected at trial 1", "d == 0 at trial 2",
               "rejected at trial 2", "both trials kept"}
 
@@ -243,14 +250,23 @@ FLIP_EXITS = {"lead", "d == 0 at trial 1", "rejected at trial 1", "d == 0 at tri
 def test_flip_is_the_reference_flip(over_x):
     # each flip must round as ref_flip does, and every exit of the body is reached
     rng = np.random.default_rng(11)
-    exits = set()
+    exits, degrees = set(), set()
     for curve in FLIP_CURVES:
         flip = walk_flips(curve)[0 if over_x else 1]
+        _, v1, v2 = curve.x_view() if over_x else curve.y_view()
+        degrees.add((v1.degree(), v2.degree()))
         points = flip_points(curve, over_x, rng) + [(3.0, -2.0)] * (curve is CIRCLE)
         for t, s in points:
             want = outcome(lambda: ref_flip(curve, t, s, over_x, exits))
             assert outcome(lambda: flip(t, s)) == want, (curve, t, s)
     assert exits == FLIP_EXITS
+    assert degrees == {(d1, d2) for d1 in range(3) for d2 in range(3)}   # every unrolled branch
+
+
+@pytest.mark.parametrize("curve", DEGREE_CURVES, ids=[f"degrees{k}" for k in range(6)])
+def test_walks_over_every_degree_of_the_views_match_the_reference(curve):
+    spec = LatticeSpec(curve, 0.5 + 0.25j, y1_index=0)
+    assert_walk_matches(curve, spec.x0, spec.y0, -200, 200)
 
 
 @pytest.mark.parametrize("i", [1, 2], ids=["c12", "c22"])
