@@ -31,7 +31,17 @@ computed the same certificates, coefficients, errors and messages, bit for
 bit.  `--cases PATH` also writes one line per case, to find the cases that
 differ between two checkouts.
 
+`--compare OLD NEW` reads two such files and tells rounding from structure.
+Each float token of a case (a number with a point or an exponent, inf, nan,
+either part of a complex) is masked; the rest of the case's text must be
+equal, or the case changed structurally: a flag, a blank field, an exit code,
+an integer, a message or a case that is there on one side only.  A float that
+becomes or stops being inf or nan is structural too.  For the cases whose
+floats moved it prints the number of tokens moved and the largest relative
+and ulp move, by case and by class, and it exits 1 on any structural change.
+
     python scripts/capture_outputs.py [--cases PATH]
+    python scripts/capture_outputs.py --compare OLD NEW
 """
 import argparse
 import contextlib
@@ -39,7 +49,10 @@ import functools
 import hashlib
 import io
 import json
+import math
 import pathlib
+import re
+import struct
 import sys
 import tempfile
 
@@ -206,10 +219,108 @@ def verify_cases():
             yield f"cli verify {name}", repr(run_cli(["verify", "--config", str(path)]))
 
 
+# -- comparing two --cases files ----------------------------------------------------------
+
+_NUM = r"(?:(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|inf|nan)"
+_FLOAT = r"(?:(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+|inf|nan)"
+FLOAT_TOKEN = re.compile(           # a complex (a+bj), an imaginary bj, or a float of its own
+    rf"(?:(?<![\w.])|(?<=\\[nt]))"   # not inside a name or a number; a repr's \n may precede
+    rf"(?:\((?P<re>[-+]?{_NUM})(?P<im>[-+]{_NUM})j\)"
+    rf"|(?P<imag>[-+]?{_NUM})j|(?P<real>[-+]?{_FLOAT}))"
+    r"(?![\w.])")
+
+
+def float_tokens(text):
+    """(text with each float token masked as '#', the tokens' texts in order); a complex
+    (a+bj) is two tokens, masked as (##j)."""
+    tokens = []
+
+    def mask(m):
+        parts = [g for g in (m["re"], m["im"], m["imag"], m["real"]) if g is not None]
+        tokens.extend(parts)
+        return "(##j)" if m["re"] is not None else "#j" if m["imag"] is not None else "#"
+    return FLOAT_TOKEN.sub(mask, text), tokens
+
+
+def ulps(a, b):
+    """The number of doubles from a to b (finite a and b; -0.0 and 0.0 are one double)."""
+    def ordinal(x):
+        i = struct.unpack("<q", struct.pack("<d", x))[0]
+        return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+    return abs(ordinal(a) - ordinal(b))
+
+
+def token_move(old, new):
+    """(relative move, ulps) between two float token texts, or None where one of them is inf
+    or nan and they differ: a structural change."""
+    a, b = float(old), float(new)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return (0.0, 0) if old == new else None
+    return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0, ulps(a, b)
+
+
+def case_class(name):
+    """The class of a case: its first word, or its first two after 'cli'."""
+    words = name.split()
+    return " ".join(words[:2] if words[0] == "cli" else words[:1])
+
+
+def read_cases(path):
+    """{(name, k): outcome} of a --cases file, k counting the earlier cases of the same name."""
+    cases, seen = {}, {}
+    for line in pathlib.Path(path).read_text(encoding="utf-8").splitlines():
+        name, _, outcome = line.partition("\t")
+        k = seen[name] = seen.get(name, -1) + 1
+        cases[name, k] = outcome
+    return cases
+
+
+def compare(old_path, new_path, out=None):
+    """Compare two --cases files; print (to out, else stdout) the structural changes and the
+    float moves by case and by class, and return 1 if any case changed structurally, else 0."""
+    old, new = read_cases(old_path), read_cases(new_path)
+    structural = [(name, "only in OLD" if (name, k) in old else "only in NEW")
+                  for name, k in sorted(old.keys() ^ new.keys())]
+    moved, classes = [], {}
+    for key in (key for key in old if key in new):
+        name = key[0]
+        (old_mask, old_tokens), (new_mask, new_tokens) = map(float_tokens, (old[key], new[key]))
+        stats = classes.setdefault(case_class(name), [0, 0, 0, 0.0, 0])
+        stats[0] += 1
+        if old_mask != new_mask:
+            at = next((i for i, (a, b) in enumerate(zip(old_mask, new_mask)) if a != b),
+                      min(len(old_mask), len(new_mask)))
+            structural.append((name, f"text differs at {at}: {old_mask[at:at + 40]!r} -> "
+                                     f"{new_mask[at:at + 40]!r}"))
+            continue
+        moves = [token_move(a, b) for a, b in zip(old_tokens, new_tokens) if a != b]
+        if None in moves:
+            structural.append((name, "a float became or stopped being inf or nan"))
+        elif moves:
+            rel, ulp = max(m[0] for m in moves), max(m[1] for m in moves)
+            moved.append((name, len(moves), rel, ulp))
+            stats[1:] = stats[1] + 1, stats[2] + len(moves), max(stats[3], rel), max(stats[4], ulp)
+    print(f"{len(old.keys() & new.keys())} cases in both, {len(structural)} structural, "
+          f"{len(moved)} moved by rounding", file=out)
+    print("| class | cases | moved | tokens moved | max rel | max ulp |", file=out)
+    print("| --- | ---: | ---: | ---: | ---: | ---: |", file=out)
+    for cls, (count, n_moved, tokens, rel, ulp) in sorted(classes.items()):
+        print(f"| {cls} | {count} | {n_moved} | {tokens} | {rel:.2g} | {ulp} |", file=out)
+    for name, tokens, rel, ulp in moved:
+        print(f"moved: {name}: {tokens} tokens, max rel {rel:.2g}, max {ulp} ulp", file=out)
+    for name, why in structural:
+        print(f"STRUCTURAL: {name}: {why}", file=out)
+    return 1 if structural else 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--cases", help="also write one 'name<TAB>outcome' line per case here")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two --cases files instead of capturing")
     args = parser.parse_args()
+    if args.compare:
+        sys.exit(compare(*args.compare))
     lines = [f"{name}\t{value}"
              for gen in (special_point_cases, solve_cases, cli_cases, ratemap_cases,
                         verify_cases)

@@ -35,6 +35,7 @@ from .errors import (
     RefinePathError,
     ValidationError,
     WindowTooSmallError,
+    _attrs,
     _finite,
     _order,
     _real,
@@ -56,8 +57,10 @@ UNDERFLOW_FLOOR = 2.0 ** -969   # the smallest normal float over the unit roundo
 
 
 def detect_small_divisors(pair, N, threshold):
-    """Indices n <= N where |y_{-1} - y_{n-2}| dips below threshold * median (a finite real)."""
+    """Indices n <= N where |y_{-1} - y_{n-2}| dips below threshold * median (a finite real); a
+    pair with no unprimed lattice is a ValidationError naming it."""
     N, threshold = _order(N, "N"), _real(threshold, "threshold")
+    _attrs(pair, "pair", "unprimed")
     if N < 3 or threshold <= 0:
         return []
     ys = pair.unprimed.values(-1, N - 1)[1]     # index -1 .. N-2, so y_{n-2} = ys[n - 1]
@@ -98,68 +101,74 @@ def _flag(exc_type):
     return exc_type.__name__.removesuffix("Error")
 
 
-def _log_term_grid(sol, zs, n_max):
-    """log |c_n Yb_n(z)| for n = 1..n_max (one row each) at every z of zs (one column each, so z
-    runs fastest), and the z that hit a pole.
-
-    An entry is log |c_n| plus the running sum over r < n of log |z - y_r| - log |z - y'_{r+1}|,
-    so no term is formed and nothing under- or overflows before a caller's exp; it is -inf where
-    the term vanishes (c_n = 0, or z on a node y_r, r < n).  The coefficients and lattice are
-    read once per call, so a caller that edits them between calls sees the edit.  n_max follows
-    the order rule `solver._sum_order`.
-    """
-    n_max = _sum_order(sol, n_max, "n_max")
-    coeffs = np.array(sol.coeffs[1:n_max + 1], dtype=complex)
+def _term_reads(sol, zs, n_max):
+    """zs as an array, log |c_n| (-inf where c_n = 0), y_0 .. y_{n_max - 1}, y'_1 .. y'_{n_max} and
+    the z that hit a pole, read once per call; n_max follows the order rule `solver._sum_order`."""
+    n_max, zs = _sum_order(sol, n_max, "n_max"), np.asarray(zs, dtype=complex)
+    with np.errstate(divide="ignore"):
+        log_c = np.log(np.abs(np.array(sol.coeffs[1:n_max + 1], dtype=complex)))
     _, nodes = sol.pair.unprimed.span(0, n_max)
     _, poles = sol.pair.primed.span(1, n_max + 1)
-    zs = np.asarray(zs, dtype=complex)
-    hit = pole_hits(zs, poles)
+    return zs, log_c, nodes, poles, pole_hits(zs, poles)
+
+
+def _log_increments(zs, nodes, poles):
+    """g_r(z) = log |z - nodes[r]| - log |z - poles[r]| per row r and column z, from np.abs of
+    each difference, so nothing under- or overflows: -inf on a node, +inf on a pole."""
     with np.errstate(all="ignore"):
-        logs = np.log(np.abs(zs - nodes[:, None]))
-        logs -= np.log(np.abs(zs - poles[:, None]))
-        np.cumsum(logs, axis=0, out=logs)
-        logs += np.log(np.abs(coeffs))[:, None]
-    return logs, hit
+        g = np.log(np.abs(zs - nodes[:, None]))
+        g -= np.log(np.abs(zs - poles[:, None]))
+    return g
 
 
 def term_magnitudes(sol, z, n_max):
-    """|c_n Yb_n(z)| for n = 1..n_max (index 0 of the result is n = 1), the exp of the log-sums
-    the rate fits use (0.0 where a term vanishes); a non-finite z is a ValidationError naming
-    it, and n_max follows the order rule `solver._sum_order`."""
-    z = _finite(z, "z")
-    logs, hit = _log_term_grid(sol, [z], n_max)
+    """|c_n Yb_n(z)| for n = 1..n_max (index 0 of the result is n = 1), the exp of log |c_n|
+    plus the running sum over r < n of `_log_increments` g_r (0.0 where a term vanishes); a
+    non-finite z is a ValidationError naming it, and n_max follows `solver._sum_order`."""
+    zs, log_c, nodes, poles, hit = _term_reads(sol, [z := _finite(z, "z")], n_max)
     if hit[0]:
         raise PoleEvaluationError(z)
-    return np.exp(logs[:, 0]).tolist()
+    return np.exp(np.cumsum(_log_increments(zs, nodes, poles)[:, 0]) + log_c).tolist()
 
 
 def _fit_rates(sol, zs, n_min, n_max, smalldiv_threshold):
     """Geometric ratio of the terms over [n_min, n_max] at every z of zs.
 
-    Returns (ratio, pole hit, usable-term count, flagged small divisors) per z;
-    the ratio is the exp of the least-squares slope of log |term| against n
-    over the usable terms (small-divisor indices and vanishing terms, whose log
-    is -inf, excluded).  The logs are `_log_term_grid`'s sums, so a term too
-    small or too large for a float still counts at full precision.  Raises for
-    the failures every z shares: a short window, too few coefficients.
+    Returns (ratio, pole hit, usable-term count, flagged small divisors) per z; the ratio is
+    the exp of the least-squares slope of log |term| against the usable n: the window's, less
+    the small-divisor indices and the n with c_n = 0, and for a z on a node y_m those n <= m.
+    With d_n = n - mean n over them, the slope is (sum d_n log |c_n| + sum_r W_r g_r) / sum d_n^2
+    over the increments g_r (`_log_increments`), W_r = sum_{n > r} d_n: no running sum, and no
+    row outside [first n, last n), where W_r = 0.  Every z takes the window's weights; those
+    whose sum is not finite (a node in the rows read, or a pole) or that sit on a node below
+    them take their own.  Raises for the failures every z shares: a short window, too few
+    coefficients.
     """
     if n_max - n_min < MIN_FIT_TERMS:
         raise WindowTooSmallError(
             f"window [{n_min}, {n_max}] is shorter than {MIN_FIT_TERMS}")
-    logs, hit = _log_term_grid(sol, zs, n_max)
+    zs, log_c, nodes, poles, hit = _term_reads(sol, zs, n_max)
     flagged = detect_small_divisors(sol.pair, n_max, smalldiv_threshold)
-    ns = np.arange(1, n_max + 1, dtype=float)
-    keep = ns >= n_min
+    keep = (np.arange(1, n_max + 1) >= n_min) & (log_c != -np.inf)
     keep[[n - 1 for n, _ in flagged]] = False
-    usable = (logs != -np.inf) & keep[:, None]
-    count, weight = usable.sum(axis=0), usable.astype(float)
-    with np.errstate(all="ignore"):
-        logs = np.where(usable, logs, 0.0)
-        logs -= logs.sum(axis=0) / count        # centred, then 0 where not usable
-        logs *= weight
-        sum_n = ns @ weight             # the slope: sum (n - mean)(log - mean) / sum (n - mean)^2
-        mean_n = sum_n / count
-        slope = (ns @ logs - mean_n * logs.sum(axis=0)) / ((ns * ns) @ weight - mean_n * sum_n)
+    slope, count = np.empty(len(zs)), np.empty(len(zs), dtype=int)
+
+    def fit(cells, last):           # the fit over the usable n <= last at zs[cells]
+        ns = np.flatnonzero(keep[:last]) + 1
+        count[cells], slope[cells] = len(ns), np.nan
+        if len(ns) >= MIN_FIT_TERMS:
+            d, rows = ns - ns.mean(), slice(ns[0], ns[-1])
+            w = np.repeat(np.cumsum(d[::-1])[::-1][1:], np.diff(ns))
+            g = _log_increments(zs[cells], nodes[rows], poles[rows])
+            with np.errstate(invalid="ignore"):
+                slope[cells] = (d @ log_c[ns - 1] + w @ g) / (d @ d)
+    fit(slice(None), n_max)
+    below = nodes[:np.argmax(keep) + 1, None]       # the rows r < the first usable n
+    odd = np.flatnonzero(~np.isfinite(slope) | (zs == below).any(axis=0))
+    on = zs[odd] == nodes[:, None]
+    last = np.where(on.any(axis=0), on.argmax(axis=0), n_max)
+    for m in set(last.tolist()):
+        fit(odd[last == m], m)
     return np.exp(slope), hit, count, flagged
 
 
@@ -471,7 +480,7 @@ class RatePredictor:
     """
 
     def __init__(self, sol):
-        if sol.mode != "log" or sol.zeta is None:
+        if _attrs(sol, "sol", "mode", "zeta", "eq", "pair").mode != "log" or sol.zeta is None:
             raise ValidationError("predicted rates exist for logarithmic solutions only")
         self.curve = sol.eq.curve
         P = self.curve.discriminant_P()
@@ -644,7 +653,10 @@ def write_rate_map_csv(rows, stream):
         re_s = list(map(repr, map(float, res))) * len(ims)
         im_s = [t for t in map(repr, map(float, ims)) for _ in res]
     else:
-        re, im, emp, pred, table = list(zip(*rows)) or [()] * 5
+        try:
+            re, im, emp, pred, table = list(zip(*rows)) or [()] * 5
+        except (TypeError, ValueError):     # not rows of five fields
+            raise ValidationError(f"rows: expected rate_map rows, got {rows!r}") from None
         re_s, im_s = list(map(repr, map(float, re))), list(map(repr, map(float, im)))
         emp, pred = ((np.array(col, dtype=float), np.array([v is None for v in col], dtype=bool))
                      for col in (emp, pred))                # None reads as NaN

@@ -138,7 +138,15 @@ class PathThroughBranchPointError(EllgridError):
 def _instance(value, cls, name):
     """value, where it is an instance of cls, or a ValidationError naming the argument."""
     if not isinstance(value, cls):
-        raise ValidationError(f"{name}: expected a {cls.__name__}, got {value!r}")
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValidationError(f"{name}: expected {article} {cls.__name__}, got {value!r}")
+    return value
+
+
+def _attrs(value, name, *attrs):
+    """value, where it has each of attrs (a stand-in will do), or a ValidationError naming it."""
+    if not all(hasattr(value, a) for a in attrs):
+        raise ValidationError(f"{name}: expected an object with {', '.join(attrs)}, got {value!r}")
     return value
 
 

@@ -15,6 +15,11 @@ from .errors import ConstantPolynomialError, PoleEvaluationError, ValidationErro
 
 ZERO_TOL = 1e-13        # trailing coefficients below this (relative) are trimmed
 EVAL_TOL = 1e-12        # "effectively zero" threshold for pole/deflation logic
+NOT_NUMBERS = (str, bool, np.bool_)     # entries complex() takes that are no coefficient
+
+
+def _not_a_number(c):
+    raise TypeError(f"{c!r} is not a number")
 
 
 class Polynomial:
@@ -24,8 +29,8 @@ class Polynomial:
 
     def __init__(self, coeffs=(0j,)):
         try:
-            cs = [complex(c) for c in coeffs]
-        except (TypeError, ValueError) as exc:     # not iterable, or an entry complex() refuses
+            cs = [_not_a_number(c) if isinstance(c, NOT_NUMBERS) else complex(c) for c in coeffs]
+        except (TypeError, ValueError) as exc:     # not iterable, or a str, bool or non-number
             raise ValidationError(f"coeffs: expected complex numbers, got {coeffs!r} ({exc})") \
                 from None
         if not cs:

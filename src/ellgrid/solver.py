@@ -40,6 +40,7 @@ from .errors import (
     PoleEvaluationError,
     SmallDivisorError,
     ValidationError,
+    _attrs,
     _finite,
     _instance,
     _order,
@@ -652,7 +653,9 @@ def solve(eq, select, N, c0_free=None, y0_hint=None, yp1_hint=None):
 
 def _sum_order(sol, N, name="N"):
     """N as an order sol answers, 0 .. K = len(sol.coeffs) - 1: the one order rule of a solution.
-    Below 0 it is `_order`'s ValidationError naming N, past K "solution has only K coefficients"."""
+    Below 0 it is `_order`'s ValidationError naming N, past K "solution has only K coefficients";
+    a sol with no coeffs, pair or mode is a ValidationError naming sol."""
+    _attrs(sol, "sol", "coeffs", "pair", "mode")
     N = _order(N, name, lo=0)
     if N >= len(sol.coeffs):
         raise ValidationError(f"solution has only {len(sol.coeffs) - 1} coefficients")
@@ -795,6 +798,8 @@ def verify_interpolation(eq, sol, N):
 
 def solution_to_json(sol):
     """JSON-ready dict: curve, certified special points, ranges, coefficients."""
+    _instance(sol, ExpansionSolution, "sol")
+
     def c2(v):
         return [v.real, v.imag]
 

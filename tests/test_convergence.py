@@ -19,6 +19,7 @@ from ellgrid import (
     identity_samples,
     rate_map,
     residual,
+    solution_to_json,
     solve,
     term_magnitudes,
     write_rate_map_csv,
@@ -758,11 +759,39 @@ def test_rate_map_refuses_a_window_past_the_order_before_any_work(qsol, mode, mo
 
     def no_work(*args, **kwargs):
         raise AssertionError("rate_map worked past a bad window")
-    for name in ("RatePredictor", "_log_term_grid", "detect_small_divisors"):
+    for name in ("RatePredictor", "_term_reads", "_log_increments", "detect_small_divisors"):
         monkeypatch.setattr(convergence, name, no_work)
     with pytest.raises(ValidationError) as got:
         rate_map(sol, [2.5], [0.5], 5, K + 13)
     assert str(got.value) == str(want.value)
+
+
+SOLUTION = "an object with coeffs, pair, mode"
+RATE_LAYER_ENTRY_POINTS = {     # name: (parameter, what it expects, call(value))
+    "rate_map": ("sol", SOLUTION, lambda v: rate_map(v, [1.0], [0.5], 5, 25)),
+    "empirical_rate": ("sol", SOLUTION, lambda v: empirical_rate(v, 1.1, 5, 25)),
+    "term_magnitudes": ("sol", SOLUTION, lambda v: term_magnitudes(v, 1.1, 5)),
+    "RatePredictor": ("sol", "an object with mode, zeta, eq, pair", RatePredictor),
+    "detect_small_divisors": ("pair", "an object with unprimed",
+                              lambda v: detect_small_divisors(v, 10, 0.05)),
+    "solution_to_json": ("sol", "an ExpansionSolution", solution_to_json),
+    "write_rate_map_csv": ("rows", "rate_map rows", lambda v: write_rate_map_csv(v, io.StringIO())),
+}
+
+
+@pytest.mark.parametrize("bad", [None, 1, "a"], ids=["None", "int", "str"])
+@pytest.mark.parametrize("entry", list(RATE_LAYER_ENTRY_POINTS))
+def test_a_rate_layer_argument_of_the_wrong_kind_is_refused(entry, bad):
+    """A solution, basis pair or row list the rate layer cannot read is a ValidationError naming
+    the parameter, raised on entry with no RuntimeWarning, and not an untyped AttributeError or
+    TypeError from reading it.  The checks are for the attributes read, not the class, so the
+    stand-ins above (`aw_rotation_solution`, `_StubPair`) are taken."""
+    name, what, call = RATE_LAYER_ENTRY_POINTS[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError) as err:
+            call(bad)
+    assert str(err.value) == f"{name}: expected {what}, got {bad!r}"
 
 
 def test_rate_map_matches_cells_on_criterion_9_grid(qsol):
@@ -784,6 +813,29 @@ def test_rate_map_matches_cells_on_linear_grid_without_warnings():
         rows = rate_map(sol, axis, axis, 5, 25)
     _assert_rows_match_cells(sol, rows, axis, axis)
     assert [flags for *_, flags in rows].count(("PoleEvaluation",)) == 1
+
+
+def test_cells_on_a_node_or_a_pole_fit_their_own_window(qsol):
+    """A z on node y_m uses only the n <= m of the window, whether y_m is in the increment rows
+    the fit reads (m = 12, 24) or below them (m = 0, 3: no usable term), and a z on a pole is a
+    pole hit; every other z of the same sweep keeps the window's fit.  Each rate and count is
+    empirical_rate's at that z, and the rate is the polyfit loop reference's."""
+    sol = qsol[0]
+    on_nodes = [sol.pair.unprimed.y(m) for m in (0, 3, 12, 24)]
+    zs = [*on_nodes, sol.pair.primed.y(7), 1.0 + 0.2j, 1.1 + 0.1j]
+    rho, hit, count, flagged = convergence._fit_rates(sol, zs, 5, 25, 0.05)
+    excluded = {n for n, _ in flagged}
+    usable = [len([n for n in range(5, last + 1) if n not in excluded])
+              for last in (0, 3, 12, 24, 25, 25, 25)]
+    assert hit.tolist() == [False] * 4 + [True, False, False]
+    assert count.tolist() == usable
+    want = [("WindowTooSmall",)] * 2 + [()] * 2 + [("PoleEvaluation",)] + [()] * 2
+    for z, r, flags in zip(zs, rho.tolist(), want):
+        (cell, cell_flags), (loop, loop_flags) = (f(sol, z, 5, 25) for f in
+                                                  (_cell_empirical, _loop_empirical))
+        assert cell_flags == loop_flags == flags
+        if not flags:
+            assert abs(r - cell) <= 1e-15 * cell and abs(r - loop) <= 1e-12 * loop
 
 
 def test_rate_map_excludes_small_divisors_like_cells(qsol):

@@ -16,7 +16,8 @@ from ellgrid.errors import (
     ValidationError,
     VerticalTangentError,
 )
-from ellgrid.curve import lead_test
+import ellgrid.curve as curve_module
+from ellgrid.curve import lead_test, walk_flips
 from ellgrid.poly import Polynomial
 
 from fixtures import linear_fixture
@@ -144,6 +145,41 @@ def test_lead_test_on_arrays_gives_the_scalar_verdicts():
     for t, size, ok in zip(ts.tolist(), sizes.tolist(), passes.tolist()):
         assert repr(lead_test(v2, t)[1:]) == repr((size, ok))
     assert passes.tolist() == [True, False, False, True, True, False]
+
+
+# Curves whose V2 = X2 has its zero far from the origin, at x = 1000: (x - 1000)(x + 1) of
+# degree 2, x - 1000 of degree 1.  The lead test divides |V2(t)| by max(1, |t|)^deg V2, so near
+# t = 1000 one division too few or too many turns its verdict.
+FAR_ZERO_GRIDS = {2: [[1, .5, -1000], [.3, 1, -999], [.2, 0, 1]],
+                  1: [[1, .5, -1000], [.3, 1, 1], [.2, 0, 0]]}
+NEAR_THE_ZERO = [1000 + 1e-7, 1000 - 1e-7, 1000 + 1e-7j, 1000 + 1e-5, 1000 + 1e-4, 1000 + 1e-2,
+                 2000.0, 0.5, -1.0, 1e6]
+
+
+@pytest.mark.parametrize("view", ["x", "y"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_walk_flips_test_the_lead_as_lead_test_does(degree, view, monkeypatch):
+    """Each walk flip's inline lead test is `lead_test`: the flip raises
+    LeadingCoefficientVanishes exactly where lead_test fails, and where lead_test passes it
+    never calls `_lead`.  At t = 1000 + 1e-7 the reduced size of a degree-2 V2 is 1e-10, under
+    the floor 1e-9, where |V2| / |t| would read 1e-7 and pass; at t = 1000 + 1e-5 that of a
+    degree-1 V2 is 1e-8, where |V2| / |t|^2 would read 1e-11 and fall back to `_lead`."""
+    grid = np.array(FAR_ZERO_GRIDS[degree], dtype=float)
+    curve = BiquadraticCurve(grid if view == "x" else grid.T)   # the y-view's V2 is Y2(y)
+    flip = walk_flips(curve)[view == "y"]
+    v2 = (curve.x_view() if view == "x" else curve.y_view())[2]
+    assert v2.degree() == degree
+    calls, real_lead = [], curve_module._lead
+    monkeypatch.setattr(curve_module, "_lead", lambda *args: calls.append(args) or real_lead(*args))
+    verdicts = [bool(lead_test(v2, t)[2]) for t in NEAR_THE_ZERO]
+    for t, passes in zip(NEAR_THE_ZERO, verdicts):
+        if passes:
+            flip(t, 0.5 + 0.25j)
+        else:
+            with pytest.raises(LeadingCoefficientVanishesError):
+                flip(t, 0.5 + 0.25j)
+    assert len(calls) == verdicts.count(False)
+    assert verdicts == [False] * 3 + [True] * 5 + [degree == 1, True]
 
 
 def test_root_pair_vieta_invariants():

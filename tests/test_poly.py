@@ -100,6 +100,26 @@ def test_divmod_roundtrip():
     assert rem.degree() < q.degree()
 
 
+@pytest.mark.parametrize("coeffs, entry", [
+    ("12", "'1'"), ([True, 2], "True"), (["1e400", 1], "'1e400'"), ([np.True_, 2], "np.True_"),
+    ((1.0, np.False_), "np.False_"), ([1, np.str_("2")], "np.str_('2')"),
+], ids=["str", "bool", "str entry", "np.bool_", "np.bool_ last", "np.str_"])
+def test_strings_and_bools_are_not_coefficients(coeffs, entry):
+    """A string or a bool is refused, though complex() takes it: '12' would read 1 + 2x,
+    [True, 2] 1 + 2x and ['1e400', 1] the constant inf."""
+    with pytest.raises(ValidationError) as err:
+        Polynomial(coeffs)
+    assert str(err.value) == \
+        f"coeffs: expected complex numbers, got {coeffs!r} ({entry} is not a number)"
+
+
+def test_nan_and_inf_coefficients_stay_allowed():
+    """Internal arithmetic can overflow, so a Polynomial holds NaN and inf entries (a
+    DifferenceEquation refuses them on its own)."""
+    p = Polynomial([float("nan"), 1, float("inf"), 1.0])
+    assert repr(p) == "Polynomial([(nan+0j), (1+0j), (inf+0j), (1+0j)])"
+
+
 def test_normalization_trims_leading_noise():
     p = Polynomial((1.0, 2.0, 1e-16))
     assert p.degree() == 1
