@@ -36,9 +36,12 @@ Each float token of a case (a number with a point or an exponent, inf, nan,
 either part of a complex) is masked; the rest of the case's text must be
 equal, or the case changed structurally: a flag, a blank field, an exit code,
 an integer, a message or a case that is there on one side only.  A float that
-becomes or stops being inf or nan is structural too.  For the cases whose
-floats moved it prints the number of tokens moved and the largest relative
-and ulp move, by case and by class, and it exits 1 on any structural change.
+becomes or stops being inf or nan is structural too, and so is a `solve` case
+whose interpolation error (its last float) crosses verify's bound of 1e-7, since
+verify's PASS or FAIL moves with it.  For the cases whose floats moved it prints
+the number of tokens moved and the largest relative and ulp move, by case and by
+class, and per case its worst token, old -> new; it exits 1 on any structural
+change.
 
     python scripts/capture_outputs.py [--cases PATH]
     python scripts/capture_outputs.py --compare OLD NEW
@@ -221,6 +224,7 @@ def verify_cases():
 
 # -- comparing two --cases files ----------------------------------------------------------
 
+VERIFY_BOUND = 1e-7     # the interpolation error up to which `ellgrid verify` says PASS
 _NUM = r"(?:(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|inf|nan)"
 _FLOAT = r"(?:(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+|inf|nan)"
 FLOAT_TOKEN = re.compile(           # a complex (a+bj), an imaginary bj, or a float of its own
@@ -259,6 +263,14 @@ def token_move(old, new):
     return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0, ulps(a, b)
 
 
+def crosses_verify_bound(name, old, new, old_tokens, new_tokens):
+    """Whether a `solve` case's interpolation error, the last float token of a result that is
+    not an error, is within verify's bound on one side only."""
+    if not name.startswith("solve ") or old.startswith("raise ") or not old_tokens:
+        return False
+    return (float(old_tokens[-1]) <= VERIFY_BOUND) != (float(new_tokens[-1]) <= VERIFY_BOUND)
+
+
 def case_class(name):
     """The class of a case: its first word, or its first two after 'cli'."""
     words = name.split()
@@ -293,12 +305,16 @@ def compare(old_path, new_path, out=None):
             structural.append((name, f"text differs at {at}: {old_mask[at:at + 40]!r} -> "
                                      f"{new_mask[at:at + 40]!r}"))
             continue
-        moves = [token_move(a, b) for a, b in zip(old_tokens, new_tokens) if a != b]
-        if None in moves:
+        moves = [(token_move(a, b), a, b) for a, b in zip(old_tokens, new_tokens) if a != b]
+        if any(m is None for m, _, _ in moves):
             structural.append((name, "a float became or stopped being inf or nan"))
+        elif crosses_verify_bound(name, old[key], new[key], old_tokens, new_tokens):
+            structural.append((name, f"interpolation error {old_tokens[-1]} -> {new_tokens[-1]} "
+                                     f"crosses the verify bound {VERIFY_BOUND:g}"))
         elif moves:
-            rel, ulp = max(m[0] for m in moves), max(m[1] for m in moves)
-            moved.append((name, len(moves), rel, ulp))
+            rel, ulp = max(m[0] for m, _, _ in moves), max(m[1] for m, _, _ in moves)
+            _, worst_old, worst_new = max(moves, key=lambda move: move[0])
+            moved.append((name, len(moves), rel, ulp, worst_old, worst_new))
             stats[1:] = stats[1] + 1, stats[2] + len(moves), max(stats[3], rel), max(stats[4], ulp)
     print(f"{len(old.keys() & new.keys())} cases in both, {len(structural)} structural, "
           f"{len(moved)} moved by rounding", file=out)
@@ -306,8 +322,9 @@ def compare(old_path, new_path, out=None):
     print("| --- | ---: | ---: | ---: | ---: | ---: |", file=out)
     for cls, (count, n_moved, tokens, rel, ulp) in sorted(classes.items()):
         print(f"| {cls} | {count} | {n_moved} | {tokens} | {rel:.2g} | {ulp} |", file=out)
-    for name, tokens, rel, ulp in moved:
-        print(f"moved: {name}: {tokens} tokens, max rel {rel:.2g}, max {ulp} ulp", file=out)
+    for name, tokens, rel, ulp, worst_old, worst_new in moved:
+        print(f"moved: {name}: {tokens} tokens, max rel {rel:.2g}, max {ulp} ulp, "
+              f"worst {worst_old} -> {worst_new}", file=out)
     for name, why in structural:
         print(f"STRUCTURAL: {name}: {why}", file=out)
     return 1 if structural else 0

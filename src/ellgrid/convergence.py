@@ -37,6 +37,7 @@ from .errors import (
     WindowTooSmallError,
     _attrs,
     _finite,
+    _list,
     _order,
     _real,
 )
@@ -594,13 +595,14 @@ def rate_map(sol, re_axis, im_axis, n_min, n_max, smalldiv_threshold=0.05):
     holds what empirical_rate and RatePredictor.rate give at its point, up to
     rounding, but the grid is swept at once, by columns: one term sweep and
     small-divisor scan, one closed-form evaluation of the predicted rates,
-    and one flag code per cell; no row is formed here.  A bad window, threshold or axis entry
-    (one that is not a finite real) is a ValidationError naming it, raised before any work, as
-    is an n_max outside the order rule `solver._sum_order`, as in empirical_rate; a window
-    shorter than five terms flags every cell WindowTooSmall.
+    and one flag code per cell; no row is formed here.  A bad window, threshold, axis (one that
+    is not a list) or axis entry (one that is not a finite real) is a ValidationError naming it,
+    raised before any work, as is an n_max outside the order rule `solver._sum_order`, as in
+    empirical_rate; a window shorter than five terms flags every cell WindowTooSmall.
     """
     n_min, n_max, smalldiv_threshold = _fit_args(sol, n_min, n_max, smalldiv_threshold)
-    res, ims = list(re_axis), list(im_axis)
+    res, ims = (_list(v, name, "a list of real numbers")
+                for v, name in ((re_axis, "re_axis"), (im_axis, "im_axis")))
     for name, axis in (("re_axis", res), ("im_axis", ims)):
         for i, v in enumerate(axis):
             _real(v, f"{name}[{i}]")

@@ -9,10 +9,12 @@ from __future__ import annotations
 import cmath
 
 from .errors import (
+    Frozen,
     LeadingCoefficientVanishesError,
     ValidationError,
     VerticalTangentError,
     _finite,
+    _kept,
     _real,
 )
 from .poly import Polynomial, reduced_abs, solve_quadratic
@@ -22,7 +24,7 @@ DYDX_ONCURVE_TOL = 1e-8     # on-curve bound for the points implicit_dy_dx accep
 LEAD_TOL = 1e-12
 
 
-class RootPair:
+class RootPair(Frozen):
     """The two y-roots (or x-roots) of the curve over a fixed point.
 
     Unordered by intent: `lo`/`hi` only record which root carries the minus
@@ -33,8 +35,7 @@ class RootPair:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        self.lo = lo
-        self.hi = hi
+        self._set(lo=lo, hi=hi)
 
     def as_tuple(self):
         return self.lo, self.hi
@@ -116,12 +117,7 @@ def walk_flips(curve):
     as `complement` does.  Up to two guarded Newton steps on the curve's own F then only
     remove accumulated rounding, accepting a correction only while |F| decreases (so branch
     points, where dF = V1 + 2 V2 s ~ 0, are left alone).  F rounds as the curve's __call__."""
-    try:
-        return curve._flips
-    except AttributeError:
-        flips = _flip(curve, True), _flip(curve, False)
-        object.__setattr__(curve, "_flips", flips)
-        return flips
+    return _kept(curve, "_flips", lambda c: (_flip(c, True), _flip(c, False)))
 
 
 def _flip(curve, over_x):
@@ -179,7 +175,7 @@ def _scaled_powers(t):
     return b * b, a * b, a * a
 
 
-class BiquadraticCurve:
+class BiquadraticCurve(Frozen):
     """Immutable 3x3 coefficient grid c[i][j] multiplying x^i y^j."""
 
     __slots__ = ("c", "scale", "_xv", "_yv", "_P", "_flips", "_rate")
@@ -198,18 +194,11 @@ class BiquadraticCurve:
             raise ValidationError("X2 vanishes identically: curve is not quadratic in y")
         if yv[2].is_zero():
             raise ValidationError("Y2 vanishes identically: curve is not quadratic in x")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "scale", max(abs(v) for row in c for v in row))
-        object.__setattr__(self, "_xv", xv)
-        object.__setattr__(self, "_yv", yv)
         x0, x1, x2 = xv
         P = x1 * x1 - 4.0 * x0 * x2
         if P.is_zero():
             raise ValidationError("P = X1^2 - 4 X0 X2 vanishes identically (double line)")
-        object.__setattr__(self, "_P", P)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiquadraticCurve is immutable")
+        self._set(c=c, scale=max(abs(v) for row in c for v in row), _xv=xv, _yv=yv, _P=P)
 
     def __repr__(self):
         return f"BiquadraticCurve({[list(r) for r in self.c]!r})"

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import cmath
 import random
+from collections.abc import Callable
 
 import numpy as np
 
 from .errors import (
     BranchPointEvaluationError,
     EllgridError,
+    Frozen,
     MethodDegenerateError,
     NoValidSamplesError,
     PoleEvaluationError,
@@ -36,8 +38,10 @@ from .errors import (
     VerticalTangentError,
     _finite,
     _instance,
+    _list,
     _order,
 )
+from .curve import BiquadraticCurve
 from .lattice import LatticePair
 from .poly import Polynomial, RationalFunction
 
@@ -107,18 +111,20 @@ def _root_pair(curve, x):
     pair = curve.y_roots(x)
     scale = max(1.0, abs(pair.lo), abs(pair.hi))
     if abs(pair.hi - pair.lo) <= 1e-12 * scale:
-        raise BranchPointEvaluationError(f"branches coincide at x={x} (P(x)=0)")
+        raise BranchPointEvaluationError(f"branches coincide at x={x} (P(x)=0)", at=x)
     return pair
 
 
 def divided_difference(curve, f, x):
     """(D f)(x) = (f(psi) - f(phi))/(psi - phi); independent of root labeling."""
+    _instance(curve, BiquadraticCurve, "curve"), _instance(f, Callable, "f")
     pair = _root_pair(curve, _finite(x, "x"))
     return (f(pair.hi) - f(pair.lo)) / (pair.hi - pair.lo)
 
 
 def mean_value(curve, f, x):
     """(M f)(x) = (f(phi) + f(psi))/2."""
+    _instance(curve, BiquadraticCurve, "curve"), _instance(f, Callable, "f")
     pair = curve.y_roots(_finite(x, "x"))
     return 0.5 * (f(pair.lo) + f(pair.hi))
 
@@ -162,6 +168,7 @@ def _half_sum(curve, ru, rv):
 
 def _image(curve, f, mean):
     """The exact rational image of f = p/q under M (mean) or D."""
+    _instance(curve, BiquadraticCurve, "curve")
     if isinstance(f, Polynomial):
         f = RationalFunction(f, 1.0)
     if not isinstance(f, RationalFunction):
@@ -219,7 +226,7 @@ def basis_products(z, zeros, poles):
     return out
 
 
-class BasisPair:
+class BasisPair(Frozen):
     """Two elliptic lattices on one curve: the nodes (x_n, y_n) and poles (x'_n, y'_n).
 
     It holds no state of its own besides the two lattices: a point is read from
@@ -237,12 +244,10 @@ class BasisPair:
             if not np.allclose(a / na, b / nb, atol=1e-12) and \
                not np.allclose(a / na, -(b / nb), atol=1e-12):
                 raise ValidationError("lattices live on different curves")
-        self.curve = unprimed.curve
-        self.unprimed = unprimed
-        self.primed = primed
+        self._set(curve=unprimed.curve, unprimed=unprimed, primed=primed)
 
 
-class BasisFunction:
+class BasisFunction(Frozen):
     """Xb_n or Yb_n: zeros at the first n nodes, poles at primed indices 1..n.
 
     The zeros and poles are read from the lattices once, when it is made.
@@ -251,13 +256,13 @@ class BasisFunction:
     __slots__ = ("n", "zeros", "poles")
 
     def __init__(self, pair, n, kind):
+        _instance(pair, BasisPair, "pair")
         n = _order(n, "n", lo=0)
         if kind not in ("x", "y"):
             raise ValidationError("basis kind must be 'x' or 'y'")
         axis = 0 if kind == "x" else 1
-        self.n = n
-        self.zeros = pair.unprimed.values(0, n)[axis]
-        self.poles = pair.primed.values(1, n + 1)[axis]
+        self._set(n=n, zeros=pair.unprimed.values(0, n)[axis],
+                  poles=pair.primed.values(1, n + 1)[axis])
 
     def __call__(self, z):
         return basis_products(_finite(z, "z"), self.zeros, self.poles)[-1]
@@ -358,7 +363,8 @@ def _cn_routes(curve, reads, orders, methods):
             try:
                 prod = basis_products(s, ys[1:n], poles)[-1]
             except PoleEvaluationError:
-                raise MethodDegenerateError(f"C_{n}({m}): poles collide at {s}") from None
+                raise MethodDegenerateError(
+                    f"C_{n}({m}): poles collide at {s}", index=n) from None
             num = prod * (s - ys[n]) / dydx * (z - far)
         den = _guard("s - t", s - t) * x2(z) * basis_products(z, xs[1:n], xps[1:n])[-1]
         return num / _guard(f"C_n({m}) denominator", den)
@@ -369,7 +375,8 @@ def _cn_routes(curve, reads, orders, methods):
             try:
                 out[m] = route(m, n)
                 if not cmath.isfinite(out[m]):
-                    raise MethodDegenerateError(f"C_{n} by route {m} is not finite ({out[m]})")
+                    raise MethodDegenerateError(
+                        f"C_{n} by route {m} is not finite ({out[m]})", index=n)
             except EllgridError as exc:
                 out[m] = exc
         yield out
@@ -392,7 +399,7 @@ def _agreements(pair, orders):
     for n, routes in zip(orders, _cn_orders(pair, orders)):
         values = {m: _raised(cn) for m, cn in routes.items() if not isinstance(cn, DEGENERATE)}
         if len(values) < 2:
-            raise MethodDegenerateError(f"fewer than two usable C_{n} routes")
+            raise MethodDegenerateError(f"fewer than two usable C_{n} routes", index=n)
         vs = list(values.values())
         mid = max(abs(v) for v in vs)
         yield values, (max(abs(a - b) for a in vs for b in vs) / mid if mid else 0.0)
@@ -422,6 +429,7 @@ def diff_constant(pair, n, method="xm1"):
 
 def mean_poly_direct(pair, n, z):
     """D_n(z) from the definition: (M Yb_n)(z) (z - x'_0)(z - x'_n) / Xb_{n-1}(z)."""
+    _instance(pair, BasisPair, "pair")
     n, z = _order(n, "n", lo=0), _finite(z, "z")
     if n == 0:
         return 1.0 + 0j
@@ -451,16 +459,16 @@ def mean_poly_value(pair, n, at="xp0"):
     except (MethodDegenerateError, BranchPointEvaluationError, PoleEvaluationError):
         return val
     if abs(direct - val) > 1e-6 * max(1.0, abs(val)):
-        raise MethodDegenerateError(
-            f"D_{n}({at}) closed form {val} vs direct {direct}")
+        raise MethodDegenerateError(f"D_{n}({at}) closed form {val} vs direct {direct}", index=n)
     return val
 
 
 def identity_samples(pair, n, count=20, seed=7):
     """Deterministic sample points on an annulus avoiding lattice loci and poles.
 
-    Used by the identity checks; a fixed seed keeps property tests reproducible.  n >= 0,
-    count >= 1 and seed are integers, or a ValidationError names them."""
+    Used by the identity checks; a fixed seed keeps property tests reproducible.  pair is a
+    BasisPair, n >= 0, count >= 1 and seed are integers, or a ValidationError names them."""
+    _instance(pair, BasisPair, "pair")
     n, count, seed = _order(n, "n", lo=0), _order(count, "count", lo=1), _order(seed, "seed")
     pts = pair.unprimed.values(-1, n + 1)[0] + pair.primed.values(0, n + 1)[0]
     center = sum(pts) / len(pts)
@@ -521,7 +529,9 @@ def _identities(pair, orders, samples):
 def verify_diff_basis_identity(pair, n, samples):
     """Max relative error of  D Yb_n = C_n X2 Xb_{n-1} / ((x-x'_0)(x-x'_n))  on samples, skipping
     a sample at a branch point, at a pole of Yb_n or Xb_{n-1}, or at x'_0 or x'_n."""
-    n, samples = _order(n, "n", lo=0), [_finite(z, f"samples[{i}]") for i, z in enumerate(samples)]
+    _instance(pair, BasisPair, "pair")
+    n, samples = _order(n, "n", lo=0), _list(samples, "samples", "a list of complex numbers")
+    samples = [_finite(z, f"samples[{i}]") for i, z in enumerate(samples)]
     if n == 0:
         return 0.0
     return next(_identities(pair, [n], samples))

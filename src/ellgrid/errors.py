@@ -1,4 +1,4 @@
-"""Exception types shared across the library.
+"""Exception types, the immutable values' base and their first-use cache, shared by every layer.
 
 Numerical failures carry the offending point or index so callers can report
 exactly where a lattice walk or an expansion broke down.
@@ -9,8 +9,52 @@ import operator
 import sys
 
 
+class Frozen:
+    """Base of the library's immutable values: each sets its fields once, by `_set` in its
+    __init__, and any later assignment is an AttributeError("<Type> is immutable")."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+
+def _kept(obj, slot, build):
+    """obj's slot, built by build(obj) on first use and kept there, also on a Frozen value: a None
+    it builds is kept too, and nothing is kept where build raises."""
+    try:
+        return getattr(obj, slot)
+    except AttributeError:
+        value = build(obj)
+        object.__setattr__(obj, slot, value)
+        return value
+
+
 class EllgridError(Exception):
-    """Base class for every error raised by this library."""
+    """Base class for every error raised by this library, and the one constructor of each: it
+    takes the positional `fields` ("message" unless a subclass names others) and, by keyword,
+    those and `index` and `at` (None where an error names none), keeps each as an attribute (a
+    tuple where the class default is one), and its str and args are the message alone, the one
+    given, else the `template` formatted from the fields."""
+
+    fields, template = ("message",), None
+    index = at = None
+
+    def __init__(self, *args, **data):
+        if len(args) > len(self.fields) or not data.keys() <= {*self.fields, "index", "at"}:
+            raise TypeError(f"{type(self).__name__} takes {', '.join(self.fields)}, index, at")
+        data.update(zip(self.fields, args))
+        message = data.pop("message", None)
+        for name, value in data.items():
+            setattr(self, name,
+                    tuple(value) if isinstance(getattr(type(self), name, None), tuple) else value)
+        if not message and self.template:
+            message = self.template.format(**data)
+        super().__init__(*(() if message is None else (message,)))
 
 
 class ValidationError(EllgridError):
@@ -20,9 +64,7 @@ class ValidationError(EllgridError):
 class MissingFieldError(ValidationError):
     """A required configuration field is absent."""
 
-    def __init__(self, field):
-        super().__init__(f"MissingField: {field}")
-        self.field = field
+    fields, template = ("field",), "MissingField: {field}"
 
 
 class ZeroDivisorError(EllgridError):
@@ -36,17 +78,13 @@ class ConstantPolynomialError(EllgridError):
 class PoleEvaluationError(EllgridError):
     """Evaluation at a non-removable pole."""
 
-    def __init__(self, at, message=None):
-        super().__init__(message or f"non-removable pole at z={at}")
-        self.at = at
+    fields, template = ("at", "message"), "non-removable pole at z={at}"
 
 
 class LeadingCoefficientVanishesError(EllgridError):
     """The quadratic view degenerates: one root escapes to infinity, or V2(t) is not finite."""
 
-    def __init__(self, at, message=None):
-        super().__init__(message or f"leading coefficient vanishes at {at}")
-        self.at = at
+    fields, template = ("at", "message"), "leading coefficient vanishes at {at}"
 
 
 class VerticalTangentError(EllgridError):
@@ -60,17 +98,13 @@ class BranchPointEvaluationError(EllgridError):
 class LatticeSingularityError(EllgridError):
     """A lattice step hit a point where the leading quadratic coefficient vanishes."""
 
-    def __init__(self, index, message=None):
-        super().__init__(message or f"lattice singularity at step n={index}")
-        self.index = index
+    fields, template = ("index", "message"), "lattice singularity at step n={index}"
 
 
 class LatticeStagnationError(EllgridError):
     """Three consecutive steps moved by less than the stagnation threshold."""
 
-    def __init__(self, index):
-        super().__init__(f"lattice stagnated near n={index}")
-        self.index = index
+    fields, template = ("index",), "lattice stagnated near n={index}"
 
 
 class MethodDegenerateError(EllgridError):
@@ -92,10 +126,7 @@ class BranchAssignmentFailedError(EllgridError):
 class SmallDivisorError(EllgridError):
     """eta_n is 0, or the stepwise oracle's step n - 1 is singular by the oracle's own test."""
 
-    def __init__(self, index, magnitude):
-        super().__init__(f"small divisor at n={index} (|eta|={magnitude:.3e})")
-        self.index = index
-        self.magnitude = magnitude
+    fields, template = ("index", "magnitude"), "small divisor at n={index} (|eta|={magnitude:.3e})"
 
 
 class InternalInconsistencyError(EllgridError):
@@ -105,9 +136,7 @@ class InternalInconsistencyError(EllgridError):
 class NonFiniteCoefficientError(EllgridError):
     """An expansion coefficient overflowed to inf or became NaN."""
 
-    def __init__(self, index, value):
-        super().__init__(f"coefficient c_{index} is not finite ({value})")
-        self.index = index
+    fields, template = ("index", "value"), "coefficient c_{index} is not finite ({value})"
 
 
 class DegreeMismatchError(EllgridError):
@@ -117,10 +146,7 @@ class DegreeMismatchError(EllgridError):
 class HitSingularLatticeError(EllgridError):
     """The stepwise recurrence's step k is singular; values holds f(y_0) .. f(y_k)."""
 
-    def __init__(self, index, values=()):
-        super().__init__(f"stepwise recurrence singular at k={index}")
-        self.index = index
-        self.values = tuple(values)
+    fields, template, values = ("index", "values"), "stepwise recurrence singular at k={index}", ()
 
 
 class WindowTooSmallError(EllgridError):
@@ -185,3 +211,13 @@ def _real(value, name):
             and abs(value) <= sys.float_info.max:
         return float(value)
     raise ValidationError(f"{name}: expected a finite real number, got {value!r}")
+
+
+def _list(value, name, what):
+    """list(value), where value is iterable and not a string, or a ValidationError naming it."""
+    if not isinstance(value, str):
+        try:
+            return list(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name}: expected {what}, got {value!r}")

@@ -25,12 +25,14 @@ import numpy as np
 from .curve import BiquadraticCurve, abel_lifts, lead_error, lead_test, walk_flips
 from .errors import (
     EllgridError,
+    Frozen,
     LatticeSingularityError,
     LatticeStagnationError,
     LeadingCoefficientVanishesError,
     ValidationError,
     _finite,
     _instance,
+    _kept,
     _order,
 )
 
@@ -40,7 +42,7 @@ HEAD = 64               # steps a walk takes by flips in each direction before a
 TAIL_DEGREES = (0, 2)   # the degrees of P whose walks go on in closed form past the head
 
 
-class LatticeSpec:
+class LatticeSpec(Frozen):
     """Seed of a lattice: the curve and the starting point (x0, y0).
 
     y0 may be given directly, or picked from the root pair at x0 through one
@@ -77,12 +79,7 @@ class LatticeSpec:
                     raise ValidationError("y1 selector contradicts the Vieta complement of y0")
         if not curve.contains(x0, y0):
             raise ValidationError(f"seed ({x0}, {y0}) does not lie on the curve")
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "y0", y0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeSpec is immutable")
+        self._set(curve=curve, x0=x0, y0=y0)
 
     def __repr__(self):
         return f"LatticeSpec(x0={self.x0!r}, y0={self.y0!r})"
@@ -357,14 +354,13 @@ def curve_rate(curve):
     The fit is the mean step between the walk's two ends: log A there in two floats
     (`_log_pair`), the whole turns between them from the principal steps, and the division's
     remainder formed exactly."""
-    try:
-        return curve._rate
-    except AttributeError:
-        pass
+    return _kept(curve, "_rate", _fit_rate)
+
+
+def _fit_rate(curve):
     p0, p1, p2 = p = curve.discriminant_P().coeffs
     centre = -p1 / (2.0 * p2)
     r = max(abs(centre), abs(cmath.sqrt(p1 * p1 - 4.0 * p2 * p0) / (2.0 * p2))) or 1.0
-    rate = None
     try:
         lat = LatticePair(LatticeSpec(curve, centre + 3.0 * r * cmath.exp(1j), y1_index=0))
         lat.ensure(0, 2)
@@ -373,12 +369,10 @@ def curve_rate(curve):
         lat.ensure(ks[0], ks[1])
         s, a, m = _lift(p, *lat._head_span(*ks))
     except EllgridError:
-        pass
-    else:
-        if np.isfinite(a).all() and np.all(a != 0):
-            rate = tuple(s * v for v in _mean_step(a, m))
-    object.__setattr__(curve, "_rate", rate)
-    return rate
+        return None
+    if np.isfinite(a).all() and np.all(a != 0):
+        return tuple(s * v for v in _mean_step(a, m))
+    return None
 
 
 def _mean_step(a, m):

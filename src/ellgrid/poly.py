@@ -11,7 +11,13 @@ import math
 
 import numpy as np
 
-from .errors import ConstantPolynomialError, PoleEvaluationError, ValidationError, ZeroDivisorError
+from .errors import (
+    ConstantPolynomialError,
+    Frozen,
+    PoleEvaluationError,
+    ValidationError,
+    ZeroDivisorError,
+)
 
 ZERO_TOL = 1e-13        # trailing coefficients below this (relative) are trimmed
 EVAL_TOL = 1e-12        # "effectively zero" threshold for pole/deflation logic
@@ -22,7 +28,7 @@ def _not_a_number(c):
     raise TypeError(f"{c!r} is not a number")
 
 
-class Polynomial:
+class Polynomial(Frozen):
     """Dense univariate polynomial over the complex doubles."""
 
     __slots__ = ("coeffs", "max_coeff")
@@ -30,7 +36,8 @@ class Polynomial:
     def __init__(self, coeffs=(0j,)):
         try:
             cs = [_not_a_number(c) if isinstance(c, NOT_NUMBERS) else complex(c) for c in coeffs]
-        except (TypeError, ValueError) as exc:     # not iterable, or a str, bool or non-number
+        # not iterable, a str, bool or non-number, or an int past the float range
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"coeffs: expected complex numbers, got {coeffs!r} ({exc})") \
                 from None
         if not cs:
@@ -41,11 +48,7 @@ class Polynomial:
         else:
             while len(cs) > 1 and abs(cs[-1]) <= ZERO_TOL * top:
                 cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "max_coeff", max(map(abs, cs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+        self._set(coeffs=tuple(cs), max_coeff=max(map(abs, cs)))
 
     # -- constructors -----------------------------------------------------
 
@@ -266,7 +269,7 @@ def _ldexp(c, e):
     return complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))      # c 2^e, exactly
 
 
-class RationalFunction:
+class RationalFunction(Frozen):
     """Lazy ratio of two polynomials.
 
     Common roots of numerator and denominator may persist; evaluation at a
@@ -277,17 +280,13 @@ class RationalFunction:
     __slots__ = ("numer", "denom")
 
     def __init__(self, numer, denom):
-        numer = numer if isinstance(numer, Polynomial) else Polynomial._coerce(numer)
-        denom = denom if isinstance(denom, Polynomial) else Polynomial._coerce(denom)
-        if numer is None or denom is None:
-            raise TypeError("numer/denom must be polynomials or scalars")
-        if denom.is_zero():
+        p, q = Polynomial._coerce(numer), Polynomial._coerce(denom)
+        if p is None or q is None:
+            name, v = ("numer", numer) if p is None else ("denom", denom)
+            raise ValidationError(f"{name}: expected a Polynomial or a number, got {v!r}")
+        if q.is_zero():
             raise ZeroDivisorError("rational function with zero denominator")
-        object.__setattr__(self, "numer", numer)
-        object.__setattr__(self, "denom", denom)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
+        self._set(numer=p, denom=q)
 
     def __repr__(self):
         return f"RationalFunction({self.numer!r}, {self.denom!r})"

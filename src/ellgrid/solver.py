@@ -32,6 +32,7 @@ from .errors import (
     BranchAssignmentFailedError,
     DegreeMismatchError,
     EllgridError,
+    Frozen,
     HitSingularLatticeError,
     InternalInconsistencyError,
     LatticeSingularityError,
@@ -43,6 +44,8 @@ from .errors import (
     _attrs,
     _finite,
     _instance,
+    _kept,
+    _list,
     _order,
 )
 from .lattice import LatticePair, LatticeSpec, _two_sum
@@ -60,11 +63,12 @@ def _polynomial(p, name):
     """p (a Polynomial or its coefficients) as a Polynomial, or a ValidationError naming the first
     coefficient that is not a finite complex number, checked before Polynomial trims any."""
     given = isinstance(p, Polynomial)
-    cs = [_finite(v, f"{name}[{i}]") for i, v in enumerate(p.coeffs if given else p)]
+    cs = [_finite(v, f"{name}[{i}]")
+          for i, v in enumerate(p.coeffs if given else _list(p, name, "complex numbers"))]
     return p if given else Polynomial(cs)
 
 
-class DifferenceEquation:
+class DifferenceEquation(Frozen):
     """a (D f) = c (M f) + d with c = (beta x + gamma) X2, d = (delta x + eps) X2.
 
     Immutable.  What the equation alone determines is built on first use and kept in its
@@ -81,17 +85,8 @@ class DifferenceEquation:
         beta, gamma, delta, eps = (_finite(v, name) for v, name in (
             (beta, "beta"), (gamma, "gamma"), (delta, "delta"), (eps, "eps")))
         x2 = curve.x_view()[2]
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "c", Polynomial((gamma, beta)) * x2)
-        object.__setattr__(self, "d", Polynomial((eps, delta)) * x2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DifferenceEquation is immutable")
+        self._set(curve=curve, a=a, beta=beta, gamma=gamma, delta=delta, eps=eps,
+                  c=Polynomial((gamma, beta)) * x2, d=Polynomial((eps, delta)) * x2)
 
     @classmethod
     def from_polynomials(cls, curve, a, c, d):
@@ -169,10 +164,10 @@ def _step_kernel(eq):
     the others).  dy = 0, a step through a branch point of the y-view, is singular (its terms are
     not finite).
     Built on first use and kept on eq: the certificates, eta_n and the oracle share one kernel."""
-    try:
-        return eq._step
-    except AttributeError:
-        pass
+    return _kept(eq, "_step", _build_step_kernel)
+
+
+def _build_step_kernel(eq):
     am, ad, cm, cd = eq.a.max_coeff, eq.a.degree(), eq.c.max_coeff, eq.c.degree()
 
     def step(x, dy):
@@ -186,7 +181,6 @@ def _step_kernel(eq):
             size = np.maximum(size, 1e-300)
             singular = (dy == 0) | ((np.abs(den) <= SINGULAR_STEP_TOL * size) & (size < np.inf))
         return ax, cx, ratio, den, size, singular
-    object.__setattr__(eq, "_step", step)
     return step
 
 
@@ -213,10 +207,10 @@ def special_point_candidates(eq):
     come back sorted by (Re, Im), as a new list on every call, found on the first call and kept
     on eq, since they depend on the equation alone; a NoSpecialPointError is not kept.
     """
-    try:
-        return list(eq._cands)
-    except AttributeError:
-        pass
+    return list(_kept(eq, "_cands", _find_candidates))
+
+
+def _find_candidates(eq):
     if eq.is_logarithmic:
         rts = eq.a.roots()
     else:
@@ -246,9 +240,7 @@ def special_point_candidates(eq):
         out[r] = p and (*p, r_uv, r_vu)
     if not out:
         raise NoSpecialPointError("no root passes back-substitution")
-    cands = {r: out[r] for r in sorted(out, key=lambda z: (z.real, z.imag))}
-    object.__setattr__(eq, "_cands", cands)
-    return list(cands)
+    return {r: out[r] for r in sorted(out, key=lambda z: (z.real, z.imag))}
 
 
 def _polish_condition_root(beta, P, dP, lin, a, da, r):
@@ -496,7 +488,7 @@ def _checked_coefficients(eq, pair, N, c0, products, bound, key, diag):
     if bad.any():
         n = int(bad.argmax()) + 1
         raise InternalInconsistencyError(
-            f"ratio recurrence vs running product disagree at n={n} ({gaps[n - 1]:.2e})")
+            f"ratio recurrence vs running product disagree at n={n} ({gaps[n - 1]:.2e})", index=n)
     diag["product_gaps"] = [0.0] + gaps.tolist()
     diag[key] = max(diag["product_gaps"])
     if N >= 1:
@@ -692,9 +684,9 @@ def _defect(eq, sol, N, z, lo, hi):
 
 def residual(eq, sol, N, z):
     """Defect a (D S_N) - c (M S_N) - d at z (vanishes on early lattice points), by `_defect` over
-    the root pair solved at z; a non-finite z is a ValidationError naming it."""
+    the root pair solved at z; an eq or a z of the wrong kind is a ValidationError naming it."""
     z = _finite(z, "z")
-    roots = _root_pair(eq.curve, z)
+    roots = _root_pair(_instance(eq, DifferenceEquation, "eq").curve, z)
     return _defect(eq, sol, N, z, roots.lo, roots.hi)
 
 

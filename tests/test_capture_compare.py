@@ -72,8 +72,52 @@ def test_rounding_moves_are_counted_by_case_and_class(tmp_path):
     assert report.splitlines()[0] == "4 cases in both, 0 structural, 2 moved by rounding"
     assert "| cli ratemap | 1 | 1 | 1 | 1.5e-16 | 1 |" in report
     assert "| solve | 1 | 1 | 2 | 4.4e-16 | 2 |" in report
-    assert "moved: solve s: 2 tokens, max rel 4.4e-16, max 2 ulp" in report
+    lines = report.splitlines()
+    assert f"moved: solve s: 2 tokens, max rel 4.4e-16, max 2 ulp, worst +2 -> +{up(2.0, 2)}" \
+        in lines
+    assert ("moved: cli ratemap m: 1 tokens, max rel 1.5e-16, max 1 ulp, worst 0.721787123474047 "
+            f"-> {up(0.721787123474047)}") in lines
     assert "STRUCTURAL" not in report
+
+
+GENUS1 = "solve genus1-8 ByIndex(i=0, j=3) N=40"
+FIXTURE = "solve linear N=40"
+SOLVED = {      # genus-1 (coefficients, max error); fixture (..., errors, max error, skipped)
+    GENUS1: "(((0.5+0j), (-0.25+1e-09j)), 9.9e-08)",
+    FIXTURE: "(SpecialPoints(x_m1=1j, res_m1=0.0), (-0.5j,), (0.0, 5e-08), 5e-08, (2,))",
+    "solve raising": "raise SmallDivisorError: small divisor at n=3 (|eta|=1.500e-20)",
+}
+
+
+@pytest.mark.parametrize("name, old, new", [
+    (GENUS1, "9.9e-08)", "1.05e-07)"),
+    (GENUS1, "9.9e-08)", f"{up(1e-07)})"),
+    (FIXTURE, "5e-08), 5e-08,", "5e-08), 2.5e-07,"),
+], ids=["genus1 up", "genus1 just past the bound", "fixture up"])
+def test_an_interpolation_error_across_the_verify_bound_is_structural(tmp_path, name, old, new):
+    """A solve case's interpolation error, its last float, that crosses 1e-7 moves verify's
+    PASS/FAIL: structural, both ways, though its text only moved a float."""
+    cases = dict(SOLVED)
+    cases[name] = cases[name].replace(old, new)
+    for before, after in ((SOLVED, cases), (cases, SOLVED)):
+        code, report = compare(tmp_path, before, after)
+        assert code == 1 and "1 structural, 0 moved by rounding" in report.splitlines()[0]
+        line = next(ln for ln in report.splitlines() if ln.startswith("STRUCTURAL"))
+        assert line.startswith(f"STRUCTURAL: {name}: interpolation error ") \
+            and line.endswith(" crosses the verify bound 1e-07"), line
+
+
+def test_an_interpolation_error_on_one_side_of_the_bound_is_rounding(tmp_path):
+    """Moves that keep the verdict stay rounding moves (1e-7 itself passes), and so does a float
+    in an error's message or in a solve case's other fields."""
+    cases = {GENUS1: SOLVED[GENUS1].replace("9.9e-08", "1e-07").replace("1e-09j", "3e-07j"),
+             FIXTURE: SOLVED[FIXTURE].replace("(0.0, 5e-08), 5e-08", "(0.0, 2e-07), 9e-08"),
+             "solve raising": SOLVED["solve raising"].replace("1.500e-20", "3.000e-07")}
+    code, report = compare(tmp_path, SOLVED, cases)
+    lines = report.splitlines()
+    assert code == 0 and lines[0] == "3 cases in both, 0 structural, 3 moved by rounding"
+    worst = [ln.partition(", worst ")[2] for ln in lines if ln.startswith("moved: ")]
+    assert worst == ["+1e-09 -> +3e-07", "5e-08 -> 2e-07", "1.500e-20 -> 3.000e-07"]
 
 
 @pytest.mark.parametrize("name, old, new", [

@@ -482,6 +482,20 @@ def test_module_entrypoint(tmp_path):
     assert proc.stdout.startswith("n,re_x")
 
 
+def test_a_rate_map_leaves_numpy_ma_unimported(tmp_path):
+    """`ellgrid ratemap` in a fresh interpreter imports no numpy.ma (about 13-20 ms of every
+    process, through np.median or np.unique): within one test session another test may have
+    imported it already, so only a new process can see it."""
+    cfg = write_cfg(tmp_path, "rate.json", qlog_ratemap_cfg(str(tmp_path / "rates.csv")))
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys\nfrom ellgrid.cli import main\n"
+            f"print(main(['ratemap', '--config', {cfg!r}, '--quiet']), 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
 def test_solve_nonfinite_coefficients_exit_numerical(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "aw.json", solve_cfg(aw_fixture, 400))
     out = tmp_path / "aw.out.json"

@@ -25,7 +25,7 @@ from ellgrid import (
     write_rate_map_csv,
 )
 from ellgrid.convergence import path_integral, period_quadrature, route_path, trace_lattice_locus
-from ellgrid.diffops import pole_hit
+from ellgrid.diffops import BasisPair, pole_hit
 from ellgrid.errors import (
     PathThroughBranchPointError,
     PoleEvaluationError,
@@ -776,6 +776,10 @@ RATE_LAYER_ENTRY_POINTS = {     # name: (parameter, what it expects, call(value)
                               lambda v: detect_small_divisors(v, 10, 0.05)),
     "solution_to_json": ("sol", "an ExpansionSolution", solution_to_json),
     "write_rate_map_csv": ("rows", "rate_map rows", lambda v: write_rate_map_csv(v, io.StringIO())),
+    "rate_map.re_axis": ("re_axis", "a list of real numbers",
+                         lambda v: rate_map(solve_log_qlattice(N=30)[0], v, [0.5], 5, 25)),
+    "rate_map.im_axis": ("im_axis", "a list of real numbers",
+                         lambda v: rate_map(solve_log_qlattice(N=30)[0], [1.0], v, 5, 25)),
 }
 
 
@@ -892,7 +896,7 @@ def test_grid_matches_joukowski_truth_around_branch_points():
     poles are its nodes), so every empirical cell is flagged and only the
     predicted column is read."""
     sol = aw_rotation_solution()
-    sol.coeffs, sol.pair.primed = (0j,) * 26, sol.pair.unprimed
+    sol.coeffs, sol.pair = (0j,) * 26, BasisPair(sol.pair.unprimed, sol.pair.unprimed)
     predictor = RatePredictor(sol)
     re, im = np.linspace(-3.0, 3.0, 25), np.linspace(-1.2, -0.4, 5)
     zs = [complex(x, y) for y in im for x in re]

@@ -100,17 +100,30 @@ def test_divmod_roundtrip():
     assert rem.degree() < q.degree()
 
 
-@pytest.mark.parametrize("coeffs, entry", [
-    ("12", "'1'"), ([True, 2], "True"), (["1e400", 1], "'1e400'"), ([np.True_, 2], "np.True_"),
-    ((1.0, np.False_), "np.False_"), ([1, np.str_("2")], "np.str_('2')"),
-], ids=["str", "bool", "str entry", "np.bool_", "np.bool_ last", "np.str_"])
-def test_strings_and_bools_are_not_coefficients(coeffs, entry):
+@pytest.mark.parametrize("coeffs, reason", [
+    ("12", "'1' is not a number"), ([True, 2], "True is not a number"),
+    (["1e400", 1], "'1e400' is not a number"), ([np.True_, 2], "np.True_ is not a number"),
+    ((1.0, np.False_), "np.False_ is not a number"),
+    ([1, np.str_("2")], "np.str_('2') is not a number"),
+    ([1, 2**1100], "int too large to convert to float"),
+], ids=["str", "bool", "str entry", "np.bool_", "np.bool_ last", "np.str_", "int past floats"])
+def test_strings_and_bools_are_not_coefficients(coeffs, reason):
     """A string or a bool is refused, though complex() takes it: '12' would read 1 + 2x,
-    [True, 2] 1 + 2x and ['1e400', 1] the constant inf."""
+    [True, 2] 1 + 2x and ['1e400', 1] the constant inf.  An int past the float range is
+    refused too, not an untyped OverflowError."""
     with pytest.raises(ValidationError) as err:
         Polynomial(coeffs)
-    assert str(err.value) == \
-        f"coeffs: expected complex numbers, got {coeffs!r} ({entry} is not a number)"
+    assert str(err.value) == f"coeffs: expected complex numbers, got {coeffs!r} ({reason})"
+
+
+@pytest.mark.parametrize("bad", [None, "a", [1.0], X.coeffs], ids=["None", "str", "list", "tuple"])
+def test_a_rational_function_takes_polynomials_and_numbers(bad):
+    """A numerator or denominator that is neither a Polynomial nor a number is a ValidationError
+    naming it, not a bare TypeError."""
+    for args, name in (((bad, X), "numer"), ((X, bad), "denom")):
+        with pytest.raises(ValidationError) as err:
+            RationalFunction(*args)
+        assert str(err.value) == f"{name}: expected a Polynomial or a number, got {bad!r}"
 
 
 def test_nan_and_inf_coefficients_stay_allowed():

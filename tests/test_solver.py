@@ -16,15 +16,22 @@ from ellgrid import (
     LatticeSpec,
     LinearLattice,
     Nearest,
+    divided_difference,
+    divided_difference_rational,
     evaluate_partial_sum,
     expansion_coefficients,
     expansion_coefficients_log,
     generate,
+    identity_samples,
     locate_special_points,
+    mean_poly_direct,
+    mean_rational,
+    mean_value,
     residual,
     solution_to_json,
     solve,
     stepwise_oracle,
+    verify_diff_basis_identity,
     verify_interpolation,
 )
 from ellgrid.diffops import C_METHODS, diff_constant, diff_constants
@@ -116,12 +123,30 @@ def test_a_first_argument_of_the_wrong_kind_is_refused(entry, bad):
 
 def pipeline_argument_entry_points():
     """{name: (parameter, what it expects, call(value))} for the pipeline steps' equation,
-    special-point and basis-pair arguments, and a polynomial's coefficients."""
+    special-point and basis-pair arguments, the D and M operators' curve and function, the
+    basis calls' pair, and a polynomial's or an identity check's list of numbers."""
     eq, select = linear_fixture()
     sol = solve(eq, select, 10)
     leq, lselect, c0_free, *_ = log_linear_fixture()
     lsol = solve(leq, lselect, 10, c0_free=c0_free)
+    curve, pair, z = eq.curve, sol.pair, 0.3 + 0.2j
     return {
+        **{f"{op.__name__}.curve": ("curve", "a BiquadraticCurve", lambda v, op=op: op(v, X, 0.3))
+           for op in (divided_difference, mean_value)},
+        **{f"{op.__name__}.f": ("f", "a Callable", lambda v, op=op: op(curve, v, 0.3))
+           for op in (divided_difference, mean_value)},
+        **{f"{op.__name__}.curve": ("curve", "a BiquadraticCurve", lambda v, op=op: op(v, X))
+           for op in (divided_difference_rational, mean_rational)},
+        "BasisFunction.pair": ("pair", "a BasisPair", lambda v: BasisFunction(v, 2, "y")),
+        "identity_samples.pair": ("pair", "a BasisPair", lambda v: identity_samples(v, 2)),
+        "mean_poly_direct.pair": ("pair", "a BasisPair", lambda v: mean_poly_direct(v, 2, z)),
+        "verify_diff_basis_identity.pair": ("pair", "a BasisPair",
+                                            lambda v: verify_diff_basis_identity(v, 2, [z])),
+        "verify_diff_basis_identity.samples": ("samples", "a list of complex numbers",
+                                               lambda v: verify_diff_basis_identity(pair, 2, v)),
+        "residual.eq": ("eq", "a DifferenceEquation", lambda v: residual(v, sol, 5, z)),
+        "DifferenceEquation.a": ("a", "complex numbers",
+                                 lambda v: DifferenceEquation(curve, v, 0, 1, 1, 0)),
         "build_lattices.eq": ("eq", "a DifferenceEquation",
                               lambda v: build_lattices(v, sol.special)),
         "build_lattices.special": ("special", "a SpecialPoints",
