@@ -205,7 +205,8 @@ CHECKS = {"ratemap-script": ratemap_script, "inprocess-ratemap": inprocess_ratem
 def configs(work):
     """The README's scenario as solve.json and its edits (verify, lattice, ratemap, and bad,
     frac and curve, which the console script refuses), loglin.json, genus1.json (the rate-map
-    script's equation on a genus-1 curve) and the Askey-Wilson lattices aw600 and aw1100."""
+    script's equation on a genus-1 curve), the Askey-Wilson lattices aw600 and aw1100, and
+    huge.json, aw600 with params.n_max = 1e300, past MAX_ORDER, which the console script refuses."""
     text = readme_config()
     work.mkdir(parents=True, exist_ok=True)
     (work / "solve.json").write_text(text, encoding="utf-8")
@@ -222,9 +223,12 @@ def configs(work):
     eq, select, _, _, hints = log_qlattice_fixture(shift=1e-2)
     grid = {"re": [0.75, 1.35, 5], "im": [0.75, 1.35, 5]}
     genus1 = scenario_config(eq, explicit(select), {"window": [5, 25], "grid": grid}, hints)
+    huge = aw_lattice_config(600)
+    huge["params"]["n_max"] = 1e300
     for name, cfg in (("verify", verify), ("lattice", lattice), ("ratemap", ratemap),
                       ("bad", bad), ("frac", frac), ("curve", curve), ("genus1", genus1),
-                      ("aw600", aw_lattice_config(600)), ("aw1100", aw_lattice_config(1100))):
+                      ("aw600", aw_lattice_config(600)), ("aw1100", aw_lattice_config(1100)),
+                      ("huge", huge)):
         with open(work / f"{name}.json", "w", encoding="utf-8") as fh:
             json.dump(cfg, fh)
 

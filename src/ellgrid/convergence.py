@@ -649,6 +649,7 @@ def write_rate_map_csv(rows, stream):
     tiled), or from any other iterable of rows transposed into the same columns;
     each rate column is formatted in one map, and the lines are joined at once.
     """
+    _attrs(stream, "stream", "write")
     if isinstance(rows, RateMap):
         (res, ims), (emp, pred), table = rows._axes, rows._rates, rows._flags
         code = rows._code.tolist()

@@ -275,9 +275,9 @@ class BasisFunction(Frozen):
 # -- the constants C_n and the quadratic values D_n ---------------------------------------
 
 
-def _guard(label, value):
+def _guard(label, value, n):
     if abs(value) <= 1e-280:
-        raise MethodDegenerateError(f"{label} ~ 0 ({abs(value):.3e})")
+        raise MethodDegenerateError(f"{label} ~ 0 ({abs(value):.3e})", index=n)
     return value
 
 
@@ -292,10 +292,10 @@ def _xm1_route(curve, reads, N):
     yb, xb = _prefix(ym1, ys[1:N + 1], yps[1:N + 1]), _prefix(xm1, xs[1:N], xps[1:N])
     k, cns = min(len(yb) - 1, len(xb)), [0j]
     try:
-        head = _guard("y0 - y_{-1}", ys[1] - ym1) * curve.x_view()[2](xm1) if k else None
+        head = _guard("y0 - y_{-1}", ys[1] - ym1, 1) * curve.x_view()[2](xm1) if k else None
         for n in range(1, k + 1):
             num = -yb[n] * (xm1 - xp0) * (xm1 - xps[n])
-            cns.append(num / _guard("C_n(xm1) denominator", head * xb[n - 1]))
+            cns.append(num / _guard("C_n(xm1) denominator", head * xb[n - 1], n))
     except EllgridError as exc:
         return cns, exc
     return cns, None if k == N else PoleEvaluationError(ym1 if len(yb) <= k + 1 else xm1)
@@ -359,15 +359,15 @@ def _cn_routes(curve, reads, orders, methods):
         else:
             (z, s, t), far, poles = ((table["xp0"], xps[n], yps[2:n + 1]) if m == "resp0"
                                      else (table["xpn"], xps[0], yps[1:n]))
-            dydx = _guard("dy/dx", curve.implicit_dy_dx(z, s))
+            dydx = _guard("dy/dx", curve.implicit_dy_dx(z, s), n)
             try:
                 prod = basis_products(s, ys[1:n], poles)[-1]
             except PoleEvaluationError:
                 raise MethodDegenerateError(
                     f"C_{n}({m}): poles collide at {s}", index=n) from None
             num = prod * (s - ys[n]) / dydx * (z - far)
-        den = _guard("s - t", s - t) * x2(z) * basis_products(z, xs[1:n], xps[1:n])[-1]
-        return num / _guard(f"C_n({m}) denominator", den)
+        den = _guard("s - t", s - t, n) * x2(z) * basis_products(z, xs[1:n], xps[1:n])[-1]
+        return num / _guard(f"C_n({m}) denominator", den, n)
 
     for n in orders:
         out = {}

@@ -8,6 +8,8 @@ import numbers
 import operator
 import sys
 
+MAX_ORDER = 10**6   # bound on |order| and |lattice index|: 100x the most (10^4) any input uses
+
 
 class Frozen:
     """Base of the library's immutable values: each sets its fields once, by `_set` in its
@@ -55,6 +57,10 @@ class EllgridError(Exception):
         if not message and self.template:
             message = self.template.format(**data)
         super().__init__(*(() if message is None else (message,)))
+
+    def __reduce__(self):
+        """pickle and copy rebuild the error from its class, args and fields, not its __init__."""
+        return Exception.__new__, (type(self), *self.args), self.__dict__
 
 
 class ValidationError(EllgridError):
@@ -177,14 +183,17 @@ def _attrs(value, name, *attrs):
 
 
 def _order(value, name, lo=None):
-    """value as an int, where operator.index takes it and it is not a bool, and not below lo
-    where lo is given: an order N or K, or a lattice index."""
+    """value as an int, where operator.index takes it and it is not a bool, at most MAX_ORDER in
+    absolute value, and not below lo where lo is given: an order N or K, or a lattice index."""
     if not isinstance(value, bool):
         try:
             n = operator.index(value)
         except TypeError:
             pass
         else:
+            if abs(n) > MAX_ORDER:      # its size in bits: str() of a huge int can itself fail
+                raise ValidationError(f"{name} must be at most {MAX_ORDER} in absolute value, "
+                                      f"got a {n.bit_length()}-bit integer")
             if lo is not None and n < lo:
                 raise ValidationError(f"{name} must be >= {lo}, got {n}")
             return n

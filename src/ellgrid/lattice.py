@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -142,13 +142,15 @@ class LatticePair:
         return tuple(np.array(v, dtype=complex) for v in self.values(n_lo, n_hi))
 
     def ensure(self, n_min, n_max):
-        """Materialize indices n_min..n_max: integers where operator.index takes them, not bools."""
+        """Materialize indices n_min..n_max: integers by `_order`'s rule, bounds included."""
         if type(n_min) is not int or type(n_max) is not int:
             n_min, n_max = _order(n_min, "lattice index"), _order(n_max, "lattice index")
-        if n_max >= len(self._x):
-            self._step_forward(n_max - len(self._x) + 1)
-        if -n_min > len(self._x_back):
-            self._step_backward(-n_min - len(self._x_back))
+        if n_max >= len(self._x) or -n_min > len(self._x_back):
+            _order(max(n_max, -n_min), "lattice index")     # MAX_ORDER, before any step
+            if n_max >= len(self._x):
+                self._step_forward(n_max - len(self._x) + 1)
+            if -n_min > len(self._x_back):
+                self._step_backward(-n_min - len(self._x_back))
 
     def _step_forward(self, count):
         """Materialize the next `count` indices past the known range, forward (y then x)."""
@@ -450,6 +452,11 @@ def generate(spec, n_min, n_max):
 
 class _ClosedForm:
     """Shared by the closed-form families: `point(n)` and `curve()` define the walk."""
+
+    def __post_init__(self):
+        for f in fields(self):      # a finite complex number, or None where that is the default
+            if not getattr(self, f.name) is f.default is None:
+                _finite(getattr(self, f.name), f.name)      # checked, and kept as given
 
     def spec(self):
         x0, y0 = self.point(0)

@@ -243,7 +243,8 @@ def solve_quadratic(c0, c1, c2):
     for s the principal square root of the discriminant; the larger-magnitude
     root is computed by the classic formula and the other from the product.
     """
-    c0, c1, c2 = complex(c0), complex(c1), complex(c2)
+    if not type(c0) is type(c1) is type(c2) is complex:     # Polynomial's rule, off the fast path
+        c0, c1, c2 = (_coefficient(c, f"c{k}") for k, c in enumerate((c0, c1, c2)))
     if c2 == 0:
         raise ZeroDivisorError("quadratic with zero leading coefficient")
     disc = c1 * c1 - 4.0 * c2 * c0
@@ -263,6 +264,14 @@ def solve_quadratic(c0, c1, c2):
     else:
         lo, hi = small, big
     return lo, hi, _ldexp(s, e) if e else s
+
+
+def _coefficient(c, name):
+    """c as a complex number by Polynomial's rule, or a ValidationError naming it."""
+    try:
+        return _not_a_number(c) if isinstance(c, NOT_NUMBERS) else complex(c)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name}: expected a complex number, got {c!r}") from None
 
 
 def _ldexp(c, e):

@@ -470,7 +470,6 @@ def _checked_coefficients(eq, pair, N, c0, products, bound, key, diag):
     relative.  diag gets the gaps for n = 0 .. N (0 at n = 0, where both routes take c_0) under
     "product_gaps", their maximum under key, and the c_1 routes' gap under "c1_routes_rel".
     """
-    diag = {} if diag is None else diag
     cs, c1_step, ps = [c0], None, np.empty(0)
     if N >= 1:
         reads = _reads(pair, N)
@@ -523,7 +522,7 @@ def expansion_coefficients(eq, pair, N, diag=None):
     must agree with the stepwise oracle to 1e-6 (InternalInconsistency otherwise).
     """
     _instance(eq, DifferenceEquation, "eq"), _instance(pair, BasisPair, "pair")
-    N = _order(N, "N", lo=0)
+    N, diag = _order(N, "N", lo=0), {} if diag is None else _instance(diag, dict, "diag")
     if eq.is_logarithmic:
         raise ValidationError("c = 0: use expansion_coefficients_log")
     return _checked_coefficients(eq, pair, N, _c0(eq, pair.unprimed.x(-1)), _closed_products,
@@ -553,6 +552,7 @@ def expansion_coefficients_log(eq, pair, N, c0_free, diag=None):
     """
     _instance(eq, DifferenceEquation, "eq"), _instance(pair, BasisPair, "pair")
     N, c0_free = _order(N, "N", lo=0), _finite(c0_free, "c0_free")
+    diag = {} if diag is None else _instance(diag, dict, "diag")
     if not eq.is_logarithmic:
         raise ValidationError("equation is not logarithmic (c != 0)")
     zeta = third_root_of_a(eq, pair)
@@ -560,8 +560,7 @@ def expansion_coefficients_log(eq, pair, N, c0_free, diag=None):
     if not abs(eq.d(xm1)) <= 1e-8 * eq.scale(xm1):             # NaN fails
         raise ValidationError(
             "logarithmic expansions need d(x_{-1}) = 0; seed x_{-1} at the root of d")
-    if diag is not None:
-        diag["zeta"] = zeta
+    diag["zeta"] = zeta
     return _checked_coefficients(eq, pair, N, c0_free, partial(_log_products, zeta=zeta),
                                  1e-8, "log_vs_ratio_rel", diag)
 

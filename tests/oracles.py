@@ -308,15 +308,15 @@ def _ref_cn_at(pair, n, method):
     else:
         (z, s, t), far, poles = ((table["xp0"], xps[n], yps[2:n + 1]) if method == "resp0"
                                  else (table["xpn"], xps[0], yps[1:n]))
-        dydx = diffops._guard("dy/dx", pair.curve.implicit_dy_dx(z, s))
+        dydx = diffops._guard("dy/dx", pair.curve.implicit_dy_dx(z, s), n)
         try:
             res = basis_products(s, ys[1:n], poles)[-1] * (s - ys[n])
         except PoleEvaluationError as exc:
             raise MethodDegenerateError(f"C_{n}({method}): poles collide at {exc.at}") from None
         num = res / dydx * (z - far)
-    den = diffops._guard("s - t", s - t) * pair.curve.x_view()[2](z) * \
+    den = diffops._guard("s - t", s - t, n) * pair.curve.x_view()[2](z) * \
         basis_products(z, xs[1:n], xps[1:n])[-1]
-    return num / diffops._guard(f"C_n({method}) denominator", den)
+    return num / diffops._guard(f"C_n({method}) denominator", den, n)
 
 
 def ref_diff_constant(pair, n, method):

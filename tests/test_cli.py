@@ -82,6 +82,18 @@ def test_lattice_at_large_points(tmp_path, capsys):
     assert worst <= 1e-9
 
 
+def test_a_lattice_order_past_max_order_is_a_validation_error(tmp_path, capsys):
+    """params.n_max = 1e300 is an integer the config may hold, and past MAX_ORDER: exit 2 with a
+    ValidationError line, before any step or output (it was a ValueError traceback, exit 1)."""
+    cfg_data = aw_lattice_cfg(600)
+    cfg_data["params"]["n_max"] = 1e300
+    cfg = write_cfg(tmp_path, "huge.json", cfg_data)
+    out = tmp_path / "huge.csv"
+    assert main(["lattice", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("ValidationError: n_min must be at most 1000000 ")
+    assert not out.exists()
+
+
 def test_lattice_seeded_where_the_root_pair_overflows(tmp_path, capsys):
     """A y1 selector at an x0 where the root pair is not finite is a numerical failure (exit 3)
     naming the point, not an off-curve seed."""

@@ -19,7 +19,6 @@ from ellgrid import (
     identity_samples,
     rate_map,
     residual,
-    solution_to_json,
     solve,
     term_magnitudes,
     write_rate_map_csv,
@@ -764,38 +763,6 @@ def test_rate_map_refuses_a_window_past_the_order_before_any_work(qsol, mode, mo
     with pytest.raises(ValidationError) as got:
         rate_map(sol, [2.5], [0.5], 5, K + 13)
     assert str(got.value) == str(want.value)
-
-
-SOLUTION = "an object with coeffs, pair, mode"
-RATE_LAYER_ENTRY_POINTS = {     # name: (parameter, what it expects, call(value))
-    "rate_map": ("sol", SOLUTION, lambda v: rate_map(v, [1.0], [0.5], 5, 25)),
-    "empirical_rate": ("sol", SOLUTION, lambda v: empirical_rate(v, 1.1, 5, 25)),
-    "term_magnitudes": ("sol", SOLUTION, lambda v: term_magnitudes(v, 1.1, 5)),
-    "RatePredictor": ("sol", "an object with mode, zeta, eq, pair", RatePredictor),
-    "detect_small_divisors": ("pair", "an object with unprimed",
-                              lambda v: detect_small_divisors(v, 10, 0.05)),
-    "solution_to_json": ("sol", "an ExpansionSolution", solution_to_json),
-    "write_rate_map_csv": ("rows", "rate_map rows", lambda v: write_rate_map_csv(v, io.StringIO())),
-    "rate_map.re_axis": ("re_axis", "a list of real numbers",
-                         lambda v: rate_map(solve_log_qlattice(N=30)[0], v, [0.5], 5, 25)),
-    "rate_map.im_axis": ("im_axis", "a list of real numbers",
-                         lambda v: rate_map(solve_log_qlattice(N=30)[0], [1.0], v, 5, 25)),
-}
-
-
-@pytest.mark.parametrize("bad", [None, 1, "a"], ids=["None", "int", "str"])
-@pytest.mark.parametrize("entry", list(RATE_LAYER_ENTRY_POINTS))
-def test_a_rate_layer_argument_of_the_wrong_kind_is_refused(entry, bad):
-    """A solution, basis pair or row list the rate layer cannot read is a ValidationError naming
-    the parameter, raised on entry with no RuntimeWarning, and not an untyped AttributeError or
-    TypeError from reading it.  The checks are for the attributes read, not the class, so the
-    stand-ins above (`aw_rotation_solution`, `_StubPair`) are taken."""
-    name, what, call = RATE_LAYER_ENTRY_POINTS[entry]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValidationError) as err:
-            call(bad)
-    assert str(err.value) == f"{name}: expected {what}, got {bad!r}"
 
 
 def test_rate_map_matches_cells_on_criterion_9_grid(qsol):

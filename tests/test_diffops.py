@@ -445,38 +445,6 @@ def test_order_zero_is_validated_like_any_other(call, message):
         call(half_offset_pair())
 
 
-@pytest.mark.parametrize("bad", ["a", None, True, np.nan, np.inf],
-                         ids=["str", "none", "bool", "nan", "inf"])
-@pytest.mark.parametrize("call, name", [
-    pytest.param(lambda pair, v: divided_difference(pair.curve, lambda t: t, v), "x",
-                 id="divided_difference"),
-    pytest.param(lambda pair, v: mean_value(pair.curve, lambda t: t, v), "x", id="mean_value"),
-    pytest.param(lambda pair, v: mean_poly_direct(pair, 0, v), "z", id="mean_poly_direct"),
-    pytest.param(lambda pair, v: verify_diff_basis_identity(pair, 0, [0.3 + 0.2j, v]),
-                 "samples[1]", id="identity"),
-    pytest.param(lambda pair, v: BasisFunction(pair, 2, "x")(v), "z", id="x_basis"),
-    pytest.param(lambda pair, v: BasisFunction(pair, 2, "y")(v), "z", id="y_basis"),
-])
-def test_a_point_argument_is_a_finite_number(call, name, bad):
-    """x, z and each sample are finite numbers and not bools, checked before any n = 0 value: a
-    ValidationError names the argument, not an untyped TypeError, a root-pair error or a basis
-    value of nan+nanj."""
-    with pytest.raises(ValidationError) as err:
-        call(half_offset_pair(), bad)
-    assert str(err.value) == f"{name}: expected a finite complex number, got {bad!r}"
-
-
-def test_a_basis_pair_is_made_of_lattices():
-    """Each side of a BasisPair is a LatticePair, or a ValidationError names it (not an untyped
-    AttributeError from reading its curve)."""
-    lat = half_offset_pair().unprimed
-    for args, name, bad in (((1, 2), "unprimed", 1), ((lat, 2), "primed", 2),
-                            ((lat.spec, lat), "unprimed", lat.spec), ((lat, None), "primed", None)):
-        with pytest.raises(ValidationError) as err:
-            BasisPair(*args)
-        assert str(err.value) == f"{name}: expected a LatticePair, got {bad!r}"
-
-
 @pytest.mark.parametrize("fixture, n", [(aw_fixture, 19), (aw_fixture, 30), (aw_fixture, 33),
                                         (aw_fixture, 34), (aw_fixture, 47), (aw_fixture, 59),
                                         (qgeom_fixture, 33), (qgeom_fixture, 41),

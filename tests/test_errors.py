@@ -1,12 +1,15 @@
 """The three idioms of `ellgrid.errors`: immutable values (`Frozen`), first-use caches (`_kept`)
-and the one error constructor (`EllgridError`), and the raise sites that pass their index or
-point as data."""
+and the one error constructor (`EllgridError`) with its round trip through pickle and copy, and
+the raise sites that pass their index or point as data."""
 import cmath
+import copy
+import math
+import pickle
 
 import numpy as np
 import pytest
 
-from ellgrid import errors, solve
+from ellgrid import ByIndex, errors, solve
 from ellgrid.curve import BiquadraticCurve, RootPair
 from ellgrid.diffops import BasisFunction, BasisPair, diff_constant, divided_difference
 from ellgrid.errors import (
@@ -30,7 +33,7 @@ from ellgrid.lattice import GeometricLattice, LatticePair, LatticeSpec
 from ellgrid.poly import Polynomial, RationalFunction
 from ellgrid.solver import DifferenceEquation
 
-from fixtures import aw_fixture, linear_fixture
+from fixtures import aw_fixture, genus1_equation, linear_fixture, solve_log_qlattice
 
 
 def value_types():
@@ -140,6 +143,36 @@ OLD_FORMS = [      # (error in its old positional form, its message, its attribu
 ]
 
 
+def _state(err):
+    """type, str, args and every field of err, with NaN read as its repr, so two states compare."""
+    fields = {k: repr(v) if isinstance(v, float) and math.isnan(v) else v
+              for k, v in vars(err).items()}
+    return type(err), str(err), err.args, err.index, err.at, fields
+
+
+@pytest.mark.parametrize("cls", error_types(), ids=lambda cls: cls.__name__)
+def test_every_error_survives_pickle_and_copy(cls):
+    """pickle, copy.copy and copy.deepcopy give back an error of the same type, str, args, index,
+    at and fields: for the error built from its fields alone, and with index and at given."""
+    data = {f: [3, 4] if f == "values" else "text" if f == "message" else 3 for f in cls.fields}
+    for err in (cls(**data), cls(**{**data, "index": 5, "at": 0.5j})):
+        for back in (pickle.loads(pickle.dumps(err)), copy.copy(err), copy.deepcopy(err)):
+            assert _state(back) == _state(err)
+
+
+@pytest.mark.parametrize("err", [PoleEvaluationError(1j), SmallDivisorError(3, 1e-20),
+                                 NonFiniteCoefficientError(3, math.nan),
+                                 *(err for err, _, _ in OLD_FORMS)],
+                         ids=lambda err: type(err).__name__)
+def test_a_fielded_error_survives_pickle_and_copy(err):
+    """The errors whose message is formed from their fields: the message is not formed twice
+    (PoleEvaluationError(1j) read "non-removable pole at z=non-removable pole at z=1j"), and
+    none raises on the way back (SmallDivisorError and NonFiniteCoefficientError did)."""
+    for back in (pickle.loads(pickle.dumps(err)), copy.copy(err), copy.deepcopy(err)):
+        assert _state(back) == _state(err)
+    assert str(pickle.loads(pickle.dumps(PoleEvaluationError(1j)))) == "non-removable pole at z=1j"
+
+
 @pytest.mark.parametrize("err, message, attrs", OLD_FORMS, ids=lambda v: type(v).__name__)
 def test_old_positional_forms_keep_message_args_and_attributes(err, message, attrs):
     assert str(err) == message and err.args == (message,)
@@ -179,3 +212,15 @@ def test_a_branch_point_error_carries_its_x():
     with pytest.raises(BranchPointEvaluationError, match=r"^branches coincide at x=") as err:
         divided_difference(eq.curve, lambda t: t, x)
     assert err.value.at == x and err.value.index is None
+
+
+def test_a_c_n_guard_names_its_order():
+    """The C_n routes' "~ 0" guards carry the order they evaluate as index, their text as it was:
+    g1-4 solves at N = 825 and not at 826, and the rate-map fixture stops at 1105."""
+    eq = genus1_equation(4)
+    assert len(solve(eq, ByIndex(0, 1), 825).coeffs) == 826
+    for call, n in ((lambda: solve(eq, ByIndex(0, 1), 1000), 826),
+                    (lambda: solve_log_qlattice(1105, c0_free=0.3), 1105)):
+        with pytest.raises(MethodDegenerateError, match=r"^C_n\(xm1\) denominator ~ 0 \(") as err:
+            call()
+        assert err.value.index == n and err.value.at is None

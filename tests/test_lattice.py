@@ -187,19 +187,6 @@ def test_seed_selector_is_typed(selector, message):
         assert str(info.value).startswith(message)
 
 
-@pytest.mark.parametrize("x0, y0, message", [
-    ("abc", 0.0, "x0: expected a finite complex number, got 'abc'"),
-    (None, 0.0, "x0: expected a finite complex number, got None"),
-    (float("nan"), 0.0, "x0: expected a finite complex number, got nan"),
-    (0.0, [1], "y0: expected a finite complex number, got [1]"),
-    (0.0, complex(0.0, float("inf")), "y0: expected a finite complex number, got infj"),
-], ids=["x0-string", "x0-none", "x0-nan", "y0-list", "y0-inf"])
-def test_seed_point_is_typed(x0, y0, message):
-    with pytest.raises(ValidationError) as info:
-        LatticeSpec(LinearLattice(h=1.0).curve(), x0, y0)
-    assert str(info.value) == message
-
-
 def test_seed_selector_takes_what_operator_index_takes():
     curve = LinearLattice(h=1.0).curve()
     for k in (0, 1):

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -16,22 +15,14 @@ from ellgrid import (
     LatticeSpec,
     LinearLattice,
     Nearest,
-    divided_difference,
-    divided_difference_rational,
     evaluate_partial_sum,
     expansion_coefficients,
     expansion_coefficients_log,
-    generate,
-    identity_samples,
     locate_special_points,
-    mean_poly_direct,
-    mean_rational,
-    mean_value,
     residual,
     solution_to_json,
     solve,
     stepwise_oracle,
-    verify_diff_basis_identity,
     verify_interpolation,
 )
 from ellgrid.diffops import C_METHODS, diff_constant, diff_constants
@@ -71,108 +62,6 @@ X = Polynomial.x()
 
 
 # -- equation construction ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize("bad", [None, 1, LinearLattice(h=1.0).spec()],
-                         ids=["None", "int", "LatticeSpec"])
-def test_a_curve_argument_that_is_not_a_curve_is_refused(bad):
-    """DifferenceEquation and LatticeSpec take a BiquadraticCurve, or a ValidationError names
-    the curve (not an untyped AttributeError from reading its views)."""
-    for build in (lambda: DifferenceEquation(bad, [0, 1], 0, 1, 1, 0),
-                  lambda: LatticeSpec(bad, 0, 0)):
-        with pytest.raises(ValidationError) as err:
-            build()
-        assert str(err.value) == f"curve: expected a BiquadraticCurve, got {bad!r}"
-
-
-def first_argument_entry_points():
-    """{name: (parameter, type, call(value))} for the entry points that read their first
-    argument's attributes before any other check could name it."""
-    eq, select = linear_fixture()
-    sol = solve(eq, select, 10)
-    return {
-        "from_polynomials": ("curve", "BiquadraticCurve",
-                             lambda v: DifferenceEquation.from_polynomials(v, [0, 1], [0], [1])),
-        "LatticePair": ("spec", "LatticeSpec", LatticePair),
-        "generate": ("spec", "LatticeSpec", lambda v: generate(v, 0, 3)),
-        "solve": ("eq", "DifferenceEquation", lambda v: solve(v, select, 10)),
-        "locate_special_points": ("eq", "DifferenceEquation",
-                                  lambda v: locate_special_points(v, select)),
-        "verify_interpolation": ("eq", "DifferenceEquation",
-                                 lambda v: verify_interpolation(v, sol, 10)),
-    }
-
-
-def refusal_message(call, bad):
-    """call(bad)'s ValidationError message, raised with no RuntimeWarning on the way."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValidationError) as err:
-            call(bad)
-    return str(err.value)
-
-
-@pytest.mark.parametrize("bad", [None, 1, "a"], ids=["None", "int", "str"])
-@pytest.mark.parametrize("entry", list(first_argument_entry_points()))
-def test_a_first_argument_of_the_wrong_kind_is_refused(entry, bad):
-    """A curve, seed or equation of the wrong kind is a ValidationError naming the parameter,
-    not an untyped AttributeError from reading one of its attributes."""
-    name, kind, call = first_argument_entry_points()[entry]
-    assert refusal_message(call, bad) == f"{name}: expected a {kind}, got {bad!r}"
-
-
-def pipeline_argument_entry_points():
-    """{name: (parameter, what it expects, call(value))} for the pipeline steps' equation,
-    special-point and basis-pair arguments, the D and M operators' curve and function, the
-    basis calls' pair, and a polynomial's or an identity check's list of numbers."""
-    eq, select = linear_fixture()
-    sol = solve(eq, select, 10)
-    leq, lselect, c0_free, *_ = log_linear_fixture()
-    lsol = solve(leq, lselect, 10, c0_free=c0_free)
-    curve, pair, z = eq.curve, sol.pair, 0.3 + 0.2j
-    return {
-        **{f"{op.__name__}.curve": ("curve", "a BiquadraticCurve", lambda v, op=op: op(v, X, 0.3))
-           for op in (divided_difference, mean_value)},
-        **{f"{op.__name__}.f": ("f", "a Callable", lambda v, op=op: op(curve, v, 0.3))
-           for op in (divided_difference, mean_value)},
-        **{f"{op.__name__}.curve": ("curve", "a BiquadraticCurve", lambda v, op=op: op(v, X))
-           for op in (divided_difference_rational, mean_rational)},
-        "BasisFunction.pair": ("pair", "a BasisPair", lambda v: BasisFunction(v, 2, "y")),
-        "identity_samples.pair": ("pair", "a BasisPair", lambda v: identity_samples(v, 2)),
-        "mean_poly_direct.pair": ("pair", "a BasisPair", lambda v: mean_poly_direct(v, 2, z)),
-        "verify_diff_basis_identity.pair": ("pair", "a BasisPair",
-                                            lambda v: verify_diff_basis_identity(v, 2, [z])),
-        "verify_diff_basis_identity.samples": ("samples", "a list of complex numbers",
-                                               lambda v: verify_diff_basis_identity(pair, 2, v)),
-        "residual.eq": ("eq", "a DifferenceEquation", lambda v: residual(v, sol, 5, z)),
-        "DifferenceEquation.a": ("a", "complex numbers",
-                                 lambda v: DifferenceEquation(curve, v, 0, 1, 1, 0)),
-        "build_lattices.eq": ("eq", "a DifferenceEquation",
-                              lambda v: build_lattices(v, sol.special)),
-        "build_lattices.special": ("special", "a SpecialPoints",
-                                   lambda v: build_lattices(eq, v)),
-        "expansion_coefficients.eq": ("eq", "a DifferenceEquation",
-                                      lambda v: expansion_coefficients(v, sol.pair, 3)),
-        "expansion_coefficients.pair": ("pair", "a BasisPair",
-                                        lambda v: expansion_coefficients(eq, v, 3)),
-        "expansion_coefficients_log.eq": ("eq", "a DifferenceEquation",
-                                          lambda v: expansion_coefficients_log(v, lsol.pair, 3, 1)),
-        "expansion_coefficients_log.pair": ("pair", "a BasisPair",
-                                            lambda v: expansion_coefficients_log(leq, v, 3, 1)),
-        "stepwise_oracle.pair": ("pair", "a BasisPair", lambda v: stepwise_oracle(eq, v, 3)),
-        "diff_constant.pair": ("pair", "a BasisPair", lambda v: diff_constant(v, 1)),
-        "Polynomial.coeffs": ("coeffs", "complex numbers", Polynomial),
-    }
-
-
-@pytest.mark.parametrize("bad", [None, 1, "a"], ids=["None", "int", "str"])
-@pytest.mark.parametrize("entry", list(pipeline_argument_entry_points()))
-def test_a_pipeline_argument_of_the_wrong_kind_is_refused(entry, bad):
-    """An equation, special points, basis pair or coefficient list of the wrong kind is a
-    ValidationError naming the parameter, not an untyped AttributeError, TypeError or
-    ValueError from reading it."""
-    name, what, call = pipeline_argument_entry_points()[entry]
-    assert refusal_message(call, bad).startswith(f"{name}: expected {what}, got {bad!r}")
 
 
 def test_solve_refuses_a_negative_order_before_any_work(monkeypatch):

@@ -150,11 +150,11 @@ def test_a_guard_that_trips_at_one_order_leaves_the_others_alone(monkeypatch):
     pair = solve(eq, select, 10).pair
     guard, label, seen = diffops._guard, "C_n(xm1) denominator", []
     monkeypatch.setattr(diffops, "_guard",
-                        lambda name, v: seen.append((name, v)) or guard(name, v))
+                        lambda name, v, n: seen.append((name, v)) or guard(name, v, n))
     diff_constants(pair, 6)
     trip = [v for name, v in seen if name == label][-1]
     monkeypatch.setattr(diffops, "_guard",
-                        lambda name, v: guard(name, 0.0 if (name, v) == (label, trip) else v))
+                        lambda name, v, n: guard(name, 0.0 if (name, v) == (label, trip) else v, n))
     with pytest.raises(MethodDegenerateError, match=r"^C_n\(xm1\) denominator ~ 0"):
         diff_constants(pair, 6)
     got = list(_agreements(pair, range(1, 7)))
@@ -172,12 +172,12 @@ def test_the_first_order_that_fails_the_xm1_route_names_its_error(monkeypatch):
     pair = linear_pair(-5.0)
     guard, label, seen = diffops._guard, "C_n(xm1) denominator", []
     monkeypatch.setattr(diffops, "_guard",
-                        lambda name, v: seen.append((name, v)) or guard(name, v))
+                        lambda name, v, n: seen.append((name, v)) or guard(name, v, n))
     diff_constants(pair, 3)
     trips = [v for name, v in seen if name == label]
     assert len(trips) == len(set(trips)) == 3
-    monkeypatch.setattr(diffops, "_guard",
-                        lambda name, v: guard(name, 0.0 if (name, v) == (label, trips[1]) else v))
+    monkeypatch.setattr(diffops, "_guard", lambda name, v, n: guard(
+        name, 0.0 if (name, v) == (label, trips[1]) else v, n))
     for n in range(2, 8):
         with pytest.raises(MethodDegenerateError, match=r"^C_n\(xm1\) denominator ~ 0"):
             diff_constants(pair, n)
