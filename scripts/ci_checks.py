@@ -11,6 +11,7 @@ inputs in tests/fixtures.py.  Timings are informational.
 """
 import argparse
 import csv
+import dataclasses
 import filecmp
 import itertools
 import json
@@ -93,16 +94,19 @@ def sweep_ms(sol, N):
 
 
 def large_n(work):
-    """The linear fixture at N = 3000: the node-sum gate, and the c_n, oracle and C_n gates
-    against their 50-digit replays for both routes, at every 97th n; the sweep equals
-    ref_row_sweep to the bit from row 0.  genus1_equation(1), ByIndex(0, 1), at N = 1000: the
+    """The linear fixture at N = 3000: verify on solve's reads equals verify on fresh ones; the
+    node-sum gate, and the c_n, oracle and C_n gates against their 50-digit replays for both
+    routes, at every 97th n; the sweep equals ref_row_sweep to the bit from row 0.  genus1_equation(1), ByIndex(0, 1), at N = 1000: the
     node-sum gate at every 37th node."""
     N = 3000
     eq, select = linear_fixture()
     sol = solve(eq, select, N)
     t = time.perf_counter()
-    verify_interpolation(eq, sol, N)
+    report = verify_interpolation(eq, sol, N)
     took = time.perf_counter() - t
+    fresh = dataclasses.replace(sol)        # the same solution without solve's reads
+    assert sol._reads is not None and not hasattr(fresh, "_reads")
+    assert verify_interpolation(eq, fresh, N) == report, "verify differs without solve's reads"
     rep, worst = gated_report(eq, sol, N, every=97, last=False)
     assert rep.max_error <= 1e-7 and rep.skipped == (), (rep.max_error, rep.skipped[:5])
     r0 = row_sweep_start(*sweep_inputs(sol))
@@ -123,7 +127,8 @@ def large_n(work):
             gates[name, route] = max(gate_ratios([values[n] for n in nodes],
                                                  [replay[n] for n in nodes]))
     assert max(gates.values()) <= 1.0, gates
-    print(f"N = {N}: max error {rep.max_error:.2e}, verify {took:.2f} s; worst node sum "
+    print(f"N = {N}: max error {rep.max_error:.2e}, verify {took:.2f} s, the same report on "
+          f"fresh reads; worst node sum "
           f"at {worst:.2f} of its forward-error bound; at every 97th n, worst c_n at "
           f"{gates['c_n', 'array']:.3f} (ref_ratio_recurrence {gates['c_n', 'per-index']:.3f},"
           f" {ref_took:.2f} s) and worst oracle value at {gates['oracle', 'array']:.3f} "

@@ -210,7 +210,8 @@ def run_lattice(cfg, out_path, quiet):
     lat = lattice_mod.generate(spec, n_min, n_max)
     bad = ~(_on_curve_residuals(lat, n_min, n_max) <= 1e-9)
     if bad.any():
-        raise EllgridError(f"on-curve invariant violated at n={n_min + int(bad.argmax())}")
+        n = n_min + int(bad.argmax())
+        raise EllgridError(f"on-curve invariant violated at n={n}", index=n)
     with _output(path) as stream:
         write_lattice_csv(lat, n_min, n_max, stream)
     if not quiet and path is not None:

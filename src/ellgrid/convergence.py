@@ -498,7 +498,8 @@ class RatePredictor:
         self._r = cmath.sqrt(self._p[2])
         g_zeta, g_node = self._log_a([self.zeta, x[0]]).real.tolist()
         if g_zeta == -math.inf:
-            raise PathThroughBranchPointError(f"zeta = {self.zeta} is a double root of P")
+            raise PathThroughBranchPointError(f"zeta = {self.zeta} is a double root of P",
+                                              at=self.zeta)
         self._g_zeta = g_zeta
         self.sign = -1.0 if g_node > g_zeta else 1.0
 

@@ -41,7 +41,11 @@ class RootPair(Frozen):
         return self.lo, self.hi
 
     def nearest(self, hint):
-        return self.lo if abs(self.lo - hint) <= abs(self.hi - hint) else self.hi
+        try:
+            return self.lo if abs(self.lo - hint) <= abs(self.hi - hint) else self.hi
+        except (TypeError, OverflowError):      # a ValidationError where hint is no number
+            _finite(hint, "hint")
+            raise
 
     def other(self, root):
         """The partner of a known member of the pair."""
@@ -81,20 +85,27 @@ def lead_error(t, size):
         t, None if size < cmath.inf else f"leading coefficient at {t} is not finite")
 
 
-def _roots(view, t):
+def _roots(view, t, name):
     """Both roots s of the view over t as a RootPair; LeadingCoefficientVanishes where either
     is not finite (V0(t) or V1(t) overflows, so a root escapes to infinity)."""
-    lead = _lead(view, t)
-    lo, hi, _ = solve_quadratic(view[0](t), view[1](t), lead)
+    try:
+        lead = _lead(view, t)
+        lo, hi, _ = solve_quadratic(view[0](t), view[1](t), lead)
+    except (TypeError, OverflowError, ValidationError):     # a ValidationError naming t (name)
+        _finite(t, name)
+        raise
     if not (cmath.isfinite(lo) and cmath.isfinite(hi)):
         raise LeadingCoefficientVanishesError(t, f"root pair at {t} is not finite")
     return RootPair(lo, hi)
 
 
-def complement(view, t, root):
+def complement(view, t, root, names):
     """The other root over t: the Vieta sum -V1/V2 - root (no square root)."""
-    lead = _lead(view, t)
-    return -view[1](t) / lead - root
+    try:
+        return -view[1](t) / _lead(view, t) - root
+    except (TypeError, OverflowError, ValidationError):     # a ValidationError naming t or root
+        _finite(t, names[0]), _finite(root, names[1])
+        raise
 
 
 def abel_lifts(p, u, v, m):
@@ -230,7 +241,11 @@ class BiquadraticCurve(Frozen):
     def residual(self, x, y):
         """|F(x, y)| / (scale max(1, |x|)^2 max(1, |y|)^2), finite wherever x and y are."""
         (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = self.c
-        (v0, v1, v2), (u0, u1, u2) = _scaled_powers(x), _scaled_powers(y)
+        try:
+            (v0, v1, v2), (u0, u1, u2) = _scaled_powers(x), _scaled_powers(y)
+        except (TypeError, OverflowError):      # a ValidationError naming what is no number
+            _finite(x, "x"), _finite(y, "y")
+            raise
         return abs(v0 * (c00 * u0 + c01 * u1 + c02 * u2) + v1 * (c10 * u0 + c11 * u1 + c12 * u2)
                    + v2 * (c20 * u0 + c21 * u1 + c22 * u2)) / self.scale
 
@@ -244,19 +259,19 @@ class BiquadraticCurve(Frozen):
 
         Raises LeadingCoefficientVanishes when X2(x) ~ 0 (a lattice singularity).
         """
-        return _roots(self._xv, x)
+        return _roots(self._xv, x, "x")
 
     def x_roots(self, y):
         """Both roots of F(., y) = 0 as a RootPair."""
-        return _roots(self._yv, y)
+        return _roots(self._yv, y, "y")
 
     def other_y(self, x, y):
         """The second y-root over x, via the Vieta sum (no square root)."""
-        return complement(self._xv, x, y)
+        return complement(self._xv, x, y, "xy")
 
     def other_x(self, y, x):
         """The second x-root over y, via the Vieta sum."""
-        return complement(self._yv, y, x)
+        return complement(self._yv, y, x, "yx")
 
     def implicit_dy_dx(self, x, y):
         """dy/dx of the branch through (x, y): -(dF/dx)/(dF/dy).
@@ -272,7 +287,7 @@ class BiquadraticCurve(Frozen):
         x1, x2 = x1(x), x2(x)
         fy = x1 + 2.0 * x2 * y
         if abs(fy) <= 1e-10 * (abs(x1) + 2.0 * abs(x2 * y)):
-            raise VerticalTangentError(f"dF/dy vanishes at ({x}, {y})")
+            raise VerticalTangentError(f"dF/dy vanishes at ({x}, {y})", at=(x, y))
         return -(y1(y) + 2.0 * y2(y) * x) / fy
 
     # -- serialization ----------------------------------------------------------------

@@ -211,9 +211,10 @@ def _prefix(z, zeros, poles):
     out = [v]
     append = out.append
     for zero, pole in zip(zeros, poles):
-        if abs(z - pole) <= tol * abs(pole):
+        gap = z - pole
+        if abs(gap) <= tol * abs(pole):
             break
-        v *= (z - zero) / (z - pole)
+        v *= (z - zero) / gap
         append(v)
     return out
 
@@ -293,8 +294,9 @@ def _xm1_route(curve, reads, N):
     k, cns = min(len(yb) - 1, len(xb)), [0j]
     try:
         head = _guard("y0 - y_{-1}", ys[1] - ym1, 1) * curve.x_view()[2](xm1) if k else None
+        gap = xm1 - xp0
         for n in range(1, k + 1):
-            num = -yb[n] * (xm1 - xp0) * (xm1 - xps[n])
+            num = -yb[n] * gap * (xm1 - xps[n])
             cns.append(num / _guard("C_n(xm1) denominator", head * xb[n - 1], n))
     except EllgridError as exc:
         return cns, exc

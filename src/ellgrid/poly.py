@@ -17,6 +17,7 @@ from .errors import (
     PoleEvaluationError,
     ValidationError,
     ZeroDivisorError,
+    _finite,
 )
 
 ZERO_TOL = 1e-13        # trailing coefficients below this (relative) are trimmed
@@ -90,8 +91,12 @@ class Polynomial(Frozen):
         """Horner evaluation; `z` may be a scalar or a numpy array (a constant fills its shape)."""
         cs = reversed(self.coeffs)
         acc = next(cs)
-        for c in cs:
-            acc = acc * z + c
+        try:
+            for c in cs:
+                acc = acc * z + c
+        except (TypeError, OverflowError):      # a ValidationError where z is no number
+            _finite(z, "z")
+            raise
         if len(self.coeffs) == 1 and isinstance(z, np.ndarray):
             return np.full_like(z, acc, dtype=complex)
         return acc

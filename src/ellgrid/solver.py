@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .curve import BiquadraticCurve
-from .diffops import BasisPair, _root_pair, basis_products, diff_constants, pole_hits
+from .diffops import BasisPair, _root_pair, _xm1_route, basis_products, pole_hits
 from .errors import (
     BranchAssignmentFailedError,
     DegreeMismatchError,
@@ -54,6 +55,8 @@ from .poly import Polynomial
 X2_FACTOR_TOL = 1e-12
 SINGULAR_STEP_TOL = 1e-12   # a stepwise divisor at or below this times its terms is singular
 VERIFY_BLOCK = 1 << 13    # factors per block of the verification sweep (bounds its memory)
+_READS = object()          # the key under which solve's diag takes the solve's _Reads
+_Reads = namedtuple("_Reads", "cns xs ys xps yps dy steps d eta_fac xi_fac eq pair")  # see _reads
 
 
 # -- the difference equation -----------------------------------------------------------
@@ -351,7 +354,7 @@ def locate_special_points(eq, select, y0_hint=None, yp1_hint=None):
 def _match_candidate(cands, target):
     best = min(cands, key=lambda r: abs(r - target))
     if not abs(best - target) <= 1e-6 * (1.0 + abs(target)):
-        raise NoSpecialPointError(f"{target} is not a special-point candidate")
+        raise NoSpecialPointError(f"{target} is not a special-point candidate", at=target)
     return best
 
 
@@ -385,12 +388,22 @@ def build_lattices(eq, special):
 # -- expansion coefficients ---------------------------------------------------------------
 
 
-def _reads(pair, N):
-    """(C_0 .. C_N, (xs, ys), (xps, yps)) as complex arrays from one diff_constants call and one
-    range read per lattice: xs, ys over index -1 .. N (so x_{n-1} = xs[n]), xps, yps over 0 .. N.
-    The ranges are read first, so each lattice is walked once."""
-    unprimed, primed = pair.unprimed.span(-1, N + 1), pair.primed.span(0, N + 1)
-    return np.array(diff_constants(pair, N), dtype=complex), unprimed, primed
+def _reads(eq, pair, N, constants=True):
+    """Each term to order N once, for the ratio recurrence, its running products, the c_1 check and
+    verify: C_0 .. C_N by the x_{-1} route (or None), x_n, y_n (n = -1 .. N) and x'_n, y'_n (0 .. N)
+    from one values read per lattice, dy_k = y_{k+1} - y_k, _step_kernel's terms at (x_k, dy_k),
+    d(x_k), (a - c dy/2)(x_k) (k < N), (a + c (y'_{k+1} - y'_k)/2)(x'_k) (0 < k < N), eq, pair."""
+    lists = pair.unprimed.values(-1, N + 1) + pair.primed.values(0, N + 1)
+    cns, stop = _xm1_route(pair.curve, lists, N) if constants else (None, None)
+    if stop is not None:
+        raise stop
+    xs, ys, xps, yps = (np.array(v, dtype=complex) for v in lists)
+    x, xp, dy = xs[1:-1], xps[1:-1], ys[2:] - ys[1:-1]
+    steps = _step_kernel(eq)(x, dy)
+    with np.errstate(all="ignore"):
+        return _Reads(cns and np.array(cns, dtype=complex), xs, ys, xps, yps, dy, steps, eq.d(x),
+                      steps[0] - steps[1] * dy / 2.0,
+                      eq.a(xp) + eq.c(xp) * (yps[2:] - yps[1:-1]) / 2.0, eq, pair)
 
 
 def _ratio_coefficients(eq, reads, c0):
@@ -398,30 +411,28 @@ def _ratio_coefficients(eq, reads, c0):
 
     xi_n = C_n (a + c (y'_{n+1} - y'_n)/2)(z) / ((z - x_{-1}) (z - x'_0) (z - x_{n-1})) at
     z = x'_n, and eta_n = C_n (a - c (y_n - y_{n-1})/2)(z) / ((z - x_{-1}) (z - x'_0) (z - x'_n))
-    at z = x_{n-1}, one complex128 array each, from _reads(pair, N).  eta_n's numerator is dy =
-    y_n - y_{n-1} times the divisor of the oracle's step n - 1, so one _step_kernel pass gives every
-    eta_n a(z), c(z) and the oracle's test: SmallDivisorError(n) at the first singular step or zero
-    eta_n, whatever N.  c_1 = (beta c_0 + delta)/eta_1 seeds one np.cumprod over -xi_n/eta_{n+1}.
-    Step 0 gives the oracle's f_1 from f(y_0) = c_0, and c_1 = (f_1 - c_0)/Yb_1(y_1).
+    at z = x_{n-1}, one complex128 array each, from the factors of reads = _reads(eq, pair, N).
+    eta_n's numerator is dy = y_n - y_{n-1} times the divisor of the oracle's step n - 1, so the
+    one _step_kernel pass gives the oracle's test: SmallDivisorError(n) at the first singular step
+    or zero eta_n, whatever N.  c_1 = (beta c_0 + delta)/eta_1 seeds one np.cumprod over
+    -xi_n/eta_{n+1}.  Step 0 gives the oracle's f_1 from f(y_0) = c_0; c_1 = (f_1 - c_0)/Yb_1(y_1).
     """
-    cns, (xs, ys), (xps, yps) = reads
+    cns, xs, xps = reads.cns, reads.xs, reads.xps
     xm1, xp0, z, zp = xs[0], xps[0], xs[1:-1], xps[1:-1]    # z = x_{n-1}, zp = x'_n for n < N
-    dy = ys[2:] - ys[1:-1]
-    az, cz, ratio, den, _, singular = _step_kernel(eq)(z, dy)
+    _, cz, ratio, den, _, singular = reads.steps
     with np.errstate(all="ignore"):
-        etas = cns[1:] * (az - cz * dy / 2.0) / ((z - xm1) * (z - xp0) * (z - xps[1:]))
+        etas = cns[1:] * reads.eta_fac / ((z - xm1) * (z - xp0) * (z - xps[1:]))
         stop = singular | (etas == 0)
         if stop.any():
             n = int(stop.argmax()) + 1
             raise SmallDivisorError(n, float(abs(etas[n - 1])))
-        xis = cns[1:-1] * (eq.a(zp) + eq.c(zp) * (yps[2:] - yps[1:-1]) / 2.0) \
-            / ((zp - xm1) * (zp - xp0) * (zp - xs[1:-2]))
+        xis = cns[1:-1] * reads.xi_fac / ((zp - xm1) * (zp - xp0) * (zp - xs[1:-2]))
         cs = np.empty(len(etas), dtype=complex)      # c_1, then the step ratios
         cs[0] = (eq.beta * c0 + eq.delta) / etas[0]
         np.divide(-xis, etas[1:], out=cs[1:])
         np.cumprod(cs, out=cs)
-        f1 = ((ratio[0] + cz[0] / 2.0) * c0 + eq.d(xs[1:2])[0]) / den[0]
-        c1_step = (f1 - c0) * (ys[2] - yps[1]) / dy[0]
+        f1 = ((ratio[0] + cz[0] / 2.0) * c0 + reads.d[0]) / den[0]
+        c1_step = (f1 - c0) * (reads.ys[2] - reads.yps[1]) / reads.dy[0]
     return [c0] + cs.tolist(), complex(c1_step)
 
 
@@ -432,14 +443,13 @@ def _closed_products(eq, reads, c1):
               prod_k (a + c (y'_{k+1} - y'_k)/2)(x'_k) / (a - c (y_{k+1} - y_k)/2)(x_k)
                      (x_k - x_{-1})(x_k - x'_0) / ((x'_k - x_{-1})(x'_k - x'_0)).
 
-    Each step divides a growing factor by its partner, so nothing overflows where c_n
+    Each step divides xi_k's factor by eta_{k+1}'s (_reads), so nothing overflows where c_n
     is finite; a zero divisor gives inf or NaN, which the gap check refuses."""
-    cns, (xs, ys), (xps, yps) = reads
+    cns, xs, xps = reads.cns, reads.xs, reads.xps
     xm1, xp0 = xs[0], xps[0]
     x, xp = xs[2:-1], xps[1:-1]                     # x_k, x'_k for k = 1 .. N-1
     with np.errstate(all="ignore"):
-        steps = ((eq.a(xp) + eq.c(xp) * (yps[2:] - yps[1:-1]) / 2.0)
-                 / (eq.a(x) - eq.c(x) * (ys[3:] - ys[2:-1]) / 2.0)
+        steps = (reads.xi_fac / reads.eta_fac[1:]
                  * (x - xm1) * (x - xp0) / ((xp - xm1) * (xp - xp0)))
         run = np.concatenate(([1.0], np.cumprod(steps)))
         return c1 * (cns[1] / (xps[1] - xs[1])) * ((xps[1:] - xs[1:-1]) / cns[1:]) * run
@@ -453,7 +463,7 @@ def _log_products(eq, reads, c1, zeta):
         f_j = (y_{-1} - y'_j)/(x_{-1} - x'_j), times
               (x_{-1} - x_{j-2})/(y_{-1} - y_{j-1}) (x'_{j-1} - zeta)/(x_{j-1} - zeta) for j >= 2.
     """
-    cns, (xs, ys), (xps, yps) = reads
+    cns, xs, ys, xps, yps = reads[:5]
     xm1, ym1, xp0 = xs[0], ys[0], xps[0]
     with np.errstate(all="ignore"):
         steps = (ym1 - yps[1:]) / (xm1 - xps[1:])
@@ -472,7 +482,9 @@ def _checked_coefficients(eq, pair, N, c0, products, bound, key, diag):
     """
     cs, c1_step, ps = [c0], None, np.empty(0)
     if N >= 1:
-        reads = _reads(pair, N)
+        reads = _reads(eq, pair, N)
+        if _READS in diag:          # solve's diag takes the _Reads
+            diag[_READS] = reads
         cs, c1_step = _ratio_coefficients(eq, reads, c0)
         ps = products(eq, reads, cs[1])
     cv = np.array(cs, dtype=complex)
@@ -503,7 +515,7 @@ def closed_product_coefficient(eq, pair, n, c1):
     """c_n from the closed product: entry n of the running product that solve checks against."""
     if n == 0:
         raise ValidationError("closed product starts at n = 1")
-    return complex(_closed_products(eq, _reads(pair, n), c1)[-1])
+    return complex(_closed_products(eq, _reads(eq, pair, n), c1)[-1])
 
 
 def _c0(eq, xm1):
@@ -584,23 +596,31 @@ def stepwise_oracle(eq, pair, K, f0=None):
     else:
         f0 = _c0(eq, pair.unprimed.x(-1))
     xs, ys = pair.unprimed.span(0, K + 1)
-    _, cx, ratio, den, size, singular = _step_kernel(eq)(xs[:-1], ys[1:] - ys[:-1])
-    stop = singular | ~(size < np.inf)
-    end = int(stop.argmax()) if stop.any() else K
+    steps = _step_kernel(eq)(xs[:-1], ys[1:] - ys[:-1])
     with np.errstate(all="ignore"):
-        steps = zip((ratio + cx / 2.0)[:end].tolist(), eq.d(xs[:end]).tolist(), den[:end].tolist())
+        return _stepwise(f0, xs[:-1], steps, eq.d(xs[:-1]))
+
+
+def _stepwise(f0, x, steps, d):
+    """stepwise_oracle's loop and errors over the steps at x_k = x[k], K = len(x), with
+    _step_kernel's terms there (steps) and d_k = d[k]: verify_interpolation's, on its _Reads."""
+    _, cx, ratio, den, size, singular = steps
+    stop = singular | ~(size < np.inf)
+    end = int(stop.argmax()) if stop.any() else len(x)
+    with np.errstate(all="ignore"):
+        terms = zip((ratio + cx / 2.0)[:end].tolist(), d[:end].tolist(), den[:end].tolist())
     vals, f = [f0], f0
-    for g, d, n in steps:
-        f = (g * f + d) / n
+    for g, dk, n in terms:
+        f = (g * f + dk) / n
         vals.append(f)
     k = end if all(map(cmath.isfinite, vals)) else \
         next((k for k, v in enumerate(vals[1:]) if not cmath.isfinite(v)), end)
-    if k == K:
+    if k == len(x):
         return vals
     if k == end and singular[end]:
         raise HitSingularLatticeError(end, vals)
     raise LatticeSingularityError(
-        k, f"stepwise oracle: step {k} at x_{k} = {complex(xs[k])} leaves the float range")
+        k, f"stepwise oracle: step {k} at x_{k} = {complex(x[k])} leaves the float range")
 
 
 # -- the assembled solution --------------------------------------------------------------
@@ -630,16 +650,18 @@ def solve(eq, select, N, c0_free=None, y0_hint=None, yp1_hint=None):
         raise ValidationError("logarithmic mode needs c0_free")
     special = locate_special_points(eq, select, y0_hint=y0_hint, yp1_hint=yp1_hint)
     pair = build_lattices(eq, special)
-    diag = {"certificate_m1": special.res_m1, "certificate_p0": special.res_p0}
+    diag = {"certificate_m1": special.res_m1, "certificate_p0": special.res_p0, _READS: None}
     if eq.is_logarithmic:
         coeffs = expansion_coefficients_log(eq, pair, N, c0_free, diag=diag)
     else:
         coeffs = expansion_coefficients(eq, pair, N, diag=diag)
     diag["coeff_magnitudes"] = [abs(c) for c in coeffs]
-    return ExpansionSolution(eq=eq, pair=pair, special=special,
-                             mode="log" if eq.is_logarithmic else "general",
-                             coeffs=tuple(coeffs), c0_free=c0_free, zeta=diag.pop("zeta", None),
-                             diagnostics=diag)
+    sol = ExpansionSolution(eq=eq, pair=pair, special=special,
+                            mode="log" if eq.is_logarithmic else "general",
+                            coeffs=tuple(coeffs), c0_free=c0_free, zeta=diag.pop("zeta", None),
+                            diagnostics=diag)
+    sol._reads = diag.pop(_READS)
+    return sol
 
 
 def _sum_order(sol, N, name="N"):
@@ -721,37 +743,35 @@ def _node_sums(ys, poles, cs):
     Every column runs at once from the last row up: acc[j] = c_j, then for r = n-2 .. 0,
     acc[r+1:] = c_r + F_r(y_{r+1:}) acc[r+1:].  Node j meets only c_0 .. c_j and F_r(y_j) for
     r < j, so no term k > j, nor its zero factor (y_j - y_j), enters its sum.  Rows r >= r0 =
-    _progression_start(ys, poles) read F_r(y_j) = F_{r0}(y_{j-r+r0}), bit for bit, from one row
-    of divisions through a Toeplitz view; below r0 a block of b rows r0 .. r1-1 takes its
+    _progression_start(ys, poles) read F_r(y_j) = F_{r0}(y_{j-r+r0}), bit for bit, as the first
+    n - 1 - r entries of one row phi of divisions; below r0 a block of b rows r0 .. r1-1 takes its
     b (n-1-r0) factors F_r(y_j), j > r0, from one division into two work buffers made once per
     sweep, with b the largest that keeps them within VERIFY_BLOCK (at least 1).
     """
     n = len(ys)
     acc = np.array(cs[:n], dtype=complex)
-    num, den = (np.empty(max(VERIFY_BLOCK, 2 * n), dtype=complex) for _ in range(2))
+    num, den = (np.empty(max(VERIFY_BLOCK, n), dtype=complex) for _ in range(2))
     with np.errstate(all="ignore"):
         r1, top = n - 1, _progression_start(ys, poles)
         while r1 > 0:
-            if r1 > top:    # f[i, c] = num[b - 1 + c - i]: row i from column i on is phi[:b - i]
-                r0, b = top, r1 - top
-                phi, size = num[b - 1:2 * b - 1], num.itemsize
-                np.subtract(ys[r0 + 1:], ys[r0], out=phi)
-                np.divide(phi, np.subtract(ys[r0 + 1:], poles[r0], out=den[:b]), out=phi)
-                f = np.ndarray((b, b), complex, num, (b - 1) * size, (-size, size))
+            if r1 > top:    # F_r(y_{r+1:}) = phi[:n - 1 - r] for r >= r0
+                r0, f, b, phi = top, None, n - 1 - top, num[:n - 1 - top]
+                np.subtract(ys[r0 + 1:], ys[r0], phi)
+                np.divide(phi, np.subtract(ys[r0 + 1:], poles[r0], den[:b]), phi)
             else:
                 w = n - 1 - r1
                 b = min(r1, max(1, (math.isqrt(w * w + 4 * VERIFY_BLOCK) - w) // 2))
                 r0, cols = r1 - b, w + b
                 f, g = (buf[:b * cols].reshape(b, cols) for buf in (num, den))
-                np.subtract(ys[r0 + 1:], ys[r0:r1, None], out=f)
-                np.subtract(ys[r0 + 1:], poles[r0:r1, None], out=g)
-                np.divide(f, g, out=f)
+                np.subtract(ys[r0 + 1:], ys[r0:r1, None], f)
+                np.subtract(ys[r0 + 1:], poles[r0:r1, None], g)
+                np.divide(f, g, f)
             for r in range(r1 - 1, r0 - 1, -1):
                 tail = acc[r + 1:]
                 # F_r times acc, in this order: numpy's vector complex multiply can round a * b
                 # and b * a an ulp apart, which moves errors that sit near the verify bound
-                np.multiply(f[r - r0, r - r0:], tail, out=tail)
-                tail += cs[r]
+                np.multiply(phi[:n - 1 - r] if f is None else f[r - r0, r - r0:], tail, tail)
+                np.add(tail, cs[r], tail)
             r1 = r0
     return acc
 
@@ -768,22 +788,28 @@ def verify_interpolation(eq, sol, N):
     is O(N^2) float work plus two ufunc calls per row; its N^2/2 divisions are one row on an
     exact arithmetic progression (README, Cost).  The pole guard covers every k <= N at every
     node.  N follows the order rule `_sum_order` ("solution has only K coefficients" past the end).
+    The oracle's terms, nodes and poles are read from solve's _Reads where it was read for this
+    eq and sol.pair, these objects, to order N or past it, else afresh (`_reads`, no constants).
     """
-    N = _sum_order(sol, N)
-    pair, cs = sol.pair, sol.coeffs
+    N, pair, cs = _sum_order(sol, N), sol.pair, sol.coeffs
+    _instance(eq, DifferenceEquation, "eq"), _instance(pair, BasisPair, "pair")
+    f0 = _finite(cs[0], "f0")
+    reads = getattr(sol, "_reads", None)
+    if reads is None or reads.eq is not eq or reads.pair is not pair or len(reads.xps) <= N:
+        reads = _reads(eq, pair, N, constants=False)
     try:
-        oracle, skipped = stepwise_oracle(eq, pair, N, f0=cs[0]), ()
+        oracle = _stepwise(f0, reads.xs[1:N + 1], [t[:N] for t in reads.steps], reads.d[:N])
+        skipped = ()
     except HitSingularLatticeError as exc:
         oracle, skipped = exc.values, tuple(range(exc.index + 1, N + 1))
-    _, ys = pair.unprimed.span(0, len(oracle))
-    _, poles = pair.primed.span(1, N + 1)
+    ys, poles = reads.ys[1:len(oracle) + 1], reads.yps[1:N + 1]
     hit = pole_hits(ys, poles)
     if hit.any():
         raise PoleEvaluationError(complex(ys[hit.argmax()]))
 
     want = np.array(oracle, dtype=complex)
-    errs = (np.abs(_node_sums(ys, poles, cs) - want) / (1.0 + np.abs(want))).tolist()
-    return InterpolationReport(max_error=float(np.max(errs)), errors=tuple(errs),
+    errs = np.abs(_node_sums(ys, poles, cs) - want) / (1.0 + np.abs(want))
+    return InterpolationReport(max_error=float(errs.max()), errors=tuple(errs.tolist()),
                                 skipped=skipped)
 
 

@@ -46,6 +46,8 @@ class Accepted(str):
 DEFAULT = Accepted("None is the default")
 NOT_FINITE = Accepted("NaN and inf coefficients are taken, as Polynomial takes them")
 RECORD = Accepted("a plain record: its fields are checked where they are read")
+HOT = Accepted("a hot-path method checks its arguments only where its arithmetic fails, and it "
+               "computes with a bool, NaN or inf")
 
 
 class Kind:
@@ -150,6 +152,15 @@ PARAMS.update({
     "mean_poly_direct(pair, 0, z)": {"pair": "basis pair", "z": "number"},
     "verify_diff_basis_identity(pair, 0, [z, sample])": {"pair": "basis pair",
                                                          "sample": ("number", "samples[1]")},
+    "curve.y_roots": {"x": "point"},
+    "curve.x_roots": {"y": "point"},
+    "curve.other_y": {"x": "point", "y": "point"},
+    "curve.other_x": {"y": "point", "x": "point"},
+    "curve.residual": {"x": "point", "y": "point"},
+    "curve.contains(x, y)": {"x": "point", "y": "point"},
+    "curve.implicit_dy_dx": {"x": "x on the curve", "y": "y on the curve"},
+    "Polynomial([1, 2])(z)": {"z": "point"},
+    "roots.nearest": {"hint": "point"},
 })
 
 
@@ -168,6 +179,9 @@ def table():
     order = Kind(10, "{name} must be an integer, got {bad!r}", {"2**1100": BOUND})
     number = Kind(z, "{name}: expected a finite complex number, got {bad!r}",
                   extra={"abc": "abc", "[1]": [1], "infj": complex(0.0, math.inf)})
+    computes = ("bool", "np.bool", "nan", "inf", "infj")
+    px, py = pair.unprimed.point(1)
+    off_curve = "({x}, {y}) is not on the curve"    # implicit_dy_dx's refusal of one that computes
     kinds = {
         "order": order,
         "lower index": order.but(-3),
@@ -176,6 +190,11 @@ def table():
         "second candidate index": order.but(1, {"None": Accepted("None is the default, i + 1")}),
         "y1 selector": order.but(None, {"None": DEFAULT}),
         "number": number,
+        "point": number.but(z, dict.fromkeys(computes, HOT)),
+        "x on the curve": number.but(px, dict.fromkeys(computes, off_curve.format(x="{bad}",
+                                                                                  y=py))),
+        "y on the curve": number.but(py, dict.fromkeys(computes, off_curve.format(x=px,
+                                                                                  y="{bad}"))),
         "optional number": number.but(None, {"None": DEFAULT}),
         "seed y0": number.but(z, {"None": "need y0 or a y1 selector to seed a lattice"}),
         "quadratic coefficient": Kind(1.0, "{name}: expected a complex number, got {bad!r}",
@@ -234,7 +253,16 @@ def table():
         "mean_poly_direct(pair, 0, z)": (lambda pair, z: mean_poly_direct(pair, 0, z), None),
         "verify_diff_basis_identity(pair, 0, [z, sample])": (
             lambda pair, sample: verify_diff_basis_identity(pair, 0, [z, sample]), None),
+        "Polynomial([1, 2])(z)": (lambda z: Polynomial([1, 2])(z), None),
+        "curve.contains(x, y)": (lambda x, y: curve.contains(x, y), None),
     })
+    roots = curve.y_roots(z)
+    calls.update({f"{name}.{method}": (getattr(owner, method), None)
+                  for name, owner, methods in (
+                      ("curve", curve, ("y_roots", "x_roots", "other_y", "other_x", "residual",
+                                        "implicit_dy_dx")),
+                      ("roots", roots, ("nearest",)))
+                  for method in methods})
     return kinds, calls
 
 

@@ -9,7 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
-from ellgrid import ByIndex, errors, solve
+from ellgrid import ByIndex, cli, convergence, errors, solve
 from ellgrid.curve import BiquadraticCurve, RootPair
 from ellgrid.diffops import BasisFunction, BasisPair, diff_constant, divided_difference
 from ellgrid.errors import (
@@ -25,13 +25,15 @@ from ellgrid.errors import (
     MissingFieldError,
     NonFiniteCoefficientError,
     NoSpecialPointError,
+    PathThroughBranchPointError,
     PoleEvaluationError,
     SmallDivisorError,
+    VerticalTangentError,
     _kept,
 )
 from ellgrid.lattice import GeometricLattice, LatticePair, LatticeSpec
 from ellgrid.poly import Polynomial, RationalFunction
-from ellgrid.solver import DifferenceEquation
+from ellgrid.solver import DifferenceEquation, Explicit, locate_special_points
 
 from fixtures import aw_fixture, genus1_equation, linear_fixture, solve_log_qlattice
 
@@ -224,3 +226,47 @@ def test_a_c_n_guard_names_its_order():
         with pytest.raises(MethodDegenerateError, match=r"^C_n\(xm1\) denominator ~ 0 \(") as err:
             call()
         assert err.value.index == n and err.value.at is None
+
+
+def test_a_vertical_tangent_carries_its_point():
+    eq, _ = aw_fixture()
+    x = eq.curve.discriminant_P().roots()[0]
+    y = eq.curve.y_roots(x).lo
+    with pytest.raises(VerticalTangentError) as err:
+        eq.curve.implicit_dy_dx(x, y)
+    assert str(err.value) == f"dF/dy vanishes at ({x}, {y})"
+    assert err.value.at == (x, y) and err.value.index is None
+
+
+def test_an_explicit_target_that_is_no_candidate_carries_it():
+    eq, _ = linear_fixture()
+    with pytest.raises(NoSpecialPointError) as err:
+        locate_special_points(eq, Explicit(5.0, -1.0))
+    assert str(err.value) == "(5+0j) is not a special-point candidate"
+    assert err.value.at == 5.0 and err.value.index is None
+
+
+def test_a_zeta_at_a_double_root_carries_it(monkeypatch):
+    """log A is -inf only at a double root of P; there zeta is refused, naming it as data."""
+    sol, zeta, _ = solve_log_qlattice()
+    monkeypatch.setattr(convergence.RatePredictor, "_log_a",
+                        lambda self, z: np.array([-math.inf, 0.0], dtype=complex))
+    with pytest.raises(PathThroughBranchPointError) as err:
+        convergence.RatePredictor(sol)
+    assert str(err.value) == f"zeta = {complex(sol.zeta)} is a double root of P"
+    assert err.value.at == sol.zeta and err.value.index is None
+
+
+def test_the_lattice_command_names_the_row_off_the_curve(tmp_path, monkeypatch):
+    """`ellgrid lattice` refuses a written point off the curve with its n as index."""
+    curve = GeometricLattice(a=0.0, b=1.0, q=0.5).curve()
+    cfg = {"curve": curve.to_json(), "lattice_seed": {"x0": [2.0, 0.0], "y1_index": 0},
+           "params": {"n_min": -3, "n_max": 3}}
+    spec = cli._seed_from(cfg, cli._curve_from(cfg))
+    xs, ys = cli.lattice_mod.generate(spec, -3, 3).values(2, 3)
+    bad, residual = (xs[0], ys[0]), BiquadraticCurve.residual
+    monkeypatch.setattr(BiquadraticCurve, "residual",
+                        lambda self, x, y: 1.0 if (x, y) == bad else residual(self, x, y))
+    with pytest.raises(EllgridError) as err:
+        cli.run_lattice(cfg, str(tmp_path / "lat.csv"), True)
+    assert str(err.value) == "on-curve invariant violated at n=2" and err.value.index == 2

@@ -708,7 +708,7 @@ def test_running_products_match_per_index_loops():
     qeq, qselect, _, _, qhints = log_qlattice_fixture()
     for eq, sol in ((leq, solve(leq, lselect, 40, c0_free=lc0, **lhints)),
                     (qeq, solve(qeq, qselect, 40, c0_free=0.0, **qhints))):
-        reads = solver_mod._reads(sol.pair, 40)
+        reads = solver_mod._reads(eq, sol.pair, 40)
         got = solver_mod._log_products(eq, reads, sol.coeffs[1], sol.zeta)
         for n in range(1, 41):
             want = ref_log_product(eq, sol.pair, n, sol.coeffs[1], sol.zeta)
@@ -1004,6 +1004,93 @@ def test_verify_pole_guard_covers_later_poles():
     with pytest.raises(PoleEvaluationError) as err:
         verify_interpolation(eq, moved, 8)
     assert err.value.at == y0
+
+
+def _bare(sol):
+    """sol without solve's _Reads: an equal solution whose verify reads the lattices afresh."""
+    bare = dataclasses.replace(sol)
+    assert bare == sol and sol._reads is not None and not hasattr(bare, "_reads")
+    return bare
+
+
+def _record_cases():
+    """(name, eq, sol, N) at N = 40: the three general fixtures, genus1_equation(0..4) under three
+    selectors (those that solve), both logarithmic fixtures, and verify below the solve's order."""
+    cases = [(name, eq, solve(eq, select, 40), 40) for name, eq, select in general_fixtures()]
+    for seed in range(5):
+        eq = genus1_equation(seed)
+        for select in (ByIndex(0, 1), ByIndex(1, 0), ByIndex(0, 2)):
+            try:
+                cases.append((f"g1-{seed} {select}", eq, solve(eq, select, 40), 40))
+            except EllgridError:
+                continue
+    leq, lselect, c0_free, _, _, hints = log_linear_fixture()
+    qeq, qselect, _, _, qhints = log_qlattice_fixture()
+    for name, eq, sol in (("log-linear", leq, solve(leq, lselect, 40, c0_free=c0_free, **hints)),
+                          ("log-qlattice", qeq, solve(qeq, qselect, 40, c0_free=0.3, **qhints))):
+        cases += [(name, eq, sol, 40), (f"{name} below", eq, sol, 23)]
+    cases.append(("linear below", cases[0][1], cases[0][2], 17))
+    return cases
+
+
+def test_verify_on_solves_reads_equals_verify_on_fresh_reads():
+    """verify_interpolation takes its oracle terms, nodes and poles from the _Reads solve kept,
+    and gives the report, error for error, that a fresh read gives."""
+    cases = _record_cases()
+    assert len(cases) >= 15 and sum(name.startswith("g1-") for name, *_ in cases) >= 10
+    for name, eq, sol, N in cases:
+        assert sol._reads.eq is eq and sol._reads.pair is sol.pair, name
+        assert verify_interpolation(eq, sol, N) == verify_interpolation(eq, _bare(sol), N), name
+
+
+def test_verify_reads_afresh_for_an_equal_but_distinct_equation():
+    for name, eq, sol, N in _record_cases()[:3]:
+        twin = DifferenceEquation(eq.curve, eq.a, eq.beta, eq.gamma, eq.delta, eq.eps)
+        assert verify_interpolation(twin, sol, N) == verify_interpolation(eq, sol, N), name
+
+
+def test_verify_past_a_singular_step_is_the_same_on_either_reads():
+    """An equation whose oracle is singular at k = 2, on a log solution's lattices, is not the one
+    solve read for: both verifies read afresh and skip nodes 3..8 alike."""
+    eq, select, c0_free, A, zeta, hints = log_linear_fixture()
+    sol = solve(eq, select, 8, c0_free=c0_free, **hints)
+    a = Polynomial.from_roots([select.x_m1, select.x_p0, select.x_m1 + 3.0])
+    singular = DifferenceEquation(eq.curve, a, 0.0, 0.0, 1.0, -select.x_m1)
+    rep = verify_interpolation(singular, sol, 8)
+    assert rep.skipped == (3, 4, 5, 6, 7, 8)
+    assert rep == verify_interpolation(singular, _bare(sol), 8)
+
+
+def test_verify_after_solve_runs_no_step_kernel(monkeypatch):
+    """solve's kernel pass serves its verify: _step_kernel is not called again, but is where
+    the reads are not solve's."""
+    calls, kernel = [0], solver_module._step_kernel
+
+    def counted(eq):
+        calls[0] += 1
+        return kernel(eq)
+    monkeypatch.setattr(solver_module, "_step_kernel", counted)
+    eq, select = linear_fixture()
+    sol = solve(eq, select, 40)
+    solved = calls[0]
+    assert solved >= 1
+    verify_interpolation(eq, sol, 40)
+    verify_interpolation(eq, sol, 12)
+    assert calls[0] == solved
+    verify_interpolation(eq, _bare(sol), 40)
+    assert calls[0] == solved + 1
+
+
+def test_solves_reads_stay_out_of_the_solution_record():
+    """The _Reads is no field: fields, repr, == and the JSON are those of the record."""
+    eq, select = linear_fixture()
+    sol = solve(eq, select, 10)
+    assert [f.name for f in dataclasses.fields(sol)] == [
+        "eq", "pair", "special", "mode", "coeffs", "c0_free", "zeta", "diagnostics"]
+    bare = _bare(sol)
+    assert repr(sol) == repr(bare)
+    assert solution_to_json(sol) == solution_to_json(bare)
+    assert all(isinstance(k, str) for k in sol.diagnostics)
 
 
 def test_solve_and_verify_calls_grow_linearly(monkeypatch):

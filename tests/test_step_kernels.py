@@ -24,7 +24,8 @@ from ellgrid import (
 )
 from ellgrid.errors import EllgridError, NonFiniteCoefficientError, SmallDivisorError
 from ellgrid.poly import Polynomial
-from ellgrid.solver import _c0, _ratio_coefficients, build_lattices, locate_special_points
+from ellgrid.solver import (_c0, _ratio_coefficients, _reads, build_lattices,
+                           locate_special_points)
 
 from fixtures import (
     aw_fixture,
@@ -122,7 +123,7 @@ def test_zero_step_difference_is_a_small_divisor():
     # case above); C_n is degenerate on this pair, so the loop gets unit constants
     eq, pair = branch_step_pair()
     assert repr(pair.unprimed.y(1) - pair.unprimed.y(0)) == "-0j"
-    reads = (np.ones(4, dtype=complex), pair.unprimed.span(-1, 4), pair.primed.span(0, 4))
+    reads = _reads(eq, pair, 3, constants=False)._replace(cns=np.ones(4, dtype=complex))
     with pytest.raises(SmallDivisorError) as info:
         _ratio_coefficients(eq, reads, 1.0)
     assert info.value.index == 1
@@ -134,7 +135,6 @@ def test_no_numpy_warning_escapes_the_kernel():
     errors with warnings turned into errors."""
     cases = {name: case for name, *case in CASES}
     eq, pair = branch_step_pair()
-    reads = (np.ones(4, dtype=complex), pair.unprimed.span(-1, 4), pair.primed.span(0, 4))
     aw, select = aw_fixture()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -143,6 +143,7 @@ def test_no_numpy_warning_escapes_the_kernel():
             with pytest.raises(EllgridError) as info:
                 stepwise_oracle(eq_, pair_, K, f0=f0)
             assert info.value.index == index
+        reads = _reads(eq, pair, 3, constants=False)._replace(cns=np.ones(4, dtype=complex))
         with pytest.raises(SmallDivisorError):
             _ratio_coefficients(eq, reads, 1.0)
         with pytest.raises(NonFiniteCoefficientError) as info:
