@@ -34,29 +34,12 @@ from ellgrid.diffops import diff_constants               # noqa: E402
 from ellgrid.solver import _node_sums, _progression_start  # noqa: E402
 
 from fixtures import (GOLDEN, aw_lattice_config, explicit, genus1_equation,  # noqa: E402
-                      linear_fixture, log_qlattice_fixture, readme_config, scenario_config,
-                      trimmed_curve)
+                      linear_fixture, log_linear_fixture, log_qlattice_fixture, readme_config,
+                      scenario_config, trimmed_curve)
 from oracles import (WALK_GATE, assert_chunked_walk, assert_walk_matches,  # noqa: E402
                      gate_ratios, gated_report, ref_cn_replay, ref_oracle_replay,
                      ref_ratio_recurrence, ref_ratio_replay, ref_stepwise_oracle, ref_walk,
                      row_sweep_start, selector_sweep, sweep_inputs)
-
-LOGLIN = """\
-{
-  "curve": [[[0.0,0.0],[-1.0,0.0],[1.0,0.0]],
-            [[1.0,0.0],[-2.0,0.0],[0.0,0.0]],
-            [[1.0,0.0],[0.0,0.0],[0.0,0.0]]],
-  "equation": {
-    "mode": "log",
-    "a": [[-0.9000000000000001,-0.4562499999999999],[0.4624999999999998,-2.3],[2.5,-1.1],[1.0,0.0]],
-    "d": [[-2.0,0.1],[-1.0,0.0]],
-    "c0_free": [0.3,-0.7]
-  },
-  "params": {"n": 300, "select": {"explicit": [[-2.0,0.1],[0.25000000000000006,0.5]]},
-             "y0_hint": [-1.0,0.1], "yp1_hint": [1.25,0.5]}
-}
-"""
-
 
 def ratemap_script(work):
     """Every predicted cell of DIR/r.csv with 1.02 <= |z| <= 1.38 is |z| / 1.4 to 1e-12."""
@@ -215,7 +198,6 @@ def configs(work):
     text = readme_config()
     work.mkdir(parents=True, exist_ok=True)
     (work / "solve.json").write_text(text, encoding="utf-8")
-    (work / "loglin.json").write_text(LOGLIN, encoding="utf-8")
     verify, lattice, bad, frac, curve = (json.loads(text) for _ in range(5))
     del verify["run"], lattice["run"], lattice["equation"]
     lattice["lattice_seed"] = {"x0": [1, 0], "y0": [1, 0]}
@@ -228,10 +210,13 @@ def configs(work):
     eq, select, _, _, hints = log_qlattice_fixture(shift=1e-2)
     grid = {"re": [0.75, 1.35, 5], "im": [0.75, 1.35, 5]}
     genus1 = scenario_config(eq, explicit(select), {"window": [5, 25], "grid": grid}, hints)
+    eq, select, c0_free, _, _, hints = log_linear_fixture()
+    loglin = scenario_config(eq, explicit(select), {"n": 300}, hints, c0_free)
     huge = aw_lattice_config(600)
     huge["params"]["n_max"] = 1e300
     for name, cfg in (("verify", verify), ("lattice", lattice), ("ratemap", ratemap),
-                      ("bad", bad), ("frac", frac), ("curve", curve), ("genus1", genus1),
+                      ("bad", bad), ("frac", frac), ("curve", curve), ("loglin", loglin),
+                      ("genus1", genus1),
                       ("aw600", aw_lattice_config(600)), ("aw1100", aw_lattice_config(1100)),
                       ("huge", huge)):
         with open(work / f"{name}.json", "w", encoding="utf-8") as fh:

@@ -513,9 +513,13 @@ class RatePredictor:
         to underflow: sqrt(P) is formed there at x / k instead, k^2 the size of
         P's largest term.  A single point is evaluated as a 1-d array, since
         numpy rounds 0-d complex products differently: rate(z) then equals its
-        grid cell.
+        grid cell.  A z that is not finite, or holds no numbers (bools and
+        strings are none), is a ValidationError naming z.
         """
-        z = np.asarray(z, dtype=complex)
+        a = np.asarray(z)
+        if a.dtype.kind not in "iufc" or not np.isfinite(a).all():
+            raise ValidationError(f"z: expected finite complex numbers, got {z!r}")
+        z = np.asarray(a, dtype=complex)
         x = z.reshape(-1)
         m = np.maximum(1.0, np.abs(x))
         u = x / m

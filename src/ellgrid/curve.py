@@ -49,7 +49,11 @@ class RootPair(Frozen):
 
     def other(self, root):
         """The partner of a known member of the pair."""
-        return self.hi if abs(self.lo - root) <= abs(self.hi - root) else self.lo
+        try:
+            return self.hi if abs(self.lo - root) <= abs(self.hi - root) else self.lo
+        except (TypeError, OverflowError):      # a ValidationError where root is no number
+            _finite(root, "root")
+            raise
 
     def __repr__(self):
         return f"RootPair(lo={self.lo!r}, hi={self.hi!r})"
@@ -234,9 +238,13 @@ class BiquadraticCurve(Frozen):
         """F(x, y): Horner in y inside Horner in x, unrolled, each level started from its top
         coefficient."""
         (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = self.c
-        acc = (c22 * y + c21) * y + c20
-        acc = acc * x + ((c12 * y + c11) * y + c10)
-        return acc * x + ((c02 * y + c01) * y + c00)
+        try:
+            acc = (c22 * y + c21) * y + c20
+            acc = acc * x + ((c12 * y + c11) * y + c10)
+            return acc * x + ((c02 * y + c01) * y + c00)
+        except (TypeError, OverflowError):      # a ValidationError naming what is no number
+            _finite(x, "x"), _finite(y, "y")
+            raise
 
     def residual(self, x, y):
         """|F(x, y)| / (scale max(1, |x|)^2 max(1, |y|)^2), finite wherever x and y are."""
@@ -250,7 +258,12 @@ class BiquadraticCurve(Frozen):
                    + v2 * (c20 * u0 + c21 * u1 + c22 * u2)) / self.scale
 
     def contains(self, x, y, tol=ONCURVE_TOL):
-        return self.residual(x, y) <= tol
+        """residual(x, y) <= tol."""
+        try:
+            return self.residual(x, y) <= tol
+        except TypeError:                       # a ValidationError where tol is no real number
+            _real(tol, "tol")
+            raise
 
     # -- root extraction -------------------------------------------------------------
 

@@ -24,6 +24,11 @@ class Frozen:
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
+    def __setstate__(self, state):
+        """copy and pickle restore a value through `_set`: state is its dict, or (dict, slots)."""
+        fields, slots = state if isinstance(state, tuple) else (state, None)
+        self._set(**(fields or {}), **(slots or {}))
+
 
 def _kept(obj, slot, build):
     """obj's slot, built by build(obj) on first use and kept there, also on a Frozen value: a None

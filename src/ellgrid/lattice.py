@@ -453,6 +453,10 @@ def generate(spec, n_min, n_max):
 class _ClosedForm:
     """Shared by the closed-form families: `point(n)` and `curve()` define the walk."""
 
+    def point(self, n):
+        """(x_n, y_n), n a lattice index by `_order`'s rule."""
+        return self._point(_order(n, "lattice index"))
+
     def __post_init__(self):
         for f in fields(self):      # a finite complex number, or None where that is the default
             if not getattr(self, f.name) is f.default is None:
@@ -471,7 +475,7 @@ class LinearLattice(_ClosedForm):
     x0: complex = 0.0
     y0: complex | None = None
 
-    def point(self, n):
+    def _point(self, n):
         y0 = self.x0 if self.y0 is None else self.y0
         return complex(self.x0 + n * self.h), complex(y0 + n * self.h)
 
@@ -495,7 +499,7 @@ class GeometricLattice(_ClosedForm):
     b: complex
     q: complex
 
-    def point(self, n):
+    def _point(self, n):
         v = complex(self.a + self.b * self.q ** n)
         return v, v
 
@@ -522,7 +526,7 @@ class AskeyWilsonLattice(_ClosedForm):
     c: complex
     q: complex
 
-    def point(self, n):
+    def _point(self, n):
         a, b, c, q = (complex(v) for v in (self.a, self.b, self.c, self.q))
         rq = cmath.sqrt(q)
         return (a + b * q ** n + c * q ** (-n),

@@ -18,6 +18,7 @@ from .errors import (
     ValidationError,
     ZeroDivisorError,
     _finite,
+    _list,
 )
 
 ZERO_TOL = 1e-13        # trailing coefficients below this (relative) are trimmed
@@ -59,9 +60,10 @@ class Polynomial(Frozen):
 
     @classmethod
     def from_roots(cls, roots, leading=1.0):
-        p = cls((leading,))
-        for r in roots:
-            p = p * cls((-complex(r), 1.0))
+        """leading times the product of (x - r) over roots, each a number by Polynomial's rule."""
+        p = cls((_coefficient(leading, "leading"),))
+        for k, r in enumerate(_list(roots, "roots", "a list of complex numbers")):
+            p = p * cls((-_coefficient(r, f"roots[{k}]"), 1.0))
         return p
 
     # -- basic queries -----------------------------------------------------

@@ -117,10 +117,14 @@ class DifferenceEquation(Frozen):
 
     def scale(self, z):
         """max|coeff| of a, c, d times max(1, |z|)^3, formed factor by factor; a ValidationError
-        naming z where it leaves the float range."""
-        m = max(1.0, abs(z))
-        size = max(self.a.max_coeff, self.c.max_coeff, self.d.max_coeff, 1e-300) * m * m * m
+        naming z where it is no finite number, or the scale leaves the float range."""
+        try:
+            m = max(abs(z), 1.0)                # NaN, not 1.0, where z is NaN
+            size = max(self.a.max_coeff, self.c.max_coeff, self.d.max_coeff, 1e-300) * m * m * m
+        except (TypeError, OverflowError):
+            size = cmath.nan
         if not size < cmath.inf:
+            _finite(z, "z")
             raise ValidationError(f"equation scale at z={z} is not finite")
         return size
 

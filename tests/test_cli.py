@@ -7,11 +7,12 @@ import warnings
 
 import pytest
 
+from ellgrid import ByIndex, Nearest, locate_special_points
 from ellgrid.cli import _axis, main
 from ellgrid.lattice import AskeyWilsonLattice, LinearLattice
 
-from fixtures import (aw_fixture, aw_lattice_config, cjson, explicit, log_linear_fixture,
-                      log_qlattice_fixture, qgeom_fixture, scenario_config)
+from fixtures import (aw_fixture, aw_lattice_config, cjson, explicit, linear_fixture,
+                      log_linear_fixture, log_qlattice_fixture, qgeom_fixture, scenario_config)
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -403,6 +404,7 @@ MALFORMED = [
                                                 "y1_hint": [1.0, 0.0]}, "y1_hint",
                  id="seed-names-both-selectors"),
     pytest.param("solve", ("params", "out"), 5, "params.out", id="out-not-path"),
+    pytest.param("solve", ("equation", "a"), [], "equation.a", id="coefficients-empty"),
     pytest.param("solve", ("equation", "a", 0), ["x", 0.0], "equation.a[0]",
                  id="coefficient-part-string"),
     pytest.param("solve", ("equation", "a", 0), [None, 0.0], "equation.a[0]",
@@ -440,6 +442,45 @@ def test_malformed_field_is_validation_error(tmp_path, capsys, command, keys, va
     err = capsys.readouterr().err
     assert err.startswith("ValidationError: ") and field in err
     assert not out.exists()
+
+
+SELECT_CLAUSES = [   # params.select, and the selector it stands for or the field its refusal names
+    pytest.param(None, ByIndex(0, 1), id="default"),
+    pytest.param({"nearest": [1.0, 1.0]}, Nearest(1 + 1j), id="nearest-pair"),
+    pytest.param({"nearest": 0.5}, Nearest(0.5), id="nearest-number"),
+    pytest.param({"index": 1}, ByIndex(1), id="index"),
+    pytest.param({"index": [2]}, ByIndex(2), id="index-list-of-one"),
+    pytest.param({"index": [2, 0]}, ByIndex(2, 0), id="index-list-of-two"),
+    pytest.param(5, "params.select", id="not-an-object"),
+    pytest.param({"nearest": "0.5"}, "params.select.nearest", id="nearest-string"),
+    pytest.param({"index": [0, 1, 2]}, "params.select.index", id="index-list-of-three"),
+    pytest.param({"index": [0, 1.5]}, "params.select.index[1]", id="index-list-fraction"),
+    pytest.param({"nearby": 0.5}, "select clause", id="unknown-clause"),
+]
+
+
+@pytest.mark.parametrize("clause, want", SELECT_CLAUSES)
+def test_each_select_clause_picks_its_selectors_points_or_names_its_field(tmp_path, capsys, clause,
+                                                                           want):
+    """A select clause, or none, picks the special points its selector picks; a malformed one
+    exits 2 with a ValidationError naming its field, before any output."""
+    cfg_data = solve_cfg(linear_fixture, 10)
+    if clause is None:
+        del cfg_data["params"]["select"]
+    else:
+        cfg_data["params"]["select"] = clause
+    out = tmp_path / "sol.json"
+    code = main(["solve", "--config", write_cfg(tmp_path, "sel.json", cfg_data), "--out", str(out),
+                 "--quiet"])
+    if isinstance(want, str):
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("ValidationError: ") and want in err
+    else:
+        special = locate_special_points(linear_fixture()[0], want)
+        got = json.loads(out.read_text())["special_points"]
+        assert code == 0
+        assert [complex(*got[k]) for k in ("x_m1", "x_p0")] == [special.x_m1, special.x_p0]
 
 
 def test_ratemap_single_point_general_mode(tmp_path):

@@ -416,18 +416,30 @@ def test_cn_gate_has_teeth():
 
 
 def test_orders_below_their_bound_name_it():
-    """The basis index, C_n's order and the sample count are integers at or above their
-    bound: the error names the argument and the bound."""
+    """C_n's order and the sample count are integers at or above their bound: the error names
+    the argument and the bound.  The public entries' 2.5, True and -1 are tests/test_boundary.py's
+    cases."""
     pair = half_offset_pair()
-    for call, name, lo in ((lambda v: BasisFunction(pair, v, "y"), "n", 0),
-                           (lambda v: diff_constant(pair, v), "n", 0),
-                           (lambda v: diff_constants(pair, v), "N", 0),
-                           (lambda v: identity_samples(pair, 2, count=v), "count", 1)):
-        for bad in (2.5, True):
-            with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {bad}$"):
-                call(bad)
-        with pytest.raises(ValidationError, match=f"^{name} must be >= {lo}, got {lo - 1}$"):
-            call(lo - 1)
+    for bad in (2.5, True):
+        with pytest.raises(ValidationError, match=f"^N must be an integer, got {bad}$"):
+            diff_constants(pair, bad)
+    for call, message in ((lambda: diff_constants(pair, -1), "N must be >= 0, got -1"),
+                          (lambda: identity_samples(pair, 2, count=0),
+                           "count must be >= 1, got 0")):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            call()
+
+
+def test_a_pair_on_two_curve_objects_needs_one_curve_up_to_sign():
+    """Lattices on two distinct curve objects make a pair where the grids are equal, or equal up
+    to sign; on two different curves they are a ValidationError."""
+    spec = LinearLattice(h=1.0).spec()
+    unprimed = LatticePair(spec)
+    for grid in (spec.curve.c, [[-v for v in row] for row in spec.curve.c]):
+        primed = LatticePair(LatticeSpec(BiquadraticCurve(grid), spec.x0, spec.y0))
+        assert BasisPair(unprimed, primed).curve is spec.curve
+    with pytest.raises(ValidationError, match="^lattices live on different curves$"):
+        BasisPair(unprimed, LatticePair(LinearLattice(h=2.0).spec()))
 
 
 @pytest.mark.parametrize("call, message", [

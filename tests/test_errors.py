@@ -3,6 +3,7 @@ and the one error constructor (`EllgridError`) with its round trip through pickl
 the raise sites that pass their index or point as data."""
 import cmath
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -150,6 +151,36 @@ def _state(err):
     fields = {k: repr(v) if isinstance(v, float) and math.isnan(v) else v
               for k, v in vars(err).items()}
     return type(err), str(err), err.args, err.index, err.at, fields
+
+
+def _fields(value):
+    """value's type and fields, down through the values and lattices it holds, so two compare."""
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(_fields, value))
+    if not isinstance(value, (Frozen, LatticePair)):
+        return value
+    names = [n for c in type(value).__mro__ for n in getattr(c, "__slots__", ())]
+    names += list(getattr(value, "__dict__", ()))
+    return type(value), {n: _fields(getattr(value, n)) for n in names if hasattr(value, n)}
+
+
+@pytest.mark.parametrize("cls", list(value_types()), ids=lambda cls: cls.__name__)
+def test_every_value_survives_copy_and_pickle(cls):
+    """copy.copy and copy.deepcopy give back a value of the same type and fields, restored by
+    Frozen.__setstate__ through `_set` (Frozen.__setattr__ refused them), and so does pickle
+    where the value holds no closure: a walked curve keeps its flips, which pickle cannot write."""
+    obj, _ = value_types()[cls]
+    backs = [copy.copy(obj), copy.deepcopy(obj)]
+    if cls in (Polynomial, RationalFunction, RootPair, BasisFunction):
+        backs.append(pickle.loads(pickle.dumps(obj)))
+    for back in backs:
+        assert type(back) is cls and _fields(back) == _fields(obj)
+
+
+def test_a_solution_survives_asdict():
+    """dataclasses.asdict deep-copies the values a solution holds."""
+    sol = solve(*linear_fixture(), 5)
+    assert _fields(dataclasses.asdict(sol)["eq"]) == _fields(sol.eq)
 
 
 @pytest.mark.parametrize("cls", error_types(), ids=lambda cls: cls.__name__)
