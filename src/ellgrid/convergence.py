@@ -493,7 +493,7 @@ class RatePredictor:
         if not abs(self.tau.imag) <= CLOSURE_TOL:
             raise RefinePathError(
                 f"the node locus does not close: Im tau = {self.tau.imag:.2e} per step")
-        self.zeta = complex(sol.zeta)
+        self.zeta = _finite(sol.zeta, "sol.zeta")
         self._p = P.coeffs
         self._r = cmath.sqrt(self._p[2])
         g_zeta, g_node = self._log_a([self.zeta, x[0]]).real.tolist()

@@ -130,7 +130,8 @@ class LatticePair:
         """(xs, ys): x_n and y_n for n_lo <= n < n_hi as lists of Python complex, after one ensure."""
         if type(n_lo) is not int or type(n_hi) is not int:
             n_lo, n_hi = _order(n_lo, "n_lo"), _order(n_hi, "n_hi")
-        if n_lo >= n_hi:
+        if n_lo >= n_hi:    # an empty range walks nowhere, but its ends are bounded too
+            _order(n_lo, "n_lo"), _order(n_hi, "n_hi")
             return [], []
         self.ensure(n_lo, n_hi - 1)
         back, fwd = slice(-min(n_hi, 0), max(-n_lo, 0)), slice(max(n_lo, 0), max(n_hi, 0))
@@ -143,7 +144,7 @@ class LatticePair:
 
     def ensure(self, n_min, n_max):
         """Materialize indices n_min..n_max: integers by `_order`'s rule, bounds included."""
-        if type(n_min) is not int or type(n_max) is not int:
+        if type(n_min) is not int or type(n_max) is not int or n_min > n_max:   # empty: bounded
             n_min, n_max = _order(n_min, "lattice index"), _order(n_max, "lattice index")
         if n_max >= len(self._x) or -n_min > len(self._x_back):
             _order(max(n_max, -n_min), "lattice index")     # MAX_ORDER, before any step

@@ -11,6 +11,9 @@ classmethod is called on its class, any other method on each instance of INSTANC
 A public name, method or parameter with no kind fails `test_every_public_parameter_has_a_kind`,
 so new API is covered when it lands.  Two entries past those are calls at order 0 whose point is
 checked before their order-0 value.
+
+This table is the suite's one test of a refusal's message: a test elsewhere checks only what it
+cannot (README, Boundary).
 """
 import functools
 import inspect
@@ -58,8 +61,6 @@ RECORD = Accepted("a plain record: its fields are checked where they are read")
 HOT = Accepted("a hot-path method checks its arguments only where its arithmetic fails, and it "
                "computes with a bool, NaN or inf")
 MODULO = Accepted("a candidate index is taken modulo the candidates' count")
-EMPTY = Accepted("a range start past its end: an empty range, and a lattice checks an index's "
-                 "bound only where it walks")
 COMPARED = Accepted("contains compares tol, and only where the comparison fails checks it: a "
                     "bool, NaN, inf or an int past the float range compares")
 
@@ -180,9 +181,9 @@ PARAMS.update({
     "rational(z)": {"z": "rational point"},
     "BasisFunction(pair, 2, 'x')(z)": {"z": "number"},
     "BasisFunction(pair, 2, 'y')(z)": {"z": "number"},
-    "lattice.ensure": {"n_min": ("range start", "lattice index"), "n_max": INDEX},
-    "lattice.values": {"n_lo": "range start", "n_hi": "range end"},
-    "lattice.span": {"n_lo": "range start", "n_hi": "range end"},
+    "lattice.ensure": {"n_min": INDEX, "n_max": INDEX},
+    "lattice.values": {"n_lo": "lattice index", "n_hi": "range end"},
+    "lattice.span": {"n_lo": "lattice index", "n_hi": "range end"},
     "lattice.point": {"n": INDEX}, "lattice.x": {"n": INDEX}, "lattice.y": {"n": INDEX},
     "linear.point": {"n": INDEX}, "geometric.point": {"n": INDEX},
     "askey_wilson.point": {"n": INDEX},
@@ -249,6 +250,13 @@ def table():
     not_finite = "rational function value at z={bad} is not finite"
     px, py = pair.unprimed.point(1)
     off_curve = "({x}, {y}) is not on the curve"    # implicit_dy_dx's refusal of one that computes
+    cells = {"bool cell": True, "np.bool cell": np.True_, "10**400 cell": 10**400}
+    entries = {"[True, 2]": ([True, 2], "True is not a number"),      # coefficient: why refused
+               "['1e400', 1]": (["1e400", 1], "'1e400' is not a number"),
+               "[np.True_, 2]": ([np.True_, 2], "np.True_ is not a number"),
+               "(1.0, np.False_)": ((1.0, np.False_), "np.False_ is not a number"),
+               "[1, np.str_('2')]": ([1, np.str_("2")], "np.str_('2') is not a number"),
+               "[1, 2**1100]": ([1, 2**1100], "int too large to convert to float")}
     kinds = {
         "order": order,
         "count": order.but(3, {"-1": "{name} must be >= 1, got -1"}),
@@ -263,7 +271,6 @@ def table():
                                         "-1": "y1_index: expected 0 or 1, got -1"}),
         "lattice index": lattice,
         "lower index": lattice.but(-3),
-        "range start": lattice.but(10, {"2**1100": EMPTY}),
         "range end": lattice.but(10, {"2**1100": f"lattice index must be at most {MAX_ORDER} in "
                                                  "absolute value, got a 1100-bit integer"}),
         "number": number,
@@ -282,16 +289,25 @@ def table():
         "seed y0": number.but(z, {"None": "need y0 or a y1 selector to seed a lattice"}),
         "complex coefficient": Kind(1.0, "{name}: expected a complex number, got {bad!r}",
                                     {"nan": NOT_FINITE, "inf": NOT_FINITE}),
-        "real": Kind(0.05, "{name}: expected a finite real number, got {bad!r}"),
+        "real": Kind(0.05, "{name}: expected a finite real number, got {bad!r}", extra={"1j": 1j}),
         "tolerance": Kind(1e-10, "{name}: expected a finite real number, got {bad!r}",
                           dict.fromkeys(("bool", "np.bool", "nan", "inf", "2**1100"), COMPARED)),
         "grid": Kind(curve.c, "curve grid must be 3x3",
-                     {"str": "grid[0][0]: expected a finite complex number, got {bad!r}"}),
+                     {"str": "grid[0][0]: expected a finite complex number, got {bad!r}",
+                      **{key: f"grid[0][0]: expected a finite complex number, got {cell!r}"
+                         for key, cell in cells.items()}},
+                     {key: [[cell, *curve.c[0][1:]], *curve.c[1:]] for key, cell in cells.items()}),
         "curve json": Kind(curve.to_json(), "curve grid must be 3x3 of [re, im] pairs: ",
                            {"str": "curve[0][0]: expected an [re, im] pair, got {bad!r}",
                             "list": "curve grid must be 3x3"}, {"1": 1}, prefix=True),
         "coefficients": Kind([1, 2], "{name}: expected complex numbers, got {bad!r} (",
-                             {"list": Accepted("the zero polynomial")}, {"1": 1}, prefix=True),
+                             {"list": Accepted("the zero polynomial"),
+                              "str": "{name}: expected complex numbers, got {bad!r} ({bad!r} is "
+                                     "not a number)",
+                              **{key: f"{{name}}: expected complex numbers, got {{bad!r}} ({why})"
+                                 for key, (_, why) in entries.items()}},
+                             {"1": 1, **{key: bad for key, (bad, _) in entries.items()}},
+                             prefix=True),
         "polynomial": Kind([0, 1], "{name}: expected complex numbers, got {bad!r}",
                            {"list": Accepted("the zero polynomial")}, {"1": 1}),
         "rational part": Kind(Polynomial([1, 1]),
@@ -300,7 +316,7 @@ def table():
                                        "({bad!r} is not a number)",
                                "2**1100": "coeffs: expected complex numbers, got ({bad!r},) "
                                           "(int too large to convert to float)",
-                               "nan": NOT_FINITE, "inf": NOT_FINITE}),
+                               "nan": NOT_FINITE, "inf": NOT_FINITE}, {"tuple": (0j, 1 + 0j)}),
         "curve": _instance(curve, "BiquadraticCurve", LatticeSpec=pair.unprimed.spec),
         "spec": _instance(pair.unprimed.spec, "LatticeSpec"),
         "lattice": _instance(pair.unprimed, "LatticePair", LatticeSpec=pair.unprimed.spec,
@@ -434,8 +450,8 @@ def test_a_bad_argument_is_refused_by_its_kind(entry, param):
 
 def test_no_index_past_max_order_starts_a_walk(monkeypatch):
     """On a genus-1 curve, where the walk is by flips alone and has no end, an index past
-    MAX_ORDER is a ValidationError before any step, and the known range stays as it was.  A
-    step would fail the test at once, not walk."""
+    MAX_ORDER is a ValidationError before any step, also at the start of an empty range, and the
+    known range stays as it was.  A step would fail the test at once, not walk."""
     curve = genus1_equation(1).curve
     lat = LatticePair(LatticeSpec(curve, 0.3 + 0.1j, y1_index=0))
     lat.ensure(-2, 3)
@@ -446,7 +462,7 @@ def test_no_index_past_max_order_starts_a_walk(monkeypatch):
         monkeypatch.setattr(LatticePair, name, no_step)
     for call in (lambda: lat.x(2**1100), lambda: lat.ensure(-2**1100, 0),
                  lambda: lat.ensure(0, MAX_ORDER + 1), lambda: lat.y(-MAX_ORDER - 1),
-                 lambda: lat.values(0, 2**1100)):
+                 lambda: lat.values(0, 2**1100), lambda: lat.ensure(2**1100, 5)):
         with pytest.raises(ValidationError, match="^lattice index must be at most "):
             call()
         assert lat.known_range == (-2, 3)

@@ -5,10 +5,7 @@ from ellgrid import (
     AskeyWilsonLattice,
     BiquadraticCurve,
     GeometricLattice,
-    LatticeSpec,
     LinearLattice,
-    empirical_rate,
-    solve,
 )
 from ellgrid.errors import (
     EllgridError,
@@ -19,8 +16,6 @@ from ellgrid.errors import (
 import ellgrid.curve as curve_module
 from ellgrid.curve import lead_test, walk_flips
 from ellgrid.poly import Polynomial
-
-from fixtures import linear_fixture
 
 
 def coeffs_close(p, coeffs, tol=1e-12):
@@ -244,33 +239,6 @@ def test_invalid_grids_rejected():
     with pytest.raises(ValidationError):
         # y^2 + 2xy + x^2 = (x + y)^2: P identically zero
         BiquadraticCurve([[0, 0, 1], [0, 2, 0], [1, 0, 0]])
-
-
-@pytest.mark.parametrize("grid", [[1, 2, 3], None, [[1, 0, 1], [0, 1, 0], 5]],
-                         ids=["flat", "none", "scalar-row"])
-def test_a_grid_that_cannot_be_iterated_is_not_3x3(grid):
-    """A grid, or a row of it, that is not iterable is a ValidationError, not a TypeError."""
-    with pytest.raises(ValidationError, match=r"^curve grid must be 3x3$"):
-        BiquadraticCurve(grid)
-
-
-@pytest.mark.parametrize("bad", ["1", True, np.True_, 10 ** 400],
-                         ids=["str", "bool", "numpy-bool", "int-past-float"])
-@pytest.mark.parametrize("call, name", [
-    pytest.param(lambda v: BiquadraticCurve([[v, 0, 1], [0, -1.5, 0], [0.5, 0, 0]]),
-                 "grid[0][0]", id="curve"),
-    pytest.param(lambda v: LatticeSpec(LinearLattice(h=1.0).curve(), v, y1_index=0), "x0",
-                 id="lattice-x0"),
-    pytest.param(lambda v: empirical_rate(solve(*linear_fixture(), 30), v, 5, 25), "z",
-                 id="empirical-z"),
-])
-def test_a_complex_argument_is_a_number_and_not_a_bool(call, name, bad):
-    """complex() takes a numeric string and a bool (Python's or numpy's), but neither is a
-    number here, and raises an untyped OverflowError on an int past the float range: each is a
-    ValidationError naming the argument or the grid entry."""
-    with pytest.raises(ValidationError) as err:
-        call(bad)
-    assert str(err.value) == f"{name}: expected a finite complex number, got {bad!r}"
 
 
 def test_json_roundtrip():

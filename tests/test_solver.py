@@ -25,7 +25,7 @@ from ellgrid import (
     stepwise_oracle,
     verify_interpolation,
 )
-from ellgrid.diffops import C_METHODS, diff_constant, diff_constants
+from ellgrid.diffops import diff_constants
 from ellgrid.errors import (
     DegreeMismatchError,
     EllgridError,
@@ -366,33 +366,6 @@ def test_shared_equation_solves_as_fresh_ones():
     assert cases == 150 and not differ, differ
 
 
-NONFINITE = [
-    ("linear", Explicit(x_m1=float("nan"), x_p0=1.0), {}, "select.x_m1", "nan"),
-    ("linear", Explicit(x_m1=1j, x_p0=complex(0, float("inf"))), {}, "select.x_p0", "infj"),
-    ("linear", Nearest(float("nan")), {}, "select.z", "nan"),
-    ("linear", Nearest(float("inf")), {}, "select.z", "inf"),
-    ("linear", Nearest(None), {}, "select.z", "None"),
-    ("log", None, {"y0_hint": float("nan")}, "y0_hint", "nan"),
-    ("log", None, {"yp1_hint": complex(float("inf"), 0)}, "yp1_hint", "(inf+0j)"),
-    ("log", None, {"y0_hint": None, "yp1_hint": float("-inf")}, "yp1_hint", "-inf"),
-]
-
-
-@pytest.mark.parametrize("kind, select, hints, field, shown", NONFINITE,
-                         ids=[f"{case[3]}={case[4]}" for case in NONFINITE])
-def test_nonfinite_selector_or_hint_is_a_validation_error(kind, select, hints, field, shown):
-    """Unchecked, a NaN point would match or pick candidate 0 (no comparison with it holds) and
-    a NaN hint would take the other branch."""
-    if kind == "log":
-        eq, select, *_, fixture_hints = log_linear_fixture()
-        hints = {**fixture_hints, **hints}
-    else:
-        eq = linear_fixture()[0]
-    with pytest.raises(ValidationError) as err:
-        locate_special_points(eq, select, **hints)
-    assert str(err.value) == f"{field}: expected a finite complex number, got {shown}"
-
-
 def _linear(a=(0, 0, 1.0), beta=0.0, gamma=2.0, delta=1.0, eps=0.0):
     """linear_fixture's equation with one argument replaced."""
     return DifferenceEquation(LinearLattice(h=1.0).curve(), a, beta, gamma, delta, eps)
@@ -402,11 +375,6 @@ def _from_polynomials(c=None, d=None):
     """linear_fixture's equation through from_polynomials, with c or d replaced."""
     eq = _linear()
     return DifferenceEquation.from_polynomials(eq.curve, eq.a, c or eq.c, d or eq.d)
-
-
-def _oracle(f0):
-    eq, select = linear_fixture()
-    return stepwise_oracle(eq, solve(eq, select, 5).pair, 5, f0=f0)
 
 
 def _solve(c0_free, monkeypatch, log=True):
@@ -423,38 +391,25 @@ def _solve(c0_free, monkeypatch, log=True):
     return solve(eq, select, 5, c0_free=c0_free, **hints)
 
 
-def _log_coefficients(c0_free):
-    eq, select, c0, _, _, hints = log_linear_fixture()
-    return expansion_coefficients_log(eq, solve(eq, select, 5, c0_free=c0, **hints).pair, 5,
-                                      c0_free)
-
-
 NAN, INF = float("nan"), float("inf")
 NONFINITE_INPUTS = [
     ("a", lambda mp: _linear(a=[0, 0, INF]), "a[2]", "inf"),
     ("a, a Polynomial", lambda mp: _linear(a=Polynomial((0, NAN, 1.0))), "a[1]", "(nan+0j)"),
-    ("beta", lambda mp: _linear(beta=NAN), "beta", "nan"),
-    ("gamma", lambda mp: _linear(gamma="x"), "gamma", "'x'"),
-    ("delta", lambda mp: _linear(delta=INF), "delta", "inf"),
-    ("eps", lambda mp: _linear(eps=-INF), "eps", "-inf"),
     ("c", lambda mp: _from_polynomials(c=[NAN]), "c[0]", "nan"),
     ("d", lambda mp: _from_polynomials(d=[0, INF]), "d[1]", "inf"),
-    ("f0", lambda mp: _oracle(NAN), "f0", "nan"),
-    ("f0, text", lambda mp: _oracle("x"), "f0", "'x'"),
     ("c0_free", lambda mp: _solve(NAN, mp), "c0_free", "nan"),
     ("c0_free, text", lambda mp: _solve("x", mp), "c0_free", "'x'"),
     ("c0_free, general mode", lambda mp: _solve(INF, mp, log=False), "c0_free", "inf"),
-    ("c0_free, log coefficients", lambda mp: _log_coefficients(INF), "c0_free", "inf"),
 ]
 
 
 @pytest.mark.parametrize("call, field, shown", [case[1:] for case in NONFINITE_INPUTS],
                          ids=[case[0] for case in NONFINITE_INPUTS])
 def test_nonfinite_equation_input_is_a_validation_error(call, field, shown, monkeypatch):
-    """Unchecked, Polynomial's trim drops an inf top coefficient, a NaN beta reaches c, an inf
-    delta leaves d = 0, a NaN f0 blames the lattice, a NaN c0_free fails as c_0 after the
-    special points are found (and in general mode reaches solution_to_json), and text is an
-    untyped ValueError."""
+    """What the boundary table cannot check: a coefficient named by its index (unchecked,
+    Polynomial's trim drops an inf top coefficient), and a c0_free refused before solve locates
+    special points (unchecked, a NaN fails as c_0 after they are found, and in general mode
+    reaches solution_to_json; text is an untyped ValueError)."""
     with pytest.raises(ValidationError) as err:
         call(monkeypatch)
     assert str(err.value) == f"{field}: expected a finite complex number, got {shown}"
@@ -473,13 +428,13 @@ BAD_INDEX = [
 @pytest.mark.parametrize("select, field, bad", BAD_INDEX,
                          ids=[f"{case[1]}={case[2]!r}" for case in BAD_INDEX])
 def test_non_integer_by_index_entry_is_a_validation_error(select, field, bad):
-    """Unchecked, 1.5, None and "1" fail as an untyped TypeError from the list index, and
-    True and False pick entries 1 and 0; a numpy integer is an entry."""
+    """Through solve (the boundary table checks locate_special_points), unchecked, 1.5, None and
+    "1" fail as an untyped TypeError from the list index, and True and False pick entries 1 and
+    0; a numpy integer is an entry."""
     eq = linear_fixture()[0]
-    for call in (lambda: locate_special_points(eq, select), lambda: solve(eq, select, 5)):
-        with pytest.raises(ValidationError) as err:
-            call()
-        assert str(err.value) == f"{field} must be an integer, got {bad!r}"
+    with pytest.raises(ValidationError) as err:
+        solve(eq, select, 5)
+    assert str(err.value) == f"{field} must be an integer, got {bad!r}"
     assert locate_special_points(eq, ByIndex(np.int64(0), np.int64(1))) == \
         locate_special_points(eq, ByIndex(0, 1))
 
@@ -1204,75 +1159,36 @@ def test_interpolation_at_order_zero():
     assert rep.max_error == 0.0
 
 
-@pytest.mark.parametrize("mode", ["general", "log"])
-@pytest.mark.parametrize("call", ["solve", "diff_constant", "diff_constants",
-                                  "partial_sum", "verify", "oracle"])
-def test_negative_order_is_validation_error(mode, call):
-    """A negative order is refused, never read from the end of a list."""
-    if mode == "general":
-        (eq, select), kw = linear_fixture(), {}
-    else:
-        eq, select, c0_free, _, _, hints = log_linear_fixture()
-        kw = dict(c0_free=c0_free, **hints)
-    sol = solve(eq, select, 5, **kw)
-    calls = {
-        "solve": [lambda: solve(eq, select, -3, **kw)],
-        "diff_constant": [lambda m=m: diff_constant(sol.pair, -1, m)
-                          for m in C_METHODS + ("all",)],
-        "diff_constants": [lambda: diff_constants(sol.pair, -1)],
-        "partial_sum": [lambda: evaluate_partial_sum(sol, -2, 0.3 + 0.2j)],
-        "verify": [lambda: verify_interpolation(eq, sol, -1)],
-        "oracle": [lambda: stepwise_oracle(eq, sol.pair, -1, f0=kw.get("c0_free"))],
-    }
-    for fn in calls[call]:
-        with pytest.raises(ValidationError, match="^K must be >= 0, got -1$" if call == "oracle"
-                           else None):
-            fn()
-
-
 def order_entry_points():
-    """{name: (argument, call(order))} for every public entry that takes an order."""
+    """{name: call(order)} for every entry that takes an order, and the non-public
+    diff_constants."""
     eq, select = linear_fixture()
     sol = solve(eq, select, 5)
     leq, lselect, c0_free, _, _, hints = log_linear_fixture()
     lpair = solve(leq, lselect, 5, c0_free=c0_free, **hints).pair
     return {
-        "solve": ("N", lambda n: solve(eq, select, n)),
-        "expansion_coefficients": ("N", lambda n: expansion_coefficients(eq, sol.pair, n)),
-        "expansion_coefficients_log":
-            ("N", lambda n: expansion_coefficients_log(leq, lpair, n, c0_free)),
-        "stepwise_oracle": ("K", lambda n: stepwise_oracle(eq, sol.pair, n)),
-        "evaluate_partial_sum": ("N", lambda n: evaluate_partial_sum(sol, n, 0.3 + 0.2j)),
-        "verify_interpolation": ("N", lambda n: verify_interpolation(eq, sol, n)),
-        "diff_constants": ("N", lambda n: diff_constants(sol.pair, n)),
+        "solve": lambda n: solve(eq, select, n),
+        "expansion_coefficients": lambda n: expansion_coefficients(eq, sol.pair, n),
+        "expansion_coefficients_log": lambda n: expansion_coefficients_log(leq, lpair, n, c0_free),
+        "stepwise_oracle": lambda n: stepwise_oracle(eq, sol.pair, n),
+        "evaluate_partial_sum": lambda n: evaluate_partial_sum(sol, n, 0.3 + 0.2j),
+        "verify_interpolation": lambda n: verify_interpolation(eq, sol, n),
+        "diff_constants": lambda n: diff_constants(sol.pair, n),
     }
 
 
 @pytest.mark.parametrize("entry", list(order_entry_points()))
-def test_non_integer_order_is_validation_error(entry):
-    """An order is what operator.index takes, bools aside: 3.5, 3.0, True and "3" are refused
-    with the argument's name, and a numpy integer is an order."""
-    arg, call = order_entry_points()[entry]
-    for bad in (3.5, 3.0, True, "3"):
-        with pytest.raises(ValidationError, match=f"^{arg} must be an integer, got {bad!r}$"):
-            call(bad)
-    call(np.int64(3))
-
-
-@pytest.mark.parametrize("entry", ["expansion_coefficients", "expansion_coefficients_log",
-                                   "evaluate_partial_sum", "verify_interpolation"])
-def test_negative_order_names_its_bound(entry):
-    arg, call = order_entry_points()[entry]
-    with pytest.raises(ValidationError, match=f"^{arg} must be >= 0, got -1$"):
-        call(-1)
+def test_an_order_may_be_a_numpy_integer(entry):
+    """An order is what operator.index takes: a numpy integer is one.  The orders refused are
+    the boundary table's cases, and diff_constants' tests/test_diffops.py's."""
+    order_entry_points()[entry](np.int64(3))
 
 
 @pytest.mark.parametrize("entry", ["evaluate_partial_sum", "verify_interpolation"])
 def test_order_past_the_solution_names_its_coefficients(entry):
     """A solution's one order rule: past its order, the convergence entry points' message."""
-    _, call = order_entry_points()[entry]
     with pytest.raises(ValidationError, match=r"^solution has only 5 coefficients$"):
-        call(6)
+        order_entry_points()[entry](6)
 
 
 # -- logarithmic mode ------------------------------------------------------------------------
