@@ -15,7 +15,9 @@ from ellgrid import (
     RatePredictor,
     detect_small_divisors,
     empirical_rate,
+    evaluate_partial_sum,
     rate_map,
+    residual,
     solve,
     term_magnitudes,
     write_rate_map_csv,
@@ -438,7 +440,7 @@ def test_predicted_rate_matches_annulus_theory(qsol):
         assert predictor.rate(z) == pytest.approx(abs(z) / abs(zeta), rel=1e-3)
 
 
-def test_rate_far_out_is_finite(qsol):
+def test_rate_far_out_is_finite_and_nonfinite_z_is_refused(qsol):
     """P(z) would overflow at |z| = 1e200; the rate is still |z| / |zeta|."""
     sol, zeta, q = qsol
     predictor = RatePredictor(sol)
@@ -446,6 +448,21 @@ def test_rate_far_out_is_finite(qsol):
         warnings.simplefilter("error")
         for z in (1e200 * np.exp(0.7j), 1e300j):
             assert predictor.rate(z) == pytest.approx(abs(z) / abs(zeta), rel=1e-12)
+    for z in (complex("nan"), complex("inf")):
+        with pytest.raises(ValidationError):
+            predictor.rate(z)
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(0.5, float("-inf"))])
+def test_nonfinite_z_is_refused_on_every_evaluation(z):
+    """Unchecked, empirical_rate gives a NaN rate with no flag, and the others return NaN."""
+    eq, select = linear_fixture()
+    sol = solve(eq, select, 12)
+    for call in (lambda: empirical_rate(sol, z, 2, 10), lambda: term_magnitudes(sol, z, 10),
+                 lambda: evaluate_partial_sum(sol, 10, z), lambda: residual(eq, sol, 10, z)):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == f"z: expected a finite complex number, got {z!r}"
 
 
 def test_rate_one_on_reference_equipotential(qsol):
@@ -644,7 +661,7 @@ def _per_cell_rate_map(sol, re_axis, im_axis, n_min, n_max):
 @pytest.mark.parametrize("case, window", [
     ("criterion-9", (5, 25)), ("branch point, -0.0", (5, 25)), ("linear", (5, 25)),
     ("python floats", (5, 25)), ("empty axis", (5, 25)), ("genus 1", (5, 25)),
-    ("short window", (5, 9)), ("on a node", (5, 25)),
+    ("short window", (5, 9)), ("past the coefficients", (5, 40)), ("on a node", (5, 25)),
 ])
 def test_rate_map_rows_are_per_cell_reference_bit_for_bit(qsol, case, window):
     """Every row of the column sweep equals the cell-by-cell reference: the same flags and
@@ -667,6 +684,10 @@ def test_rate_map_rows_are_per_cell_reference_bit_for_bit(qsol, case, window):
     elif case == "on a node":                       # the terms past y_0 vanish there
         y0 = sol.pair.unprimed.y(0)
         re_axis, im_axis = [y0.real, 1.0], [y0.imag, 0.2]
+    if case == "past the coefficients":             # refused before any cell is read
+        with pytest.raises(ValidationError, match=r"^solution has only 30 coefficients$"):
+            rate_map(sol, re_axis, im_axis, *window)
+        return
     rows = rate_map(sol, re_axis, im_axis, *window)
     want = _per_cell_rate_map(sol, re_axis, im_axis, *window)
     assert repr([row[:2] + row[3:] for row in rows]) == repr([row[:2] + row[3:] for row in want])

@@ -440,12 +440,16 @@ def test_a_pair_on_two_curve_objects_needs_one_curve_up_to_sign():
 
 
 @pytest.mark.parametrize("call, message", [
+    (lambda pair: mean_poly_value(pair, 0.0), "^n must be an integer, got 0.0$"),
+    (lambda pair: verify_diff_basis_identity(pair, 0.0, [0.3 + 0.2j]),
+     "^n must be an integer, got 0.0$"),
+    (lambda pair: mean_poly_direct(pair, 0.0, 0.3 + 0.2j), "^n must be an integer, got 0.0$"),
     (lambda pair: diff_constant(pair, 0, "bogus"), "^unknown C_n method 'bogus'$"),
     (lambda pair: mean_poly_value(pair, 0, at="bogus"), "^unknown D_n point 'bogus'$"),
-], ids=["diff_constant-method", "mean_poly_value-at"])
+], ids=["mean_poly_value-n", "identity-n", "mean_poly_direct-n", "diff_constant-method",
+        "mean_poly_value-at"])
 def test_order_zero_is_validated_like_any_other(call, message):
-    """At n = 0 each entry point refuses what it refuses at n >= 1, before its n = 0 value (an
-    order that is not an integer is the boundary table's)."""
+    """At n = 0 each entry point refuses what it refuses at n >= 1, before its n = 0 value."""
     with pytest.raises(ValidationError, match=message):
         call(half_offset_pair())
 

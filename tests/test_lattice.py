@@ -140,6 +140,11 @@ def test_seed_point_only():
     assert lat.known_range == (0, 0)
 
 
+def test_generate_validates_range():
+    with pytest.raises(ValidationError):
+        generate(LinearLattice(h=1.0).spec(), 1, 3)
+
+
 def test_off_curve_seed_rejected():
     curve = LinearLattice(h=1.0).curve()
     with pytest.raises(ValidationError):
